@@ -519,7 +519,7 @@ impl<'a> Analyzer<'a> {
                         arr.mw = PredComponent::unconditional(section);
                     }
                 }
-                reads.seq(&writes, self.sess)
+                reads_then(reads, &writes, self.sess)
             }
             Stmt::If {
                 cond,
@@ -532,7 +532,7 @@ impl<'a> Analyzer<'a> {
                 let e = self.analyze_block(proc, else_blk, depth);
                 let cond_pred = Pred::from_bool(cond);
                 let merged = Summary::if_merge(&cond_pred, &t, &e, self.sess);
-                cond_reads.seq(&merged, self.sess)
+                reads_then(cond_reads, &merged, self.sess)
             }
             Stmt::For(l) => self.handle_loop(proc, l, depth),
             Stmt::Call { callee, args } => {
@@ -658,10 +658,7 @@ impl<'a> Analyzer<'a> {
                 mechanisms.embedding = true;
                 embedded_arrays.push(a);
             }
-            arr.w.normalize(opts.max_pieces, false, sess);
-            arr.mw.normalize(opts.max_pieces, true, sess);
-            arr.r.normalize(opts.max_pieces, true, sess);
-            arr.e.normalize(opts.max_pieces, true, sess);
+            arr.normalize(sess);
             iter.arrays.insert(a, arr);
         }
 
@@ -819,10 +816,7 @@ impl<'a> Analyzer<'a> {
                     &proc.name,
                 ),
             };
-            arr.w.normalize(opts.max_pieces, false, sess);
-            arr.mw.normalize(opts.max_pieces, true, sess);
-            arr.r.normalize(opts.max_pieces, true, sess);
-            arr.e.normalize(opts.max_pieces, true, sess);
+            arr.normalize(sess);
             (arr, fired)
         };
         // Per-array subtractions are independent; fan out when the
@@ -881,7 +875,7 @@ impl<'a> Analyzer<'a> {
             provenance: prov,
         });
 
-        bound_reads.seq(&loop_sum, sess)
+        reads_then(bound_reads, &loop_sum, sess)
     }
 }
 
@@ -912,6 +906,20 @@ fn existentialize(
         out.push(p.pred, region);
     }
     out
+}
+
+/// `reads ; rest`, where `reads` was assembled from raw access sections
+/// by [`add_expr_reads`] / [`add_bool_reads`]. [`Summary::seq`] carries
+/// the slots `rest` does not mention forward as they are and expects
+/// them normalized, so those — and only those: a slot `rest` does
+/// mention is normalized after the merge — are normalized here first.
+fn reads_then(mut reads: Summary, rest: &Summary, sess: &AnalysisSession) -> Summary {
+    for (a, arr) in &mut reads.arrays {
+        if !rest.arrays.contains_key(a) {
+            arr.normalize(sess);
+        }
+    }
+    reads.seq(rest, sess)
 }
 
 /// Add the reads of an arithmetic expression to a summary.
@@ -1293,6 +1301,161 @@ mod tests {
         assert_eq!(r.loops[0].depth, 0);
         assert_eq!(r.loops[1].depth, 1);
         assert!(r.loops.iter().all(|l| l.outcome.is_parallelizable()));
+    }
+
+    fn sequential_analyzer<'a>(
+        prog: &'a Program,
+        sess: &'a AnalysisSession,
+        view: &'a SummaryView<'a>,
+    ) -> Analyzer<'a> {
+        Analyzer {
+            prog,
+            sess,
+            proc_summaries: view,
+            reports: Vec::new(),
+            par_ok: false,
+        }
+    }
+
+    /// Fold `block` (and, recursively, every block nested in it) with
+    /// `Summary::seq` and with the all-keys reference side by side,
+    /// asserting equality after every statement. Returns the number of
+    /// prefixes checked.
+    fn check_block_prefixes(
+        az: &mut Analyzer<'_>,
+        proc: &Procedure,
+        block: &Block,
+        depth: usize,
+    ) -> usize {
+        let mut acc = Summary::empty();
+        let mut reference = Summary::empty();
+        let mut checked = 0;
+        for (i, stmt) in block.stmts.iter().enumerate() {
+            let s = az.analyze_stmt(proc, stmt, depth);
+            reference = reference.seq_all_keys(&s, az.sess);
+            acc = acc.seq(&s, az.sess);
+            assert_eq!(
+                acc, reference,
+                "{}: statement {i} of a depth-{depth} block",
+                proc.name
+            );
+            checked += 1;
+            match stmt {
+                Stmt::If {
+                    cond,
+                    then_blk,
+                    else_blk,
+                } => {
+                    // The raw-left composition, against the reference
+                    // applied to the un-normalized operand.
+                    let mut cond_reads = Summary::empty();
+                    add_bool_reads(&mut cond_reads, proc, cond);
+                    let t = az.analyze_block(proc, then_blk, depth);
+                    let e = az.analyze_block(proc, else_blk, depth);
+                    let merged = Summary::if_merge(&Pred::from_bool(cond), &t, &e, az.sess);
+                    assert_eq!(
+                        reads_then(cond_reads.clone(), &merged, az.sess),
+                        cond_reads.seq_all_keys(&merged, az.sess),
+                        "{}: condition reads of statement {i}",
+                        proc.name
+                    );
+                    checked += check_block_prefixes(az, proc, then_blk, depth);
+                    checked += check_block_prefixes(az, proc, else_blk, depth);
+                }
+                Stmt::For(l) => checked += check_block_prefixes(az, proc, &l.body, depth + 1),
+                _ => {}
+            }
+        }
+        checked
+    }
+
+    /// [`check_block_prefixes`] over every procedure of `prog`, with
+    /// call statements resolved against a finished whole-program run.
+    fn check_program_prefixes(prog: &Program, opts: &Options) -> usize {
+        let sess = AnalysisSession::new(opts.clone());
+        let (_, summaries) = analyze_program_session(prog, &sess).unwrap();
+        let index: HashMap<&str, usize> = prog
+            .procedures
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.name.as_str(), i))
+            .collect();
+        let slots: Vec<std::sync::OnceLock<Arc<Summary>>> = prog
+            .procedures
+            .iter()
+            .map(|p| std::sync::OnceLock::from(Arc::clone(&summaries[&p.name])))
+            .collect();
+        let view = SummaryView {
+            index: &index,
+            slots: &slots,
+        };
+        let mut az = sequential_analyzer(prog, &sess, &view);
+        prog.procedures
+            .iter()
+            .map(|p| check_block_prefixes(&mut az, p, &p.body, 0))
+            .sum()
+    }
+
+    #[test]
+    fn reads_then_matches_all_keys_reference_on_dead_sections() {
+        // `m[0, k[1]]` reads a provably empty, inexact section. Whether
+        // the rest mentions `m` (the slot is merged, then normalized)
+        // or not (the slot is carried), the result is the reference's.
+        let prog = parse_program(
+            "proc main(n: int) {
+                 array m[10, 10]; array k[10] of int; array b[10]; var x: real;
+                 x = m[0, k[1]];
+                 x = m[1, 1];
+                 b[1] = 1.0;
+             }",
+        )
+        .unwrap();
+        let proc = &prog.procedures[0];
+        for opts in [Options::base(), Options::guarded(), Options::predicated()] {
+            let sess = AnalysisSession::new(opts);
+            let view = SummaryView {
+                index: &HashMap::new(),
+                slots: &[],
+            };
+            let mut az = sequential_analyzer(&prog, &sess, &view);
+            let Stmt::Assign { rhs, .. } = &proc.body.stmts[0] else {
+                panic!("statement 0 is an assignment");
+            };
+            let mut reads = Summary::empty();
+            add_expr_reads(&mut reads, proc, rhs);
+            let m = Var::new("m");
+            assert!(!reads.arrays[&m].r.is_empty(), "raw: {reads}");
+            for rest in &proc.body.stmts[1..] {
+                let rest = az.analyze_stmt(proc, rest, 0);
+                let got = reads_then(reads.clone(), &rest, &sess);
+                assert_eq!(got, reads.seq_all_keys(&rest, &sess));
+                if !rest.arrays.contains_key(&m) {
+                    assert!(got.arrays[&m].r.is_empty(), "dead section carried: {got}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn seq_matches_all_keys_reference_on_corpus() {
+        let mut checked = 0;
+        for bench in padfa_suite::build_corpus() {
+            for opts in [Options::base(), Options::guarded(), Options::predicated()] {
+                checked += check_program_prefixes(&bench.program, &opts);
+            }
+        }
+        assert!(checked > 10_000, "only {checked} block prefixes checked");
+    }
+
+    #[test]
+    fn seq_matches_all_keys_reference_on_generated_programs() {
+        use padfa_ir::testgen::{random_program, GenConfig};
+        for seed in 0..240 {
+            let prog = random_program(seed, GenConfig::default());
+            for opts in [Options::base(), Options::guarded(), Options::predicated()] {
+                check_program_prefixes(&prog, &opts);
+            }
+        }
     }
 
     #[test]

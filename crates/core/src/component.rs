@@ -89,10 +89,16 @@ impl PredComponent {
     /// via [`PredComponent::push_in`].
     pub fn union_in(&self, other: &PredComponent, sess: &AnalysisSession) -> PredComponent {
         let mut out = self.clone();
-        for p in &other.pieces {
-            out.push_in(p.pred.clone(), p.region.clone(), sess);
-        }
+        out.absorb_in(other.clone(), sess);
         out
+    }
+
+    /// In-place [`PredComponent::union_in`]: `self ∪= other` without
+    /// copying the pieces `self` already holds.
+    pub fn absorb_in(&mut self, other: PredComponent, sess: &AnalysisSession) {
+        for p in other.pieces {
+            self.push_in(p.pred, p.region, sess);
+        }
     }
 
     /// True when no pieces remain.
@@ -172,6 +178,7 @@ impl PredComponent {
     /// for may components the merged predicate is the disjunction (the
     /// region may be accessed if either guard held); for must components
     /// the conjunction (both writes happen only when both guards hold).
+    /// Idempotent: normalizing a normalized component changes nothing.
     pub fn normalize(&mut self, max_pieces: usize, may: bool, sess: &AnalysisSession) {
         self.pieces
             .retain(|p| !p.pred.is_false() && !sess.is_empty(&p.region));
@@ -189,6 +196,10 @@ impl PredComponent {
             let region = sess.union(&a.region, &b.region);
             self.push(pred, region);
         }
+        // A may-merge whose disjunction collapsed to `True` was pushed
+        // behind the guarded pieces; restore the order so a second
+        // pass is the identity (`Summary::seq` relies on that).
+        self.pieces.sort_by_key(|p| !p.pred.is_true());
     }
 
     /// Project variables out of every region. For must components
@@ -442,6 +453,48 @@ mod tests {
         let m = may.may_region(&s);
         for x in [1, 3, 5, 7] {
             assert_eq!(m.contains(&|_| Some(x)), Some(true));
+        }
+    }
+
+    #[test]
+    fn normalize_is_idempotent() {
+        // `Summary::seq` carries untouched slots forward without
+        // re-normalizing them, so a second pass must change nothing:
+        // not the pieces, not their order.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let pool = [
+            Pred::True,
+            pred("x > 1"),
+            pred("x <= 1"),
+            pred("y > 1"),
+            pred("y <= 1"),
+            pred("z > 0"),
+            pred("x > 5"),
+        ];
+        let s = sess();
+        let mut rng = StdRng::seed_from_u64(0x1de0);
+        for case in 0..2000 {
+            let mut c = PredComponent::empty();
+            for _ in 0..rng.gen_range(0..8) {
+                let lo: i64 = rng.gen_range(-2..20);
+                // `hi = lo - 1` is an empty interval that only the
+                // emptiness query (not `push`) recognizes.
+                let hi = lo + rng.gen_range(-1..6i64);
+                let p = pool[rng.gen_range(0..pool.len())].clone();
+                c.push(p, interval("d", lo, hi));
+            }
+            for may in [true, false] {
+                for max_pieces in 1..=4 {
+                    let mut once = c.clone();
+                    once.normalize(max_pieces, may, &s);
+                    let mut twice = once.clone();
+                    twice.normalize(max_pieces, may, &s);
+                    assert_eq!(
+                        once, twice,
+                        "case {case} may={may} max_pieces={max_pieces}: from {c}"
+                    );
+                }
+            }
         }
     }
 

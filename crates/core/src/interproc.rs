@@ -614,11 +614,7 @@ pub fn translate_call(
             r: tr(&asum.r, false, mechanisms),
             e: tr(&asum.e, false, mechanisms),
         };
-        let opts = &sess.opts;
-        a.w.normalize(opts.max_pieces, false, sess);
-        a.mw.normalize(opts.max_pieces, true, sess);
-        a.r.normalize(opts.max_pieces, true, sess);
-        a.e.normalize(opts.max_pieces, true, sess);
+        a.normalize(sess);
         out.arrays.insert(actual, a);
     }
 

@@ -24,6 +24,16 @@ impl ArraySummary {
     pub fn is_empty(&self) -> bool {
         self.w.is_empty() && self.mw.is_empty() && self.r.is_empty() && self.e.is_empty()
     }
+
+    /// Normalize all four components ([`PredComponent::normalize`]): `W`
+    /// as the must component, `MW`/`R`/`E` as may components.
+    pub fn normalize(&mut self, sess: &AnalysisSession) {
+        let max_pieces = sess.opts.max_pieces;
+        self.w.normalize(max_pieces, false, sess);
+        self.mw.normalize(max_pieces, true, sess);
+        self.r.normalize(max_pieces, true, sess);
+        self.e.normalize(max_pieces, true, sess);
+    }
 }
 
 /// Per-scalar summary. Scalars get the classical (unpredicated)
@@ -94,7 +104,137 @@ impl Summary {
     /// whose predicate reads a scalar `self` may modify are degraded
     /// (weakened to `True` in may components, dropped from must
     /// components).
-    pub fn seq(&self, next: &Summary, sess: &AnalysisSession) -> Summary {
+    ///
+    /// Only the arrays and scalars `next` mentions are visited: every
+    /// other slot of `self` is carried forward unmoved, so folding a
+    /// block costs lattice work proportional to what its statements
+    /// touch, not to statements × arrays. The caller guarantees that the
+    /// array slots `next` does not mention are normalized already
+    /// ([`ArraySummary::normalize`] is idempotent, so running it on them
+    /// again would change nothing): true of every `seq` / `if_merge`
+    /// result and of the empty summary, not of a summary assembled from
+    /// raw access sections.
+    pub fn seq(mut self, next: &Summary, sess: &AnalysisSession) -> Summary {
+        let preds = sess.opts.predicates_enabled();
+        // `next` is degraded against what `self` alone writes.
+        let writes = &self.scalar_writes;
+        let unstable = |v: Var| writes.contains(&v);
+        for (&a, s2) in &next.arrays {
+            let s1 = self.arrays.entry(a).or_default();
+
+            let w2 = s2.w.degrade_unstable(&unstable, false);
+            let mw2 = s2.mw.degrade_unstable(&unstable, true);
+            let r2 = s2.r.degrade_unstable(&unstable, true);
+            let e2 = s2.e.degrade_unstable(&unstable, true);
+
+            let mut fired = false;
+            let e2_minus_w1 = e2.pred_subtract(&s1.w, preds, None, sess, &mut fired);
+
+            s1.w.absorb_in(w2, sess);
+            s1.mw.absorb_in(mw2, sess);
+            s1.r.absorb_in(r2, sess);
+            s1.e.absorb_in(e2_minus_w1, sess);
+            s1.normalize(sess);
+        }
+
+        for (&s, b) in &next.scalars {
+            let a = self.scalars.entry(s).or_default();
+            a.exposed_read |= b.exposed_read && !a.must_write;
+            a.must_write |= b.must_write;
+            a.may_write |= b.may_write;
+        }
+
+        self.scalar_writes.extend(&next.scalar_writes);
+        self.has_io |= next.has_io;
+        self.has_exit |= next.has_exit;
+        self.degraded |= next.degraded;
+        self
+    }
+
+    /// Merge the two branches of `if (cond)`.
+    ///
+    /// With predicates enabled each branch's pieces are guarded by the
+    /// branch condition (so a write under `cond` stays a *guarded
+    /// must-write*). The unpredicated baseline must intersect must-writes
+    /// and union everything else — precisely the precision loss the paper
+    /// addresses.
+    pub fn if_merge(
+        cond_pred: &Pred,
+        then_s: &Summary,
+        else_s: &Summary,
+        sess: &AnalysisSession,
+    ) -> Summary {
+        let opts = &sess.opts;
+        let mut out = Summary::empty();
+        out.has_io = then_s.has_io || else_s.has_io;
+        out.has_exit = then_s.has_exit || else_s.has_exit;
+        out.degraded = then_s.degraded || else_s.degraded;
+        out.scalar_writes = then_s
+            .scalar_writes
+            .union(&else_s.scalar_writes)
+            .copied()
+            .collect();
+
+        let keys: BTreeSet<Var> = then_s
+            .arrays
+            .keys()
+            .chain(else_s.arrays.keys())
+            .copied()
+            .collect();
+        let neg = cond_pred.negate();
+        for a in keys {
+            let empty = ArraySummary::default();
+            let t = then_s.arrays.get(&a).unwrap_or(&empty);
+            let e = else_s.arrays.get(&a).unwrap_or(&empty);
+            let mut acc = if opts.predicates_enabled() {
+                ArraySummary {
+                    w: t.w.guard(cond_pred).union_in(&e.w.guard(&neg), sess),
+                    mw: t.mw.guard(cond_pred).union_in(&e.mw.guard(&neg), sess),
+                    r: t.r.guard(cond_pred).union_in(&e.r.guard(&neg), sess),
+                    e: t.e.guard(cond_pred).union_in(&e.e.guard(&neg), sess),
+                }
+            } else {
+                // Base SUIF: W must hold on both paths.
+                let w = intersect_must(&t.w, &e.w, sess);
+                ArraySummary {
+                    w,
+                    mw: t.mw.union_in(&e.mw, sess),
+                    r: t.r.union_in(&e.r, sess),
+                    e: t.e.union_in(&e.e, sess),
+                }
+            };
+            acc.normalize(sess);
+            out.arrays.insert(a, acc);
+        }
+
+        let skeys: BTreeSet<Var> = then_s
+            .scalars
+            .keys()
+            .chain(else_s.scalars.keys())
+            .copied()
+            .collect();
+        for s in skeys {
+            let a = then_s.scalars.get(&s).copied().unwrap_or_default();
+            let b = else_s.scalars.get(&s).copied().unwrap_or_default();
+            out.scalars.insert(
+                s,
+                ScalarSummary {
+                    must_write: a.must_write && b.must_write,
+                    may_write: a.may_write || b.may_write,
+                    exposed_read: a.exposed_read || b.exposed_read,
+                },
+            );
+        }
+        out
+    }
+}
+
+#[cfg(test)]
+impl Summary {
+    /// Reference composition for the differential tests: the original
+    /// `seq`, which rebuilds, re-unions and re-normalizes every array
+    /// and scalar of either operand and assumes nothing about `self`.
+    pub(crate) fn seq_all_keys(&self, next: &Summary, sess: &AnalysisSession) -> Summary {
         let opts = &sess.opts;
         let mut out = Summary::empty();
         out.has_io = self.has_io || next.has_io;
@@ -157,86 +297,6 @@ impl Summary {
                     must_write: a.must_write || b.must_write,
                     may_write: a.may_write || b.may_write,
                     exposed_read: a.exposed_read || (b.exposed_read && !a.must_write),
-                },
-            );
-        }
-        out
-    }
-
-    /// Merge the two branches of `if (cond)`.
-    ///
-    /// With predicates enabled each branch's pieces are guarded by the
-    /// branch condition (so a write under `cond` stays a *guarded
-    /// must-write*). The unpredicated baseline must intersect must-writes
-    /// and union everything else — precisely the precision loss the paper
-    /// addresses.
-    pub fn if_merge(
-        cond_pred: &Pred,
-        then_s: &Summary,
-        else_s: &Summary,
-        sess: &AnalysisSession,
-    ) -> Summary {
-        let opts = &sess.opts;
-        let mut out = Summary::empty();
-        out.has_io = then_s.has_io || else_s.has_io;
-        out.has_exit = then_s.has_exit || else_s.has_exit;
-        out.degraded = then_s.degraded || else_s.degraded;
-        out.scalar_writes = then_s
-            .scalar_writes
-            .union(&else_s.scalar_writes)
-            .copied()
-            .collect();
-
-        let keys: BTreeSet<Var> = then_s
-            .arrays
-            .keys()
-            .chain(else_s.arrays.keys())
-            .copied()
-            .collect();
-        let neg = cond_pred.negate();
-        for a in keys {
-            let empty = ArraySummary::default();
-            let t = then_s.arrays.get(&a).unwrap_or(&empty);
-            let e = else_s.arrays.get(&a).unwrap_or(&empty);
-            let mut acc = if opts.predicates_enabled() {
-                ArraySummary {
-                    w: t.w.guard(cond_pred).union_in(&e.w.guard(&neg), sess),
-                    mw: t.mw.guard(cond_pred).union_in(&e.mw.guard(&neg), sess),
-                    r: t.r.guard(cond_pred).union_in(&e.r.guard(&neg), sess),
-                    e: t.e.guard(cond_pred).union_in(&e.e.guard(&neg), sess),
-                }
-            } else {
-                // Base SUIF: W must hold on both paths.
-                let w = intersect_must(&t.w, &e.w, sess);
-                ArraySummary {
-                    w,
-                    mw: t.mw.union_in(&e.mw, sess),
-                    r: t.r.union_in(&e.r, sess),
-                    e: t.e.union_in(&e.e, sess),
-                }
-            };
-            acc.w.normalize(opts.max_pieces, false, sess);
-            acc.mw.normalize(opts.max_pieces, true, sess);
-            acc.r.normalize(opts.max_pieces, true, sess);
-            acc.e.normalize(opts.max_pieces, true, sess);
-            out.arrays.insert(a, acc);
-        }
-
-        let skeys: BTreeSet<Var> = then_s
-            .scalars
-            .keys()
-            .chain(else_s.scalars.keys())
-            .copied()
-            .collect();
-        for s in skeys {
-            let a = then_s.scalars.get(&s).copied().unwrap_or_default();
-            let b = else_s.scalars.get(&s).copied().unwrap_or_default();
-            out.scalars.insert(
-                s,
-                ScalarSummary {
-                    must_write: a.must_write && b.must_write,
-                    may_write: a.may_write || b.may_write,
-                    exposed_read: a.exposed_read || b.exposed_read,
                 },
             );
         }
@@ -441,7 +501,7 @@ mod tests {
         s2.read_scalar(v("t"));
         let sess = psess();
         // write; read => not exposed.
-        let a = s1.seq(&s2, &sess);
+        let a = s1.clone().seq(&s2, &sess);
         assert!(!a.scalars[&v("t")].exposed_read);
         // read; write => exposed.
         let b = s2.seq(&s1, &sess);

@@ -172,3 +172,39 @@ fn read_only_array_has_no_write_components() {
     assert!(!a.r.is_empty());
     assert!(!a.e.is_empty());
 }
+
+#[test]
+fn provably_empty_reads_are_dropped_before_they_are_carried() {
+    // Row 0 lies outside the declared bounds, so the sections read by
+    // `a[0, k[1]]`, `c[0, k[1]]` and `m[0, k[1]]` are provably empty
+    // (and, through the non-affine subscript, inexact). Normalization
+    // drops them. In each of the three places a raw read summary is
+    // composed with what follows — statement operands, an `if`
+    // condition, a loop bound — what follows does not mention the
+    // array, so `Summary::seq` carries the slot as it is: the drop must
+    // have happened by then, or the block fold would merge the dead
+    // section into the live `[1, 1]` read and flag it `(inexact)`.
+    let s = summarize(
+        "proc main(n: int) {
+             array a[10, 10]; array c[10, 10]; array m[10, 10] of int;
+             array k[10] of int; array b[10]; var x: real;
+             x = a[1, 1] + c[1, 1] + m[1, 1];
+             b[1] = 1.0;
+             x = a[0, k[1]];
+             b[2] = 2.0;
+             if (c[0, k[1]] > 0.0) { b[3] = 3.0; }
+             b[4] = 4.0;
+             for i = m[0, k[1]] to n { b[i] = 5.0; }
+             b[5] = 6.0;
+         }",
+    );
+    let text = s.to_string();
+    for x in ["a", "c", "m"] {
+        let elem = format!(
+            "[true -> {{${x}.0 - 1 = 0 && ${x}.1 - 1 = 0 && ${x}.0 - 1 >= 0 && \
+             -${x}.0 + 10 >= 0 && ${x}.1 - 1 >= 0 && -${x}.1 + 10 >= 0}}]"
+        );
+        let line = format!("{x}: W=∅ MW=∅ R={elem} E={elem}\n");
+        assert!(text.contains(&line), "missing {line:?} in:\n{text}");
+    }
+}

@@ -38,3 +38,29 @@ fn corpus_reports_identical_across_worker_counts() {
         assert_eq!(seq, par_again, "{}: two --jobs 4 runs diverged", bench.name);
     }
 }
+
+/// Lattice-work gate over the corpus, one single-threaded session per
+/// program as `padfa corpus --jobs 1 --no-store` runs it. The number of
+/// distinct systems, regions and projections is a property of the
+/// programs and must not move; emptiness queries per distinct system
+/// stay a small constant, which a block fold that re-proves every
+/// array's regions non-empty at every statement (50× here) does not.
+#[test]
+fn corpus_lattice_work_stays_linear() {
+    let (mut sys_empty, mut systems, mut regions, mut projections) = (0, 0, 0, 0);
+    for bench in build_corpus() {
+        let sess = AnalysisSession::new(Options::predicated()).with_jobs(1);
+        let (result, _) = analyze_program_session(&bench.program, &sess).unwrap();
+        sys_empty += result.stats.sys_empty.total();
+        systems += result.stats.interned_systems as u64;
+        regions += result.stats.interned_regions as u64;
+        projections += result.stats.fm_projections;
+    }
+    assert_eq!(systems, 24_376, "interned.systems");
+    assert_eq!(regions, 40_135, "interned.regions");
+    assert_eq!(projections, 17_891, "fm.projections");
+    assert!(
+        sys_empty <= 8 * systems,
+        "query.sys_empty.total {sys_empty} > 8 x interned.systems {systems}"
+    );
+}
