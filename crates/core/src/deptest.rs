@@ -89,11 +89,11 @@ fn conflict_condition(
     let limits = opts.limits;
     let mut region_cond = Pred::False;
     let mut extracted = false;
+    let x2 = x.rename(loop_var, i2);
     for order in [
         Constraint::lt(LinExpr::var(loop_var), LinExpr::var(i2)),
         Constraint::gt(LinExpr::var(loop_var), LinExpr::var(i2)),
     ] {
-        let x2 = x.rename(loop_var, i2);
         let base = sess.intersect(w, &x2);
         let inter = Disjunction::from_systems(
             base.systems()

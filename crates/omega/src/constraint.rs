@@ -80,6 +80,12 @@ impl Constraint {
     /// * `g*e + c == 0` with `g ∤ c` is a contradiction, otherwise
     ///   divides through.
     pub fn normalize(&self) -> Norm {
+        self.clone().into_norm()
+    }
+
+    /// [`Constraint::normalize`] by value: the common already-normal
+    /// constraint is handed back as it came, not copied.
+    pub(crate) fn into_norm(self) -> Norm {
         if self.expr.is_const() {
             let c = self.expr.konst();
             let holds = match self.kind {
@@ -94,25 +100,20 @@ impl Constraint {
         }
         let g = self.expr.content();
         if g <= 1 {
-            return Norm::Keep(self.clone());
+            return Norm::Keep(self);
         }
         let c = self.expr.konst();
-        match self.kind {
-            CKind::Eq => {
-                if c % g != 0 {
-                    Norm::Contradiction
-                } else {
-                    let mut e = (self.expr.clone() - LinExpr::constant(c)).exact_div(g);
-                    e.add_const(c / g);
-                    Norm::Keep(Constraint::eq0(e))
-                }
-            }
-            CKind::Geq => {
-                let mut e = (self.expr.clone() - LinExpr::constant(c)).exact_div(g);
-                e.add_const(div_floor(c, g));
-                Norm::Keep(Constraint::geq0(e))
-            }
-        }
+        let tightened = match self.kind {
+            CKind::Eq if c % g != 0 => return Norm::Contradiction,
+            CKind::Eq => c / g,
+            CKind::Geq => div_floor(c, g),
+        };
+        let mut e = (self.expr - LinExpr::constant(c)).exact_div(g);
+        e.add_const(tightened);
+        Norm::Keep(Constraint {
+            expr: e,
+            kind: self.kind,
+        })
     }
 
     /// Integer negation of an inequality: `¬(e >= 0)` is `-e - 1 >= 0`.

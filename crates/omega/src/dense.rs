@@ -7,8 +7,10 @@
 //! constraint bounds a single variable (possibly through one stride
 //! witness), so per-variable interval arithmetic decides emptiness,
 //! disjointness, and subset exactly. [`DenseBox`] is that summary,
-//! derived once per [`System`](crate::System) at simplify time and
-//! carried on the system; [`Tier`] names which tier answered a query.
+//! derived at most once per normalized [`System`](crate::System), the
+//! first time a query asks for it (most systems are never asked), and
+//! carried on the system from then on; [`Tier`] names which tier
+//! answered a query.
 //!
 //! ## Classification rules
 //!
@@ -184,14 +186,13 @@ impl DenseBox {
         let mut empty = false;
 
         for c in constraints {
-            let terms: Vec<(Var, i64)> = c.expr.terms().collect();
+            let mut terms = c.expr.terms();
             let k = c.expr.konst();
-            match terms.len() {
+            match (terms.next(), terms.next(), terms.next()) {
                 // Constant constraints are folded away by `push`; seeing
                 // one means the list did not come through normalization.
-                0 => return None,
-                1 => {
-                    let (v, a) = terms[0];
+                (None, ..) => return None,
+                (Some((v, a)), None, _) => {
                     if a == 0 {
                         return None;
                     }
@@ -217,12 +218,10 @@ impl DenseBox {
                         }
                     }
                 }
-                2 => {
+                (Some((u, au)), Some((w, aw)), None) => {
                     if c.kind != CKind::Eq {
                         return None;
                     }
-                    let (u, au) = terms[0];
-                    let (w, aw) = terms[1];
                     // The strided side needs a unit coefficient so the
                     // general path eliminates it by exact substitution.
                     let (strided, witness, a, b) = if au.abs() == 1 {

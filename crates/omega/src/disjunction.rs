@@ -5,11 +5,11 @@ use crate::{CKind, Constraint, Limits, System, Var};
 use std::borrow::Cow;
 use std::fmt;
 
-/// A piece's dense summary: the cached box when present, otherwise an
-/// on-the-fly classification of its constraints. Identical by
-/// construction — [`DenseBox::classify`] is a pure function of the
-/// constraint list, and a populated cache is exactly its result (caches
-/// are cleared on every constraint mutation).
+/// A piece's dense summary: the system's own box when its cell is
+/// armed, otherwise an on-the-fly classification of its constraints.
+/// Identical by construction — [`DenseBox::classify`] is a pure function
+/// of the constraint list, and a system's box is exactly its result
+/// (cells are disarmed on every constraint mutation).
 fn dense_of(s: &System) -> Option<Cow<'_, DenseBox>> {
     if let Some(b) = s.dense_box() {
         return Some(Cow::Borrowed(b));

@@ -2,8 +2,10 @@
 
 use crate::dense::{DenseBox, Tier};
 use crate::{CKind, Constraint, Limits, LinExpr, Norm, Var};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A conjunction of integer linear constraints — one convex piece of an
 /// array region.
@@ -12,16 +14,39 @@ use std::fmt;
 /// unsatisfiable during normalization is flagged `contradiction` and
 /// represents the empty set.
 ///
-/// Box-shaped systems additionally carry a [`DenseBox`] summary (the
-/// dense tier), derived at [`System::simplify`] time and invalidated by
-/// any mutation. The summary is a pure cache: it never participates in
-/// equality or hashing, so two systems with identical constraints intern
-/// to the same id whether or not their caches were populated.
-#[derive(Clone, Default)]
+/// Box-shaped systems additionally answer on the dense tier through a
+/// [`DenseBox`] summary. The summary is derived on demand: normalizing
+/// ([`System::simplify`], [`System::classify_dense`]) only *arms* the
+/// cell, the first [`System::dense_box`] call fills it, and any mutation
+/// *disarms* it (settles it on "no box"), so a filled cell always equals
+/// `DenseBox::classify(constraints())`. The summary is a pure cache: it
+/// never participates in equality or hashing, so two systems with
+/// identical constraints intern to the same id whatever state their
+/// cells are in.
+#[derive(Clone)]
 pub struct System {
     constraints: Vec<Constraint>,
     contradiction: bool,
-    dense: Option<Box<DenseBox>>,
+    dense: DenseCell,
+}
+
+/// Unset = armed (derive the box on first use); set = the box, or
+/// `None` for a system that is disarmed or not box-shaped. A clone of an
+/// armed cell is armed, so it answers like a clone taken after first use.
+type DenseCell = OnceLock<Option<Box<DenseBox>>>;
+
+fn disarmed() -> DenseCell {
+    OnceLock::from(None)
+}
+
+impl Default for System {
+    fn default() -> System {
+        System {
+            constraints: Vec::new(),
+            contradiction: false,
+            dense: disarmed(),
+        }
+    }
 }
 
 impl PartialEq for System {
@@ -48,6 +73,20 @@ pub struct Projection {
     pub exact: bool,
 }
 
+/// Same variable part (the constants may differ).
+fn same_terms(a: &Constraint, b: &Constraint) -> bool {
+    a.expr.terms().eq(b.expr.terms())
+}
+
+/// Order `c`'s variable part against the *negation* of `key`'s, the way
+/// [`Constraint::cmp_structural`] orders variable parts (term count,
+/// then `(var, coeff)` pairs), comparing through an iterator so the
+/// negated key is never built.
+fn cmp_terms_to_negated(c: &Constraint, key: &Constraint) -> Ordering {
+    (c.expr.num_terms().cmp(&key.expr.num_terms()))
+        .then_with(|| c.expr.terms().cmp(key.expr.terms().map(|(v, k)| (v, -k))))
+}
+
 impl System {
     /// The universe (no constraints).
     pub fn universe() -> System {
@@ -57,15 +96,24 @@ impl System {
     /// A known-empty system.
     pub fn empty() -> System {
         System {
-            constraints: Vec::new(),
             contradiction: true,
-            dense: None,
+            ..System::default()
+        }
+    }
+
+    /// The universe with room for `n` constraints, so a rebuild of known
+    /// size does not regrow its list push by push.
+    fn with_capacity(n: usize) -> System {
+        System {
+            constraints: Vec::with_capacity(n),
+            ..System::default()
         }
     }
 
     /// Build from constraints, normalizing.
     pub fn from_constraints(cs: impl IntoIterator<Item = Constraint>) -> System {
-        let mut s = System::universe();
+        let cs = cs.into_iter();
+        let mut s = System::with_capacity(cs.size_hint().0);
         for c in cs {
             s.push(c);
         }
@@ -81,10 +129,10 @@ impl System {
     /// constraints. Only pass parts previously obtained from
     /// [`System::constraints`] / [`System::is_contradiction`], with
     /// `dense` reporting what [`System::has_dense`] returned on the
-    /// encoded system: the dense cache is re-derived exactly when the
-    /// original had one, so a decoded system answers queries on the same
-    /// tier as the system that was stored (warm and cold runs stay
-    /// byte-identical *and* tier-identical).
+    /// encoded system: the dense cell is armed exactly when the original
+    /// had a box, so a decoded system answers queries on the same tier as
+    /// the system that was stored (warm and cold runs stay byte-identical
+    /// *and* tier-identical).
     pub fn from_raw_parts(
         constraints: Vec<Constraint>,
         contradiction: bool,
@@ -93,7 +141,7 @@ impl System {
         let mut s = System {
             constraints,
             contradiction,
-            dense: None,
+            dense: disarmed(),
         };
         if dense {
             s.classify_dense();
@@ -136,55 +184,59 @@ impl System {
         if self.contradiction {
             return;
         }
-        match c.normalize() {
+        match c.into_norm() {
             Norm::Tautology => {}
-            Norm::Contradiction => {
-                self.constraints.clear();
-                self.contradiction = true;
-                self.dense = None;
-            }
+            Norm::Contradiction => self.set_contradiction(),
             Norm::Keep(c) => {
                 // Exact duplicates appear frequently when contexts are
                 // re-conjoined; keep the list canonical as we go.
                 if !self.constraints.contains(&c) {
                     self.constraints.push(c);
-                    self.dense = None;
+                    self.dense = disarmed();
                 }
             }
         }
     }
 
-    /// The dense-tier summary, when this system is box-shaped and its
-    /// cache is populated.
-    pub fn dense_box(&self) -> Option<&DenseBox> {
-        self.dense.as_deref()
+    fn set_contradiction(&mut self) {
+        self.constraints.clear();
+        self.contradiction = true;
+        self.dense = disarmed();
     }
 
-    /// Whether the dense cache is populated (persisted by the store so
-    /// decoded systems restore the same tier; see
+    /// The dense-tier summary, when this system is box-shaped and its
+    /// cell is armed (derived here on first use).
+    pub fn dense_box(&self) -> Option<&DenseBox> {
+        self.dense
+            .get_or_init(|| DenseBox::classify(&self.constraints).map(Box::new))
+            .as_deref()
+    }
+
+    /// Whether this system has a dense summary (persisted by the store
+    /// so decoded systems restore the same tier; see
     /// [`System::from_raw_parts`]).
     pub fn has_dense(&self) -> bool {
-        self.dense.is_some()
+        self.dense_box().is_some()
     }
 
     /// The tier this system's queries answer on.
     pub fn tier(&self) -> Tier {
-        if self.dense.is_some() {
+        if self.has_dense() {
             Tier::Dense
         } else {
             Tier::General
         }
     }
 
-    /// (Re)derive the dense classification for the current constraint
-    /// list without renormalizing. [`System::simplify`] does this
-    /// automatically; call it directly on systems assembled by `push`
-    /// alone that are known to already be in normal form.
+    /// Arm the dense cell for the current constraint list without
+    /// renormalizing. [`System::simplify`] does this automatically; call
+    /// it directly on systems assembled by `push` alone that are known
+    /// to already be in normal form.
     pub fn classify_dense(&mut self) {
         self.dense = if self.contradiction {
-            None
+            disarmed()
         } else {
-            DenseBox::classify(&self.constraints).map(Box::new)
+            OnceLock::new()
         };
     }
 
@@ -193,7 +245,8 @@ impl System {
         if self.contradiction || other.contradiction {
             return System::empty();
         }
-        let mut out = self.clone();
+        let mut out = System::with_capacity(self.len() + other.len());
+        out.constraints.extend_from_slice(&self.constraints);
         for c in &other.constraints {
             out.push(c.clone());
         }
@@ -220,7 +273,7 @@ impl System {
         if self.contradiction {
             return System::empty();
         }
-        let mut out = System::universe();
+        let mut out = System::with_capacity(self.len());
         for c in &self.constraints {
             out.push(c.subst(v, e));
         }
@@ -233,7 +286,7 @@ impl System {
         if self.contradiction {
             return System::empty();
         }
-        let mut out = System::universe();
+        let mut out = System::with_capacity(self.len());
         for c in &self.constraints {
             out.push(c.rename(from, to));
         }
@@ -245,73 +298,61 @@ impl System {
     /// inequalities that differ only in the constant, detect single-pair
     /// contradictions (`e + c >= 0` with `-e + d >= 0` and `c + d < 0`),
     /// and turn matched inequality pairs into equalities.
+    ///
+    /// Works on the list in place — two unstable sorts, a `dedup_by` and
+    /// binary searches, none of which touches the heap — because the
+    /// systems are a handful of constraints each and the constant factor
+    /// of this function is most of what a lattice operation costs.
     pub fn simplify(&mut self) {
         if self.contradiction {
             return;
         }
-        use std::collections::BTreeMap;
-        // Key a Geq constraint by its variable-term part. The map must
-        // iterate in a deterministic order: when an inequality pair
-        // collapses to an equality below, the first-visited key decides
-        // the emitted orientation, and a hash map would make that (and
-        // therefore the rendered output) vary per map instance.
-        let mut geq: BTreeMap<Vec<(Var, i64)>, i64> = BTreeMap::new();
-        let mut eqs: Vec<Constraint> = Vec::new();
-        for c in std::mem::take(&mut self.constraints) {
-            match c.kind {
-                CKind::Eq => {
-                    if !eqs.contains(&c) {
-                        eqs.push(c);
-                    }
-                }
-                CKind::Geq => {
-                    let key: Vec<(Var, i64)> = c.expr.terms().collect();
-                    let k = c.expr.konst();
-                    geq.entry(key)
-                        .and_modify(|cur| *cur = (*cur).min(k))
-                        .or_insert(k);
-                }
-            }
-        }
-        // Detect e + c >= 0 together with -e + d >= 0.
-        let mut out: Vec<Constraint> = eqs;
-        let mut done: Vec<Vec<(Var, i64)>> = Vec::new();
-        for (key, &c) in &geq {
-            if done.contains(key) {
-                continue;
-            }
-            let nkey: Vec<(Var, i64)> = key.iter().map(|&(v, k)| (v, -k)).collect();
-            let mut expr = LinExpr::constant(c);
-            for &(v, k) in key {
-                expr.add_term(v, k);
-            }
-            if let Some(&d) = geq.get(&nkey) {
-                done.push(key.clone());
-                done.push(nkey.clone());
-                if c + d < 0 {
-                    self.constraints.clear();
-                    self.contradiction = true;
-                    self.dense = None;
+        // Equalities first, then by variable part, then by constant:
+        // constraints over the same variable part end up adjacent with
+        // the tightest inequality leading its group.
+        self.constraints
+            .sort_unstable_by(Constraint::cmp_structural);
+        self.constraints.dedup_by(|later, first| {
+            later.kind == first.kind
+                && same_terms(later, first)
+                && (later.kind == CKind::Geq || later.expr.konst() == first.expr.konst())
+        });
+        // Pair e + c >= 0 with -e + d >= 0. The member whose leading
+        // coefficient is negative sorts first, so it is the one that
+        // looks for its partner (further down the list) and, when the
+        // pair pins e, the one that becomes the equality: rendered
+        // output depends on that orientation.
+        let mut pinned = false;
+        let mut i = self.constraints.partition_point(|c| c.kind == CKind::Eq);
+        while i < self.constraints.len() {
+            let (key, below) = (&self.constraints[i], &self.constraints[i + 1..]);
+            let leads_negative = key.expr.terms().next().is_some_and(|(_, k)| k < 0);
+            let partner = if leads_negative {
+                below
+                    .binary_search_by(|c| cmp_terms_to_negated(c, key))
+                    .ok()
+            } else {
+                None
+            };
+            if let Some(at) = partner {
+                let slack = key.expr.konst() + below[at].expr.konst();
+                if slack < 0 {
+                    self.set_contradiction();
                     return;
                 }
-                if c + d == 0 {
+                if slack == 0 {
                     // e >= -c and e <= -c  =>  e + c == 0
-                    out.push(Constraint::eq0(expr));
-                    continue;
+                    self.constraints[i].kind = CKind::Eq;
+                    self.constraints.remove(i + 1 + at);
+                    pinned = true;
                 }
-                out.push(Constraint::geq0(expr));
-                let mut nexpr = LinExpr::constant(d);
-                for &(v, k) in &nkey {
-                    nexpr.add_term(v, k);
-                }
-                out.push(Constraint::geq0(nexpr));
-            } else {
-                done.push(key.clone());
-                out.push(Constraint::geq0(expr));
             }
+            i += 1;
         }
-        self.constraints = out;
-        self.constraints.sort_by(|a, b| a.cmp_structural(b));
+        if pinned {
+            self.constraints
+                .sort_unstable_by(Constraint::cmp_structural);
+        }
         self.classify_dense();
     }
 
@@ -342,7 +383,7 @@ impl System {
             // a*v + r == 0  =>  v == -r/a; for |a| == 1, v := -a*r.
             let r = eq.expr.clone() - LinExpr::term(v, a);
             let replacement = r.scaled(-a);
-            let mut out = System::universe();
+            let mut out = System::with_capacity(self.len() - 1);
             for c in &self.constraints {
                 if std::ptr::eq(c, eq) {
                     continue;
@@ -372,7 +413,7 @@ impl System {
         {
             let a = eq.expr.coeff(v);
             let r = eq.expr.clone() - LinExpr::term(v, a);
-            let mut out = System::universe();
+            let mut out = System::with_capacity(self.len() - 1);
             for c in &self.constraints {
                 if std::ptr::eq(c, eq) {
                     continue;
@@ -415,7 +456,7 @@ impl System {
                 rest.push(c);
             }
         }
-        let mut out = System::universe();
+        let mut out = System::with_capacity(rest.len() + lower.len() * upper.len());
         for c in rest {
             out.push(c.clone());
         }
@@ -439,6 +480,9 @@ impl System {
         out.simplify();
         if out.len() > limits.max_constraints {
             out.constraints.truncate(limits.max_constraints);
+            // A sorted prefix of a normal form is a normal form; re-arm
+            // so a box can only ever describe the constraints kept.
+            out.classify_dense();
             exact = false;
             crate::limit_stats::note_overflow();
         }
@@ -510,8 +554,8 @@ impl System {
         // decides emptiness exactly, with the same verdict the cascade
         // below would reach (see `crate::dense` for the agreement
         // argument), so skipping Fourier–Motzkin cannot change output.
-        if let Some(d) = &self.dense {
-            if !crate::dense::force_general() {
+        if !crate::dense::force_general() {
+            if let Some(d) = self.dense_box() {
                 return d.is_empty();
             }
         }
@@ -675,6 +719,256 @@ impl fmt::Display for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    impl System {
+        /// The map-based `simplify` this crate shipped before the
+        /// in-place one, kept as the reference the differential test
+        /// compares against.
+        fn simplify_reference(&mut self) {
+            if self.contradiction {
+                return;
+            }
+            let mut geq: BTreeMap<Vec<(Var, i64)>, i64> = BTreeMap::new();
+            let mut eqs: Vec<Constraint> = Vec::new();
+            for c in std::mem::take(&mut self.constraints) {
+                match c.kind {
+                    CKind::Eq => {
+                        if !eqs.contains(&c) {
+                            eqs.push(c);
+                        }
+                    }
+                    CKind::Geq => {
+                        let key: Vec<(Var, i64)> = c.expr.terms().collect();
+                        let k = c.expr.konst();
+                        geq.entry(key)
+                            .and_modify(|cur| *cur = (*cur).min(k))
+                            .or_insert(k);
+                    }
+                }
+            }
+            let mut out: Vec<Constraint> = eqs;
+            let mut done: Vec<Vec<(Var, i64)>> = Vec::new();
+            for (key, &c) in &geq {
+                if done.contains(key) {
+                    continue;
+                }
+                let nkey: Vec<(Var, i64)> = key.iter().map(|&(v, k)| (v, -k)).collect();
+                let mut expr = LinExpr::constant(c);
+                for &(v, k) in key {
+                    expr.add_term(v, k);
+                }
+                if let Some(&d) = geq.get(&nkey) {
+                    done.push(key.clone());
+                    done.push(nkey.clone());
+                    if c + d < 0 {
+                        self.set_contradiction();
+                        return;
+                    }
+                    if c + d == 0 {
+                        out.push(Constraint::eq0(expr));
+                        continue;
+                    }
+                    out.push(Constraint::geq0(expr));
+                    let mut nexpr = LinExpr::constant(d);
+                    for &(v, k) in &nkey {
+                        nexpr.add_term(v, k);
+                    }
+                    out.push(Constraint::geq0(nexpr));
+                } else {
+                    done.push(key.clone());
+                    out.push(Constraint::geq0(expr));
+                }
+            }
+            self.constraints = out;
+            self.constraints.sort_by(|a, b| a.cmp_structural(b));
+            self.classify_dense();
+        }
+    }
+
+    /// A random variable part over `sv0..sv9` with `n` terms.
+    fn random_terms(rng: &mut StdRng, n: usize) -> LinExpr {
+        let mut e = LinExpr::zero();
+        while e.num_terms() < n {
+            let var = Var::new(&format!("sv{}", rng.gen_range(0u32..10)));
+            if !e.mentions(var) {
+                e.add_term(var, [-2, -1, 1, 2][rng.gen_range(0usize..4)]);
+            }
+        }
+        e
+    }
+
+    /// A constraint list as `simplify` can meet one: every member
+    /// individually normal (as `push` leaves it), but with everything
+    /// `simplify` exists to resolve — exact duplicates, one variable
+    /// part under several constants, negated pairs whose constants sum
+    /// below, at and above zero, duplicate equalities, an equality
+    /// beside its own inequality pair — over expressions on both sides
+    /// of the 8-term inline/heap boundary.
+    fn random_list(rng: &mut StdRng, groups: usize, contradictory: bool) -> Vec<Constraint> {
+        let mut out = Vec::new();
+        let mut keep = |c: Constraint| {
+            if let Norm::Keep(c) = c.into_norm() {
+                out.push(c);
+            }
+        };
+        for g in 0..groups {
+            let n = [1, 1, 2, 3, 8, 9][rng.gen_range(0usize..6)];
+            let e = random_terms(rng, n);
+            let c = rng.gen_range(-6i64..=6);
+            let with = |k: i64| e.clone() + LinExpr::constant(k);
+            let neg_with = |k: i64| e.scaled(-1) + LinExpr::constant(k);
+            match rng.gen_range(0u32..8) {
+                0 => keep(Constraint::geq0(with(c))),
+                1 => {
+                    keep(Constraint::geq0(with(c)));
+                    keep(Constraint::geq0(with(c)));
+                    keep(Constraint::geq0(with(c + rng.gen_range(-3i64..=3))));
+                }
+                2 => {
+                    keep(Constraint::geq0(with(c)));
+                    keep(Constraint::geq0(neg_with(-c)));
+                }
+                3 => {
+                    keep(Constraint::geq0(neg_with(-c + rng.gen_range(1i64..=4))));
+                    keep(Constraint::geq0(with(c)));
+                    keep(Constraint::geq0(with(c + 2)));
+                }
+                4 => {
+                    keep(Constraint::eq0(with(c)));
+                    keep(Constraint::eq0(with(c)));
+                    keep(Constraint::eq0(neg_with(-c)));
+                }
+                5 => {
+                    keep(Constraint::geq0(with(c)));
+                    keep(Constraint::eq0(with(c)));
+                    keep(Constraint::geq0(neg_with(-c)));
+                    keep(Constraint::eq0(neg_with(-c)));
+                }
+                6 => keep(Constraint::eq0(with(c))),
+                _ => {
+                    keep(Constraint::geq0(with(c)));
+                    keep(Constraint::geq0(neg_with(-c + 1)));
+                    keep(Constraint::geq0(neg_with(-c + 3)));
+                }
+            }
+            if contradictory && g == groups / 2 {
+                keep(Constraint::geq0(with(c)));
+                keep(Constraint::geq0(neg_with(-c - rng.gen_range(1i64..=3))));
+            }
+        }
+        // Arrival order is arbitrary.
+        for i in (1..out.len()).rev() {
+            out.swap(i, rng.gen_range(0..=i));
+        }
+        out
+    }
+
+    #[test]
+    fn simplify_matches_map_based_reference() {
+        let mut rng = StdRng::seed_from_u64(0x51_3a11);
+        let (mut large, mut contradictions, mut pinned) = (0, 0, 0);
+        for case in 0..4000 {
+            // Mostly the handful of constraints the analysis produces;
+            // every 16th list is past any small-size special case.
+            let groups = if case % 16 == 0 {
+                rng.gen_range(60usize..120)
+            } else {
+                rng.gen_range(0usize..6)
+            };
+            let list = random_list(&mut rng, groups, case % 7 == 0);
+            large += usize::from(list.len() >= 129);
+            let raw = System {
+                constraints: list,
+                ..System::default()
+            };
+            let (mut new, mut old) = (raw.clone(), raw.clone());
+            new.simplify();
+            old.simplify_reference();
+            assert_eq!(
+                new.constraints, old.constraints,
+                "case {case}: constraint lists differ on {raw}"
+            );
+            assert_eq!(new.contradiction, old.contradiction, "case {case}: {raw}");
+            assert_eq!(new.has_dense(), old.has_dense(), "case {case}: {raw}");
+            contradictions += usize::from(new.contradiction);
+            pinned += usize::from(
+                new.constraints
+                    .iter()
+                    .filter(|c| c.kind == CKind::Eq)
+                    .count()
+                    > raw
+                        .constraints
+                        .iter()
+                        .filter(|c| c.kind == CKind::Eq)
+                        .count(),
+            );
+            // A second pass sees lists the first produced (among them a
+            // pinned equality beside a copy of itself, which both
+            // implementations keep on the first pass and merge on the
+            // second).
+            new.simplify();
+            old.simplify_reference();
+            assert_eq!(
+                new.constraints, old.constraints,
+                "case {case}: second pass differs on {raw}"
+            );
+        }
+        // The generator reached the cases it was written for.
+        assert!(large >= 100, "only {large} lists of >= 129 constraints");
+        assert!(
+            contradictions >= 300,
+            "only {contradictions} contradictions"
+        );
+        assert!(pinned >= 300, "only {pinned} lists pinned an equality");
+    }
+
+    #[test]
+    fn system_stays_within_48_bytes() {
+        // One word over the eager `Option<Box<DenseBox>>`; peak RSS on
+        // every benchmark workload is bounded at 5 %.
+        assert!(std::mem::size_of::<System>() <= 48);
+    }
+
+    #[test]
+    fn truncated_elimination_does_not_keep_a_stale_box() {
+        // Eliminating `t` from four lower and four upper bounds leaves
+        // sixteen single-variable-pair constraints; a cap of three
+        // truncates the normal form, and whatever box the result
+        // reports must describe the three constraints kept.
+        let names = ["ta", "tb", "tc", "td", "te", "tf", "tg", "th"];
+        let mut cs = Vec::new();
+        for (n, name) in names.iter().enumerate() {
+            let bound = lx(name) + k(n as i64);
+            cs.push(if n < 4 {
+                Constraint::geq(lx("t"), bound)
+            } else {
+                Constraint::leq(lx("t"), bound)
+            });
+        }
+        cs.push(Constraint::geq(lx("z"), k(0)));
+        cs.push(Constraint::leq(lx("z"), k(9)));
+        cs.push(Constraint::geq(lx("y"), k(2)));
+        let s = System::from_constraints(cs);
+        let limits = Limits {
+            max_constraints: 3,
+            ..Limits::default()
+        };
+        let before = crate::limit_stats::thread_overflows();
+        let p = s.eliminate(v("t"), limits);
+        assert_eq!(crate::limit_stats::thread_overflows(), before + 1);
+        assert!(!p.exact);
+        assert_eq!(p.system.len(), 3);
+        assert_eq!(
+            p.system.dense_box(),
+            DenseBox::classify(p.system.constraints()).as_ref()
+        );
+        // The kept prefix is the three single-variable bounds: a box the
+        // full sixteen-constraint result was not.
+        assert!(p.system.has_dense());
+    }
 
     fn v(n: &str) -> Var {
         Var::new(n)

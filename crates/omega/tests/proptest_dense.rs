@@ -393,6 +393,75 @@ fn coupled_systems_stay_general_and_still_agree() {
     }
 }
 
+/// The box is derived on first use, not when the system is normalized.
+/// Nothing observable may depend on *when*: a derived box is the
+/// classification of the constraints the system holds, a clone answers
+/// the same whether it was taken before or after the original derived
+/// its box, any mutation disarms, and the codec constructor arms exactly
+/// when told to.
+#[test]
+fn lazily_derived_box_is_the_classification_of_the_constraints() {
+    let mut rng = StdRng::seed_from_u64(0x1a2_b0c5);
+    let limits = Limits::default();
+    for case in 0..CASES {
+        let sys = match case % 3 {
+            0 => random_box_system(&mut rng),
+            1 => random_strided_system(&mut rng),
+            _ => {
+                // Coupled: armed by normalization, derives to no box.
+                let mut cs = vec![Constraint::geq0(
+                    LinExpr::var(vx()) + LinExpr::var(vy()) + LinExpr::constant(3),
+                )];
+                cs.push(single_var_constraint(&mut rng, vx()));
+                System::from_constraints(cs)
+            }
+        };
+        let early = sys.clone();
+        let derived = sys.dense_box().cloned();
+        let expected = if sys.is_contradiction() {
+            None
+        } else {
+            DenseBox::classify(sys.constraints())
+        };
+        assert_eq!(derived, expected, "case {case}: {sys}");
+        let late = sys.clone();
+        assert_eq!(early.dense_box(), late.dense_box(), "case {case}: {sys}");
+        assert_eq!(early.has_dense(), sys.has_dense());
+        assert_eq!(early.tier(), late.tier());
+        assert_eq!(early.is_empty(limits), late.is_empty(limits));
+
+        // Any mutation disarms, whether or not the box was derived yet.
+        for mut touched in [System::from_constraints(sys.constraints().to_vec()), late] {
+            if touched.is_contradiction() {
+                continue;
+            }
+            touched.push(Constraint::geq(
+                LinExpr::var(Var::new("dz")),
+                LinExpr::constant(case as i64),
+            ));
+            assert!(
+                !touched.has_dense(),
+                "case {case}: push kept {touched} armed"
+            );
+            // ... and normal-form callers re-arm for the new list.
+            touched.classify_dense();
+            assert_eq!(
+                touched.dense_box().cloned(),
+                DenseBox::classify(touched.constraints()),
+                "case {case}: {touched}"
+            );
+        }
+
+        // `from_raw_parts(.., dense)` arms iff `dense`.
+        let raw = |dense| {
+            System::from_raw_parts(sys.constraints().to_vec(), sys.is_contradiction(), dense)
+        };
+        assert_eq!(raw(true).dense_box().cloned(), expected, "case {case}");
+        assert!(!raw(false).has_dense(), "case {case}");
+        assert_eq!(raw(sys.has_dense()).has_dense(), sys.has_dense());
+    }
+}
+
 #[test]
 fn forced_general_env_is_not_set_in_tests() {
     // The agreement tests above exercise the dense tier; they are

@@ -1,0 +1,82 @@
+//! Allocation-count gate over the corpus. The constraint kernel's cost
+//! on systems this small is its constant factor, and most of that
+//! constant used to be the allocator (4.96 M heap allocations for the
+//! 4,482 loops before `System::simplify` went in-place and dense boxes
+//! on-demand). A count repeats exactly at jobs = 1, so it is gated as a
+//! count. This file holds exactly one test: the counter is
+//! process-wide, and a second test running beside it would be counted.
+
+use padfa_core::{analyze_program_session, AnalysisSession, Options};
+use padfa_omega::{Constraint, LinExpr, Var};
+use padfa_suite::corpus::build_corpus;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator;
+// the only addition is a relaxed counter bump.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// ≈ 1.25 × the 1,665,934 measured when the gate was set.
+const MAX_ALLOCATIONS: u64 = 2_100_000;
+
+#[test]
+fn corpus_analysis_stays_allocation_lean() {
+    let corpus = build_corpus();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for bench in &corpus {
+        let sess = AnalysisSession::new(Options::predicated()).with_jobs(1);
+        analyze_program_session(&bench.program, &sess).unwrap();
+    }
+    let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    println!("corpus analysis at jobs = 1: {count} heap allocations");
+    assert!(
+        count <= MAX_ALLOCATIONS,
+        "corpus analysis made {count} heap allocations (gate {MAX_ALLOCATIONS})"
+    );
+
+    // Where the count went: putting a system into normal form touches
+    // no heap at all, whatever it finds (a duplicate, a looser bound, a
+    // pair that pins an equality) and however long the list is.
+    let bound = |n: usize, sign: i64, k: i64| {
+        Constraint::geq0(LinExpr::term(Var::new(&format!("ag{n}")), sign) + LinExpr::constant(k))
+    };
+    let mut sys = padfa_omega::System::universe();
+    for n in 0..100 {
+        sys.push(bound(n, 1, 0)); // x >= 0
+        sys.push(bound(n, 1, 5)); // x >= -5, looser
+        sys.push(bound(n, -1, (n % 2) as i64)); // x <= 0 pins x, x <= 1 does not
+    }
+    assert_eq!(sys.len(), 300);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    sys.simplify();
+    let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(sys.len(), 150);
+    assert_eq!(count, 0, "System::simplify allocated");
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Measure analysis wall time and session cache statistics over the full
-# corpus, writing BENCH_analysis.json (plus a copy under results/).
+# corpus, writing BENCH_analysis.json (and results/analysis_stats.txt).
 # Every program is timed in interleaved --jobs 1 / --jobs JOBS pairs;
 # "speedup_jobs" is the median of the per-pair ratios, so runner-load
 # drift cancels out of each pair. Scheduler spawn/inline counts and the
@@ -23,6 +23,5 @@ cargo build --release -p padfa-bench --bin analysis_stats
     --out target/BENCH_analysis.json.tmp \
     | tee target/analysis_stats.txt.tmp
 mv target/analysis_stats.txt.tmp results/analysis_stats.txt
-cp target/BENCH_analysis.json.tmp results/BENCH_analysis.json
 mv target/BENCH_analysis.json.tmp BENCH_analysis.json
 echo "Wrote BENCH_analysis.json (and results/analysis_stats.txt)."
