@@ -90,16 +90,28 @@ fn conflict_condition(
     let mut region_cond = Pred::False;
     let mut extracted = false;
     let x2 = x.rename(loop_var, i2);
+    // Each disjunct of the intersection under both loop contexts: the
+    // two iteration orders differ only in the constraint pushed on top,
+    // so the conjunctions are built once, on the first order.
+    let mut in_ctx: Option<Vec<System>> = None;
     for order in [
         Constraint::lt(LinExpr::var(loop_var), LinExpr::var(i2)),
         Constraint::gt(LinExpr::var(loop_var), LinExpr::var(i2)),
     ] {
+        // Asked once per order (the second is a memo hit on the same
+        // handle): query counts and budget steps are per order.
         let base = sess.intersect(w, &x2);
-        let inter = Disjunction::from_systems(
+        let in_ctx = in_ctx.get_or_insert_with(|| {
             base.systems()
                 .iter()
+                .map(|s| s.and(ctx).and(ctx2))
+                .collect()
+        });
+        let inter = Disjunction::from_systems(
+            in_ctx
+                .iter()
                 .map(|s| {
-                    let mut t = s.and(ctx).and(ctx2);
+                    let mut t = s.clone();
                     t.push(order.clone());
                     t
                 })

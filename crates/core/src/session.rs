@@ -488,7 +488,7 @@ impl AnalysisSession {
         };
         let key = self.store_key(h, tag, key_of);
         if let Some((d, tier)) = h.store.get_region(key) {
-            return (self.intern_region(&d), tier);
+            return (self.intern_region(d), tier);
         }
         let before = padfa_omega::limit_stats::thread_overflows();
         let (v, tier) = compute();
@@ -580,9 +580,11 @@ impl AnalysisSession {
         self.opts.limits
     }
 
-    /// Intern a region, returning the canonical shared handle.
-    pub fn intern_region(&self, d: &Disjunction) -> Arc<Disjunction> {
-        self.regions.intern(d).0
+    /// Intern a region, returning the canonical shared handle. Takes
+    /// the region by value: every caller holds a result it has just
+    /// computed or decoded, and a miss moves it into the handle.
+    pub fn intern_region(&self, d: Disjunction) -> Arc<Disjunction> {
+        self.regions.intern_owned(d).0
     }
 
     /// Memoized per-system emptiness.
@@ -675,7 +677,7 @@ impl AnalysisSession {
                     store::codec::put_region(buf, &aa);
                     store::codec::put_region(buf, &ab);
                 },
-                || (self.intern_region(&aa.subtract(&ab, limits)), Tier::General),
+                || (self.intern_region(aa.subtract(&ab, limits)), Tier::General),
             )
             .0
         });
@@ -706,13 +708,10 @@ impl AnalysisSession {
                     // general algorithm is forced to produce bit-for-bit.
                     if !dense::force_general() {
                         if let Some(d) = aa.intersect_dense_empty(&ab) {
-                            return (self.intern_region(&d), Tier::Dense);
+                            return (self.intern_region(d), Tier::Dense);
                         }
                     }
-                    (
-                        self.intern_region(&aa.intersect(&ab, limits)),
-                        Tier::General,
-                    )
+                    (self.intern_region(aa.intersect(&ab, limits)), Tier::General)
                 },
             )
         });
@@ -737,7 +736,7 @@ impl AnalysisSession {
                     store::codec::put_region(buf, &aa);
                     store::codec::put_region(buf, &ab);
                 },
-                || (self.intern_region(&aa.union(&ab, limits)), Tier::General),
+                || (self.intern_region(aa.union(&ab, limits)), Tier::General),
             )
             .0
         });
@@ -763,7 +762,7 @@ impl AnalysisSession {
                 },
                 || {
                     (
-                        self.intern_region(&ad.project_out(vars, limits)),
+                        self.intern_region(ad.project_out(vars, limits)),
                         Tier::General,
                     )
                 },
@@ -1051,10 +1050,10 @@ mod tests {
     #[test]
     fn interning_dedups_equal_regions() {
         let sess = AnalysisSession::new(Options::predicated());
-        let a = sess.intern_region(&interval("d", 1, 10));
-        let b = sess.intern_region(&interval("d", 1, 10));
+        let a = sess.intern_region(interval("d", 1, 10));
+        let b = sess.intern_region(interval("d", 1, 10));
         assert!(Arc::ptr_eq(&a, &b));
-        let c = sess.intern_region(&interval("d", 1, 11));
+        let c = sess.intern_region(interval("d", 1, 11));
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(sess.stats().interned_regions, 2);
     }
@@ -1086,6 +1085,59 @@ mod tests {
         assert_eq!(sess.is_empty(&a), a.is_empty(lim));
         let dv = Var::new("d");
         assert_eq!(*sess.project_out(&a, &[dv]), a.project_out(&[dv], lim));
+    }
+
+    /// Term counts of every constraint of every system the session
+    /// interned.
+    fn term_counts(sess: &AnalysisSession, hist: &mut [u64; 8]) {
+        sess.systems.for_each(|s| {
+            for c in s.constraints() {
+                hist[c.expr.num_terms().min(7)] += 1;
+            }
+        });
+    }
+
+    #[test]
+    fn term_count_histogram_backs_the_inline_capacity() {
+        // The evidence `LinExpr`'s inline capacity was chosen from
+        // (`--nocapture` prints it): the corpus and 240 generated
+        // programs, under all three variants. The histogram is over
+        // what the sessions interned; the spill count also sees every
+        // transient expression (jobs = 1: all on this thread).
+        use padfa_ir::testgen::{random_program, GenConfig};
+        use padfa_omega::linexpr::spills;
+        let variants = || [Options::base(), Options::guarded(), Options::predicated()];
+        let mut hist = [0u64; 8];
+        let before = spills();
+        for bench in padfa_suite::build_corpus() {
+            for opts in variants() {
+                let sess = AnalysisSession::new(opts);
+                crate::analyze_program_session(&bench.program, &sess).unwrap();
+                term_counts(&sess, &mut hist);
+            }
+        }
+        println!("corpus: interned constraints by term count {hist:?}");
+        assert_eq!(spills() - before, 0, "the corpus left the inline buffer");
+        for seed in 0..240 {
+            let prog = random_program(seed, GenConfig::default());
+            for opts in variants() {
+                let sess = AnalysisSession::new(opts);
+                // A generated program may be rejected; what was built
+                // until then still counts.
+                let _ = crate::analyze_program_session(&prog, &sess);
+                term_counts(&sess, &mut hist);
+            }
+        }
+        let (total, spilled) = (hist.iter().sum::<u64>(), spills() - before);
+        println!("corpus + generated: {hist:?}; {spilled} expressions spilled");
+        assert!(total > 100_000, "only {total} constraints seen");
+        assert!(hist[3] > 0, "nothing reached the last inline slot");
+        assert!(spilled > 0, "nothing exercised the spill path");
+        assert!(
+            spilled * 100 <= total,
+            "{spilled} spills against {total} interned constraints: \
+             the inline capacity is too small"
+        );
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! Hashing uses a fixed-seed Fx-style multiply-xor hasher: far cheaper
 //! than SipHash on the small structural keys interned here (ids,
 //! id-pairs, constraint vectors), and deterministic within a process —
-//! which the shard *selection* doesn't need, but costs nothing.
+//! which the shard *selection* doesn't need, but costs nothing. An
+//! interned value is hashed once, on the way in: the interner's tables
+//! are keyed by that hash, so the same word picks the shard, finds the
+//! bucket, and survives table growth without the value being walked
+//! again.
 //!
 //! ## Determinism
 //!
@@ -23,6 +27,8 @@
 //! computation would regardless of numbering.
 
 use padfa_omega::sync::lock;
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,34 +120,107 @@ fn shard_of(hash: u64) -> usize {
     (hash >> (64 - 4)) as usize & (SHARDS - 1)
 }
 
+/// One interner shard. Values are filed under their own hash, computed
+/// once on the way in: the table's keys are those 64-bit words, so
+/// growing it moves words instead of re-walking every stored constraint
+/// list to hash it again.
+struct InternShard<T> {
+    /// hash → the first value interned under it, and that value's id.
+    by_hash: HashMap<u64, (Arc<T>, u32), FxBuild>,
+    /// Values whose hash was already taken by a different value. A full
+    /// 64-bit collision between two live analysis values is not
+    /// expected; this list is what keeps one from merging them.
+    collided: Vec<(u64, Arc<T>, u32)>,
+}
+
+impl<T: Eq> InternShard<T> {
+    fn len(&self) -> usize {
+        self.by_hash.len() + self.collided.len()
+    }
+
+    fn find(&self, hash: u64, value: &T) -> Option<(&Arc<T>, u32)> {
+        let (first, id) = self.by_hash.get(&hash)?;
+        if **first == *value {
+            return Some((first, *id));
+        }
+        self.collided
+            .iter()
+            .find(|(h, v, _)| *h == hash && **v == *value)
+            .map(|(_, v, id)| (v, *id))
+    }
+
+    fn insert(&mut self, hash: u64, value: Arc<T>, id: u32) {
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert((value, id));
+            }
+            Entry::Occupied(_) => self.collided.push((hash, value, id)),
+        }
+    }
+}
+
 /// A hash-consing interner: equal values share one `Arc` and one id.
 /// Lock-striped; ids are unique across shards but *not* dense.
 pub(crate) struct Interner<T> {
-    shards: [Mutex<HashMap<Arc<T>, u32, FxBuild>>; SHARDS],
+    shards: [Mutex<InternShard<T>>; SHARDS],
 }
 
-impl<T: Eq + Hash + Clone> Interner<T> {
+impl<T: Eq + Hash> Interner<T> {
     pub(crate) fn new() -> Interner<T> {
         Interner {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::default())),
+            shards: std::array::from_fn(|_| {
+                Mutex::new(InternShard {
+                    by_hash: HashMap::default(),
+                    collided: Vec::new(),
+                })
+            }),
         }
     }
 
     /// Intern by reference; clones into a fresh `Arc` only on a miss.
-    pub(crate) fn intern(&self, value: &T) -> (Arc<T>, u32) {
-        let shard = shard_of(fx_hash(value));
+    pub(crate) fn intern(&self, value: &T) -> (Arc<T>, u32)
+    where
+        T: Clone,
+    {
+        self.intern_with(value, |v| Arc::new(v.clone()))
+    }
+
+    /// Intern a value the caller is done with: a miss moves it into its
+    /// `Arc`, a hit drops it. Same handle and id as [`Interner::intern`]
+    /// gives an equal value.
+    pub(crate) fn intern_owned(&self, value: T) -> (Arc<T>, u32) {
+        self.intern_with(value, Arc::new)
+    }
+
+    fn intern_with<Q: Borrow<T>>(
+        &self,
+        value: Q,
+        into_arc: impl FnOnce(Q) -> Arc<T>,
+    ) -> (Arc<T>, u32) {
+        let hash = fx_hash(value.borrow());
+        let shard = shard_of(hash);
         let mut m = lock(&self.shards[shard]);
-        if let Some((k, &id)) = m.get_key_value(value) {
+        if let Some((k, id)) = m.find(hash, value.borrow()) {
             return (Arc::clone(k), id);
         }
         let id = (m.len() * SHARDS + shard) as u32;
-        let arc = Arc::new(value.clone());
-        m.insert(Arc::clone(&arc), id);
+        let arc = into_arc(value);
+        m.insert(hash, Arc::clone(&arc), id);
         (arc, id)
     }
 
     pub(crate) fn len(&self) -> usize {
         self.shards.iter().map(|s| lock(s).len()).sum()
+    }
+
+    /// Visit every interned value (order unspecified).
+    #[cfg(test)]
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&T)) {
+        for s in &self.shards {
+            let s = lock(s);
+            s.by_hash.values().for_each(|(v, _)| f(v));
+            s.collided.iter().for_each(|(_, v, _)| f(v));
+        }
     }
 }
 
@@ -218,6 +297,73 @@ mod tests {
             assert_eq!(*arc, format!("value-{k}"));
         }
         assert_eq!(int.len(), 100);
+    }
+
+    /// A value that counts its clones.
+    #[derive(PartialEq, Eq, Hash, Debug)]
+    struct Counted(u32);
+
+    static CLONES: AtomicU64 = AtomicU64::new(0);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            CLONES.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0)
+        }
+    }
+
+    #[test]
+    fn owned_intern_agrees_with_by_reference_and_never_clones() {
+        let int: Interner<Counted> = Interner::new();
+        // Misses by value move; hits by value drop.
+        let owned: Vec<_> = (0..200).map(|k| int.intern_owned(Counted(k))).collect();
+        for (k, (arc, id)) in owned.iter().enumerate() {
+            let (again, same_id) = int.intern_owned(Counted(k as u32));
+            assert!(Arc::ptr_eq(arc, &again));
+            assert_eq!(*id, same_id);
+        }
+        assert_eq!(CLONES.load(Ordering::Relaxed), 0);
+        // By reference finds the same handles and ids (hits: no clone),
+        // and a value first seen by reference is found again by value.
+        for (k, (arc, id)) in owned.iter().enumerate() {
+            let (by_ref, ref_id) = int.intern(&Counted(k as u32));
+            assert!(Arc::ptr_eq(arc, &by_ref));
+            assert_eq!(*id, ref_id);
+        }
+        assert_eq!(CLONES.load(Ordering::Relaxed), 0);
+        let (by_ref, ref_id) = int.intern(&Counted(1000));
+        assert_eq!(CLONES.load(Ordering::Relaxed), 1, "a by-reference miss");
+        let (by_val, val_id) = int.intern_owned(Counted(1000));
+        assert!(Arc::ptr_eq(&by_ref, &by_val));
+        assert_eq!(ref_id, val_id);
+        assert_eq!(CLONES.load(Ordering::Relaxed), 1);
+        assert_eq!(int.len(), 201);
+    }
+
+    /// Every value hashes alike, so all but the first land on the
+    /// collision list of one shard.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    struct Colliding(u32);
+
+    impl Hash for Colliding {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(7);
+        }
+    }
+
+    #[test]
+    fn interner_keeps_colliding_values_apart() {
+        let int: Interner<Colliding> = Interner::new();
+        let first: Vec<_> = (0..20).map(|k| int.intern_owned(Colliding(k))).collect();
+        let mut ids = std::collections::HashSet::new();
+        for (k, (arc, id)) in first.iter().enumerate() {
+            assert_eq!(**arc, Colliding(k as u32));
+            assert!(ids.insert(*id), "duplicate id {id}");
+            let (again, same_id) = int.intern(&Colliding(k as u32));
+            assert!(Arc::ptr_eq(arc, &again));
+            assert_eq!(*id, same_id);
+        }
+        assert_eq!(int.len(), 20);
     }
 
     #[test]

@@ -947,6 +947,18 @@ impl Store {
         self.seal_locked(&mut j);
     }
 
+    /// End this process's use of the store: seal what was written and
+    /// give up `<dir>/lock`. This is all `Drop` does, offered by name for
+    /// a one-shot command that exits without dropping its session (the
+    /// handle is shared, so no single owner could drop it early).
+    /// Idempotent; `Drop` after it finds nothing left to do.
+    pub fn close(&self) {
+        self.flush();
+        if self.holds_lock.swap(false, Ordering::Relaxed) {
+            let _ = fs::remove_file(self.dir.join("lock"));
+        }
+    }
+
     // --------------------------------------------------------------
     // Invalidation
     // --------------------------------------------------------------
@@ -977,10 +989,7 @@ impl Store {
 
 impl Drop for Store {
     fn drop(&mut self) {
-        self.flush();
-        if self.holds_lock.load(Ordering::Relaxed) {
-            let _ = fs::remove_file(self.dir.join("lock"));
-        }
+        self.close();
     }
 }
 
@@ -1316,6 +1325,28 @@ mod tests {
             assert!(dir.join("lock").exists());
         }
         assert!(!dir.join("lock").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn close_does_what_drop_does_once() {
+        let dir = test_dir("close");
+        let a = Store::open(cfg(&dir));
+        a.put_bool(1, true, Tier::General, 0);
+        a.close();
+        assert!(!dir.join("lock").exists());
+        assert!(dir.join("seg-0000.log").exists());
+        assert!(!dir.join("active.tmp").exists());
+        // The next opener owns the directory now; closing again, or the
+        // late drop, must leave its lock alone and seal nothing more.
+        fs::write(dir.join("lock"), "1\n").unwrap();
+        a.close();
+        drop(a);
+        assert!(dir.join("lock").exists());
+        assert!(!dir.join("seg-0001.log").exists());
+        fs::remove_file(dir.join("lock")).unwrap();
+        let b = Store::open(cfg(&dir));
+        assert_eq!(b.get_bool(1), Some((true, Tier::General)));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -806,7 +806,7 @@ mod tests {
     /// part under several constants, negated pairs whose constants sum
     /// below, at and above zero, duplicate equalities, an equality
     /// beside its own inequality pair — over expressions on both sides
-    /// of the 8-term inline/heap boundary.
+    /// of the 3-term inline/heap boundary.
     fn random_list(rng: &mut StdRng, groups: usize, contradictory: bool) -> Vec<Constraint> {
         let mut out = Vec::new();
         let mut keep = |c: Constraint| {
@@ -815,7 +815,7 @@ mod tests {
             }
         };
         for g in 0..groups {
-            let n = [1, 1, 2, 3, 8, 9][rng.gen_range(0usize..6)];
+            let n = [1, 1, 2, 3, 4, 9][rng.gen_range(0usize..6)];
             let e = random_terms(rng, n);
             let c = rng.gen_range(-6i64..=6);
             let with = |k: i64| e.clone() + LinExpr::constant(k);
@@ -930,6 +930,16 @@ mod tests {
         // One word over the eager `Option<Box<DenseBox>>`; peak RSS on
         // every benchmark workload is bounded at 5 %.
         assert!(std::mem::size_of::<System>() <= 48);
+    }
+
+    #[test]
+    fn constraint_stays_within_56_bytes() {
+        // Three packed inline terms, their count, the constant and the
+        // kind (a fourth inline term would make these 64 and 72). Every
+        // clone, sort, hash and free of a system moves this many bytes
+        // per constraint; at 152 they were most of what `analyze` cost.
+        assert!(std::mem::size_of::<LinExpr>() <= 48);
+        assert!(std::mem::size_of::<Constraint>() <= 56);
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! with a naive `BTreeMap` reference model, *especially* at the spill
 //! boundary, and equality/hashing must be representation-independent
 //! (an expression that spilled and then cancelled back down must equal
-//! one that never spilled). `System::quick_unsat` must never call a
-//! satisfiable system empty. Cases are generated from fixed seeds so
-//! every run checks the same expressions.
+//! one that never spilled, and must be back inline).
+//! `System::quick_unsat` must never call a satisfiable system empty.
+//! Cases are generated from fixed seeds so every run checks the same
+//! expressions.
 
+use padfa_omega::linexpr::spills;
 use padfa_omega::{Constraint, Limits, LinExpr, System, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,7 +22,7 @@ use std::hash::{Hash, Hasher};
 const CASES: u64 = 128;
 /// Mirror of the private inline capacity: term counts straddling this
 /// value exercise the spill boundary.
-const INLINE: usize = 8;
+const INLINE: usize = 3;
 
 /// The variable pool; more than `INLINE + 2` distinct names, so random
 /// expressions can cross the spill threshold.
@@ -45,9 +47,31 @@ impl Model {
         }
     }
 
+    /// `v := e` for every occurrence of `v`.
+    fn subst(&mut self, v: Var, e: &Model) {
+        let Some(c) = self.terms.remove(&v) else {
+            return;
+        };
+        for (&w, &k) in &e.terms {
+            self.add_term(w, c * k);
+        }
+        self.konst += c * e.konst;
+    }
+
+    fn rename(&mut self, from: Var, to: Var) {
+        if let Some(c) = self.terms.remove(&from) {
+            self.add_term(to, c);
+        }
+    }
+
     fn assert_matches(&self, e: &LinExpr, what: &str) {
         assert_eq!(e.konst(), self.konst, "{what}: konst");
         assert_eq!(e.num_terms(), self.terms.len(), "{what}: num_terms");
+        assert_eq!(
+            clone_spills(e),
+            self.terms.len() > INLINE,
+            "{what}: on the heap exactly past {INLINE} terms"
+        );
         let got: Vec<(Var, i64)> = e.terms().collect();
         let want: Vec<(Var, i64)> = self.terms.iter().map(|(&v, &c)| (v, c)).collect();
         assert_eq!(got, want, "{what}: sorted term iteration");
@@ -57,6 +81,15 @@ impl Model {
         }
         assert_eq!(e.is_const(), self.terms.is_empty(), "{what}: is_const");
     }
+}
+
+/// Whether copying `e` takes a heap buffer, i.e. whether its terms are
+/// on the heap (the spill counter is per thread, so concurrent tests
+/// cannot disturb the delta).
+fn clone_spills(e: &LinExpr) -> bool {
+    let before = spills();
+    let _copy = e.clone();
+    spills() - before == 1
 }
 
 fn hash_of(e: &LinExpr) -> u64 {
@@ -88,8 +121,9 @@ fn random_build_matches_btreemap_model() {
     let vars = pool();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xE4E5_0001 + seed);
-        // Lengths 0..=24 cover pure-inline, boundary, and spilled cases.
-        let len = rng.gen_range(0usize..=24);
+        // A third of the cases stay at or under the inline capacity, the
+        // rest run well past it (and back, as coefficients cancel).
+        let len = rng.gen_range(0usize..=3 * INLINE + 3);
         let (e, m) = random_pair(&mut rng, &vars, len);
         m.assert_matches(&e, "build");
 
@@ -107,9 +141,9 @@ fn arithmetic_matches_btreemap_model() {
     let vars = pool();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xE4E5_0002 + seed);
-        let len_a = rng.gen_range(0usize..=12);
+        let len_a = rng.gen_range(0usize..=INLINE + 2);
         let (a, ma) = random_pair(&mut rng, &vars, len_a);
-        let len_b = rng.gen_range(0usize..=12);
+        let len_b = rng.gen_range(0usize..=INLINE + 2);
         let (b, mb) = random_pair(&mut rng, &vars, len_b);
 
         let mut m_add = ma.clone();
@@ -135,6 +169,108 @@ fn arithmetic_matches_btreemap_model() {
             m_scaled.konst = ma.konst * k;
         }
         m_scaled.assert_matches(&a.scaled(k), "scaled");
+
+        let (v, w) = (
+            vars[rng.gen_range(0..vars.len())],
+            vars[rng.gen_range(0..vars.len())],
+        );
+        let mut m_subst = ma.clone();
+        m_subst.subst(v, &mb);
+        m_subst.assert_matches(&a.subst(v, &b), "subst");
+        let mut m_rename = ma.clone();
+        m_rename.rename(v, w);
+        m_rename.assert_matches(&a.rename(v, w), "rename");
+    }
+}
+
+/// The model of a small operand built through the public constructors.
+fn model_of(e: &LinExpr) -> Model {
+    Model {
+        terms: e.terms().collect(),
+        konst: e.konst(),
+    }
+}
+
+/// `n` terms over the first `n` pool variables, coefficients 1..=n.
+fn ramp(vars: &[Var], n: usize, konst: i64) -> (LinExpr, Model) {
+    let mut e = LinExpr::constant(konst);
+    let mut m = Model {
+        konst,
+        ..Model::default()
+    };
+    for (k, &v) in vars[..n].iter().enumerate() {
+        e.add_term(v, k as i64 + 1);
+        m.add_term(v, k as i64 + 1);
+    }
+    (e, m)
+}
+
+#[test]
+fn operations_match_model_at_the_spill_boundary() {
+    // Start one under, at and one over the inline capacity, and for each
+    // operation push the term count up by one, leave it, and cancel it
+    // down by one — so every operation crosses the boundary both ways.
+    let vars = pool();
+    let fresh = vars[INLINE + 3];
+    for n in [INLINE - 1, INLINE, INLINE + 1] {
+        let (a, ma) = ramp(&vars, n, 5);
+        // `grow` adds a variable `a` lacks; `cancel` removes `a`'s last.
+        let (last, last_c) = (vars[n - 1], n as i64);
+        let grow = LinExpr::term(fresh, 2);
+        let cancel = LinExpr::term(last, -last_c) + LinExpr::constant(1);
+        for (label, b) in [("grow", &grow), ("cancel", &cancel)] {
+            let mb = model_of(b);
+            let mut m = ma.clone();
+            for (&v, &c) in &mb.terms {
+                m.add_term(v, c);
+            }
+            m.konst += mb.konst;
+            m.assert_matches(&(a.clone() + b.clone()), &format!("n={n} add {label}"));
+
+            // Subtracting the negation is the same crossing through `Sub`.
+            m.assert_matches(&(a.clone() - b.scaled(-1)), &format!("n={n} sub {label}"));
+        }
+        // scaled: the count holds for k != 0 and collapses at k = 0.
+        let mut m = Model::default();
+        for (&v, &c) in &ma.terms {
+            m.add_term(v, -2 * c);
+        }
+        m.konst = -2 * ma.konst;
+        m.assert_matches(&a.scaled(-2), &format!("n={n} scaled"));
+        Model::default().assert_matches(&a.scaled(0), &format!("n={n} scaled by 0"));
+
+        // subst: by a two-variable expression (up one), by a constant
+        // (down one).
+        let two = LinExpr::term(fresh, 1) + LinExpr::term(vars[INLINE + 4], 3);
+        for (label, by) in [("up", &two), ("down", &LinExpr::constant(7))] {
+            let mut m = ma.clone();
+            m.subst(last, &model_of(by));
+            m.assert_matches(&a.subst(last, by), &format!("n={n} subst {label}"));
+        }
+
+        // rename: onto a fresh variable (count holds), onto one already
+        // present (merges, down one).
+        let mut m = ma.clone();
+        m.rename(last, fresh);
+        m.assert_matches(&a.rename(last, fresh), &format!("n={n} rename"));
+        let mut m = ma.clone();
+        m.rename(last, vars[0]);
+        m.assert_matches(&a.rename(last, vars[0]), &format!("n={n} rename merge"));
+
+        // Across a cancel-back: past the boundary, then down to `n`
+        // again, and the survivor is the value it started as.
+        let mut round = a.clone();
+        for &v in &vars[n..n + 3] {
+            round.add_term(v, 7);
+        }
+        assert!(clone_spills(&round), "n={n}: {} terms", round.num_terms());
+        for &v in &vars[n..n + 3] {
+            round.add_term(v, -7);
+        }
+        ma.assert_matches(&round, &format!("n={n} cancel-back"));
+        assert_eq!(round, a);
+        assert_eq!(hash_of(&round), hash_of(&a));
+        assert_eq!(round.cmp_structural(&a), std::cmp::Ordering::Equal);
     }
 }
 
@@ -163,8 +299,8 @@ fn equality_and_hash_are_representation_independent() {
         }
 
         // Route B: overshoot past the spill threshold with extra terms,
-        // then cancel them, leaving the same logical expression (now
-        // heap-backed if it ever spilled).
+        // then cancel them, leaving the same logical expression (back
+        // inline if it fits).
         let mut b = LinExpr::zero();
         for &(v, c) in &coeffs {
             b.add_term(v, c);
@@ -177,6 +313,7 @@ fn equality_and_hash_are_representation_independent() {
             b.add_term(v, -7);
         }
 
+        assert_eq!(clone_spills(&a), clone_spills(&b), "seed {seed}");
         assert_eq!(a, b, "seed {seed}: routes must build equal expressions");
         assert_eq!(hash_of(&a), hash_of(&b), "seed {seed}: hashes must agree");
         assert_eq!(

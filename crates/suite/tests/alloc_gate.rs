@@ -1,10 +1,13 @@
-//! Allocation-count gate over the corpus. The constraint kernel's cost
-//! on systems this small is its constant factor, and most of that
-//! constant used to be the allocator (4.96 M heap allocations for the
-//! 4,482 loops before `System::simplify` went in-place and dense boxes
-//! on-demand). A count repeats exactly at jobs = 1, so it is gated as a
-//! count. This file holds exactly one test: the counter is
-//! process-wide, and a second test running beside it would be counted.
+//! Allocation gate over the corpus: calls and bytes. The constraint
+//! kernel's cost on systems this small is its constant factor, and most
+//! of that constant used to be the allocator — 4.96 M heap allocations
+//! for the 4,482 loops before `System::simplify` went in-place and dense
+//! boxes on-demand, then 585 MB requested in 1.67 M calls while a
+//! `Constraint` was 152 bytes (first-touch page faults and `memmove`
+//! were a quarter of `analyze`). Both figures repeat exactly at
+//! jobs = 1, so they are gated as counts. This file holds exactly one
+//! test: the counters are process-wide, and a second test running
+//! beside it would be counted.
 
 use padfa_core::{analyze_program_session, AnalysisSession, Options};
 use padfa_omega::{Constraint, LinExpr, Var};
@@ -15,22 +18,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested: the size of every allocation, and the new size of
+/// every reallocation.
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn note(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
-// the only addition is a relaxed counter bump.
+// the only addition is two relaxed counter bumps.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(layout.size());
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(new_size);
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -46,19 +57,29 @@ static GLOBAL: Counting = Counting;
 /// ≈ 1.25 × the 1,665,934 measured when the gate was set.
 const MAX_ALLOCATIONS: u64 = 2_100_000;
 
+/// ≈ 1.25 × the 313,030,320 measured when the gate was set
+/// (584,675,472 with 152-byte constraints).
+const MAX_BYTES: u64 = 390_000_000;
+
 #[test]
 fn corpus_analysis_stays_allocation_lean() {
     let corpus = build_corpus();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let bytes_before = BYTES.load(Ordering::Relaxed);
     for bench in &corpus {
         let sess = AnalysisSession::new(Options::predicated()).with_jobs(1);
         analyze_program_session(&bench.program, &sess).unwrap();
     }
     let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    println!("corpus analysis at jobs = 1: {count} heap allocations");
+    let bytes = BYTES.load(Ordering::Relaxed) - bytes_before;
+    println!("corpus analysis at jobs = 1: {count} heap allocations, {bytes} bytes requested");
     assert!(
         count <= MAX_ALLOCATIONS,
         "corpus analysis made {count} heap allocations (gate {MAX_ALLOCATIONS})"
+    );
+    assert!(
+        bytes <= MAX_BYTES,
+        "corpus analysis requested {bytes} bytes from the allocator (gate {MAX_BYTES})"
     );
 
     // Where the count went: putting a system into normal form touches
@@ -79,4 +100,22 @@ fn corpus_analysis_stays_allocation_lean() {
     let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(sys.len(), 150);
     assert_eq!(count, 0, "System::simplify allocated");
+
+    // An expression that outgrew the inline buffer and cancelled back
+    // is a small expression again: copying it touches no heap.
+    let mut e = LinExpr::constant(1);
+    let extra: Vec<Var> = (0..6).map(|n| Var::new(&format!("ag{n}"))).collect();
+    e.add_term(extra[0], 2);
+    for &v in &extra[1..] {
+        e.add_term(v, 3);
+    }
+    for &v in &extra[1..] {
+        e.add_term(v, -3);
+    }
+    assert_eq!(e.num_terms(), 1);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let copy = std::hint::black_box(e.clone());
+    let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(copy, e);
+    assert_eq!(count, 0, "cloning a shrunk expression allocated");
 }
