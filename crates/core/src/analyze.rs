@@ -21,7 +21,7 @@ use padfa_ir::affine;
 use padfa_ir::ast::{Block, BoolExpr, Expr, Loop, Procedure, Program, Stmt};
 use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
 use padfa_pred::{Atom, Pred};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -100,12 +100,12 @@ pub fn analyze_program_session(
     // IR would leak one run's budget decisions into another's results.
     // One sequential topological pass computes every key up front:
     // callee keys come from strictly lower levels, already in the map.
-    let mut proc_store: HashMap<String, ProcStoreInfo> = HashMap::new();
+    let mut proc_keys: HashMap<String, u128> = HashMap::new();
     if sess.store().is_some() && sess.opts.budget.is_unlimited() {
         for level in &co.levels {
             for &idx in level {
-                if let Some(info) = proc_store_info(prog, idx, &co, sess, &proc_store) {
-                    proc_store.insert(prog.procedures[idx].name.clone(), info);
+                if let Some(key) = proc_store_key(prog, idx, &co, sess, &proc_keys) {
+                    proc_keys.insert(prog.procedures[idx].name.clone(), key);
                 }
             }
         }
@@ -173,7 +173,7 @@ pub fn analyze_program_session(
         index: &index,
         slots: &summary_slots,
     };
-    let keys = &proc_store;
+    let keys = &proc_keys;
     let outcomes: Vec<ProcOutcome> = {
         let mut sched_span = trace::span("schedule", "driver");
         sched_span.arg("procs", n.to_string());
@@ -191,7 +191,7 @@ pub fn analyze_program_session(
                 &co,
                 &view,
                 sess,
-                keys.get(&prog.procedures[idx].name),
+                keys.get(&prog.procedures[idx].name).copied(),
             );
             sess.sched()
                 .note_actual(est[idx], t0.elapsed().as_nanos() as u64);
@@ -244,14 +244,6 @@ impl SummaryView<'_> {
     }
 }
 
-/// Store addressing for one procedure: its content-addressed summary
-/// key and the set of procedure-IR hashes it transitively depends on
-/// (for the persisted invalidation graph).
-struct ProcStoreInfo {
-    key: u128,
-    dep_irs: BTreeSet<u128>,
-}
-
 /// Compute the Merkle-style store key for `prog.procedures[idx]`:
 /// options fingerprint + own IR hash + the keys of all direct callees
 /// (so an edit anywhere in the callee tree changes the key). Returns
@@ -259,13 +251,13 @@ struct ProcStoreInfo {
 /// it is recursive, or a defined callee is itself ineligible (its
 /// summary then isn't content-addressed). Undefined callees contribute
 /// a fixed marker — their conservative summary depends on no IR.
-fn proc_store_info(
+fn proc_store_key(
     prog: &Program,
     idx: usize,
     co: &CallOrder,
     sess: &AnalysisSession,
-    done: &HashMap<String, ProcStoreInfo>,
-) -> Option<ProcStoreInfo> {
+    done: &HashMap<String, u128>,
+) -> Option<u128> {
     let opts_fp = sess.store_opts_fp()?;
     if co.recursive.contains(&idx) {
         return None;
@@ -275,20 +267,14 @@ fn proc_store_info(
     let mut names = Vec::new();
     crate::interproc::callees(proc, &mut names);
     let mut callee_keys = Vec::with_capacity(names.len());
-    let mut dep_irs = BTreeSet::from([ir]);
     for name in names {
         if prog.proc(&name).is_some() {
-            let info = done.get(&name)?;
-            callee_keys.push(info.key);
-            dep_irs.extend(info.dep_irs.iter().copied());
+            callee_keys.push(*done.get(&name)?);
         } else {
             callee_keys.push(store::UNDEFINED_CALLEE);
         }
     }
-    Some(ProcStoreInfo {
-        key: store::proc_key(opts_fp, ir, &callee_keys),
-        dep_irs,
-    })
+    Some(store::proc_key(opts_fp, ir, &callee_keys))
 }
 
 /// Summarize one procedure against the already-completed summaries of
@@ -305,15 +291,15 @@ fn analyze_proc(
     co: &CallOrder,
     summaries: &SummaryView<'_>,
     sess: &AnalysisSession,
-    store_info: Option<&ProcStoreInfo>,
+    store_key: Option<u128>,
 ) -> ProcOutcome {
     let proc = &prog.procedures[idx];
     // A whole-procedure store hit skips summarization entirely: the
     // entry carries both the summary and the loop reports derived while
     // computing it. Only unbudgeted, non-recursive procedures get here
-    // (see `proc_store_info`), so no budget meter state is skipped.
-    if let (Some(info), Some(s)) = (store_info, sess.store()) {
-        if let Some((summary, reports)) = s.get_proc(info.key) {
+    // (see `proc_store_key`), so no budget meter state is skipped.
+    if let (Some(key), Some(s)) = (store_key, sess.store()) {
+        if let Some((summary, reports)) = s.get_proc(key) {
             trace::instant(format!("store-hit {}", proc.name), "store");
             return (idx, Ok((Arc::new(summary), reports)));
         }
@@ -346,8 +332,8 @@ fn analyze_proc(
     flight::flush_lattice_ops(&proc.name);
     let res = match outcome {
         Ok((summary, reports)) => {
-            if let (Some(info), Some(s)) = (store_info, sess.store()) {
-                s.put_proc(info.key, &summary, &reports, &info.dep_irs);
+            if let (Some(key), Some(s)) = (store_key, sess.store()) {
+                s.put_proc(key, &summary, &reports);
             }
             Ok((Arc::new(summary), reports))
         }

@@ -30,7 +30,7 @@ pub struct CallOrder {
 }
 
 /// Direct callee names of a procedure, in syntactic order.
-pub(crate) fn callees(p: &Procedure, out: &mut Vec<String>) {
+pub fn callees(p: &Procedure, out: &mut Vec<String>) {
     fn walk(b: &Block, out: &mut Vec<String>) {
         for s in &b.stmts {
             match s {

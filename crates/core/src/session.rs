@@ -72,9 +72,9 @@ pub struct QueryStats {
     pub hits: u64,
     pub misses: u64,
     /// Queries answered by the dense fast tier
-    /// ([`padfa_omega::Tier::Dense`]). Memo and store hits replay the
-    /// tier recorded by the original computation, so the split covers
-    /// every query, not just misses.
+    /// ([`padfa_omega::Tier::Dense`]). Memo hits replay the tier
+    /// recorded by the original computation, so the split covers every
+    /// query, not just misses.
     pub dense: u64,
     /// Queries answered by the general Fourier–Motzkin representation.
     pub general: u64,
@@ -290,16 +290,11 @@ impl std::fmt::Display for StatsSnapshot {
                 st.puts,
                 st.loaded
             )?;
-            if st.quarantined > 0
-                || st.stale_segments > 0
-                || st.salvaged > 0
-                || st.invalidated > 0
-                || st.retries > 0
-            {
+            if st.quarantined > 0 || st.stale_segments > 0 || st.salvaged > 0 || st.retries > 0 {
                 write!(
                     f,
-                    "\n  store hygiene: {} quarantined, {} stale segment(s), {} salvaged, {} invalidated, {} retried",
-                    st.quarantined, st.stale_segments, st.salvaged, st.invalidated, st.retries
+                    "\n  store hygiene: {} quarantined, {} stale segment(s), {} salvaged, {} retried",
+                    st.quarantined, st.stale_segments, st.salvaged, st.retries
                 )?;
             }
             if st.degraded {
@@ -356,9 +351,8 @@ pub struct AnalysisSession {
     /// the hot path, plus the registry the final snapshot is published
     /// to. `None` costs one branch per query.
     metrics: Option<SessionMetrics>,
-    /// Optional persistent memo store, consulted *inside* memo-miss
-    /// closures (after budget charging), so memo statistics, budget
-    /// steps, and operand peaks stay bit-identical warm vs cold.
+    /// Optional persistent store of procedure summaries, consulted by
+    /// the interprocedural driver once per procedure.
     store: Option<SessionStore>,
     /// Cost-model task scheduler arbitrating the four fan-out sites
     /// (see [`crate::sched`]).
@@ -366,7 +360,7 @@ pub struct AnalysisSession {
 }
 
 /// A persistent store attached to this session, with the session's
-/// options fingerprint pre-mixed into every key.
+/// options fingerprint (mixed into every procedure key).
 struct SessionStore {
     store: Arc<Store>,
     opts_fp: u128,
@@ -421,16 +415,15 @@ impl AnalysisSession {
         }
     }
 
-    /// Attach a persistent memo store: every memo *miss* consults the
-    /// store before computing, and computed results are written back.
-    /// Output is bit-identical with and without the store (hits replay
-    /// the recorded overflow deltas; a corrupt or failing store degrades
-    /// to recomputation).
+    /// Attach a persistent store: the driver looks each procedure's
+    /// summary up before analyzing it and writes computed ones back.
+    /// Output is bit-identical with and without the store (a corrupt or
+    /// failing store degrades to recomputation).
     ///
     /// Budgeted sessions ignore the attachment: a store hit skips the
-    /// nested work a computation would have charged, so step accounting
-    /// — and with it degradation decisions — could depend on what a
-    /// previous run happened to persist.
+    /// work a computation would have charged, so step accounting — and
+    /// with it degradation decisions — could depend on what a previous
+    /// run happened to persist.
     pub fn with_store(mut self, s: Arc<Store>) -> AnalysisSession {
         if !self.opts.budget.is_unlimited() {
             return self;
@@ -450,53 +443,6 @@ impl AnalysisSession {
         self.store.as_ref().map(|s| s.opts_fp)
     }
 
-    /// Consult-or-compute for boolean lattice results. `key_of` appends
-    /// the canonicalized operand bytes (the tag + options fingerprint
-    /// are prepended here). The answering tier travels with the value:
-    /// store hits replay the tier the original computation recorded, so
-    /// tier counters match between warm and cold runs.
-    fn store_bool(
-        &self,
-        tag: u8,
-        key_of: impl FnOnce(&mut Vec<u8>),
-        compute: impl FnOnce() -> (bool, Tier),
-    ) -> (bool, Tier) {
-        let Some(h) = &self.store else {
-            return compute();
-        };
-        let key = self.store_key(h, tag, key_of);
-        if let Some(v) = h.store.get_bool(key) {
-            return v;
-        }
-        let before = padfa_omega::limit_stats::thread_overflows();
-        let (v, tier) = compute();
-        let delta = padfa_omega::limit_stats::thread_overflows() - before;
-        h.store.put_bool(key, v, tier, delta);
-        (v, tier)
-    }
-
-    /// Consult-or-compute for region-valued lattice results (see
-    /// [`Self::store_bool`] for the tier replay).
-    fn store_region(
-        &self,
-        tag: u8,
-        key_of: impl FnOnce(&mut Vec<u8>),
-        compute: impl FnOnce() -> (Arc<Disjunction>, Tier),
-    ) -> (Arc<Disjunction>, Tier) {
-        let Some(h) = &self.store else {
-            return compute();
-        };
-        let key = self.store_key(h, tag, key_of);
-        if let Some((d, tier)) = h.store.get_region(key) {
-            return (self.intern_region(d), tier);
-        }
-        let before = padfa_omega::limit_stats::thread_overflows();
-        let (v, tier) = compute();
-        let delta = padfa_omega::limit_stats::thread_overflows() - before;
-        h.store.put_region(key, &v, tier, delta);
-        (v, tier)
-    }
-
     /// Credit one answered query to its tier's counter.
     #[inline]
     fn note_tier(&self, kind: QueryKind, tier: Tier) {
@@ -505,14 +451,6 @@ impl AnalysisSession {
             Tier::General => &self.tier_general[kind as usize],
         }
         .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn store_key(&self, h: &SessionStore, tag: u8, key_of: impl FnOnce(&mut Vec<u8>)) -> u128 {
-        let mut buf = Vec::with_capacity(256);
-        buf.push(tag);
-        store::codec::put_u128(&mut buf, h.opts_fp);
-        key_of(&mut buf);
-        store::hash::fnv128(&buf)
     }
 
     /// Number of worker threads for the parallel driver (across
@@ -601,21 +539,15 @@ impl AnalysisSession {
         let limits = self.limits();
         let (arc, id) = self.systems.intern(s);
         let r = self.m_sys_empty.get_or(id, || {
-            self.store_bool(
-                b'E',
-                |buf| store::codec::put_system(buf, &arc),
-                || {
-                    // Tier dispatch: a cached dense summary decides
-                    // emptiness exactly and provably agrees with the
-                    // Fourier–Motzkin cascade (see `padfa_omega::dense`).
-                    if !dense::force_general() {
-                        if let Some(d) = arc.dense_box() {
-                            return (d.is_empty(), Tier::Dense);
-                        }
-                    }
-                    (arc.is_empty(limits), Tier::General)
-                },
-            )
+            // Tier dispatch: a cached dense summary decides emptiness
+            // exactly and provably agrees with the Fourier–Motzkin
+            // cascade (see `padfa_omega::dense`).
+            if !dense::force_general() {
+                if let Some(d) = arc.dense_box() {
+                    return (d.is_empty(), Tier::Dense);
+                }
+            }
+            (arc.is_empty(limits), Tier::General)
         });
         self.note_tier(QueryKind::SysEmpty, r.1);
         self.observe(QueryKind::SysEmpty, t0);
@@ -638,21 +570,12 @@ impl AnalysisSession {
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
         let r = self.m_subset.get_or((ia, ib), || {
-            self.store_bool(
-                b'S',
-                |buf| {
-                    store::codec::put_region(buf, &aa);
-                    store::codec::put_region(buf, &ab);
-                },
-                || {
-                    if !dense::force_general() {
-                        if let Some(v) = aa.subset_of_dense(&ab) {
-                            return (v, Tier::Dense);
-                        }
-                    }
-                    (aa.subset_of(&ab, limits), Tier::General)
-                },
-            )
+            if !dense::force_general() {
+                if let Some(v) = aa.subset_of_dense(&ab) {
+                    return (v, Tier::Dense);
+                }
+            }
+            (aa.subset_of(&ab, limits), Tier::General)
         });
         self.note_tier(QueryKind::Subset, r.1);
         self.observe(QueryKind::Subset, t0);
@@ -671,15 +594,7 @@ impl AnalysisSession {
         let r = self.m_subtract.get_or((ia, ib), || {
             // Subtraction always runs the general algorithm: its result
             // bytes (piece order, orientation) are only defined by it.
-            self.store_region(
-                b'-',
-                |buf| {
-                    store::codec::put_region(buf, &aa);
-                    store::codec::put_region(buf, &ab);
-                },
-                || (self.intern_region(aa.subtract(&ab, limits)), Tier::General),
-            )
-            .0
+            self.intern_region(aa.subtract(&ab, limits))
         });
         self.note_tier(QueryKind::Subtract, Tier::General);
         self.observe(QueryKind::Subtract, t0);
@@ -696,24 +611,15 @@ impl AnalysisSession {
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
         let r = self.m_intersect.get_or((ia, ib), || {
-            self.store_region(
-                b'&',
-                |buf| {
-                    store::codec::put_region(buf, &aa);
-                    store::codec::put_region(buf, &ab);
-                },
-                || {
-                    // Dense dispatch covers the disjoint case only: the
-                    // canonical empty result is the one output shape the
-                    // general algorithm is forced to produce bit-for-bit.
-                    if !dense::force_general() {
-                        if let Some(d) = aa.intersect_dense_empty(&ab) {
-                            return (self.intern_region(d), Tier::Dense);
-                        }
-                    }
-                    (self.intern_region(aa.intersect(&ab, limits)), Tier::General)
-                },
-            )
+            // Dense dispatch covers the disjoint case only: the canonical
+            // empty result is the one output shape the general algorithm
+            // is forced to produce bit-for-bit.
+            if !dense::force_general() {
+                if let Some(d) = aa.intersect_dense_empty(&ab) {
+                    return (self.intern_region(d), Tier::Dense);
+                }
+            }
+            (self.intern_region(aa.intersect(&ab, limits)), Tier::General)
         });
         self.note_tier(QueryKind::Intersect, r.1);
         self.observe(QueryKind::Intersect, t0);
@@ -729,17 +635,9 @@ impl AnalysisSession {
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
-        let r = self.m_union.get_or((ia, ib), || {
-            self.store_region(
-                b'|',
-                |buf| {
-                    store::codec::put_region(buf, &aa);
-                    store::codec::put_region(buf, &ab);
-                },
-                || (self.intern_region(aa.union(&ab, limits)), Tier::General),
-            )
-            .0
-        });
+        let r = self
+            .m_union
+            .get_or((ia, ib), || self.intern_region(aa.union(&ab, limits)));
         self.note_tier(QueryKind::Union, Tier::General);
         self.observe(QueryKind::Union, t0);
         r
@@ -754,20 +652,7 @@ impl AnalysisSession {
         let (ad, id) = self.regions.intern(d);
         let r = self.m_project.get_or((id, vars.to_vec()), || {
             self.fm_projections.fetch_add(1, Ordering::Relaxed);
-            self.store_region(
-                b'J',
-                |buf| {
-                    store::codec::put_region(buf, &ad);
-                    store::codec::put_vars(buf, vars);
-                },
-                || {
-                    (
-                        self.intern_region(ad.project_out(vars, limits)),
-                        Tier::General,
-                    )
-                },
-            )
-            .0
+            self.intern_region(ad.project_out(vars, limits))
         });
         self.note_tier(QueryKind::Project, Tier::General);
         self.observe(QueryKind::Project, t0);
@@ -793,15 +678,7 @@ impl AnalysisSession {
             // Predicate implication has no region operands to classify;
             // the dense tier still accelerates the System-level emptiness
             // tests inside, but attribution stays general.
-            self.store_bool(
-                b'I',
-                |buf| {
-                    store::codec::put_pred(buf, &aa);
-                    store::codec::put_pred(buf, &ab);
-                },
-                || (aa.implies(&ab, limits), Tier::General),
-            )
-            .0
+            aa.implies(&ab, limits)
         });
         self.note_tier(QueryKind::Implies, Tier::General);
         self.observe(QueryKind::Implies, t0);
@@ -995,7 +872,6 @@ impl AnalysisSession {
             reg.counter("store.quarantined").set(s.quarantined);
             reg.counter("store.stale_segments").set(s.stale_segments);
             reg.counter("store.salvaged").set(s.salvaged);
-            reg.counter("store.invalidated").set(s.invalidated);
             reg.counter("store.loaded").set(s.loaded);
             reg.counter("store.retries").set(s.retries);
             reg.counter("store.degraded").set(u64::from(s.degraded));

@@ -1,13 +1,11 @@
-//! Structural byte codec for store payloads and key operands.
+//! Structural byte codec for store payloads.
 //!
-//! One codec serves two purposes: store *keys* are hashes of the
-//! canonical encoding of the query operands (so the encoding IS the
-//! canonicalization), and store *payloads* are the encoding of the
-//! result values. Round-tripping must be bit-exact — a decoded region
-//! must equal the freshly-computed one including constraint order —
-//! which is why [`System::from_raw_parts`] / [`Disjunction::from_raw_parts`]
-//! exist: the ordinary constructors re-normalize and may reorder or
-//! drop parts.
+//! A payload is the encoding of one procedure's [`Summary`] and the
+//! [`LoopReport`]s derived with it. Round-tripping must be bit-exact — a
+//! decoded region must equal the freshly-computed one including
+//! constraint order — which is why [`System::from_raw_parts`] /
+//! [`Disjunction::from_raw_parts`] exist: the ordinary constructors
+//! re-normalize and may reorder or drop parts.
 //!
 //! Variables are encoded **by name** and re-interned on decode. Interned
 //! indices are process-local (they depend on interning order), so they
@@ -30,7 +28,7 @@ use crate::report::{
 use crate::summary::{ArraySummary, ScalarSummary, Summary};
 use padfa_ir::ast::{BoolExpr, CmpOp, Expr, Intrinsic};
 use padfa_ir::LoopId;
-use padfa_omega::{CKind, Constraint, Disjunction, LinExpr, System, Tier, Var};
+use padfa_omega::{CKind, Constraint, Disjunction, LinExpr, System, Var};
 use padfa_pred::{Atom, AtomKind, Pred};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -51,15 +49,11 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 pub fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+pub fn put_flag(out: &mut Vec<u8>, v: bool) {
     out.push(u8::from(v));
 }
 
@@ -109,10 +103,6 @@ impl<'a> Reader<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
-    pub fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
-    }
-
     pub fn i64(&mut self) -> Option<i64> {
         Some(i64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
@@ -147,7 +137,7 @@ impl<'a> Reader<'a> {
 }
 
 // ------------------------------------------------------------------
-// omega / pred operand encodings (also hashed into keys)
+// omega / pred encodings
 // ------------------------------------------------------------------
 
 pub fn put_var(out: &mut Vec<u8>, v: Var) {
@@ -201,13 +191,13 @@ pub fn get_constraint(r: &mut Reader) -> Option<Constraint> {
 }
 
 pub fn put_system(out: &mut Vec<u8>, s: &System) {
-    put_bool(out, s.is_contradiction());
+    put_flag(out, s.is_contradiction());
     // The dense-cache state travels with the system: push-built systems
     // legitimately lack the cache even when box-shaped, and a decoded
     // system must answer queries on the same tier as the one stored
     // (recomputing the classification here would make warm runs
     // dense-answer queries the cold run sent through Fourier–Motzkin).
-    put_bool(out, s.has_dense());
+    put_flag(out, s.has_dense());
     put_u32(out, s.constraints().len() as u32);
     for c in s.constraints() {
         put_constraint(out, c);
@@ -225,29 +215,8 @@ pub fn get_system(r: &mut Reader) -> Option<System> {
     Some(System::from_raw_parts(cs, contradiction, dense))
 }
 
-/// One byte for the tier that answered a memoized query, persisted in
-/// entry payloads so warm-store replays credit the same tier counters
-/// as the cold run.
-pub fn put_tier(out: &mut Vec<u8>, t: Tier) {
-    put_u8(
-        out,
-        match t {
-            Tier::Dense => 0,
-            Tier::General => 1,
-        },
-    );
-}
-
-pub fn get_tier(r: &mut Reader) -> Option<Tier> {
-    match r.u8()? {
-        0 => Some(Tier::Dense),
-        1 => Some(Tier::General),
-        _ => None,
-    }
-}
-
 pub fn put_region(out: &mut Vec<u8>, d: &Disjunction) {
-    put_bool(out, d.is_exact());
+    put_flag(out, d.is_exact());
     put_u32(out, d.systems().len() as u32);
     for s in d.systems() {
         put_system(out, s);
@@ -354,11 +323,11 @@ pub fn get_expr(r: &mut Reader) -> Option<Expr> {
     })
 }
 
-pub fn put_bool_expr(out: &mut Vec<u8>, b: &BoolExpr) {
+pub fn put_bexpr(out: &mut Vec<u8>, b: &BoolExpr) {
     match b {
         BoolExpr::Lit(v) => {
             put_u8(out, 0);
-            put_bool(out, *v);
+            put_flag(out, *v);
         }
         BoolExpr::Cmp(op, a, c) => {
             put_u8(out, 1);
@@ -368,22 +337,22 @@ pub fn put_bool_expr(out: &mut Vec<u8>, b: &BoolExpr) {
         }
         BoolExpr::And(a, c) => {
             put_u8(out, 2);
-            put_bool_expr(out, a);
-            put_bool_expr(out, c);
+            put_bexpr(out, a);
+            put_bexpr(out, c);
         }
         BoolExpr::Or(a, c) => {
             put_u8(out, 3);
-            put_bool_expr(out, a);
-            put_bool_expr(out, c);
+            put_bexpr(out, a);
+            put_bexpr(out, c);
         }
         BoolExpr::Not(a) => {
             put_u8(out, 4);
-            put_bool_expr(out, a);
+            put_bexpr(out, a);
         }
     }
 }
 
-pub fn get_bool_expr(r: &mut Reader) -> Option<BoolExpr> {
+pub fn get_bexpr(r: &mut Reader) -> Option<BoolExpr> {
     Some(match r.u8()? {
         0 => BoolExpr::Lit(r.boolean()?),
         1 => {
@@ -400,9 +369,9 @@ pub fn get_bool_expr(r: &mut Reader) -> Option<BoolExpr> {
             let c = get_expr(r)?;
             BoolExpr::Cmp(op, a, c)
         }
-        2 => BoolExpr::And(Box::new(get_bool_expr(r)?), Box::new(get_bool_expr(r)?)),
-        3 => BoolExpr::Or(Box::new(get_bool_expr(r)?), Box::new(get_bool_expr(r)?)),
-        4 => BoolExpr::Not(Box::new(get_bool_expr(r)?)),
+        2 => BoolExpr::And(Box::new(get_bexpr(r)?), Box::new(get_bexpr(r)?)),
+        3 => BoolExpr::Or(Box::new(get_bexpr(r)?), Box::new(get_bexpr(r)?)),
+        4 => BoolExpr::Not(Box::new(get_bexpr(r)?)),
         _ => return None,
     })
 }
@@ -427,7 +396,7 @@ pub fn put_pred(out: &mut Vec<u8>, p: &Pred) {
                 }
                 Atom::Opaque(b) => {
                     put_u8(out, 1);
-                    put_bool_expr(out, b);
+                    put_bexpr(out, b);
                 }
             }
         }
@@ -462,7 +431,7 @@ pub fn get_pred(r: &mut Reader) -> Option<Pred> {
                 let expr = get_linexpr(r)?;
                 Pred::Atom(Atom::Affine { expr, kind })
             }
-            1 => Pred::Atom(Atom::Opaque(get_bool_expr(r)?)),
+            1 => Pred::Atom(Atom::Opaque(get_bexpr(r)?)),
             _ => return None,
         },
         3 => {
@@ -485,7 +454,7 @@ pub fn get_pred(r: &mut Reader) -> Option<Pred> {
     })
 }
 
-pub fn put_vars(out: &mut Vec<u8>, vs: &[Var]) {
+fn put_vars(out: &mut Vec<u8>, vs: &[Var]) {
     put_u32(out, vs.len() as u32);
     for &v in vs {
         put_var(out, v);
@@ -530,17 +499,17 @@ pub fn put_summary(out: &mut Vec<u8>, s: &Summary) {
     put_u32(out, s.scalars.len() as u32);
     for (v, sc) in &s.scalars {
         put_var(out, *v);
-        put_bool(out, sc.must_write);
-        put_bool(out, sc.may_write);
-        put_bool(out, sc.exposed_read);
+        put_flag(out, sc.must_write);
+        put_flag(out, sc.may_write);
+        put_flag(out, sc.exposed_read);
     }
     put_u32(out, s.scalar_writes.len() as u32);
     for &v in &s.scalar_writes {
         put_var(out, v);
     }
-    put_bool(out, s.has_io);
-    put_bool(out, s.has_exit);
-    put_bool(out, s.degraded);
+    put_flag(out, s.has_io);
+    put_flag(out, s.has_exit);
+    put_flag(out, s.degraded);
 }
 
 pub fn get_summary(r: &mut Reader) -> Option<Summary> {
@@ -709,7 +678,7 @@ fn put_array_evidence(out: &mut Vec<u8>, a: &ArrayEvidence) {
         ArrayVerdict::Independent => put_u8(out, 1),
         ArrayVerdict::Privatized { copy_in } => {
             put_u8(out, 2);
-            put_bool(out, *copy_in);
+            put_flag(out, *copy_in);
         }
         ArrayVerdict::RuntimeTested {
             test,
@@ -717,7 +686,7 @@ fn put_array_evidence(out: &mut Vec<u8>, a: &ArrayEvidence) {
         } => {
             put_u8(out, 3);
             put_pred(out, test);
-            put_bool(out, *with_privatization);
+            put_flag(out, *with_privatization);
         }
         ArrayVerdict::Blocking { dep, rejected } => {
             put_u8(out, 4);
@@ -874,14 +843,14 @@ fn put_report(out: &mut Vec<u8>, rep: &LoopReport) {
     put_u32(out, rep.privatized.len() as u32);
     for p in &rep.privatized {
         put_var(out, p.array);
-        put_bool(out, p.copy_in);
-        put_bool(out, p.copy_out);
+        put_flag(out, p.copy_in);
+        put_flag(out, p.copy_out);
     }
     put_vars(out, &rep.privatized_scalars);
     put_u32(out, rep.reductions.len() as u32);
     for red in &rep.reductions {
         put_var(out, red.target);
-        put_bool(out, red.is_array);
+        put_flag(out, red.is_array);
         put_u8(
             out,
             match red.op {
@@ -892,10 +861,10 @@ fn put_report(out: &mut Vec<u8>, rep: &LoopReport) {
             },
         );
     }
-    put_bool(out, rep.mechanisms.predicates);
-    put_bool(out, rep.mechanisms.embedding);
-    put_bool(out, rep.mechanisms.extraction);
-    put_bool(out, rep.mechanisms.runtime_test);
+    put_flag(out, rep.mechanisms.predicates);
+    put_flag(out, rep.mechanisms.embedding);
+    put_flag(out, rep.mechanisms.extraction);
+    put_flag(out, rep.mechanisms.runtime_test);
     put_provenance(out, &rep.provenance);
 }
 
@@ -978,45 +947,6 @@ fn get_report(r: &mut Reader) -> Option<LoopReport> {
 // ------------------------------------------------------------------
 // Store entry payloads
 // ------------------------------------------------------------------
-
-/// Payload of a memoized boolean lattice result. `overflow_delta` is the
-/// number of omega cap-hit events the original computation recorded on
-/// its thread; a store hit replays it via
-/// [`padfa_omega::limit_stats::adopt_thread_overflows`] so per-loop
-/// provenance counters stay bit-identical warm vs cold.
-pub fn encode_bool_entry(value: bool, tier: Tier, overflow_delta: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10);
-    put_bool(&mut out, value);
-    put_tier(&mut out, tier);
-    put_u64(&mut out, overflow_delta);
-    out
-}
-
-pub fn decode_bool_entry(buf: &[u8]) -> Option<(bool, Tier, u64)> {
-    let mut r = Reader::new(buf);
-    let value = r.boolean()?;
-    let tier = get_tier(&mut r)?;
-    let delta = r.u64()?;
-    r.at_end().then_some((value, tier, delta))
-}
-
-/// Payload of a memoized region-valued lattice result (see
-/// [`encode_bool_entry`] for `overflow_delta`).
-pub fn encode_region_entry(d: &Disjunction, tier: Tier, overflow_delta: u64) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_region(&mut out, d);
-    put_tier(&mut out, tier);
-    put_u64(&mut out, overflow_delta);
-    out
-}
-
-pub fn decode_region_entry(buf: &[u8]) -> Option<(Disjunction, Tier, u64)> {
-    let mut r = Reader::new(buf);
-    let d = get_region(&mut r)?;
-    let tier = get_tier(&mut r)?;
-    let delta = r.u64()?;
-    r.at_end().then_some((d, tier, delta))
-}
 
 /// Payload of one interprocedural summary plus the loop reports derived
 /// while building it. Hitting this entry skips the procedure's analysis
@@ -1111,20 +1041,32 @@ mod tests {
 
     #[test]
     fn truncated_and_corrupt_buffers_decode_to_none() {
-        let mut buf = Vec::new();
-        put_region(
-            &mut buf,
-            &Disjunction::from_raw_parts(vec![System::from_raw_parts(vec![], false, false)], true),
+        let piece = GuardedRegion {
+            pred: Pred::True,
+            region: Arc::new(Disjunction::from_raw_parts(
+                vec![System::from_raw_parts(vec![], false, false)],
+                true,
+            )),
+        };
+        let mut summary = Summary::default();
+        summary.arrays.insert(
+            Var::new("a"),
+            ArraySummary {
+                w: PredComponent {
+                    pieces: vec![piece],
+                },
+                ..ArraySummary::default()
+            },
         );
-        put_tier(&mut buf, Tier::General);
-        put_u64(&mut buf, 0);
+        let buf = encode_proc_entry(&summary, &[]);
+        assert_eq!(decode_proc_entry(&buf), Some((summary, Vec::new())));
         for cut in 0..buf.len() {
-            assert!(decode_region_entry(&buf[..cut]).is_none(), "cut={cut}");
+            assert!(decode_proc_entry(&buf[..cut]).is_none(), "cut={cut}");
         }
         // Trailing garbage is corruption too.
         let mut extended = buf.clone();
         extended.push(0);
-        assert!(decode_region_entry(&extended).is_none());
+        assert!(decode_proc_entry(&extended).is_none());
         // Unknown tag.
         assert!(get_pred(&mut Reader::new(&[9])).is_none());
         // Bit-flipped length fields must not request huge allocations.
@@ -1132,15 +1074,6 @@ mod tests {
             0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff
         ]))
         .is_none());
-    }
-
-    #[test]
-    fn bool_entry_round_trip() {
-        let buf = encode_bool_entry(true, Tier::Dense, 7);
-        assert_eq!(decode_bool_entry(&buf), Some((true, Tier::Dense, 7)));
-        assert!(decode_bool_entry(&buf[..buf.len() - 1]).is_none());
-        let buf = encode_bool_entry(false, Tier::General, 0);
-        assert_eq!(decode_bool_entry(&buf), Some((false, Tier::General, 0)));
     }
 
     #[test]

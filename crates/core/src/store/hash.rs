@@ -5,14 +5,13 @@
 //! Nothing here is cryptographic — the store defends against *accidental*
 //! corruption and stale entries, not adversaries. 128-bit FNV-1a over the
 //! canonical byte encoding makes key collisions astronomically unlikely
-//! for the population sizes involved (thousands of distinct operands per
-//! corpus run), while staying dependency-free and cheap on the
-//! memo-miss-only path where keys are computed.
+//! for the population sizes involved (one key per procedure), while
+//! staying dependency-free.
 //!
 //! ## Key structure
 //!
 //! Every key mixes in [`CODEC_VERSION`] and the session's *options
-//! fingerprint* ([`options_fingerprint`]): lattice results depend on the
+//! fingerprint* ([`options_fingerprint`]): summaries depend on the
 //! analysis options ([`crate::Options`]) and the `omega` limits, so two
 //! sessions with different options can never alias each other's entries.
 //!
@@ -20,8 +19,7 @@
 //! hashes its own IR hash *and the keys of all its callees*, so editing
 //! one procedure automatically invalidates the stored summaries of every
 //! transitive caller — they simply hash to new keys — without any
-//! explicit invalidation pass. (Explicit dependency records exist too,
-//! for eager garbage collection; see [`super::Store`].)
+//! explicit invalidation pass.
 
 use crate::options::Options;
 use padfa_ir::ast::{Arg, Block, BoolExpr, Expr, LValue, ParamTy, Procedure, Stmt};
@@ -30,10 +28,10 @@ use padfa_omega::Var;
 /// Version of the on-disk entry codec and of this hashing scheme. Bump
 /// whenever either changes meaning: old entries then hash to different
 /// keys / fail the segment header check instead of decoding wrongly.
-/// v2: systems carry a dense-tier tag and bool/region entries record
-/// the answering tier, so warm-store replays restore the same tier
-/// attribution as the cold run that produced them.
-pub const CODEC_VERSION: u32 = 2;
+/// v2: systems carry a dense-tier tag.
+/// v3: procedure summaries are the only entry kind; a v2 segment (full
+/// of per-query lattice records) is dropped whole as stale.
+pub const CODEC_VERSION: u32 = 3;
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -97,15 +95,8 @@ impl Hasher128 {
     }
 }
 
-/// One-shot FNV-1a 128 over a byte slice.
-pub fn fnv128(bytes: &[u8]) -> u128 {
-    let mut h = Hasher128::new();
-    h.write(bytes);
-    h.finish()
-}
-
-/// Fingerprint of everything in [`Options`] that a lattice result or a
-/// procedure summary depends on. The work budget is deliberately
+/// Fingerprint of everything in [`Options`] that a procedure summary
+/// depends on. The work budget is deliberately
 /// *excluded*: it never changes a result (exhaustion degrades via a
 /// separate path that is gated off the store entirely), and including it
 /// would needlessly split the cache between budgeted and unbudgeted
@@ -381,6 +372,12 @@ fn hash_bool(h: &mut Hasher128, b: &BoolExpr) {
 mod tests {
     use super::*;
     use padfa_ir::parse::parse_program;
+
+    fn fnv128(bytes: &[u8]) -> u128 {
+        let mut h = Hasher128::new();
+        h.write(bytes);
+        h.finish()
+    }
 
     #[test]
     fn fnv_is_stable_and_sensitive() {

@@ -39,16 +39,10 @@ const CHECKSUM_LEN: usize = 8;
 pub enum RecordKind {
     /// First record of every segment: schema/codec version + `git_rev`.
     Header = 0,
-    /// Boolean lattice result (`sys_empty`, `subset`, `implies`).
-    Bool = 1,
-    /// Region-valued lattice result (`subtract`, `intersect`, `union`,
-    /// `project`).
-    Region = 2,
+    // Bytes 1, 2 and 4 were the lattice-result and dependency-edge
+    // kinds up to codec v2. Do not reuse them.
     /// Interprocedural summary + derived loop reports.
     Proc = 3,
-    /// Dependency edge: key = procedure IR hash, payload = a summary key
-    /// that transitively depends on that procedure's IR.
-    DepEdge = 4,
     /// Invalidation: the keyed entry is dead; later loads drop it.
     Tombstone = 5,
 }
@@ -57,10 +51,7 @@ impl RecordKind {
     pub fn from_u8(v: u8) -> Option<RecordKind> {
         Some(match v {
             0 => RecordKind::Header,
-            1 => RecordKind::Bool,
-            2 => RecordKind::Region,
             3 => RecordKind::Proc,
-            4 => RecordKind::DepEdge,
             5 => RecordKind::Tombstone,
             _ => return None,
         })
@@ -68,7 +59,7 @@ impl RecordKind {
 }
 
 /// FNV-1a 64 over the checksummed portion of a record.
-fn checksum64(kind: u8, key: u128, payload: &[u8]) -> u64 {
+pub(super) fn checksum64(kind: u8, key: u128, payload: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -216,8 +207,8 @@ mod tests {
 
     fn sample_segment() -> Vec<u8> {
         let mut seg = encode_record(RecordKind::Header, 0, &encode_header_payload("abc123"));
-        seg.extend_from_slice(&encode_record(RecordKind::Bool, 42, &[1, 7, 0]));
-        seg.extend_from_slice(&encode_record(RecordKind::Region, 77, b"payload-bytes"));
+        seg.extend_from_slice(&encode_record(RecordKind::Proc, 42, &[1, 7, 0]));
+        seg.extend_from_slice(&encode_record(RecordKind::Proc, 77, b"payload-bytes"));
         seg.extend_from_slice(&encode_record(RecordKind::Tombstone, 42, &[]));
         seg
     }
@@ -228,7 +219,7 @@ mod tests {
         let out = scan(&seg);
         assert!(out.is_clean());
         assert_eq!(out.records.len(), 4);
-        assert_eq!(out.records[1].kind, RecordKind::Bool);
+        assert_eq!(out.records[1].kind, RecordKind::Proc);
         assert_eq!(out.records[1].key, 42);
         assert_eq!(out.records[1].payload, vec![1, 7, 0]);
         let (ver, rev) = decode_header_payload(&out.records[0].payload).unwrap();
@@ -242,7 +233,7 @@ mod tests {
         // Cut inside the third record.
         let first_two = encode_record(RecordKind::Header, 0, &encode_header_payload("abc123"))
             .len()
-            + encode_record(RecordKind::Bool, 42, &[1, 7, 0]).len();
+            + encode_record(RecordKind::Proc, 42, &[1, 7, 0]).len();
         let cut = &seg[..first_two + 5];
         let out = scan(cut);
         assert!(out.torn);
@@ -254,20 +245,23 @@ mod tests {
     fn payload_bitflip_quarantines_one_record() {
         let mut seg = sample_segment();
         let hdr = encode_record(RecordKind::Header, 0, &encode_header_payload("abc123")).len();
-        // Flip a bit inside the Bool record's payload.
+        // Flip a bit inside the first entry's payload.
         seg[hdr + HEADER_LEN + 1] ^= 0x10;
         let out = scan(&seg);
         assert!(!out.torn);
-        assert_eq!(out.records.len(), 3); // header, region, tombstone survive
+        assert_eq!(out.records.len(), 3); // header, second entry, tombstone survive
         assert_eq!(out.quarantined.len(), 1);
-        assert!(out.records.iter().all(|r| r.kind != RecordKind::Bool));
+        assert!(out
+            .records
+            .iter()
+            .all(|r| (r.kind, r.key) != (RecordKind::Proc, 42)));
     }
 
     #[test]
     fn length_bitflip_quarantines_remainder() {
         let mut seg = sample_segment();
         let hdr = encode_record(RecordKind::Header, 0, &encode_header_payload("abc123")).len();
-        // Set the Bool record's length field to a huge value.
+        // Set the first entry's length field to a huge value.
         seg[hdr + 18] = 0xFF;
         seg[hdr + 19] = 0xFF;
         let out = scan(&seg);
@@ -280,7 +274,7 @@ mod tests {
     fn every_single_bitflip_is_detected() {
         // Flip each bit of a small segment in turn: the scan must never
         // return the original record set unchanged, and must never panic.
-        let seg = encode_record(RecordKind::Bool, 9, &[0, 1, 2, 3]);
+        let seg = encode_record(RecordKind::Proc, 9, &[0, 1, 2, 3]);
         for byte in 0..seg.len() {
             for bit in 0..8 {
                 let mut m = seg.clone();
@@ -290,7 +284,7 @@ mod tests {
                     && out.records.len() == 1
                     && out.records[0].key == 9
                     && out.records[0].payload == vec![0, 1, 2, 3]
-                    && out.records[0].kind == RecordKind::Bool;
+                    && out.records[0].kind == RecordKind::Proc;
                 assert!(!intact, "flip at byte {byte} bit {bit} went undetected");
             }
         }

@@ -1,12 +1,15 @@
-//! Crash-safe persistent memo store.
+//! Crash-safe persistent store of procedure summaries.
 //!
-//! A content-addressed on-disk cache mapping hashes of procedure IR to
-//! interprocedural summaries (plus their derived loop reports) and
-//! hashes of canonicalized lattice-query operands to lattice results.
-//! [`crate::AnalysisSession`] consults it on memo misses and writes
-//! results back through an append-only journal; a warm store lets a
-//! corpus rerun skip nearly all analysis work while producing
-//! **bit-identical** output.
+//! A content-addressed on-disk cache with one entry kind: the Merkle
+//! key of a procedure ([`hash::proc_key`]) maps to its interprocedural
+//! [`Summary`] plus the [`LoopReport`]s derived while building it — the
+//! paper's unit of reuse. The driver ([`crate::analyze`]) looks a
+//! procedure up before summarizing it and writes the result back through
+//! an append-only journal; a warm store lets a corpus rerun skip the
+//! analysis of every unchanged procedure while producing
+//! **bit-identical** output. Lattice queries are never persisted: the
+//! session's in-memory memos answer them faster than a record can be
+//! read back.
 //!
 //! ## On-disk layout
 //!
@@ -50,10 +53,8 @@
 //!
 //! Keys are Merkle-style over procedure IR ([`hash::proc_key`]), so an
 //! edited procedure *automatically* misses along with every transitive
-//! caller. Additionally, `DepEdge` records persist the reverse map
-//! (procedure IR hash → dependent summary keys), so
-//! [`Store::invalidate_procedure`] can eagerly tombstone everything a
-//! procedure's change invalidates without waiting for natural eviction.
+//! caller, and every other procedure keeps hitting. Entries an edit
+//! orphans stay on disk until their segment goes stale with the build.
 
 pub mod codec;
 pub mod faults;
@@ -68,8 +69,7 @@ use crate::report::LoopReport;
 use crate::summary::Summary;
 use journal::{RawRecord, RecordKind};
 use padfa_omega::sync::{lock, read, write};
-use padfa_omega::{Disjunction, Tier};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -202,8 +202,6 @@ pub struct StoreStatsSnapshot {
     pub stale_segments: u64,
     /// Records salvaged from a crashed `active.tmp`.
     pub salvaged: u64,
-    /// Entries tombstoned by [`Store::invalidate_procedure`].
-    pub invalidated: u64,
     /// Entries loaded from sealed segments at open.
     pub loaded: u64,
     /// Retry attempts performed against transient IO errors (each one
@@ -254,10 +252,8 @@ pub struct Store {
     max_segment_bytes: u64,
     retry: RetryPolicy,
     sleeper: Sleeper,
-    /// key → latest record for it (payload decoded lazily on get).
-    index: RwLock<HashMap<u128, (RecordKind, Vec<u8>)>>,
-    /// procedure IR hash → summary keys depending on it.
-    deps: Mutex<HashMap<u128, Vec<u128>>>,
+    /// Procedure key → its latest entry payload (decoded lazily on get).
+    index: RwLock<HashMap<u128, Vec<u8>>>,
     journal: Mutex<JournalState>,
     /// Full degrade: serve nothing, persist nothing.
     disabled: AtomicBool,
@@ -273,7 +269,6 @@ pub struct Store {
     quarantined: AtomicU64,
     stale_segments: AtomicU64,
     salvaged: AtomicU64,
-    invalidated: AtomicU64,
     loaded: AtomicU64,
     retries: AtomicU64,
 }
@@ -296,7 +291,6 @@ impl Store {
                 .sleeper
                 .unwrap_or_else(|| Arc::new(|d: Duration| std::thread::sleep(d))),
             index: RwLock::new(HashMap::new()),
-            deps: Mutex::new(HashMap::new()),
             journal: Mutex::new(JournalState {
                 active: None,
                 next_seg: 0,
@@ -313,7 +307,6 @@ impl Store {
             quarantined: AtomicU64::new(0),
             stale_segments: AtomicU64::new(0),
             salvaged: AtomicU64::new(0),
-            invalidated: AtomicU64::new(0),
             loaded: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         };
@@ -351,7 +344,6 @@ impl Store {
             quarantined: self.quarantined.load(Ordering::Relaxed),
             stale_segments: self.stale_segments.load(Ordering::Relaxed),
             salvaged: self.salvaged.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
             loaded: self.loaded.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             degraded: self.disabled.load(Ordering::Relaxed),
@@ -475,7 +467,7 @@ impl Store {
         if !scan.is_clean() {
             self.quarantine_bytes(&bytes, &scan.quarantined, path, "checksum/frame failure");
         }
-        for rec in &scan.records {
+        for rec in scan.records {
             if salvaged && rec.kind != RecordKind::Header {
                 self.salvaged.fetch_add(1, Ordering::Relaxed);
             }
@@ -483,20 +475,12 @@ impl Store {
         }
     }
 
-    fn apply_record(&self, rec: &RawRecord) {
+    fn apply_record(&self, rec: RawRecord) {
         match rec.kind {
             RecordKind::Header => {}
-            RecordKind::Bool | RecordKind::Region | RecordKind::Proc => {
+            RecordKind::Proc => {
                 self.loaded.fetch_add(1, Ordering::Relaxed);
-                write(&self.index).insert(rec.key, (rec.kind, rec.payload.clone()));
-            }
-            RecordKind::DepEdge => {
-                let mut r = codec::Reader::new(&rec.payload);
-                if let Some(dep_key) = r.u128() {
-                    if r.at_end() {
-                        lock(&self.deps).entry(rec.key).or_default().push(dep_key);
-                    }
-                }
+                write(&self.index).insert(rec.key, rec.payload);
             }
             RecordKind::Tombstone => {
                 write(&self.index).remove(&rec.key);
@@ -538,7 +522,7 @@ impl Store {
             };
             write_sealed().map_err(|e| Self::io_err("seal", &seg_path, &e))?;
             next_seg += 1;
-            for rec in &scan.records {
+            for rec in scan.records {
                 if rec.kind != RecordKind::Header {
                     self.salvaged.fetch_add(1, Ordering::Relaxed);
                 }
@@ -617,27 +601,6 @@ impl Store {
     // Reads
     // --------------------------------------------------------------
 
-    fn get_entry(&self, key: u128, want: RecordKind) -> Option<Vec<u8>> {
-        if self.disabled.load(Ordering::Relaxed) {
-            return None;
-        }
-        let entry = read(&self.index).get(&key).cloned();
-        match entry {
-            Some((kind, payload)) if kind == want => Some(payload),
-            Some((_, payload)) => {
-                // A key aliasing two kinds means the entry cannot be
-                // trusted (kind tags are hashed into keys).
-                self.drop_corrupt_entry(key, &payload, "record kind mismatch");
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Quarantine an entry whose payload failed to decode, tombstone it,
     /// and fall through to recomputation.
     fn drop_corrupt_entry(&self, key: u128, payload: &[u8], detail: &str) {
@@ -651,117 +614,38 @@ impl Store {
         self.append(RecordKind::Tombstone, key, &[]);
     }
 
-    /// Memoized boolean lattice result. On a hit the recorded omega
-    /// cap-hit delta is replayed onto this thread's counter so per-loop
-    /// provenance stays bit-identical with a cold run.
-    pub fn get_bool(&self, key: u128) -> Option<(bool, Tier)> {
-        let payload = self.get_entry(key, RecordKind::Bool)?;
-        match codec::decode_bool_entry(&payload) {
-            Some((value, tier, delta)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                padfa_omega::limit_stats::adopt_thread_overflows(delta);
-                Some((value, tier))
-            }
-            None => {
-                self.drop_corrupt_entry(key, &payload, "undecodable bool entry");
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Memoized region-valued lattice result (see [`Store::get_bool`]
-    /// for the overflow-delta replay).
-    pub fn get_region(&self, key: u128) -> Option<(Disjunction, Tier)> {
-        let payload = self.get_entry(key, RecordKind::Region)?;
-        match codec::decode_region_entry(&payload) {
-            Some((region, tier, delta)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                padfa_omega::limit_stats::adopt_thread_overflows(delta);
-                Some((region, tier))
-            }
-            None => {
-                self.drop_corrupt_entry(key, &payload, "undecodable region entry");
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// Memoized interprocedural summary plus the loop reports derived
     /// while building it. A hit skips the procedure's analysis entirely.
     pub fn get_proc(&self, key: u128) -> Option<(Summary, Vec<LoopReport>)> {
-        let payload = self.get_entry(key, RecordKind::Proc)?;
-        match codec::decode_proc_entry(&payload) {
-            Some(decoded) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(decoded)
-            }
-            None => {
-                self.drop_corrupt_entry(key, &payload, "undecodable proc entry");
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        if self.disabled.load(Ordering::Relaxed) {
+            return None;
         }
+        let payload = read(&self.index).get(&key).cloned();
+        let decoded = payload.as_deref().and_then(codec::decode_proc_entry);
+        if decoded.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            if let Some(payload) = &payload {
+                self.drop_corrupt_entry(key, payload, "undecodable proc entry");
+            }
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        decoded
     }
 
     // --------------------------------------------------------------
     // Writes
     // --------------------------------------------------------------
 
-    pub fn put_bool(&self, key: u128, value: bool, tier: Tier, overflow_delta: u64) {
-        self.put(
-            key,
-            RecordKind::Bool,
-            codec::encode_bool_entry(value, tier, overflow_delta),
-        );
-    }
-
-    pub fn put_region(&self, key: u128, region: &Disjunction, tier: Tier, overflow_delta: u64) {
-        self.put(
-            key,
-            RecordKind::Region,
-            codec::encode_region_entry(region, tier, overflow_delta),
-        );
-    }
-
-    /// Persist one procedure's summary + reports, plus the dependency
-    /// edges from every IR hash it transitively depends on to this key.
-    pub fn put_proc(
-        &self,
-        key: u128,
-        summary: &Summary,
-        reports: &[LoopReport],
-        dep_ir_hashes: &BTreeSet<u128>,
-    ) {
-        self.put(
-            key,
-            RecordKind::Proc,
-            codec::encode_proc_entry(summary, reports),
-        );
+    /// Persist one procedure's summary + reports.
+    pub fn put_proc(&self, key: u128, summary: &Summary, reports: &[LoopReport]) {
         if self.disabled.load(Ordering::Relaxed) {
             return;
         }
-        for &ir in dep_ir_hashes {
-            let known = lock(&self.deps)
-                .get(&ir)
-                .is_some_and(|deps| deps.contains(&key));
-            if !known {
-                lock(&self.deps).entry(ir).or_default().push(key);
-                let mut payload = Vec::new();
-                codec::put_u128(&mut payload, key);
-                self.append(RecordKind::DepEdge, ir, &payload);
-            }
-        }
-    }
-
-    fn put(&self, key: u128, kind: RecordKind, payload: Vec<u8>) {
-        if self.disabled.load(Ordering::Relaxed) {
-            return;
-        }
+        let payload = codec::encode_proc_entry(summary, reports);
         self.puts.fetch_add(1, Ordering::Relaxed);
-        write(&self.index).insert(key, (kind, payload.clone()));
-        self.append(kind, key, &payload);
+        self.append(RecordKind::Proc, key, &payload);
+        write(&self.index).insert(key, payload);
     }
 
     /// Append one record to the active segment, honoring write-side
@@ -958,33 +842,6 @@ impl Store {
             let _ = fs::remove_file(self.dir.join("lock"));
         }
     }
-
-    // --------------------------------------------------------------
-    // Invalidation
-    // --------------------------------------------------------------
-
-    /// Tombstone every summary entry that depends (transitively, via the
-    /// persisted dependency edges) on the procedure whose IR hashes to
-    /// `ir_hash`. Returns the number of entries invalidated.
-    ///
-    /// Content addressing already makes edited procedures *miss* — their
-    /// keys change — so this is eager garbage collection: it reclaims
-    /// entries that can never hit again after an edit.
-    pub fn invalidate_procedure(&self, ir_hash: u128) -> usize {
-        if self.disabled.load(Ordering::Relaxed) {
-            return 0;
-        }
-        let dep_keys: Vec<u128> = lock(&self.deps).get(&ir_hash).cloned().unwrap_or_default();
-        let mut n = 0;
-        for key in dep_keys {
-            if write(&self.index).remove(&key).is_some() {
-                n += 1;
-                self.append(RecordKind::Tombstone, key, &[]);
-            }
-        }
-        self.invalidated.fetch_add(n as u64, Ordering::Relaxed);
-        n
-    }
 }
 
 impl Drop for Store {
@@ -1058,21 +915,34 @@ mod tests {
         StoreConfig::new(dir, "testrev")
     }
 
+    /// Store a summary distinguishable by one flag, and read it back.
+    fn put(s: &Store, key: u128, flag: bool) {
+        let summary = Summary {
+            has_io: flag,
+            ..Summary::default()
+        };
+        s.put_proc(key, &summary, &[]);
+    }
+
+    fn got(s: &Store, key: u128) -> Option<bool> {
+        s.get_proc(key).map(|(summary, _)| summary.has_io)
+    }
+
     #[test]
     fn cold_put_then_warm_get_across_reopen() {
         let dir = test_dir("roundtrip");
         {
             let s = Store::open(cfg(&dir));
             assert!(s.enabled());
-            s.put_bool(1, true, Tier::General, 3);
-            s.put_bool(2, false, Tier::General, 0);
-            assert_eq!(s.get_bool(1), Some((true, Tier::General)));
+            put(&s, 1, true);
+            put(&s, 2, false);
+            assert_eq!(got(&s, 1), Some(true));
             assert!(s.take_warnings().is_empty());
         } // drop seals the segment
         let s = Store::open(cfg(&dir));
-        assert_eq!(s.get_bool(1), Some((true, Tier::General)));
-        assert_eq!(s.get_bool(2), Some((false, Tier::General)));
-        assert_eq!(s.get_bool(3), None);
+        assert_eq!(got(&s, 1), Some(true));
+        assert_eq!(got(&s, 2), Some(false));
+        assert_eq!(got(&s, 3), None);
         let st = s.stats();
         assert_eq!(st.hits, 2);
         assert_eq!(st.misses, 1);
@@ -1086,11 +956,59 @@ mod tests {
         let dir = test_dir("stale");
         {
             let s = Store::open(cfg(&dir));
-            s.put_bool(1, true, Tier::General, 0);
+            put(&s, 1, true);
         }
         let s = Store::open(StoreConfig::new(&dir, "otherrev"));
-        assert_eq!(s.get_bool(1), None);
+        assert_eq!(got(&s, 1), None);
         assert_eq!(s.stats().stale_segments, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record frame with an arbitrary kind byte, as an older codec
+    /// version would have written it.
+    fn raw_record(kind: u8, key: u128, payload: &[u8]) -> Vec<u8> {
+        let mut rec = journal::encode_record(RecordKind::Proc, key, payload);
+        rec[1] = kind;
+        let at = rec.len() - 8;
+        rec[at..].copy_from_slice(&journal::checksum64(kind, key, payload).to_le_bytes());
+        rec
+    }
+
+    #[test]
+    fn previous_codec_version_segment_is_dropped_whole_as_stale() {
+        let dir = test_dir("oldcodec");
+        fs::create_dir_all(&dir).unwrap();
+        // A codec-v2 segment from the same build: a valid header, then
+        // the retired kind bytes (1 and 2: lattice results, 4:
+        // dependency edges) around a Proc entry.
+        let mut header = Vec::new();
+        codec::put_u32(&mut header, 2);
+        codec::put_str(&mut header, "testrev");
+        let mut seg = journal::encode_record(RecordKind::Header, 0, &header);
+        for k in 0..100u128 {
+            seg.extend_from_slice(&raw_record(1, k, &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
+            seg.extend_from_slice(&raw_record(2, 1000 + k, b"region-bytes"));
+        }
+        seg.extend_from_slice(&raw_record(3, 7, b"proc-bytes"));
+        seg.extend_from_slice(&raw_record(4, 8, &7u128.to_le_bytes()));
+        fs::write(dir.join("seg-0000.log"), &seg).unwrap();
+
+        let s = Store::open(cfg(&dir));
+        assert!(s.enabled());
+        let st = s.stats();
+        assert_eq!(st.stale_segments, 1);
+        assert_eq!(st.quarantined, 0, "stale records are not corruption");
+        assert_eq!(st.loaded, 0);
+        assert!(s.take_warnings().is_empty());
+        assert!(!dir.join("seg-0000.log").exists());
+        assert_eq!(fs::read_dir(dir.join("corrupt")).unwrap().count(), 0);
+        assert_eq!(got(&s, 7), None);
+        // The directory is usable again at the current version.
+        put(&s, 7, true);
+        drop(s);
+        let s = Store::open(cfg(&dir));
+        assert_eq!(got(&s, 7), Some(true));
+        assert_eq!(s.stats().stale_segments, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1102,22 +1020,22 @@ mod tests {
             // third entry is torn mid-record.
             let faults = IoFaultPlan::at(IoFaultKind::TornWrite, 4);
             let s = Store::open(cfg(&dir).with_faults(faults));
-            s.put_bool(1, true, Tier::General, 0);
-            s.put_bool(2, false, Tier::General, 0);
-            s.put_bool(3, true, Tier::General, 0);
+            put(&s, 1, true);
+            put(&s, 2, false);
+            put(&s, 3, true);
             let warnings = s.take_warnings();
             assert_eq!(warnings.len(), 1);
             assert!(matches!(warnings[0], StoreError::Io { op: "append", .. }));
             assert!(s.stats().writes_degraded);
             // Reads keep working after write degradation.
-            assert_eq!(s.get_bool(1), Some((true, Tier::General)));
+            assert_eq!(got(&s, 1), Some(true));
         }
         // Reopen: the two complete records are salvaged, the torn tail
         // is quarantined, and analysis-visible state is sound.
         let s = Store::open(cfg(&dir));
-        assert_eq!(s.get_bool(1), Some((true, Tier::General)));
-        assert_eq!(s.get_bool(2), Some((false, Tier::General)));
-        assert_eq!(s.get_bool(3), None);
+        assert_eq!(got(&s, 1), Some(true));
+        assert_eq!(got(&s, 2), Some(false));
+        assert_eq!(got(&s, 3), None);
         let st = s.stats();
         assert_eq!(st.salvaged, 2);
         assert!(st.quarantined >= 1);
@@ -1152,8 +1070,8 @@ mod tests {
                     .with_faults(IoFaultPlan::at(IoFaultKind::WriteFail, 2))
                     .with_sleeper(sleeper),
             );
-            s.put_bool(1, true, Tier::General, 0);
-            s.put_bool(2, false, Tier::General, 0);
+            put(&s, 1, true);
+            put(&s, 2, false);
             let st = s.stats();
             assert!(!st.writes_degraded, "one transient fault must not degrade");
             assert_eq!(st.retries, 1);
@@ -1162,8 +1080,8 @@ mod tests {
         assert_eq!(lock(&slept).as_slice(), &[Duration::from_millis(10)]);
         // The retried record really reached disk.
         let s = Store::open(cfg(&dir));
-        assert_eq!(s.get_bool(1), Some((true, Tier::General)));
-        assert_eq!(s.get_bool(2), Some((false, Tier::General)));
+        assert_eq!(got(&s, 1), Some(true));
+        assert_eq!(got(&s, 2), Some(false));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1183,7 +1101,7 @@ mod tests {
                 kind: IoFaultKind::WriteFail,
             });
         let s = Store::open(cfg(&dir).with_faults(faults).with_sleeper(sleeper));
-        s.put_bool(1, true, Tier::General, 0); // header (op 1) + entry (ops 2-4 fail)
+        put(&s, 1, true); // header (op 1) + entry (ops 2-4 fail)
         let st = s.stats();
         assert!(st.writes_degraded);
         assert!(!st.degraded);
@@ -1194,7 +1112,7 @@ mod tests {
             &[Duration::from_millis(10), Duration::from_millis(20)]
         );
         // The in-memory index still serves the entry this session.
-        assert_eq!(s.get_bool(1), Some((true, Tier::General)));
+        assert_eq!(got(&s, 1), Some(true));
         let warnings = s.take_warnings();
         assert_eq!(warnings.len(), 1);
         assert!(matches!(warnings[0], StoreError::Io { .. }));
@@ -1206,7 +1124,7 @@ mod tests {
         let dir = test_dir("rretry");
         {
             let s = Store::open(cfg(&dir));
-            s.put_bool(1, true, Tier::General, 0);
+            put(&s, 1, true);
         }
         let (sleeper, slept) = recording_sleeper();
         let s = Store::open(
@@ -1215,7 +1133,7 @@ mod tests {
                 .with_sleeper(sleeper),
         );
         assert!(s.enabled(), "one transient read fault must not disable");
-        assert_eq!(s.get_bool(1), Some((true, Tier::General)));
+        assert_eq!(got(&s, 1), Some(true));
         assert_eq!(s.stats().retries, 1);
         assert_eq!(lock(&slept).len(), 1);
         assert!(s.take_warnings().is_empty());
@@ -1227,7 +1145,7 @@ mod tests {
         let dir = test_dir("rfail");
         {
             let s = Store::open(cfg(&dir));
-            s.put_bool(1, true, Tier::General, 0);
+            put(&s, 1, true);
         }
         // Every attempt of the first read fails: retries exhaust and the
         // store degrades to in-memory-only, exactly as before retries.
@@ -1243,8 +1161,8 @@ mod tests {
         let (sleeper, _slept) = recording_sleeper();
         let s = Store::open(cfg(&dir).with_faults(faults).with_sleeper(sleeper));
         assert!(!s.enabled());
-        assert_eq!(s.get_bool(1), None); // degraded: no reads served
-        s.put_bool(2, true, Tier::General, 0); // and no writes persisted
+        assert_eq!(got(&s, 1), None); // degraded: no reads served
+        put(&s, 2, true); // and no writes persisted
         assert_eq!(s.stats().retries, 2);
         let warnings = s.take_warnings();
         assert_eq!(warnings.len(), 1);
@@ -1270,7 +1188,7 @@ mod tests {
                 .with_faults(IoFaultPlan::at(IoFaultKind::WriteFail, 2))
                 .with_retry(RetryPolicy::none()),
         );
-        s.put_bool(1, true, Tier::General, 0);
+        put(&s, 1, true);
         let st = s.stats();
         assert!(st.writes_degraded);
         assert_eq!(st.retries, 0);
@@ -1283,7 +1201,7 @@ mod tests {
         {
             let s = Store::open(cfg(&dir));
             for k in 0..20u128 {
-                s.put_bool(k, true, Tier::General, 0);
+                put(&s, k, true);
             }
         }
         let s = Store::open(cfg(&dir).with_faults(IoFaultPlan::at(IoFaultKind::BitFlip, 1)));
@@ -1292,12 +1210,10 @@ mod tests {
         // One record was corrupted (or the header, making the segment
         // stale); either way the store stays sound and usable.
         assert!(st.quarantined >= 1 || st.stale_segments >= 1);
-        let served: usize = (0..20u128)
-            .filter(|&k| s.get_bool(k) == Some((true, Tier::General)))
-            .count();
+        let served: usize = (0..20u128).filter(|&k| got(&s, k) == Some(true)).count();
         assert!(served >= 19 || st.stale_segments == 1);
-        s.put_bool(99, false, Tier::General, 0);
-        assert_eq!(s.get_bool(99), Some((false, Tier::General)));
+        put(&s, 99, false);
+        assert_eq!(got(&s, 99), Some(false));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1332,7 +1248,7 @@ mod tests {
     fn close_does_what_drop_does_once() {
         let dir = test_dir("close");
         let a = Store::open(cfg(&dir));
-        a.put_bool(1, true, Tier::General, 0);
+        put(&a, 1, true);
         a.close();
         assert!(!dir.join("lock").exists());
         assert!(dir.join("seg-0000.log").exists());
@@ -1346,7 +1262,7 @@ mod tests {
         assert!(!dir.join("seg-0001.log").exists());
         fs::remove_file(dir.join("lock")).unwrap();
         let b = Store::open(cfg(&dir));
-        assert_eq!(b.get_bool(1), Some((true, Tier::General)));
+        assert_eq!(got(&b, 1), Some(true));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1423,7 +1339,7 @@ mod tests {
         {
             let s = Store::open(config.clone());
             for k in 0..50u128 {
-                s.put_bool(k, k % 2 == 0, Tier::General, 0);
+                put(&s, k, k % 2 == 0);
             }
         }
         let segs = fs::read_dir(&dir)
@@ -1439,7 +1355,7 @@ mod tests {
         assert!(segs > 1, "rotation produced {segs} segment(s)");
         let s = Store::open(config);
         for k in 0..50u128 {
-            assert_eq!(s.get_bool(k), Some((k % 2 == 0, Tier::General)), "key {k}");
+            assert_eq!(got(&s, k), Some(k % 2 == 0), "key {k}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1449,43 +1365,17 @@ mod tests {
         let dir = test_dir("tombstone");
         {
             let s = Store::open(cfg(&dir));
-            s.put_bool(7, true, Tier::General, 0);
+            put(&s, 7, true);
         }
         {
             let s = Store::open(cfg(&dir));
-            assert_eq!(s.get_bool(7), Some((true, Tier::General)));
+            assert_eq!(got(&s, 7), Some(true));
             // Manually tombstone via the corrupt-entry path equivalent.
             s.append(RecordKind::Tombstone, 7, &[]);
             write(&s.index).remove(&7);
         }
         let s = Store::open(cfg(&dir));
-        assert_eq!(s.get_bool(7), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dependency_invalidation_tombstones_dependents() {
-        let dir = test_dir("invalidate");
-        let summary = Summary::default();
-        {
-            let s = Store::open(cfg(&dir));
-            let deps: BTreeSet<u128> = [100, 200].into_iter().collect();
-            s.put_proc(11, &summary, &[], &deps);
-            s.put_proc(12, &summary, &[], &[100].into_iter().collect());
-            s.put_proc(13, &summary, &[], &[300].into_iter().collect());
-        }
-        {
-            // Invalidate everything depending on IR hash 100: keys 11, 12.
-            let s = Store::open(cfg(&dir));
-            assert_eq!(s.invalidate_procedure(100), 2);
-            assert!(s.get_proc(11).is_none());
-            assert!(s.get_proc(12).is_none());
-            assert!(s.get_proc(13).is_some());
-        }
-        // And the tombstones persisted.
-        let s = Store::open(cfg(&dir));
-        assert!(s.get_proc(11).is_none());
-        assert!(s.get_proc(13).is_some());
+        assert_eq!(got(&s, 7), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1498,7 +1388,7 @@ mod tests {
                 let s = Arc::clone(&s);
                 std::thread::spawn(move || {
                     for k in 0..25u128 {
-                        s.put_bool(t * 1000 + k, true, Tier::General, 0);
+                        put(&s, t * 1000 + k, true);
                     }
                 })
             })
@@ -1508,7 +1398,7 @@ mod tests {
         }
         for t in 0..4u128 {
             for k in 0..25u128 {
-                assert_eq!(s.get_bool(t * 1000 + k), Some((true, Tier::General)));
+                assert_eq!(got(&s, t * 1000 + k), Some(true));
             }
         }
         drop(s);

@@ -1,5 +1,5 @@
-//! End-to-end tests for the persistent memo store: warm-vs-cold output
-//! identity, crash consistency under injected faults, dependency-driven
+//! End-to-end tests for the persistent store: warm-vs-cold output
+//! identity, crash consistency under injected faults, Merkle-key
 //! invalidation, and a randomized codec round-trip property.
 
 use padfa_core::store::codec;
@@ -8,7 +8,7 @@ use padfa_core::{
     StoreConfig, StoreError,
 };
 use padfa_ir::parse::parse_program;
-use padfa_omega::{Constraint, Disjunction, LinExpr, System, Tier, Var};
+use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
@@ -51,7 +51,11 @@ proc main(n: int) {
 ";
 
 fn run_with_store(store: Option<Arc<Store>>) -> padfa_core::AnalysisResult {
-    let prog = parse_program(PROGRAM).unwrap();
+    run_source(PROGRAM, store)
+}
+
+fn run_source(src: &str, store: Option<Arc<Store>>) -> padfa_core::AnalysisResult {
+    let prog = parse_program(src).unwrap();
     let mut sess = AnalysisSession::new(Options::predicated());
     if let Some(s) = store {
         sess = sess.with_store(s);
@@ -70,8 +74,7 @@ fn warm_run_is_bit_identical_and_mostly_hits() {
     let cold = run_with_store(Some(Arc::clone(&cold_store)));
     assert_eq!(cold.loops, baseline.loops, "store must not change results");
     assert!(cold_store.take_warnings().is_empty());
-    let cold_stats = cold_store.stats();
-    assert!(cold_stats.puts > 0, "cold run must persist entries");
+    assert_eq!(cold_store.stats().puts, 3, "one entry per procedure");
     drop(cold_store); // seals the journal
 
     // Warm: every procedure summary should come from disk.
@@ -79,14 +82,7 @@ fn warm_run_is_bit_identical_and_mostly_hits() {
     let warm = run_with_store(Some(Arc::clone(&warm_store)));
     assert_eq!(warm.loops, baseline.loops, "warm must be bit-identical");
     let st = warm_store.stats();
-    assert!(st.hits > 0, "warm run must hit");
-    assert!(
-        st.hit_rate() >= 0.8,
-        "warm hit rate {:.2} below 0.8 ({} hits / {} misses)",
-        st.hit_rate(),
-        st.hits,
-        st.misses
-    );
+    assert_eq!((st.loaded, st.hits, st.misses, st.puts), (3, 3, 0, 0));
     assert!(warm_store.take_warnings().is_empty());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -98,7 +94,7 @@ fn crash_mid_write_then_reopen_is_sound() {
 
     // "Crash" while persisting: a torn write stops the journal partway
     // through the run. Results must be unaffected.
-    let faults = IoFaultPlan::at(IoFaultKind::TornWrite, 7);
+    let faults = IoFaultPlan::at(IoFaultKind::TornWrite, 3);
     let crashing = Arc::new(Store::open(cfg(&dir).with_faults(faults)));
     let during = run_with_store(Some(Arc::clone(&crashing)));
     assert_eq!(during.loops, baseline.loops);
@@ -132,21 +128,35 @@ fn crash_mid_write_then_reopen_is_sound() {
 #[test]
 fn every_fault_kind_degrades_without_changing_results() {
     let baseline = run_with_store(None);
+    // A cold run of the 3-procedure program performs write ops 1..=4
+    // (segment header, then one append per procedure) and no reads; a
+    // warm run performs read op 1 (the one sealed segment) and no
+    // writes. Each row names the side its fault lives on.
+    let seeded = || IoFaultPlan::seeded(0xC0FFEE, 6, 4);
     let plans = [
-        ("write-fail", IoFaultPlan::at(IoFaultKind::WriteFail, 1)),
+        (
+            "write-fail",
+            IoFaultPlan::at(IoFaultKind::WriteFail, 1),
+            false,
+        ),
         (
             "write-fail-late",
-            IoFaultPlan::at(IoFaultKind::WriteFail, 12),
+            IoFaultPlan::at(IoFaultKind::WriteFail, 4),
+            false,
         ),
-        ("torn-write", IoFaultPlan::at(IoFaultKind::TornWrite, 3)),
-        ("read-fail", IoFaultPlan::at(IoFaultKind::ReadFail, 1)),
-        ("bitflip", IoFaultPlan::at(IoFaultKind::BitFlip, 1)),
-        ("seeded", IoFaultPlan::seeded(0xC0FFEE, 6, 20)),
+        (
+            "torn-write",
+            IoFaultPlan::at(IoFaultKind::TornWrite, 3),
+            false,
+        ),
+        ("read-fail", IoFaultPlan::at(IoFaultKind::ReadFail, 1), true),
+        ("bitflip", IoFaultPlan::at(IoFaultKind::BitFlip, 1), true),
+        ("seeded-cold", seeded(), false),
+        ("seeded-warm", seeded(), true),
     ];
-    for (name, plan) in plans {
+    for (name, plan, warm) in plans {
         let dir = test_dir(&format!("fault_{name}"));
-        // Warm the store first so read-side faults have something to hit.
-        {
+        if warm {
             let s = Arc::new(Store::open(cfg(&dir)));
             let r = run_with_store(Some(s));
             assert_eq!(r.loops, baseline.loops, "warming run, plan {name}");
@@ -154,6 +164,13 @@ fn every_fault_kind_degrades_without_changing_results() {
         let s = Arc::new(Store::open(cfg(&dir).with_faults(plan)));
         let r = run_with_store(Some(Arc::clone(&s)));
         assert_eq!(r.loops, baseline.loops, "plan {name} changed results");
+        // A row whose fault never fires proves nothing.
+        let st = s.stats();
+        let fired = !s.take_warnings().is_empty()
+            || st.writes_degraded
+            || st.quarantined > 0
+            || st.retries > 0;
+        assert!(fired, "plan {name} never fired: {st:?}");
         drop(s);
         // And a clean follow-up run over whatever state the fault left.
         let s = Arc::new(Store::open(cfg(&dir)));
@@ -164,34 +181,34 @@ fn every_fault_kind_degrades_without_changing_results() {
 }
 
 #[test]
-fn editing_a_procedure_misses_and_invalidates() {
+fn editing_a_procedure_misses_with_its_callers_and_siblings_still_hit() {
     let dir = test_dir("edit");
-    {
+    let edits = [
+        // `init` is called by `work` and `main`: all three Merkle keys
+        // change, so all three recompute.
+        ("row[j] = 0.0;", "row[j] = 1.0;", 0, 3),
+        // `work` has no callers: `init` and `main` still hit.
+        ("help[j] = 2.0;", "help[j] = 3.0;", 2, 1),
+    ];
+    for (from, to, hits, misses) in edits {
+        {
+            let s = Arc::new(Store::open(cfg(&dir)));
+            run_with_store(Some(s));
+        }
+        let edited = PROGRAM.replace(from, to);
+        assert_ne!(edited, PROGRAM);
         let s = Arc::new(Store::open(cfg(&dir)));
-        run_with_store(Some(s));
+        let with_store = run_source(&edited, Some(Arc::clone(&s)));
+        assert_eq!(with_store.loops, run_source(&edited, None).loops);
+        let st = s.stats();
+        assert_eq!((st.hits, st.misses), (hits, misses), "edit {from:?}");
+        assert_eq!(
+            st.puts, misses,
+            "only the missed procedures are re-persisted"
+        );
+        drop(s);
+        let _ = fs::remove_dir_all(&dir);
     }
-    // Same program, one procedure body edited: `init` writes 1.0 now.
-    let edited_src = PROGRAM.replace("row[j] = 0.0;", "row[j] = 1.0;");
-    let edited = parse_program(&edited_src).unwrap();
-    let s = Arc::new(Store::open(cfg(&dir)));
-    let sess = AnalysisSession::new(Options::predicated()).with_store(Arc::clone(&s));
-    analyze_program_session(&edited, &sess).unwrap();
-    let st = s.stats();
-    // `init` changed, so it and both its callers (`work`, `main`) must
-    // recompute — their Merkle keys changed.
-    assert!(st.puts > 0, "edited procedures must be re-persisted");
-
-    // Eager invalidation: tombstone everything depending on the ORIGINAL
-    // init's IR.
-    let orig = parse_program(PROGRAM).unwrap();
-    let init = orig.proc("init").unwrap();
-    let ir = padfa_core::store::hash_procedure(init);
-    let n = s.invalidate_procedure(ir);
-    assert!(
-        n >= 3,
-        "init + its transitive callers should be invalidated, got {n}"
-    );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -246,33 +263,37 @@ fn random_region(rng: &mut StdRng) -> Disjunction {
     d
 }
 
+fn encode_region(region: &Disjunction) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    codec::put_region(&mut bytes, region);
+    bytes
+}
+
+/// Decode a buffer holding exactly one region (trailing bytes are
+/// corruption, as for a whole store payload).
+fn decode_region(bytes: &[u8]) -> Option<Disjunction> {
+    let mut r = codec::Reader::new(bytes);
+    let region = codec::get_region(&mut r)?;
+    r.at_end().then_some(region)
+}
+
 #[test]
 fn region_codec_round_trips_random_values() {
     let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
     for case in 0..500 {
         let region = random_region(&mut rng);
-        let delta = rng.gen_range(0..10u64);
-        let tier = if rng.gen_bool(0.5) {
-            Tier::Dense
-        } else {
-            Tier::General
-        };
-        let bytes = codec::encode_region_entry(&region, tier, delta);
-        let (decoded, t2, d2) =
-            codec::decode_region_entry(&bytes).unwrap_or_else(|| panic!("case {case} undecodable"));
+        let bytes = encode_region(&region);
+        let decoded = decode_region(&bytes).unwrap_or_else(|| panic!("case {case} undecodable"));
         assert_eq!(decoded, region, "case {case} changed value");
-        assert_eq!(t2, tier, "case {case} changed tier");
-        assert_eq!(d2, delta, "case {case} changed delta");
         // The dense-cache state of every piece must survive too: a
         // decoded system answering on a different tier than the stored
         // one would split warm/cold tier counters.
         for (a, b) in decoded.systems().iter().zip(region.systems()) {
             assert_eq!(a.has_dense(), b.has_dense(), "case {case} changed tier tag");
         }
-        // Re-encoding the decoded value must be byte-stable (the store
-        // keys on encoded bytes, so drift would break hit identity).
+        // Re-encoding the decoded value must be byte-stable.
         assert_eq!(
-            codec::encode_region_entry(&decoded, t2, d2),
+            encode_region(&decoded),
             bytes,
             "case {case} not byte-stable"
         );
@@ -284,14 +305,11 @@ fn region_codec_rejects_random_mutations() {
     let mut rng = StdRng::seed_from_u64(0x0BAD_5EED);
     for case in 0..300 {
         let region = random_region(&mut rng);
-        let bytes = codec::encode_region_entry(&region, Tier::General, 1);
-        if bytes.is_empty() {
-            continue;
-        }
+        let bytes = encode_region(&region);
         // Truncation anywhere must decode to None, never panic.
         let cut = rng.gen_range(0..bytes.len());
         assert!(
-            codec::decode_region_entry(&bytes[..cut]).is_none(),
+            decode_region(&bytes[..cut]).is_none(),
             "case {case}: truncation at {cut} decoded"
         );
         // A random byte mutation must either fail to decode or decode to
@@ -300,6 +318,6 @@ fn region_codec_rejects_random_mutations() {
         let mut m = bytes.clone();
         let i = rng.gen_range(0..m.len());
         m[i] = m[i].wrapping_add(rng.gen_range(1..=255u8));
-        let _ = codec::decode_region_entry(&m);
+        let _ = decode_region(&m);
     }
 }

@@ -60,9 +60,9 @@
 //! degradation — as a human-readable tree or (`--json`) machine JSON.
 //!
 //! `analyze --store DIR` (or the `PADFA_STORE` environment variable)
-//! attaches the crash-safe persistent memo store: lattice results and
-//! whole-procedure summaries are content-addressed on disk, so a warm
-//! rerun skips recomputation while producing bit-identical output. A
+//! attaches the crash-safe persistent store: whole-procedure summaries
+//! are content-addressed on disk, so a warm rerun skips every unchanged
+//! procedure while producing bit-identical output. A
 //! corrupt, locked, or failing store degrades to recomputation with a
 //! typed warning — it can never change results or crash the run.
 //! `--no-store` overrides the environment; `--inject store-write-fail[:N]`,
@@ -1222,14 +1222,13 @@ fn cmd_corpus(args: &[String]) {
         // The aggregate registry carries the store's final totals (the
         // per-program fold skips `store.*` — see above).
         if let Some(agg) = &aggregate {
-            let pairs: [(&str, u64); 11] = [
+            let pairs: [(&str, u64); 10] = [
                 ("store.hits", st.hits),
                 ("store.misses", st.misses),
                 ("store.puts", st.puts),
                 ("store.quarantined", st.quarantined),
                 ("store.stale_segments", st.stale_segments),
                 ("store.salvaged", st.salvaged),
-                ("store.invalidated", st.invalidated),
                 ("store.loaded", st.loaded),
                 ("store.retries", st.retries),
                 ("store.degraded", u64::from(st.degraded)),

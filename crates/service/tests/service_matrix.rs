@@ -452,8 +452,8 @@ fn torn_response_truncates_exactly_one_reply() {
 #[test]
 fn store_io_faults_mid_request_degrade_silently() {
     let dir = temp_dir("storefault");
-    // Exhaust write retries early: persistence degrades mid-request,
-    // the response must not change.
+    // Exhaust the write retries of the first append: persistence
+    // degrades mid-request, the response must not change.
     let faults = IoFaultPlan::at(IoFaultKind::WriteFail, 1)
         .with(IoFaultSpec {
             at_op: 2,
@@ -469,13 +469,19 @@ fn store_io_faults_mid_request_degrade_silently() {
     let server = start(
         quick_policy(),
         ServiceDeps {
-            store: Some(store),
+            store: Some(Arc::clone(&store)),
             ..ServiceDeps::default()
         },
     );
     let addr = server.addr();
     let faulted = analyze(addr);
     assert_eq!(faulted.status, 200);
+    // The fault really fired: the request's one procedure tried to
+    // open a segment (ops 1-3 are the header's three attempts) and gave
+    // persistence up.
+    let st = store.stats();
+    assert!(st.writes_degraded && !st.degraded, "{st:?}");
+    assert_eq!((st.puts, st.retries), (1, 2));
 
     // Reference: the same request against a faultless, storeless server.
     let clean = start(quick_policy(), ServiceDeps::default());
