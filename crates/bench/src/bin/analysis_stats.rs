@@ -3,16 +3,13 @@
 //! `BENCH_analysis.json` (consumed by CI as a build artifact).
 //!
 //! Usage: `cargo run --release -p padfa-bench --bin analysis_stats
-//!         [--jobs N] [--runs N] [--warmup N] [--spawn-threshold N] [--out PATH]`
+//!         [--runs N] [--warmup N] [--out PATH]`
 //!
-//! Every program is timed in *interleaved pairs*: each measurement runs
-//! `--jobs 1` immediately followed by `--jobs N`, so both sides of a
-//! pair see the same allocator state, cache residency, and CPU
-//! frequency. `speedup_jobs` is the median of the per-pair ratios —
-//! runner-load noise that inflates one pair cancels out of its own
-//! ratio instead of polluting a cross-run average. The reported wall
-//! times are per-side medians. `--warmup` untimed runs precede each
-//! program so the first pair is not cold.
+//! Every program is analyzed `--runs` times on this thread, one fresh
+//! session per run as every CLI process and every service request gets,
+//! after `--warmup` untimed runs; the reported wall time is the median.
+//! `host_cores` is stamped for whoever compares walls across hosts —
+//! nothing measured here uses a second core.
 
 use padfa_core::{
     analyze_program_session, flight, AnalysisSession, Options, StatsSnapshot, Store, StoreConfig,
@@ -26,18 +23,8 @@ struct ProgramCost {
     suite: &'static str,
     procedures: usize,
     loops: usize,
-    wall_ms_jobs1: f64,
-    wall_ms_jobs_n: f64,
-    /// Median of per-pair `wall(jobs=1) / wall(jobs=N)` ratios.
-    speedup: f64,
+    wall_ms: f64,
     stats: StatsSnapshot,
-}
-
-impl ProgramCost {
-    /// Parallel speedup of the intra-/inter-procedure fan-out.
-    fn speedup_jobs(&self) -> f64 {
-        self.speedup
-    }
 }
 
 /// Median of a sample set (mean of the two middle elements when even).
@@ -152,58 +139,36 @@ fn main() {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1).cloned())
     };
-    let jobs: usize = flag("--jobs").and_then(|v| v.parse().ok()).unwrap_or(4);
     let runs: usize = flag("--runs").and_then(|v| v.parse().ok()).unwrap_or(3);
     let warmup: usize = flag("--warmup").and_then(|v| v.parse().ok()).unwrap_or(1);
     let out_path = flag("--out").unwrap_or_else(|| "BENCH_analysis.json".to_string());
-    let spawn_threshold: u64 = flag("--spawn-threshold")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(padfa_core::DEFAULT_SPAWN_THRESHOLD);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let corpus = padfa_suite::build_corpus();
-    let opts = Options::predicated().with_spawn_threshold(spawn_threshold);
+    let opts = Options::predicated();
     let mut costs: Vec<ProgramCost> = Vec::new();
     for bench in &corpus {
-        let run_once = |j: usize| {
-            let sess = AnalysisSession::new(opts.clone()).with_jobs(j);
+        let run_once = || {
+            let sess = AnalysisSession::new(opts.clone());
             let t = Instant::now();
-            let _ = analyze_program_session(&bench.program, &sess).expect("analysis failed");
-            t.elapsed().as_secs_f64() * 1e3
+            let (result, _) =
+                analyze_program_session(&bench.program, &sess).expect("analysis failed");
+            (t.elapsed().as_secs_f64() * 1e3, result)
         };
         for _ in 0..warmup {
-            run_once(1);
-            run_once(jobs);
+            run_once();
         }
-        // Interleaved pairs: the ratio inside one pair is robust to the
-        // runner-load drift that makes separated A/B walls lie.
-        let mut walls1 = Vec::with_capacity(runs);
-        let mut walls_n = Vec::with_capacity(runs);
-        let mut ratios = Vec::with_capacity(runs);
-        for _ in 0..runs.max(1) {
-            let a = run_once(1);
-            let b = run_once(jobs);
-            if b > 0.0 {
-                ratios.push(a / b);
-            }
-            walls1.push(a);
-            walls_n.push(b);
-        }
-        // One more instrumented run at `--jobs N` for the stats
-        // snapshot, so scheduler spawn/inline counts and the
-        // estimate-vs-actual correlation reflect the parallel
-        // configuration being scored. (All counters in the snapshot
-        // are jobs-deterministic; only the correlation is
-        // timing-derived.)
-        let sess = AnalysisSession::new(opts.clone()).with_jobs(jobs);
-        let (result, _) = analyze_program_session(&bench.program, &sess).expect("analysis failed");
+        let mut timed: Vec<_> = (0..runs.max(1)).map(|_| run_once()).collect();
+        let walls = timed.iter().map(|(ms, _)| *ms).collect();
+        // Every counter in the snapshot repeats exactly from run to
+        // run, so any run's will do.
+        let (_, result) = timed.pop().expect("at least one run");
         costs.push(ProgramCost {
             name: bench.name,
             suite: bench.suite.label(),
             procedures: bench.program.procedures.len(),
             loops: result.loops.len(),
-            wall_ms_jobs1: median(walls1),
-            wall_ms_jobs_n: median(walls_n),
-            speedup: median(ratios),
+            wall_ms: median(walls),
             stats: result.stats,
         });
     }
@@ -216,9 +181,7 @@ fn main() {
     let corpus_pass = |store: &Arc<Store>| -> f64 {
         let t0 = std::time::Instant::now();
         for bench in &corpus {
-            let sess = AnalysisSession::new(opts.clone())
-                .with_jobs(1)
-                .with_store(Arc::clone(store));
+            let sess = AnalysisSession::new(opts.clone()).with_store(Arc::clone(store));
             let _ = analyze_program_session(&bench.program, &sess).expect("analysis failed");
         }
         t0.elapsed().as_secs_f64() * 1e3
@@ -247,7 +210,7 @@ fn main() {
     // read them. The budget is <= 2% (enforced by CI).
     let corpus_wall = || {
         for bench in &corpus {
-            let sess = AnalysisSession::new(opts.clone()).with_jobs(1);
+            let sess = AnalysisSession::new(opts.clone());
             let _ = analyze_program_session(&bench.program, &sess).expect("analysis failed");
         }
     };
@@ -300,37 +263,24 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"schema_version\": 3,\n");
+    json.push_str("  \"schema_version\": 4,\n");
     let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
     let _ = writeln!(json, "  \"host\": \"{}\",", host_info());
-    let _ = writeln!(json, "  \"jobs\": {jobs},");
+    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"runs\": {runs},");
     let _ = writeln!(json, "  \"warmup\": {warmup},");
     json.push_str("  \"programs\": [\n");
     for (i, c) in costs.iter().enumerate() {
-        let sched = &c.stats.sched;
         let _ = write!(
             json,
             "    {{\"name\": \"{}\", \"suite\": \"{}\", \"procedures\": {}, \"loops\": {}, \
-             \"wall_ms_jobs1\": {:.3}, \"wall_ms_jobs{}\": {:.3}, \"speedup_jobs\": {:.2}, \
-             \"tier_hit_rate\": {:.4}, \
-             \"sched\": {{\"threshold\": {}, \"spawned\": {}, \"inlined\": {}, \
-             \"est_corr\": {}}}, \"session\": {}}}",
+             \"wall_ms\": {:.3}, \"tier_hit_rate\": {:.4}, \"session\": {}}}",
             c.name,
             c.suite,
             c.procedures,
             c.loops,
-            c.wall_ms_jobs1,
-            jobs,
-            c.wall_ms_jobs_n,
-            c.speedup_jobs(),
+            c.wall_ms,
             c.stats.tier_hit_rate(),
-            sched.threshold,
-            sched.spawned_total(),
-            sched.inlined_total(),
-            sched
-                .est_corr
-                .map_or_else(|| "null".to_string(), |r| format!("{r:.3}")),
             json_stats(&c.stats),
         );
         json.push_str(if i + 1 < costs.len() { ",\n" } else { "\n" });
@@ -347,8 +297,7 @@ fn main() {
     json.push_str("  \"suites\": [\n");
     for (i, suite) in suites.iter().enumerate() {
         let members: Vec<&ProgramCost> = costs.iter().filter(|c| c.suite == *suite).collect();
-        let wall1: f64 = members.iter().map(|c| c.wall_ms_jobs1).sum();
-        let walln: f64 = members.iter().map(|c| c.wall_ms_jobs_n).sum();
+        let wall: f64 = members.iter().map(|c| c.wall_ms).sum();
         let hits: u64 = members.iter().map(|c| c.stats.total_hits()).sum();
         let queries: u64 = members.iter().map(|c| c.stats.total_queries()).sum();
         let best = members
@@ -357,15 +306,11 @@ fn main() {
             .fold(0.0f64, f64::max);
         let _ = write!(
             json,
-            "    {{\"suite\": \"{}\", \"programs\": {}, \"wall_ms_jobs1\": {:.3}, \
-             \"wall_ms_jobs{}\": {:.3}, \"speedup_jobs\": {:.2}, \"hit_rate\": {:.4}, \
-             \"best_program_hit_rate\": {:.4}}}",
+            "    {{\"suite\": \"{}\", \"programs\": {}, \"wall_ms\": {:.3}, \
+             \"hit_rate\": {:.4}, \"best_program_hit_rate\": {:.4}}}",
             suite,
             members.len(),
-            wall1,
-            jobs,
-            walln,
-            if walln > 0.0 { wall1 / walln } else { 0.0 },
+            wall,
             if queries > 0 {
                 hits as f64 / queries as f64
             } else {
@@ -417,28 +362,14 @@ fn main() {
     // Human-readable recap on stdout.
     for c in &costs {
         println!(
-            "{:<12} {:>7.2} ms (jobs=1) {:>7.2} ms (jobs={jobs})  speedup {:>5.2}x  \
-             hit rate {:>5.1}%  dense {:>5.1}%  [{} loops, {} procs]",
+            "{:<12} {:>7.2} ms  hit rate {:>5.1}%  dense {:>5.1}%  [{} loops, {} procs]",
             c.name,
-            c.wall_ms_jobs1,
-            c.wall_ms_jobs_n,
-            c.speedup_jobs(),
+            c.wall_ms,
             c.stats.hit_rate() * 100.0,
             c.stats.tier_hit_rate() * 100.0,
             c.loops,
             c.procedures,
         );
-    }
-    // Parallelism regressions must be visible in the summary, not only
-    // inside the JSON: flag every program the fan-out made slower.
-    for c in &costs {
-        if c.speedup_jobs() < 0.9 {
-            println!(
-                "warning: {} regressed under parallelism: speedup {:.2}x at jobs={jobs} (< 0.90x)",
-                c.name,
-                c.speedup_jobs(),
-            );
-        }
     }
     let best = costs
         .iter()

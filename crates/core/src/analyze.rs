@@ -57,32 +57,18 @@ pub fn analyze_program_with_summaries(
 }
 
 /// Run the analysis against a caller-provided [`AnalysisSession`]
-/// (options, interners, memo tables, worker count).
+/// (options, interners, memo tables).
 ///
-/// Procedures are scheduled over the SCC-DAG of the call graph
-/// ([`crate::sched::run_dag`]): each becomes ready as soon as its own
-/// defined callees finish, and ready nodes are dispatched to worker
-/// lanes when the session requests more than one job and the
-/// scheduler's cost model deems any procedure spawn-worthy. The output
-/// is bit-identical regardless of worker count and spawn threshold
-/// (see the session and sched module docs). This includes
-/// budget-degradation decisions: steps are charged per procedure by
-/// deterministic counting, so a starved budget degrades the same
-/// procedures at the same operation for any `--jobs`.
+/// Procedures are summarized one after another on the calling thread,
+/// call-graph level by level and within a level in ascending procedure
+/// index, so every defined callee of a procedure is finished — and in
+/// the result map — before the procedure starts.
 ///
 /// Each procedure runs under `catch_unwind`: budget exhaustion unwinds
-/// only that procedure (cancelling its remaining work rather than
-/// wedging its dependents), and any other panic is converted to
-/// [`AnalysisError::Internal`]. When several procedures fail, the error
-/// of the lowest (call-graph level, index) procedure is returned,
-/// keeping the error itself schedule-independent.
-/// One procedure's analysis outcome, tagged with its index in
-/// `Program::procedures` for deterministic ordering.
-type ProcOutcome = (
-    usize,
-    Result<(Arc<Summary>, Vec<LoopReport>), AnalysisError>,
-);
-
+/// only that procedure (and degrades or fails it per the budget policy),
+/// and any other panic is converted to [`AnalysisError::Internal`]. The
+/// first error met ends the run, which by the visiting order is the
+/// error of the lowest (call-graph level, index) failing procedure.
 pub fn analyze_program_session(
     prog: &Program,
     sess: &AnalysisSession,
@@ -93,155 +79,42 @@ pub fn analyze_program_session(
         sess.pre_intern(prog);
     }
     let co = call_order(prog);
-    let n = prog.procedures.len();
     // Content-addressed keys for whole-procedure store entries. Only
     // unbudgeted sessions use them: a budgeted run can degrade mid-way,
     // and persisting (or replaying) degraded summaries keyed purely on
     // IR would leak one run's budget decisions into another's results.
-    // One sequential topological pass computes every key up front:
-    // callee keys come from strictly lower levels, already in the map.
+    // One topological pass computes every key up front: callee keys
+    // come from strictly lower levels, already in the map.
     let mut proc_keys: HashMap<String, u128> = HashMap::new();
     if sess.store().is_some() && sess.opts.budget.is_unlimited() {
-        for level in &co.levels {
-            for &idx in level {
-                if let Some(key) = proc_store_key(prog, idx, &co, sess, &proc_keys) {
-                    proc_keys.insert(prog.procedures[idx].name.clone(), key);
-                }
+        for &idx in co.levels.iter().flatten() {
+            if let Some(key) = proc_store_key(prog, idx, &co, sess, &proc_keys) {
+                proc_keys.insert(prog.procedures[idx].name.clone(), key);
             }
         }
     }
-    // SCC-DAG over the call graph: node = procedure, dependency = a
-    // defined callee at a strictly lower topological level. A callee at
-    // the same or a higher level is a cycle back-edge, which
-    // `analyze_proc` resolves via `conservative_summary` without
-    // reading any slot — so these edges carry no data and can be
-    // dropped, leaving an acyclic graph whose completed-before order is
-    // exactly what the old level-barrier driver guaranteed, minus the
-    // barriers.
-    let mut level_of = vec![0usize; n];
-    for (ln, level) in co.levels.iter().enumerate() {
-        for &i in level {
-            level_of[i] = ln;
-        }
-    }
-    let index: HashMap<&str, usize> = prog
-        .procedures
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.as_str(), i))
-        .collect();
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, proc) in prog.procedures.iter().enumerate() {
-        let mut names = Vec::new();
-        crate::interproc::callees(proc, &mut names);
-        let mut d: Vec<usize> = names
-            .iter()
-            .filter_map(|c| index.get(c.as_str()).copied())
-            .filter(|&j| level_of[j] < level_of[i])
-            .collect();
-        d.sort_unstable();
-        d.dedup();
-        deps[i] = d;
-    }
-    let order: Vec<usize> = co.levels.iter().flatten().copied().collect();
-    // Cost estimates and spawn decisions for every DAG node, up front
-    // and in procedure order, so the decision stream (and its flight
-    // events) is schedule-independent. Single-procedure programs offer
-    // no choice and emit no decision.
-    let est: Vec<u64> = prog
-        .procedures
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            if co.recursive.contains(&i) {
-                1 // conservative summary: no body walk
-            } else {
-                crate::sched::proc_cost(p)
-            }
-        })
-        .collect();
-    let spawn_worthy = if n >= 2 {
-        (0..n)
-            .filter(|&i| sess.sched().decide(crate::sched::Site::Proc, est[i]))
-            .count()
-    } else {
-        0
-    };
-    let summary_slots: Vec<std::sync::OnceLock<Arc<Summary>>> =
-        (0..n).map(|_| std::sync::OnceLock::new()).collect();
-    let view = SummaryView {
-        index: &index,
-        slots: &summary_slots,
-    };
-    let keys = &proc_keys;
-    let outcomes: Vec<ProcOutcome> = {
-        let mut sched_span = trace::span("schedule", "driver");
-        sched_span.arg("procs", n.to_string());
-        let mut sched_flight = flight::span(flight::EventKind::Driver, "schedule");
-        sched_flight.set_value(n as u64);
-        // `analyze_proc` arms the budget meter on whichever lane runs
-        // it, so nested fan-outs inside a budgeted procedure correctly
-        // run inline. Each summary is published to its slot before the
-        // executor releases the node's dependents.
-        crate::sched::run_dag(sess.tokens(), &order, &deps, spawn_worthy, |idx| {
-            let t0 = std::time::Instant::now();
-            let out = analyze_proc(
-                prog,
-                idx,
-                &co,
-                &view,
-                sess,
-                keys.get(&prog.procedures[idx].name).copied(),
-            );
-            sess.sched()
-                .note_actual(est[idx], t0.elapsed().as_nanos() as u64);
-            if let (_, Ok((summary, _))) = &out {
-                let _ = summary_slots[idx].set(Arc::clone(summary));
-            }
-            out
-        })
-    };
-    // Deterministic error selection: consume outcomes in (level, index)
-    // order, so the first `?` reproduces the level-barrier driver's
-    // first-errored-level / lowest-index-within-it rule exactly.
-    let mut by_key: Vec<usize> = (0..n).collect();
-    by_key.sort_by_key(|&i| (level_of[i], i));
-    let mut outcomes: Vec<Option<ProcOutcome>> = outcomes.into_iter().map(Some).collect();
     let mut proc_summaries: HashMap<String, Arc<Summary>> = HashMap::new();
     let mut reports: Vec<LoopReport> = Vec::new();
-    for i in by_key {
-        let Some((idx, outcome)) = outcomes[i].take() else {
-            continue;
-        };
-        let (summary, reps) = outcome?;
-        proc_summaries.insert(prog.procedures[idx].name.clone(), summary);
-        reports.extend(reps);
+    {
+        let mut walk_span = trace::span("walk", "driver");
+        walk_span.arg("procs", prog.procedures.len().to_string());
+        let mut walk_flight = flight::span(flight::EventKind::Driver, "walk");
+        walk_flight.set_value(prog.procedures.len() as u64);
+        for &idx in co.levels.iter().flatten() {
+            let name = &prog.procedures[idx].name;
+            let store_key = proc_keys.get(name).copied();
+            let (summary, reps) = analyze_proc(prog, idx, &co, &proc_summaries, sess, store_key)?;
+            proc_summaries.insert(name.clone(), summary);
+            reports.extend(reps);
+        }
     }
-    // Loop ids are assigned by the parser in program order, so sorting
-    // restores a schedule-independent report order.
+    // Loop ids are assigned by the parser in program order.
     reports.sort_by_key(|r| r.id);
     let result = AnalysisResult {
         loops: reports,
         stats: sess.stats(),
     };
     Ok((result, proc_summaries))
-}
-
-/// Read-only view over the DAG executor's per-procedure summary slots.
-/// A procedure only ever looks up its defined callees, whose slots are
-/// filled before the executor releases it (cycle back-edges read
-/// nothing — `translate_call` falls back to the conservative summary).
-struct SummaryView<'a> {
-    index: &'a HashMap<&'a str, usize>,
-    slots: &'a [std::sync::OnceLock<Arc<Summary>>],
-}
-
-impl SummaryView<'_> {
-    fn get(&self, name: &str) -> Option<Arc<Summary>> {
-        self.index
-            .get(name)
-            .and_then(|&i| self.slots[i].get().cloned())
-    }
 }
 
 /// Compute the Merkle-style store key for `prog.procedures[idx]`:
@@ -283,16 +156,15 @@ fn proc_store_key(
 /// The whole summarization runs under `catch_unwind` with this thread's
 /// budget meter armed: exhaustion unwinds to here and is resolved per
 /// the budget policy (degrade to [`degraded_summary`] or error); any
-/// other panic becomes [`AnalysisError::Internal`]. Worker threads of
-/// the parallel driver therefore never terminate by panic.
+/// other panic becomes [`AnalysisError::Internal`].
 fn analyze_proc(
     prog: &Program,
     idx: usize,
     co: &CallOrder,
-    summaries: &SummaryView<'_>,
+    summaries: &HashMap<String, Arc<Summary>>,
     sess: &AnalysisSession,
     store_key: Option<u128>,
-) -> ProcOutcome {
+) -> Result<(Arc<Summary>, Vec<LoopReport>), AnalysisError> {
     let proc = &prog.procedures[idx];
     // A whole-procedure store hit skips summarization entirely: the
     // entry carries both the summary and the loop reports derived while
@@ -301,7 +173,7 @@ fn analyze_proc(
     if let (Some(key), Some(s)) = (store_key, sess.store()) {
         if let Some((summary, reports)) = s.get_proc(key) {
             trace::instant(format!("store-hit {}", proc.name), "store");
-            return (idx, Ok((Arc::new(summary), reports)));
+            return Ok((Arc::new(summary), reports));
         }
     }
     budget::install(&sess.opts.budget);
@@ -313,7 +185,6 @@ fn analyze_proc(
             sess,
             proc_summaries: summaries,
             reports: Vec::new(),
-            par_ok: !block_has_strided(&proc.body),
         };
         let summary = if co.recursive.contains(&idx) {
             conservative_summary(proc)
@@ -330,7 +201,7 @@ fn analyze_proc(
     drop(proc_flight);
     trace::flush_lattice_batch();
     flight::flush_lattice_ops(&proc.name);
-    let res = match outcome {
+    match outcome {
         Ok((summary, reports)) => {
             if let (Some(key), Some(s)) = (store_key, sess.store()) {
                 s.put_proc(key, &summary, &reports);
@@ -358,8 +229,7 @@ fn analyze_proc(
             proc.name,
             panic_message(payload.as_ref())
         ))),
-    };
-    (idx, res)
+    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -417,66 +287,15 @@ fn budget_reports(proc: &Procedure, steps: u64) -> Vec<LoopReport> {
 struct Analyzer<'a> {
     prog: &'a Program,
     sess: &'a AnalysisSession,
-    /// Summaries of procedures from lower call-graph levels (read-only:
-    /// every defined callee of the procedure under analysis has its
-    /// slot filled before the DAG executor releases this procedure).
-    proc_summaries: &'a SummaryView<'a>,
+    /// Summaries of the procedures finished so far — every defined
+    /// callee of the procedure under analysis among them, unless the
+    /// call closes a cycle.
+    proc_summaries: &'a HashMap<String, Arc<Summary>>,
     reports: Vec<LoopReport>,
-    /// Whether intra-procedure fan-out is allowed: false when the
-    /// procedure contains a strided loop, whose summarization draws
-    /// `$lat` existential names from the session's per-procedure pool
-    /// in traversal order (see [`existentialize`]) — an order only a
-    /// single-threaded walk reproduces.
-    par_ok: bool,
-}
-
-/// Whether any loop in the block (recursively) has a non-unit step.
-fn block_has_strided(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match s {
-        Stmt::For(l) => l.step.abs() > 1 || block_has_strided(&l.body),
-        Stmt::If {
-            then_blk, else_blk, ..
-        } => block_has_strided(then_blk) || block_has_strided(else_blk),
-        _ => false,
-    })
 }
 
 impl<'a> Analyzer<'a> {
     fn analyze_block(&mut self, proc: &Procedure, block: &Block, depth: usize) -> Summary {
-        // Statement summaries are mutually independent — `seq` composes
-        // them only afterward — so fan the statements out when the
-        // procedure permits it and the scheduler's cost estimate says
-        // the block is worth a spawn. Each task gets a sub-analyzer
-        // collecting its own reports; merging summaries and reports in
-        // statement order reproduces the sequential walk exactly (a
-        // loop's inner reports precede its own, as in the recursive
-        // order), so the spawn decision cannot change the output.
-        if self.par_ok && block.stmts.len() >= 2 {
-            let est: u64 = block.stmts.iter().map(crate::sched::stmt_cost).sum();
-            let results = self.sess.sched().gated_map(
-                self.sess.tokens(),
-                crate::sched::Site::Block,
-                est,
-                &block.stmts,
-                |_, stmt| {
-                    let mut sub = Analyzer {
-                        prog: self.prog,
-                        sess: self.sess,
-                        proc_summaries: self.proc_summaries,
-                        reports: Vec::new(),
-                        par_ok: self.par_ok,
-                    };
-                    let s = sub.analyze_stmt(proc, stmt, depth);
-                    (s, sub.reports)
-                },
-            );
-            let mut acc = Summary::empty();
-            for (s, reps) in results {
-                self.reports.extend(reps);
-                acc = acc.seq(&s, self.sess);
-            }
-            return acc;
-        }
         let mut acc = Summary::empty();
         for stmt in &block.stmts {
             let s = self.analyze_stmt(proc, stmt, depth);
@@ -528,6 +347,7 @@ impl<'a> Analyzer<'a> {
                 let callee_summary = self
                     .proc_summaries
                     .get(callee)
+                    .cloned()
                     .unwrap_or_else(|| Arc::new(conservative_summary(callee_proc)));
                 let mut mech = Mechanisms::default();
                 translate_call(
@@ -576,11 +396,7 @@ impl<'a> Analyzer<'a> {
         let body = self.analyze_block(proc, &l.body, depth + 1);
 
         // Attribution baselines, taken *after* the body so inner loops
-        // self-attribute their own cap-hits. Thread-local deltas are
-        // exact even under intra-procedure fan-out: `par_map` migrates
-        // every worker's overflow delta back to the calling thread
-        // before returning, and the body's fan-outs finish before the
-        // baseline is read.
+        // self-attribute their own cap-hits.
         let limit_base = padfa_omega::limit_stats::thread_overflows();
         let lat_base = sess.lat_overflow_for(&proc.name);
 
@@ -805,29 +621,8 @@ impl<'a> Analyzer<'a> {
             arr.normalize(sess);
             (arr, fired)
         };
-        // Per-array subtractions are independent; fan out when the
-        // scheduler deems them heavy enough, unless the loop is strided
-        // — then `existentialize` draws `$lat` names and must keep the
-        // sequential draw order.
-        let arr_items: Vec<(Var, &crate::summary::ArraySummary)> =
-            iter.arrays.iter().map(|(&a, s)| (a, s)).collect();
-        let summarized: Vec<(crate::summary::ArraySummary, bool)> =
-            if aux_vars.is_empty() && arr_items.len() >= 2 {
-                let est: u64 = arr_items
-                    .iter()
-                    .map(|&(_, s)| crate::sched::summarize_cost(s))
-                    .sum();
-                sess.sched().gated_map(
-                    sess.tokens(),
-                    crate::sched::Site::Array,
-                    est,
-                    &arr_items,
-                    |_, &(_, s)| summarize(s),
-                )
-            } else {
-                arr_items.iter().map(|&(_, s)| summarize(s)).collect()
-            };
-        for (&(a, _), (arr, fired)) in arr_items.iter().zip(summarized) {
+        for (&a, s) in &iter.arrays {
+            let (arr, fired) = summarize(s);
             if fired {
                 mechanisms.extraction = true;
             }
@@ -868,10 +663,8 @@ impl<'a> Analyzer<'a> {
 /// Rename lattice existentials to fresh names, per piece, so regions
 /// from different loop summarizations never share an existential. The
 /// replacement names are drawn from the session's per-procedure pool
-/// (`$lat.<proc>.<k>`), which keeps them deterministic under the
-/// parallel driver: intra-procedure fan-out is disabled wherever a draw
-/// can occur (strided loops), so within a procedure the draws happen in
-/// sequential traversal order no matter how many workers exist.
+/// (`$lat.<proc>.<k>`) in traversal order, which keeps them
+/// deterministic.
 fn existentialize(
     comp: PredComponent,
     aux: &[Var],
@@ -1289,17 +1082,16 @@ mod tests {
         assert!(r.loops.iter().all(|l| l.outcome.is_parallelizable()));
     }
 
-    fn sequential_analyzer<'a>(
+    fn analyzer<'a>(
         prog: &'a Program,
         sess: &'a AnalysisSession,
-        view: &'a SummaryView<'a>,
+        summaries: &'a HashMap<String, Arc<Summary>>,
     ) -> Analyzer<'a> {
         Analyzer {
             prog,
             sess,
-            proc_summaries: view,
+            proc_summaries: summaries,
             reports: Vec::new(),
-            par_ok: false,
         }
     }
 
@@ -1360,22 +1152,7 @@ mod tests {
     fn check_program_prefixes(prog: &Program, opts: &Options) -> usize {
         let sess = AnalysisSession::new(opts.clone());
         let (_, summaries) = analyze_program_session(prog, &sess).unwrap();
-        let index: HashMap<&str, usize> = prog
-            .procedures
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.name.as_str(), i))
-            .collect();
-        let slots: Vec<std::sync::OnceLock<Arc<Summary>>> = prog
-            .procedures
-            .iter()
-            .map(|p| std::sync::OnceLock::from(Arc::clone(&summaries[&p.name])))
-            .collect();
-        let view = SummaryView {
-            index: &index,
-            slots: &slots,
-        };
-        let mut az = sequential_analyzer(prog, &sess, &view);
+        let mut az = analyzer(prog, &sess, &summaries);
         prog.procedures
             .iter()
             .map(|p| check_block_prefixes(&mut az, p, &p.body, 0))
@@ -1399,11 +1176,8 @@ mod tests {
         let proc = &prog.procedures[0];
         for opts in [Options::base(), Options::guarded(), Options::predicated()] {
             let sess = AnalysisSession::new(opts);
-            let view = SummaryView {
-                index: &HashMap::new(),
-                slots: &[],
-            };
-            let mut az = sequential_analyzer(&prog, &sess, &view);
+            let no_callees = HashMap::new();
+            let mut az = analyzer(&prog, &sess, &no_callees);
             let Stmt::Assign { rhs, .. } = &proc.body.stmts[0] else {
                 panic!("statement 0 is an assignment");
             };

@@ -9,25 +9,25 @@
 //! ## Mechanics
 //!
 //! The budget is metered through a thread-local installed by the driver
-//! around each procedure ([`install`]/[`take`]). Every memoized lattice
-//! query on the [`crate::session::AnalysisSession`] charges one step
-//! *before* consulting the memo tables, so the step count of a procedure
-//! is a deterministic function of the program and options — independent
-//! of worker count and of what other procedures warmed the caches. Step
-//! exhaustion therefore triggers at the same operation on every run,
-//! which keeps `--jobs N` output byte-identical to `--jobs 1` even for
-//! starved budgets. The wall deadline is inherently non-deterministic
-//! and only checked when explicitly configured.
+//! around each procedure ([`install`]/[`take`]). A procedure is
+//! analyzed from start to finish on its session's one thread, so that
+//! thread's meter sees every step of it and nothing else. Every
+//! memoized lattice query on the [`crate::session::AnalysisSession`]
+//! charges one step *before* consulting the memo tables, so the step
+//! count of a procedure is a function of the program and options alone
+//! — independent of what earlier procedures left in the caches — and
+//! step exhaustion triggers at the same operation on every run. The
+//! wall deadline is inherently non-deterministic and only checked when
+//! explicitly configured.
 //!
 //! Exhaustion unwinds the procedure via [`std::panic::panic_any`] with a
 //! private [`Exhausted`] payload; the driver catches it at the procedure
 //! boundary, replaces the summary with a *sound* degraded conservative
 //! summary, and continues (or, under [`OnExhausted::Error`], aborts the
-//! run with [`crate::AnalysisError::BudgetExhausted`]). The unwind is
-//! also the cancellation mechanism: an exhausted procedure stops
-//! immediately instead of wedging the level-parallel driver. Panics
-//! never unwind while a session lock is held (steps are charged before
-//! any lock is taken), so the shared session stays consistent.
+//! run with [`crate::AnalysisError::BudgetExhausted`]). Steps are
+//! charged before any session table is borrowed, so the unwind never
+//! leaves one half-updated and the session stays usable for the
+//! procedures that follow.
 //!
 //! The meter additionally records peak operand sizes (disjuncts per
 //! region, constraints per system), surfaced through
@@ -174,19 +174,8 @@ pub(crate) fn take() -> MeterReport {
     })
 }
 
-/// Whether this thread's meter is armed (a finite budget is in force).
-/// The intra-procedure fan-out checks this and runs inline when armed:
-/// the meter is thread-local, so spawning workers would split the step
-/// count across meters and change where the watchdog fires. Budgeted
-/// runs are diagnostics, not the perf target, so losing fan-out there
-/// is the right trade for exact budget semantics.
-pub(crate) fn armed() -> bool {
-    METER.with(|m| m.borrow().is_some())
-}
-
 /// Charge `n` steps against this thread's meter (no-op when unarmed).
-/// Unwinds with [`Exhausted`] when the budget runs out. Must only be
-/// called while no session lock is held.
+/// Unwinds with [`Exhausted`] when the budget runs out.
 pub(crate) fn charge(n: u64) {
     let exhausted = METER.with(|m| {
         let mut borrow = m.borrow_mut();

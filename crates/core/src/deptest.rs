@@ -66,7 +66,7 @@ fn conflict_condition(
     ctx2: &System,
     loop_var: Var,
     sess: &AnalysisSession,
-    is_symbolic: &(dyn Fn(Var) -> bool + Sync),
+    is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
 ) -> (Pred, PairOutcome) {
     let opts = &sess.opts;
@@ -175,7 +175,7 @@ fn array_dependence_condition(
     ctx2: &System,
     loop_var: Var,
     sess: &AnalysisSession,
-    is_symbolic: &(dyn Fn(Var) -> bool + Sync),
+    is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
     pairs: &mut Vec<PairEvidence>,
 ) -> Pred {
@@ -235,7 +235,7 @@ fn privatization_unsafe_condition(
     ctx2: &System,
     loop_var: Var,
     sess: &AnalysisSession,
-    is_symbolic: &(dyn Fn(Var) -> bool + Sync),
+    is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
     pairs: &mut Vec<PairEvidence>,
 ) -> Pred {
@@ -290,7 +290,7 @@ pub fn test_loop(
     loop_var: Var,
     ctx: &System,
     sess: &AnalysisSession,
-    is_symbolic: &(dyn Fn(Var) -> bool + Sync),
+    is_symbolic: &dyn Fn(Var) -> bool,
     trip2: &Pred,
 ) -> LoopDecision {
     let opts = &sess.opts;
@@ -317,10 +317,8 @@ pub fn test_loop(
 
     // One array's complete dependence/privatization/run-time-test
     // verdict. Arrays are mutually independent (no early exit crosses an
-    // array boundary and the pair tests only read this array's summary),
-    // so `test_loop` fans them out and merges the outcomes in array
-    // order below — evidence rows, privatization pushes, and the
-    // `Pred::and` test chain compose exactly as the sequential loop did.
+    // array boundary and the pair tests only read this array's summary);
+    // the loop below merges the outcomes in array order.
     struct ArrayOutcome {
         evidence: Option<ArrayEvidence>,
         privatize: Option<PrivArray>,
@@ -461,26 +459,8 @@ pub fn test_loop(
         out
     };
 
-    // Per-array tests are independent; the scheduler fans them out only
-    // when the summary shapes promise enough work to repay a spawn.
-    let arrays: Vec<(Var, &crate::summary::ArraySummary)> =
-        body.arrays.iter().map(|(&a, s)| (a, s)).collect();
-    let results: Vec<ArrayOutcome> = if arrays.len() >= 2 {
-        let est: u64 = arrays
-            .iter()
-            .map(|&(_, s)| crate::sched::deptest_cost(s))
-            .sum();
-        sess.sched().gated_map(
-            sess.tokens(),
-            crate::sched::Site::DepTest,
-            est,
-            &arrays,
-            |_, &(a, s)| test_array(a, s),
-        )
-    } else {
-        arrays.iter().map(|&(a, s)| test_array(a, s)).collect()
-    };
-    for out in results {
+    for (&a, s) in &body.arrays {
+        let out = test_array(a, s);
         mechanisms.predicates |= out.mech.predicates;
         mechanisms.embedding |= out.mech.embedding;
         mechanisms.extraction |= out.mech.extraction;

@@ -13,25 +13,30 @@
 //! ## Event taxonomy
 //!
 //! Span kinds (`Begin`/`End` pairs, `End` carries the duration):
-//! `parse`, `driver` (pre-intern + per-level fan-out), `summarize`
-//! (one per procedure), `loop` (one per analyzed loop), and `request`
-//! (one per service request). Instant kinds: `lattice-batch` (one per
-//! procedure, carrying the procedure's deterministic lattice-op count),
+//! `parse`, `driver` (pre-intern, then the walk over the procedures),
+//! `summarize` (one per procedure), `loop` (one per analyzed loop), and
+//! `request` (one per service request). Instant kinds: `lattice-batch`
+//! (one per procedure, carrying the procedure's lattice-op count),
 //! `budget-exhausted`, `store-degraded` / `store-retry` /
 //! `store-quarantined`, `tier-forced-general`, `trace-capture`,
 //! `worker-panic`, `admission-shed`, and `note` (fault-injection
-//! filler). Event *kinds and counts* emitted by the analysis itself are
-//! deterministic across `--jobs` (timing fields are not): spans map
-//! 1:1 onto structural units (procedures, levels, loops) and the
-//! lattice-batch op count is flushed once per procedure after
-//! migrating per-worker deltas back to the procedure's thread, the same
-//! trick `padfa_omega::limit_stats` uses for cap-hit attribution.
+//! filler). Event *kinds, labels, values and counts* emitted by the
+//! analysis itself repeat exactly from run to run (timing fields do
+//! not): spans map 1:1 onto structural units (procedures, loops), and
+//! a procedure is analyzed by one thread from start to finish, so the
+//! thread-local lattice-op count flushed after it is the procedure's
+//! own.
+//!
+//! The ring is the one part of the recorder that several threads write:
+//! every session in the process — each corpus lane, each service worker
+//! — records into the same ring, which is why it is striped and locked
+//! while a session's own state is not.
 //!
 //! ## Trace tagging
 //!
 //! The service tags every event recorded while handling a request with
-//! the request's trace key ([`set_trace`], a thread-local guard that
-//! [`crate::pool::par_map`] propagates into worker lanes), so
+//! the request's trace key ([`set_trace`], a thread-local guard: a
+//! request is analyzed on the worker thread that picked it up), so
 //! `/debug/flight` dumps can be filtered per request after the fact.
 //!
 //! ## Overhead budget
@@ -75,16 +80,11 @@ pub enum EventKind {
     TraceCapture,
     WorkerPanic,
     AdmissionShed,
-    /// Scheduler spawn/inline decision at one fan-out site
-    /// (`spawn:<site>` / `inline:<site>`, value = cost estimate).
-    /// Decisions are pure in (estimate, threshold), so these events are
-    /// jobs-deterministic.
-    Sched,
     Note,
 }
 
 impl EventKind {
-    pub const ALL: [EventKind; 16] = [
+    pub const ALL: [EventKind; 15] = [
         EventKind::Parse,
         EventKind::Driver,
         EventKind::Summarize,
@@ -99,7 +99,6 @@ impl EventKind {
         EventKind::TraceCapture,
         EventKind::WorkerPanic,
         EventKind::AdmissionShed,
-        EventKind::Sched,
         EventKind::Note,
     ];
 
@@ -119,7 +118,6 @@ impl EventKind {
             EventKind::TraceCapture => "trace-capture",
             EventKind::WorkerPanic => "worker-panic",
             EventKind::AdmissionShed => "admission-shed",
-            EventKind::Sched => "sched",
             EventKind::Note => "note",
         }
     }
@@ -460,29 +458,10 @@ pub fn note_lattice_op() {
     LATTICE_OPS.with(|c| c.set(c.get() + 1));
 }
 
-/// Drain this thread's pending lattice-op count (worker lanes hand it
-/// back to the spawning thread via [`adopt_lattice_ops`], mirroring
-/// `limit_stats` migration, so per-procedure totals stay
-/// jobs-deterministic).
-pub fn take_lattice_ops() -> u64 {
-    LATTICE_OPS.with(|c| {
-        let n = c.get();
-        c.set(0);
-        n
-    })
-}
-
-/// Fold a worker lane's drained lattice-op count into this thread.
-pub fn adopt_lattice_ops(n: u64) {
-    if n > 0 {
-        LATTICE_OPS.with(|c| c.set(c.get() + n));
-    }
-}
-
 /// Emit the per-procedure `lattice-batch` instant carrying the ops
-/// accumulated (and migrated) since the last flush, and reset.
+/// this thread counted since the last flush, and reset the count.
 pub fn flush_lattice_ops(label: &str) {
-    let ops = take_lattice_ops();
+    let ops = LATTICE_OPS.with(|c| c.replace(0));
     if enabled() {
         global().record(
             EventKind::LatticeBatch,
@@ -746,16 +725,6 @@ mod tests {
         assert_ne!(trace_key("abc"), trace_key("abd"));
     }
 
-    #[test]
-    fn lattice_op_migration_roundtrip() {
-        assert_eq!(take_lattice_ops(), 0);
-        note_lattice_op();
-        note_lattice_op();
-        adopt_lattice_ops(5);
-        assert_eq!(take_lattice_ops(), 7);
-        assert_eq!(take_lattice_ops(), 0);
-    }
-
     /// All assertions against the process-global recorder live in this
     /// one test: the enable gate and ring are shared, so concurrent
     /// flight tests would race a disable window.
@@ -776,6 +745,11 @@ mod tests {
             let mut s = span(EventKind::Request, "GET /x");
             s.set_value(200);
             instant(EventKind::AdmissionShed, "queue-full", 1);
+            // A flush carries this thread's count and resets it.
+            note_lattice_op();
+            note_lattice_op();
+            flush_lattice_ops("p");
+            flush_lattice_ops("q");
         }
         assert_eq!(current_trace(), 0);
         let mine: Vec<Event> = events_since(wm)
@@ -788,10 +762,13 @@ mod tests {
             vec![
                 (EventKind::Request, Phase::Begin),
                 (EventKind::AdmissionShed, Phase::Instant),
+                (EventKind::LatticeBatch, Phase::Instant),
+                (EventKind::LatticeBatch, Phase::Instant),
                 (EventKind::Request, Phase::End),
             ]
         );
-        assert_eq!(mine[2].value, 200);
+        assert_eq!((mine[2].value, mine[3].value), (2, 0));
+        assert_eq!(mine[4].value, 200);
         assert!(ring_json().contains("\"events\":["));
 
         // Disabled: nothing new lands in the ring for this trace.
@@ -806,7 +783,7 @@ mod tests {
             .into_iter()
             .filter(|e| e.trace == key)
             .collect();
-        assert_eq!(after.len(), 3);
+        assert_eq!(after.len(), 5);
         set_enabled(true);
     }
 }

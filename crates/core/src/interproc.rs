@@ -19,10 +19,11 @@ use std::collections::HashMap;
 ///
 /// `levels` partitions `order` into topological levels: every procedure
 /// in level `k` only calls procedures in levels `< k` (ignoring cycle
-/// back-edges, whose members get conservative summaries anyway), so all
-/// procedures of one level can be analyzed concurrently once the
-/// previous levels are done. The levels cover exactly the procedures of
-/// `order` (each appears in exactly one level).
+/// back-edges, whose members get conservative summaries anyway), so the
+/// driver visits the levels in order. Each level lists its procedures
+/// in ascending index, which makes (level, index) the visiting order.
+/// The levels cover exactly the procedures of `order` (each appears in
+/// exactly one level).
 pub struct CallOrder {
     pub order: Vec<usize>,
     pub recursive: Vec<usize>,
@@ -130,6 +131,9 @@ pub fn call_order(prog: &Program) -> CallOrder {
             levels.resize(lv + 1, Vec::new());
         }
         levels[lv].push(i);
+    }
+    for level in &mut levels {
+        level.sort_unstable();
     }
     CallOrder {
         order,

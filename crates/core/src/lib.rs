@@ -79,7 +79,6 @@ pub mod provenance;
 pub mod reduce;
 pub mod region;
 pub mod report;
-pub mod sched;
 pub mod session;
 pub(crate) mod shard;
 pub mod store;
@@ -102,7 +101,6 @@ pub use report::{
     AnalysisResult, LoopReport, Mechanisms, NotCandidateReason, Outcome, PrivArray, ReduceOp,
     Reduction,
 };
-pub use sched::{SchedSnapshot, DEFAULT_SPAWN_THRESHOLD};
 pub use session::{AnalysisSession, QueryStats, StatsSnapshot};
 pub use store::{
     IoFaultKind, IoFaultPlan, IoFaultSpec, RetryPolicy, Sleeper, Store, StoreConfig,

@@ -11,14 +11,15 @@
 //! ## Determinism
 //!
 //! Counter *names* and JSON field order are deterministic (`BTreeMap`).
-//! Counter *values* split into two classes: per-kind query totals
-//! (`query.<kind>.total`), `budget.steps`, interner sizes, and peak
-//! table entries are bit-identical for any `--jobs`; the hit/miss split
-//! (`memo.<kind>.hits`/`.misses`) and `fm.projections` are not, because
-//! two workers may benignly race to compute the same memo entry (both
-//! count a miss). Latency histograms are inherently timing-dependent.
-//! Tests that assert cross-jobs determinism must compare only the first
-//! class — [`MetricsRegistry::deterministic_counters`] selects it.
+//! Every counter *value* a session publishes is too: a session runs on
+//! one thread, so two runs of one program with the same options (and
+//! the same on-disk store state, for the `store.*` counters) publish
+//! identical snapshots. Latency histograms are inherently
+//! timing-dependent.
+//!
+//! The registry itself is shared between sessions — `padfa serve`
+//! hands one `Arc<MetricsRegistry>` to every worker — which is why its
+//! maps are behind a lock and its counters are atomics.
 
 use padfa_omega::sync::lock;
 use std::collections::BTreeMap;
@@ -218,31 +219,6 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// The jobs-deterministic counter subset: per-kind query totals and
-    /// structural sizes, excluding the racy hit/miss split,
-    /// `fm.projections`, `limit.overflows` (both only advance on memo
-    /// misses, which race benignly), every `store.*` counter (those
-    /// depend on on-disk state from *prior* runs — a warm cache shifts
-    /// hits/misses/puts without changing any analysis result — so they
-    /// can never be part of a cross-jobs determinism check), every
-    /// `tier.*` counter (which of two equal systems wins the intern
-    /// race decides whether its dense cache answers, so the dense /
-    /// general attribution — never the answer — varies with jobs), and
-    /// anything timing-derived (see module docs).
-    pub fn deterministic_counters(&self) -> BTreeMap<String, u64> {
-        self.counters_snapshot()
-            .into_iter()
-            .filter(|(k, _)| {
-                !k.ends_with(".hits")
-                    && !k.ends_with(".misses")
-                    && !k.starts_with("store.")
-                    && !k.starts_with("tier.")
-                    && k != "fm.projections"
-                    && k != "limit.overflows"
-            })
-            .collect()
-    }
-
     /// Serialize every counter and histogram to one JSON object.
     pub fn snapshot_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -308,22 +284,6 @@ mod tests {
         assert_eq!(h.quantile_ns(0.5), 3);
         assert!(h.quantile_ns(0.99) >= 1000);
         assert_eq!(Histogram::default().quantile_ns(0.5), 0);
-    }
-
-    #[test]
-    fn deterministic_subset_filters_racy_names() {
-        let reg = MetricsRegistry::new();
-        reg.counter("memo.subtract.hits").set(5);
-        reg.counter("memo.subtract.misses").set(2);
-        reg.counter("query.subtract.total").set(7);
-        reg.counter("fm.projections").set(3);
-        reg.counter("budget.steps").set(11);
-        reg.counter("store.puts").set(4);
-        reg.counter("store.quarantined").set(1);
-        let det = reg.deterministic_counters();
-        assert_eq!(det.len(), 2);
-        assert_eq!(det.get("query.subtract.total"), Some(&7));
-        assert_eq!(det.get("budget.steps"), Some(&11));
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub struct Options {
     /// Per-procedure work budget (steps / wall deadline) and the policy
     /// on exhaustion. Unlimited by default.
     pub budget: WorkBudget,
-    /// Granularity threshold for the task scheduler
-    /// ([`crate::sched`]): a fan-out whose cost estimate falls below
-    /// this many cost-model units runs inline instead of spawning.
-    /// `0` spawns everything, `u64::MAX` inlines everything; results
-    /// are byte-identical at any value.
-    pub spawn_threshold: u64,
 }
 
 impl Options {
@@ -64,7 +58,6 @@ impl Options {
             test_cost_budget: 16,
             limits: Limits::default(),
             budget: WorkBudget::UNLIMITED,
-            spawn_threshold: crate::sched::DEFAULT_SPAWN_THRESHOLD,
         }
     }
 
@@ -79,7 +72,6 @@ impl Options {
             test_cost_budget: 0,
             limits: Limits::default(),
             budget: WorkBudget::UNLIMITED,
-            spawn_threshold: crate::sched::DEFAULT_SPAWN_THRESHOLD,
         }
     }
 
@@ -94,21 +86,12 @@ impl Options {
             test_cost_budget: 0,
             limits: Limits::default(),
             budget: WorkBudget::UNLIMITED,
-            spawn_threshold: crate::sched::DEFAULT_SPAWN_THRESHOLD,
         }
     }
 
     /// Replace the work budget (builder style).
     pub fn with_budget(mut self, budget: WorkBudget) -> Options {
         self.budget = budget;
-        self
-    }
-
-    /// Replace the scheduler granularity threshold (builder style).
-    /// Affects only where work executes — never its result — so it is
-    /// excluded from the persistent store's options fingerprint.
-    pub fn with_spawn_threshold(mut self, threshold: u64) -> Options {
-        self.spawn_threshold = threshold;
         self
     }
 

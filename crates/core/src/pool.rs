@@ -1,211 +1,59 @@
-//! Intra-procedure fan-out: a scoped, self-scheduling parallel map with
-//! a session-wide worker-token pool.
+//! The one thread fan-out of the analysis stack: an ordered map over
+//! independent items, for drivers that run *several sessions* at once.
 //!
-//! The level-parallel driver only splits work across *procedures*, and
-//! 27 of the 30 corpus programs have exactly one — so `--jobs` bought
-//! nothing (or worse, pure interner contention) on most programs.
-//! [`par_map`] lets the analysis fan out the independent work *inside*
-//! a procedure: per-array dependence tests, per-array loop-summary
-//! subtractions, and per-statement block summaries.
+//! An [`crate::AnalysisSession`] belongs to one thread (it is neither
+//! `Send` nor `Sync`), so nothing inside a program's analysis is ever
+//! split across threads. What can run side by side is whole programs,
+//! each in a session of its own: `padfa corpus --jobs N` maps the
+//! corpus through [`par_map_jobs`], and `padfa serve --workers N` has
+//! its own worker pool. The lanes share nothing the analysis writes
+//! except what is shared between sessions anyway (the process-global
+//! `Var` table, an attached `Arc<Store>`, a metrics registry).
 //!
-//! ## Scheduling
-//!
-//! Tasks are claimed from a shared atomic cursor in chunks (a chunked
-//! task queue — the idle-steal half of a work-stealing deque without
-//! the per-worker deques, which buy nothing for flat task lists), so
-//! uneven task costs self-balance. The *number* of worker threads is
-//! bounded session-wide by [`WorkerTokens`]: `jobs - 1` tokens exist,
-//! nested `par_map` calls grab what's available and run inline when
-//! nothing is (grab-don't-wait, so nesting can never deadlock), and the
-//! caller always participates, so total running threads never exceed
-//! `--jobs`.
-//!
-//! ## Determinism
-//!
-//! Results are merged in item-index order, so callers see exactly the
-//! sequential order regardless of which thread computed what. Panics
-//! are caught per item and the lowest-index payload is re-raised after
-//! all tasks finish, matching sequential first-failure selection. Two
-//! thread-local accounting channels are preserved across the fan-out:
-//!
-//! * work-budget meters: when a finite budget is armed the map runs
-//!   inline ([`crate::budget::armed`]), keeping step counts and the
-//!   exhaustion point exactly as at `--jobs 1`;
-//! * `limit_stats` cap-hit attribution: each worker's thread-local
-//!   overflow delta is migrated back to the calling thread, so
-//!   per-loop deltas keep summing the same events.
+//! Results come back in item order, so a caller that folds them sees
+//! exactly what a sequential loop would have produced.
 
-use crate::{budget, flight, trace};
-use padfa_omega::limit_stats;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Session-wide pool of spawnable-worker tokens (`jobs - 1` of them:
-/// the calling thread is always the jobs-th lane).
-pub(crate) struct WorkerTokens {
-    pub(crate) avail: AtomicUsize,
-}
-
-impl WorkerTokens {
-    pub(crate) fn new(jobs: usize) -> WorkerTokens {
-        WorkerTokens {
-            avail: AtomicUsize::new(jobs.saturating_sub(1)),
-        }
-    }
-
-    /// Take up to `want` tokens without waiting; returns how many were
-    /// actually taken (possibly 0). Shared with the SCC-DAG executor
-    /// ([`crate::sched::run_dag`]), so procedure-level lanes and
-    /// intra-procedure fan-outs draw from one session-wide budget.
-    pub(crate) fn grab(&self, want: usize) -> usize {
-        let mut cur = self.avail.load(Ordering::Relaxed);
-        loop {
-            let take = cur.min(want);
-            if take == 0 {
-                return 0;
-            }
-            match self.avail.compare_exchange_weak(
-                cur,
-                cur - take,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return take,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    pub(crate) fn release(&self, n: usize) {
-        self.avail.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-type Claimed<R> = Vec<(usize, std::thread::Result<R>)>;
-
-/// Claim chunks of `[0, items.len())` from `cursor` until exhausted,
-/// running `f` on each index with per-item panic isolation.
-fn run_claims<T, R>(
-    items: &[T],
-    cursor: &AtomicUsize,
-    chunk: usize,
-    f: &(impl Fn(usize, &T) -> R + Sync),
-) -> Claimed<R> {
-    let mut out = Vec::new();
-    loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= items.len() {
-            return out;
-        }
-        let end = (start + chunk).min(items.len());
-        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-            out.push((i, catch_unwind(AssertUnwindSafe(|| f(i, item)))));
-        }
-    }
-}
-
-/// Map `f` over `items` in parallel on up to `jobs` lanes, returning
-/// results in item order. Runs inline when the list is trivial, a
-/// budget meter is armed, or no worker tokens are available; see the
-/// module docs for the determinism contract.
-pub(crate) fn par_map<T, R, F>(tokens: &WorkerTokens, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if items.len() < 2 || budget::armed() {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let workers = tokens.grab(items.len() - 1);
-    if workers == 0 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    // Small chunks self-balance uneven task costs; ~4 claims per lane
-    // keeps cursor traffic negligible.
-    let chunk = items.len().div_ceil((workers + 1) * 4).max(1);
-    let cursor = AtomicUsize::new(0);
-    let f_ref = &f;
-    // Worker lanes inherit the caller's flight trace tag (so events
-    // they record stay attributable to the request being served) and
-    // hand their lattice-op deltas back, keeping per-procedure flight
-    // totals jobs-deterministic — the same migration `limit_stats`
-    // does for cap-hit attribution.
-    let parent_trace = flight::current_trace();
-    let (claimed, migrated, flight_ops) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let _tag = flight::set_trace(parent_trace);
-                    let got = run_claims(items, &cursor, chunk, f_ref);
-                    trace::flush_lattice_batch();
-                    (
-                        got,
-                        limit_stats::thread_overflows(),
-                        flight::take_lattice_ops(),
-                    )
-                })
-            })
-            .collect();
-        let mut all = run_claims(items, &cursor, chunk, f_ref);
-        let mut migrated = 0u64;
-        let mut flight_ops = 0u64;
-        for h in handles {
-            // Per-item panics were caught inside the task, so a join
-            // error could only come from the scaffold itself; its items
-            // are recomputed inline by the merge below.
-            if let Ok((got, delta, ops)) = h.join() {
-                all.extend(got);
-                migrated += delta;
-                flight_ops += ops;
-            }
-        }
-        (all, migrated, flight_ops)
-    });
-    tokens.release(workers);
-    limit_stats::adopt_thread_overflows(migrated);
-    flight::adopt_lattice_ops(flight_ops);
-
-    // Ordered merge: re-raise the lowest-index panic (sequential
-    // first-failure selection), otherwise hand back results in order.
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    for (i, res) in claimed {
-        match res {
-            Ok(r) => slots[i] = Some(r),
-            Err(payload) => {
-                if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_panic = Some((i, payload));
-                }
-            }
-        }
-    }
-    if let Some((_, payload)) = first_panic {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            // Every index is claimed exactly once, so the slot is
-            // always filled; the inline fallback keeps this total
-            // without a panic path (and covers a lost join above).
-            s.unwrap_or_else(|| f(i, &items[i]))
-        })
-        .collect()
-}
-
-/// Program-level fan-out for external drivers (the corpus runner): map
-/// `f` over `items` on up to `jobs` lanes with a one-shot token pool,
-/// returning results in item order with the same determinism contract
-/// as [`par_map`].
+/// Map `f` over `items` on up to `jobs` threads (the caller is one of
+/// them), returning results in item order. Items are claimed one at a
+/// time from a shared cursor, so uneven costs balance themselves. One
+/// job, or a list of fewer than two items, runs inline on the caller.
+/// A panic in `f` is re-raised on the caller once the lanes have
+/// stopped; callers that must survive one catch it inside `f`.
 pub fn par_map_jobs<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map(&WorkerTokens::new(jobs), items, f)
+    let lanes = jobs.min(items.len());
+    if lanes < 2 {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let lane = || {
+        let mut got = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return got };
+            got.push((i, f(i, item)));
+        }
+    };
+    let mut all = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+        let mut all = lane();
+        for handle in spawned {
+            match handle.join() {
+                Ok(got) => all.extend(got),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        all
+    });
+    all.sort_unstable_by_key(|&(i, _)| i);
+    all.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -214,55 +62,22 @@ mod tests {
 
     #[test]
     fn results_are_in_item_order() {
-        let tokens = WorkerTokens::new(4);
         let items: Vec<usize> = (0..100).collect();
-        let got = par_map(&tokens, &items, |i, &x| {
+        let got = par_map_jobs(4, &items, |i, &x| {
             assert_eq!(i, x);
             x * 2
         });
         assert_eq!(got, (0..200).step_by(2).collect::<Vec<_>>());
-        // Tokens were returned.
-        assert_eq!(tokens.avail.load(Ordering::Relaxed), 3);
     }
 
     #[test]
-    fn zero_tokens_runs_inline() {
-        let tokens = WorkerTokens::new(1);
+    fn one_job_runs_inline() {
+        let caller = std::thread::current().id();
         let items = [10, 20, 30];
-        let got = par_map(&tokens, &items, |_, &x| x + 1);
-        assert_eq!(got, vec![11, 21, 31]);
-    }
-
-    #[test]
-    fn lowest_index_panic_wins() {
-        let tokens = WorkerTokens::new(4);
-        let items: Vec<usize> = (0..64).collect();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map(&tokens, &items, |i, _| {
-                if i == 7 || i == 41 {
-                    std::panic::panic_any(format!("boom-{i}"));
-                }
-                i
-            })
-        }));
-        let payload = caught.expect_err("must propagate panic");
-        let msg = payload.downcast_ref::<String>().expect("string payload");
-        assert_eq!(msg, "boom-7");
-        assert_eq!(tokens.avail.load(Ordering::Relaxed), 3, "tokens leaked");
-    }
-
-    #[test]
-    fn nested_par_map_does_not_deadlock() {
-        let tokens = WorkerTokens::new(3);
-        let outer: Vec<usize> = (0..8).collect();
-        let got = par_map(&tokens, &outer, |_, &o| {
-            let inner: Vec<usize> = (0..8).collect();
-            par_map(&tokens, &inner, |_, &i| o * 100 + i)
-                .into_iter()
-                .sum::<usize>()
+        let got = par_map_jobs(1, &items, |_, &x| {
+            assert_eq!(std::thread::current().id(), caller);
+            x + 1
         });
-        let want: Vec<usize> = (0..8).map(|o| o * 800 + 28).collect();
-        assert_eq!(got, want);
-        assert_eq!(tokens.avail.load(Ordering::Relaxed), 2);
+        assert_eq!(got, vec![11, 21, 31]);
     }
 }

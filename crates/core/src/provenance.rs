@@ -21,8 +21,8 @@
 //! The tree is deterministic: array evidence follows the summary's
 //! `BTreeMap` order, pair evidence follows the fixed piece iteration
 //! order of the dependence test, and the cap-hit counters are deltas of
-//! thread-local counters (each procedure is analyzed by exactly one
-//! worker). `padfa explain` renders it via [`render_text`] /
+//! thread-local counters (a session runs on exactly one thread).
+//! `padfa explain` renders it via [`render_text`] /
 //! [`loop_json`].
 
 use crate::report::{LoopReport, Mechanisms, Outcome};

@@ -10,36 +10,45 @@
 //! an [`AnalysisSession`] interns operands into `Arc` handles with
 //! stable `u32` ids and memoizes each query on those ids.
 //!
-//! The interners and memo tables are lock-striped ([`crate::shard`]):
-//! the hot `sys_empty` path is ~90% of all queries, and with one global
-//! mutex per table every worker serialized on it.
+//! ## One session, one thread
+//!
+//! A session is created, used and dropped by a single thread: it is
+//! neither `Send` nor `Sync`, and its tables and counters are plain
+//! `RefCell` / `Cell` state ([`crate::shard`]). Nothing inside one
+//! program's analysis runs on a second thread. Parallelism lives
+//! *between* sessions — `padfa corpus --jobs N` analyzes N programs at
+//! a time ([`crate::par_map_jobs`]) and `padfa serve --workers N`
+//! serves N requests at a time, each in a session of its own — and the
+//! only state those sessions share is built for it: the process-global
+//! `Var` table, an attached `Arc<Store>`, a metrics registry.
+//!
+//! The thread-local meters the analysis reads (`limit_stats` cap-hits,
+//! the work-budget meter, the flight recorder's lattice-op count) are
+//! therefore exact per session: whatever a session's thread counted
+//! between two reads, that session caused.
 //!
 //! ## Determinism
 //!
-//! The session is shared (`&AnalysisSession` is `Sync`) across the
-//! worker threads of the parallel driver — both the per-procedure
-//! level driver and the intra-procedure fan-out
-//! ([`crate::pool::par_map`]). Three properties keep the analysis
-//! output bit-identical regardless of worker count:
+//! Two runs of one program produce the same bytes, whatever else the
+//! process is doing on other threads:
 //!
-//! 1. Memo keys are *structural*: a cached result is only returned for
-//!    operands equal (including constraint order) to those of the
-//!    original computation, and the operations are deterministic pure
-//!    functions — so a cache hit returns exactly what a fresh
-//!    computation would. (Interned ids are schedule-dependent, but they
-//!    never reach the output: they only key memo entries.)
-//! 2. `Var` ordering is intern-index order and seeps into constraint
-//!    sorting and Fourier–Motzkin tie-breaks. [`pre_intern`] interns
-//!    every synthetic name the analysis can create (dimension variables,
-//!    step-lattice counters, `$prev.*`, primed copies) in a
-//!    single-threaded pass over the program *before* workers start, so
-//!    concurrent first-interning can never reorder them.
+//! 1. The walk is sequential, memo keys are *structural*, and the
+//!    operations are deterministic pure functions — so a cache hit
+//!    returns exactly what a fresh computation would, and every counter
+//!    a session publishes repeats exactly. (Interned ids only key memo
+//!    entries; they never reach the output.)
+//! 2. `Var` ordering is intern-index order in a process-global table
+//!    and seeps into constraint sorting and Fourier–Motzkin tie-breaks.
+//!    [`pre_intern`] interns every synthetic name the analysis of a
+//!    program can create (dimension variables, step-lattice counters,
+//!    `$prev.*`, primed copies) in one pass over the program before the
+//!    walk starts, so their relative order is program order — not the
+//!    order in which the walk, or a session on another thread, happens
+//!    to ask for them first.
 //! 3. Lattice existentials (`$lat.*`) are drawn from a per-procedure
-//!    counter ([`lat_var`]) instead of a global fresh counter. Only
-//!    strided loops ever request them, and the driver disables
-//!    statement- and summary-level fan-out inside procedures containing
-//!    a strided loop, so the k-th request in a procedure always comes
-//!    from the same (single) thread in the same order.
+//!    counter ([`lat_var`]) instead of a global fresh counter, and the
+//!    first 256 names of every strided procedure are part of the
+//!    pre-interning pass.
 //!
 //! [`pre_intern`]: AnalysisSession::pre_intern
 //! [`lat_var`]: AnalysisSession::lat_var
@@ -47,17 +56,16 @@
 use crate::budget;
 use crate::metrics::{Histogram, MetricsRegistry, QueryKind};
 use crate::options::Options;
-use crate::pool::WorkerTokens;
 use crate::shard::{Interner, Memo};
 use crate::store::{self, Store, StoreStatsSnapshot};
 use crate::trace;
 use padfa_ir::ast::{Block, ParamTy, Procedure, Program, Stmt};
-use padfa_omega::sync::lock;
-use padfa_omega::{dense, Disjunction, Limits, System, Tier, Var};
+use padfa_omega::{dense, limit_stats, Disjunction, Limits, System, Tier, Var};
 use padfa_pred::Pred;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::marker::PhantomData;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Pre-interned `$lat.<proc>.<k>` names per strided procedure; requests
@@ -139,15 +147,12 @@ pub struct StatsSnapshot {
     /// conservative summary after budget exhaustion.
     pub degraded_procs: u64,
     /// `Limits` overflow events (capped eliminations / disjunct-cap
-    /// fallbacks) observed during this session, from the process-wide
-    /// counter ([`padfa_omega::limit_stats`]). Approximate when several
-    /// sessions run concurrently in one process.
+    /// fallbacks) this session caused: the delta of its thread's
+    /// [`padfa_omega::limit_stats`] counter since the session was
+    /// created. Exact however many other sessions run concurrently.
     pub limit_overflows: u64,
     /// Persistent-store counters (`None` when no store is attached).
     pub store: Option<StoreStatsSnapshot>,
-    /// Task-scheduler decisions (spawn vs inline per fan-out site) and
-    /// the estimate-vs-actual cost correlation.
-    pub sched: crate::sched::SchedSnapshot,
 }
 
 impl StatsSnapshot {
@@ -246,32 +251,6 @@ impl std::fmt::Display for StatsSnapshot {
             "  fm-projections run: {}; peak table: {} entries",
             self.fm_projections, self.peak_table_entries
         )?;
-        if self.sched.decisions() > 0 {
-            let per_site = crate::sched::Site::ALL
-                .iter()
-                .map(|&s| {
-                    format!(
-                        "{} {}/{}",
-                        s.name(),
-                        self.sched.spawned[s as usize],
-                        self.sched.inlined[s as usize]
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
-            write!(
-                f,
-                "  sched: {} spawned / {} inlined (threshold {}; {})",
-                self.sched.spawned_total(),
-                self.sched.inlined_total(),
-                self.sched.threshold,
-                per_site,
-            )?;
-            if let Some(r) = self.sched.est_corr {
-                write!(f, " est-corr {r:.2}")?;
-            }
-            writeln!(f)?;
-        }
         write!(f, "  limit overflows: {}", self.limit_overflows)?;
         if self.budget_steps > 0 {
             write!(
@@ -310,16 +289,33 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
-/// Shared state for one analysis run: options, hash-consing interners,
-/// memo tables, per-procedure `$lat` pools, and statistics. Interior
-/// mutability throughout, so `&AnalysisSession` crosses thread
-/// boundaries in the parallel driver.
+/// State for one analysis run: options, hash-consing interners, memo
+/// tables, per-procedure `$lat` pools, and statistics. Owned by one
+/// thread (see the module docs); the interior mutability is there
+/// because the analysis passes `&AnalysisSession` around, not because
+/// anything is shared.
+///
+/// The compiler holds the line. These bounds are met by the options
+/// a session is built from —
+///
+/// ```
+/// fn crosses_threads<T: Send + Sync>() {}
+/// crosses_threads::<padfa_core::Options>();
+/// ```
+///
+/// — and by the session neither of them:
+///
+/// ```compile_fail,E0277
+/// fn shared_between_threads<T: Sync>() {}
+/// shared_between_threads::<padfa_core::AnalysisSession>();
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn moved_to_another_thread<T: Send>() {}
+/// moved_to_another_thread::<padfa_core::AnalysisSession>();
+/// ```
 pub struct AnalysisSession {
     pub opts: Options,
-    jobs: usize,
-    /// Spawnable-worker tokens for the intra-procedure fan-out
-    /// ([`crate::pool::par_map`]); `jobs - 1` exist session-wide.
-    tokens: WorkerTokens,
     systems: Interner<System>,
     regions: Interner<Disjunction>,
     preds: Interner<Pred>,
@@ -335,17 +331,17 @@ pub struct AnalysisSession {
     /// `tier_general`. Bumped once per query *call* — memo hits replay
     /// the stored tier — so the split weights recurring queries the way
     /// the workload does.
-    tier_dense: [AtomicU64; 7],
-    tier_general: [AtomicU64; 7],
-    fm_projections: AtomicU64,
-    lat_overflow: AtomicU64,
-    lat_pools: Mutex<HashMap<String, u32>>,
-    budget_steps: AtomicU64,
-    peak_disjuncts: AtomicUsize,
-    peak_constraints: AtomicUsize,
-    degraded_procs: AtomicU64,
-    /// `limit_stats` baseline at session creation: `stats()` reports the
-    /// difference.
+    tier_dense: [Cell<u64>; 7],
+    tier_general: [Cell<u64>; 7],
+    fm_projections: Cell<u64>,
+    lat_overflow: Cell<u64>,
+    lat_pools: RefCell<HashMap<String, u32>>,
+    budget_steps: Cell<u64>,
+    peak_disjuncts: Cell<usize>,
+    peak_constraints: Cell<usize>,
+    degraded_procs: Cell<u64>,
+    /// This thread's `limit_stats` count at session creation: `stats()`
+    /// reports the difference.
     overflow_baseline: u64,
     /// Optional metrics sink: per-query latency histograms sampled on
     /// the hot path, plus the registry the final snapshot is published
@@ -354,9 +350,9 @@ pub struct AnalysisSession {
     /// Optional persistent store of procedure summaries, consulted by
     /// the interprocedural driver once per procedure.
     store: Option<SessionStore>,
-    /// Cost-model task scheduler arbitrating the four fan-out sites
-    /// (see [`crate::sched`]).
-    sched: crate::sched::Scheduler,
+    /// Pins the session to the thread that made it: its baselines and
+    /// meters are that thread's thread-locals.
+    _one_thread: PhantomData<*const ()>,
 }
 
 /// A persistent store attached to this session, with the session's
@@ -384,11 +380,8 @@ impl AnalysisSession {
                 1,
             );
         }
-        let sched = crate::sched::Scheduler::new(opts.spawn_threshold);
         AnalysisSession {
             opts,
-            jobs: 1,
-            tokens: WorkerTokens::new(1),
             systems: Interner::new(),
             regions: Interner::new(),
             preds: Interner::new(),
@@ -399,19 +392,19 @@ impl AnalysisSession {
             m_union: Memo::new(),
             m_project: Memo::new(),
             m_implies: Memo::new(),
-            tier_dense: std::array::from_fn(|_| AtomicU64::new(0)),
-            tier_general: std::array::from_fn(|_| AtomicU64::new(0)),
-            fm_projections: AtomicU64::new(0),
-            lat_overflow: AtomicU64::new(0),
-            lat_pools: Mutex::new(HashMap::new()),
-            budget_steps: AtomicU64::new(0),
-            peak_disjuncts: AtomicUsize::new(0),
-            peak_constraints: AtomicUsize::new(0),
-            degraded_procs: AtomicU64::new(0),
-            overflow_baseline: padfa_omega::limit_stats::overflows(),
+            tier_dense: Default::default(),
+            tier_general: Default::default(),
+            fm_projections: Cell::new(0),
+            lat_overflow: Cell::new(0),
+            lat_pools: RefCell::new(HashMap::new()),
+            budget_steps: Cell::new(0),
+            peak_disjuncts: Cell::new(0),
+            peak_constraints: Cell::new(0),
+            degraded_procs: Cell::new(0),
+            overflow_baseline: limit_stats::thread_overflows(),
             metrics: None,
             store: None,
-            sched,
+            _one_thread: PhantomData,
         }
     }
 
@@ -446,39 +439,10 @@ impl AnalysisSession {
     /// Credit one answered query to its tier's counter.
     #[inline]
     fn note_tier(&self, kind: QueryKind, tier: Tier) {
-        match tier {
+        bump(match tier {
             Tier::Dense => &self.tier_dense[kind as usize],
             Tier::General => &self.tier_general[kind as usize],
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of worker threads for the parallel driver (across
-    /// procedures *and*, via the shared token pool, within them).
-    ///
-    /// The spawnable-worker pool is additionally clamped to the host's
-    /// physical parallelism: oversubscribing cores cannot speed up a
-    /// CPU-bound analysis and measurably slows it (thread spawns and
-    /// scheduler churn), so `--jobs 4` on a single-core host runs the
-    /// inline path. Output is bit-identical either way.
-    pub fn with_jobs(mut self, jobs: usize) -> AnalysisSession {
-        self.jobs = jobs.max(1);
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        self.tokens = WorkerTokens::new(self.jobs.min(cores));
-        self
-    }
-
-    /// The session's worker-token pool (for [`crate::pool::par_map`]).
-    pub(crate) fn tokens(&self) -> &WorkerTokens {
-        &self.tokens
-    }
-
-    /// The session's task scheduler (spawn/inline decisions at the
-    /// four fan-out sites).
-    pub(crate) fn sched(&self) -> &crate::sched::Scheduler {
-        &self.sched
+        });
     }
 
     /// Attach a metrics registry: every lattice query records a latency
@@ -508,10 +472,6 @@ impl AnalysisSession {
         if let (Some(m), Some(t0)) = (self.metrics.as_ref(), t0) {
             m.latency[kind as usize].record_ns(t0.elapsed().as_nanos() as u64);
         }
-    }
-
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     pub fn limits(&self) -> Limits {
@@ -651,7 +611,7 @@ impl AnalysisSession {
         let limits = self.limits();
         let (ad, id) = self.regions.intern(d);
         let r = self.m_project.get_or((id, vars.to_vec()), || {
-            self.fm_projections.fetch_add(1, Ordering::Relaxed);
+            bump(&self.fm_projections);
             self.intern_region(ad.project_out(vars, limits))
         });
         self.note_tier(QueryKind::Project, Tier::General);
@@ -688,41 +648,41 @@ impl AnalysisSession {
     /// Count one Fourier–Motzkin projection run outside the memoized
     /// path (system-level projections in extraction and reshape).
     pub fn note_fm_projection(&self) {
-        self.fm_projections.fetch_add(1, Ordering::Relaxed);
+        bump(&self.fm_projections);
     }
 
     /// The next deterministic lattice-existential name for `proc`
-    /// (`$lat.<proc>.<k>`). Each procedure is analyzed by one worker, so
-    /// the per-procedure counter is deterministic; names inside the
-    /// pre-interned pool were interned before workers started.
+    /// (`$lat.<proc>.<k>`): the k-th request in a procedure's walk
+    /// always gets the k-th name, and names inside the pre-interned
+    /// pool were interned before the walk started.
     pub fn lat_var(&self, proc: &str) -> Var {
         let k = {
-            let mut pools = lock(&self.lat_pools);
+            let mut pools = self.lat_pools.borrow_mut();
             let c = pools.entry(proc.to_string()).or_insert(0);
             let k = *c;
             *c += 1;
             k
         };
         if k >= LAT_POOL {
-            self.lat_overflow.fetch_add(1, Ordering::Relaxed);
+            bump(&self.lat_overflow);
         }
         Var::new(&format!("$lat.{proc}.{k}"))
     }
 
     /// How many `$lat` requests for `proc` have fallen beyond the
-    /// pre-interned pool so far. Each procedure is analyzed by exactly
-    /// one worker, so deltas of this value around a loop's
-    /// classification attribute overflows to that loop exactly.
+    /// pre-interned pool so far; deltas of this value around a loop's
+    /// classification attribute overflows to that loop.
     pub(crate) fn lat_overflow_for(&self, proc: &str) -> u64 {
-        lock(&self.lat_pools)
+        self.lat_pools
+            .borrow()
             .get(proc)
             .map_or(0, |&used| u64::from(used.saturating_sub(LAT_POOL)))
     }
 
     /// Deterministic pre-interning prepass: intern every synthetic
     /// variable name the analysis of `prog` can create, in program
-    /// order, before any worker thread runs. See the module docs for why
-    /// this is required for bit-deterministic parallel output.
+    /// order, before the walk starts. See the module docs for why this
+    /// is required for bit-deterministic output.
     pub fn pre_intern(&self, prog: &Program) {
         for proc in &prog.procedures {
             // Dimension variables for every visible array.
@@ -752,16 +712,16 @@ impl AnalysisSession {
     /// Fold one procedure's budget-meter report into the session
     /// counters (called by the driver after each procedure).
     pub(crate) fn note_proc_meter(&self, m: &budget::MeterReport) {
-        self.budget_steps.fetch_add(m.steps, Ordering::Relaxed);
+        self.budget_steps.set(self.budget_steps.get() + m.steps);
         self.peak_disjuncts
-            .fetch_max(m.peak_disjuncts, Ordering::Relaxed);
+            .set(self.peak_disjuncts.get().max(m.peak_disjuncts));
         self.peak_constraints
-            .fetch_max(m.peak_constraints, Ordering::Relaxed);
+            .set(self.peak_constraints.get().max(m.peak_constraints));
     }
 
     /// Record one budget-degraded procedure.
     pub(crate) fn note_degraded(&self) {
-        self.degraded_procs.fetch_add(1, Ordering::Relaxed);
+        bump(&self.degraded_procs);
     }
 
     /// Snapshot the counters.
@@ -779,8 +739,8 @@ impl AnalysisSession {
         .max()
         .unwrap_or(0);
         let tiered = |q: QueryStats, kind: QueryKind| QueryStats {
-            dense: self.tier_dense[kind as usize].load(Ordering::Relaxed),
-            general: self.tier_general[kind as usize].load(Ordering::Relaxed),
+            dense: self.tier_dense[kind as usize].get(),
+            general: self.tier_general[kind as usize].get(),
             ..q
         };
         StatsSnapshot {
@@ -795,24 +755,21 @@ impl AnalysisSession {
             interned_regions: self.regions.len(),
             interned_preds: self.preds.len(),
             peak_table_entries: peak,
-            fm_projections: self.fm_projections.load(Ordering::Relaxed),
-            lat_overflow: self.lat_overflow.load(Ordering::Relaxed),
-            budget_steps: self.budget_steps.load(Ordering::Relaxed),
-            peak_disjuncts: self.peak_disjuncts.load(Ordering::Relaxed),
-            peak_constraints: self.peak_constraints.load(Ordering::Relaxed),
-            degraded_procs: self.degraded_procs.load(Ordering::Relaxed),
-            limit_overflows: padfa_omega::limit_stats::overflows()
-                .saturating_sub(self.overflow_baseline),
+            fm_projections: self.fm_projections.get(),
+            lat_overflow: self.lat_overflow.get(),
+            budget_steps: self.budget_steps.get(),
+            peak_disjuncts: self.peak_disjuncts.get(),
+            peak_constraints: self.peak_constraints.get(),
+            degraded_procs: self.degraded_procs.get(),
+            limit_overflows: limit_stats::thread_overflows() - self.overflow_baseline,
             store: self.store.as_ref().map(|s| s.store.stats()),
-            sched: self.sched.snapshot(),
         }
     }
 
     /// Fold the final [`StatsSnapshot`] into the attached metrics
     /// registry (no-op without one). Counter names follow
-    /// `memo.<kind>.hits|misses`, `query.<kind>.total`, plus structural
-    /// and budget counters; see [`crate::metrics`] for which of them are
-    /// jobs-deterministic.
+    /// `memo.<kind>.hits|misses`, `query.<kind>.total`,
+    /// `tier.<kind>.dense|general`, plus structural and budget counters.
     pub fn publish_metrics(&self) {
         let Some(m) = &self.metrics else { return };
         let st = self.stats();
@@ -832,9 +789,6 @@ impl AnalysisSession {
                 .set(q.misses);
             reg.counter(&format!("query.{}.total", k.name()))
                 .set(q.total());
-            // `tier.*` counters are jobs-racy (which of two equal
-            // systems wins the intern race decides whose dense cache
-            // answers), so `deterministic_counters` filters the prefix.
             reg.counter(&format!("tier.{}.dense", k.name()))
                 .set(q.dense);
             reg.counter(&format!("tier.{}.general", k.name()))
@@ -855,16 +809,6 @@ impl AnalysisSession {
         reg.counter("degraded.procs").set(st.degraded_procs);
         reg.counter("lat.overflow").set(st.lat_overflow);
         reg.counter("limit.overflows").set(st.limit_overflows);
-        // Spawn/inline decisions are pure in (estimate, threshold), so
-        // these counters are jobs-deterministic. The estimate-vs-actual
-        // correlation is timing-derived and intentionally *not*
-        // published as a counter.
-        for s in crate::sched::Site::ALL {
-            reg.counter(&format!("sched.spawned.{}", s.name()))
-                .set(st.sched.spawned[s as usize]);
-            reg.counter(&format!("sched.inlined.{}", s.name()))
-                .set(st.sched.inlined[s as usize]);
-        }
         if let Some(s) = &st.store {
             reg.counter("store.hits").set(s.hits);
             reg.counter("store.misses").set(s.misses);
@@ -879,6 +823,12 @@ impl AnalysisSession {
                 .set(u64::from(s.writes_degraded));
         }
     }
+}
+
+/// Add one to a session counter.
+#[inline]
+fn bump(c: &Cell<u64>) {
+    c.set(c.get() + 1);
 }
 
 /// Walk a block interning the per-loop synthetic names `handle_loop` and
@@ -979,7 +929,7 @@ mod tests {
         // (`--nocapture` prints it): the corpus and 240 generated
         // programs, under all three variants. The histogram is over
         // what the sessions interned; the spill count also sees every
-        // transient expression (jobs = 1: all on this thread).
+        // transient expression (the analysis runs on this thread).
         use padfa_ir::testgen::{random_program, GenConfig};
         use padfa_omega::linexpr::spills;
         let variants = || [Options::base(), Options::guarded(), Options::predicated()];

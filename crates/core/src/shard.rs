@@ -1,45 +1,34 @@
-//! Lock-striped hash tables for the analysis session.
+//! The session's hash tables: a hash-consing [`Interner`] and a
+//! [`Memo`] table, each owned by one [`crate::AnalysisSession`] and so
+//! by one thread.
 //!
-//! The session's interners and memo tables are shared by every worker
-//! thread; with a single `Mutex<HashMap>` per table, the hot
-//! `sys_empty` path (90%+ of all lattice queries) serializes on one
-//! lock and `--jobs 2` can be *slower* than `--jobs 1`. Each table is
-//! therefore split into [`SHARDS`] independently locked shards selected
-//! by key hash, with per-shard hit/miss atomics that are summed at
-//! snapshot time.
+//! A session is never shared between threads (see the `session` module
+//! docs), so the tables are plain maps behind a `RefCell`, with `Cell`
+//! counters — no locks, no atomics. The `RefCell` is only there because
+//! the session hands out `&self`; no borrow is ever held across a call
+//! back into the session ([`Memo::get_or`] looks up, lets go, computes,
+//! then inserts).
 //!
 //! Hashing uses a fixed-seed Fx-style multiply-xor hasher: far cheaper
 //! than SipHash on the small structural keys interned here (ids,
-//! id-pairs, constraint vectors), and deterministic within a process —
-//! which the shard *selection* doesn't need, but costs nothing. An
-//! interned value is hashed once, on the way in: the interner's tables
-//! are keyed by that hash, so the same word picks the shard, finds the
-//! bucket, and survives table growth without the value being walked
-//! again.
+//! id-pairs, constraint vectors), and deterministic within a process.
+//! An interned value is hashed once, on the way in: the interner's
+//! table is keyed by that hash, so the same word finds the bucket and
+//! survives table growth without the value being walked again.
 //!
-//! ## Determinism
-//!
-//! Interner ids number values per shard (`id = local_len * SHARDS +
-//! shard`), so ids depend on arrival order exactly as they did with one
-//! global table. Ids never reach the output: they only key memo
-//! entries, and every memoized operation is a pure function of the
-//! *values* behind the ids, so a cache hit returns exactly what a fresh
-//! computation would regardless of numbering.
+//! Interner ids are dense and number values in arrival order. They
+//! never reach the output: they only key memo entries, and every
+//! memoized operation is a pure function of the *values* behind the
+//! ids, so a cache hit returns exactly what a fresh computation would.
 
-use padfa_omega::sync::lock;
 use std::borrow::Borrow;
+use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::session::QueryStats;
-
-/// Shard count; a power of two so selection is a mask. 16 shards keeps
-/// contention negligible at any plausible `--jobs` while the per-table
-/// footprint (16 mutexes + maps) stays small.
-pub(crate) const SHARDS: usize = 16;
 
 /// Fx-style multiply-xor hasher with a fixed seed (the well-known
 /// `0x51_7c_c1_b7_27_22_0a_95` odd constant). Not DoS-resistant, which
@@ -112,19 +101,11 @@ fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
-/// Shard index for a hash: take the *high* bits, which the final
-/// multiply mixes best, so shard choice and in-map bucket choice (low
-/// bits) stay decorrelated.
-#[inline]
-fn shard_of(hash: u64) -> usize {
-    (hash >> (64 - 4)) as usize & (SHARDS - 1)
-}
-
-/// One interner shard. Values are filed under their own hash, computed
-/// once on the way in: the table's keys are those 64-bit words, so
-/// growing it moves words instead of re-walking every stored constraint
-/// list to hash it again.
-struct InternShard<T> {
+/// The interner's table. Values are filed under their own hash,
+/// computed once on the way in: the table's keys are those 64-bit
+/// words, so growing it moves words instead of re-walking every stored
+/// constraint list to hash it again.
+struct InternTable<T> {
     /// hash → the first value interned under it, and that value's id.
     by_hash: HashMap<u64, (Arc<T>, u32), FxBuild>,
     /// Values whose hash was already taken by a different value. A full
@@ -133,7 +114,7 @@ struct InternShard<T> {
     collided: Vec<(u64, Arc<T>, u32)>,
 }
 
-impl<T: Eq> InternShard<T> {
+impl<T: Eq> InternTable<T> {
     fn len(&self) -> usize {
         self.by_hash.len() + self.collided.len()
     }
@@ -160,19 +141,17 @@ impl<T: Eq> InternShard<T> {
 }
 
 /// A hash-consing interner: equal values share one `Arc` and one id.
-/// Lock-striped; ids are unique across shards but *not* dense.
+/// Ids are dense, in arrival order.
 pub(crate) struct Interner<T> {
-    shards: [Mutex<InternShard<T>>; SHARDS],
+    table: RefCell<InternTable<T>>,
 }
 
 impl<T: Eq + Hash> Interner<T> {
     pub(crate) fn new() -> Interner<T> {
         Interner {
-            shards: std::array::from_fn(|_| {
-                Mutex::new(InternShard {
-                    by_hash: HashMap::default(),
-                    collided: Vec::new(),
-                })
+            table: RefCell::new(InternTable {
+                by_hash: HashMap::default(),
+                collided: Vec::new(),
             }),
         }
     }
@@ -198,84 +177,69 @@ impl<T: Eq + Hash> Interner<T> {
         into_arc: impl FnOnce(Q) -> Arc<T>,
     ) -> (Arc<T>, u32) {
         let hash = fx_hash(value.borrow());
-        let shard = shard_of(hash);
-        let mut m = lock(&self.shards[shard]);
-        if let Some((k, id)) = m.find(hash, value.borrow()) {
+        let mut t = self.table.borrow_mut();
+        if let Some((k, id)) = t.find(hash, value.borrow()) {
             return (Arc::clone(k), id);
         }
-        let id = (m.len() * SHARDS + shard) as u32;
+        let id = t.len() as u32;
         let arc = into_arc(value);
-        m.insert(hash, Arc::clone(&arc), id);
+        t.insert(hash, Arc::clone(&arc), id);
         (arc, id)
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).len()).sum()
+        self.table.borrow().len()
     }
 
     /// Visit every interned value (order unspecified).
     #[cfg(test)]
     pub(crate) fn for_each(&self, mut f: impl FnMut(&T)) {
-        for s in &self.shards {
-            let s = lock(s);
-            s.by_hash.values().for_each(|(v, _)| f(v));
-            s.collided.iter().for_each(|(_, v, _)| f(v));
-        }
+        let t = self.table.borrow();
+        t.by_hash.values().for_each(|(v, _)| f(v));
+        t.collided.iter().for_each(|(_, v, _)| f(v));
     }
 }
 
-/// One shard of a memo table, with its own hit/miss counters so stat
-/// updates don't share a cache line across shards.
-struct MemoShard<K, V> {
-    map: Mutex<HashMap<K, V, FxBuild>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// A lock-striped memo table over interned-id keys.
+/// A memo table over interned-id keys, with its hit/miss counters.
 pub(crate) struct Memo<K, V> {
-    shards: [MemoShard<K, V>; SHARDS],
+    map: RefCell<HashMap<K, V, FxBuild>>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
 }
 
 impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     pub(crate) fn new() -> Memo<K, V> {
         Memo {
-            shards: std::array::from_fn(|_| MemoShard {
-                map: Mutex::new(HashMap::default()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-            }),
+            map: RefCell::new(HashMap::default()),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
         }
     }
 
-    /// Look up `key`, computing with `f` on a miss. The computation runs
-    /// *outside* the lock: two workers may race to compute the same
-    /// entry, which is benign (the operations are pure and
-    /// deterministic, so both produce the same value).
+    /// Look up `key`, computing with `f` on a miss. The borrow of the
+    /// map ends before `f` runs: the miss computations call back into
+    /// the session (they intern their result).
     pub(crate) fn get_or(&self, key: K, f: impl FnOnce() -> V) -> V {
-        let s = &self.shards[shard_of(fx_hash(&key))];
-        if let Some(v) = lock(&s.map).get(&key) {
-            s.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(v) = self.map.borrow().get(&key) {
+            self.hits.set(self.hits.get() + 1);
             return v.clone();
         }
-        s.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.set(self.misses.get() + 1);
         let v = f();
-        lock(&s.map).entry(key).or_insert_with(|| v.clone());
+        self.map.borrow_mut().insert(key, v.clone());
         v
     }
 
-    /// Hit/miss counters summed over all shards.
     pub(crate) fn counters(&self) -> QueryStats {
-        let mut q = QueryStats::default();
-        for s in &self.shards {
-            q.hits += s.hits.load(Ordering::Relaxed);
-            q.misses += s.misses.load(Ordering::Relaxed);
+        QueryStats {
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            ..QueryStats::default()
         }
-        q
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(&s.map).len()).sum()
+        self.map.borrow().len()
     }
 }
 
@@ -286,14 +250,13 @@ mod tests {
     #[test]
     fn interner_dedups_and_ids_are_unique() {
         let int: Interner<String> = Interner::new();
-        let mut ids = std::collections::HashSet::new();
         for k in 0..100 {
             let (_, id) = int.intern(&format!("value-{k}"));
-            assert!(ids.insert(id), "duplicate id {id}");
+            assert_eq!(id, k);
         }
         for k in 0..100 {
             let (arc, id) = int.intern(&format!("value-{k}"));
-            assert!(ids.contains(&id), "re-intern changed id");
+            assert_eq!(id, k, "re-intern changed id");
             assert_eq!(*arc, format!("value-{k}"));
         }
         assert_eq!(int.len(), 100);
@@ -303,11 +266,17 @@ mod tests {
     #[derive(PartialEq, Eq, Hash, Debug)]
     struct Counted(u32);
 
-    static CLONES: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static CLONES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn clones() -> u64 {
+        CLONES.with(Cell::get)
+    }
 
     impl Clone for Counted {
         fn clone(&self) -> Counted {
-            CLONES.fetch_add(1, Ordering::Relaxed);
+            CLONES.with(|c| c.set(c.get() + 1));
             Counted(self.0)
         }
     }
@@ -322,7 +291,7 @@ mod tests {
             assert!(Arc::ptr_eq(arc, &again));
             assert_eq!(*id, same_id);
         }
-        assert_eq!(CLONES.load(Ordering::Relaxed), 0);
+        assert_eq!(clones(), 0);
         // By reference finds the same handles and ids (hits: no clone),
         // and a value first seen by reference is found again by value.
         for (k, (arc, id)) in owned.iter().enumerate() {
@@ -330,18 +299,18 @@ mod tests {
             assert!(Arc::ptr_eq(arc, &by_ref));
             assert_eq!(*id, ref_id);
         }
-        assert_eq!(CLONES.load(Ordering::Relaxed), 0);
+        assert_eq!(clones(), 0);
         let (by_ref, ref_id) = int.intern(&Counted(1000));
-        assert_eq!(CLONES.load(Ordering::Relaxed), 1, "a by-reference miss");
+        assert_eq!(clones(), 1, "a by-reference miss");
         let (by_val, val_id) = int.intern_owned(Counted(1000));
         assert!(Arc::ptr_eq(&by_ref, &by_val));
         assert_eq!(ref_id, val_id);
-        assert_eq!(CLONES.load(Ordering::Relaxed), 1);
+        assert_eq!(clones(), 1);
         assert_eq!(int.len(), 201);
     }
 
     /// Every value hashes alike, so all but the first land on the
-    /// collision list of one shard.
+    /// collision list.
     #[derive(Clone, PartialEq, Eq, Debug)]
     struct Colliding(u32);
 
@@ -355,10 +324,9 @@ mod tests {
     fn interner_keeps_colliding_values_apart() {
         let int: Interner<Colliding> = Interner::new();
         let first: Vec<_> = (0..20).map(|k| int.intern_owned(Colliding(k))).collect();
-        let mut ids = std::collections::HashSet::new();
         for (k, (arc, id)) in first.iter().enumerate() {
             assert_eq!(**arc, Colliding(k as u32));
-            assert!(ids.insert(*id), "duplicate id {id}");
+            assert_eq!(*id, k as u32);
             let (again, same_id) = int.intern(&Colliding(k as u32));
             assert!(Arc::ptr_eq(arc, &again));
             assert_eq!(*id, same_id);
@@ -367,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_counts_hits_and_misses_across_shards() {
+    fn memo_counts_hits_and_misses() {
         let memo: Memo<u32, u64> = Memo::new();
         for k in 0..64u32 {
             assert_eq!(memo.get_or(k, || u64::from(k) * 3), u64::from(k) * 3);
@@ -381,11 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn fx_hash_spreads_small_ids_across_shards() {
-        let mut used = std::collections::HashSet::new();
-        for id in 0u32..256 {
-            used.insert(shard_of(fx_hash(&id)));
-        }
-        assert!(used.len() >= SHARDS / 2, "ids landed in {used:?}");
+    fn memo_miss_may_use_the_table_it_fills() {
+        // The borrow is released before the miss closure runs.
+        let memo: Memo<u32, u64> = Memo::new();
+        let v = memo.get_or(1, || memo.get_or(2, || 20) + 1);
+        assert_eq!(v, 21);
+        assert_eq!(memo.get_or(2, || unreachable!()), 20);
+        assert_eq!(memo.len(), 2);
     }
 }

@@ -100,9 +100,7 @@ impl Hasher128 {
 /// *excluded*: it never changes a result (exhaustion degrades via a
 /// separate path that is gated off the store entirely), and including it
 /// would needlessly split the cache between budgeted and unbudgeted
-/// sessions. `spawn_threshold` is excluded for the same reason: the
-/// scheduler's cutoff decides where a task runs, never what it
-/// computes, so sessions at different thresholds can share entries.
+/// sessions.
 pub fn options_fingerprint(opts: &Options) -> u128 {
     let mut h = Hasher128::new();
     h.write_u32(CODEC_VERSION);
@@ -435,11 +433,5 @@ mod tests {
         // The budget must NOT split the cache.
         let budgeted = Options::predicated().with_budget(crate::budget::WorkBudget::steps(10));
         assert_eq!(p, options_fingerprint(&budgeted));
-        // Neither may the spawn threshold: it only moves work between
-        // threads.
-        let inline_all = Options::predicated().with_spawn_threshold(u64::MAX);
-        let spawn_all = Options::predicated().with_spawn_threshold(0);
-        assert_eq!(p, options_fingerprint(&inline_all));
-        assert_eq!(p, options_fingerprint(&spawn_all));
     }
 }

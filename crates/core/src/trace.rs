@@ -16,15 +16,15 @@
 //! |-------------|-------------------|------------------------------------------|
 //! | `parse`     | `parse`           | source → IR                              |
 //! | `driver`    | `pre_intern`      | deterministic interning prepass          |
-//! | `driver`    | `level<k>`        | one topological level of the call graph  |
-//! | `summarize` | `proc <name>`     | one procedure's summarization (worker)   |
+//! | `driver`    | `walk`            | the bottom-up walk over all procedures   |
+//! | `summarize` | `proc <name>`     | one procedure's summarization            |
 //! | `loop`      | `<label or L<id>>`| one loop's classification + summary      |
 //! | `lattice`   | `lattice-ops`     | a batch of memoized lattice queries      |
 //! | `budget`    | `budget-exhausted`| instant: a procedure hit its budget      |
 //!
 //! Spans are recorded on the thread that drops them, with a stable small
-//! thread id, so the level-parallel driver's concurrency is directly
-//! visible on the Perfetto timeline.
+//! thread id. One analysis is one thread, so a captured `padfa analyze`
+//! shows a single lane.
 
 #[cfg(feature = "trace")]
 mod imp {

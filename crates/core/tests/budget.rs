@@ -1,10 +1,10 @@
-//! Watchdog-budget behavior: sound degradation, strict errors, loop
-//! marking, and schedule-independence of budget decisions.
+//! Watchdog-budget behavior: sound degradation, strict errors, and
+//! loop marking.
 
 use padfa_core::interproc::degraded_summary;
 use padfa_core::{
-    analyze_program, analyze_program_session, analyze_program_with_summaries, AnalysisError,
-    AnalysisSession, NotCandidateReason, Options, Outcome, WorkBudget,
+    analyze_program, analyze_program_with_summaries, AnalysisError, AnalysisSession,
+    NotCandidateReason, Options, Outcome, WorkBudget,
 };
 use padfa_ir::parse::parse_program;
 
@@ -161,43 +161,5 @@ fn starved_parallel_set_is_subset_of_exact() {
                 );
             }
         }
-    }
-}
-
-/// Budget decisions are schedule-independent: with a step-count budget
-/// (no wall deadline), `--jobs 4` must degrade exactly the same
-/// procedures and render byte-identical reports as `--jobs 1`.
-#[test]
-fn starved_budget_reports_are_jobs_deterministic() {
-    // Several same-level procedures so the parallel driver actually
-    // fans out.
-    let src = "
-proc f1(a: array[64], n: int) { for i = 1 to n { a[i] = a[i] + 1.0; } }
-proc f2(a: array[64], n: int) { for i = 1 to n { if (n > 3) { a[i] = 0.0; } } }
-proc f3(a: array[64], n: int) { for i = 2 to n { a[i] = a[i - 1]; } }
-proc main(n: int, x: int) {
-    array a[64];
-    call f1(a, n);
-    call f2(a, n);
-    call f3(a, n);
-    for@top i = 1 to n { a[i] = 1.0; }
-}
-";
-    let prog = parse_program(src).unwrap();
-    for steps in [3, 17, 200] {
-        let opts = Options::predicated().with_budget(WorkBudget::steps(steps));
-        let render = |jobs: usize| {
-            let sess = AnalysisSession::new(opts.clone()).with_jobs(jobs);
-            let (result, _) = analyze_program_session(&prog, &sess).unwrap();
-            let lines: Vec<String> = result.loops.iter().map(|r| format!("{r}")).collect();
-            (lines.join("\n"), result.stats.degraded_procs)
-        };
-        let (seq_report, seq_degraded) = render(1);
-        let (par_report, par_degraded) = render(4);
-        assert_eq!(
-            seq_report, par_report,
-            "budget {steps}: reports differ between --jobs 1 and --jobs 4"
-        );
-        assert_eq!(seq_degraded, par_degraded);
     }
 }

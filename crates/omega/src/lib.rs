@@ -91,25 +91,19 @@ impl Default for Limits {
     }
 }
 
-/// Process-wide monotone counter of [`Limits`] overflow events: every
+/// Per-thread monotone counter of [`Limits`] overflow events: every
 /// time an operation hits a cap and degrades to a truncated (inexact)
-/// answer, the counter is bumped. Consumers snapshot the counter before
-/// a run and report the difference, so capped runs are visible instead
-/// of silent. The counter is global (operations take no session handle),
-/// so concurrent runs in one process see each other's overflows; the
-/// intended use is coarse visibility, not exact attribution.
+/// answer, the calling thread's counter is bumped. Operations take no
+/// session handle, so the counter lives in a thread-local; an analysis
+/// session runs on one thread from creation to snapshot, so a consumer
+/// reads [`thread_overflows`] before and after a stretch of work and
+/// reports the difference. That attributes every cap-hit exactly — to
+/// a session, or to one loop's classification inside it — no matter
+/// how many other threads are running other sessions.
 ///
-/// For *exact* attribution a second, thread-local counter is bumped in
-/// lockstep ([`thread_overflows`]). The analysis drives each procedure
-/// on exactly one worker thread, so deltas of the thread-local counter
-/// taken around a loop's classification attribute every cap-hit to the
-/// loop that caused it — deterministically, independent of how many
-/// other workers run concurrently.
+/// [`thread_overflows`]: limit_stats::thread_overflows
 pub mod limit_stats {
     use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static OVERFLOWS: AtomicU64 = AtomicU64::new(0);
 
     thread_local! {
         static THREAD_OVERFLOWS: Cell<u64> = const { Cell::new(0) };
@@ -118,35 +112,13 @@ pub mod limit_stats {
     /// Record one cap-hit (truncated elimination, disjunct-cap fallback).
     #[inline]
     pub fn note_overflow() {
-        OVERFLOWS.fetch_add(1, Ordering::Relaxed);
         THREAD_OVERFLOWS.with(|c| c.set(c.get() + 1));
     }
 
-    /// Total overflow events since process start.
-    #[inline]
-    pub fn overflows() -> u64 {
-        OVERFLOWS.load(Ordering::Relaxed)
-    }
-
-    /// Overflow events recorded *by the calling thread* since it
-    /// started. Deltas of this counter around a single-threaded region
-    /// of work attribute cap-hits exactly, with no bleed-through from
-    /// concurrent workers.
+    /// Overflow events recorded by the calling thread since it started.
     #[inline]
     pub fn thread_overflows() -> u64 {
         THREAD_OVERFLOWS.with(|c| c.get())
-    }
-
-    /// Credit `n` overflow events to the calling thread's counter
-    /// *without* touching the global total (the events were already
-    /// counted globally on the thread that produced them). The
-    /// intra-procedure fan-out migrates each worker task's thread-local
-    /// delta back to the spawning thread with this, so per-loop
-    /// attribution via [`thread_overflows`] deltas keeps summing the
-    /// same events regardless of which thread ran them.
-    #[inline]
-    pub fn adopt_thread_overflows(n: u64) {
-        THREAD_OVERFLOWS.with(|c| c.set(c.get() + n));
     }
 }
 

@@ -3,20 +3,18 @@
 //!
 //! ```text
 //! padfa analyze <file.mf> [--variant base|guarded|predicated] [--all] [--summaries]
-//!                         [--jobs N] [--spawn-threshold N] [--stats] [--profile]
-//!                         [--max-steps N] [--deadline-ms N]
+//!                         [--stats] [--profile] [--max-steps N] [--deadline-ms N]
 //!                         [--strict] [--trace PATH] [--metrics-out PATH]
 //!                         [--store DIR] [--no-store] [--inject store-FAULT]
-//! padfa explain <file.mf> [--loop <label-or-id>] [--json] [--variant V] [--jobs N]
+//! padfa explain <file.mf> [--loop <label-or-id>] [--json] [--variant V]
 //! padfa run     <file.mf> [--workers N] [--seq] [--fuel N] [--deadline-ms N]
 //!                         [--no-fallback] [--inject W:S:KIND] [ARG...]
 //! padfa elpd    <file.mf> <loop-label-or-id> [--fuel N] [ARG...]
 //! padfa fmt     <file.mf>
-//! padfa corpus  [--variant V] [--jobs N] [--spawn-threshold N]
-//!               [--max-steps N] [--deadline-ms N]
+//! padfa corpus  [--variant V] [--jobs N] [--max-steps N] [--deadline-ms N]
 //!               [--ledger PATH] [--resume] [--keep-going] [--metrics-out PATH]
 //!               [--store DIR] [--no-store] [--inject store-FAULT]
-//! padfa serve   [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N]
+//! padfa serve   [--addr HOST:PORT] [--workers N] [--queue N]
 //!               [--default-max-steps N] [--max-steps-ceiling N]
 //!               [--default-deadline-ms N] [--deadline-ms-ceiling N]
 //!               [--read-timeout-ms N] [--drain-deadline-ms N]
@@ -45,13 +43,11 @@
 //! budget exhaustion into a hard error (exit 4) instead of degrading
 //! the procedure to a sound conservative summary.
 //!
-//! `--jobs N` runs the analysis on up to `N` worker lanes;
-//! `--spawn-threshold N` sets the task scheduler's cost cutoff: units of
-//! static estimated work below which a task runs inline on the deciding
-//! thread instead of being dispatched to a lane (0 spawns everything
-//! eligible, a huge value inlines everything). The threshold moves work
-//! between threads but never changes results — the output and the
-//! corpus ledger are byte-identical at any setting.
+//! One program is analyzed on one thread. Parallelism is between
+//! programs: `corpus --jobs N` analyzes up to `N` programs at a time and
+//! `serve --workers N` serves up to `N` requests at a time, each in an
+//! analysis session of its own; the ledger and the responses are
+//! byte-identical at any `N`.
 //!
 //! `explain` prints the decision-provenance tree behind every loop
 //! verdict — the dependence pair or exposed read that blocked
@@ -75,8 +71,8 @@
 //! `analyze --trace PATH` writes a Chrome trace-event JSON file
 //! (loadable in Perfetto / `chrome://tracing`) with spans for parse,
 //! per-procedure summarization, loop classification, and lattice-op
-//! batches across all worker threads. `--metrics-out PATH` writes the
-//! run's metrics-registry snapshot (counters + latency histograms).
+//! batches. `--metrics-out PATH` writes the run's metrics-registry
+//! snapshot (counters + latency histograms).
 //! `--profile` prints a per-phase self-time table reconstructed from
 //! the always-on flight recorder (set `PADFA_NO_FLIGHT=1` to disable
 //! recording entirely, which also disables `--profile`).
@@ -128,20 +124,18 @@ use std::process::exit;
 fn usage() -> ! {
     eprintln!(
         "usage:\n  padfa analyze <file.mf> [--variant base|guarded|predicated] [--all]\n               \
-         [--summaries] [--jobs N] [--spawn-threshold N] [--stats] [--profile]\n               \
-         [--max-steps N] [--deadline-ms N]\n               \
+         [--summaries] [--stats] [--profile] [--max-steps N] [--deadline-ms N]\n               \
          [--strict] [--trace PATH] [--metrics-out PATH] [--store DIR] [--no-store]\n               \
          [--inject store-FAULT]\n  \
-         padfa explain <file.mf> [--loop <label-or-id>] [--json] [--variant V] [--jobs N]\n  \
+         padfa explain <file.mf> [--loop <label-or-id>] [--json] [--variant V]\n  \
          padfa run <file.mf> [--workers N] [--seq] [--fuel N] [--deadline-ms N]\n            \
          [--no-fallback] [--inject W:S:panic|error|corrupt] [ARG...]\n  \
          padfa elpd <file.mf> <loop-label-or-id> [--fuel N] [ARG...]\n  \
          padfa fmt <file.mf>\n  \
-         padfa corpus [--variant V] [--jobs N] [--spawn-threshold N]\n               \
-         [--max-steps N] [--deadline-ms N]\n               \
+         padfa corpus [--variant V] [--jobs N] [--max-steps N] [--deadline-ms N]\n               \
          [--ledger PATH] [--resume] [--keep-going] [--metrics-out PATH]\n               \
          [--store DIR] [--no-store] [--inject store-FAULT]\n  \
-         padfa serve [--addr HOST:PORT] [--workers N] [--queue N] [--jobs N]\n              \
+         padfa serve [--addr HOST:PORT] [--workers N] [--queue N]\n              \
          [--default-max-steps N] [--max-steps-ceiling N]\n              \
          [--default-deadline-ms N] [--deadline-ms-ceiling N]\n              \
          [--read-timeout-ms N] [--drain-deadline-ms N]\n              \
@@ -402,8 +396,6 @@ fn cmd_analyze(args: &[String]) {
     let mut show_summaries = false;
     let mut show_stats = false;
     let mut show_profile = false;
-    let mut jobs = 1usize;
-    let mut spawn_threshold: Option<u64> = None;
     let mut budget = BudgetFlags::default();
     let mut store_flags = StoreFlags::default();
     let mut trace_out: Option<String> = None;
@@ -427,20 +419,6 @@ fn cmd_analyze(args: &[String]) {
             }
             "--trace" => trace_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--metrics-out" => metrics_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--spawn-threshold" => {
-                spawn_threshold = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
             "--max-steps" => {
                 budget.max_steps = Some(
                     it.next()
@@ -471,15 +449,12 @@ fn cmd_analyze(args: &[String]) {
         let _s = padfa::analysis::trace::span("parse", "parse");
         load(&path)
     };
-    let mut opts = variant_options(&variant).with_budget(budget.to_budget());
-    if let Some(t) = spawn_threshold {
-        opts = opts.with_spawn_threshold(t);
-    }
+    let opts = variant_options(&variant).with_budget(budget.to_budget());
     let registry = metrics_out
         .as_ref()
         .map(|_| padfa::analysis::MetricsRegistry::new());
     let store = store_flags.open(&opts.budget);
-    let mut sess = padfa::analysis::AnalysisSession::new(opts).with_jobs(jobs);
+    let mut sess = padfa::analysis::AnalysisSession::new(opts);
     if let Some(reg) = &registry {
         sess = sess.with_metrics(std::sync::Arc::clone(reg));
     }
@@ -515,7 +490,7 @@ fn cmd_analyze(args: &[String]) {
         sess.publish_metrics();
         let json = format!(
             "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":\"{}\",\"host\":\"{}\",\
-             \"variant\":\"{}\",\"jobs\":{jobs},\"metrics\":{}}}",
+             \"variant\":\"{}\",\"metrics\":{}}}",
             json_escape(&git_rev()),
             json_escape(&host_info()),
             json_escape(&variant),
@@ -636,7 +611,6 @@ fn cmd_explain(args: &[String]) {
     let mut variant = "predicated".to_string();
     let mut target: Option<String> = None;
     let mut json = false;
-    let mut jobs = 1usize;
     let mut budget = BudgetFlags::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -644,13 +618,6 @@ fn cmd_explain(args: &[String]) {
             "--variant" => variant = it.next().cloned().unwrap_or_else(|| usage()),
             "--loop" => target = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--json" => json = true,
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
             "--max-steps" => {
                 budget.max_steps = Some(
                     it.next()
@@ -672,7 +639,7 @@ fn cmd_explain(args: &[String]) {
     let path = file.unwrap_or_else(|| usage());
     let prog = load(&path);
     let opts = variant_options(&variant).with_budget(budget.to_budget());
-    let sess = padfa::analysis::AnalysisSession::new(opts).with_jobs(jobs);
+    let sess = padfa::analysis::AnalysisSession::new(opts);
     let (result, _) = match padfa::analysis::analyze_program_session(&prog, &sess) {
         Ok(out) => out,
         Err(e) => {
@@ -859,7 +826,6 @@ fn trim_partial_ledger_line(path: &str) {
 fn cmd_corpus(args: &[String]) {
     let mut variant = "predicated".to_string();
     let mut jobs = 1usize;
-    let mut spawn_threshold: Option<u64> = None;
     let mut budget = BudgetFlags::default();
     let mut ledger: Option<String> = None;
     let mut resume = false;
@@ -886,13 +852,6 @@ fn cmd_corpus(args: &[String]) {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--spawn-threshold" => {
-                spawn_threshold = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
             "--max-steps" => {
                 budget.max_steps = Some(
                     it.next()
@@ -915,10 +874,7 @@ fn cmd_corpus(args: &[String]) {
             _ => usage(),
         }
     }
-    let mut opts = variant_options(&variant).with_budget(budget.to_budget());
-    if let Some(t) = spawn_threshold {
-        opts = opts.with_spawn_threshold(t);
-    }
+    let opts = variant_options(&variant).with_budget(budget.to_budget());
     let store = store_flags.open(&opts.budget);
     if let Some(s) = &store {
         drain_store_warnings(s); // surface open-time problems up front
@@ -980,11 +936,9 @@ fn cmd_corpus(args: &[String]) {
         .filter(|bp| !done.iter().any(|n| n == bp.name))
         .collect();
     let skipped = total - pending.len();
-    // Program-level fan-out (27 of 30 programs have one procedure, so
-    // intra-program parallelism buys little here): up to `jobs` programs
-    // run concurrently, each in its own single-threaded session against
-    // the shared store. Rows come back in input order, so the ledger is
-    // byte-identical to the sequential run.
+    // Up to `jobs` programs run concurrently, each in a session of its
+    // own against the shared store. Rows come back in input order, so
+    // the ledger is byte-identical to the sequential run.
     let results: Vec<(
         CorpusRow,
         Option<std::sync::Arc<padfa::analysis::MetricsRegistry>>,
@@ -996,7 +950,7 @@ fn cmd_corpus(args: &[String]) {
             let reg = aggregate
                 .as_ref()
                 .map(|_| padfa::analysis::MetricsRegistry::new());
-            let mut sess = padfa::analysis::AnalysisSession::new(opts.clone()).with_jobs(1);
+            let mut sess = padfa::analysis::AnalysisSession::new(opts.clone());
             if let Some(r) = &reg {
                 sess = sess.with_metrics(std::sync::Arc::clone(r));
             }
@@ -1563,7 +1517,6 @@ fn cmd_serve(args: &[String]) {
             "--addr" => addr = it.next().cloned().unwrap_or_else(|| usage()),
             "--workers" => policy.workers = parse_u64(it.next()) as usize,
             "--queue" => policy.queue_depth = parse_u64(it.next()) as usize,
-            "--jobs" => policy.jobs_per_request = parse_u64(it.next()) as usize,
             "--default-max-steps" => policy.default_max_steps = Some(parse_u64(it.next())),
             "--max-steps-ceiling" => policy.max_steps_ceiling = Some(parse_u64(it.next())),
             "--default-deadline-ms" => policy.default_deadline_ms = Some(parse_u64(it.next())),

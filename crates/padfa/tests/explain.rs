@@ -1,6 +1,6 @@
 //! Integration tests for decision provenance: the `padfa explain`
 //! subcommand (text + JSON), the Chrome trace-event writer, and
-//! cross-jobs determinism of provenance trees and metrics counters.
+//! run-to-run determinism of provenance trees and metrics counters.
 
 use std::process::Command;
 
@@ -146,7 +146,7 @@ fn analyze_trace_writes_chrome_trace_json() {
         std::env::temp_dir().join(format!("padfa-explain-{}-trace.json", std::process::id()));
     let _ = std::fs::remove_file(&trace);
     let out = padfa()
-        .args(["analyze", "--jobs", "2", "--trace"])
+        .args(["analyze", "--trace"])
         .arg(&trace)
         .arg(&f.0)
         .output()
@@ -180,61 +180,40 @@ fn analyze_trace_writes_chrome_trace_json() {
     }
 }
 
-/// Replace the digits after every `key` occurrence with `0` — used to
-/// mask the one provenance field that may legitimately differ across
-/// `--jobs` (cap-hit counts advance only on memo misses, which race
-/// benignly between workers).
-fn mask_count(s: &str, key: &str) -> String {
-    let mut out = String::new();
-    let mut rest = s;
-    while let Some(i) = rest.find(key) {
-        let (head, tail) = rest.split_at(i + key.len());
-        out.push_str(head);
-        out.push('0');
-        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Provenance trees and the deterministic metrics-counter subset must be
-/// bit-identical for `--jobs 1` and `--jobs 4`.
+/// Provenance trees and every counter a session publishes must be
+/// bit-identical whether the programs are analyzed one after another or
+/// on four threads at once (what `corpus --jobs 1` and `--jobs 4` do).
 #[test]
 fn provenance_and_metrics_deterministic_across_jobs() {
-    use padfa::analysis::{analyze_program_session, AnalysisSession, MetricsRegistry, Options};
+    use padfa::analysis::{
+        analyze_program_session, par_map_jobs, AnalysisSession, MetricsRegistry, Options,
+    };
 
     let corpus = padfa::suite::build_corpus();
-    // The three programs with the most procedures exercise the
-    // level-parallel driver hardest.
+    // The programs with the most procedures have the most driver to
+    // get wrong; twelve keep four threads busy.
     let mut by_procs: Vec<_> = corpus.iter().collect();
     by_procs.sort_by_key(|b| std::cmp::Reverse(b.program.procedures.len()));
-    for bench in by_procs.iter().take(3) {
-        let run = |jobs: usize| {
+    by_procs.truncate(12);
+    let run = |jobs: usize| {
+        par_map_jobs(jobs, &by_procs, |_, bench| {
             let reg = MetricsRegistry::new();
             let sess = AnalysisSession::new(Options::predicated())
-                .with_jobs(jobs)
                 .with_metrics(std::sync::Arc::clone(&reg));
             let (result, _) = analyze_program_session(&bench.program, &sess).unwrap();
             sess.publish_metrics();
             let trees: String = result
                 .loops
                 .iter()
-                .map(|r| mask_count(&padfa::analysis::loop_json(r), "\"limit_overflows\":"))
+                .map(padfa::analysis::loop_json)
                 .collect();
-            (trees, reg.deterministic_counters())
-        };
-        let (trees1, counters1) = run(1);
-        let (trees4, counters4) = run(4);
-        assert_eq!(
-            trees1, trees4,
-            "provenance differs across jobs ({})",
-            bench.name
-        );
-        assert_eq!(
-            counters1, counters4,
-            "deterministic counters differ across jobs ({})",
-            bench.name
-        );
+            (trees, reg.counters_snapshot())
+        })
+    };
+    for ((bench, one), four) in by_procs.iter().zip(run(1)).zip(run(4)) {
+        assert_eq!(one.0, four.0, "provenance differs ({})", bench.name);
+        assert_eq!(one.1, four.1, "counters differ ({})", bench.name);
+        assert!(one.1["query.sys_empty.total"] > 0, "{}", bench.name);
     }
 }
 

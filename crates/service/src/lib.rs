@@ -110,11 +110,6 @@ pub struct ServicePolicy {
     pub workers: usize,
     /// Admission queue depth; a full queue sheds with `429`.
     pub queue_depth: usize,
-    /// `--jobs` for each request's analysis session. Results are
-    /// bit-identical for any value (see the session docs); 1 keeps
-    /// per-request footprint minimal since parallelism already comes
-    /// from concurrent requests.
-    pub jobs_per_request: usize,
     /// Budget applied when a request carries no `X-Padfa-Max-Steps`
     /// header. `None` = unlimited (required for store-backed serving).
     pub default_max_steps: Option<u64>,
@@ -156,7 +151,6 @@ impl Default for ServicePolicy {
         ServicePolicy {
             workers: 2,
             queue_depth: 32,
-            jobs_per_request: 1,
             default_max_steps: None,
             max_steps_ceiling: None,
             default_deadline_ms: None,
@@ -180,7 +174,6 @@ impl ServicePolicy {
     pub fn normalized(mut self) -> ServicePolicy {
         self.workers = self.workers.max(1);
         self.queue_depth = self.queue_depth.max(1);
-        self.jobs_per_request = self.jobs_per_request.max(1);
         self.debug_ring = self.debug_ring.max(1);
         self
     }

@@ -860,9 +860,7 @@ fn analysis_endpoint(
     // growth. Warmth comes from the shared store — which budgeted
     // requests must bypass (cached results would change step accounting
     // and with it degradation decisions).
-    let mut sess = AnalysisSession::new(opts)
-        .with_jobs(shared.policy.jobs_per_request)
-        .with_metrics(Arc::clone(&shared.metrics));
+    let mut sess = AnalysisSession::new(opts).with_metrics(Arc::clone(&shared.metrics));
     if budget.is_unlimited() {
         if let Some(store) = &shared.store {
             sess = sess.with_store(Arc::clone(store));

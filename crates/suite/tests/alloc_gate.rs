@@ -4,8 +4,8 @@
 //! for the 4,482 loops before `System::simplify` went in-place and dense
 //! boxes on-demand, then 585 MB requested in 1.67 M calls while a
 //! `Constraint` was 152 bytes (first-touch page faults and `memmove`
-//! were a quarter of `analyze`). Both figures repeat exactly at
-//! jobs = 1, so they are gated as counts. This file holds exactly one
+//! were a quarter of `analyze`). Both figures repeat exactly, so they
+//! are gated as counts. This file holds exactly one
 //! test: the counters are process-wide, and a second test running
 //! beside it would be counted.
 
@@ -67,12 +67,12 @@ fn corpus_analysis_stays_allocation_lean() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let bytes_before = BYTES.load(Ordering::Relaxed);
     for bench in &corpus {
-        let sess = AnalysisSession::new(Options::predicated()).with_jobs(1);
+        let sess = AnalysisSession::new(Options::predicated());
         analyze_program_session(&bench.program, &sess).unwrap();
     }
     let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let bytes = BYTES.load(Ordering::Relaxed) - bytes_before;
-    println!("corpus analysis at jobs = 1: {count} heap allocations, {bytes} bytes requested");
+    println!("corpus analysis: {count} heap allocations, {bytes} bytes requested");
     assert!(
         count <= MAX_ALLOCATIONS,
         "corpus analysis made {count} heap allocations (gate {MAX_ALLOCATIONS})"

@@ -1,14 +1,16 @@
-//! Golden determinism test over the full benchmark corpus: the rendered
-//! analysis output must be byte-identical regardless of the worker
-//! count, and across repeated parallel runs.
+//! Determinism test over the full benchmark corpus: the rendered
+//! analysis output of a program must be byte-identical whether the
+//! corpus is analyzed one program after another or four at a time, each
+//! in a session of its own — what `padfa corpus --jobs 1` and
+//! `--jobs 4` do. This is the gate on that equivalence.
 
-use padfa_core::{analyze_program_session, AnalysisSession, Options};
+use padfa_core::{analyze_program_session, par_map_jobs, AnalysisSession, Options};
 use padfa_suite::corpus::build_corpus;
 
 /// Render every loop report and every procedure summary of one corpus
 /// program in canonical order.
-fn render(prog: &padfa_ir::Program, jobs: usize) -> String {
-    let sess = AnalysisSession::new(Options::predicated()).with_jobs(jobs);
+fn render(prog: &padfa_ir::Program) -> String {
+    let sess = AnalysisSession::new(Options::predicated());
     let (result, summaries) = analyze_program_session(prog, &sess).unwrap();
     let mut out = String::new();
     for report in &result.loops {
@@ -24,32 +26,31 @@ fn render(prog: &padfa_ir::Program, jobs: usize) -> String {
 
 #[test]
 fn corpus_reports_identical_across_worker_counts() {
-    for bench in build_corpus() {
-        let seq = render(&bench.program, 1);
-        for jobs in [2, 4] {
-            let par = render(&bench.program, jobs);
+    let corpus = build_corpus();
+    let seq: Vec<String> = corpus.iter().map(|b| render(&b.program)).collect();
+    for round in 0..2 {
+        let par = par_map_jobs(4, &corpus, |_, b| render(&b.program));
+        for ((bench, s), p) in corpus.iter().zip(&seq).zip(&par) {
             assert_eq!(
-                seq, par,
-                "{}: --jobs 1 vs --jobs {jobs} diverged",
+                s, p,
+                "{}: diverged on 4 threads (round {round})",
                 bench.name
             );
         }
-        let par_again = render(&bench.program, 4);
-        assert_eq!(seq, par_again, "{}: two --jobs 4 runs diverged", bench.name);
     }
 }
 
-/// Lattice-work gate over the corpus, one single-threaded session per
-/// program as `padfa corpus --jobs 1 --no-store` runs it. The number of
-/// distinct systems, regions and projections is a property of the
-/// programs and must not move; emptiness queries per distinct system
-/// stay a small constant, which a block fold that re-proves every
-/// array's regions non-empty at every statement (50× here) does not.
+/// Lattice-work gate over the corpus, one session per program as
+/// `padfa corpus --no-store` runs it. The number of distinct systems,
+/// regions and projections is a property of the programs and must not
+/// move; emptiness queries per distinct system stay a small constant,
+/// which a block fold that re-proves every array's regions non-empty at
+/// every statement (50× here) does not.
 #[test]
 fn corpus_lattice_work_stays_linear() {
     let (mut sys_empty, mut systems, mut regions, mut projections) = (0, 0, 0, 0);
     for bench in build_corpus() {
-        let sess = AnalysisSession::new(Options::predicated()).with_jobs(1);
+        let sess = AnalysisSession::new(Options::predicated());
         let (result, _) = analyze_program_session(&bench.program, &sess).unwrap();
         sys_empty += result.stats.sys_empty.total();
         systems += result.stats.interned_systems as u64;
