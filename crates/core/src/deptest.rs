@@ -1,7 +1,7 @@
 //! Loop-level dependence and privatization testing, including run-time
 //! test derivation.
 
-use crate::component::PredComponent;
+use crate::component::{GuardedRegion, PredComponent};
 use crate::provenance::{
     ArrayEvidence, ArrayVerdict, PairEvidence, PairKind, PairOutcome, Provenance, RejectReason,
     ScalarEvidence, ScalarVerdict,
@@ -14,13 +14,36 @@ use crate::summary::Summary;
 use padfa_ir::ast::Block;
 use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
 use padfa_pred::{extract_symbolic, Pred};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
-/// `Arc`-wrap each piece guard once, up front: a piece takes part in
-/// O(pieces) pair tests, and the [`PairEvidence`] rows all share these
-/// handles instead of deep-cloning the predicate tree per pair.
-fn piece_preds(c: &PredComponent) -> Vec<Arc<Pred>> {
-    c.pieces.iter().map(|p| Arc::new(p.pred.clone())).collect()
+/// What one piece brings to every pair test it takes part in, built once
+/// per array test: its guard behind an `Arc` (a piece takes part in
+/// O(pieces) pair tests, and the [`PairEvidence`] rows all share the
+/// handle instead of deep-cloning the predicate tree per pair), and its
+/// region on the primed index, renamed the first time a pair test reads
+/// it as the `x` side (pairs decided by their guards, and pairs after the
+/// early exit, rename nothing).
+struct PairSide<'a> {
+    piece: &'a GuardedRegion,
+    pred: Arc<Pred>,
+    primed: OnceCell<Disjunction>,
+}
+
+impl PairSide<'_> {
+    fn primed(&self, loop_var: Var, i2: Var) -> &Disjunction {
+        self.primed
+            .get_or_init(|| self.piece.region.rename(loop_var, i2))
+    }
+}
+
+fn pair_sides(c: &PredComponent) -> Vec<PairSide<'_>> {
+    let side = |piece| PairSide {
+        piece,
+        pred: Arc::new(piece.pred.clone()),
+        primed: OnceCell::new(),
+    };
+    c.pieces.iter().map(side).collect()
 }
 
 /// The decision for one loop.
@@ -42,7 +65,8 @@ pub struct LoopDecision {
 ///
 /// `w` and `x` are guarded pieces (regions over the loop index `i` /
 /// primed index `i2` respectively, plus dimension variables and
-/// symbolics). The conflict condition is
+/// symbolics); `x2` is only called once the guards have not already
+/// decided the pair. The conflict condition is
 /// `p_w ∧ p_x ∧ extract(∃ dims, i, i2 : regions intersect ∧ ctx ∧ i ≠ i2)`.
 ///
 /// Returns [`Pred::False`] when the accesses provably never conflict,
@@ -57,20 +81,20 @@ pub struct LoopDecision {
 /// is how the paper derives *breaking conditions* from array data-flow
 /// analysis.
 #[allow(clippy::too_many_arguments)]
-fn conflict_condition(
+fn conflict_condition<'a>(
     p_w: &Pred,
     w: &Disjunction,
     p_x: &Pred,
-    x: &Disjunction,
+    x2: impl FnOnce() -> &'a Disjunction,
     ctx: &System,
     ctx2: &System,
     loop_var: Var,
+    i2: Var,
     sess: &AnalysisSession,
     is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
 ) -> (Pred, PairOutcome) {
     let opts = &sess.opts;
-    let i2 = primed(loop_var);
     // Guards: with predicates enabled, the conflict needs both guards
     // true. Complementary guards fold to False here (compile-time win).
     let guard = if opts.predicates_enabled() {
@@ -89,7 +113,7 @@ fn conflict_condition(
     let limits = opts.limits;
     let mut region_cond = Pred::False;
     let mut extracted = false;
-    let x2 = x.rename(loop_var, i2);
+    let x2 = x2();
     // Each disjunct of the intersection under both loop contexts: the
     // two iteration orders differ only in the constraint pushed on top,
     // so the conjunctions are built once, on the first order.
@@ -100,7 +124,7 @@ fn conflict_condition(
     ] {
         // Asked once per order (the second is a memo hit on the same
         // handle): query counts and budget steps are per order.
-        let base = sess.intersect(w, &x2);
+        let base = sess.intersect(w, x2);
         let in_ctx = in_ctx.get_or_insert_with(|| {
             base.systems()
                 .iter()
@@ -174,44 +198,37 @@ fn array_dependence_condition(
     ctx: &System,
     ctx2: &System,
     loop_var: Var,
+    i2: Var,
     sess: &AnalysisSession,
     is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
     pairs: &mut Vec<PairEvidence>,
 ) -> Pred {
     let mut cond = Pred::False;
-    let mw_preds = piece_preds(mw);
-    let r_preds = piece_preds(r);
-    for (wi, wp) in mw.pieces.iter().enumerate() {
+    let mw = pair_sides(mw);
+    let r = pair_sides(r);
+    for w in &mw {
         // Write/write (output) and write/read (flow+anti) conflicts.
-        let tagged = mw
-            .pieces
-            .iter()
-            .zip(&mw_preds)
-            .map(|(p, a)| (PairKind::WriteWrite, p, a))
-            .chain(
-                r.pieces
-                    .iter()
-                    .zip(&r_preds)
-                    .map(|(p, a)| (PairKind::WriteRead, p, a)),
-            );
-        for (kind, xp, x_pred) in tagged {
+        let tagged = (mw.iter().map(|x| (PairKind::WriteWrite, x)))
+            .chain(r.iter().map(|x| (PairKind::WriteRead, x)));
+        for (kind, x) in tagged {
             let (c, outcome) = conflict_condition(
-                &wp.pred,
-                &wp.region,
-                &xp.pred,
-                &xp.region,
+                &w.piece.pred,
+                &w.piece.region,
+                &x.piece.pred,
+                || x.primed(loop_var, i2),
                 ctx,
                 ctx2,
                 loop_var,
+                i2,
                 sess,
                 is_symbolic,
                 mechanisms,
             );
             pairs.push(PairEvidence {
                 kind,
-                w_pred: Arc::clone(&mw_preds[wi]),
-                x_pred: Arc::clone(x_pred),
+                w_pred: Arc::clone(&w.pred),
+                x_pred: Arc::clone(&x.pred),
                 outcome,
                 condition: c.clone(),
             });
@@ -234,32 +251,34 @@ fn privatization_unsafe_condition(
     ctx: &System,
     ctx2: &System,
     loop_var: Var,
+    i2: Var,
     sess: &AnalysisSession,
     is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
     pairs: &mut Vec<PairEvidence>,
 ) -> Pred {
     let mut cond = Pred::False;
-    let e_preds = piece_preds(e);
-    let mw_preds = piece_preds(mw);
-    for (ei, ep) in e.pieces.iter().enumerate() {
-        for (wi, wp) in mw.pieces.iter().enumerate() {
+    let e = pair_sides(e);
+    let mw = pair_sides(mw);
+    for ep in &e {
+        for wp in &mw {
             let (c, outcome) = conflict_condition(
-                &ep.pred,
-                &ep.region,
-                &wp.pred,
-                &wp.region,
+                &ep.piece.pred,
+                &ep.piece.region,
+                &wp.piece.pred,
+                || wp.primed(loop_var, i2),
                 ctx,
                 ctx2,
                 loop_var,
+                i2,
                 sess,
                 is_symbolic,
                 mechanisms,
             );
             pairs.push(PairEvidence {
                 kind: PairKind::ExposedWrite,
-                w_pred: Arc::clone(&mw_preds[wi]),
-                x_pred: Arc::clone(&e_preds[ei]),
+                w_pred: Arc::clone(&wp.pred),
+                x_pred: Arc::clone(&ep.pred),
                 outcome,
                 condition: c.clone(),
             });
@@ -354,6 +373,7 @@ pub fn test_loop(
             ctx,
             &ctx2,
             loop_var,
+            i2,
             sess,
             is_symbolic,
             &mut out.mech,
@@ -377,6 +397,7 @@ pub fn test_loop(
             ctx,
             &ctx2,
             loop_var,
+            i2,
             sess,
             is_symbolic,
             &mut out.mech,
@@ -581,23 +602,34 @@ mod tests {
         x == Var::new("n") || x == Var::new("m")
     }
 
+    /// The conflict condition of `w` against `x` across the iterations of
+    /// `for i = 1 to n`.
+    fn conflict(
+        p_w: &Pred,
+        w: &Disjunction,
+        p_x: &Pred,
+        x: &Disjunction,
+        sess: &AnalysisSession,
+        mech: &mut Mechanisms,
+    ) -> Pred {
+        let (i, i2) = (v("i"), primed(v("i")));
+        let ctx = ctx_1_to_n();
+        let ctx2 = ctx.rename(i, i2);
+        let x2 = x.rename(i, i2);
+        conflict_condition(p_w, w, p_x, || &x2, &ctx, &ctx2, i, i2, sess, &sym, mech).0
+    }
+
     #[test]
     fn same_element_no_conflict() {
         // a[i] vs a[i]: different iterations never collide.
         let sess = AnalysisSession::new(Options::predicated());
-        let ctx = ctx_1_to_n();
-        let ctx2 = ctx.rename(v("i"), primed(v("i")));
         let mut mech = Mechanisms::default();
-        let (c, _) = conflict_condition(
+        let c = conflict(
             &Pred::True,
             &shifted(0),
             &Pred::True,
             &shifted(0),
-            &ctx,
-            &ctx2,
-            v("i"),
             &sess,
-            &sym,
             &mut mech,
         );
         assert!(c.is_false());
@@ -607,19 +639,13 @@ mod tests {
     fn shifted_access_conflicts() {
         // a[i] vs a[i-1]: adjacent iterations collide.
         let sess = AnalysisSession::new(Options::predicated());
-        let ctx = ctx_1_to_n();
-        let ctx2 = ctx.rename(v("i"), primed(v("i")));
         let mut mech = Mechanisms::default();
-        let (c, _) = conflict_condition(
+        let c = conflict(
             &Pred::True,
             &shifted(0),
             &Pred::True,
             &shifted(-1),
-            &ctx,
-            &ctx2,
-            v("i"),
             &sess,
-            &sym,
             &mut mech,
         );
         assert!(!c.is_false());
@@ -638,23 +664,10 @@ mod tests {
     fn complementary_guards_eliminate_conflict() {
         // Write guarded by x > 5, read guarded by x <= 5: never together.
         let sess = AnalysisSession::new(Options::predicated());
-        let ctx = ctx_1_to_n();
-        let ctx2 = ctx.rename(v("i"), primed(v("i")));
         let mut mech = Mechanisms::default();
         let p = Pred::from_bool(&padfa_ir::parse::parse_bool_expr("x > 5").unwrap());
         let np = p.negate();
-        let (c, _) = conflict_condition(
-            &p,
-            &shifted(0),
-            &np,
-            &shifted(-1),
-            &ctx,
-            &ctx2,
-            v("i"),
-            &sess,
-            &sym,
-            &mut mech,
-        );
+        let c = conflict(&p, &shifted(0), &np, &shifted(-1), &sess, &mut mech);
         assert!(c.is_false());
         assert!(mech.predicates);
     }
@@ -662,23 +675,10 @@ mod tests {
     #[test]
     fn base_variant_ignores_guards() {
         let sess = AnalysisSession::new(Options::base());
-        let ctx = ctx_1_to_n();
-        let ctx2 = ctx.rename(v("i"), primed(v("i")));
         let mut mech = Mechanisms::default();
         let p = Pred::from_bool(&padfa_ir::parse::parse_bool_expr("x > 5").unwrap());
         let np = p.negate();
-        let (c, _) = conflict_condition(
-            &p,
-            &shifted(0),
-            &np,
-            &shifted(-1),
-            &ctx,
-            &ctx2,
-            v("i"),
-            &sess,
-            &sym,
-            &mut mech,
-        );
+        let c = conflict(&p, &shifted(0), &np, &shifted(-1), &sess, &mut mech);
         assert!(!c.is_false(), "base analysis cannot use the guards");
     }
 
@@ -694,19 +694,13 @@ mod tests {
             Constraint::geq(LinExpr::var(d), LinExpr::constant(1)),
             Constraint::leq(LinExpr::var(d), LinExpr::constant(100)),
         ]));
-        let ctx = ctx_1_to_n();
-        let ctx2 = ctx.rename(v("i"), primed(v("i")));
         let mut mech = Mechanisms::default();
-        let (c, _) = conflict_condition(
+        let c = conflict(
             &Pred::True,
             &shifted(0),
             &Pred::True,
             &read,
-            &ctx,
-            &ctx2,
-            v("i"),
             &sess,
-            &sym,
             &mut mech,
         );
         assert!(!c.is_false(), "m = 1 would conflict");

@@ -79,7 +79,7 @@ const LAT_POOL: u32 = 256;
 pub struct QueryStats {
     pub hits: u64,
     pub misses: u64,
-    /// Queries answered by the dense fast tier
+    /// Queries answered in closed form, without elimination
     /// ([`padfa_omega::Tier::Dense`]). Memo hits replay the tier
     /// recorded by the original computation, so the split covers every
     /// query, not just misses.
@@ -498,17 +498,7 @@ impl AnalysisSession {
         let t0 = self.probe(QueryKind::SysEmpty);
         let limits = self.limits();
         let (arc, id) = self.systems.intern(s);
-        let r = self.m_sys_empty.get_or(id, || {
-            // Tier dispatch: a cached dense summary decides emptiness
-            // exactly and provably agrees with the Fourier–Motzkin
-            // cascade (see `padfa_omega::dense`).
-            if !dense::force_general() {
-                if let Some(d) = arc.dense_box() {
-                    return (d.is_empty(), Tier::Dense);
-                }
-            }
-            (arc.is_empty(limits), Tier::General)
-        });
+        let r = self.m_sys_empty.get_or(id, || arc.is_empty_tiered(limits));
         self.note_tier(QueryKind::SysEmpty, r.1);
         self.observe(QueryKind::SysEmpty, t0);
         r.0

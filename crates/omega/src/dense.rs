@@ -1,16 +1,16 @@
-//! The dense fast tier: exact box summaries for the emptiness-dominated
-//! hot path.
+//! The box tier: exact per-variable summaries of box-shaped systems.
 //!
-//! Benchmarks show `sys_empty` is 90–97% of all memoized lattice ops on
-//! every corpus program, yet each miss walks the general Fourier–Motzkin
-//! cascade. Most array sections, though, are *box-shaped*: every
-//! constraint bounds a single variable (possibly through one stride
-//! witness), so per-variable interval arithmetic decides emptiness,
-//! disjointness, and subset exactly. [`DenseBox`] is that summary,
-//! derived at most once per normalized [`System`](crate::System), the
-//! first time a query asks for it (most systems are never asked), and
-//! carried on the system from then on; [`Tier`] names which tier
-//! answered a query.
+//! Most array sections are *box-shaped*: every constraint bounds a
+//! single variable (possibly through one stride witness), so
+//! per-variable interval arithmetic decides emptiness, disjointness, and
+//! subset exactly. [`DenseBox`] is that summary, derived at most once per
+//! normalized [`System`](crate::System), the first time a query asks for
+//! it (most systems are never asked), and carried on the system from
+//! then on. Emptiness asks [`crate::difference`] first — it decides plain
+//! boxes too, and the `i < i'` systems of the pair tests, without
+//! building anything — so what reaches the box here is the stride links;
+//! region subset and disjointness dispatch use the box directly.
+//! [`Tier`] names how a query was answered.
 //!
 //! ## Classification rules
 //!
@@ -68,7 +68,9 @@ use std::sync::OnceLock;
 /// Which representation tier answered a lattice query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Tier {
-    /// Answered from the [`DenseBox`] summary.
+    /// Answered in closed form, without elimination: from a [`DenseBox`]
+    /// summary or, for emptiness, the difference-bound closure
+    /// ([`crate::difference`]).
     Dense,
     /// Answered by the general Fourier–Motzkin representation.
     General,
@@ -83,10 +85,11 @@ impl Tier {
     }
 }
 
-/// Kill switch for the dense tier (`PADFA_FORCE_GENERAL_TIER=1`): every
-/// query runs the general path and every answer is attributed
-/// [`Tier::General`]. Output must be byte-identical either way — CI
-/// diffs the corpus ledger across both modes.
+/// Kill switch for the closed-form tiers (`PADFA_FORCE_GENERAL_TIER=1`):
+/// every query runs the general path and every answer is attributed
+/// [`Tier::General`]. Output must be byte-identical either way — the
+/// CLI test `forced_general_tier_changes_no_output_byte` spawns `padfa`
+/// in both modes over the corpus and generated programs.
 pub fn force_general() -> bool {
     static FORCE: OnceLock<bool> = OnceLock::new();
     *FORCE.get_or_init(|| {
@@ -208,10 +211,10 @@ impl DenseBox {
                             }
                         }
                         CKind::Eq => {
-                            if k % a != 0 {
+                            if k.checked_rem(a)? != 0 {
                                 empty = true;
                             } else {
-                                let x = -k / a;
+                                let x = k.checked_div(a)?.checked_neg()?;
                                 w.0 = Some(w.0.map_or(x, |cur| cur.max(x)));
                                 w.1 = Some(w.1.map_or(x, |cur| cur.min(x)));
                             }

@@ -17,8 +17,9 @@
 //!
 //! together with the operations array data-flow analysis needs:
 //! Fourier–Motzkin projection with integer tightening and exactness
-//! tracking, emptiness, subset, intersection, union with subsumption
-//! pruning, and set subtraction.
+//! tracking, emptiness (in closed form for the [`difference`]-bound and
+//! box shapes, by elimination otherwise), subset, intersection, union
+//! with subsumption pruning, and set subtraction.
 //!
 //! ## Exactness
 //!
@@ -54,6 +55,7 @@
 
 pub mod constraint;
 pub mod dense;
+pub mod difference;
 pub mod disjunction;
 pub mod linexpr;
 pub mod sync;

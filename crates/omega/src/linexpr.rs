@@ -429,7 +429,7 @@ impl fmt::Display for LinExpr {
             } else if c == -1 {
                 write!(f, " - {v}")?;
             } else {
-                write!(f, " - {}{v}", -c)?;
+                write!(f, " - {}{v}", c.unsigned_abs())?;
             }
         }
         if first {
@@ -437,7 +437,7 @@ impl fmt::Display for LinExpr {
         } else if self.konst > 0 {
             write!(f, " + {}", self.konst)?;
         } else if self.konst < 0 {
-            write!(f, " - {}", -self.konst)?;
+            write!(f, " - {}", self.konst.unsigned_abs())?;
         }
         Ok(())
     }

@@ -14,39 +14,23 @@ use std::sync::OnceLock;
 /// unsatisfiable during normalization is flagged `contradiction` and
 /// represents the empty set.
 ///
-/// Box-shaped systems additionally answer on the dense tier through a
-/// [`DenseBox`] summary. The summary is derived on demand: normalizing
-/// ([`System::simplify`], [`System::classify_dense`]) only *arms* the
-/// cell, the first [`System::dense_box`] call fills it, and any mutation
-/// *disarms* it (settles it on "no box"), so a filled cell always equals
-/// `DenseBox::classify(constraints())`. The summary is a pure cache: it
-/// never participates in equality or hashing, so two systems with
-/// identical constraints intern to the same id whatever state their
-/// cells are in.
-#[derive(Clone)]
+/// Box-shaped systems additionally carry a [`DenseBox`] summary, derived
+/// on demand: normalizing ([`System::simplify`],
+/// [`System::classify_dense`]) *arms* the system and empties the cell,
+/// the first [`System::dense_box`] call on an armed system fills it, and
+/// any mutation *disarms* — a plain store to `armed`; the cell is never
+/// read while disarmed — so a box that can be seen always equals
+/// `DenseBox::classify(constraints())`. A clone of an armed system is
+/// armed, so it answers like a clone taken after first use. The summary
+/// is a pure cache: neither field participates in equality or hashing,
+/// so two systems with identical constraints intern to the same id
+/// whatever state their caches are in.
+#[derive(Clone, Default)]
 pub struct System {
     constraints: Vec<Constraint>,
     contradiction: bool,
-    dense: DenseCell,
-}
-
-/// Unset = armed (derive the box on first use); set = the box, or
-/// `None` for a system that is disarmed or not box-shaped. A clone of an
-/// armed cell is armed, so it answers like a clone taken after first use.
-type DenseCell = OnceLock<Option<Box<DenseBox>>>;
-
-fn disarmed() -> DenseCell {
-    OnceLock::from(None)
-}
-
-impl Default for System {
-    fn default() -> System {
-        System {
-            constraints: Vec::new(),
-            contradiction: false,
-            dense: disarmed(),
-        }
-    }
+    armed: bool,
+    dense: OnceLock<Option<Box<DenseBox>>>,
 }
 
 impl PartialEq for System {
@@ -141,7 +125,7 @@ impl System {
         let mut s = System {
             constraints,
             contradiction,
-            dense: disarmed(),
+            ..System::default()
         };
         if dense {
             s.classify_dense();
@@ -192,7 +176,7 @@ impl System {
                 // re-conjoined; keep the list canonical as we go.
                 if !self.constraints.contains(&c) {
                     self.constraints.push(c);
-                    self.dense = disarmed();
+                    self.armed = false;
                 }
             }
         }
@@ -201,12 +185,15 @@ impl System {
     fn set_contradiction(&mut self) {
         self.constraints.clear();
         self.contradiction = true;
-        self.dense = disarmed();
+        self.armed = false;
     }
 
-    /// The dense-tier summary, when this system is box-shaped and its
-    /// cell is armed (derived here on first use).
+    /// The box summary, when this system is armed and box-shaped
+    /// (derived here on first use).
     pub fn dense_box(&self) -> Option<&DenseBox> {
+        if !self.armed {
+            return None;
+        }
         self.dense
             .get_or_init(|| DenseBox::classify(&self.constraints).map(Box::new))
             .as_deref()
@@ -219,7 +206,8 @@ impl System {
         self.dense_box().is_some()
     }
 
-    /// The tier this system's queries answer on.
+    /// The tier a box query on this system answers on
+    /// ([`System::has_dense`]).
     pub fn tier(&self) -> Tier {
         if self.has_dense() {
             Tier::Dense
@@ -228,16 +216,13 @@ impl System {
         }
     }
 
-    /// Arm the dense cell for the current constraint list without
+    /// Arm the system for the current constraint list without
     /// renormalizing. [`System::simplify`] does this automatically; call
     /// it directly on systems assembled by `push` alone that are known
     /// to already be in normal form.
     pub fn classify_dense(&mut self) {
-        self.dense = if self.contradiction {
-            disarmed()
-        } else {
-            OnceLock::new()
-        };
+        self.armed = !self.contradiction;
+        self.dense = OnceLock::new();
     }
 
     /// Conjoin another system.
@@ -382,13 +367,19 @@ impl System {
             let a = eq.expr.coeff(v);
             // a*v + r == 0  =>  v == -r/a; for |a| == 1, v := -a*r.
             let r = eq.expr.clone() - LinExpr::term(v, a);
-            let replacement = r.scaled(-a);
+            // Formed for the first constraint that needs it: the
+            // equality's constant may be one that cannot be negated.
+            let mut replacement = None;
             let mut out = System::with_capacity(self.len() - 1);
             for c in &self.constraints {
                 if std::ptr::eq(c, eq) {
                     continue;
                 }
-                out.push(c.subst(v, &replacement));
+                out.push(if c.mentions(v) {
+                    c.subst(v, replacement.get_or_insert_with(|| r.scaled(-a)))
+                } else {
+                    c.clone()
+                });
             }
             out.simplify();
             return Projection {
@@ -544,20 +535,38 @@ impl System {
     /// Decide emptiness soundly: `true` means the system has no integer
     /// solutions; `false` means it may have some.
     pub fn is_empty(&self, limits: Limits) -> bool {
+        self.is_empty_tiered(limits).0
+    }
+
+    /// [`System::is_empty`] with the tier that answered. The one place
+    /// that orders the three ways to answer: the difference-bound
+    /// closure ([`crate::difference`]), then the box summary, then
+    /// elimination. The first two are [`Tier::Dense`] — exact, and the
+    /// verdict elimination would reach (see their modules for the
+    /// agreement arguments), so skipping Fourier–Motzkin cannot change
+    /// output; `PADFA_FORCE_GENERAL_TIER` skips them both.
+    pub fn is_empty_tiered(&self, limits: Limits) -> (bool, Tier) {
+        if !crate::dense::force_general() && !self.contradiction {
+            if let Some(empty) = crate::difference::is_empty(&self.constraints, limits) {
+                return (empty, Tier::Dense);
+            }
+            if let Some(d) = self.dense_box() {
+                return (d.is_empty(), Tier::Dense);
+            }
+        }
+        (self.is_empty_by_elimination(limits), Tier::General)
+    }
+
+    /// Emptiness by the general cascade alone — normalization's verdict,
+    /// [`System::quick_unsat`], then Fourier–Motzkin over every variable:
+    /// the fall-through of [`System::is_empty_tiered`] and the reference
+    /// the closed-form tiers are tested against.
+    pub fn is_empty_by_elimination(&self, limits: Limits) -> bool {
         if self.contradiction {
             return true;
         }
         if self.constraints.is_empty() {
             return false;
-        }
-        // Dense fast tier: for box-shaped systems the cached summary
-        // decides emptiness exactly, with the same verdict the cascade
-        // below would reach (see `crate::dense` for the agreement
-        // argument), so skipping Fourier–Motzkin cannot change output.
-        if !crate::dense::force_general() {
-            if let Some(d) = self.dense_box() {
-                return d.is_empty();
-            }
         }
         if self.quick_unsat() {
             return true;
@@ -609,23 +618,22 @@ impl System {
                 continue;
             }
             let k = c.expr.konst();
-            // Bounds implied for v (i64::MIN/MAX = unconstrained side).
-            let (lo, hi) = match c.kind {
-                CKind::Geq => {
-                    if a > 0 {
-                        (-crate::div_floor(k, a), i64::MAX)
-                    } else {
-                        (i64::MIN, crate::div_floor(k, -a))
-                    }
-                }
+            // Bounds implied for v (i64::MIN/MAX = unconstrained side);
+            // a bound that does not fit an `i64` says nothing here.
+            let window = match c.kind {
+                CKind::Geq if a > 0 => crate::div_floor(k, a)
+                    .checked_neg()
+                    .map(|lo| (lo, i64::MAX)),
+                CKind::Geq => a.checked_neg().map(|b| (i64::MIN, crate::div_floor(k, b))),
                 CKind::Eq => {
-                    if k % a != 0 {
+                    if k.checked_rem(a).is_some_and(|r| r != 0) {
                         return true;
                     }
-                    let x = -k / a;
-                    (x, x)
+                    let x = k.checked_div(a).and_then(i64::checked_neg);
+                    x.map(|x| (x, x))
                 }
             };
+            let Some((lo, hi)) = window else { continue };
             match windows.iter_mut().find(|w| w.0 == v) {
                 Some(w) => {
                     w.1 = w.1.max(lo);
@@ -719,6 +727,7 @@ impl fmt::Display for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseRange;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
@@ -978,6 +987,42 @@ mod tests {
         // The kept prefix is the three single-variable bounds: a box the
         // full sixteen-constraint result was not.
         assert!(p.system.has_dense());
+    }
+
+    #[test]
+    fn extreme_constants_fall_through_instead_of_wrapping() {
+        // `x + k == 0` pins x to -k and `x + k >= 0` bounds it there;
+        // for k = i64::MIN that is 2^63, which no window can hold.
+        for konst in [i64::MIN, i64::MIN + 1, i64::MAX] {
+            for kind in [CKind::Eq, CKind::Geq] {
+                let expr = lx("x") + k(konst);
+                let s = System::from_constraints([Constraint { expr, kind }]);
+                let at_x = konst.checked_neg();
+                let hi = if kind == CKind::Eq { at_x } else { None };
+                let (lo, stride) = (at_x, 1);
+                let expected = at_x.map(|_| DenseRange { lo, hi, stride });
+                assert_eq!(
+                    s.dense_box().and_then(|b| b.range(v("x"))),
+                    expected.as_ref(),
+                    "{s}"
+                );
+                assert!(!s.quick_unsat(), "{s}");
+                assert!(!s.is_empty(lim()), "{s}");
+                assert!(!s.is_empty_by_elimination(lim()), "{s}");
+                let sign = if konst < 0 { '-' } else { '+' };
+                let op = if kind == CKind::Eq { "=" } else { ">=" };
+                assert_eq!(
+                    s.to_string(),
+                    format!("{{x {sign} {} {op} 0}}", konst.unsigned_abs())
+                );
+                // The un-negatable constant next to a window it cannot
+                // be compared with: still no verdict, still no panic.
+                let mut t = s.clone();
+                t.push(Constraint::leq(lx("x"), k(5)));
+                t.classify_dense();
+                assert_eq!(t.quick_unsat(), konst == i64::MIN + 1, "{t}");
+            }
+        }
     }
 
     fn v(n: &str) -> Var {

@@ -22,8 +22,8 @@ fn vw() -> Var {
     Var::new("dw")
 }
 
-/// A copy of `sys` with the dense cache stripped, so lattice queries on
-/// it exercise the general Fourier–Motzkin path unconditionally.
+/// A copy of `sys` with the dense cache stripped, so box dispatch on it
+/// declines and region queries run the general algorithm.
 fn stripped(sys: &System) -> System {
     System::from_raw_parts(sys.constraints().to_vec(), sys.is_contradiction(), false)
 }
@@ -147,7 +147,7 @@ fn dense_emptiness_agrees_with_fm() {
         classified += 1;
         assert_eq!(
             d.is_empty(),
-            stripped(&sys).is_empty(Limits::default()),
+            sys.is_empty_by_elimination(Limits::default()),
             "dense and FM disagree on emptiness of {sys}"
         );
     }
@@ -177,7 +177,7 @@ fn strided_emptiness_agrees_with_fm_and_enumeration() {
         let sys = random_strided_system(&mut rng);
         let Some(d) = sys.dense_box() else { continue };
         classified += 1;
-        let fm = stripped(&sys).is_empty(Limits::default());
+        let fm = sys.is_empty_by_elimination(Limits::default());
         assert_eq!(d.is_empty(), fm, "dense vs FM on strided {sys}");
         // dw ∈ [-6, 6] and |s| ≤ 4, |c| ≤ 5 keep dx within [-29, 29]:
         // enumeration over that window is conclusive.
@@ -386,7 +386,7 @@ fn coupled_systems_stay_general_and_still_agree() {
         if let Some(d) = sys.dense_box() {
             assert_eq!(
                 d.is_empty(),
-                stripped(&sys).is_empty(Limits::default()),
+                sys.is_empty_by_elimination(Limits::default()),
                 "tier-boundary disagreement on {sys}"
             );
         }
@@ -397,8 +397,8 @@ fn coupled_systems_stay_general_and_still_agree() {
 /// Nothing observable may depend on *when*: a derived box is the
 /// classification of the constraints the system holds, a clone answers
 /// the same whether it was taken before or after the original derived
-/// its box, any mutation disarms, and the codec constructor arms exactly
-/// when told to.
+/// its box, any mutation disarms (a new constraint, a contradiction; not
+/// a duplicate), and the codec constructor arms exactly when told to.
 #[test]
 fn lazily_derived_box_is_the_classification_of_the_constraints() {
     let mut rng = StdRng::seed_from_u64(0x1a2_b0c5);
@@ -430,11 +430,23 @@ fn lazily_derived_box_is_the_classification_of_the_constraints() {
         assert_eq!(early.tier(), late.tier());
         assert_eq!(early.is_empty(limits), late.is_empty(limits));
 
-        // Any mutation disarms, whether or not the box was derived yet.
+        // Any mutation disarms, whether or not the box was derived yet;
+        // a push that changes nothing is not one.
         for mut touched in [System::from_constraints(sys.constraints().to_vec()), late] {
             if touched.is_contradiction() {
                 continue;
             }
+            if let Some(held) = touched.constraints().first().cloned() {
+                touched.push(held);
+            }
+            assert_eq!(
+                touched.dense_box().cloned(),
+                DenseBox::classify(touched.constraints()),
+                "case {case}: a duplicate push disarmed {touched}"
+            );
+            let mut refuted = touched.clone();
+            refuted.push(Constraint::geq0(LinExpr::constant(-1)));
+            assert!(refuted.is_contradiction() && !refuted.has_dense());
             touched.push(Constraint::geq(
                 LinExpr::var(Var::new("dz")),
                 LinExpr::constant(case as i64),

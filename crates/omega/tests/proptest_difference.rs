@@ -1,0 +1,221 @@
+//! Randomized agreement tests for the difference-bound tier: wherever
+//! [`difference::is_empty`] answers, the answer must match both the
+//! elimination cascade and brute-force enumeration; everywhere else it
+//! must decline and leave [`System::is_empty`] on the cascade's answer.
+//! Cases come from fixed seeds so every run checks the same systems.
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use padfa_omega::{difference, Constraint, Limits, LinExpr, System, Tier, Var};
+
+fn var(n: usize) -> Var {
+    Var::new(&format!("df{n}"))
+}
+fn lx(n: usize) -> LinExpr {
+    LinExpr::var(var(n))
+}
+fn k(c: i64) -> LinExpr {
+    LinExpr::constant(c)
+}
+
+/// One random unit bound, unit difference or unit equality over
+/// `df0..df{vars}` with its constant in ±6.
+fn random_difference_constraint(rng: &mut StdRng, vars: usize) -> Constraint {
+    let c = rng.gen_range(-6i64..=6);
+    let x = rng.gen_range(0..vars);
+    let y = (x + rng.gen_range(1..vars.max(2))) % vars;
+    let expr = match rng.gen_range(0u32..4) {
+        0 => lx(x) + k(c),
+        1 => -lx(x) + k(c),
+        _ if x == y => lx(x) + k(c),
+        _ => lx(x) - lx(y) + k(c),
+    };
+    if rng.gen_bool(0.25) {
+        Constraint::eq0(expr)
+    } else {
+        Constraint::geq0(expr)
+    }
+}
+
+/// Does any point of the cube `[-radius, radius]^vars` satisfy every
+/// constraint? (`vars <= 3`.)
+fn cube_has_point(cs: &[Constraint], vars: usize, radius: i64) -> bool {
+    let names: Vec<Var> = (0..vars).map(var).collect();
+    let side = 2 * radius + 1;
+    (0..side.pow(vars as u32)).any(|mut code| {
+        let mut at = [0i64; 3];
+        for x in at.iter_mut().take(vars) {
+            *x = code % side - radius;
+            code /= side;
+        }
+        let env = |v: Var| names.iter().position(|&n| n == v).map(|n| at[n]);
+        cs.iter().all(|c| c.eval(&env) == Some(true))
+    })
+}
+
+/// The closed form, the dispatching entry point and the cascade on one
+/// raw list; returns the closed form's answer.
+fn three_answers(cs: &[Constraint], limits: Limits) -> Option<bool> {
+    let closed = difference::is_empty(cs, limits);
+    let sys = System::from_constraints(cs.to_vec());
+    let cascade = sys.is_empty_by_elimination(limits);
+    if let Some(empty) = closed {
+        assert_eq!(empty, cascade, "closed form vs elimination on {cs:?}");
+    }
+    let (empty, tier) = sys.is_empty_tiered(limits);
+    assert_eq!(empty, cascade, "is_empty vs elimination on {sys}");
+    if closed.is_some() && !sys.is_contradiction() {
+        assert_eq!(tier, Tier::Dense, "{sys}");
+    }
+    closed
+}
+
+#[test]
+fn difference_emptiness_agrees_with_fm_and_enumeration() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF_B0D5);
+    let limits = Limits::default();
+    let (mut empties, mut enumerated) = (0u32, 0u32);
+    const CASES: u32 = 24_000;
+    for case in 0..CASES {
+        let vars = rng.gen_range(1usize..=8);
+        let cs: Vec<Constraint> = (0..rng.gen_range(1usize..=14))
+            .map(|_| random_difference_constraint(&mut rng, vars))
+            .collect();
+        let empty = three_answers(&cs, limits)
+            .unwrap_or_else(|| panic!("case {case}: a difference system fell through: {cs:?}"));
+        empties += u32::from(empty);
+        if vars <= 3 {
+            // Shortest-path potentials put a solution inside this cube
+            // whenever there is one.
+            enumerated += 1;
+            assert_eq!(
+                empty,
+                !cube_has_point(&cs, vars, 6 * (vars as i64 + 1)),
+                "case {case}: closed form vs enumeration on {cs:?}"
+            );
+        }
+    }
+    assert!(enumerated >= 2_000, "only {enumerated} systems enumerated");
+    assert!(
+        (CASES / 4..=3 * CASES / 4).contains(&empties),
+        "{empties} of {CASES} systems empty: the generator lost its balance"
+    );
+}
+
+#[test]
+fn other_shapes_and_tight_limits_fall_through_to_the_cascade() {
+    let mut rng = StdRng::seed_from_u64(0xFA11_7420);
+    let limits = Limits::default();
+    let near_max = i64::MAX / 16 + 1;
+    let offenders = [
+        Constraint::geq0(lx(0) + lx(1)),
+        Constraint::geq0(lx(0).scaled(2) - lx(1)),
+        Constraint::geq0(lx(0) - lx(1) + lx(2)),
+        // A stride link: the box tier's shape, not this one's.
+        Constraint::eq(lx(0), lx(1).scaled(2) + k(1)),
+        Constraint::geq0(lx(0) + k(near_max)),
+        Constraint::geq0(lx(0) - lx(1) + k(-near_max)),
+    ];
+    for offender in &offenders {
+        for round in 0..200 {
+            // Alone, then in among constraints that would be decided.
+            let mut cs: Vec<Constraint> = (0..round % 5)
+                .map(|_| random_difference_constraint(&mut rng, 4))
+                .collect();
+            cs.insert(rng.gen_range(0..=cs.len()), offender.clone());
+            assert_eq!(three_answers(&cs, limits), None, "{cs:?}");
+        }
+    }
+
+    // A ninth variable.
+    let chain = |n: usize| -> Vec<Constraint> {
+        (0..n - 1)
+            .map(|i| Constraint::leq(lx(i), lx(i + 1)))
+            .collect()
+    };
+    assert_eq!(three_answers(&chain(8), limits), Some(false));
+    assert_eq!(three_answers(&chain(9), limits), None);
+    let mut closed = chain(9);
+    closed.push(Constraint::lt(lx(8), lx(0)));
+    assert_eq!(three_answers(&closed, limits), None);
+    assert!(System::from_constraints(closed).is_empty(limits));
+
+    // A cap elimination could hit: two variables need room for nine
+    // constraints.
+    let tight = Limits {
+        max_constraints: 4,
+        max_disjuncts: 1,
+    };
+    for _ in 0..200 {
+        let cs: Vec<Constraint> = (0..rng.gen_range(1usize..=6))
+            .map(|_| random_difference_constraint(&mut rng, 2))
+            .collect();
+        let two_vars =
+            cs.iter().any(|c| c.mentions(var(0))) && cs.iter().any(|c| c.mentions(var(1)));
+        assert_eq!(three_answers(&cs, tight).is_none(), two_vars, "{cs:?}");
+    }
+}
+
+#[test]
+fn negative_cycles_of_every_length_are_found() {
+    let mut rng = StdRng::seed_from_u64(0xC1C_1E5);
+    let limits = Limits::default();
+    // A cycle of `len` edges whose weights sum to `total`: a link
+    // `x' <= x + w` per edge (or `x' == x + w` where `eq` says so), the
+    // zero node standing in for "variable" `len - 1` when `zero`.
+    let mut cycle = |len: usize, total: i64, zero: bool, eq: &dyn Fn(usize) -> bool| {
+        let node = |n: usize| {
+            if zero && n % len == len - 1 {
+                k(0)
+            } else {
+                lx(n % len)
+            }
+        };
+        let mut weights: Vec<i64> = (1..len).map(|_| rng.gen_range(-6i64..=6)).collect();
+        weights.push(total - weights.iter().sum::<i64>());
+        let mut cs: Vec<Constraint> = (0..len)
+            .map(|n| {
+                let (from, to) = (node(n), node(n + 1));
+                if eq(n) {
+                    Constraint::eq(to, from + k(weights[n]))
+                } else {
+                    Constraint::leq(to, from + k(weights[n]))
+                }
+            })
+            .collect();
+        for i in (1..cs.len()).rev() {
+            cs.swap(i, rng.gen_range(0..=i));
+        }
+        cs
+    };
+    for len in 2..=8 {
+        for round in 0..40 {
+            // Equalities close a cycle in both directions, so any
+            // non-zero sum is a negative cycle one way round.
+            let off = [-3, -1, 1, 2][round % 4];
+            let all_eq = |_: usize| true;
+            let cs = cycle(len, off, false, &all_eq);
+            assert_eq!(three_answers(&cs, limits), Some(true), "{cs:?}");
+            let cs = cycle(len, 0, false, &all_eq);
+            assert_eq!(three_answers(&cs, limits), Some(false), "{cs:?}");
+
+            // Through the zero node, inequalities only.
+            let no_eq = |_: usize| false;
+            let cs = cycle(len, -1, true, &no_eq);
+            assert_eq!(three_answers(&cs, limits), Some(true), "{cs:?}");
+            let cs = cycle(len, 0, true, &no_eq);
+            assert_eq!(three_answers(&cs, limits), Some(false), "{cs:?}");
+
+            // Through the zero node and equalities: every other link,
+            // then all of them.
+            let some_eq = |n: usize| n % 2 == round % 2;
+            let cs = cycle(len, -1, true, &some_eq);
+            assert_eq!(three_answers(&cs, limits), Some(true), "{cs:?}");
+            let cs = cycle(len, off, true, &all_eq);
+            assert_eq!(three_answers(&cs, limits), Some(true), "{cs:?}");
+            let cs = cycle(len, 0, true, &all_eq);
+            assert_eq!(three_answers(&cs, limits), Some(false), "{cs:?}");
+        }
+    }
+}

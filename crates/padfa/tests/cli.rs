@@ -708,3 +708,73 @@ fn bad_store_inject_spec_exits_2() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("only injects store-"), "{err}");
 }
+
+/// The closed-form emptiness tiers (difference-bound closure, box) must
+/// never change a byte of output: every corpus source through
+/// `explain --json` (per-pair evidence, 240 KB for `wave5` alone) and 60
+/// generated programs through `analyze --all --summaries`, each with and
+/// without the tier kill switch. The switch is read once per process, so
+/// each side is a spawn of the built binary.
+#[test]
+fn forced_general_tier_changes_no_output_byte() {
+    use padfa_ir::testgen::{random_program, GenConfig};
+
+    let dir = std::env::temp_dir().join(format!("padfa-cli-test-{}-tiers", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut inputs: Vec<(std::path::PathBuf, &[&str])> = Vec::new();
+    let mut add = |name: String, source: &str, args: &'static [&'static str]| {
+        let path = dir.join(name);
+        std::fs::write(&path, source).unwrap();
+        inputs.push((path, args));
+    };
+    for bench in padfa_suite::corpus::build_corpus() {
+        add(
+            format!("{}.mf", bench.name),
+            &bench.source,
+            &["explain", "--json"],
+        );
+    }
+    for seed in 0..60 {
+        let source =
+            padfa_ir::pretty::program_to_string(&random_program(seed, GenConfig::default()));
+        add(
+            format!("gen{seed}.mf"),
+            &source,
+            &["analyze", "--all", "--summaries"],
+        );
+    }
+    assert_eq!(inputs.len(), 90);
+
+    for (path, args) in &inputs {
+        let run = |forced: bool| {
+            let mut cmd = padfa();
+            cmd.args(*args)
+                .arg(path)
+                .env_remove("PADFA_FORCE_GENERAL_TIER");
+            if forced {
+                cmd.env("PADFA_FORCE_GENERAL_TIER", "1");
+            }
+            let out = cmd.output().unwrap();
+            assert!(
+                out.status.success(),
+                "{args:?} {} (forced general: {forced}): {}",
+                path.display(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            out.stdout
+        };
+        let (tiered, general) = (run(false), run(true));
+        assert!(
+            !tiered.is_empty(),
+            "{args:?} {} printed nothing",
+            path.display()
+        );
+        assert!(
+            tiered == general,
+            "{args:?} {}: output differs under PADFA_FORCE_GENERAL_TIER=1",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,8 +4,10 @@
 //! for the 4,482 loops before `System::simplify` went in-place and dense
 //! boxes on-demand, then 585 MB requested in 1.67 M calls while a
 //! `Constraint` was 152 bytes (first-touch page faults and `memmove`
-//! were a quarter of `analyze`). Both figures repeat exactly, so they
-//! are gated as counts. This file holds exactly one
+//! were a quarter of `analyze`), then 1.60 M calls of which a quarter
+//! answered emptiness questions a 9 × 9 matrix on the stack decides.
+//! Both figures repeat exactly, so they are gated as counts. This file
+//! holds exactly one
 //! test: the counters are process-wide, and a second test running
 //! beside it would be counted.
 
@@ -54,12 +56,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// ≈ 1.25 × the 1,665,934 measured when the gate was set.
-const MAX_ALLOCATIONS: u64 = 2_100_000;
+/// ≈ 1.25 × the 1,225,747 measured when the gate was set (1,596,609
+/// while every emptiness question classified a box or ran elimination).
+const MAX_ALLOCATIONS: u64 = 1_530_000;
 
-/// ≈ 1.25 × the 313,030,320 measured when the gate was set
-/// (584,675,472 with 152-byte constraints).
-const MAX_BYTES: u64 = 390_000_000;
+/// ≈ 1.25 × the 250,854,235 measured when the gate was set
+/// (303,254,148 before the closed-form emptiness tier, 584,675,472 with
+/// 152-byte constraints).
+const MAX_BYTES: u64 = 315_000_000;
 
 #[test]
 fn corpus_analysis_stays_allocation_lean() {
@@ -100,6 +104,28 @@ fn corpus_analysis_stays_allocation_lean() {
     let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(sys.len(), 150);
     assert_eq!(count, 0, "System::simplify allocated");
+
+    // Emptiness of the two shapes the analysis asks about — a chain of
+    // unit differences between bounds, a plain box — is decided on the
+    // stack: no variable set, no elimination, no box summary.
+    let x = |n: usize| LinExpr::var(Var::new(&format!("ag{n}")));
+    let mut chain = padfa_omega::System::from_constraints(
+        (0..7).map(|n| Constraint::leq(x(n), x(n + 1) + LinExpr::constant(n as i64 - 3))),
+    );
+    chain.push(Constraint::geq(x(0), LinExpr::constant(1)));
+    chain.push(Constraint::leq(x(7), LinExpr::constant(100)));
+    chain.simplify();
+    let window = (0..6).flat_map(|n| [bound(n, 1, 0), bound(n, -1, n as i64)]);
+    let plain_box = padfa_omega::System::from_constraints(window);
+    let limits = padfa_omega::Limits::default();
+    for (what, sys, vars) in [("difference system", &chain, 8), ("box", &plain_box, 6)] {
+        assert_eq!(sys.vars().len(), vars);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let empty = std::hint::black_box(sys).is_empty(limits);
+        let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert!(!empty, "{sys}");
+        assert_eq!(count, 0, "is_empty of a {vars}-variable {what} allocated");
+    }
 
     // An expression that outgrew the inline buffer and cancelled back
     // is a small expression again: copying it touches no heap.
