@@ -16,7 +16,6 @@ use crate::report::{AnalysisResult, LoopReport, Mechanisms, NotCandidateReason, 
 use crate::session::AnalysisSession;
 use crate::store;
 use crate::summary::Summary;
-use crate::trace;
 use padfa_ir::affine;
 use padfa_ir::ast::{Block, BoolExpr, Expr, Loop, Procedure, Program, Stmt};
 use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
@@ -74,7 +73,6 @@ pub fn analyze_program_session(
     sess: &AnalysisSession,
 ) -> Result<(AnalysisResult, HashMap<String, Arc<Summary>>), AnalysisError> {
     {
-        let _s = trace::span("pre_intern", "driver");
         let _f = flight::span(flight::EventKind::Driver, "pre_intern");
         sess.pre_intern(prog);
     }
@@ -96,8 +94,6 @@ pub fn analyze_program_session(
     let mut proc_summaries: HashMap<String, Arc<Summary>> = HashMap::new();
     let mut reports: Vec<LoopReport> = Vec::new();
     {
-        let mut walk_span = trace::span("walk", "driver");
-        walk_span.arg("procs", prog.procedures.len().to_string());
         let mut walk_flight = flight::span(flight::EventKind::Driver, "walk");
         walk_flight.set_value(prog.procedures.len() as u64);
         for &idx in co.levels.iter().flatten() {
@@ -172,12 +168,12 @@ fn analyze_proc(
     // (see `proc_store_key`), so no budget meter state is skipped.
     if let (Some(key), Some(s)) = (store_key, sess.store()) {
         if let Some((summary, reports)) = s.get_proc(key) {
-            trace::instant(format!("store-hit {}", proc.name), "store");
+            flight::instant(flight::EventKind::StoreHit, &proc.name, 1);
             return Ok((Arc::new(summary), reports));
         }
     }
     budget::install(&sess.opts.budget);
-    let mut proc_span = trace::span(format!("proc {}", proc.name), "summarize");
+    let queries_before = sess.queries();
     let mut proc_flight = flight::span(flight::EventKind::Summarize, proc.name.clone());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut az = Analyzer {
@@ -195,12 +191,13 @@ fn analyze_proc(
     }));
     let meter = budget::take();
     sess.note_proc_meter(&meter);
-    proc_span.arg("steps", meter.steps.to_string());
-    proc_span.end();
     proc_flight.set_value(meter.steps);
     drop(proc_flight);
-    trace::flush_lattice_batch();
-    flight::flush_lattice_ops(&proc.name);
+    flight::instant(
+        flight::EventKind::LatticeBatch,
+        &proc.name,
+        sess.queries() - queries_before,
+    );
     match outcome {
         Ok((summary, reports)) => {
             if let (Some(key), Some(s)) = (store_key, sess.store()) {
@@ -209,7 +206,6 @@ fn analyze_proc(
             Ok((Arc::new(summary), reports))
         }
         Err(payload) if payload.downcast_ref::<budget::Exhausted>().is_some() => {
-            trace::instant(format!("budget-exhausted {}", proc.name), "budget");
             match sess.opts.budget.on_exhausted {
                 OnExhausted::Error => Err(AnalysisError::BudgetExhausted {
                     proc: proc.name.clone(),
@@ -385,7 +381,6 @@ impl<'a> Analyzer<'a> {
         let sess = self.sess;
         let opts = &sess.opts;
         let loop_name = l.label.clone().unwrap_or_else(|| format!("L{}", l.id.0));
-        let _loop_span = trace::span(loop_name.clone(), "loop");
         let _loop_flight = flight::span(flight::EventKind::Loop, loop_name);
 
         // Bound expressions are read at loop entry.

@@ -1,14 +1,16 @@
 //! Always-on flight recorder: a fixed-capacity, striped ring buffer of
-//! structured analysis events.
+//! structured analysis events — the one event stream of the process.
 //!
-//! The feature-gated Chrome trace ([`crate::trace`]) is a deep-dive
-//! tool: it buffers *every* span unboundedly and must be armed by hand.
-//! Production diagnosis needs the opposite trade — always recording,
-//! never growing: this module keeps the last [`capacity`] events in a
-//! striped ring with relaxed-atomic sequencing and overwrite-on-wrap,
-//! so the recent past of any process (CLI run or `padfa serve` worker)
-//! can be dumped after the fact at `O(capacity)` cost and zero
-//! steady-state allocation beyond the ring itself.
+//! The recorder keeps the last [`capacity`] events in a striped ring
+//! with relaxed-atomic sequencing and overwrite-on-wrap, so the recent
+//! past of any process (CLI run or `padfa serve` worker) can be read
+//! after the fact with zero steady-state allocation beyond the ring
+//! itself. Every reader is a *selection* over it ([`select`]: the
+//! events since a watermark, optionally of one trace key) followed by
+//! a fold: [`profile`] is the `--profile` table and the
+//! `/debug/requests` phase breakdown, [`chrome_json`] is the
+//! `analyze --trace` file, and [`ring_json`] — the one whole-ring
+//! copy — is `/debug/flight` and the crash sidecars.
 //!
 //! ## Event taxonomy
 //!
@@ -16,16 +18,16 @@
 //! `parse`, `driver` (pre-intern, then the walk over the procedures),
 //! `summarize` (one per procedure), `loop` (one per analyzed loop), and
 //! `request` (one per service request). Instant kinds: `lattice-batch`
-//! (one per procedure, carrying the procedure's lattice-op count),
+//! (one per procedure, carrying the procedure's lattice-query count),
 //! `budget-exhausted`, `store-degraded` / `store-retry` /
-//! `store-quarantined`, `tier-forced-general`, `trace-capture`,
-//! `worker-panic`, `admission-shed`, and `note` (fault-injection
-//! filler). Event *kinds, labels, values and counts* emitted by the
-//! analysis itself repeat exactly from run to run (timing fields do
-//! not): spans map 1:1 onto structural units (procedures, loops), and
-//! a procedure is analyzed by one thread from start to finish, so the
-//! thread-local lattice-op count flushed after it is the procedure's
-//! own.
+//! `store-quarantined`, `tier-forced-general`, `store-hit` (a
+//! procedure answered from the persistent store), `worker-panic`,
+//! `admission-shed`, and `note` (fault-injection filler). Event
+//! *kinds, labels, values and counts* emitted by the analysis itself
+//! repeat exactly from run to run (timing fields do not): spans map
+//! 1:1 onto structural units (procedures, loops), and a procedure's
+//! `lattice-batch` value is the growth of its session's own memo
+//! counters while it was summarized.
 //!
 //! The ring is the one part of the recorder that several threads write:
 //! every session in the process — each corpus lane, each service worker
@@ -36,22 +38,23 @@
 //!
 //! The service tags every event recorded while handling a request with
 //! the request's trace key ([`set_trace`], a thread-local guard: a
-//! request is analyzed on the worker thread that picked it up), so
-//! `/debug/flight` dumps can be filtered per request after the fact.
+//! request is analyzed on the worker thread that picked it up) and
+//! notes the [`watermark`] as it does so; the request's record is then
+//! `select(watermark, Some(key))` — this request's events and no
+//! earlier request's, whatever trace id the client reused.
 //!
 //! ## Overhead budget
 //!
-//! Recording is on by default; `PADFA_NO_FLIGHT=1` disables it (read
-//! once, overridable in-process via [`set_enabled`] so the bench can
-//! A/B one binary). The per-event cost is one relaxed `fetch_add`, one
-//! uncontended stripe lock, and one small clone — and events are
-//! per-*procedure*/per-*loop*, not per-query, so the corpus-wide
-//! overhead stays within the ≤2% gate measured by `analysis_stats`
-//! (the `flight_overhead` section of BENCH_analysis.json).
+//! Recording is always on. The per-event cost is one relaxed
+//! `fetch_add`, one uncontended stripe lock, and one small clone — and
+//! events are per-*procedure*/per-*loop*, not per-query, so the
+//! corpus-wide overhead stays within the ≤2% gate measured by
+//! `analysis_stats` (the `flight_overhead` section of
+//! BENCH_analysis.json).
 
 use padfa_omega::sync::lock;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -77,7 +80,7 @@ pub enum EventKind {
     StoreRetry,
     StoreQuarantined,
     TierForcedGeneral,
-    TraceCapture,
+    StoreHit,
     WorkerPanic,
     AdmissionShed,
     Note,
@@ -96,7 +99,7 @@ impl EventKind {
         EventKind::StoreRetry,
         EventKind::StoreQuarantined,
         EventKind::TierForcedGeneral,
-        EventKind::TraceCapture,
+        EventKind::StoreHit,
         EventKind::WorkerPanic,
         EventKind::AdmissionShed,
         EventKind::Note,
@@ -115,7 +118,7 @@ impl EventKind {
             EventKind::StoreRetry => "store-retry",
             EventKind::StoreQuarantined => "store-quarantined",
             EventKind::TierForcedGeneral => "tier-forced-general",
-            EventKind::TraceCapture => "trace-capture",
+            EventKind::StoreHit => "store-hit",
             EventKind::WorkerPanic => "worker-panic",
             EventKind::AdmissionShed => "admission-shed",
             EventKind::Note => "note",
@@ -284,26 +287,27 @@ impl FlightRecorder {
         }
     }
 
-    /// Copy out the ring, oldest surviving event first (by `seq`).
-    pub fn snapshot(&self) -> Vec<Event> {
+    /// The surviving events with `seq >= since` — of trace `trace`
+    /// when one is given — oldest first (by `seq`). The filter runs
+    /// under the stripe locks, so only the selected events are cloned.
+    pub fn select(&self, since: u64, trace: Option<u64>) -> Vec<Event> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
-            out.extend(lock(stripe).buf.iter().cloned());
+            out.extend(
+                lock(stripe)
+                    .buf
+                    .iter()
+                    .filter(|e| e.seq >= since && trace.is_none_or(|t| e.trace == t))
+                    .cloned(),
+            );
         }
         out.sort_by_key(|e| e.seq);
-        out
-    }
-
-    /// The surviving events recorded at or after `watermark`.
-    pub fn events_since(&self, watermark: u64) -> Vec<Event> {
-        let mut out = self.snapshot();
-        out.retain(|e| e.seq >= watermark);
         out
     }
 }
 
 // ---------------------------------------------------------------------
-// Process-global recorder, enable gate, and thread-local tagging.
+// Process-global recorder and thread-local tagging.
 
 static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
 
@@ -311,36 +315,11 @@ fn global() -> &'static FlightRecorder {
     GLOBAL.get_or_init(|| FlightRecorder::with_capacity(DEFAULT_CAPACITY))
 }
 
-/// 0 = unresolved, 1 = enabled, 2 = disabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether recording is on. Resolved once from `PADFA_NO_FLIGHT`
-/// (any non-empty value other than `0` disables), then cached;
-/// [`set_enabled`] overrides in-process.
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let off = std::env::var("PADFA_NO_FLIGHT").is_ok_and(|v| !v.is_empty() && v != "0");
-            STATE.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            !off
-        }
-    }
-}
-
-/// Force the recorder on or off, overriding the env gate. Used by the
-/// overhead bench (A/B in one process) and tests.
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static TID: Cell<u64> = const { Cell::new(0) };
     static TRACE: Cell<u64> = const { Cell::new(0) };
-    static LATTICE_OPS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn tid() -> u64 {
@@ -396,26 +375,19 @@ impl Drop for TraceTag {
 
 /// Record a standalone instant event.
 pub fn instant(kind: EventKind, label: &str, value: u64) {
-    if enabled() {
-        global().record(kind, Phase::Instant, current_trace(), 0, value, label);
-    }
+    global().record(kind, Phase::Instant, current_trace(), 0, value, label);
 }
 
 /// Open a span: records `Begin` now and `End` (with duration) when the
-/// returned guard drops. Arming is decided here, so a span stays
-/// paired even if [`set_enabled`] flips mid-flight.
+/// returned guard drops.
 pub fn span(kind: EventKind, label: impl Into<String>) -> FlightSpan {
-    let armed = enabled();
     let label = label.into();
-    if armed {
-        global().record(kind, Phase::Begin, current_trace(), 0, 0, &label);
-    }
+    global().record(kind, Phase::Begin, current_trace(), 0, 0, &label);
     FlightSpan {
         kind,
         label,
         start: Instant::now(),
         value: 0,
-        armed,
     }
 }
 
@@ -425,7 +397,6 @@ pub struct FlightSpan {
     label: String,
     start: Instant,
     value: u64,
-    armed: bool,
 }
 
 impl FlightSpan {
@@ -437,50 +408,21 @@ impl FlightSpan {
 
 impl Drop for FlightSpan {
     fn drop(&mut self) {
-        if self.armed {
-            let dur = self.start.elapsed().as_micros() as u64;
-            global().record(
-                self.kind,
-                Phase::End,
-                current_trace(),
-                dur,
-                self.value,
-                &self.label,
-            );
-        }
-    }
-}
-
-/// Count one lattice operation on this thread (always cheap: a
-/// thread-local increment, no lock, no branch on the enable gate).
-/// Flushed per procedure by the driver via [`flush_lattice_ops`].
-pub fn note_lattice_op() {
-    LATTICE_OPS.with(|c| c.set(c.get() + 1));
-}
-
-/// Emit the per-procedure `lattice-batch` instant carrying the ops
-/// this thread counted since the last flush, and reset the count.
-pub fn flush_lattice_ops(label: &str) {
-    let ops = LATTICE_OPS.with(|c| c.replace(0));
-    if enabled() {
+        let dur = self.start.elapsed().as_micros() as u64;
         global().record(
-            EventKind::LatticeBatch,
-            Phase::Instant,
+            self.kind,
+            Phase::End,
             current_trace(),
-            0,
-            ops,
-            label,
+            dur,
+            self.value,
+            &self.label,
         );
     }
 }
 
 /// Global-recorder accessors (see [`FlightRecorder`]).
-pub fn snapshot() -> Vec<Event> {
-    global().snapshot()
-}
-
-pub fn events_since(watermark: u64) -> Vec<Event> {
-    global().events_since(watermark)
+pub fn select(since: u64, trace: Option<u64>) -> Vec<Event> {
+    global().select(since, trace)
 }
 
 pub fn watermark() -> u64 {
@@ -509,16 +451,47 @@ pub fn events_json(events: &[Event]) -> String {
 }
 
 /// Dump the whole global ring as one JSON object — the payload of
-/// `GET /debug/flight` and of panic/drain sidecar files.
+/// `GET /debug/flight` and of panic/drain sidecar files, and the one
+/// reader that copies every event.
 pub fn ring_json() -> String {
-    let events = snapshot();
     format!(
-        "{{\"capacity\":{},\"overflows\":{},\"enabled\":{},\"events\":{}}}",
+        "{{\"capacity\":{},\"overflows\":{},\"events\":{}}}",
         capacity(),
         overflows(),
-        enabled(),
-        events_json(&events),
+        events_json(&select(0, None)),
     )
+}
+
+/// Render `events` as Chrome trace-event JSON (loadable in Perfetto or
+/// `chrome://tracing`): an `End` becomes a complete (`"X"`) event that
+/// starts `dur_us` before it was recorded, an `Instant` an `"i"`;
+/// `cat` is the kind, `name` the label, `args.value` the payload. A
+/// `Begin` carries nothing its `End` does not and is dropped, as are
+/// `seq` and the trace key.
+pub fn chrome_json(events: &[Event]) -> String {
+    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    let shown = events.iter().filter(|e| e.phase != Phase::Begin);
+    for (i, e) in shown.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let (ph, ts, shape) = if e.phase == Phase::End {
+            let start = e.ts_us.saturating_sub(e.dur_us);
+            ('X', start, format!("\"dur\":{}", e.dur_us))
+        } else {
+            ('i', e.ts_us, "\"s\":\"t\"".to_string())
+        };
+        out.push_str(&format!(
+            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":1,\
+             \"tid\":{},{shape},\"args\":{{\"value\":{}}}}}",
+            escape(&e.label),
+            e.kind.name(),
+            e.tid,
+            e.value,
+        ));
+    }
+    out.push_str("]}");
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -557,7 +530,7 @@ impl PhaseStat {
 }
 
 /// Compute per-kind self-time attribution from an event slice (must be
-/// seq-sorted, as [`snapshot`] returns). Span nesting is reconstructed
+/// seq-sorted, as [`select`] returns). Span nesting is reconstructed
 /// per thread from `Begin`/`End` pairing; an `End` whose `Begin` was
 /// overwritten by ring wraparound is charged with no parent and no
 /// children (its own duration only).
@@ -644,14 +617,95 @@ mod tests {
             rec.record(EventKind::Note, Phase::Instant, 0, 0, i, "x");
         }
         assert_eq!(rec.overflows(), 24);
-        let snap = rec.snapshot();
-        assert_eq!(snap.len(), 16);
         // Oldest events were overwritten: only the last 16 survive.
-        let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (24..40).collect::<Vec<u64>>());
+        let seqs = |since| -> Vec<u64> { rec.select(since, None).iter().map(|e| e.seq).collect() };
+        assert_eq!(seqs(0), (24..40).collect::<Vec<u64>>());
         assert_eq!(rec.watermark(), 40);
-        assert!(rec.events_since(30).iter().all(|e| e.seq >= 30));
-        assert_eq!(rec.events_since(30).len(), 10);
+        assert_eq!(seqs(30), (30..40).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn select_equals_filtering_a_full_copy() {
+        // Four interleaved trace keys wrap a 64-event ring three times.
+        let rec = FlightRecorder::with_capacity(64);
+        let keys = [0u64, 11, 22, 33];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for i in 0..(64 * 3 + 17) {
+            let key = keys[(next() % 4) as usize];
+            rec.record(EventKind::Note, Phase::Instant, key, 0, i, "x");
+        }
+        // The reference copies the ring whole — every stripe cloned,
+        // sorted by `seq` — and filters afterwards.
+        let full_copy = || {
+            let mut all: Vec<Event> = Vec::new();
+            for stripe in &rec.stripes {
+                all.extend(lock(stripe).buf.iter().cloned());
+            }
+            all.sort_by_key(|e| e.seq);
+            all
+        };
+        assert_eq!(full_copy().len(), 64);
+        let wm = rec.watermark();
+        let mut sinces = vec![0, wm - 64, wm - 1, wm, wm + 5];
+        sinces.extend((0..12).map(|_| next() % (wm + 1)));
+        for since in sinces {
+            for trace in [None, Some(0), Some(11), Some(22), Some(33), Some(44)] {
+                let want: Vec<(u64, u64, u64)> = full_copy()
+                    .into_iter()
+                    .filter(|e| e.seq >= since && trace.is_none_or(|t| e.trace == t))
+                    .map(|e| (e.seq, e.trace, e.value))
+                    .collect();
+                let got: Vec<(u64, u64, u64)> = rec
+                    .select(since, trace)
+                    .into_iter()
+                    .map(|e| (e.seq, e.trace, e.value))
+                    .collect();
+                assert_eq!(got, want, "since={since} trace={trace:?}");
+                assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not in seq order");
+            }
+        }
+    }
+
+    #[test]
+    fn chrome_json_renders_ends_and_instants() {
+        let mut begin = ev(0, EventKind::Summarize, Phase::Begin, 3, 0, 0);
+        begin.label = "main".to_string();
+        let mut end = ev(2, EventKind::Summarize, Phase::End, 3, 40, 12);
+        end.label = "main".to_string();
+        end.ts_us = 100;
+        let mut mark = ev(1, EventKind::BudgetExhausted, Phase::Instant, 3, 0, 7);
+        mark.label = "a\"b\\c\nd".to_string();
+        mark.ts_us = 90;
+        let json = chrome_json(&[begin, mark, end]);
+        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        assert!(json.ends_with("]}"));
+        // The Begin is folded into its End: two events, not three.
+        assert_eq!(json.matches("\"ph\":").count(), 2, "{json}");
+        // A complete span starts `dur` before its End was recorded.
+        assert!(
+            json.contains(
+                "{\"name\":\"main\",\"cat\":\"summarize\",\"ph\":\"X\",\"ts\":60,\"pid\":1,\
+                 \"tid\":3,\"dur\":40,\"args\":{\"value\":12}}"
+            ),
+            "{json}"
+        );
+        assert!(
+            json.contains(
+                "{\"name\":\"a\\\"b\\\\c\\nd\",\"cat\":\"budget-exhausted\",\"ph\":\"i\",\
+                 \"ts\":90,\"pid\":1,\"tid\":3,\"s\":\"t\",\"args\":{\"value\":7}}"
+            ),
+            "{json}"
+        );
+        assert_eq!(
+            chrome_json(&[]),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}"
+        );
     }
 
     #[test]
@@ -725,12 +779,8 @@ mod tests {
         assert_ne!(trace_key("abc"), trace_key("abd"));
     }
 
-    /// All assertions against the process-global recorder live in this
-    /// one test: the enable gate and ring are shared, so concurrent
-    /// flight tests would race a disable window.
     #[test]
-    fn global_recorder_tags_spans_and_honors_the_gate() {
-        set_enabled(true);
+    fn global_recorder_tags_spans_and_selects_by_trace() {
         let key = trace_key("flight-global-test");
         let wm = watermark();
         {
@@ -745,45 +795,21 @@ mod tests {
             let mut s = span(EventKind::Request, "GET /x");
             s.set_value(200);
             instant(EventKind::AdmissionShed, "queue-full", 1);
-            // A flush carries this thread's count and resets it.
-            note_lattice_op();
-            note_lattice_op();
-            flush_lattice_ops("p");
-            flush_lattice_ops("q");
         }
         assert_eq!(current_trace(), 0);
-        let mine: Vec<Event> = events_since(wm)
-            .into_iter()
-            .filter(|e| e.trace == key)
-            .collect();
+        let mine = select(wm, Some(key));
         let kinds: Vec<(EventKind, Phase)> = mine.iter().map(|e| (e.kind, e.phase)).collect();
         assert_eq!(
             kinds,
             vec![
                 (EventKind::Request, Phase::Begin),
                 (EventKind::AdmissionShed, Phase::Instant),
-                (EventKind::LatticeBatch, Phase::Instant),
-                (EventKind::LatticeBatch, Phase::Instant),
                 (EventKind::Request, Phase::End),
             ]
         );
-        assert_eq!((mine[2].value, mine[3].value), (2, 0));
-        assert_eq!(mine[4].value, 200);
+        assert_eq!(mine[2].value, 200);
+        // A later watermark leaves the same key's earlier events out.
+        assert!(select(watermark(), Some(key)).is_empty());
         assert!(ring_json().contains("\"events\":["));
-
-        // Disabled: nothing new lands in the ring for this trace.
-        set_enabled(false);
-        assert!(!enabled());
-        {
-            let _tag = set_trace(key);
-            let _s = span(EventKind::Request, "off");
-            instant(EventKind::Note, "off", 0);
-        }
-        let after: Vec<Event> = events_since(wm)
-            .into_iter()
-            .filter(|e| e.trace == key)
-            .collect();
-        assert_eq!(after.len(), 5);
-        set_enabled(true);
     }
 }

@@ -83,7 +83,6 @@ pub mod session;
 pub(crate) mod shard;
 pub mod store;
 pub mod summary;
-pub mod trace;
 
 pub use analyze::{analyze_program, analyze_program_session, analyze_program_with_summaries};
 pub use budget::{OnExhausted, WorkBudget};

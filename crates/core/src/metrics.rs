@@ -1,12 +1,15 @@
 //! A metrics registry: named counters and log₂-bucketed latency
 //! histograms, snapshotted to JSON per run.
 //!
-//! The registry is opt-in: an [`crate::AnalysisSession`] built with
-//! [`crate::AnalysisSession::with_metrics`] records a latency sample per
-//! memoized lattice query (one `Instant` pair per call) and folds its
-//! final [`crate::StatsSnapshot`] into counters on
-//! [`crate::AnalysisSession::publish_metrics`]. Without a registry the
-//! session pays only an `Option` check per query.
+//! The analysis never sees a registry. A finished run's
+//! [`StatsSnapshot`] — the session's own counters — is folded into one
+//! by [`StatsSnapshot::publish`], under one rule: counters **add**
+//! (`query.*`, `memo.*`, `tier.*`, `interned.*`, `fm.projections`,
+//! budget and overflow counts), `peak.*` keeps the **maximum**, and
+//! `store.*` — totals of a store every session of the process shares —
+//! is **set**. Published into a fresh registry that is one run's
+//! numbers (`analyze --metrics-out`); published into a shared one it is
+//! the running total over runs (`corpus --metrics-out`, `/metrics`).
 //!
 //! ## Determinism
 //!
@@ -14,19 +17,22 @@
 //! Every counter *value* a session publishes is too: a session runs on
 //! one thread, so two runs of one program with the same options (and
 //! the same on-disk store state, for the `store.*` counters) publish
-//! identical snapshots. Latency histograms are inherently
-//! timing-dependent.
+//! identical snapshots. Latency histograms (the service's per-endpoint
+//! request latencies) are inherently timing-dependent.
 //!
-//! The registry itself is shared between sessions — `padfa serve`
+//! The registry itself is shared between threads — `padfa serve`
 //! hands one `Arc<MetricsRegistry>` to every worker — which is why its
 //! maps are behind a lock and its counters are atomics.
 
+use crate::session::StatsSnapshot;
+use crate::store::StoreStatsSnapshot;
 use padfa_omega::sync::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The memoized lattice query kinds instrumented by the session.
+/// The memoized lattice query kinds (the index of a session's per-kind
+/// tier counters).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueryKind {
     SysEmpty = 0,
@@ -38,31 +44,8 @@ pub enum QueryKind {
     Implies = 6,
 }
 
-impl QueryKind {
-    pub const ALL: [QueryKind; 7] = [
-        QueryKind::SysEmpty,
-        QueryKind::Subset,
-        QueryKind::Subtract,
-        QueryKind::Intersect,
-        QueryKind::Union,
-        QueryKind::Project,
-        QueryKind::Implies,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryKind::SysEmpty => "sys_empty",
-            QueryKind::Subset => "subset",
-            QueryKind::Subtract => "subtract",
-            QueryKind::Intersect => "intersect",
-            QueryKind::Union => "union",
-            QueryKind::Project => "project",
-            QueryKind::Implies => "implies",
-        }
-    }
-}
-
-/// A monotone (or last-write-wins via [`Counter::set`]) atomic counter.
+/// An atomic counter: monotone under [`Counter::add`] and
+/// [`Counter::max`], last-write-wins under [`Counter::set`].
 #[derive(Default)]
 pub struct Counter(AtomicU64);
 
@@ -73,6 +56,11 @@ impl Counter {
 
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Raise the counter to `v` if it is below it.
+    pub fn max(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -255,9 +243,87 @@ impl MetricsRegistry {
     }
 }
 
+impl StatsSnapshot {
+    /// Fold this run's counters into `reg` (see the module docs for the
+    /// add / max / set rule). Counter names follow
+    /// `memo.<kind>.hits|misses`, `query.<kind>.total`,
+    /// `tier.<kind>.dense|general`, plus structural and budget counters.
+    pub fn publish(&self, reg: &MetricsRegistry) {
+        for (kind, q) in self.tables() {
+            reg.counter(&format!("memo.{kind}.hits")).add(q.hits);
+            reg.counter(&format!("memo.{kind}.misses")).add(q.misses);
+            reg.counter(&format!("query.{kind}.total")).add(q.total());
+            reg.counter(&format!("tier.{kind}.dense")).add(q.dense);
+            reg.counter(&format!("tier.{kind}.general")).add(q.general);
+        }
+        reg.counter("fm.projections").add(self.fm_projections);
+        reg.counter("interned.systems")
+            .add(self.interned_systems as u64);
+        reg.counter("interned.regions")
+            .add(self.interned_regions as u64);
+        reg.counter("interned.preds")
+            .add(self.interned_preds as u64);
+        reg.counter("budget.steps").add(self.budget_steps);
+        reg.counter("degraded.procs").add(self.degraded_procs);
+        reg.counter("lat.overflow").add(self.lat_overflow);
+        reg.counter("limit.overflows").add(self.limit_overflows);
+        reg.counter("peak.table_entries")
+            .max(self.peak_table_entries as u64);
+        reg.counter("peak.disjuncts")
+            .max(self.peak_disjuncts as u64);
+        reg.counter("peak.constraints")
+            .max(self.peak_constraints as u64);
+        if let Some(store) = &self.store {
+            store.publish(reg);
+        }
+    }
+}
+
+impl StoreStatsSnapshot {
+    /// Set the `store.*` counters of `reg` to these totals.
+    pub fn publish(&self, reg: &MetricsRegistry) {
+        reg.counter("store.hits").set(self.hits);
+        reg.counter("store.misses").set(self.misses);
+        reg.counter("store.puts").set(self.puts);
+        reg.counter("store.quarantined").set(self.quarantined);
+        reg.counter("store.stale_segments").set(self.stale_segments);
+        reg.counter("store.salvaged").set(self.salvaged);
+        reg.counter("store.loaded").set(self.loaded);
+        reg.counter("store.retries").set(self.retries);
+        reg.counter("store.degraded").set(u64::from(self.degraded));
+        reg.counter("store.writes_degraded")
+            .set(u64::from(self.writes_degraded));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn publish_adds_counters_keeps_peak_maxima_and_sets_store_totals() {
+        let reg = MetricsRegistry::new();
+        let mut st = StatsSnapshot {
+            peak_table_entries: 9,
+            fm_projections: 5,
+            store: Some(StoreStatsSnapshot {
+                hits: 4,
+                ..StoreStatsSnapshot::default()
+            }),
+            ..StatsSnapshot::default()
+        };
+        st.sys_empty.hits = 2;
+        st.sys_empty.misses = 1;
+        st.publish(&reg);
+        st.peak_table_entries = 7;
+        st.publish(&reg);
+        let c = reg.counters_snapshot();
+        assert_eq!(c["query.sys_empty.total"], 6);
+        assert_eq!(c["memo.sys_empty.hits"], 4);
+        assert_eq!(c["fm.projections"], 10);
+        assert_eq!(c["peak.table_entries"], 9);
+        assert_eq!(c["store.hits"], 4);
+    }
 
     #[test]
     fn counters_accumulate_and_set() {

@@ -20,12 +20,11 @@
 //! a time ([`crate::par_map_jobs`]) and `padfa serve --workers N`
 //! serves N requests at a time, each in a session of its own — and the
 //! only state those sessions share is built for it: the process-global
-//! `Var` table, an attached `Arc<Store>`, a metrics registry.
+//! `Var` table, an attached `Arc<Store>`, the flight ring.
 //!
 //! The thread-local meters the analysis reads (`limit_stats` cap-hits,
-//! the work-budget meter, the flight recorder's lattice-op count) are
-//! therefore exact per session: whatever a session's thread counted
-//! between two reads, that session caused.
+//! the work-budget meter) are therefore exact per session: whatever a
+//! session's thread counted between two reads, that session caused.
 //!
 //! ## Determinism
 //!
@@ -54,11 +53,10 @@
 //! [`lat_var`]: AnalysisSession::lat_var
 
 use crate::budget;
-use crate::metrics::{Histogram, MetricsRegistry, QueryKind};
+use crate::metrics::QueryKind;
 use crate::options::Options;
 use crate::shard::{Interner, Memo};
 use crate::store::{self, Store, StoreStatsSnapshot};
-use crate::trace;
 use padfa_ir::ast::{Block, ParamTy, Procedure, Program, Stmt};
 use padfa_omega::{dense, limit_stats, Disjunction, Limits, System, Tier, Var};
 use padfa_pred::Pred;
@@ -66,7 +64,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Pre-interned `$lat.<proc>.<k>` names per strided procedure; requests
 /// beyond the pool fall back to on-the-fly interning (counted in
@@ -156,7 +153,8 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    fn tables(&self) -> [(&'static str, QueryStats); 7] {
+    /// The per-kind counters, by kind name, in [`QueryKind`] order.
+    pub(crate) fn tables(&self) -> [(&'static str, QueryStats); 7] {
         [
             ("sys_empty", self.sys_empty),
             ("subset", self.subset),
@@ -343,10 +341,6 @@ pub struct AnalysisSession {
     /// This thread's `limit_stats` count at session creation: `stats()`
     /// reports the difference.
     overflow_baseline: u64,
-    /// Optional metrics sink: per-query latency histograms sampled on
-    /// the hot path, plus the registry the final snapshot is published
-    /// to. `None` costs one branch per query.
-    metrics: Option<SessionMetrics>,
     /// Optional persistent store of procedure summaries, consulted by
     /// the interprocedural driver once per procedure.
     store: Option<SessionStore>,
@@ -360,12 +354,6 @@ pub struct AnalysisSession {
 struct SessionStore {
     store: Arc<Store>,
     opts_fp: u128,
-}
-
-/// Pre-resolved metrics handles (no name hashing per query).
-struct SessionMetrics {
-    registry: Arc<MetricsRegistry>,
-    latency: [Arc<Histogram>; 7],
 }
 
 impl AnalysisSession {
@@ -402,7 +390,6 @@ impl AnalysisSession {
             peak_constraints: Cell::new(0),
             degraded_procs: Cell::new(0),
             overflow_baseline: limit_stats::thread_overflows(),
-            metrics: None,
             store: None,
             _one_thread: PhantomData,
         }
@@ -445,33 +432,18 @@ impl AnalysisSession {
         });
     }
 
-    /// Attach a metrics registry: every lattice query records a latency
-    /// sample into `latency.query.<kind>`, and [`publish_metrics`]
-    /// folds the final counter snapshot in.
-    ///
-    /// [`publish_metrics`]: AnalysisSession::publish_metrics
-    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> AnalysisSession {
-        let latency =
-            QueryKind::ALL.map(|k| registry.histogram(&format!("latency.query.{}", k.name())));
-        self.metrics = Some(SessionMetrics { registry, latency });
-        self
-    }
-
-    /// Start one query probe: counts the op toward the trace lattice
-    /// batch and, when metrics are attached, starts a latency sample.
-    #[inline]
-    fn probe(&self, kind: QueryKind) -> Option<Instant> {
-        trace::note_lattice_op(kind.name());
-        crate::flight::note_lattice_op();
-        self.metrics.as_ref().map(|_| Instant::now())
-    }
-
-    /// Finish a probe started by [`Self::probe`].
-    #[inline]
-    fn observe(&self, kind: QueryKind, t0: Option<Instant>) {
-        if let (Some(m), Some(t0)) = (self.metrics.as_ref(), t0) {
-            m.latency[kind as usize].record_ns(t0.elapsed().as_nanos() as u64);
-        }
+    /// Memoized lattice queries asked of this session so far: every
+    /// query probes its memo table exactly once, hit or miss. The
+    /// driver reads the growth of this number around a procedure for
+    /// the procedure's `lattice-batch` flight event.
+    pub(crate) fn queries(&self) -> u64 {
+        self.m_sys_empty.counters().total()
+            + self.m_subset.counters().total()
+            + self.m_subtract.counters().total()
+            + self.m_intersect.counters().total()
+            + self.m_union.counters().total()
+            + self.m_project.counters().total()
+            + self.m_implies.counters().total()
     }
 
     pub fn limits(&self) -> Limits {
@@ -495,12 +467,10 @@ impl AnalysisSession {
             return false;
         }
         budget::charge(1);
-        let t0 = self.probe(QueryKind::SysEmpty);
         let limits = self.limits();
         let (arc, id) = self.systems.intern(s);
         let r = self.m_sys_empty.get_or(id, || arc.is_empty_tiered(limits));
         self.note_tier(QueryKind::SysEmpty, r.1);
-        self.observe(QueryKind::SysEmpty, t0);
         r.0
     }
 
@@ -515,7 +485,6 @@ impl AnalysisSession {
         budget::charge(1);
         budget::note_region(a);
         budget::note_region(b);
-        let t0 = self.probe(QueryKind::Subset);
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
@@ -528,7 +497,6 @@ impl AnalysisSession {
             (aa.subset_of(&ab, limits), Tier::General)
         });
         self.note_tier(QueryKind::Subset, r.1);
-        self.observe(QueryKind::Subset, t0);
         r.0
     }
 
@@ -537,7 +505,6 @@ impl AnalysisSession {
         budget::charge(1);
         budget::note_region(a);
         budget::note_region(b);
-        let t0 = self.probe(QueryKind::Subtract);
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
@@ -547,7 +514,6 @@ impl AnalysisSession {
             self.intern_region(aa.subtract(&ab, limits))
         });
         self.note_tier(QueryKind::Subtract, Tier::General);
-        self.observe(QueryKind::Subtract, t0);
         r
     }
 
@@ -556,7 +522,6 @@ impl AnalysisSession {
         budget::charge(1);
         budget::note_region(a);
         budget::note_region(b);
-        let t0 = self.probe(QueryKind::Intersect);
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
@@ -572,7 +537,6 @@ impl AnalysisSession {
             (self.intern_region(aa.intersect(&ab, limits)), Tier::General)
         });
         self.note_tier(QueryKind::Intersect, r.1);
-        self.observe(QueryKind::Intersect, t0);
         r.0
     }
 
@@ -581,7 +545,6 @@ impl AnalysisSession {
         budget::charge(1);
         budget::note_region(a);
         budget::note_region(b);
-        let t0 = self.probe(QueryKind::Union);
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
@@ -589,7 +552,6 @@ impl AnalysisSession {
             .m_union
             .get_or((ia, ib), || self.intern_region(aa.union(&ab, limits)));
         self.note_tier(QueryKind::Union, Tier::General);
-        self.observe(QueryKind::Union, t0);
         r
     }
 
@@ -597,7 +559,6 @@ impl AnalysisSession {
     pub fn project_out(&self, d: &Disjunction, vars: &[Var]) -> Arc<Disjunction> {
         budget::charge(1);
         budget::note_region(d);
-        let t0 = self.probe(QueryKind::Project);
         let limits = self.limits();
         let (ad, id) = self.regions.intern(d);
         let r = self.m_project.get_or((id, vars.to_vec()), || {
@@ -605,7 +566,6 @@ impl AnalysisSession {
             self.intern_region(ad.project_out(vars, limits))
         });
         self.note_tier(QueryKind::Project, Tier::General);
-        self.observe(QueryKind::Project, t0);
         r
     }
 
@@ -620,7 +580,6 @@ impl AnalysisSession {
             return true;
         }
         budget::charge(1);
-        let t0 = self.probe(QueryKind::Implies);
         let limits = self.limits();
         let (aa, ia) = self.preds.intern(a);
         let (ab, ib) = self.preds.intern(b);
@@ -631,7 +590,6 @@ impl AnalysisSession {
             aa.implies(&ab, limits)
         });
         self.note_tier(QueryKind::Implies, Tier::General);
-        self.observe(QueryKind::Implies, t0);
         r
     }
 
@@ -753,64 +711,6 @@ impl AnalysisSession {
             degraded_procs: self.degraded_procs.get(),
             limit_overflows: limit_stats::thread_overflows() - self.overflow_baseline,
             store: self.store.as_ref().map(|s| s.store.stats()),
-        }
-    }
-
-    /// Fold the final [`StatsSnapshot`] into the attached metrics
-    /// registry (no-op without one). Counter names follow
-    /// `memo.<kind>.hits|misses`, `query.<kind>.total`,
-    /// `tier.<kind>.dense|general`, plus structural and budget counters.
-    pub fn publish_metrics(&self) {
-        let Some(m) = &self.metrics else { return };
-        let st = self.stats();
-        let reg = &m.registry;
-        let kinds: [(QueryKind, QueryStats); 7] = [
-            (QueryKind::SysEmpty, st.sys_empty),
-            (QueryKind::Subset, st.subset),
-            (QueryKind::Subtract, st.subtract),
-            (QueryKind::Intersect, st.intersect),
-            (QueryKind::Union, st.union),
-            (QueryKind::Project, st.project),
-            (QueryKind::Implies, st.implies),
-        ];
-        for (k, q) in kinds {
-            reg.counter(&format!("memo.{}.hits", k.name())).set(q.hits);
-            reg.counter(&format!("memo.{}.misses", k.name()))
-                .set(q.misses);
-            reg.counter(&format!("query.{}.total", k.name()))
-                .set(q.total());
-            reg.counter(&format!("tier.{}.dense", k.name()))
-                .set(q.dense);
-            reg.counter(&format!("tier.{}.general", k.name()))
-                .set(q.general);
-        }
-        reg.counter("fm.projections").set(st.fm_projections);
-        reg.counter("interned.systems")
-            .set(st.interned_systems as u64);
-        reg.counter("interned.regions")
-            .set(st.interned_regions as u64);
-        reg.counter("interned.preds").set(st.interned_preds as u64);
-        reg.counter("peak.table_entries")
-            .set(st.peak_table_entries as u64);
-        reg.counter("budget.steps").set(st.budget_steps);
-        reg.counter("peak.disjuncts").set(st.peak_disjuncts as u64);
-        reg.counter("peak.constraints")
-            .set(st.peak_constraints as u64);
-        reg.counter("degraded.procs").set(st.degraded_procs);
-        reg.counter("lat.overflow").set(st.lat_overflow);
-        reg.counter("limit.overflows").set(st.limit_overflows);
-        if let Some(s) = &st.store {
-            reg.counter("store.hits").set(s.hits);
-            reg.counter("store.misses").set(s.misses);
-            reg.counter("store.puts").set(s.puts);
-            reg.counter("store.quarantined").set(s.quarantined);
-            reg.counter("store.stale_segments").set(s.stale_segments);
-            reg.counter("store.salvaged").set(s.salvaged);
-            reg.counter("store.loaded").set(s.loaded);
-            reg.counter("store.retries").set(s.retries);
-            reg.counter("store.degraded").set(u64::from(s.degraded));
-            reg.counter("store.writes_degraded")
-                .set(u64::from(s.writes_degraded));
         }
     }
 }

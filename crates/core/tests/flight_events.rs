@@ -39,7 +39,7 @@ fn event_counts(trace_label: &str) -> EventCounts {
     analyze_program_session(&prog, &sess).unwrap();
     drop(tag);
     let mut counts = BTreeMap::new();
-    for e in flight::snapshot().iter().filter(|e| e.trace == key) {
+    for e in &flight::select(0, Some(key)) {
         *counts
             .entry((
                 e.kind.name().to_string(),

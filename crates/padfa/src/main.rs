@@ -70,12 +70,12 @@
 //!
 //! `analyze --trace PATH` writes a Chrome trace-event JSON file
 //! (loadable in Perfetto / `chrome://tracing`) with spans for parse,
-//! per-procedure summarization, loop classification, and lattice-op
-//! batches. `--metrics-out PATH` writes the run's metrics-registry
-//! snapshot (counters + latency histograms).
-//! `--profile` prints a per-phase self-time table reconstructed from
-//! the always-on flight recorder (set `PADFA_NO_FLIGHT=1` to disable
-//! recording entirely, which also disables `--profile`).
+//! the driver, per-procedure summarization and loop classification,
+//! and an instant per procedure carrying its lattice-query count;
+//! `--profile` prints a per-phase self-time table. Both are read from
+//! the always-on flight recorder: the events this run recorded.
+//! `--metrics-out PATH` writes the run's session counters as a
+//! metrics-registry snapshot.
 //!
 //! `serve` runs the analysis as a long-lived HTTP daemon (`POST
 //! /analyze`, `POST /explain`, `GET /healthz`, `GET /readyz`, `GET
@@ -117,6 +117,7 @@
 //! | 4    | work budget exhausted under `--strict`               |
 //! | 5    | internal invariant failure (analyzer bug or panic)   |
 
+use padfa::analysis::flight;
 use padfa::prelude::*;
 use std::io::Write as _;
 use std::process::exit;
@@ -200,6 +201,7 @@ fn load(path: &str) -> Program {
         eprintln!("padfa: cannot read {path}: {e}");
         exit(3)
     });
+    let _parse = flight::span(flight::EventKind::Parse, path);
     parse_program(&src).unwrap_or_else(|e| {
         eprintln!("{path}:{}:{}: error: {}", e.line, e.col, e.msg);
         exit(3)
@@ -439,25 +441,13 @@ fn cmd_analyze(args: &[String]) {
         }
     }
     let path = file.unwrap_or_else(|| usage());
-    // Mark the flight-recorder high-water mark now so the profile table
-    // covers exactly this run's events (parse included).
-    let flight_wm = padfa::analysis::flight::watermark();
-    if trace_out.is_some() {
-        padfa::analysis::trace::start_capture();
-    }
-    let prog = {
-        let _s = padfa::analysis::trace::span("parse", "parse");
-        load(&path)
-    };
+    // Mark the flight-recorder high-water mark now so `--profile` and
+    // `--trace` cover exactly this run's events (parse included).
+    let flight_wm = flight::watermark();
+    let prog = load(&path);
     let opts = variant_options(&variant).with_budget(budget.to_budget());
-    let registry = metrics_out
-        .as_ref()
-        .map(|_| padfa::analysis::MetricsRegistry::new());
     let store = store_flags.open(&opts.budget);
     let mut sess = padfa::analysis::AnalysisSession::new(opts);
-    if let Some(reg) = &registry {
-        sess = sess.with_metrics(std::sync::Arc::clone(reg));
-    }
     if let Some(s) = &store {
         sess = sess.with_store(std::sync::Arc::clone(s));
     }
@@ -475,19 +465,19 @@ fn cmd_analyze(args: &[String]) {
         drain_store_warnings(s);
     }
     if let Some(out_path) = &trace_out {
-        match padfa::analysis::trace::finish_capture() {
-            Some(json) => {
-                if let Err(e) = std::fs::write(out_path, json) {
-                    eprintln!("padfa: cannot write trace {out_path}: {e}");
-                    exit(1)
-                }
-                eprintln!("trace written to {out_path} (load in Perfetto or chrome://tracing)");
-            }
-            None => eprintln!("padfa: tracing support not compiled in; no trace written"),
+        let json = flight::chrome_json(&flight::select(flight_wm, None));
+        if let Err(e) = std::fs::write(out_path, json) {
+            eprintln!("padfa: cannot write trace {out_path}: {e}");
+            exit(1)
+        }
+        eprintln!("trace written to {out_path} (load in Perfetto or chrome://tracing)");
+        if let Some(note) = ring_wrapped_note() {
+            eprintln!("{note}");
         }
     }
-    if let (Some(out_path), Some(reg)) = (&metrics_out, &registry) {
-        sess.publish_metrics();
+    if let Some(out_path) = &metrics_out {
+        let reg = padfa::analysis::MetricsRegistry::new();
+        result.stats.publish(&reg);
         let json = format!(
             "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":\"{}\",\"host\":\"{}\",\
              \"variant\":\"{}\",\"metrics\":{}}}",
@@ -568,16 +558,7 @@ fn finish_without_teardown<T>(state: T, store: Option<&padfa::analysis::Store>) 
 /// recorder (`analyze --profile`). `watermark` bounds the table to the
 /// current run's events.
 fn print_flight_profile(watermark: u64) {
-    use padfa::analysis::flight;
-    if !flight::enabled() {
-        eprintln!(
-            "padfa: flight recorder is disabled (PADFA_NO_FLIGHT=1); \
-             no profile available"
-        );
-        return;
-    }
-    let events = flight::events_since(watermark);
-    let prof = flight::profile(&events);
+    let prof = flight::profile(&flight::select(watermark, None));
     println!("\n== flight profile (per phase) ==");
     println!(
         "{:<18} {:>6} {:>8} {:>12} {:>12} {:>10} {:>10}",
@@ -595,13 +576,21 @@ fn print_flight_profile(watermark: u64) {
             st.value
         );
     }
+    if let Some(note) = ring_wrapped_note() {
+        println!("{note}");
+    }
+}
+
+/// What `--profile` and `--trace` say when the run recorded more events
+/// than the flight ring holds: they were folded from the survivors.
+fn ring_wrapped_note() -> Option<String> {
     let dropped = flight::overflows();
-    if dropped > 0 {
-        println!(
+    (dropped > 0).then(|| {
+        format!(
             "note: ring wrapped ({dropped} event(s) overwritten); \
              totals cover surviving events only"
-        );
-    }
+        )
+    })
 }
 
 /// `padfa explain`: print the decision-provenance tree behind every
@@ -939,35 +928,19 @@ fn cmd_corpus(args: &[String]) {
     // Up to `jobs` programs run concurrently, each in a session of its
     // own against the shared store. Rows come back in input order, so
     // the ledger is byte-identical to the sequential run.
-    let results: Vec<(
-        CorpusRow,
-        Option<std::sync::Arc<padfa::analysis::MetricsRegistry>>,
-    )> = padfa::analysis::par_map_jobs(jobs, &pending, |_, bp| {
+    let results = padfa::analysis::par_map_jobs(jobs, &pending, |_, bp| {
         let t0 = std::time::Instant::now();
         // Each program runs behind its own unwind boundary: a panicking
         // program must not take the rest of the corpus down with it.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let reg = aggregate
-                .as_ref()
-                .map(|_| padfa::analysis::MetricsRegistry::new());
             let mut sess = padfa::analysis::AnalysisSession::new(opts.clone());
-            if let Some(r) = &reg {
-                sess = sess.with_metrics(std::sync::Arc::clone(r));
-            }
             if let Some(s) = &store {
                 sess = sess.with_store(std::sync::Arc::clone(s));
             }
-            let out = padfa::analysis::analyze_program_session(&bp.program, &sess);
-            if out.is_ok() {
-                sess.publish_metrics();
-            }
-            (out, reg)
+            padfa::analysis::analyze_program_session(&bp.program, &sess)
         }));
         let ms = t0.elapsed().as_millis();
-        let (run, reg) = match run {
-            Ok((out, reg)) => (Ok(out), reg),
-            Err(payload) => (Err(payload), None),
-        };
+        let mut stats = None;
         let row = match run {
             Ok(Ok((result, _))) => {
                 let mut won = [0u64; 5];
@@ -984,7 +957,7 @@ fn cmd_corpus(args: &[String]) {
                 } else {
                     "ok"
                 };
-                CorpusRow {
+                let row = CorpusRow {
                     name: bp.name.to_string(),
                     suite: bp.suite.label(),
                     outcome,
@@ -999,7 +972,9 @@ fn cmd_corpus(args: &[String]) {
                     won,
                     blocked,
                     error: None,
-                }
+                };
+                stats = Some(result.stats);
+                row
             }
             Ok(Err(e)) => CorpusRow {
                 name: bp.name.to_string(),
@@ -1041,7 +1016,7 @@ fn cmd_corpus(args: &[String]) {
                 }
             }
         };
-        (row, reg)
+        (row, stats)
     });
     if let Some(s) = &store {
         drain_store_warnings(s);
@@ -1050,7 +1025,7 @@ fn cmd_corpus(args: &[String]) {
     // metrics fold all see exactly the sequential order (and, without
     // --keep-going, stop at the first failure exactly as before — later
     // programs already ran, but their rows are not emitted).
-    for (row, reg) in results {
+    for (row, stats) in results {
         let idx = match row.outcome {
             "ok" => 0,
             "degraded" => 1,
@@ -1059,25 +1034,11 @@ fn cmd_corpus(args: &[String]) {
         };
         counts[idx] += 1;
         if idx <= 1 {
-            // Fold this program's registry into the corpus-wide
-            // aggregate: counters add up, except `peak.*`, which keeps
-            // the per-program maximum.
-            if let (Some(agg), Some(reg)) = (&aggregate, &reg) {
-                for (k, v) in reg.counters_snapshot() {
-                    // `store.*` counters are cumulative over the shared
-                    // store; summing per-program snapshots would
-                    // multiply-count them. The aggregate takes the
-                    // store's final totals after the loop instead.
-                    if k.starts_with("store.") {
-                        continue;
-                    }
-                    let c = agg.counter(&k);
-                    if k.starts_with("peak.") {
-                        c.set(c.get().max(v));
-                    } else {
-                        c.add(v);
-                    }
-                }
+            // Counters add up, `peak.*` keeps the per-program maximum,
+            // and `store.*` (totals of the shared store) is overwritten
+            // — last of all by the store's final totals, below.
+            if let (Some(agg), Some(stats)) = (&aggregate, &stats) {
+                stats.publish(agg);
             }
             let entry = attribution.entry(row.suite).or_default();
             for (slot, n) in entry.0.iter_mut().zip(row.won) {
@@ -1173,24 +1134,10 @@ fn cmd_corpus(args: &[String]) {
         } else if st.writes_degraded {
             println!("store: persistence disabled mid-run; reads still served");
         }
-        // The aggregate registry carries the store's final totals (the
-        // per-program fold skips `store.*` — see above).
+        // The aggregate registry carries the store's final totals: a
+        // program's snapshot was taken while others were still running.
         if let Some(agg) = &aggregate {
-            let pairs: [(&str, u64); 10] = [
-                ("store.hits", st.hits),
-                ("store.misses", st.misses),
-                ("store.puts", st.puts),
-                ("store.quarantined", st.quarantined),
-                ("store.stale_segments", st.stale_segments),
-                ("store.salvaged", st.salvaged),
-                ("store.loaded", st.loaded),
-                ("store.retries", st.retries),
-                ("store.degraded", u64::from(st.degraded)),
-                ("store.writes_degraded", u64::from(st.writes_degraded)),
-            ];
-            for (k, v) in pairs {
-                agg.counter(k).set(v);
-            }
+            st.publish(agg);
         }
     }
     if let (Some(out_path), Some(agg)) = (&metrics_out, &aggregate) {

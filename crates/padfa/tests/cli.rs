@@ -778,3 +778,60 @@ fn forced_general_tier_changes_no_output_byte() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `"counters"` object of a `--metrics-out` file.
+fn metrics_counters(path: &std::path::Path) -> std::collections::BTreeMap<String, u64> {
+    let json = std::fs::read_to_string(path).unwrap();
+    let needle = "\"counters\":{";
+    let start = json.find(needle).expect("no counters object") + needle.len();
+    let body = &json[start..start + json[start..].find('}').unwrap()];
+    body.split(',')
+        .filter(|pair| !pair.is_empty())
+        .map(|pair| {
+            let (k, v) = pair.split_once(':').unwrap();
+            (k.trim_matches('"').to_string(), v.parse().unwrap())
+        })
+        .collect()
+}
+
+/// `corpus --metrics-out` is the fold of what `analyze --metrics-out`
+/// reports per program: counters add up, `peak.*` keeps the maximum.
+#[test]
+fn corpus_metrics_are_the_fold_of_per_program_metrics() {
+    let dir = std::env::temp_dir().join(format!("padfa-cli-test-{}-fold", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut folded = std::collections::BTreeMap::<String, u64>::new();
+    for bench in padfa_suite::corpus::build_corpus() {
+        let (src, out) = (dir.join(format!("{}.mf", bench.name)), dir.join("one.json"));
+        std::fs::write(&src, &bench.source).unwrap();
+        let run = padfa()
+            .args(["analyze", "--no-store", "--metrics-out"])
+            .arg(&out)
+            .arg(&src)
+            .output()
+            .unwrap();
+        assert!(run.status.success(), "{}", bench.name);
+        for (k, v) in metrics_counters(&out) {
+            let slot = folded.entry(k.clone()).or_insert(0);
+            *slot = if k.starts_with("peak.") {
+                (*slot).max(v)
+            } else {
+                *slot + v
+            };
+        }
+    }
+    let out = dir.join("corpus.json");
+    let run = padfa()
+        .args(["corpus", "--no-store", "--metrics-out"])
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(run.status.success());
+    let corpus = metrics_counters(&out);
+    assert_eq!(corpus, folded);
+    assert_eq!(corpus["query.sys_empty.total"], 103_597);
+    assert_eq!(corpus["fm.projections"], 17_891);
+    assert_eq!(corpus["interned.regions"], 40_135);
+    let _ = std::fs::remove_dir_all(&dir);
+}

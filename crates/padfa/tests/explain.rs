@@ -168,16 +168,39 @@ fn analyze_trace_writes_chrome_trace_json() {
     assert!(balanced(&json), "unbalanced trace JSON");
     assert!(!json.contains(",]") && !json.contains(",}"), "{json}");
     for needle in [
-        "\"name\":\"parse\"",
+        "\"cat\":\"parse\"",
         "\"name\":\"pre_intern\"",
-        "\"name\":\"proc main\"",
+        "\"name\":\"main\",\"cat\":\"summarize\"",
         "\"cat\":\"loop\"",
-        "\"cat\":\"lattice\"",
+        "\"cat\":\"lattice-batch\"",
         "\"ph\":\"X\"",
         "\"pid\":1",
     ] {
         assert!(json.contains(needle), "missing {needle} in: {json}");
     }
+}
+
+/// `--profile` is the same stream folded per phase, parse included.
+#[test]
+fn analyze_profile_has_one_parse_span() {
+    let f = temp("profile.mf", DEMO);
+    let out = padfa()
+        .args(["analyze", "--profile"])
+        .arg(&f.0)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("parse "))
+        .unwrap_or_else(|| panic!("no parse row in: {text}"));
+    let spans = row.split_whitespace().nth(1);
+    assert_eq!(spans, Some("1"), "{row}");
 }
 
 /// Provenance trees and every counter a session publishes must be
@@ -198,10 +221,9 @@ fn provenance_and_metrics_deterministic_across_jobs() {
     let run = |jobs: usize| {
         par_map_jobs(jobs, &by_procs, |_, bench| {
             let reg = MetricsRegistry::new();
-            let sess = AnalysisSession::new(Options::predicated())
-                .with_metrics(std::sync::Arc::clone(&reg));
+            let sess = AnalysisSession::new(Options::predicated());
             let (result, _) = analyze_program_session(&bench.program, &sess).unwrap();
-            sess.publish_metrics();
+            result.stats.publish(&reg);
             let trees: String = result
                 .loops
                 .iter()

@@ -644,7 +644,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
     };
     // Trace id: accept the client's (sanitized), generate otherwise,
     // echo either way. All flight events recorded while this request is
-    // served — including `par_map` worker lanes — carry its key.
+    // served carry its key.
     let trace_id = req
         .header("x-padfa-trace-id")
         .map(sanitize_trace_id)
@@ -652,6 +652,9 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
         .unwrap_or_else(|| format!("padfa-{}", job.admission));
     let tkey = flight::trace_key(&trace_id);
     let digest = (!req.body.is_empty()).then(|| digest64(&req.body));
+    // The watermark is what keeps an earlier request that used the same
+    // trace id out of this request's record.
+    let flight_wm = flight::watermark();
     let tag = flight::set_trace(tkey);
     let mut req_span = flight::span(
         flight::EventKind::Request,
@@ -724,10 +727,6 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
     let total_us = t0.elapsed().as_micros() as u64;
     let slow = shared.policy.slow_request_ms > 0
         && total_us >= shared.policy.slow_request_ms.saturating_mul(1000);
-    let events: Vec<flight::Event> = flight::snapshot()
-        .into_iter()
-        .filter(|e| e.trace == tkey)
-        .collect();
     let record = RequestRecord {
         admission: job.admission,
         method: req.method.clone(),
@@ -744,7 +743,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
         store_hits: ctx.store_hits,
         store_misses: ctx.store_misses,
         flight_dump,
-        phases: flight::profile(&events),
+        phases: flight::profile(&flight::select(flight_wm, Some(tkey))),
     };
     if slow {
         shared.count("service.slow_requests", 1);
@@ -836,7 +835,11 @@ fn analysis_endpoint(
         Ok(b) => b,
         Err(msg) => return error_body(400, "Bad Request", "bad_request", &msg),
     };
-    let prog = match padfa_ir::parse::parse_program(&src) {
+    let parsed = {
+        let _parse = flight::span(flight::EventKind::Parse, req.path.as_str());
+        padfa_ir::parse::parse_program(&src)
+    };
+    let prog = match parsed {
         Ok(p) => p,
         Err(e) => {
             return error_body(
@@ -860,7 +863,7 @@ fn analysis_endpoint(
     // growth. Warmth comes from the shared store — which budgeted
     // requests must bypass (cached results would change step accounting
     // and with it degradation decisions).
-    let mut sess = AnalysisSession::new(opts).with_metrics(Arc::clone(&shared.metrics));
+    let mut sess = AnalysisSession::new(opts);
     if budget.is_unlimited() {
         if let Some(store) = &shared.store {
             sess = sess.with_store(Arc::clone(store));
@@ -877,7 +880,7 @@ fn analysis_endpoint(
         .metrics
         .histogram(histogram)
         .record_ns(t0.elapsed().as_nanos() as u64);
-    sess.publish_metrics();
+    sess.stats().publish(&shared.metrics);
     if let Some(store) = sess.store() {
         let warnings = store.take_warnings();
         if !warnings.is_empty() {

@@ -650,6 +650,88 @@ fn tracing_slow_forensics_and_debug_endpoints() {
     let _ = std::fs::remove_dir_all(slow_log.parent().unwrap());
 }
 
+/// The value of the bare sample `name` in a `/metrics` scrape.
+fn scrape(addr: SocketAddr, name: &str) -> u64 {
+    let metrics = request(addr, "GET", "/metrics", &[], b"");
+    assert_eq!(metrics.status, 200);
+    let text = body_str(&metrics);
+    if let Err(violations) = check_exposition(&text) {
+        panic!("/metrics failed the exposition checker: {violations:?}");
+    }
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no sample '{name}' in: {text}"))
+}
+
+/// Session counters in `/metrics` are `# TYPE counter`: each request
+/// adds its own, none overwrites the running total.
+#[test]
+fn metrics_session_counters_accumulate_across_requests() {
+    let server = start(quick_policy(), ServiceDeps::default());
+    let addr = server.addr();
+    assert_eq!(analyze(addr).status, 200);
+    let one = scrape(addr, "padfa_query_sys_empty_total");
+    assert!(one > 0);
+    assert_eq!(analyze(addr).status, 200);
+    assert_eq!(scrape(addr, "padfa_query_sys_empty_total"), 2 * one);
+    // A smaller program in between must not pull the total down.
+    let small = "proc main(n: int) { array a[8]; for i = 1 to n { a[i] = 0.0; } }";
+    assert_eq!(
+        request(addr, "POST", "/analyze", &[], small.as_bytes()).status,
+        200
+    );
+    assert!(scrape(addr, "padfa_query_sys_empty_total") >= 2 * one);
+    assert!(server.shutdown().clean);
+}
+
+/// A client that reuses one trace id still gets one record per
+/// request: the record is this request's events, not every event that
+/// ever carried the key.
+#[test]
+fn reused_trace_id_records_one_request_each() {
+    let server = start(quick_policy(), ServiceDeps::default());
+    let addr = server.addr();
+    for _ in 0..3 {
+        let r = request(
+            addr,
+            "POST",
+            "/analyze",
+            &[("X-Padfa-Trace-Id", "matrix-trace-reused")],
+            PROGRAM.as_bytes(),
+        );
+        assert_eq!(r.status, 200);
+    }
+    let dbg = request(addr, "GET", "/debug/requests", &[], b"");
+    let records = body_str(&dbg);
+    let mine: Vec<&str> = records
+        .split("{\"admission\"")
+        .filter(|r| r.contains("\"trace_id\":\"matrix-trace-reused\""))
+        .collect();
+    assert_eq!(mine.len(), 3, "records: {records}");
+    let phase = |rec: &str, name: &str| -> String {
+        let needle = format!("{{\"phase\":\"{name}\",");
+        let at = rec
+            .find(&needle)
+            .unwrap_or_else(|| panic!("no {name} phase in: {rec}"));
+        rec[at..at + rec[at..].find('}').unwrap()].to_string()
+    };
+    let spans_of = |rec: &str, name: &str| -> String {
+        let p = phase(rec, name);
+        let at = p.find("\"spans\":").unwrap();
+        p[at..at + p[at..].find(',').unwrap()].to_string()
+    };
+    for rec in &mine {
+        assert!(
+            phase(rec, "request").starts_with("{\"phase\":\"request\",\"spans\":1,"),
+            "record: {rec}"
+        );
+        assert!(phase(rec, "request").ends_with("\"value\":200"), "{rec}");
+        assert_eq!(spans_of(rec, "loop"), spans_of(mine[0], "loop"), "{rec}");
+        assert_eq!(spans_of(rec, "parse"), "\"spans\":1", "{rec}");
+    }
+    assert!(server.shutdown().clean);
+}
+
 /// An injected worker panic must leave a flight-ring sidecar on disk
 /// and name it in the typed 500 body, so the error report a client
 /// files already points at the forensics file.
