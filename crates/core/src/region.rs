@@ -41,9 +41,6 @@ pub fn whole_array(proc: &Procedure, array: Var) -> Disjunction {
     for c in decl_bounds(proc, array) {
         sys.push(c);
     }
-    // Declared bounds are per-dimension constant windows, so the region
-    // is born on the dense tier (push clears the cache; restore it).
-    sys.classify_dense();
     let mut d = Disjunction::from_system(sys);
     // If some extent was non-affine we could not bound that dimension;
     // the region is still a sound over-approximation but not exact.
@@ -76,9 +73,6 @@ pub fn access_section(proc: &Procedure, array: Var, subs: &[Expr]) -> Disjunctio
     for c in decl_bounds(proc, array) {
         sys.push(c);
     }
-    // Constant-subscript accesses within constant bounds classify dense;
-    // symbolic subscripts (`$a.0 == i + 1`) legitimately stay general.
-    sys.classify_dense();
     let mut out = Disjunction::from_system(sys);
     if !exact {
         out.set_inexact();

@@ -53,12 +53,11 @@
 //! [`lat_var`]: AnalysisSession::lat_var
 
 use crate::budget;
-use crate::metrics::QueryKind;
 use crate::options::Options;
 use crate::shard::{Interner, Memo};
 use crate::store::{self, Store, StoreStatsSnapshot};
 use padfa_ir::ast::{Block, ParamTy, Procedure, Program, Stmt};
-use padfa_omega::{dense, limit_stats, Disjunction, Limits, System, Tier, Var};
+use padfa_omega::{difference, limit_stats, Disjunction, Limits, System, Tier, Var};
 use padfa_pred::Pred;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -77,11 +76,13 @@ pub struct QueryStats {
     pub hits: u64,
     pub misses: u64,
     /// Queries answered in closed form, without elimination
-    /// ([`padfa_omega::Tier::Dense`]). Memo hits replay the tier
-    /// recorded by the original computation, so the split covers every
-    /// query, not just misses.
+    /// ([`padfa_omega::Tier::Dense`]): `sys_empty` answers of the
+    /// difference-bound closure, zero for every other kind. Memo hits
+    /// replay the tier recorded by the original computation, so the
+    /// split covers every query, not just misses.
     pub dense: u64,
-    /// Queries answered by the general Fourier–Motzkin representation.
+    /// Queries answered by the general Fourier–Motzkin representation
+    /// (`total() - dense`).
     pub general: u64,
 }
 
@@ -153,7 +154,7 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// The per-kind counters, by kind name, in [`QueryKind`] order.
+    /// The per-kind counters, by kind name, in [`crate::metrics::QueryKind`] order.
     pub(crate) fn tables(&self) -> [(&'static str, QueryStats); 7] {
         [
             ("sys_empty", self.sys_empty),
@@ -318,19 +319,17 @@ pub struct AnalysisSession {
     regions: Interner<Disjunction>,
     preds: Interner<Pred>,
     m_sys_empty: Memo<u32, (bool, Tier)>,
-    m_subset: Memo<(u32, u32), (bool, Tier)>,
+    m_subset: Memo<(u32, u32), bool>,
     m_subtract: Memo<(u32, u32), Arc<Disjunction>>,
-    m_intersect: Memo<(u32, u32), (Arc<Disjunction>, Tier)>,
+    m_intersect: Memo<(u32, u32), Arc<Disjunction>>,
     m_union: Memo<(u32, u32), Arc<Disjunction>>,
     m_project: Memo<(u32, Vec<Var>), Arc<Disjunction>>,
     m_implies: Memo<(u32, u32), bool>,
-    /// Per-query-kind count of dense-tier answers (index =
-    /// `QueryKind as usize`); the general count is the matching slot in
-    /// `tier_general`. Bumped once per query *call* — memo hits replay
-    /// the stored tier — so the split weights recurring queries the way
-    /// the workload does.
-    tier_dense: [Cell<u64>; 7],
-    tier_general: [Cell<u64>; 7],
+    /// `sys_empty` queries the closed form answered. Bumped once per
+    /// query *call* — memo hits replay the stored tier — so the split
+    /// weights recurring queries the way the workload does. Every other
+    /// query is general: only emptiness has a closed form.
+    sys_empty_dense: Cell<u64>,
     fm_projections: Cell<u64>,
     lat_overflow: Cell<u64>,
     lat_pools: RefCell<HashMap<String, u32>>,
@@ -361,7 +360,7 @@ impl AnalysisSession {
         // Surface the tier kill-switch in the flight ring: one instant
         // per session, so a forced-general run is attributable
         // post-hoc (per request, once trace-tagged by the service).
-        if dense::force_general() {
+        if difference::force_general() {
             crate::flight::instant(
                 crate::flight::EventKind::TierForcedGeneral,
                 "PADFA_FORCE_GENERAL_TIER",
@@ -380,8 +379,7 @@ impl AnalysisSession {
             m_union: Memo::new(),
             m_project: Memo::new(),
             m_implies: Memo::new(),
-            tier_dense: Default::default(),
-            tier_general: Default::default(),
+            sys_empty_dense: Cell::new(0),
             fm_projections: Cell::new(0),
             lat_overflow: Cell::new(0),
             lat_pools: RefCell::new(HashMap::new()),
@@ -423,15 +421,6 @@ impl AnalysisSession {
         self.store.as_ref().map(|s| s.opts_fp)
     }
 
-    /// Credit one answered query to its tier's counter.
-    #[inline]
-    fn note_tier(&self, kind: QueryKind, tier: Tier) {
-        bump(match tier {
-            Tier::Dense => &self.tier_dense[kind as usize],
-            Tier::General => &self.tier_general[kind as usize],
-        });
-    }
-
     /// Memoized lattice queries asked of this session so far: every
     /// query probes its memo table exactly once, hit or miss. The
     /// driver reads the growth of this number around a procedure for
@@ -469,9 +458,11 @@ impl AnalysisSession {
         budget::charge(1);
         let limits = self.limits();
         let (arc, id) = self.systems.intern(s);
-        let r = self.m_sys_empty.get_or(id, || arc.is_empty_tiered(limits));
-        self.note_tier(QueryKind::SysEmpty, r.1);
-        r.0
+        let (empty, tier) = self.m_sys_empty.get_or(id, || arc.is_empty_tiered(limits));
+        if tier == Tier::Dense {
+            bump(&self.sys_empty_dense);
+        }
+        empty
     }
 
     /// Memoized region emptiness (every disjunct empty). Decomposing to
@@ -488,16 +479,7 @@ impl AnalysisSession {
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
-        let r = self.m_subset.get_or((ia, ib), || {
-            if !dense::force_general() {
-                if let Some(v) = aa.subset_of_dense(&ab) {
-                    return (v, Tier::Dense);
-                }
-            }
-            (aa.subset_of(&ab, limits), Tier::General)
-        });
-        self.note_tier(QueryKind::Subset, r.1);
-        r.0
+        self.m_subset.get_or((ia, ib), || aa.subset_of(&ab, limits))
     }
 
     /// Memoized region subtraction `a − b`.
@@ -508,13 +490,8 @@ impl AnalysisSession {
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
-        let r = self.m_subtract.get_or((ia, ib), || {
-            // Subtraction always runs the general algorithm: its result
-            // bytes (piece order, orientation) are only defined by it.
-            self.intern_region(aa.subtract(&ab, limits))
-        });
-        self.note_tier(QueryKind::Subtract, Tier::General);
-        r
+        self.m_subtract
+            .get_or((ia, ib), || self.intern_region(aa.subtract(&ab, limits)))
     }
 
     /// Memoized region intersection.
@@ -525,19 +502,8 @@ impl AnalysisSession {
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
-        let r = self.m_intersect.get_or((ia, ib), || {
-            // Dense dispatch covers the disjoint case only: the canonical
-            // empty result is the one output shape the general algorithm
-            // is forced to produce bit-for-bit.
-            if !dense::force_general() {
-                if let Some(d) = aa.intersect_dense_empty(&ab) {
-                    return (self.intern_region(d), Tier::Dense);
-                }
-            }
-            (self.intern_region(aa.intersect(&ab, limits)), Tier::General)
-        });
-        self.note_tier(QueryKind::Intersect, r.1);
-        r.0
+        self.m_intersect
+            .get_or((ia, ib), || self.intern_region(aa.intersect(&ab, limits)))
     }
 
     /// Memoized region union.
@@ -548,11 +514,8 @@ impl AnalysisSession {
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
-        let r = self
-            .m_union
-            .get_or((ia, ib), || self.intern_region(aa.union(&ab, limits)));
-        self.note_tier(QueryKind::Union, Tier::General);
-        r
+        self.m_union
+            .get_or((ia, ib), || self.intern_region(aa.union(&ab, limits)))
     }
 
     /// Memoized Fourier–Motzkin projection of `vars` out of `d`.
@@ -561,12 +524,10 @@ impl AnalysisSession {
         budget::note_region(d);
         let limits = self.limits();
         let (ad, id) = self.regions.intern(d);
-        let r = self.m_project.get_or((id, vars.to_vec()), || {
+        self.m_project.get_or((id, vars.to_vec()), || {
             bump(&self.fm_projections);
             self.intern_region(ad.project_out(vars, limits))
-        });
-        self.note_tier(QueryKind::Project, Tier::General);
-        r
+        })
     }
 
     /// Memoized predicate implication `a ⇒ b`.
@@ -583,14 +544,7 @@ impl AnalysisSession {
         let limits = self.limits();
         let (aa, ia) = self.preds.intern(a);
         let (ab, ib) = self.preds.intern(b);
-        let r = self.m_implies.get_or((ia, ib), || {
-            // Predicate implication has no region operands to classify;
-            // the dense tier still accelerates the System-level emptiness
-            // tests inside, but attribution stays general.
-            aa.implies(&ab, limits)
-        });
-        self.note_tier(QueryKind::Implies, Tier::General);
-        r
+        self.m_implies.get_or((ia, ib), || aa.implies(&ab, limits))
     }
 
     /// Count one Fourier–Motzkin projection run outside the memoized
@@ -686,19 +640,19 @@ impl AnalysisSession {
         .into_iter()
         .max()
         .unwrap_or(0);
-        let tiered = |q: QueryStats, kind: QueryKind| QueryStats {
-            dense: self.tier_dense[kind as usize].get(),
-            general: self.tier_general[kind as usize].get(),
+        let tiered = |q: QueryStats, dense: u64| QueryStats {
+            dense,
+            general: q.total() - dense,
             ..q
         };
         StatsSnapshot {
-            sys_empty: tiered(self.m_sys_empty.counters(), QueryKind::SysEmpty),
-            subset: tiered(self.m_subset.counters(), QueryKind::Subset),
-            subtract: tiered(self.m_subtract.counters(), QueryKind::Subtract),
-            intersect: tiered(self.m_intersect.counters(), QueryKind::Intersect),
-            union: tiered(self.m_union.counters(), QueryKind::Union),
-            project: tiered(self.m_project.counters(), QueryKind::Project),
-            implies: tiered(self.m_implies.counters(), QueryKind::Implies),
+            sys_empty: tiered(self.m_sys_empty.counters(), self.sys_empty_dense.get()),
+            subset: tiered(self.m_subset.counters(), 0),
+            subtract: tiered(self.m_subtract.counters(), 0),
+            intersect: tiered(self.m_intersect.counters(), 0),
+            union: tiered(self.m_union.counters(), 0),
+            project: tiered(self.m_project.counters(), 0),
+            implies: tiered(self.m_implies.counters(), 0),
             interned_systems: self.systems.len(),
             interned_regions: self.regions.len(),
             interned_preds: self.preds.len(),

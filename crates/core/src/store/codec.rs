@@ -192,12 +192,6 @@ pub fn get_constraint(r: &mut Reader) -> Option<Constraint> {
 
 pub fn put_system(out: &mut Vec<u8>, s: &System) {
     put_flag(out, s.is_contradiction());
-    // The dense-cache state travels with the system: push-built systems
-    // legitimately lack the cache even when box-shaped, and a decoded
-    // system must answer queries on the same tier as the one stored
-    // (recomputing the classification here would make warm runs
-    // dense-answer queries the cold run sent through Fourier–Motzkin).
-    put_flag(out, s.has_dense());
     put_u32(out, s.constraints().len() as u32);
     for c in s.constraints() {
         put_constraint(out, c);
@@ -206,13 +200,12 @@ pub fn put_system(out: &mut Vec<u8>, s: &System) {
 
 pub fn get_system(r: &mut Reader) -> Option<System> {
     let contradiction = r.boolean()?;
-    let dense = r.boolean()?;
     let n = r.count()?;
     let mut cs = Vec::with_capacity(n);
     for _ in 0..n {
         cs.push(get_constraint(r)?);
     }
-    Some(System::from_raw_parts(cs, contradiction, dense))
+    Some(System::from_raw_parts(cs, contradiction))
 }
 
 pub fn put_region(out: &mut Vec<u8>, d: &Disjunction) {
@@ -992,9 +985,8 @@ mod tests {
                 Constraint::eq0(lin(&[("j", 2)], 4)),
             ],
             false,
-            false,
         );
-        let s2 = System::from_raw_parts(vec![], true, false);
+        let s2 = System::from_raw_parts(vec![], true);
         let d = Disjunction::from_raw_parts(vec![s1, s2], false);
         let mut buf = Vec::new();
         put_region(&mut buf, &d);
@@ -1044,7 +1036,7 @@ mod tests {
         let piece = GuardedRegion {
             pred: Pred::True,
             region: Arc::new(Disjunction::from_raw_parts(
-                vec![System::from_raw_parts(vec![], false, false)],
+                vec![System::from_raw_parts(vec![], false)],
                 true,
             )),
         };
@@ -1078,21 +1070,24 @@ mod tests {
 
     #[test]
     fn system_dense_tag_round_trips() {
-        // A simplify-built box system carries its dense cache through
-        // the codec; a raw one without the cache stays without it.
-        let dense = System::from_constraints([Constraint::geq0(lin(&[("i", 1)], -1))]);
-        assert!(dense.has_dense());
-        let mut buf = Vec::new();
-        put_system(&mut buf, &dense);
-        let back = get_system(&mut Reader::new(&buf)).unwrap();
-        assert!(back.has_dense());
-        assert_eq!(back, dense);
-
-        let raw = System::from_raw_parts(dense.constraints().to_vec(), false, false);
-        assert!(!raw.has_dense());
-        let mut buf = Vec::new();
-        put_system(&mut buf, &raw);
-        let back = get_system(&mut Reader::new(&buf)).unwrap();
-        assert!(!back.has_dense());
+        // Nothing rides beside the value: a decoded system equals the
+        // one encoded and encodes to the same bytes, normalized or raw.
+        let built = System::from_constraints([
+            Constraint::geq0(lin(&[("i", 1)], -1)),
+            Constraint::eq0(lin(&[("j", 1), ("i", -2)], 3)),
+        ]);
+        let raw =
+            System::from_raw_parts(built.constraints().iter().rev().cloned().collect(), false);
+        for sys in [built, raw, System::empty()] {
+            let mut buf = Vec::new();
+            put_system(&mut buf, &sys);
+            let mut r = Reader::new(&buf);
+            let back = get_system(&mut r).unwrap();
+            assert!(r.at_end());
+            assert_eq!(back, sys);
+            let mut again = Vec::new();
+            put_system(&mut again, &back);
+            assert_eq!(again, buf);
+        }
     }
 }

@@ -31,7 +31,8 @@ use padfa_omega::Var;
 /// v2: systems carry a dense-tier tag.
 /// v3: procedure summaries are the only entry kind; a v2 segment (full
 /// of per-query lattice records) is dropped whole as stale.
-pub const CODEC_VERSION: u32 = 3;
+/// v4: systems carry no tier tag (there is no box to restore).
+pub const CODEC_VERSION: u32 = 4;
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
@@ -116,10 +117,6 @@ pub fn options_fingerprint(opts: &Options) -> u128 {
     h.write_u32(opts.test_cost_budget);
     h.write_u64(opts.limits.max_constraints as u64);
     h.write_u64(opts.limits.max_disjuncts as u64);
-    // Forced-general sessions must not share entries with dense-enabled
-    // ones: stored entries record the answering tier, and a replay in
-    // the other mode would restore the wrong attribution.
-    h.write_bool(padfa_omega::dense::force_general());
     h.finish()
 }
 

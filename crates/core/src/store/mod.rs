@@ -976,40 +976,45 @@ mod tests {
 
     #[test]
     fn previous_codec_version_segment_is_dropped_whole_as_stale() {
-        let dir = test_dir("oldcodec");
-        fs::create_dir_all(&dir).unwrap();
-        // A codec-v2 segment from the same build: a valid header, then
-        // the retired kind bytes (1 and 2: lattice results, 4:
-        // dependency edges) around a Proc entry.
-        let mut header = Vec::new();
-        codec::put_u32(&mut header, 2);
-        codec::put_str(&mut header, "testrev");
-        let mut seg = journal::encode_record(RecordKind::Header, 0, &header);
-        for k in 0..100u128 {
-            seg.extend_from_slice(&raw_record(1, k, &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
-            seg.extend_from_slice(&raw_record(2, 1000 + k, b"region-bytes"));
-        }
-        seg.extend_from_slice(&raw_record(3, 7, b"proc-bytes"));
-        seg.extend_from_slice(&raw_record(4, 8, &7u128.to_le_bytes()));
-        fs::write(dir.join("seg-0000.log"), &seg).unwrap();
+        for version in [2u32, 3] {
+            let dir = test_dir("oldcodec");
+            fs::create_dir_all(&dir).unwrap();
+            // A segment from the same build under an earlier codec: a
+            // valid header, then a Proc entry — at v2 among the retired
+            // kind bytes (1 and 2: lattice results, 4: dependency
+            // edges); at v3 on its own, its systems still tier-tagged.
+            let mut header = Vec::new();
+            codec::put_u32(&mut header, version);
+            codec::put_str(&mut header, "testrev");
+            let mut seg = journal::encode_record(RecordKind::Header, 0, &header);
+            if version == 2 {
+                for k in 0..100u128 {
+                    seg.extend_from_slice(&raw_record(1, k, &[1, 0, 0, 0, 0, 0, 0, 0, 0, 0]));
+                    seg.extend_from_slice(&raw_record(2, 1000 + k, b"region-bytes"));
+                }
+                seg.extend_from_slice(&raw_record(4, 8, &7u128.to_le_bytes()));
+            }
+            seg.extend_from_slice(&raw_record(3, 7, b"proc-bytes"));
+            fs::write(dir.join("seg-0000.log"), &seg).unwrap();
 
-        let s = Store::open(cfg(&dir));
-        assert!(s.enabled());
-        let st = s.stats();
-        assert_eq!(st.stale_segments, 1);
-        assert_eq!(st.quarantined, 0, "stale records are not corruption");
-        assert_eq!(st.loaded, 0);
-        assert!(s.take_warnings().is_empty());
-        assert!(!dir.join("seg-0000.log").exists());
-        assert_eq!(fs::read_dir(dir.join("corrupt")).unwrap().count(), 0);
-        assert_eq!(got(&s, 7), None);
-        // The directory is usable again at the current version.
-        put(&s, 7, true);
-        drop(s);
-        let s = Store::open(cfg(&dir));
-        assert_eq!(got(&s, 7), Some(true));
-        assert_eq!(s.stats().stale_segments, 0);
-        let _ = fs::remove_dir_all(&dir);
+            let s = Store::open(cfg(&dir));
+            assert!(s.enabled());
+            let st = s.stats();
+            assert_eq!(st.stale_segments, 1, "v{version}");
+            assert_eq!(st.quarantined, 0, "stale records are not corruption");
+            assert_eq!(st.loaded, 0);
+            assert!(s.take_warnings().is_empty());
+            assert!(!dir.join("seg-0000.log").exists());
+            assert_eq!(fs::read_dir(dir.join("corrupt")).unwrap().count(), 0);
+            assert_eq!(got(&s, 7), None);
+            // The directory is usable again at the current version.
+            put(&s, 7, true);
+            drop(s);
+            let s = Store::open(cfg(&dir));
+            assert_eq!(got(&s, 7), Some(true));
+            assert_eq!(s.stats().stale_segments, 0);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -28,14 +28,40 @@
 //!
 //! ## Fall-through
 //!
-//! `None` means "not decided here; ask the next tier", never "false":
-//! the first constraint that is not a unit bound or a unit difference
-//! (a sum `x + y`, a non-unit coefficient, three or more terms, a stride
-//! link), more than 8 variables, `limits.max_constraints` below
+//! `None` means "not decided here; eliminate", never "false": the first
+//! constraint that is not a unit bound or a unit difference (a sum
+//! `x + y`, a non-unit coefficient, three or more terms, a stride link
+//! `v == s·w + c`), more than 8 variables, `limits.max_constraints` below
 //! `(vars + 1)²`, or a constant beyond `i64::MAX / 16`.
+//!
+//! [`Tier`] names which of the two answered; [`force_general`] is the
+//! switch that sends everything to elimination.
 
 use crate::var::PLACEHOLDER;
 use crate::{CKind, Constraint, Limits, Var};
+use std::sync::OnceLock;
+
+/// Which representation tier answered a lattice query.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Tier {
+    /// Answered in closed form, without elimination: the difference-bound
+    /// closure ([`is_empty`]).
+    Dense,
+    /// Answered by the general Fourier–Motzkin representation.
+    General,
+}
+
+/// Kill switch for the closed form (`PADFA_FORCE_GENERAL_TIER=1`):
+/// every query runs the general path and every answer is attributed
+/// [`Tier::General`]. Output must be byte-identical either way — the
+/// CLI test `forced_general_tier_changes_no_output_byte` spawns `padfa`
+/// in both modes over the corpus and generated programs.
+pub fn force_general() -> bool {
+    static FORCE: OnceLock<bool> = OnceLock::new();
+    *FORCE.get_or_init(|| {
+        std::env::var("PADFA_FORCE_GENERAL_TIER").is_ok_and(|v| !v.is_empty() && v != "0")
+    })
+}
 
 /// Most variables a system may mention and still be decided here.
 const MAX_VARS: usize = 8;

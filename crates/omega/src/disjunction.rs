@@ -1,24 +1,7 @@
 //! Unions of constraint systems — the representation of one array region.
 
-use crate::dense::DenseBox;
 use crate::{CKind, Constraint, Limits, System, Var};
-use std::borrow::Cow;
 use std::fmt;
-
-/// A piece's dense summary: the system's own box when its cell is
-/// armed, otherwise an on-the-fly classification of its constraints.
-/// Identical by construction — [`DenseBox::classify`] is a pure function
-/// of the constraint list, and a system's box is exactly its result
-/// (cells are disarmed on every constraint mutation).
-fn dense_of(s: &System) -> Option<Cow<'_, DenseBox>> {
-    if let Some(b) = s.dense_box() {
-        return Some(Cow::Borrowed(b));
-    }
-    if s.is_contradiction() {
-        return None;
-    }
-    DenseBox::classify(s.constraints()).map(Cow::Owned)
-}
 
 /// A finite union of convex systems, with an exactness flag.
 ///
@@ -198,84 +181,6 @@ impl Disjunction {
         self.subtract(other, limits).is_empty(limits)
     }
 
-    /// Dense-tier subset test. Answers `Some` only in shapes where the
-    /// answer is provably identical to [`Disjunction::subset_of`]:
-    /// single-piece (or empty) regions whose pieces are box-shaped,
-    /// with `other`'s piece witness-free so every subtraction piece the
-    /// general path would enumerate is itself box-shaped and decided
-    /// exactly. `None` means "run the general path"; it never means
-    /// "false".
-    ///
-    /// A piece whose dense cache was invalidated (constraints were
-    /// conjoined after classification, e.g. by loop-context
-    /// intersection) is re-classified on the fly: classification is a
-    /// pure function of the constraint list, so the answer is the one
-    /// the cached summary would have given. The on-the-fly path is
-    /// restricted to witness-free boxes on *both* sides — the shape for
-    /// which `a ⊆ b` makes every `subtract_convex` complement piece an
-    /// empty box (filtered before the disjunct cap can fire) and
-    /// `a ⊄ b` leaves a non-empty box FM soundly keeps, so the general
-    /// verdict is forced either way.
-    pub fn subset_of_dense(&self, other: &Disjunction) -> Option<bool> {
-        if self.systems.len() > 1 || other.systems.len() > 1 {
-            return None;
-        }
-        if !other.exact {
-            // General path: only emptiness of `self` proves containment
-            // in an over-approximation.
-            return match self.systems.first() {
-                None => Some(true),
-                Some(s) => dense_of(s).map(|b| b.is_empty()),
-            };
-        }
-        let Some(a0) = self.systems.first() else {
-            // Empty union: the subtraction remainder is empty.
-            return Some(true);
-        };
-        let Some(b0) = other.systems.first() else {
-            // Subtracting the exact empty set leaves `self` unchanged.
-            return dense_of(a0).map(|b| b.is_empty());
-        };
-        if let (Some(ba), Some(bb)) = (a0.dense_box(), b0.dense_box()) {
-            // Cached-summary path (also handles self-side witnesses).
-            return ba.subset_of(bb);
-        }
-        let ba = dense_of(a0)?;
-        let bb = dense_of(b0)?;
-        if !ba.witness_free() || !bb.witness_free() {
-            return None;
-        }
-        ba.subset_of(&bb)
-    }
-
-    /// Dense-tier intersection, restricted to the one case whose result
-    /// bytes are forced: two single-piece witness-free dense regions
-    /// that are provably disjoint, for which the general
-    /// [`Disjunction::intersect`] always produces the canonical empty
-    /// region with the same exactness flag (the conjoined system's
-    /// emptiness is decided by per-variable windows either way, and no
-    /// disjunct cap can fire on an empty result). Any other shape —
-    /// including non-disjoint dense pairs, whose result representation
-    /// only the general algorithm defines — returns `None`.
-    pub fn intersect_dense_empty(&self, other: &Disjunction) -> Option<Disjunction> {
-        if self.systems.len() != 1 || other.systems.len() != 1 {
-            return None;
-        }
-        let ba = self.systems[0].dense_box()?;
-        let bb = other.systems[0].dense_box()?;
-        if !ba.witness_free() || !bb.witness_free() {
-            return None;
-        }
-        if ba.disjoint(bb)? {
-            Some(Disjunction {
-                systems: Vec::new(),
-                exact: self.exact && other.exact,
-            })
-        } else {
-            None
-        }
-    }
-
     /// Project variables out of every piece.
     pub fn project_out(&self, vars: &[Var], limits: Limits) -> Disjunction {
         let mut out = Disjunction::empty();
@@ -311,9 +216,6 @@ impl Disjunction {
         for s in &self.systems {
             let mut t = s.clone();
             t.push(c.clone());
-            // `push` keeps the list normalized; reclassify so the piece
-            // stays on the dense tier when still box-shaped.
-            t.classify_dense();
             out.push(t);
         }
         out
@@ -354,10 +256,6 @@ fn subtract_convex(a: &System, b: &System) -> Vec<System> {
                 let mut piece = assumed.clone();
                 piece.push(c.negate_geq());
                 if !piece.is_contradiction() {
-                    // Pieces go straight into emptiness filtering; a
-                    // dense classification lets box-shaped pieces skip
-                    // Fourier–Motzkin there.
-                    piece.classify_dense();
                     out.push(piece);
                 }
                 assumed.push(c.clone());
@@ -367,13 +265,11 @@ fn subtract_convex(a: &System, b: &System) -> Vec<System> {
                 let mut lo = assumed.clone();
                 lo.push(p.negate_geq());
                 if !lo.is_contradiction() {
-                    lo.classify_dense();
                     out.push(lo);
                 }
                 let mut hi = assumed.clone();
                 hi.push(n.negate_geq());
                 if !hi.is_contradiction() {
-                    hi.classify_dense();
                     out.push(hi);
                 }
                 assumed.push(c.clone());

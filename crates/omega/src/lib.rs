@@ -17,9 +17,9 @@
 //!
 //! together with the operations array data-flow analysis needs:
 //! Fourier–Motzkin projection with integer tightening and exactness
-//! tracking, emptiness (in closed form for the [`difference`]-bound and
-//! box shapes, by elimination otherwise), subset, intersection, union
-//! with subsumption pruning, and set subtraction.
+//! tracking, emptiness (in closed form for [`difference`]-bound systems,
+//! by elimination otherwise), subset, intersection, union with
+//! subsumption pruning, and set subtraction.
 //!
 //! ## Exactness
 //!
@@ -54,7 +54,6 @@
 //! ```
 
 pub mod constraint;
-pub mod dense;
 pub mod difference;
 pub mod disjunction;
 pub mod linexpr;
@@ -63,7 +62,7 @@ pub mod system;
 pub mod var;
 
 pub use constraint::{CKind, Constraint, Norm};
-pub use dense::{DenseBox, DenseRange, Tier};
+pub use difference::Tier;
 pub use disjunction::Disjunction;
 pub use linexpr::LinExpr;
 pub use system::{Projection, System};

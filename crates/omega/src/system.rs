@@ -1,11 +1,10 @@
 //! Conjunctions of constraints and the Fourier–Motzkin engine.
 
-use crate::dense::{DenseBox, Tier};
+use crate::difference::{self, Tier};
 use crate::{CKind, Constraint, Limits, LinExpr, Norm, Var};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// A conjunction of integer linear constraints — one convex piece of an
 /// array region.
@@ -13,39 +12,10 @@ use std::sync::OnceLock;
 /// The empty conjunction is the universe. A system that has been proven
 /// unsatisfiable during normalization is flagged `contradiction` and
 /// represents the empty set.
-///
-/// Box-shaped systems additionally carry a [`DenseBox`] summary, derived
-/// on demand: normalizing ([`System::simplify`],
-/// [`System::classify_dense`]) *arms* the system and empties the cell,
-/// the first [`System::dense_box`] call on an armed system fills it, and
-/// any mutation *disarms* — a plain store to `armed`; the cell is never
-/// read while disarmed — so a box that can be seen always equals
-/// `DenseBox::classify(constraints())`. A clone of an armed system is
-/// armed, so it answers like a clone taken after first use. The summary
-/// is a pure cache: neither field participates in equality or hashing,
-/// so two systems with identical constraints intern to the same id
-/// whatever state their caches are in.
-#[derive(Clone, Default)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct System {
     constraints: Vec<Constraint>,
     contradiction: bool,
-    armed: bool,
-    dense: OnceLock<Option<Box<DenseBox>>>,
-}
-
-impl PartialEq for System {
-    fn eq(&self, other: &System) -> bool {
-        self.constraints == other.constraints && self.contradiction == other.contradiction
-    }
-}
-
-impl Eq for System {}
-
-impl std::hash::Hash for System {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.constraints.hash(state);
-        self.contradiction.hash(state);
-    }
 }
 
 /// Result of projecting variables out of a system.
@@ -111,26 +81,12 @@ impl System {
     /// (constraint order included), and [`System::from_constraints`]
     /// would re-run `push`/`simplify` and potentially reorder or drop
     /// constraints. Only pass parts previously obtained from
-    /// [`System::constraints`] / [`System::is_contradiction`], with
-    /// `dense` reporting what [`System::has_dense`] returned on the
-    /// encoded system: the dense cell is armed exactly when the original
-    /// had a box, so a decoded system answers queries on the same tier as
-    /// the system that was stored (warm and cold runs stay byte-identical
-    /// *and* tier-identical).
-    pub fn from_raw_parts(
-        constraints: Vec<Constraint>,
-        contradiction: bool,
-        dense: bool,
-    ) -> System {
-        let mut s = System {
+    /// [`System::constraints`] / [`System::is_contradiction`].
+    pub fn from_raw_parts(constraints: Vec<Constraint>, contradiction: bool) -> System {
+        System {
             constraints,
             contradiction,
-            ..System::default()
-        };
-        if dense {
-            s.classify_dense();
         }
-        s
     }
 
     /// True when this system was proven unsatisfiable by normalization.
@@ -176,7 +132,6 @@ impl System {
                 // re-conjoined; keep the list canonical as we go.
                 if !self.constraints.contains(&c) {
                     self.constraints.push(c);
-                    self.armed = false;
                 }
             }
         }
@@ -185,44 +140,6 @@ impl System {
     fn set_contradiction(&mut self) {
         self.constraints.clear();
         self.contradiction = true;
-        self.armed = false;
-    }
-
-    /// The box summary, when this system is armed and box-shaped
-    /// (derived here on first use).
-    pub fn dense_box(&self) -> Option<&DenseBox> {
-        if !self.armed {
-            return None;
-        }
-        self.dense
-            .get_or_init(|| DenseBox::classify(&self.constraints).map(Box::new))
-            .as_deref()
-    }
-
-    /// Whether this system has a dense summary (persisted by the store
-    /// so decoded systems restore the same tier; see
-    /// [`System::from_raw_parts`]).
-    pub fn has_dense(&self) -> bool {
-        self.dense_box().is_some()
-    }
-
-    /// The tier a box query on this system answers on
-    /// ([`System::has_dense`]).
-    pub fn tier(&self) -> Tier {
-        if self.has_dense() {
-            Tier::Dense
-        } else {
-            Tier::General
-        }
-    }
-
-    /// Arm the system for the current constraint list without
-    /// renormalizing. [`System::simplify`] does this automatically; call
-    /// it directly on systems assembled by `push` alone that are known
-    /// to already be in normal form.
-    pub fn classify_dense(&mut self) {
-        self.armed = !self.contradiction;
-        self.dense = OnceLock::new();
     }
 
     /// Conjoin another system.
@@ -338,7 +255,6 @@ impl System {
             self.constraints
                 .sort_unstable_by(Constraint::cmp_structural);
         }
-        self.classify_dense();
     }
 
     /// Eliminate one variable by Fourier–Motzkin (with equality
@@ -471,9 +387,6 @@ impl System {
         out.simplify();
         if out.len() > limits.max_constraints {
             out.constraints.truncate(limits.max_constraints);
-            // A sorted prefix of a normal form is a normal form; re-arm
-            // so a box can only ever describe the constraints kept.
-            out.classify_dense();
             exact = false;
             crate::limit_stats::note_overflow();
         }
@@ -539,19 +452,16 @@ impl System {
     }
 
     /// [`System::is_empty`] with the tier that answered. The one place
-    /// that orders the three ways to answer: the difference-bound
-    /// closure ([`crate::difference`]), then the box summary, then
-    /// elimination. The first two are [`Tier::Dense`] — exact, and the
-    /// verdict elimination would reach (see their modules for the
-    /// agreement arguments), so skipping Fourier–Motzkin cannot change
-    /// output; `PADFA_FORCE_GENERAL_TIER` skips them both.
+    /// that orders the two ways to answer: the difference-bound closure
+    /// ([`crate::difference`]), else elimination. The closure is
+    /// [`Tier::Dense`] — exact, and the verdict elimination would reach
+    /// (see its module for the agreement argument), so skipping
+    /// Fourier–Motzkin cannot change output; `PADFA_FORCE_GENERAL_TIER`
+    /// skips it.
     pub fn is_empty_tiered(&self, limits: Limits) -> (bool, Tier) {
-        if !crate::dense::force_general() && !self.contradiction {
-            if let Some(empty) = crate::difference::is_empty(&self.constraints, limits) {
+        if !difference::force_general() && !self.contradiction {
+            if let Some(empty) = difference::is_empty(&self.constraints, limits) {
                 return (empty, Tier::Dense);
-            }
-            if let Some(d) = self.dense_box() {
-                return (d.is_empty(), Tier::Dense);
             }
         }
         (self.is_empty_by_elimination(limits), Tier::General)
@@ -560,7 +470,7 @@ impl System {
     /// Emptiness by the general cascade alone — normalization's verdict,
     /// [`System::quick_unsat`], then Fourier–Motzkin over every variable:
     /// the fall-through of [`System::is_empty_tiered`] and the reference
-    /// the closed-form tiers are tested against.
+    /// the closed form is tested against.
     pub fn is_empty_by_elimination(&self, limits: Limits) -> bool {
         if self.contradiction {
             return true;
@@ -672,10 +582,6 @@ impl System {
     fn and_constraint(&self, c: Constraint) -> System {
         let mut s = self.clone();
         s.push(c);
-        // `push` alone keeps the list normalized, so the result is
-        // eligible for reclassification (implication tests call
-        // `is_empty` on it immediately).
-        s.classify_dense();
         s
     }
 
@@ -727,7 +633,6 @@ impl fmt::Display for System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseRange;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
@@ -793,7 +698,6 @@ mod tests {
             }
             self.constraints = out;
             self.constraints.sort_by(|a, b| a.cmp_structural(b));
-            self.classify_dense();
         }
     }
 
@@ -901,7 +805,6 @@ mod tests {
                 "case {case}: constraint lists differ on {raw}"
             );
             assert_eq!(new.contradiction, old.contradiction, "case {case}: {raw}");
-            assert_eq!(new.has_dense(), old.has_dense(), "case {case}: {raw}");
             contradictions += usize::from(new.contradiction);
             pinned += usize::from(
                 new.constraints
@@ -935,10 +838,10 @@ mod tests {
     }
 
     #[test]
-    fn system_stays_within_48_bytes() {
-        // One word over the eager `Option<Box<DenseBox>>`; peak RSS on
-        // every benchmark workload is bounded at 5 %.
-        assert!(std::mem::size_of::<System>() <= 48);
+    fn system_stays_within_32_bytes() {
+        // The constraint list and the contradiction flag, nothing cached
+        // beside them: every clone and every interned copy moves this.
+        assert!(std::mem::size_of::<System>() <= 32);
     }
 
     #[test]
@@ -954,9 +857,10 @@ mod tests {
     #[test]
     fn truncated_elimination_does_not_keep_a_stale_box() {
         // Eliminating `t` from four lower and four upper bounds leaves
-        // sixteen single-variable-pair constraints; a cap of three
-        // truncates the normal form, and whatever box the result
-        // reports must describe the three constraints kept.
+        // sixteen two-variable constraints beside the three bounds on
+        // `y` and `z`; a cap of three keeps a sorted prefix of the
+        // normal form, flags the projection inexact and counts one
+        // overflow.
         let names = ["ta", "tb", "tc", "td", "te", "tf", "tg", "th"];
         let mut cs = Vec::new();
         for (n, name) in names.iter().enumerate() {
@@ -980,13 +884,12 @@ mod tests {
         assert_eq!(crate::limit_stats::thread_overflows(), before + 1);
         assert!(!p.exact);
         assert_eq!(p.system.len(), 3);
-        assert_eq!(
-            p.system.dense_box(),
-            DenseBox::classify(p.system.constraints()).as_ref()
-        );
-        // The kept prefix is the three single-variable bounds: a box the
-        // full sixteen-constraint result was not.
-        assert!(p.system.has_dense());
+        // The kept prefix is the three single-variable bounds.
+        assert!(p
+            .system
+            .constraints()
+            .iter()
+            .all(|c| c.expr.num_terms() == 1));
     }
 
     #[test]
@@ -997,15 +900,6 @@ mod tests {
             for kind in [CKind::Eq, CKind::Geq] {
                 let expr = lx("x") + k(konst);
                 let s = System::from_constraints([Constraint { expr, kind }]);
-                let at_x = konst.checked_neg();
-                let hi = if kind == CKind::Eq { at_x } else { None };
-                let (lo, stride) = (at_x, 1);
-                let expected = at_x.map(|_| DenseRange { lo, hi, stride });
-                assert_eq!(
-                    s.dense_box().and_then(|b| b.range(v("x"))),
-                    expected.as_ref(),
-                    "{s}"
-                );
                 assert!(!s.quick_unsat(), "{s}");
                 assert!(!s.is_empty(lim()), "{s}");
                 assert!(!s.is_empty_by_elimination(lim()), "{s}");
@@ -1019,7 +913,6 @@ mod tests {
                 // be compared with: still no verdict, still no panic.
                 let mut t = s.clone();
                 t.push(Constraint::leq(lx("x"), k(5)));
-                t.classify_dense();
                 assert_eq!(t.quick_unsat(), konst == i64::MIN + 1, "{t}");
             }
         }

@@ -1,7 +1,9 @@
-//! Randomized agreement tests for the difference-bound tier: wherever
+//! Randomized agreement tests for the difference-bound closure: wherever
 //! [`difference::is_empty`] answers, the answer must match both the
-//! elimination cascade and brute-force enumeration; everywhere else it
-//! must decline and leave [`System::is_empty`] on the cascade's answer.
+//! elimination cascade and brute-force enumeration; everywhere else —
+//! sums, non-unit coefficients, stride links — it must decline, and
+//! [`System::is_empty`] must report [`Tier::General`] and the cascade's
+//! answer, itself checked against enumeration.
 //! Cases come from fixed seeds so every run checks the same systems.
 
 use rand::rngs::StdRng;
@@ -68,7 +70,39 @@ fn three_answers(cs: &[Constraint], limits: Limits) -> Option<bool> {
     if closed.is_some() && !sys.is_contradiction() {
         assert_eq!(tier, Tier::Dense, "{sys}");
     }
+    // General exactly when the closure declines the normalized list (a
+    // contradiction has no list to show it).
+    let declined =
+        sys.is_contradiction() || difference::is_empty(sys.constraints(), limits).is_none();
+    assert_eq!(tier == Tier::General, declined, "{sys}");
     closed
+}
+
+/// A random bound `a·v + k ≥ 0` or pin `a·v + k == 0`, `a` in ±3.
+fn single_var_constraint(rng: &mut StdRng, v: usize) -> Constraint {
+    let a = [-3, -2, -1, 1, 2, 3][rng.gen_range(0usize..6)];
+    let expr = lx(v).scaled(a) + k(rng.gen_range(-8i64..=8));
+    if rng.gen_bool(0.25) {
+        Constraint::eq0(expr)
+    } else {
+        Constraint::geq0(expr)
+    }
+}
+
+/// A stride link `df0 == s·df1 + c` with the witness `df1` bounded on
+/// both sides, plus up to two extra windows on `df0`; returns `s` too.
+fn random_strided_system(rng: &mut StdRng) -> (i64, Vec<Constraint>) {
+    let s = [-4, -3, -2, -1, 1, 2, 3, 4][rng.gen_range(0usize..8)];
+    let c = rng.gen_range(-5i64..=5);
+    let mut cs = vec![
+        Constraint::eq(lx(0), lx(1).scaled(s) + k(c)),
+        Constraint::geq(lx(1), k(rng.gen_range(-6i64..=6))),
+        Constraint::leq(lx(1), k(rng.gen_range(-6i64..=6))),
+    ];
+    for _ in 0..rng.gen_range(0usize..3) {
+        cs.push(single_var_constraint(rng, 0));
+    }
+    (s, cs)
 }
 
 #[test]
@@ -112,7 +146,7 @@ fn other_shapes_and_tight_limits_fall_through_to_the_cascade() {
         Constraint::geq0(lx(0) + lx(1)),
         Constraint::geq0(lx(0).scaled(2) - lx(1)),
         Constraint::geq0(lx(0) - lx(1) + lx(2)),
-        // A stride link: the box tier's shape, not this one's.
+        // A stride link.
         Constraint::eq(lx(0), lx(1).scaled(2) + k(1)),
         Constraint::geq0(lx(0) + k(near_max)),
         Constraint::geq0(lx(0) - lx(1) + k(-near_max)),
@@ -218,4 +252,83 @@ fn negative_cycles_of_every_length_are_found() {
             assert_eq!(three_answers(&cs, limits), Some(false), "{cs:?}");
         }
     }
+}
+
+#[test]
+fn strided_emptiness_agrees_with_fm_and_enumeration() {
+    // Every stride link but `x == w + c` (a unit difference) is
+    // elimination's: the strided side has a unit coefficient, so it is
+    // substituted away exactly and the verdict must be the true one.
+    let limits = Limits::default();
+    let (mut general, mut empties) = (0u32, 0u32);
+    for seed in 0..192 {
+        let mut rng = StdRng::seed_from_u64(0x57A1DE + seed);
+        let (s, cs) = random_strided_system(&mut rng);
+        three_answers(&cs, limits);
+        let sys = System::from_constraints(cs.clone());
+        let (empty, tier) = sys.is_empty_tiered(limits);
+        assert_eq!(
+            tier == Tier::General,
+            s != 1 || sys.is_contradiction(),
+            "{sys}"
+        );
+        if s != 1 {
+            general += 1;
+            empties += u32::from(empty);
+        }
+        // df1 ∈ [-6, 6], |s| ≤ 4 and |c| ≤ 5 keep df0 within ±29.
+        assert_eq!(empty, !cube_has_point(&cs, 2, 30), "{cs:?}");
+    }
+    assert!(general > 100, "only {general} links left the closure");
+    assert!(
+        (20..general - 20).contains(&empties),
+        "{empties} of {general} strided systems empty"
+    );
+}
+
+#[test]
+fn coupled_systems_stay_general_and_still_agree() {
+    let limits = Limits::default();
+    for seed in 0..192 {
+        let mut rng = StdRng::seed_from_u64(0xC0091ED + seed);
+        // A sum `x + y + c ≥ 0`, or a two-variable equality with
+        // coefficients 2 or 3, among windows on either variable.
+        let unit = rng.gen_bool(0.5);
+        let c = k(rng.gen_range(-8i64..=8));
+        let coupled = if unit {
+            Constraint::geq0(lx(0) + lx(1) + c)
+        } else {
+            let (a, b) = (rng.gen_range(2i64..=3), rng.gen_range(2i64..=3));
+            Constraint::eq0(lx(0).scaled(a) + lx(1).scaled(b) + c)
+        };
+        let mut cs = vec![coupled];
+        for _ in 0..rng.gen_range(1usize..4) {
+            let v = rng.gen_range(0usize..2);
+            cs.push(single_var_constraint(&mut rng, v));
+        }
+        assert_eq!(three_answers(&cs, limits), None, "{cs:?}");
+        let (empty, tier) = System::from_constraints(cs.clone()).is_empty_tiered(limits);
+        assert_eq!(tier, Tier::General, "{cs:?}");
+        // Every constant is within ±8, so a solution, if there is one,
+        // has one inside this cube. Unit coefficients eliminate exactly;
+        // the non-unit equality loses divisibility, where "empty" is
+        // still definite and "non-empty" is not.
+        let has_point = cube_has_point(&cs, 2, 30);
+        if unit {
+            assert_eq!(empty, !has_point, "{cs:?}");
+        } else {
+            assert!(!(empty && has_point), "{cs:?}");
+        }
+    }
+}
+
+#[test]
+fn forced_general_env_is_not_set_in_tests() {
+    // The agreement tests above exercise the closed form; they are
+    // vacuous under the kill switch. Fail loudly instead of silently
+    // passing.
+    assert!(
+        !difference::force_general(),
+        "unset PADFA_FORCE_GENERAL_TIER when running the test suite"
+    );
 }

@@ -863,6 +863,10 @@ fn cmd_corpus(args: &[String]) {
             _ => usage(),
         }
     }
+    if resume && ledger.is_none() {
+        eprintln!("padfa: --resume needs --ledger PATH");
+        exit(2)
+    }
     let opts = variant_options(&variant).with_budget(budget.to_budget());
     let store = store_flags.open(&opts.budget);
     if let Some(s) = &store {

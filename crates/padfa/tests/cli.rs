@@ -531,6 +531,17 @@ fn corpus_classifies_every_program_and_resumes() {
     let _ = std::fs::remove_file(&ledger);
 }
 
+/// `--resume` has nothing to resume from without a ledger: a usage
+/// error, not a silent full run.
+#[test]
+fn corpus_resume_without_ledger_is_a_usage_error() {
+    let out = padfa().args(["corpus", "--resume"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("padfa: --resume needs --ledger PATH"), "{err}");
+}
+
 /// A run killed mid-row leaves a truncated trailing ledger line.
 /// `--resume` must not trust it: the partial row is dropped with a
 /// warning and its program redone, leaving a complete ledger.
@@ -709,7 +720,7 @@ fn bad_store_inject_spec_exits_2() {
     assert!(err.contains("only injects store-"), "{err}");
 }
 
-/// The closed-form emptiness tiers (difference-bound closure, box) must
+/// The closed-form emptiness test (the difference-bound closure) must
 /// never change a byte of output: every corpus source through
 /// `explain --json` (per-pair evidence, 240 KB for `wave5` alone) and 60
 /// generated programs through `analyze --all --summaries`, each with and
@@ -833,5 +844,13 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     assert_eq!(corpus["query.sys_empty.total"], 103_597);
     assert_eq!(corpus["fm.projections"], 17_891);
     assert_eq!(corpus["interned.regions"], 40_135);
+    // The tier census: every emptiness question a corpus pass asks is a
+    // difference-bound system. A new input shape that reaches
+    // elimination shows up here first.
+    assert_eq!(corpus["tier.sys_empty.dense"], 103_597);
+    assert_eq!(corpus["tier.sys_empty.general"], 0);
+    assert_eq!(corpus["tier.intersect.dense"], 0);
+    assert_eq!(corpus["tier.intersect.general"], 14_132);
+    assert_eq!(corpus["tier.subset.general"], 8);
     let _ = std::fs::remove_dir_all(&dir);
 }
