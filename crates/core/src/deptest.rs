@@ -12,7 +12,7 @@ use crate::report::{Mechanisms, Outcome, PrivArray, Reduction};
 use crate::session::AnalysisSession;
 use crate::summary::Summary;
 use padfa_ir::ast::Block;
-use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
+use padfa_omega::{difference, Constraint, Disjunction, Limits, LinExpr, Norm, System, Var};
 use padfa_pred::{extract_symbolic, Pred};
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -114,14 +114,32 @@ fn conflict_condition<'a>(
     let mut region_cond = Pred::False;
     let mut extracted = false;
     let x2 = x2();
+    // The front reads the pieces where they lie, so it needs lists that
+    // mean what they say (a contradiction's list is empty and would read
+    // as the universe) and a pair count the disjunct cap cannot have
+    // truncated — its overflow note is part of the report.
+    let front = !difference::force_general()
+        && !ctx.is_contradiction()
+        && !ctx2.is_contradiction()
+        && w.len() * x2.len() < limits.max_disjuncts;
     // Each disjunct of the intersection under both loop contexts: the
     // two iteration orders differ only in the constraint pushed on top,
-    // so the conjunctions are built once, on the first order.
+    // so the conjunctions are built once, on the first order that needs
+    // them.
     let mut in_ctx: Option<Vec<System>> = None;
     for order in [
         Constraint::lt(LinExpr::var(loop_var), LinExpr::var(i2)),
         Constraint::gt(LinExpr::var(loop_var), LinExpr::var(i2)),
     ] {
+        // Decide before building: when the closure refutes every
+        // `a ∧ b ∧ ctx ∧ ctx2 ∧ order` from the borrowed lists, the
+        // intersection below would be built, interned and probed only
+        // to be found empty. One step, as for any other query.
+        let refuted = front && order_refuted(w, x2, ctx, ctx2, &order, limits);
+        sess.note_pair_order(w, x2, refuted);
+        if refuted {
+            continue;
+        }
         // Asked once per order (the second is a memo hit on the same
         // handle): query counts and budget steps are per order.
         let base = sess.intersect(w, x2);
@@ -134,11 +152,7 @@ fn conflict_condition<'a>(
         let inter = Disjunction::from_systems(
             in_ctx
                 .iter()
-                .map(|s| {
-                    let mut t = s.clone();
-                    t.push(order.clone());
-                    t
-                })
+                .map(|s| s.and_constraint(order.clone()))
                 .collect::<Vec<_>>(),
         );
         if sess.is_empty(&inter) {
@@ -184,6 +198,36 @@ fn conflict_condition<'a>(
         PairOutcome::RegionsDisjoint
     };
     (cond, outcome)
+}
+
+/// True when the difference-bound closure proves `a ∧ b ∧ ctx ∧ ctx2 ∧
+/// order` empty for every pair of pieces `(a, b) ∈ w × x2` — what
+/// `sess.is_empty` concludes of the materialized intersection, learned
+/// without building it. `false` says nothing: a pair survived, or was
+/// not the closure's to decide.
+fn order_refuted(
+    w: &Disjunction,
+    x2: &Disjunction,
+    ctx: &System,
+    ctx2: &System,
+    order: &Constraint,
+    limits: Limits,
+) -> bool {
+    let Norm::Keep(order) = order.normalize() else {
+        return false;
+    };
+    w.systems().iter().all(|a| {
+        x2.systems().iter().all(|b| {
+            let parts = [
+                a.constraints(),
+                b.constraints(),
+                ctx.constraints(),
+                ctx2.constraints(),
+                std::slice::from_ref(&order),
+            ];
+            difference::is_empty_parts(&parts, limits) == Some(true)
+        })
+    })
 }
 
 /// Test all cross-iteration conflicts for one array, returning the
@@ -612,11 +656,106 @@ mod tests {
         sess: &AnalysisSession,
         mech: &mut Mechanisms,
     ) -> Pred {
+        conflict_in(&ctx_1_to_n(), p_w, w, p_x, x, sess, mech).0
+    }
+
+    /// [`conflict`] under a given loop context, with the outcome.
+    fn conflict_in(
+        ctx: &System,
+        p_w: &Pred,
+        w: &Disjunction,
+        p_x: &Pred,
+        x: &Disjunction,
+        sess: &AnalysisSession,
+        mech: &mut Mechanisms,
+    ) -> (Pred, PairOutcome) {
         let (i, i2) = (v("i"), primed(v("i")));
-        let ctx = ctx_1_to_n();
         let ctx2 = ctx.rename(i, i2);
         let x2 = x.rename(i, i2);
-        conflict_condition(p_w, w, p_x, || &x2, &ctx, &ctx2, i, i2, sess, &sym, mech).0
+        conflict_condition(p_w, w, p_x, || &x2, ctx, &ctx2, i, i2, sess, &sym, mech)
+    }
+
+    /// Unguarded `w` against `x` in a fresh session with `max_disjuncts`
+    /// as given; returns the verdict and the session's counters.
+    fn unguarded(
+        ctx: &System,
+        w: &Disjunction,
+        x: &Disjunction,
+        max_disjuncts: usize,
+    ) -> ((Pred, PairOutcome), crate::StatsSnapshot) {
+        let mut opts = Options::predicated();
+        opts.limits.max_disjuncts = max_disjuncts;
+        let sess = AnalysisSession::new(opts);
+        let mut mech = Mechanisms::default();
+        let verdict = conflict_in(ctx, &Pred::True, w, &Pred::True, x, &sess, &mut mech);
+        (verdict, sess.stats())
+    }
+
+    #[test]
+    fn refuted_and_materialized_empty_orders_agree() {
+        // a[i] against a[i]: both orders are refuted from the lists, and
+        // nothing is intersected, interned or probed.
+        let ctx = ctx_1_to_n();
+        let disjoint = (Pred::False, PairOutcome::RegionsDisjoint);
+        let (verdict, st) = unguarded(&ctx, &shifted(0), &shifted(0), 32);
+        assert_eq!(verdict, disjoint);
+        assert_eq!((st.orders_total, st.orders_refuted), (2, 2));
+        assert_eq!(st.intersect.total() + st.sys_empty.total(), 0);
+        assert_eq!(st.interned_regions + st.interned_systems, 0);
+
+        // a[2i] against a[2i]: a non-unit coefficient is not the
+        // closure's, so both orders are built and found empty by
+        // elimination — the same verdict by the other route.
+        let d = dim_var(v("a"), 0);
+        let doubled = Disjunction::from_system(System::from_constraints([
+            Constraint::eq(LinExpr::var(d), LinExpr::term(v("i"), 2)),
+            Constraint::geq(LinExpr::var(d), LinExpr::constant(1)),
+            Constraint::leq(LinExpr::var(d), LinExpr::constant(100)),
+        ]));
+        let (verdict, st) = unguarded(&ctx, &doubled, &doubled, 32);
+        assert_eq!(verdict, disjoint);
+        assert_eq!((st.orders_total, st.orders_refuted), (2, 0));
+        assert_eq!(st.intersect.total(), 2);
+    }
+
+    #[test]
+    fn pair_count_at_the_disjunct_cap_materializes_and_notes_its_overflow() {
+        // Two pieces against one under a cap of two: the intersection
+        // keeps both and says so, which only the materializing path
+        // can — so the front must stand aside, refutable or not.
+        let ctx = ctx_1_to_n();
+        let lower_half = Constraint::leq(LinExpr::var(dim_var(v("a"), 0)), LinExpr::constant(50));
+        let mut w = shifted(0);
+        w.push(shifted(0).constrain(&lower_half).systems()[0].clone());
+        assert_eq!(w.len(), 2);
+        let (verdict, st) = unguarded(&ctx, &w, &shifted(0), 2);
+        assert_eq!(verdict, (Pred::False, PairOutcome::RegionsDisjoint));
+        assert_eq!((st.orders_total, st.orders_refuted), (2, 0));
+        assert_eq!(st.intersect.total(), 2);
+        assert_eq!(st.limit_overflows, 1, "one intersection computed, capped");
+        // One below the cap the same pair is refuted unbuilt.
+        let (verdict, st) = unguarded(&ctx, &w, &shifted(0), 3);
+        assert_eq!(verdict, (Pred::False, PairOutcome::RegionsDisjoint));
+        assert_eq!((st.orders_total, st.orders_refuted), (2, 2));
+        assert_eq!(st.limit_overflows, 0);
+    }
+
+    #[test]
+    fn contradictory_context_still_reads_as_disjoint() {
+        // `i >= 1 && i <= 0`: the loop never runs. The context's list is
+        // empty (it is a contradiction, not the universe), so the front
+        // may not read it; a[i] against a[i-1] conflicts under any
+        // context that does run.
+        let never = System::from_constraints([
+            Constraint::geq(LinExpr::var(v("i")), LinExpr::constant(1)),
+            Constraint::leq(LinExpr::var(v("i")), LinExpr::constant(0)),
+        ]);
+        assert!(never.is_contradiction());
+        let (verdict, st) = unguarded(&never, &shifted(0), &shifted(-1), 32);
+        assert_eq!(verdict, (Pred::False, PairOutcome::RegionsDisjoint));
+        assert_eq!(st.orders_refuted, 0);
+        let (verdict, _) = unguarded(&ctx_1_to_n(), &shifted(0), &shifted(-1), 32);
+        assert_ne!(verdict.1, PairOutcome::RegionsDisjoint);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! [`StatsSnapshot`] — the session's own counters — is folded into one
 //! by [`StatsSnapshot::publish`], under one rule: counters **add**
 //! (`query.*`, `memo.*`, `tier.*`, `interned.*`, `fm.projections`,
-//! budget and overflow counts), `peak.*` keeps the **maximum**, and
+//! `deptest.orders.*`, budget and overflow counts), `peak.*` keeps the
+//! **maximum**, and
 //! `store.*` — totals of a store every session of the process shares —
 //! is **set**. Published into a fresh registry that is one run's
 //! numbers (`analyze --metrics-out`); published into a shared one it is
@@ -257,6 +258,9 @@ impl StatsSnapshot {
             reg.counter(&format!("tier.{kind}.general")).add(q.general);
         }
         reg.counter("fm.projections").add(self.fm_projections);
+        reg.counter("deptest.orders.total").add(self.orders_total);
+        reg.counter("deptest.orders.refuted")
+            .add(self.orders_refuted);
         reg.counter("interned.systems")
             .add(self.interned_systems as u64);
         reg.counter("interned.regions")

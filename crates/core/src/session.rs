@@ -132,6 +132,12 @@ pub struct StatsSnapshot {
     /// Fourier–Motzkin projection computations actually run (memoized
     /// projection misses; hits avoid these entirely).
     pub fm_projections: u64,
+    /// Pair-orders the dependence and privatization tests decided
+    /// (`w` against `x′` under one iteration order), and how many of
+    /// them the closure refuted from the borrowed constraint lists, so
+    /// that no intersection was built ([`crate::deptest`]).
+    pub orders_total: u64,
+    pub orders_refuted: u64,
     /// `$lat` requests beyond the pre-interned per-procedure pool.
     pub lat_overflow: u64,
     /// Lattice-operation steps charged against per-procedure work
@@ -250,6 +256,15 @@ impl std::fmt::Display for StatsSnapshot {
             "  fm-projections run: {}; peak table: {} entries",
             self.fm_projections, self.peak_table_entries
         )?;
+        if self.orders_total > 0 {
+            writeln!(
+                f,
+                "  pair-orders: {} tested, {} refuted before any system was built ({:.1}%)",
+                self.orders_total,
+                self.orders_refuted,
+                100.0 * self.orders_refuted as f64 / self.orders_total as f64
+            )?;
+        }
         write!(f, "  limit overflows: {}", self.limit_overflows)?;
         if self.budget_steps > 0 {
             write!(
@@ -331,6 +346,8 @@ pub struct AnalysisSession {
     /// query is general: only emptiness has a closed form.
     sys_empty_dense: Cell<u64>,
     fm_projections: Cell<u64>,
+    orders_total: Cell<u64>,
+    orders_refuted: Cell<u64>,
     lat_overflow: Cell<u64>,
     lat_pools: RefCell<HashMap<String, u32>>,
     budget_steps: Cell<u64>,
@@ -381,6 +398,8 @@ impl AnalysisSession {
             m_implies: Memo::new(),
             sys_empty_dense: Cell::new(0),
             fm_projections: Cell::new(0),
+            orders_total: Cell::new(0),
+            orders_refuted: Cell::new(0),
             lat_overflow: Cell::new(0),
             lat_pools: RefCell::new(HashMap::new()),
             budget_steps: Cell::new(0),
@@ -553,6 +572,21 @@ impl AnalysisSession {
         bump(&self.fm_projections);
     }
 
+    /// Count one pair-order of a dependence or privatization test (`w`
+    /// against `x2` under one iteration order). One refuted without
+    /// building the intersection is charged here as the `intersect` it
+    /// stands in for — one step, the operand sizes — and touches no
+    /// table; one that survives is charged by the queries that build it.
+    pub(crate) fn note_pair_order(&self, w: &Disjunction, x2: &Disjunction, refuted: bool) {
+        if refuted {
+            budget::charge(1);
+            budget::note_region(w);
+            budget::note_region(x2);
+            bump(&self.orders_refuted);
+        }
+        bump(&self.orders_total);
+    }
+
     /// The next deterministic lattice-existential name for `proc`
     /// (`$lat.<proc>.<k>`): the k-th request in a procedure's walk
     /// always gets the k-th name, and names inside the pre-interned
@@ -658,6 +692,8 @@ impl AnalysisSession {
             interned_preds: self.preds.len(),
             peak_table_entries: peak,
             fm_projections: self.fm_projections.get(),
+            orders_total: self.orders_total.get(),
+            orders_refuted: self.orders_refuted.get(),
             lat_overflow: self.lat_overflow.get(),
             budget_steps: self.budget_steps.get(),
             peak_disjuncts: self.peak_disjuncts.get(),

@@ -34,6 +34,17 @@
 //! `v == s·w + c`), more than 8 variables, `limits.max_constraints` below
 //! `(vars + 1)²`, or a constant beyond `i64::MAX / 16`.
 //!
+//! ## Asked before built
+//!
+//! The closure reads constraints and keeps none, so it does not need the
+//! conjunction it is asked about to exist: [`is_empty_parts`] walks a
+//! chain of borrowed lists — the two pieces of a pair test, both loop
+//! contexts and the iteration order; a system and the negation of one
+//! more constraint — and [`is_empty`] is its one-part call. The callers
+//! that ask it first ([`System::is_empty_with`](crate::System::is_empty_with),
+//! `Disjunction::subtract`, `core::deptest`) build the conjunction only
+//! if it survives or the answer is `None`.
+//!
 //! [`Tier`] names which of the two answered; [`force_general`] is the
 //! switch that sends everything to elimination.
 
@@ -83,6 +94,18 @@ const INF: i64 = i64::MAX;
 /// docs). Callers must not pass a contradiction system: its list is
 /// empty and reads as the universe.
 pub fn is_empty(constraints: &[Constraint], limits: Limits) -> Option<bool> {
+    is_empty_parts(&[constraints], limits)
+}
+
+/// [`is_empty`] of the conjunction of several borrowed lists, read in
+/// place: the caller that only wants to know whether `a ∧ b ∧ ctx ∧ c`
+/// is empty asks before it builds the conjunction, and builds it only
+/// if it survives. Each member must be normalized on its own (as
+/// [`System::push`](crate::System::push) leaves it); the parts need not
+/// be normalized against each other — duplicates and looser bounds are
+/// edges that lose to a tighter one. Same decline rules as the
+/// one-list call, over the concatenation.
+pub fn is_empty_parts(parts: &[&[Constraint]], limits: Limits) -> Option<bool> {
     let mut vars = [PLACEHOLDER; MAX_VARS];
     let mut n = 1;
     let mut node = |v: Var| -> Option<usize> {
@@ -101,7 +124,7 @@ pub fn is_empty(constraints: &[Constraint], limits: Limits) -> Option<bool> {
     for (i, row) in d.iter_mut().enumerate() {
         row[i] = 0;
     }
-    for c in constraints {
+    for c in parts.iter().copied().flatten() {
         let k = c.expr.konst();
         if !(-MAX_KONST..=MAX_KONST).contains(&k) {
             return None;

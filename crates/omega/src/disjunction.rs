@@ -151,11 +151,7 @@ impl Disjunction {
             let mut next = Disjunction::empty();
             next.exact = cur.exact;
             for a in &cur.systems {
-                for piece in subtract_convex(a, b) {
-                    if !piece.is_empty(limits) {
-                        next.systems.push(piece);
-                    }
-                }
+                subtract_convex(a, b, limits, &mut next.systems);
                 if next.systems.len() > limits.max_disjuncts {
                     // Give up: keep the unsubtracted remainder.
                     let mut fallback = cur.clone();
@@ -214,9 +210,7 @@ impl Disjunction {
         let mut out = Disjunction::empty();
         out.exact = self.exact;
         for s in &self.systems {
-            let mut t = s.clone();
-            t.push(c.clone());
-            out.push(t);
+            out.push(s.and_constraint(c.clone()));
         }
         out
     }
@@ -241,45 +235,38 @@ impl Disjunction {
     }
 }
 
-/// Subtract one convex system from another:
-/// `a − b = ⋃_{c ∈ b} (a ∧ ¬c)` (with prior constraints of `b` asserted,
-/// giving disjoint pieces).
-fn subtract_convex(a: &System, b: &System) -> Vec<System> {
+/// Subtract one convex system from another, appending the non-empty
+/// pieces to `out`: `a − b = ⋃_{c ∈ b} (a ∧ ¬c)` (with prior constraints
+/// of `b` asserted, giving disjoint pieces). A piece is asked about
+/// before it is built ([`System::is_empty_with`]) and built only if it
+/// survives.
+fn subtract_convex(a: &System, b: &System, limits: Limits, out: &mut Vec<System>) {
     if b.is_contradiction() {
-        return vec![a.clone()];
+        if !a.is_empty(limits) {
+            out.push(a.clone());
+        }
+        return;
     }
-    let mut out = Vec::new();
     let mut assumed = a.clone();
+    let mut keep = |assumed: &System, c: Constraint| {
+        if !assumed.is_empty_with(c.clone(), limits) {
+            out.push(assumed.and_constraint(c));
+        }
+    };
     for c in b.constraints() {
         match c.kind {
-            CKind::Geq => {
-                let mut piece = assumed.clone();
-                piece.push(c.negate_geq());
-                if !piece.is_contradiction() {
-                    out.push(piece);
-                }
-                assumed.push(c.clone());
-            }
+            CKind::Geq => keep(&assumed, c.negate_geq()),
             CKind::Eq => {
                 let (p, n) = c.as_geq_pair();
-                let mut lo = assumed.clone();
-                lo.push(p.negate_geq());
-                if !lo.is_contradiction() {
-                    out.push(lo);
-                }
-                let mut hi = assumed.clone();
-                hi.push(n.negate_geq());
-                if !hi.is_contradiction() {
-                    out.push(hi);
-                }
-                assumed.push(c.clone());
+                keep(&assumed, p.negate_geq());
+                keep(&assumed, n.negate_geq());
             }
         }
+        assumed.push(c.clone());
         if assumed.is_contradiction() {
             break;
         }
     }
-    out
 }
 
 impl fmt::Debug for Disjunction {

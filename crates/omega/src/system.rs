@@ -566,21 +566,48 @@ impl System {
     /// Sound implication test: does every point of `self` satisfy `c`?
     /// `true` is definite; `false` means unknown.
     pub fn implies(&self, c: &Constraint, limits: Limits) -> bool {
-        if self.contradiction {
-            return true;
-        }
         match c.kind {
-            CKind::Geq => self.and_constraint(c.negate_geq()).is_empty(limits),
+            CKind::Geq => self.is_empty_with(c.negate_geq(), limits),
             CKind::Eq => {
                 let (p, n) = c.as_geq_pair();
-                self.and_constraint(p.negate_geq()).is_empty(limits)
-                    && self.and_constraint(n.negate_geq()).is_empty(limits)
+                self.is_empty_with(p.negate_geq(), limits)
+                    && self.is_empty_with(n.negate_geq(), limits)
             }
         }
     }
 
-    fn and_constraint(&self, c: Constraint) -> System {
-        let mut s = self.clone();
+    /// [`System::is_empty`] of `self ∧ c`, asked before the conjunction
+    /// is built: the closure reads `self`'s list and `c` in place
+    /// ([`difference::is_empty_parts`]), and only a conjunction it
+    /// declines is materialized, for elimination. The verdict is the one
+    /// `self.and_constraint(c).is_empty(limits)` reaches.
+    pub fn is_empty_with(&self, c: Constraint, limits: Limits) -> bool {
+        if self.contradiction {
+            return true;
+        }
+        let c = match c.into_norm() {
+            Norm::Tautology => return self.is_empty(limits),
+            Norm::Contradiction => return true,
+            Norm::Keep(c) => c,
+        };
+        if !difference::force_general() {
+            let parts = [self.constraints.as_slice(), std::slice::from_ref(&c)];
+            if let Some(empty) = difference::is_empty_parts(&parts, limits) {
+                return empty;
+            }
+        }
+        self.and_constraint(c).is_empty(limits)
+    }
+
+    /// This system and one more constraint — [`System::push`] onto a
+    /// copy (same order, same duplicate check, not re-simplified) that
+    /// was allocated with room for it.
+    pub fn and_constraint(&self, c: Constraint) -> System {
+        if self.contradiction {
+            return System::empty();
+        }
+        let mut s = System::with_capacity(self.len() + 1);
+        s.constraints.extend_from_slice(&self.constraints);
         s.push(c);
         s
     }

@@ -91,9 +91,15 @@ impl Var {
         self.0
     }
 
-    /// Whether this variable was created by [`Var::fresh`].
+    /// Whether this variable was created by [`Var::fresh`]. Reads the
+    /// name's first byte under the guard: classification filters call
+    /// this per variable, and [`Var::name`] would copy the string out.
     pub fn is_synthetic(self) -> bool {
-        self.name().starts_with('$')
+        let guard = read_interner();
+        guard
+            .as_ref()
+            .and_then(|int| int.names.get(self.0 as usize))
+            .is_some_and(|name| name.starts_with('$'))
     }
 }
 

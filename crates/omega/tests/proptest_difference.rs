@@ -3,13 +3,18 @@
 //! elimination cascade and brute-force enumeration; everywhere else —
 //! sums, non-unit coefficients, stride links — it must decline, and
 //! [`System::is_empty`] must report [`Tier::General`] and the cascade's
-//! answer, itself checked against enumeration.
+//! answer, itself checked against enumeration. The same closure asked
+//! of borrowed lists — [`difference::is_empty_parts`],
+//! [`System::is_empty_with`], the pieces of [`Disjunction::subtract`] —
+//! must say what the materialized conjunction says.
 //! Cases come from fixed seeds so every run checks the same systems.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use padfa_omega::{difference, Constraint, Limits, LinExpr, System, Tier, Var};
+use padfa_omega::{
+    difference, limit_stats, CKind, Constraint, Disjunction, Limits, LinExpr, System, Tier, Var,
+};
 
 fn var(n: usize) -> Var {
     Var::new(&format!("df{n}"))
@@ -320,6 +325,270 @@ fn coupled_systems_stay_general_and_still_agree() {
             assert!(!(empty && has_point), "{cs:?}");
         }
     }
+}
+
+/// A constraint of one of the shapes the closure declines: a sum, a
+/// non-unit coefficient, three terms, a stride link.
+fn random_declined_constraint(rng: &mut StdRng, vars: usize) -> Constraint {
+    let x = rng.gen_range(0..vars);
+    let y = (x + 1) % vars.max(2);
+    let z = vars.max(2);
+    let c = k(rng.gen_range(-6i64..=6));
+    match rng.gen_range(0u32..4) {
+        0 => Constraint::geq0(lx(x) + lx(y) + c),
+        1 => Constraint::geq0(lx(x).scaled(2) - lx(y) + c),
+        2 => Constraint::geq0(lx(x) - lx(y) + lx(z) + c),
+        _ => Constraint::eq(lx(x), lx(y).scaled(rng.gen_range(2i64..=4)) + c),
+    }
+}
+
+/// Cut `cs` at random into `1..=5` consecutive parts (some may be empty).
+fn random_split<'a>(rng: &mut StdRng, cs: &'a [Constraint]) -> Vec<&'a [Constraint]> {
+    let mut cuts: Vec<usize> = (0..rng.gen_range(0usize..5))
+        .map(|_| rng.gen_range(0..=cs.len()))
+        .collect();
+    cuts.extend([0, cs.len()]);
+    cuts.sort_unstable();
+    cuts.windows(2).map(|w| &cs[w[0]..w[1]]).collect()
+}
+
+#[test]
+fn borrowed_parts_answer_what_the_concatenation_answers() {
+    let mut rng = StdRng::seed_from_u64(0x9A27_5EED);
+    let tight = Limits {
+        max_constraints: 8,
+        max_disjuncts: 1,
+    };
+    let (mut answered, mut declined, mut enumerated, mut five) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..20_000 {
+        // Up to ten variables: the ninth makes the closure decline.
+        let vars = [1, 2, 3, 3, 4, 6, 8, 10][rng.gen_range(0usize..8)];
+        let mut cs: Vec<Constraint> = (0..rng.gen_range(0usize..=14))
+            .map(|_| random_difference_constraint(&mut rng, vars))
+            .collect();
+        if case % 4 == 0 {
+            let offender = if case % 20 == 0 {
+                // A constant past the closure's bound.
+                Constraint::geq0(lx(0) + k(i64::MAX / 16 + 1))
+            } else {
+                random_declined_constraint(&mut rng, vars)
+            };
+            cs.insert(rng.gen_range(0..=cs.len()), offender);
+        }
+        // A cap below `(vars + 1)²` declines too.
+        let limits = if case % 5 == 1 {
+            tight
+        } else {
+            Limits::default()
+        };
+        let parts = random_split(&mut rng, &cs);
+        five += u32::from(parts.len() == 5);
+        let whole = difference::is_empty(&cs, limits);
+        assert_eq!(
+            difference::is_empty_parts(&parts, limits),
+            whole,
+            "case {case}: {parts:?}"
+        );
+        match whole {
+            None => declined += 1,
+            Some(empty) => {
+                answered += 1;
+                if vars <= 3 {
+                    enumerated += 1;
+                    assert_eq!(
+                        empty,
+                        !cube_has_point(&cs, vars, 6 * (vars as i64 + 1)),
+                        "case {case}: {cs:?}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(answered >= 8_000, "only {answered} lists answered");
+    assert!(declined >= 5_000, "only {declined} lists declined");
+    assert!(enumerated >= 3_000, "only {enumerated} lists enumerated");
+    assert!(five >= 1_000, "only {five} five-part splits");
+}
+
+/// A system as the analysis holds one: mostly difference constraints,
+/// sometimes one the closure declines.
+fn random_mixed_system(rng: &mut StdRng, vars: usize, most: usize) -> System {
+    let mut cs: Vec<Constraint> = (0..rng.gen_range(0..=most))
+        .map(|_| random_difference_constraint(rng, vars))
+        .collect();
+    if rng.gen_bool(0.2) {
+        cs.push(random_declined_constraint(rng, vars));
+    }
+    System::from_constraints(cs)
+}
+
+#[test]
+fn emptiness_with_one_more_constraint_matches_the_built_conjunction() {
+    let mut rng = StdRng::seed_from_u64(0x15E7_7917);
+    let limits = Limits::default();
+    let (mut tautologies, mut contradictions, mut kept, mut empties, mut dead) = (0, 0, 0, 0, 0);
+    for case in 0..12_000 {
+        let vars = rng.gen_range(1usize..=5);
+        let s = if case % 16 == 0 {
+            System::empty()
+        } else {
+            random_mixed_system(&mut rng, vars, 8)
+        };
+        dead += u32::from(s.is_contradiction());
+        let c = match rng.gen_range(0u32..8) {
+            // Constant-only: a tautology or a contradiction.
+            0 => Constraint::geq0(k(rng.gen_range(-2i64..=2))),
+            1 => Constraint::eq0(k(rng.gen_range(-1i64..=1))),
+            // A common factor: tightened, or an equality no integer meets.
+            2 => Constraint::geq0(lx(0).scaled(2) + k(rng.gen_range(-5i64..=5))),
+            3 => Constraint::eq0(lx(0).scaled(2) + k(rng.gen_range(-5i64..=5))),
+            4 => random_declined_constraint(&mut rng, vars),
+            _ => random_difference_constraint(&mut rng, vars),
+        };
+        match c.normalize() {
+            padfa_omega::Norm::Tautology => tautologies += 1,
+            padfa_omega::Norm::Contradiction => contradictions += 1,
+            padfa_omega::Norm::Keep(_) => kept += 1,
+        }
+        let built = s.and_constraint(c.clone());
+        let mut pushed = s.clone();
+        pushed.push(c.clone());
+        assert_eq!(built, pushed, "case {case}: {s} and {c}");
+        let expected = built.is_empty(limits);
+        assert_eq!(
+            s.is_empty_with(c.clone(), limits),
+            expected,
+            "case {case}: {s} with {c}"
+        );
+        empties += u32::from(expected);
+    }
+    assert!(tautologies >= 500, "only {tautologies} tautologies");
+    assert!(
+        contradictions >= 500,
+        "only {contradictions} contradictions"
+    );
+    assert!(kept >= 7_000, "only {kept} kept constraints");
+    assert!(dead >= 750, "only {dead} contradiction systems");
+    assert!(
+        (3_000..=9_000).contains(&empties),
+        "{empties} of 12000 conjunctions empty"
+    );
+
+    // Constants no window can hold, beside a system that does and one
+    // that does not mention the variable.
+    let beside = [
+        System::universe(),
+        System::from_constraints([Constraint::geq(lx(1), k(0))]),
+        System::from_constraints([Constraint::geq(lx(0), k(0))]),
+    ];
+    for konst in [i64::MIN, i64::MIN + 1, -(i64::MAX / 16) - 1, i64::MAX] {
+        for kind in [CKind::Eq, CKind::Geq] {
+            let c = Constraint {
+                expr: lx(0) + k(konst),
+                kind,
+            };
+            // (Substituting `x := 2^63` is the one thing elimination
+            // cannot write down.)
+            for s in &beside[..if konst == i64::MIN { 2 } else { 3 }] {
+                assert_eq!(
+                    s.is_empty_with(c.clone(), limits),
+                    s.and_constraint(c.clone()).is_empty(limits),
+                    "{s} with {c}"
+                );
+            }
+        }
+    }
+}
+
+/// `Disjunction::subtract` as it was before its pieces were asked about
+/// ahead of being built: every piece of `a − b` is materialized, the
+/// contradictions are dropped, and the rest are filtered by `is_empty`.
+fn subtract_reference(x: &Disjunction, y: &Disjunction, limits: Limits) -> Disjunction {
+    fn subtract_convex(a: &System, b: &System) -> Vec<System> {
+        if b.is_contradiction() {
+            return vec![a.clone()];
+        }
+        let mut out = Vec::new();
+        let mut assumed = a.clone();
+        let mut piece = |assumed: &System, c: Constraint| {
+            let mut piece = assumed.clone();
+            piece.push(c);
+            if !piece.is_contradiction() {
+                out.push(piece);
+            }
+        };
+        for c in b.constraints() {
+            match c.kind {
+                CKind::Geq => piece(&assumed, c.negate_geq()),
+                CKind::Eq => {
+                    let (p, n) = c.as_geq_pair();
+                    piece(&assumed, p.negate_geq());
+                    piece(&assumed, n.negate_geq());
+                }
+            }
+            assumed.push(c.clone());
+            if assumed.is_contradiction() {
+                break;
+            }
+        }
+        out
+    }
+    let mut cur = x.systems().to_vec();
+    for b in y.systems() {
+        let mut next = Vec::new();
+        for a in &cur {
+            let pieces = subtract_convex(a, b);
+            next.extend(pieces.into_iter().filter(|p| !p.is_empty(limits)));
+            if next.len() > limits.max_disjuncts {
+                limit_stats::note_overflow();
+                return Disjunction::from_raw_parts(cur, false);
+            }
+        }
+        cur = next;
+    }
+    Disjunction::from_raw_parts(cur, x.is_exact() && y.is_exact())
+}
+
+#[test]
+fn subtract_builds_exactly_the_pieces_the_filter_kept() {
+    let mut rng = StdRng::seed_from_u64(0x5B7_2AC7);
+    let (mut gave_up, mut pieces, mut emptied) = (0u32, 0usize, 0u32);
+    for case in 0..6_000 {
+        let vars = rng.gen_range(1usize..=4);
+        let operand = |rng: &mut StdRng| {
+            let mut d = Disjunction::from_systems(
+                (0..rng.gen_range(1usize..=3)).map(|_| random_mixed_system(rng, vars, 6)),
+            );
+            if rng.gen_bool(0.1) {
+                d.set_inexact();
+            }
+            d
+        };
+        let (x, y) = (operand(&mut rng), operand(&mut rng));
+        // Tight enough, every fourth case, that a few pieces trip it.
+        let limits = Limits {
+            max_disjuncts: if case % 4 == 0 {
+                rng.gen_range(1usize..=3)
+            } else {
+                32
+            },
+            ..Limits::default()
+        };
+        let before = limit_stats::thread_overflows();
+        let new = x.subtract(&y, limits);
+        let mid = limit_stats::thread_overflows();
+        let old = subtract_reference(&x, &y, limits);
+        let after = limit_stats::thread_overflows();
+        assert_eq!(new, old, "case {case}: {x} minus {y}");
+        assert_eq!(new.is_exact(), old.is_exact(), "case {case}");
+        assert_eq!(mid - before, after - mid, "case {case}: overflow notes");
+        gave_up += u32::from(mid > before);
+        pieces += new.len();
+        emptied += u32::from(new.is_empty_union());
+    }
+    assert!(gave_up >= 200, "only {gave_up} subtractions gave up");
+    assert!(pieces >= 6_000, "only {pieces} pieces survived");
+    assert!(emptied >= 300, "only {emptied} differences came out empty");
 }
 
 #[test]

@@ -721,11 +721,15 @@ fn bad_store_inject_spec_exits_2() {
 }
 
 /// The closed-form emptiness test (the difference-bound closure) must
-/// never change a byte of output: every corpus source through
-/// `explain --json` (per-pair evidence, 240 KB for `wave5` alone) and 60
-/// generated programs through `analyze --all --summaries`, each with and
-/// without the tier kill switch. The switch is read once per process, so
-/// each side is a spawn of the built binary.
+/// never change a byte of output, whether it is asked of a system or —
+/// before anything is built — of the borrowed lists of a pair test, a
+/// subtraction piece or an implication (the kill switch disables those
+/// fronts too, so this is also the front-vs-materialized oracle): every
+/// corpus source through `explain --json` (per-pair evidence, 240 KB for
+/// `wave5` alone) and through `analyze --all --summaries` under the two
+/// variants `explain` does not run, and 300 generated programs through
+/// `analyze --all --summaries`, each with and without the switch. It is
+/// read once per process, so each side is a spawn of the built binary.
 #[test]
 fn forced_general_tier_changes_no_output_byte() {
     use padfa_ir::testgen::{random_program, GenConfig};
@@ -734,28 +738,32 @@ fn forced_general_tier_changes_no_output_byte() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let mut inputs: Vec<(std::path::PathBuf, &[&str])> = Vec::new();
-    let mut add = |name: String, source: &str, args: &'static [&'static str]| {
+    let mut add = |name: String, source: &str, runs: &[&'static [&'static str]]| {
         let path = dir.join(name);
         std::fs::write(&path, source).unwrap();
-        inputs.push((path, args));
+        inputs.extend(runs.iter().map(|&args| (path.clone(), args)));
     };
     for bench in padfa_suite::corpus::build_corpus() {
         add(
             format!("{}.mf", bench.name),
             &bench.source,
-            &["explain", "--json"],
+            &[
+                &["explain", "--json"],
+                &["analyze", "--all", "--summaries", "--variant", "base"],
+                &["analyze", "--all", "--summaries", "--variant", "guarded"],
+            ],
         );
     }
-    for seed in 0..60 {
+    for seed in 0..300 {
         let source =
             padfa_ir::pretty::program_to_string(&random_program(seed, GenConfig::default()));
         add(
             format!("gen{seed}.mf"),
             &source,
-            &["analyze", "--all", "--summaries"],
+            &[&["analyze", "--all", "--summaries"]],
         );
     }
-    assert_eq!(inputs.len(), 90);
+    assert_eq!(inputs.len(), 390);
 
     for (path, args) in &inputs {
         let run = |forced: bool| {
@@ -841,16 +849,21 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     assert!(run.status.success());
     let corpus = metrics_counters(&out);
     assert_eq!(corpus, folded);
-    assert_eq!(corpus["query.sys_empty.total"], 103_597);
+    assert_eq!(corpus["query.sys_empty.total"], 92_901);
     assert_eq!(corpus["fm.projections"], 17_891);
-    assert_eq!(corpus["interned.regions"], 40_135);
+    assert_eq!(corpus["interned.regions"], 30_620);
     // The tier census: every emptiness question a corpus pass asks is a
     // difference-bound system. A new input shape that reaches
     // elimination shows up here first.
-    assert_eq!(corpus["tier.sys_empty.dense"], 103_597);
+    assert_eq!(corpus["tier.sys_empty.dense"], 92_901);
     assert_eq!(corpus["tier.sys_empty.general"], 0);
     assert_eq!(corpus["tier.intersect.dense"], 0);
-    assert_eq!(corpus["tier.intersect.general"], 14_132);
+    assert_eq!(corpus["tier.intersect.general"], 3_292);
     assert_eq!(corpus["tier.subset.general"], 8);
+    // The materialization census: of the pair-orders the dependence and
+    // privatization tests decide, the ones refuted from the borrowed
+    // lists, for which no intersection was built.
+    assert_eq!(corpus["deptest.orders.total"], 13_814);
+    assert_eq!(corpus["deptest.orders.refuted"], 10_840);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,11 +7,14 @@
 //! were a quarter of `analyze`), then 1.60 M calls of which a quarter
 //! answered emptiness questions a 9 × 9 matrix on the stack decides,
 //! then 1.22 M of which 89 k classified the operands of an intersection
-//! into a box summary that proved 42 of 14,132 of them disjoint.
+//! into a box summary that proved 42 of 14,132 of them disjoint, then
+//! 1.13 M of which 167 k built, interned and probed conjunctions — pair
+//! intersections, subtraction pieces, negated implications — that the
+//! same matrix refutes from the operands' own lists, or copied a list
+//! and then regrew it by one.
 //! Both figures repeat exactly, so they are gated as counts. This file
-//! holds exactly one
-//! test: the counters are process-wide, and a second test running
-//! beside it would be counted.
+//! holds exactly one test: the counters are process-wide, and a second
+//! test running beside it would be counted.
 
 use padfa_core::{analyze_program_session, AnalysisSession, Options};
 use padfa_omega::{Constraint, LinExpr, Var};
@@ -58,16 +61,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// ≈ 1.25 × the 1,132,158 measured when the gate was set (1,221,163
-/// with the box tier, 1,596,609 while every emptiness question
-/// classified a box or ran elimination).
-const MAX_ALLOCATIONS: u64 = 1_415_000;
+/// ≈ 1.25 × the 965,375 measured when the gate was set (1,132,158
+/// while refuted conjunctions were built first, 1,221,163 with the box
+/// tier, 1,596,609 while every emptiness question classified a box or
+/// ran elimination).
+const MAX_ALLOCATIONS: u64 = 1_207_000;
 
-/// ≈ 1.25 × the 233,954,240 measured when the gate was set
-/// (250,837,916 with the box tier and a 48-byte `System`, 303,254,148
+/// ≈ 1.25 × the 190,237,805 measured when the gate was set
+/// (233,954,240 while refuted conjunctions were built first,
+/// 250,837,916 with the box tier and a 48-byte `System`, 303,254,148
 /// before the closed-form emptiness test, 584,675,472 with 152-byte
 /// constraints).
-const MAX_BYTES: u64 = 292_000_000;
+const MAX_BYTES: u64 = 238_000_000;
 
 #[test]
 fn corpus_analysis_stays_allocation_lean() {
@@ -130,6 +135,41 @@ fn corpus_analysis_stays_allocation_lean() {
         assert!(!empty, "{sys}");
         assert_eq!(count, 0, "is_empty of a {vars}-variable {what} allocated");
     }
+
+    // The same question asked before anything is built: a conjunction
+    // read from five borrowed lists (the pair test's `a`, `b`, `ctx`,
+    // `ctx2` and the iteration order), a system and one more constraint
+    // (a subtraction piece, an implication), and the classification
+    // filter that runs per variable beside them.
+    let order = Constraint::lt(x(0), x(7));
+    let window = plain_box.constraints();
+    let (lower, upper) = chain.constraints().split_at(chain.len() / 2);
+    let parts = [
+        lower,
+        upper,
+        &window[..4],
+        &window[4..],
+        std::slice::from_ref(&order),
+    ];
+    let built = padfa_omega::System::from_constraints(parts.concat());
+    assert_eq!(built.vars().len(), 8);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let empty = padfa_omega::difference::is_empty_parts(std::hint::black_box(&parts), limits);
+    let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(empty, Some(built.is_empty(limits)));
+    assert_eq!(count, 0, "is_empty_parts over five parts allocated");
+    let reversed = order.negate_geq();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let empty = std::hint::black_box(&chain).is_empty_with(reversed, limits);
+    let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(!empty, "{chain}");
+    assert_eq!(count, 0, "is_empty_with on a difference system allocated");
+    let (plain, synthetic) = (Var::new("ag0"), Var::new("$ag0"));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let flags = std::hint::black_box((plain.is_synthetic(), synthetic.is_synthetic()));
+    let count = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(flags, (false, true));
+    assert_eq!(count, 0, "Var::is_synthetic allocated");
 
     // An expression that outgrew the inline buffer and cancelled back
     // is a small expression again: copying it touches no heap.
