@@ -13,6 +13,7 @@
 
 use padfa_core::{
     analyze_program_session, flight, AnalysisSession, Options, StatsSnapshot, Store, StoreConfig,
+    BUILD_ID, GIT_REV,
 };
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -96,31 +97,6 @@ fn json_stats(s: &StatsSnapshot) -> String {
     o
 }
 
-/// Current git revision (short; `+dirty` when the tree is modified), or
-/// `"unknown"` outside a checkout. Stamped into the JSON so benchmark
-/// trajectories stay attributable to a revision.
-fn git_rev() -> String {
-    let out = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-    };
-    match out(&["rev-parse", "--short=12", "HEAD"]).filter(|s| !s.is_empty()) {
-        Some(rev) => {
-            if out(&["status", "--porcelain"]).map(|s| !s.is_empty()) == Some(true) {
-                format!("{rev}+dirty")
-            } else {
-                rev
-            }
-        }
-        None => "unknown".to_string(),
-    }
-}
-
 fn host_info() -> String {
     let host = std::env::var("HOSTNAME")
         .or_else(|_| std::env::var("HOST"))
@@ -186,10 +162,10 @@ fn main() {
         }
         t0.elapsed().as_secs_f64() * 1e3
     };
-    let cold_store = Arc::new(Store::open(StoreConfig::new(&store_dir, git_rev())));
+    let cold_store = Arc::new(Store::open(StoreConfig::new(&store_dir, BUILD_ID)));
     let store_cold_ms = corpus_pass(&cold_store);
     drop(cold_store); // seal the journal
-    let warm_store = Arc::new(Store::open(StoreConfig::new(&store_dir, git_rev())));
+    let warm_store = Arc::new(Store::open(StoreConfig::new(&store_dir, BUILD_ID)));
     let store_warm_ms = corpus_pass(&warm_store);
     let store_stats = warm_store.stats();
     drop(warm_store);
@@ -248,7 +224,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"schema_version\": 5,\n");
-    let _ = writeln!(json, "  \"git_rev\": \"{}\",", git_rev());
+    let _ = writeln!(json, "  \"git_rev\": \"{GIT_REV}\",");
     let _ = writeln!(json, "  \"host\": \"{}\",", host_info());
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"runs\": {runs},");

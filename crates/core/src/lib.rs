@@ -106,3 +106,15 @@ pub use store::{
     StoreStatsSnapshot,
 };
 pub use summary::{ArraySummary, ScalarSummary, Summary};
+
+/// Identity of the analysis this binary runs: a hash of the sources of
+/// the crates that decide a result (core, omega, pred, ir) and the
+/// workspace lock file, computed by `build.rs`. Store segments are
+/// stamped with it, so a segment is reused exactly when the code that
+/// wrote it is the code reading it — wherever either process runs.
+pub const BUILD_ID: &str = env!("PADFA_SOURCE_HASH");
+
+/// The git revision the binary was built from (`+dirty` for a modified
+/// tree, `unknown` outside a checkout), read once at build time. A label
+/// for ledgers, metrics and `padfa_build_info`; nothing keys on it.
+pub const GIT_REV: &str = env!("PADFA_GIT_REV");

@@ -294,6 +294,8 @@ impl StoreStatsSnapshot {
         reg.counter("store.salvaged").set(self.salvaged);
         reg.counter("store.loaded").set(self.loaded);
         reg.counter("store.retries").set(self.retries);
+        reg.counter("store.open_us").set(self.open_us);
+        reg.counter("store.seal_us").set(self.seal_us);
         reg.counter("store.degraded").set(u64::from(self.degraded));
         reg.counter("store.writes_degraded")
             .set(u64::from(self.writes_degraded));

@@ -113,7 +113,7 @@ impl QueryStats {
 
 /// A point-in-time snapshot of the session's counters, attached to
 /// [`crate::report::AnalysisResult`] and serialized by the benchmarks.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct StatsSnapshot {
     pub sys_empty: QueryStats,
     pub subset: QueryStats,
@@ -283,13 +283,12 @@ impl std::fmt::Display for StatsSnapshot {
                 st.puts,
                 st.loaded
             )?;
-            if st.quarantined > 0 || st.stale_segments > 0 || st.salvaged > 0 || st.retries > 0 {
-                write!(
-                    f,
-                    "\n  store hygiene: {} quarantined, {} stale segment(s), {} salvaged, {} retried",
-                    st.quarantined, st.stale_segments, st.salvaged, st.retries
-                )?;
-            }
+            write!(
+                f,
+                "\n  store hygiene: {} quarantined, {} stale segment(s), {} salvaged, {} retried; \
+                 open {} us, seal {} us",
+                st.quarantined, st.stale_segments, st.salvaged, st.retries, st.open_us, st.seal_us
+            )?;
             if st.degraded {
                 write!(f, "\n  store degraded: running in-memory only")?;
             } else if st.writes_degraded {

@@ -8,23 +8,26 @@
 //! ```
 //!
 //! The checksum (FNV-1a 64) covers `kind ‖ key ‖ len ‖ payload`, so any
-//! single flipped bit in a record is detected. The scanner is built for
-//! hostile input — a segment may end mid-record (crash during append) or
-//! contain flipped bits anywhere:
+//! single flipped bit in a record is detected. Finding the records and
+//! checking them are separate steps, so a reader pays for the checksums
+//! of the records it uses and no others:
 //!
-//! * a record whose frame is intact but whose checksum mismatches (or
-//!   whose kind byte is unknown) is *quarantined individually* and the
-//!   scan continues at the next record;
-//! * a broken frame — wrong magic, a length field pointing past the end
-//!   of the segment, a truncated tail — quarantines the remainder of the
-//!   segment and stops, because record boundaries can no longer be
-//!   trusted.
+//! * [`scan`] walks the frames. It is built for hostile input — a segment
+//!   may end mid-record (crash during append) or contain flipped bits
+//!   anywhere. A record of unknown kind is *quarantined individually* and
+//!   the walk continues; a broken frame — wrong magic, a length field
+//!   pointing past the end of the segment, a truncated tail — quarantines
+//!   the remainder of the segment and stops, because record boundaries
+//!   can no longer be trusted.
+//! * [`Frame::verify`] compares one frame's checksum. The frame headers
+//!   are the segment's `key → (offset, len, checksum)` index.
 //!
-//! Everything in this module is pure (bytes in, records out); file IO,
+//! Everything in this module is pure (bytes in, frames out); file IO,
 //! fsync/rename rotation, and quarantine sidecars live in the parent
 //! module.
 
 use super::hash;
+use std::ops::Range;
 
 /// Leading byte of every record frame.
 pub const MAGIC: u8 = 0xA7;
@@ -37,7 +40,7 @@ const CHECKSUM_LEN: usize = 8;
 /// Record types in a journal segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordKind {
-    /// First record of every segment: schema/codec version + `git_rev`.
+    /// First record of every segment: codec version + build id.
     Header = 0,
     // Bytes 1, 2 and 4 were the lattice-result and dependency-edge
     // kinds up to codec v2. Do not reuse them.
@@ -93,112 +96,100 @@ pub fn encode_record(kind: RecordKind, key: u128, payload: &[u8]) -> Vec<u8> {
 }
 
 /// The segment header payload: codec version + the producing build.
-pub fn encode_header_payload(git_rev: &str) -> Vec<u8> {
+pub fn encode_header_payload(build_id: &str) -> Vec<u8> {
     let mut out = Vec::new();
     super::codec::put_u32(&mut out, hash::CODEC_VERSION);
-    super::codec::put_str(&mut out, git_rev);
+    super::codec::put_str(&mut out, build_id);
     out
 }
 
-/// Decode a header payload into `(codec_version, git_rev)`.
+/// Decode a header payload into `(codec_version, build_id)`.
 pub fn decode_header_payload(buf: &[u8]) -> Option<(u32, String)> {
     let mut r = super::codec::Reader::new(buf);
     let version = r.u32()?;
-    let rev = r.str()?;
-    r.at_end().then_some((version, rev))
+    let build_id = r.str()?;
+    r.at_end().then_some((version, build_id))
 }
 
-/// One structurally valid, checksum-verified record.
+/// One structurally intact record frame, located in the scanned buffer
+/// but not yet checked: [`Frame::verify`] is the one place a checksum is
+/// compared, and the store decides when to call it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawRecord {
+pub struct Frame {
     pub kind: RecordKind,
     pub key: u128,
-    pub payload: Vec<u8>,
+    /// Payload byte range within the scanned buffer.
+    pub payload: Range<usize>,
+    /// The checksum stored after the payload.
+    pub checksum: u64,
+}
+
+impl Frame {
+    /// The payload, if the stored checksum matches `bytes` — the buffer
+    /// this frame was scanned from.
+    pub fn verify<'a>(&self, bytes: &'a [u8]) -> Option<&'a [u8]> {
+        let payload = bytes.get(self.payload.clone())?;
+        (checksum64(self.kind as u8, self.key, payload) == self.checksum).then_some(payload)
+    }
+
+    /// Byte range of the whole record, magic through checksum.
+    pub fn span(&self) -> Range<usize> {
+        self.payload.start - HEADER_LEN..self.payload.end + CHECKSUM_LEN
+    }
 }
 
 /// Result of scanning one segment's bytes.
 #[derive(Debug, Default)]
 pub struct ScanOutcome {
-    /// Verified records, in append order.
-    pub records: Vec<RawRecord>,
-    /// Byte ranges of quarantined content (corrupt records, the torn or
-    /// untrustworthy tail).
-    pub quarantined: Vec<(usize, usize)>,
-    /// True when the scan stopped before the end of the buffer (broken
-    /// frame / torn tail), false when every byte was accounted for.
-    pub torn: bool,
+    /// Intact frames of known kind, in append order.
+    pub frames: Vec<Frame>,
+    /// Byte ranges of quarantined content: records of unknown kind, and
+    /// the untrustworthy remainder after a broken frame.
+    pub quarantined: Vec<Range<usize>>,
 }
 
-impl ScanOutcome {
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && !self.torn
-    }
-}
-
-/// Scan a segment, salvaging every verifiable record.
+/// Walk a segment's frames. A record whose frame is intact but whose
+/// kind byte is unknown is quarantined individually and the walk goes
+/// on; a broken frame (wrong magic, a length running past the end, a
+/// torn tail) quarantines the rest of the segment, because record
+/// boundaries can no longer be trusted. No checksum is compared here.
 pub fn scan(bytes: &[u8]) -> ScanOutcome {
     let mut out = ScanOutcome::default();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        // A broken frame means record boundaries downstream are guesses;
-        // quarantine the rest and stop.
-        if remaining < HEADER_LEN + CHECKSUM_LEN || bytes[pos] != MAGIC {
-            out.quarantined.push((pos, bytes.len()));
-            out.torn = true;
+        let Some((kind_byte, key, payload, checksum)) = frame_at(bytes, pos) else {
+            out.quarantined.push(pos..bytes.len());
             break;
-        }
-        let kind_byte = bytes[pos + 1];
-        let key_bytes: [u8; 16] = match bytes[pos + 2..pos + 18].try_into() {
-            Ok(k) => k,
-            Err(_) => {
-                out.quarantined.push((pos, bytes.len()));
-                out.torn = true;
-                break;
-            }
         };
-        let key = u128::from_le_bytes(key_bytes);
-        let len_bytes: [u8; 4] = match bytes[pos + 18..pos + 22].try_into() {
-            Ok(l) => l,
-            Err(_) => {
-                out.quarantined.push((pos, bytes.len()));
-                out.torn = true;
-                break;
-            }
-        };
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        // A bit-flipped length would point past the segment end (or wrap);
-        // that breaks the frame.
-        if len > remaining - HEADER_LEN - CHECKSUM_LEN {
-            out.quarantined.push((pos, bytes.len()));
-            out.torn = true;
-            break;
-        }
-        let payload = &bytes[pos + HEADER_LEN..pos + HEADER_LEN + len];
-        let cksum_off = pos + HEADER_LEN + len;
-        let stored: [u8; 8] = match bytes[cksum_off..cksum_off + CHECKSUM_LEN].try_into() {
-            Ok(c) => c,
-            Err(_) => {
-                out.quarantined.push((pos, bytes.len()));
-                out.torn = true;
-                break;
-            }
-        };
-        let end = cksum_off + CHECKSUM_LEN;
-        let ok = u64::from_le_bytes(stored) == checksum64(kind_byte, key, payload);
-        match (ok, RecordKind::from_u8(kind_byte)) {
-            (true, Some(kind)) => out.records.push(RawRecord {
+        let end = payload.end + CHECKSUM_LEN;
+        match RecordKind::from_u8(kind_byte) {
+            Some(kind) => out.frames.push(Frame {
                 kind,
                 key,
-                payload: payload.to_vec(),
+                payload,
+                checksum,
             }),
-            // Frame intact, content bad: quarantine just this record and
-            // keep scanning.
-            _ => out.quarantined.push((pos, end)),
+            None => out.quarantined.push(pos..end),
         }
         pos = end;
     }
     out
+}
+
+/// The frame starting at `pos` as `(kind byte, key, payload, checksum)`,
+/// or `None` when it is broken. A bit-flipped length points past the
+/// segment end (or wraps), which breaks the frame.
+fn frame_at(bytes: &[u8], pos: usize) -> Option<(u8, u128, Range<usize>, u64)> {
+    let head = bytes.get(pos..pos.checked_add(HEADER_LEN)?)?;
+    if head[0] != MAGIC {
+        return None;
+    }
+    let key = u128::from_le_bytes(head[2..18].try_into().ok()?);
+    let len = u32::from_le_bytes(head[18..22].try_into().ok()?) as usize;
+    let payload = pos + HEADER_LEN..(pos + HEADER_LEN).checked_add(len)?;
+    let stored = bytes.get(payload.end..payload.end.checked_add(CHECKSUM_LEN)?)?;
+    let checksum = u64::from_le_bytes(stored.try_into().ok()?);
+    Some((head[1], key, payload, checksum))
 }
 
 #[cfg(test)]
@@ -213,79 +204,97 @@ mod tests {
         seg
     }
 
+    fn header_len() -> usize {
+        encode_record(RecordKind::Header, 0, &encode_header_payload("abc123")).len()
+    }
+
     #[test]
     fn clean_segment_round_trips() {
         let seg = sample_segment();
         let out = scan(&seg);
-        assert!(out.is_clean());
-        assert_eq!(out.records.len(), 4);
-        assert_eq!(out.records[1].kind, RecordKind::Proc);
-        assert_eq!(out.records[1].key, 42);
-        assert_eq!(out.records[1].payload, vec![1, 7, 0]);
-        let (ver, rev) = decode_header_payload(&out.records[0].payload).unwrap();
+        assert!(out.quarantined.is_empty());
+        assert_eq!(out.frames.len(), 4);
+        assert!(out.frames.iter().all(|f| f.verify(&seg).is_some()));
+        assert_eq!(out.frames[1].kind, RecordKind::Proc);
+        assert_eq!(out.frames[1].key, 42);
+        assert_eq!(out.frames[1].verify(&seg), Some(&[1u8, 7, 0][..]));
+        assert_eq!(
+            out.frames[1].span(),
+            header_len()..header_len() + 22 + 3 + 8
+        );
+        let header = out.frames[0].verify(&seg).unwrap();
+        let (ver, build_id) = decode_header_payload(header).unwrap();
         assert_eq!(ver, hash::CODEC_VERSION);
-        assert_eq!(rev, "abc123");
+        assert_eq!(build_id, "abc123");
     }
 
     #[test]
     fn truncation_quarantines_tail_keeps_prefix() {
         let seg = sample_segment();
         // Cut inside the third record.
-        let first_two = encode_record(RecordKind::Header, 0, &encode_header_payload("abc123"))
-            .len()
-            + encode_record(RecordKind::Proc, 42, &[1, 7, 0]).len();
+        let first_two = header_len() + encode_record(RecordKind::Proc, 42, &[1, 7, 0]).len();
         let cut = &seg[..first_two + 5];
         let out = scan(cut);
-        assert!(out.torn);
-        assert_eq!(out.records.len(), 2);
-        assert_eq!(out.quarantined, vec![(first_two, cut.len())]);
+        assert_eq!(out.frames.len(), 2);
+        assert_eq!(out.quarantined, vec![first_two..cut.len()]);
     }
 
     #[test]
-    fn payload_bitflip_quarantines_one_record() {
+    fn payload_bitflip_fails_verify_of_that_frame_only() {
         let mut seg = sample_segment();
-        let hdr = encode_record(RecordKind::Header, 0, &encode_header_payload("abc123")).len();
-        // Flip a bit inside the first entry's payload.
-        seg[hdr + HEADER_LEN + 1] ^= 0x10;
+        // Flip a bit inside the first entry's payload: the frame is
+        // intact, so the walk finds it; only its checksum is wrong.
+        seg[header_len() + HEADER_LEN + 1] ^= 0x10;
         let out = scan(&seg);
-        assert!(!out.torn);
-        assert_eq!(out.records.len(), 3); // header, second entry, tombstone survive
-        assert_eq!(out.quarantined.len(), 1);
-        assert!(out
-            .records
+        assert!(out.quarantined.is_empty());
+        assert_eq!(out.frames.len(), 4);
+        let failed: Vec<u128> = out
+            .frames
             .iter()
-            .all(|r| (r.kind, r.key) != (RecordKind::Proc, 42)));
+            .filter(|f| f.verify(&seg).is_none())
+            .map(|f| f.key)
+            .collect();
+        assert_eq!(failed, vec![42]);
+        assert_eq!(out.frames[1].kind, RecordKind::Proc);
+    }
+
+    #[test]
+    fn unknown_kind_quarantines_one_record() {
+        let mut seg = sample_segment();
+        let hdr = header_len();
+        seg[hdr + 1] = 2; // a retired kind byte
+        let out = scan(&seg);
+        assert_eq!(out.frames.len(), 3);
+        assert_eq!(out.quarantined, vec![hdr..hdr + 22 + 3 + 8]);
     }
 
     #[test]
     fn length_bitflip_quarantines_remainder() {
         let mut seg = sample_segment();
-        let hdr = encode_record(RecordKind::Header, 0, &encode_header_payload("abc123")).len();
+        let hdr = header_len();
         // Set the first entry's length field to a huge value.
         seg[hdr + 18] = 0xFF;
         seg[hdr + 19] = 0xFF;
         let out = scan(&seg);
-        assert!(out.torn);
-        assert_eq!(out.records.len(), 1); // only the header survives
-        assert_eq!(out.quarantined, vec![(hdr, sample_segment().len())]);
+        assert_eq!(out.frames.len(), 1); // only the header survives
+        assert_eq!(out.quarantined, vec![hdr..sample_segment().len()]);
     }
 
     #[test]
     fn every_single_bitflip_is_detected() {
-        // Flip each bit of a small segment in turn: the scan must never
-        // return the original record set unchanged, and must never panic.
+        // Flip each bit of a small segment in turn: every flip either
+        // breaks the frame (the walk yields nothing) or fails `verify`,
+        // and neither step panics.
         let seg = encode_record(RecordKind::Proc, 9, &[0, 1, 2, 3]);
         for byte in 0..seg.len() {
             for bit in 0..8 {
                 let mut m = seg.clone();
                 m[byte] ^= 1 << bit;
                 let out = scan(&m);
-                let intact = out.is_clean()
-                    && out.records.len() == 1
-                    && out.records[0].key == 9
-                    && out.records[0].payload == vec![0, 1, 2, 3]
-                    && out.records[0].kind == RecordKind::Proc;
-                assert!(!intact, "flip at byte {byte} bit {bit} went undetected");
+                assert!(
+                    out.frames.iter().all(|f| f.verify(&m).is_none()),
+                    "flip at byte {byte} bit {bit} went undetected"
+                );
             }
         }
     }
@@ -293,7 +302,7 @@ mod tests {
     #[test]
     fn empty_segment_is_clean() {
         let out = scan(&[]);
-        assert!(out.is_clean());
-        assert!(out.records.is_empty());
+        assert!(out.quarantined.is_empty());
+        assert!(out.frames.is_empty());
     }
 }

@@ -103,8 +103,8 @@
 //! per-mechanism loop attribution (which technique won each parallelized
 //! loop), and the run ends with the paper-style per-suite attribution
 //! table. Fresh ledgers start with a `{"meta":...}` stamp line
-//! (`schema_version`, git revision, host) so trajectories across
-//! revisions stay comparable.
+//! (`schema_version`, the git revision the binary was built from, host)
+//! so trajectories across revisions stay comparable.
 //!
 //! ## Exit codes
 //!
@@ -149,31 +149,6 @@ fn usage() -> ! {
 
 /// Ledger / snapshot schema version. Bump when a field changes meaning.
 const SCHEMA_VERSION: u32 = 3;
-
-/// The current git revision (short hash, `+dirty` when the tree has
-/// local modifications), or `"unknown"` outside a git checkout.
-fn git_rev() -> String {
-    let out = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-    };
-    match out(&["rev-parse", "--short=12", "HEAD"]).filter(|s| !s.is_empty()) {
-        Some(rev) => {
-            let dirty = out(&["status", "--porcelain"]).map(|s| !s.is_empty());
-            if dirty == Some(true) {
-                format!("{rev}+dirty")
-            } else {
-                rev
-            }
-        }
-        None => "unknown".to_string(),
-    }
-}
 
 /// Coarse host identification for run stamps.
 fn host_info() -> String {
@@ -335,8 +310,8 @@ impl StoreFlags {
             );
             return None;
         }
-        let cfg =
-            padfa::analysis::StoreConfig::new(&dir, git_rev()).with_faults(self.faults.clone());
+        let cfg = padfa::analysis::StoreConfig::new(&dir, padfa::analysis::BUILD_ID)
+            .with_faults(self.faults.clone());
         Some(std::sync::Arc::new(padfa::analysis::Store::open(cfg)))
     }
 }
@@ -451,7 +426,7 @@ fn cmd_analyze(args: &[String]) {
     if let Some(s) = &store {
         sess = sess.with_store(std::sync::Arc::clone(s));
     }
-    let (result, summaries) = match padfa::analysis::analyze_program_session(&prog, &sess) {
+    let (mut result, summaries) = match padfa::analysis::analyze_program_session(&prog, &sess) {
         Ok(out) => out,
         Err(e) => {
             if let Some(s) = &store {
@@ -462,6 +437,10 @@ fn cmd_analyze(args: &[String]) {
         }
     };
     if let Some(s) = &store {
+        // Seal before reporting, so `--stats` and `--metrics-out` count
+        // the seal's cost and a failed seal is warned about.
+        s.flush();
+        result.stats.store = Some(s.stats());
         drain_store_warnings(s);
     }
     if let Some(out_path) = &trace_out {
@@ -481,7 +460,7 @@ fn cmd_analyze(args: &[String]) {
         let json = format!(
             "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":\"{}\",\"host\":\"{}\",\
              \"variant\":\"{}\",\"metrics\":{}}}",
-            json_escape(&git_rev()),
+            json_escape(padfa::analysis::GIT_REV),
             json_escape(&host_info()),
             json_escape(&variant),
             reg.snapshot_json()
@@ -901,7 +880,7 @@ fn cmd_corpus(args: &[String]) {
         let meta = format!(
             "{{\"meta\":{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":\"{}\",\
              \"host\":\"{}\",\"variant\":\"{}\",\"jobs\":{jobs}}}}}",
-            json_escape(&git_rev()),
+            json_escape(padfa::analysis::GIT_REV),
             json_escape(&host_info()),
             json_escape(&variant),
         );
@@ -1161,7 +1140,7 @@ fn cmd_corpus(args: &[String]) {
             "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":\"{}\",\"host\":\"{}\",\
              \"variant\":\"{}\",\"jobs\":{jobs},\"programs\":{total},\
              \"attribution\":{attr},\"metrics\":{}}}",
-            json_escape(&git_rev()),
+            json_escape(padfa::analysis::GIT_REV),
             json_escape(&host_info()),
             json_escape(&variant),
             agg.snapshot_json()
@@ -1520,7 +1499,6 @@ fn cmd_serve(args: &[String]) {
     let deps = ServiceDeps {
         store,
         faults,
-        git_rev: git_rev(),
         ..ServiceDeps::default()
     };
     let workers = policy.workers.max(1);

@@ -679,6 +679,91 @@ fn analyze_store_bitflip_degrades_soundly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The segment stamp is the build's, not the working directory's: one
+/// binary run from inside the checkout and then from a directory outside
+/// any checkout reads back what it wrote. (When the stamp was asked of
+/// `git` at run time, the second run saw a different revision, deleted
+/// the segment as stale and missed.)
+#[test]
+fn store_stamp_does_not_depend_on_the_working_directory() {
+    let f = demo_file();
+    let dir = store_dir("cwd");
+    let elsewhere = store_dir("cwd-elsewhere");
+    std::fs::create_dir_all(&elsewhere).unwrap();
+    let metrics = elsewhere.join("m.json");
+    let run = |cwd: &std::path::Path| {
+        let out = padfa()
+            .current_dir(cwd)
+            .args(["analyze", "--store"])
+            .arg(&dir)
+            .arg("--metrics-out")
+            .arg(&metrics)
+            .arg(&f.0)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        metrics_counters(&metrics)
+    };
+    let cold = run(std::path::Path::new(env!("CARGO_MANIFEST_DIR")));
+    assert_eq!((cold["store.hits"], cold["store.puts"]), (0, 1));
+    let warm = run(&elsewhere);
+    assert_eq!(warm["store.hits"], 1);
+    assert_eq!(warm["store.stale_segments"], 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&elsewhere);
+}
+
+/// No command spawns `git`: the build id and the revision label are
+/// compiled in. A `git` first on `PATH` that leaves a marker when run
+/// must never leave it.
+#[cfg(unix)]
+#[test]
+fn no_command_runs_git() {
+    use std::os::unix::fs::PermissionsExt;
+    let f = demo_file();
+    let dir = store_dir("nogit");
+    let bin = dir.join("bin");
+    std::fs::create_dir_all(&bin).unwrap();
+    let marker = dir.join("git-was-run");
+    let fake = bin.join("git");
+    std::fs::write(
+        &fake,
+        format!("#!/bin/sh\ntouch '{}'\nexit 1\n", marker.display()),
+    )
+    .unwrap();
+    std::fs::set_permissions(&fake, std::fs::Permissions::from_mode(0o755)).unwrap();
+    let path = format!(
+        "{}:{}",
+        bin.display(),
+        std::env::var("PATH").unwrap_or_default()
+    );
+    let s = |p: &std::path::Path| p.to_str().unwrap().to_owned();
+    let (file, store) = (s(&f.0), s(&dir.join("store")));
+    let (metrics, ledger) = (s(&dir.join("m.json")), s(&dir.join("l.jsonl")));
+    for args in [
+        vec!["analyze", &file, "--store", &store],
+        vec!["analyze", &file, "--metrics-out", &metrics],
+        vec![
+            "corpus",
+            "--store",
+            &store,
+            "--ledger",
+            &ledger,
+            "--metrics-out",
+            &metrics,
+        ],
+    ] {
+        let out = padfa().env("PATH", &path).args(&args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        assert!(!marker.exists(), "{args:?} ran git");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Budgeted runs bypass the store (cached hits would skew step
 /// accounting), with a warning rather than silent divergence.
 #[test]

@@ -56,7 +56,8 @@ pub struct ServiceDeps {
     /// Deterministic service-layer faults (worker panics, torn
     /// responses), keyed on admission order.
     pub faults: ServiceFaultPlan,
-    /// Build identity stamped into the `padfa_build_info` metric.
+    /// Revision label of the `padfa_build_info` metric (default: the
+    /// revision this binary was built from, [`padfa_core::GIT_REV`]).
     pub git_rev: String,
 }
 
@@ -66,7 +67,7 @@ impl Default for ServiceDeps {
             store: None,
             metrics: MetricsRegistry::new(),
             faults: ServiceFaultPlan::none(),
-            git_rev: "unknown".to_string(),
+            git_rev: padfa_core::GIT_REV.to_string(),
         }
     }
 }

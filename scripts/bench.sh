@@ -12,9 +12,7 @@ WARMUP="${2:-1}"
 mkdir -p results
 cargo build --release -p padfa-bench --bin analysis_stats
 # Stage outputs under target/ (gitignored) while the benchmark runs, so
-# the git_rev stamped into the JSON reflects the committed tree rather
-# than the half-written outputs of this very script, then move them
-# into place.
+# an interrupted run leaves the committed outputs whole.
 ./target/release/analysis_stats --runs "$RUNS" --warmup "$WARMUP" \
     --out target/BENCH_analysis.json.tmp \
     | tee target/analysis_stats.txt.tmp
