@@ -52,6 +52,7 @@
 //! `analysis_stats` (the `flight_overhead` section of
 //! BENCH_analysis.json).
 
+use crate::json_escape;
 use padfa_omega::sync::lock;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,25 +182,9 @@ impl Event {
             self.tid,
             self.trace,
             self.value,
-            escape(&self.label),
+            json_escape(&self.label),
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct Stripe {
@@ -484,7 +469,7 @@ pub fn chrome_json(events: &[Event]) -> String {
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":1,\
              \"tid\":{},{shape},\"args\":{{\"value\":{}}}}}",
-            escape(&e.label),
+            json_escape(&e.label),
             e.kind.name(),
             e.tid,
             e.value,

@@ -70,6 +70,7 @@ pub mod budget;
 pub mod component;
 pub mod deptest;
 pub mod error;
+pub mod faults;
 pub mod flight;
 pub mod interproc;
 pub mod metrics;
@@ -88,6 +89,7 @@ pub use analyze::{analyze_program, analyze_program_session, analyze_program_with
 pub use budget::{OnExhausted, WorkBudget};
 pub use component::{GuardedRegion, PredComponent};
 pub use error::{AnalysisError, StoreError};
+pub use faults::{Fault, FaultPlan, FaultSite, SpecError};
 pub use flight::FlightRecorder;
 pub use metrics::{Counter, Histogram, MetricsRegistry, QueryKind};
 pub use options::{Options, Variant};
@@ -101,10 +103,7 @@ pub use report::{
     Reduction,
 };
 pub use session::{AnalysisSession, QueryStats, StatsSnapshot};
-pub use store::{
-    IoFaultKind, IoFaultPlan, IoFaultSpec, RetryPolicy, Sleeper, Store, StoreConfig,
-    StoreStatsSnapshot,
-};
+pub use store::{RetryPolicy, Sleeper, Store, StoreConfig, StoreFault, StoreStatsSnapshot};
 pub use summary::{ArraySummary, ScalarSummary, Summary};
 
 /// Identity of the analysis this binary runs: a hash of the sources of
@@ -118,3 +117,20 @@ pub const BUILD_ID: &str = env!("PADFA_SOURCE_HASH");
 /// tree, `unknown` outside a checkout), read once at build time. A label
 /// for ledgers, metrics and `padfa_build_info`; nothing keys on it.
 pub const GIT_REV: &str = env!("PADFA_GIT_REV");
+
+/// Escape `s` for the inside of a JSON string literal.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}

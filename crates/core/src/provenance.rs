@@ -25,6 +25,7 @@
 //! `padfa explain` renders it via [`render_text`] /
 //! [`loop_json`].
 
+use crate::json_escape;
 use crate::report::{LoopReport, Mechanisms, Outcome};
 use padfa_omega::Var;
 use padfa_pred::Pred;
@@ -457,24 +458,8 @@ pub fn render_text(report: &LoopReport) -> String {
 // JSON rendering
 // ---------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn pred_json(p: &Pred) -> String {
-    format!("\"{}\"", esc(&p.to_string()))
+    format!("\"{}\"", json_escape(&p.to_string()))
 }
 
 fn pair_json(p: &PairEvidence) -> String {
@@ -519,7 +504,7 @@ fn array_json(a: &ArrayEvidence) -> String {
     let prv: Vec<String> = a.priv_pairs.iter().map(pair_json).collect();
     format!(
         "{{\"array\":\"{}\",{verdict},\"dep_pairs\":[{}],\"priv_pairs\":[{}]}}",
-        esc(&a.array.name()),
+        json_escape(&a.array.name()),
         dep.join(","),
         prv.join(","),
     )
@@ -534,9 +519,9 @@ pub fn loop_json(report: &LoopReport) -> String {
         report
             .label
             .as_deref()
-            .map(|l| format!("\"{}\"", esc(l)))
+            .map(|l| format!("\"{}\"", json_escape(l)))
             .unwrap_or_else(|| "null".to_string()),
-        esc(&report.proc),
+        json_escape(&report.proc),
         report.depth,
     );
     out.push_str(&format!(
@@ -583,7 +568,7 @@ pub fn loop_json(report: &LoopReport) -> String {
         .map(|s| {
             format!(
                 "{{\"scalar\":\"{}\",\"verdict\":\"{}\"}}",
-                esc(&s.scalar.name()),
+                json_escape(&s.scalar.name()),
                 s.verdict.label()
             )
         })
@@ -595,7 +580,7 @@ pub fn loop_json(report: &LoopReport) -> String {
         .map(|r| {
             format!(
                 "{{\"target\":\"{}\",\"op\":\"{:?}\",\"is_array\":{}}}",
-                esc(&r.target.name()),
+                json_escape(&r.target.name()),
                 r.op,
                 r.is_array
             )
@@ -605,7 +590,7 @@ pub fn loop_json(report: &LoopReport) -> String {
     let embedded: Vec<String> = p
         .embedded
         .iter()
-        .map(|v| format!("\"{}\"", esc(&v.name())))
+        .map(|v| format!("\"{}\"", json_escape(&v.name())))
         .collect();
     out.push_str(&format!(",\"embedded\":[{}]", embedded.join(",")));
     out.push_str(&format!(
@@ -673,6 +658,6 @@ mod tests {
 
     #[test]
     fn json_escapes_strings() {
-        assert_eq!(esc("a\"b\\c\n"), "a\\\"b\\\\c\\n");
+        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
     }
 }

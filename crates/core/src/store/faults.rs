@@ -1,18 +1,15 @@
-//! Deterministic IO fault injection for the persistent store, mirroring
-//! the `rt::faults` discipline: a plan names which store operation fails
-//! and how, the same plan always produces the same failure, and the test
-//! suite uses plans to prove every failure mode degrades soundly.
-//!
-//! Counting is per *category*: the N-th read (or write) performed by the
-//! store fires the fault armed at `at_op = N`. Store operations are
-//! sequenced deterministically on the paths that matter (opens and
-//! journal appends run under the journal lock; the crash-consistency
-//! tests drive single-threaded sessions), so a plan pins down one
-//! concrete failure.
+//! The store's fault site. Counting is per *category*: the N-th read (or
+//! write) the store performs fires the fault armed at `at = N`. Store
+//! operations are sequenced deterministically on the paths that matter
+//! (opens and journal appends run under the journal lock; the
+//! crash-consistency tests drive single-threaded sessions), so a plan
+//! pins down one concrete failure.
+
+use crate::faults::{spec_at, spec_seeded, Fault, FaultSite, Rng};
 
 /// What kind of IO fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFaultKind {
+pub enum StoreFault {
     /// A journal write fails with an injected IO error.
     WriteFail,
     /// A segment read fails with an injected IO error.
@@ -26,110 +23,70 @@ pub enum IoFaultKind {
     BitFlip,
 }
 
-impl IoFaultKind {
+impl StoreFault {
+    const ALL: [StoreFault; 4] = [
+        StoreFault::WriteFail,
+        StoreFault::ReadFail,
+        StoreFault::TornWrite,
+        StoreFault::BitFlip,
+    ];
+
+    /// The kind's `--inject` name.
     pub fn label(self) -> &'static str {
         match self {
-            IoFaultKind::WriteFail => "store-write-fail",
-            IoFaultKind::ReadFail => "store-read-fail",
-            IoFaultKind::TornWrite => "store-torn-write",
-            IoFaultKind::BitFlip => "store-bitflip",
+            StoreFault::WriteFail => "store-write-fail",
+            StoreFault::ReadFail => "store-read-fail",
+            StoreFault::TornWrite => "store-torn-write",
+            StoreFault::BitFlip => "store-bitflip",
         }
     }
 
-    fn is_write(self) -> bool {
-        matches!(self, IoFaultKind::WriteFail | IoFaultKind::TornWrite)
+    /// Whether the kind counts writes (otherwise reads).
+    pub fn is_write(self) -> bool {
+        matches!(self, StoreFault::WriteFail | StoreFault::TornWrite)
     }
 }
 
-/// One fault: fires on the `at_op`-th store operation of its category
-/// (1-based; reads for read-side kinds, writes for write-side kinds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoFaultSpec {
-    pub at_op: u64,
-    pub kind: IoFaultKind,
-}
+impl FaultSite for StoreFault {
+    const GRAMMAR: &'static str = "store-write-fail[:N], store-read-fail[:N], \
+         store-torn-write[:N], store-bitflip[:N], or store-seeded:SEED:COUNT";
+    /// Operation counts `1..=max_op`.
+    type Bound = u64;
 
-/// A deterministic set of IO faults to inject into a store.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IoFaultPlan {
-    pub faults: Vec<IoFaultSpec>,
-}
-
-impl IoFaultPlan {
-    pub fn none() -> IoFaultPlan {
-        IoFaultPlan::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Add a fault to the plan (builder-style).
-    pub fn with(mut self, spec: IoFaultSpec) -> IoFaultPlan {
-        self.faults.push(spec);
-        self
-    }
-
-    /// `kind` fires on the `at_op`-th operation of its category.
-    pub fn at(kind: IoFaultKind, at_op: u64) -> IoFaultPlan {
-        IoFaultPlan::none().with(IoFaultSpec { at_op, kind })
-    }
-
-    /// A seeded pseudo-random plan of `count` faults over operation
-    /// counts in `1..=max_op`. The same seed always yields the same
-    /// plan (same generator as `rt::faults`).
-    pub fn seeded(seed: u64, count: usize, max_op: u64) -> IoFaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            // xorshift64*: cheap, deterministic, no external deps.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let max_op = max_op.max(1);
-        let mut plan = IoFaultPlan::none();
-        for _ in 0..count {
-            let at_op = next() % max_op + 1;
-            let kind = match next() % 4 {
-                0 => IoFaultKind::WriteFail,
-                1 => IoFaultKind::ReadFail,
-                2 => IoFaultKind::TornWrite,
-                _ => IoFaultKind::BitFlip,
-            };
-            plan.faults.push(IoFaultSpec { at_op, kind });
+    fn draw(rng: &mut Rng, max_op: u64) -> Fault<Self> {
+        let at = rng.below(max_op) + 1;
+        Fault {
+            at,
+            kind: StoreFault::ALL[rng.below(4) as usize],
         }
-        plan
     }
 
-    /// The fault (if any) armed for the `op`-th *read* operation.
-    pub fn read_fault(&self, op: u64) -> Option<IoFaultKind> {
-        self.faults
-            .iter()
-            .find(|f| !f.kind.is_write() && f.at_op == op)
-            .map(|f| f.kind)
+    fn claims(name: &str) -> bool {
+        name.starts_with("store-")
     }
 
-    /// The fault (if any) armed for the `op`-th *write* operation.
-    pub fn write_fault(&self, op: u64) -> Option<IoFaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.kind.is_write() && f.at_op == op)
-            .map(|f| f.kind)
+    fn read(words: &[&str]) -> Option<Vec<Fault<Self>>> {
+        match words {
+            ["store-seeded", seed, count] => spec_seeded(seed, count),
+            [name, rest @ ..] => {
+                let kind = *StoreFault::ALL.iter().find(|k| k.label() == *name)?;
+                Some(vec![Fault {
+                    at: spec_at(rest)?,
+                    kind,
+                }])
+            }
+            [] => None,
+        }
     }
 }
 
-/// Flip one seed-determined bit of `bytes` in place (the `BitFlip`
+/// Flip one `op`-determined bit of `bytes` in place (the `BitFlip`
 /// payload mutation). No-op on an empty slice.
 pub fn flip_bit(bytes: &mut [u8], op: u64) {
     if bytes.is_empty() {
         return;
     }
-    let mut state = op ^ 0x9E37_79B9_7F4A_7C15;
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+    let r = Rng::new(op).next_u64();
     let idx = (r % bytes.len() as u64) as usize;
     let bit = (r >> 32) % 8;
     bytes[idx] ^= 1 << bit;
@@ -138,31 +95,7 @@ pub fn flip_bit(bytes: &mut [u8], op: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builders_compose() {
-        let plan = IoFaultPlan::at(IoFaultKind::WriteFail, 3).with(IoFaultSpec {
-            at_op: 1,
-            kind: IoFaultKind::BitFlip,
-        });
-        assert_eq!(plan.faults.len(), 2);
-        assert_eq!(plan.write_fault(3), Some(IoFaultKind::WriteFail));
-        assert_eq!(plan.write_fault(1), None);
-        assert_eq!(plan.read_fault(1), Some(IoFaultKind::BitFlip));
-        assert_eq!(plan.read_fault(3), None);
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic() {
-        let a = IoFaultPlan::seeded(42, 8, 100);
-        let b = IoFaultPlan::seeded(42, 8, 100);
-        assert_eq!(a, b);
-        assert_eq!(a.faults.len(), 8);
-        for f in &a.faults {
-            assert!((1..=100).contains(&f.at_op));
-        }
-        assert_ne!(a, IoFaultPlan::seeded(43, 8, 100));
-    }
+    use crate::faults::FaultPlan;
 
     #[test]
     fn bit_flips_are_deterministic_and_single_bit() {
@@ -181,10 +114,37 @@ mod tests {
         flip_bit(&mut [], 1); // must not panic
     }
 
+    /// The store's two lookups: reads and writes are counted apart.
+    fn faults(plan: &FaultPlan<StoreFault>, n: u64) -> (Option<StoreFault>, Option<StoreFault>) {
+        let find = |write: bool| plan.armed(n).copied().find(|k| k.is_write() == write);
+        (find(false), find(true))
+    }
+
+    #[test]
+    fn builders_compose() {
+        let plan = FaultPlan::at(StoreFault::WriteFail, 3).with(Fault {
+            at: 1,
+            kind: StoreFault::BitFlip,
+        });
+        assert_eq!(plan.faults.len(), 2);
+        assert_eq!(faults(&plan, 3), (None, Some(StoreFault::WriteFail)));
+        assert_eq!(faults(&plan, 1), (Some(StoreFault::BitFlip), None));
+    }
+
+    #[test]
+    fn seeded_plans_are_deterministic() {
+        let a = FaultPlan::<StoreFault>::seeded(42, 8, 100);
+        assert_eq!(a, FaultPlan::seeded(42, 8, 100));
+        assert_eq!(a.faults.len(), 8);
+        for f in &a.faults {
+            assert!((1..=100).contains(&f.at));
+        }
+        assert_ne!(a, FaultPlan::seeded(43, 8, 100));
+    }
+
     #[test]
     fn empty_plan_arms_nothing() {
-        assert!(IoFaultPlan::none().is_empty());
-        assert_eq!(IoFaultPlan::none().read_fault(1), None);
-        assert_eq!(IoFaultPlan::none().write_fault(1), None);
+        assert!(FaultPlan::<StoreFault>::none().is_empty());
+        assert_eq!(faults(&FaultPlan::none(), 1), (None, None));
     }
 }

@@ -55,8 +55,8 @@
 //! * any IO error on append/seal → writes stop ([`StoreError::Io`]
 //!   warning) while already-loaded entries keep serving reads.
 //!
-//! Every failure path is exercised deterministically by the
-//! [`faults::IoFaultPlan`] injection layer (`--inject store-write-fail`,
+//! Every failure path is exercised deterministically by a
+//! [`FaultPlan`] of [`StoreFault`]s (`--inject store-write-fail`,
 //! `store-read-fail`, `store-torn-write`, `store-bitflip`).
 //!
 //! ## Invalidation
@@ -71,10 +71,11 @@ pub mod faults;
 pub mod hash;
 pub mod journal;
 
-pub use faults::{IoFaultKind, IoFaultPlan, IoFaultSpec};
+pub use faults::StoreFault;
 pub use hash::{hash_procedure, options_fingerprint, proc_key, CODEC_VERSION, UNDEFINED_CALLEE};
 
 use crate::error::StoreError;
+use crate::faults::FaultPlan;
 use crate::report::LoopReport;
 use crate::summary::Summary;
 use journal::{Frame, RecordKind};
@@ -149,7 +150,7 @@ pub struct StoreConfig {
     /// [`crate::BUILD_ID`].
     pub build_id: String,
     /// Deterministic IO fault plan (empty in production).
-    pub faults: IoFaultPlan,
+    pub faults: FaultPlan<StoreFault>,
     /// Active-segment rotation threshold.
     pub max_segment_bytes: u64,
     /// Retry policy for transient IO errors.
@@ -176,14 +177,14 @@ impl StoreConfig {
         StoreConfig {
             dir: dir.into(),
             build_id: build_id.into(),
-            faults: IoFaultPlan::none(),
+            faults: FaultPlan::none(),
             max_segment_bytes: DEFAULT_MAX_SEGMENT_BYTES,
             retry: RetryPolicy::default(),
             sleeper: None,
         }
     }
 
-    pub fn with_faults(mut self, faults: IoFaultPlan) -> StoreConfig {
+    pub fn with_faults(mut self, faults: FaultPlan<StoreFault>) -> StoreConfig {
         self.faults = faults;
         self
     }
@@ -292,7 +293,7 @@ impl Entry {
 pub struct Store {
     dir: PathBuf,
     build_id: String,
-    faults: IoFaultPlan,
+    faults: FaultPlan<StoreFault>,
     max_segment_bytes: u64,
     retry: RetryPolicy,
     sleeper: Sleeper,
@@ -463,13 +464,13 @@ impl Store {
         loop {
             attempt += 1;
             *read_ops += 1;
-            let result = match self.faults.read_fault(*read_ops) {
-                Some(IoFaultKind::ReadFail) => Err(StoreError::Io {
+            let result = match self.faults.armed(*read_ops).find(|k| !k.is_write()) {
+                Some(StoreFault::ReadFail) => Err(StoreError::Io {
                     op: "read",
                     path: path.display().to_string(),
                     msg: "injected read failure".into(),
                 }),
-                Some(IoFaultKind::BitFlip) => {
+                Some(StoreFault::BitFlip) => {
                     match fs::read(path) {
                         Ok(mut bytes) => {
                             // Silent corruption, not an error: checksums
@@ -771,13 +772,13 @@ impl Store {
             attempt += 1;
             j.write_ops += 1;
             let op = j.write_ops;
-            let err = match self.faults.write_fault(op) {
-                Some(IoFaultKind::WriteFail) => StoreError::Io {
+            let err = match self.faults.armed(op).find(|k| k.is_write()) {
+                Some(StoreFault::WriteFail) => StoreError::Io {
                     op: "append",
                     path: path.display().to_string(),
                     msg: "injected write failure".into(),
                 },
-                Some(IoFaultKind::TornWrite) => {
+                Some(StoreFault::TornWrite) => {
                     // Persist a prefix, then "crash": the torn tail stays
                     // on disk for the next open to quarantine.
                     if let Some(active) = j.active.as_mut() {
@@ -973,6 +974,7 @@ fn holder_is_live(pid: u32, recorded_start: Option<u64>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::Fault;
     use std::sync::Arc;
 
     fn test_dir(suffix: &str) -> PathBuf {
@@ -1094,7 +1096,7 @@ mod tests {
         {
             // Fault on the 4th write op: header + two entries land, the
             // third entry is torn mid-record.
-            let faults = IoFaultPlan::at(IoFaultKind::TornWrite, 4);
+            let faults = FaultPlan::at(StoreFault::TornWrite, 4);
             let s = Store::open(cfg(&dir).with_faults(faults));
             put(&s, 1, true);
             put(&s, 2, false);
@@ -1143,7 +1145,7 @@ mod tests {
             // persistence survives with only a backoff and a counter.
             let s = Store::open(
                 cfg(&dir)
-                    .with_faults(IoFaultPlan::at(IoFaultKind::WriteFail, 2))
+                    .with_faults(FaultPlan::at(StoreFault::WriteFail, 2))
                     .with_sleeper(sleeper),
             );
             put(&s, 1, true);
@@ -1167,14 +1169,14 @@ mod tests {
         let (sleeper, slept) = recording_sleeper();
         // Ops 2, 3, 4 all fail: attempts exhaust (max_attempts = 3) and
         // writes degrade exactly as an un-retried store used to.
-        let faults = IoFaultPlan::at(IoFaultKind::WriteFail, 2)
-            .with(IoFaultSpec {
-                at_op: 3,
-                kind: IoFaultKind::WriteFail,
+        let faults = FaultPlan::at(StoreFault::WriteFail, 2)
+            .with(Fault {
+                at: 3,
+                kind: StoreFault::WriteFail,
             })
-            .with(IoFaultSpec {
-                at_op: 4,
-                kind: IoFaultKind::WriteFail,
+            .with(Fault {
+                at: 4,
+                kind: StoreFault::WriteFail,
             });
         let s = Store::open(cfg(&dir).with_faults(faults).with_sleeper(sleeper));
         put(&s, 1, true); // header (op 1) + entry (ops 2-4 fail)
@@ -1205,7 +1207,7 @@ mod tests {
         let (sleeper, slept) = recording_sleeper();
         let s = Store::open(
             cfg(&dir)
-                .with_faults(IoFaultPlan::at(IoFaultKind::ReadFail, 1))
+                .with_faults(FaultPlan::at(StoreFault::ReadFail, 1))
                 .with_sleeper(sleeper),
         );
         assert!(s.enabled(), "one transient read fault must not disable");
@@ -1225,14 +1227,14 @@ mod tests {
         }
         // Every attempt of the first read fails: retries exhaust and the
         // store degrades to in-memory-only, exactly as before retries.
-        let faults = IoFaultPlan::at(IoFaultKind::ReadFail, 1)
-            .with(IoFaultSpec {
-                at_op: 2,
-                kind: IoFaultKind::ReadFail,
+        let faults = FaultPlan::at(StoreFault::ReadFail, 1)
+            .with(Fault {
+                at: 2,
+                kind: StoreFault::ReadFail,
             })
-            .with(IoFaultSpec {
-                at_op: 3,
-                kind: IoFaultKind::ReadFail,
+            .with(Fault {
+                at: 3,
+                kind: StoreFault::ReadFail,
             });
         let (sleeper, _slept) = recording_sleeper();
         let s = Store::open(cfg(&dir).with_faults(faults).with_sleeper(sleeper));
@@ -1261,7 +1263,7 @@ mod tests {
         let dir = test_dir("wnone");
         let s = Store::open(
             cfg(&dir)
-                .with_faults(IoFaultPlan::at(IoFaultKind::WriteFail, 2))
+                .with_faults(FaultPlan::at(StoreFault::WriteFail, 2))
                 .with_retry(RetryPolicy::none()),
         );
         put(&s, 1, true);
@@ -1280,7 +1282,7 @@ mod tests {
                 put(&s, k, true);
             }
         }
-        let s = Store::open(cfg(&dir).with_faults(IoFaultPlan::at(IoFaultKind::BitFlip, 1)));
+        let s = Store::open(cfg(&dir).with_faults(FaultPlan::at(StoreFault::BitFlip, 1)));
         assert!(s.enabled());
         let reads: Vec<Option<bool>> = (0..20u128).map(|k| got(&s, k)).collect();
         assert!(!reads.contains(&Some(false)), "a corrupt entry was served");

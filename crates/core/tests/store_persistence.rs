@@ -4,8 +4,8 @@
 
 use padfa_core::store::codec;
 use padfa_core::{
-    analyze_program_session, AnalysisSession, IoFaultKind, IoFaultPlan, Options, Store,
-    StoreConfig, StoreError,
+    analyze_program_session, AnalysisSession, FaultPlan, Options, Store, StoreConfig, StoreError,
+    StoreFault,
 };
 use padfa_ir::parse::parse_program;
 use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
@@ -127,7 +127,7 @@ fn crash_mid_write_then_reopen_is_sound() {
 
     // "Crash" while persisting: a torn write stops the journal partway
     // through the run. Results must be unaffected.
-    let faults = IoFaultPlan::at(IoFaultKind::TornWrite, 3);
+    let faults = FaultPlan::at(StoreFault::TornWrite, 3);
     let crashing = Arc::new(Store::open(cfg(&dir).with_faults(faults)));
     let during = run_with_store(Some(Arc::clone(&crashing)));
     assert_eq!(during.loops, baseline.loops);
@@ -165,25 +165,17 @@ fn every_fault_kind_degrades_without_changing_results() {
     // (segment header, then one append per procedure) and no reads; a
     // warm run performs read op 1 (the one sealed segment) and no
     // writes. Each row names the side its fault lives on.
-    let seeded = || IoFaultPlan::seeded(0xC0FFEE, 6, 4);
+    let seeded = || FaultPlan::seeded(0xC0FFEE, 6, 4);
     let plans = [
-        (
-            "write-fail",
-            IoFaultPlan::at(IoFaultKind::WriteFail, 1),
-            false,
-        ),
+        ("write-fail", FaultPlan::at(StoreFault::WriteFail, 1), false),
         (
             "write-fail-late",
-            IoFaultPlan::at(IoFaultKind::WriteFail, 4),
+            FaultPlan::at(StoreFault::WriteFail, 4),
             false,
         ),
-        (
-            "torn-write",
-            IoFaultPlan::at(IoFaultKind::TornWrite, 3),
-            false,
-        ),
-        ("read-fail", IoFaultPlan::at(IoFaultKind::ReadFail, 1), true),
-        ("bitflip", IoFaultPlan::at(IoFaultKind::BitFlip, 1), true),
+        ("torn-write", FaultPlan::at(StoreFault::TornWrite, 3), false),
+        ("read-fail", FaultPlan::at(StoreFault::ReadFail, 1), true),
+        ("bitflip", FaultPlan::at(StoreFault::BitFlip, 1), true),
         ("seeded-cold", seeded(), false),
         ("seeded-warm", seeded(), true),
     ];

@@ -1,110 +1,16 @@
 //! `padfa` — command-line driver for the predicated array data-flow
-//! analysis.
+//! analysis. Run it without arguments for the usage; README.md walks
+//! through each command.
 //!
-//! ```text
-//! padfa analyze <file.mf> [--variant base|guarded|predicated] [--all] [--summaries]
-//!                         [--stats] [--profile] [--max-steps N] [--deadline-ms N]
-//!                         [--strict] [--trace PATH] [--metrics-out PATH]
-//!                         [--store DIR] [--no-store] [--inject store-FAULT]
-//! padfa explain <file.mf> [--loop <label-or-id>] [--json] [--variant V]
-//! padfa run     <file.mf> [--workers N] [--seq] [--fuel N] [--deadline-ms N]
-//!                         [--no-fallback] [--inject W:S:KIND] [ARG...]
-//! padfa elpd    <file.mf> <loop-label-or-id> [--fuel N] [ARG...]
-//! padfa fmt     <file.mf>
-//! padfa corpus  [--variant V] [--jobs N] [--max-steps N] [--deadline-ms N]
-//!               [--ledger PATH] [--resume] [--keep-going] [--metrics-out PATH]
-//!               [--store DIR] [--no-store] [--inject store-FAULT]
-//! padfa serve   [--addr HOST:PORT] [--workers N] [--queue N]
-//!               [--default-max-steps N] [--max-steps-ceiling N]
-//!               [--default-deadline-ms N] [--deadline-ms-ceiling N]
-//!               [--read-timeout-ms N] [--drain-deadline-ms N]
-//!               [--slow-ms N] [--slow-log PATH] [--debug-ring N]
-//!               [--flight-dump-dir DIR]
-//!               [--store DIR] [--no-store] [--inject FAULT]
-//! padfa promcheck [FILE]
-//! ```
-//!
-//! Scalar entry arguments are given positionally (`8 3 50`); integer
-//! parameters take integers, real parameters accept either form. Array
-//! parameters are zero-filled with their declared extents (which must
-//! then be constant).
-//!
-//! `run` exposes the fault-tolerance controls of the executor: `--fuel`
-//! bounds the statement budget (runaway programs exit with a clean
-//! diagnostic), `--deadline-ms` bounds wall-clock time, `--inject
-//! WORKER:STMT:panic|error|corrupt` arms the deterministic
-//! fault-injection harness, and `--no-fallback` turns the transparent
-//! sequential re-run into a hard error (useful for scripting around
-//! failures).
-//!
-//! `analyze` exposes the analysis-side watchdog: `--max-steps` bounds
-//! the lattice-operation count per procedure (deterministic),
-//! `--deadline-ms` bounds per-procedure wall time, and `--strict` turns
-//! budget exhaustion into a hard error (exit 4) instead of degrading
-//! the procedure to a sound conservative summary.
-//!
-//! One program is analyzed on one thread. Parallelism is between
-//! programs: `corpus --jobs N` analyzes up to `N` programs at a time and
-//! `serve --workers N` serves up to `N` requests at a time, each in an
-//! analysis session of its own; the ledger and the responses are
-//! byte-identical at any `N`.
-//!
-//! `explain` prints the decision-provenance tree behind every loop
-//! verdict — the dependence pair or exposed read that blocked
-//! parallelism, the query outcome that discharged it, the decisive
-//! predicate, the emitted run-time test, and any budget or cap-hit
-//! degradation — as a human-readable tree or (`--json`) machine JSON.
-//!
-//! `analyze --store DIR` (or the `PADFA_STORE` environment variable)
-//! attaches the crash-safe persistent store: whole-procedure summaries
-//! are content-addressed on disk, so a warm rerun skips every unchanged
-//! procedure while producing bit-identical output. A
-//! corrupt, locked, or failing store degrades to recomputation with a
-//! typed warning — it can never change results or crash the run.
-//! `--no-store` overrides the environment; `--inject store-write-fail[:N]`,
-//! `store-read-fail[:N]`, `store-torn-write[:N]`, `store-bitflip[:N]`,
-//! and `store-seeded:SEED:COUNT` deterministically exercise the store's
-//! failure paths. Budgeted runs (`--max-steps`/`--deadline-ms`) bypass
-//! the store: replaying cached results would change step accounting and
-//! with it degradation decisions.
-//!
-//! `analyze --trace PATH` writes a Chrome trace-event JSON file
-//! (loadable in Perfetto / `chrome://tracing`) with spans for parse,
-//! the driver, per-procedure summarization and loop classification,
-//! and an instant per procedure carrying its lattice-query count;
-//! `--profile` prints a per-phase self-time table. Both are read from
-//! the always-on flight recorder: the events this run recorded.
-//! `--metrics-out PATH` writes the run's session counters as a
-//! metrics-registry snapshot.
-//!
-//! `serve` runs the analysis as a long-lived HTTP daemon (`POST
-//! /analyze`, `POST /explain`, `GET /healthz`, `GET /readyz`, `GET
-//! /metrics`, `GET /debug/requests`, `GET /debug/flight`) with bounded
-//! admission, per-request isolation, request-scoped tracing, and
-//! graceful drain — see the `padfa-service` crate docs. `SIGINT` or
-//! `SIGTERM` drains in-flight work, flushes the store, and exits 0.
-//! `--slow-ms` sets the slow-request threshold (0 disables),
-//! `--slow-log` appends slow-request forensics records to a file,
-//! `--debug-ring` sizes the `/debug/requests` ring, and
-//! `--flight-dump-dir` is where flight-ring sidecars land on a worker
-//! panic or unclean drain. `--inject` additionally accepts the
-//! service-layer faults `worker-panic[:K]`, `torn-response[:K]`,
-//! `slow-request[:K[:MS]]`, `recorder-overflow[:K]`, and
-//! `service-seeded:SEED:COUNT` (keyed on admission order).
-//!
-//! `promcheck` validates a Prometheus text-exposition scrape (a file,
-//! or stdin when no path is given) against the same checker the test
-//! suite uses: every sample typed, histogram buckets cumulative, `+Inf`
-//! consistent with `_count`. CI scrapes `/metrics` and pipes it here.
-//!
-//! `corpus` runs the analysis over the full synthetic benchmark corpus,
-//! isolating each program behind `catch_unwind`, and streams one JSON
-//! line per program to a ledger for offline triage. Each row carries the
-//! per-mechanism loop attribution (which technique won each parallelized
-//! loop), and the run ends with the paper-style per-suite attribution
-//! table. Fresh ledgers start with a `{"meta":...}` stamp line
-//! (`schema_version`, the git revision the binary was built from, host)
-//! so trajectories across revisions stay comparable.
+//! Every command reads its words with one cursor ([`parse_args`]): flags
+//! may come in any order among the positional words, a word that starts
+//! with `--` but is no flag of the command is a usage error, and a word
+//! with a single dash (a negative entry argument) stays positional. The
+//! flag groups several commands share — the analysis variant, the work
+//! budget, the store, `--metrics-out` and `--inject` — are each parsed
+//! by one function. `--inject` arms a [`padfa::analysis::FaultPlan`] at
+//! one of the three fault sites (executor, store, daemon), and each site
+//! owns its spec grammar.
 //!
 //! ## Exit codes
 //!
@@ -117,16 +23,19 @@
 //! | 4    | work budget exhausted under `--strict`               |
 //! | 5    | internal invariant failure (analyzer bug or panic)   |
 
-use padfa::analysis::flight;
+use padfa::analysis::{flight, json_escape, FaultPlan, SpecError, Store, StoreFault};
 use padfa::prelude::*;
+use padfa::rt::WorkerFault;
+use padfa::service::ServiceFault;
 use std::io::Write as _;
 use std::process::exit;
+use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
         "usage:\n  padfa analyze <file.mf> [--variant base|guarded|predicated] [--all]\n               \
          [--summaries] [--stats] [--profile] [--max-steps N] [--deadline-ms N]\n               \
-         [--strict] [--trace PATH] [--metrics-out PATH] [--store DIR] [--no-store]\n               \
+         [--strict] [--trace PATH] [--metrics-out PATH] [--store DIR]\n               \
          [--inject store-FAULT]\n  \
          padfa explain <file.mf> [--loop <label-or-id>] [--json] [--variant V]\n  \
          padfa run <file.mf> [--workers N] [--seq] [--fuel N] [--deadline-ms N]\n            \
@@ -135,13 +44,13 @@ fn usage() -> ! {
          padfa fmt <file.mf>\n  \
          padfa corpus [--variant V] [--jobs N] [--max-steps N] [--deadline-ms N]\n               \
          [--ledger PATH] [--resume] [--keep-going] [--metrics-out PATH]\n               \
-         [--store DIR] [--no-store] [--inject store-FAULT]\n  \
+         [--store DIR] [--inject store-FAULT]\n  \
          padfa serve [--addr HOST:PORT] [--workers N] [--queue N]\n              \
          [--default-max-steps N] [--max-steps-ceiling N]\n              \
          [--default-deadline-ms N] [--deadline-ms-ceiling N]\n              \
          [--read-timeout-ms N] [--drain-deadline-ms N]\n              \
          [--slow-ms N] [--slow-log PATH] [--debug-ring N] [--flight-dump-dir DIR]\n              \
-         [--store DIR] [--no-store] [--inject FAULT]\n  \
+         [--store DIR] [--inject FAULT]\n  \
          padfa promcheck [FILE]"
     );
     exit(2)
@@ -184,7 +93,7 @@ fn load(path: &str) -> Program {
 }
 
 /// Build entry arguments from CLI words, zero-filling array parameters.
-fn entry_args(prog: &Program, words: &[String]) -> Vec<ArgValue> {
+fn entry_args(prog: &Program, words: &[&str]) -> Vec<ArgValue> {
     let Some(entry) = prog.entry() else {
         eprintln!("padfa: program has no entry procedure");
         exit(1)
@@ -260,171 +169,181 @@ fn variant_options(name: &str) -> Options {
     }
 }
 
-/// Shared budget-flag state for `analyze` and `corpus`.
-#[derive(Default)]
-struct BudgetFlags {
-    max_steps: Option<u64>,
-    deadline_ms: Option<u64>,
-    strict: bool,
+/// A cursor over one command's words, for the flag the command is
+/// reading to take its value from.
+struct Args<'a> {
+    cmd: &'static str,
+    words: std::slice::Iter<'a, String>,
 }
 
-impl BudgetFlags {
-    fn to_budget(&self) -> WorkBudget {
-        WorkBudget {
-            max_steps: self.max_steps,
-            deadline_ms: self.deadline_ms,
-            on_exhausted: if self.strict {
-                OnExhausted::Error
-            } else {
-                OnExhausted::Degrade
-            },
+impl Args<'_> {
+    /// The next word as the value of the flag just read; a missing or
+    /// unparsable value is a usage error.
+    fn value<T: std::str::FromStr>(&mut self) -> T {
+        self.words
+            .next()
+            .and_then(|w| w.parse().ok())
+            .unwrap_or_else(|| usage())
+    }
+}
+
+/// Walk command `cmd`'s words. `flag(args, word)` consumes a flag it
+/// knows, reading any value from `args`, and says whether it did. The
+/// words no flag takes are returned as the positional words, except that
+/// one starting with `--` is a usage error: an unknown flag is never read
+/// as an input file or an entry argument.
+fn parse_args<'a>(
+    cmd: &'static str,
+    words: &'a [String],
+    mut flag: impl FnMut(&mut Args<'a>, &str) -> bool,
+) -> Vec<&'a str> {
+    let mut args = Args {
+        cmd,
+        words: words.iter(),
+    };
+    let mut positional = Vec::new();
+    while let Some(w) = args.words.next() {
+        if !flag(&mut args, w) {
+            if w.starts_with("--") {
+                usage()
+            }
+            positional.push(w.as_str());
+        }
+    }
+    positional
+}
+
+/// The variant group: `--variant V`.
+fn variant_flag(a: &mut Args, w: &str, variant: &mut String) -> bool {
+    let known = w == "--variant";
+    if known {
+        *variant = a.value();
+    }
+    known
+}
+
+/// The budget group: `--max-steps N`, `--deadline-ms N`, `--strict`.
+fn budget_flag(a: &mut Args, w: &str, budget: &mut WorkBudget) -> bool {
+    match w {
+        "--max-steps" => budget.max_steps = Some(a.value()),
+        "--deadline-ms" => budget.deadline_ms = Some(a.value()),
+        "--strict" => budget.on_exhausted = OnExhausted::Error,
+        _ => return false,
+    }
+    true
+}
+
+/// The store group: `--store DIR`. Without it a command runs with no
+/// store.
+fn store_flag(a: &mut Args, w: &str, dir: &mut Option<String>) -> bool {
+    let known = w == "--store";
+    if known {
+        *dir = Some(a.value());
+    }
+    known
+}
+
+/// The metrics group: `--metrics-out PATH`.
+fn metrics_flag(a: &mut Args, w: &str, out: &mut Option<String>) -> bool {
+    let known = w == "--metrics-out";
+    if known {
+        *out = Some(a.value());
+    }
+    known
+}
+
+/// The inject group: `--inject SPEC`. `arm` offers the spec to the
+/// command's fault sites (the ones `sites` names) in turn; a spec none
+/// of them claims, or one that breaks its site's grammar, is a usage
+/// error.
+fn inject_flag(
+    a: &mut Args,
+    w: &str,
+    sites: &str,
+    arm: impl FnOnce(&str) -> Result<bool, SpecError>,
+) -> bool {
+    if w != "--inject" {
+        return false;
+    }
+    let spec: String = a.value();
+    match arm(&spec) {
+        Ok(true) => true,
+        Ok(false) => {
+            eprintln!("padfa: {} only injects {sites} faults, got '{spec}'", a.cmd);
+            exit(2)
+        }
+        Err(e) => {
+            eprintln!("padfa: {e}");
+            exit(2)
         }
     }
 }
 
-/// Shared persistent-store flag state for `analyze` and `corpus`.
-#[derive(Default)]
-struct StoreFlags {
-    dir: Option<String>,
-    disabled: bool,
-    faults: padfa::analysis::IoFaultPlan,
-}
-
-impl StoreFlags {
-    /// Resolve `--store` / `--no-store` / `PADFA_STORE` into an opened
-    /// store handle. `None` means the session runs without persistence.
-    /// Opening never fails: an unusable directory yields a degraded
-    /// (in-memory-only) store whose warnings the caller drains.
-    fn open(&self, budget: &WorkBudget) -> Option<std::sync::Arc<padfa::analysis::Store>> {
-        if self.disabled {
-            return None;
-        }
-        let dir = self
-            .dir
-            .clone()
-            .or_else(|| std::env::var("PADFA_STORE").ok().filter(|s| !s.is_empty()))?;
-        if !budget.is_unlimited() {
-            eprintln!(
-                "padfa: warning: persistent store disabled under a work budget \
-                 (cached results would change step accounting)"
-            );
-            return None;
-        }
-        let cfg = padfa::analysis::StoreConfig::new(&dir, padfa::analysis::BUILD_ID)
-            .with_faults(self.faults.clone());
-        Some(std::sync::Arc::new(padfa::analysis::Store::open(cfg)))
+/// Open the store `--store` named, if any. Opening never fails: an
+/// unusable directory yields a degraded (in-memory-only) store whose
+/// warnings the caller drains.
+fn open_store(
+    dir: Option<&str>,
+    faults: FaultPlan<StoreFault>,
+    budget: &WorkBudget,
+) -> Option<Arc<Store>> {
+    let dir = dir?;
+    if !budget.is_unlimited() {
+        eprintln!(
+            "padfa: warning: persistent store disabled under a work budget \
+             (cached results would change step accounting)"
+        );
+        return None;
     }
+    let cfg = padfa::analysis::StoreConfig::new(dir, padfa::analysis::BUILD_ID).with_faults(faults);
+    Some(Arc::new(Store::open(cfg)))
 }
 
 /// Print every pending store warning (corruption, IO degradation, lock
 /// contention) to stderr. Warnings never affect results or exit codes.
-fn drain_store_warnings(store: &padfa::analysis::Store) {
+fn drain_store_warnings(store: &Store) {
     for w in store.take_warnings() {
         eprintln!("padfa: warning: {w}");
     }
 }
 
-/// Parse a `store-*` spec from `--inject` into the fault plan. Returns
-/// false when the spec is not store-related (so callers can reject it).
-fn parse_store_fault(spec: &str, plan: &mut padfa::analysis::IoFaultPlan) -> bool {
-    use padfa::analysis::{IoFaultKind, IoFaultSpec};
-    let bad = || -> ! {
-        eprintln!(
-            "padfa: bad --inject spec '{spec}' (want store-write-fail[:N], \
-             store-read-fail[:N], store-torn-write[:N], store-bitflip[:N], \
-             or store-seeded:SEED:COUNT)"
-        );
-        exit(2)
-    };
-    let mut parts = spec.split(':');
-    let kind = match parts.next().unwrap_or("") {
-        "store-write-fail" => IoFaultKind::WriteFail,
-        "store-read-fail" => IoFaultKind::ReadFail,
-        "store-torn-write" => IoFaultKind::TornWrite,
-        "store-bitflip" => IoFaultKind::BitFlip,
-        "store-seeded" => {
-            let (Some(seed), Some(count), None) = (parts.next(), parts.next(), parts.next()) else {
-                bad()
-            };
-            let seed: u64 = seed.parse().unwrap_or_else(|_| bad());
-            let count: usize = count.parse().unwrap_or_else(|_| bad());
-            // Draw faults from the first 32 store operations of each
-            // kind: early enough to hit any realistic run.
-            for f in padfa::analysis::IoFaultPlan::seeded(seed, count, 32).faults {
-                plan.faults.push(f);
-            }
-            return true;
-        }
-        _ => return false,
-    };
-    let at_op = match parts.next() {
-        None => 1,
-        Some(n) if parts.next().is_none() => n.parse().unwrap_or_else(|_| bad()),
-        Some(_) => bad(),
-    };
-    plan.faults.push(IoFaultSpec { at_op, kind });
-    true
-}
-
 fn cmd_analyze(args: &[String]) {
-    let mut file = None;
     let mut variant = "predicated".to_string();
-    let mut show_all = false;
-    let mut show_summaries = false;
-    let mut show_stats = false;
-    let mut show_profile = false;
-    let mut budget = BudgetFlags::default();
-    let mut store_flags = StoreFlags::default();
+    let (mut show_all, mut show_summaries, mut show_stats, mut show_profile) =
+        (false, false, false, false);
+    let mut budget = WorkBudget::UNLIMITED;
+    let mut store_dir = None;
+    let mut store_faults = FaultPlan::none();
     let mut trace_out: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--variant" => variant = it.next().cloned().unwrap_or_else(|| usage()),
+    let mut metrics_out = None;
+    let [path] = parse_args("analyze", args, |a, w| {
+        match w {
             "--all" => show_all = true,
             "--summaries" => show_summaries = true,
             "--stats" => show_stats = true,
             "--profile" => show_profile = true,
-            "--store" => store_flags.dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--no-store" => store_flags.disabled = true,
-            "--inject" => {
-                let spec = it.next().cloned().unwrap_or_else(|| usage());
-                if !parse_store_fault(&spec, &mut store_flags.faults) {
-                    eprintln!("padfa: analyze only injects store-* faults, got '{spec}'");
-                    exit(2)
-                }
+            "--trace" => trace_out = Some(a.value()),
+            _ => {
+                return variant_flag(a, w, &mut variant)
+                    || budget_flag(a, w, &mut budget)
+                    || store_flag(a, w, &mut store_dir)
+                    || metrics_flag(a, w, &mut metrics_out)
+                    || inject_flag(a, w, "store-*", |s| store_faults.arm(s))
             }
-            "--trace" => trace_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics-out" => metrics_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--max-steps" => {
-                budget.max_steps = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--deadline-ms" => {
-                budget.deadline_ms = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--strict" => budget.strict = true,
-            _ if file.is_none() => file = Some(a.clone()),
-            _ => usage(),
         }
-    }
-    let path = file.unwrap_or_else(|| usage());
+        true
+    })[..] else {
+        usage()
+    };
     // Mark the flight-recorder high-water mark now so `--profile` and
     // `--trace` cover exactly this run's events (parse included).
     let flight_wm = flight::watermark();
-    let prog = load(&path);
-    let opts = variant_options(&variant).with_budget(budget.to_budget());
-    let store = store_flags.open(&opts.budget);
+    let prog = load(path);
+    let opts = variant_options(&variant).with_budget(budget);
+    let store = open_store(store_dir.as_deref(), store_faults, &opts.budget);
     let mut sess = padfa::analysis::AnalysisSession::new(opts);
     if let Some(s) = &store {
-        sess = sess.with_store(std::sync::Arc::clone(s));
+        sess = sess.with_store(Arc::clone(s));
     }
     let (mut result, summaries) = match padfa::analysis::analyze_program_session(&prog, &sess) {
         Ok(out) => out,
@@ -522,8 +441,7 @@ fn cmd_analyze(args: &[String]) {
 /// before `exit` was ~5 % of `analyze`. The store is the one part whose
 /// `Drop` has an effect outside the process (seal, unlock), and the
 /// leaked session holds a handle to it, so it is closed by name.
-fn finish_without_teardown<T>(state: T, store: Option<&padfa::analysis::Store>) {
-    use std::io::Write;
+fn finish_without_teardown<T>(state: T, store: Option<&Store>) {
     // Nothing is printed after this; a closed pipe is the reader's
     // choice, not an analysis failure.
     let _ = std::io::stdout().flush();
@@ -575,39 +493,21 @@ fn ring_wrapped_note() -> Option<String> {
 /// `padfa explain`: print the decision-provenance tree behind every
 /// loop verdict (or one loop selected by `--loop <label-or-id>`).
 fn cmd_explain(args: &[String]) {
-    let mut file = None;
     let mut variant = "predicated".to_string();
     let mut target: Option<String> = None;
     let mut json = false;
-    let mut budget = BudgetFlags::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--variant" => variant = it.next().cloned().unwrap_or_else(|| usage()),
-            "--loop" => target = Some(it.next().cloned().unwrap_or_else(|| usage())),
+    let [path] = parse_args("explain", args, |a, w| {
+        match w {
+            "--loop" => target = Some(a.value()),
             "--json" => json = true,
-            "--max-steps" => {
-                budget.max_steps = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--deadline-ms" => {
-                budget.deadline_ms = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            _ if file.is_none() => file = Some(a.clone()),
-            _ => usage(),
+            _ => return variant_flag(a, w, &mut variant),
         }
-    }
-    let path = file.unwrap_or_else(|| usage());
-    let prog = load(&path);
-    let opts = variant_options(&variant).with_budget(budget.to_budget());
-    let sess = padfa::analysis::AnalysisSession::new(opts);
+        true
+    })[..] else {
+        usage()
+    };
+    let prog = load(path);
+    let sess = padfa::analysis::AnalysisSession::new(variant_options(&variant));
     let (result, _) = match padfa::analysis::analyze_program_session(&prog, &sess) {
         Ok(out) => out,
         Err(e) => {
@@ -641,7 +541,7 @@ fn cmd_explain(args: &[String]) {
         println!(
             "{{\"schema_version\":{SCHEMA_VERSION},\"file\":\"{}\",\"variant\":\"{}\",\
              \"loops\":[{}]}}",
-            json_escape(&path),
+            json_escape(path),
             json_escape(&variant),
             loops.join(",")
         );
@@ -656,24 +556,8 @@ fn cmd_explain(args: &[String]) {
     finish_without_teardown((sess, prog, result), None);
 }
 
-/// Minimal JSON string escaping for the corpus ledger.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One corpus-run outcome, serialized as a ledger line.
+#[derive(Default)]
 struct CorpusRow {
     name: String,
     suite: &'static str,
@@ -794,60 +678,37 @@ fn trim_partial_ledger_line(path: &str) {
 fn cmd_corpus(args: &[String]) {
     let mut variant = "predicated".to_string();
     let mut jobs = 1usize;
-    let mut budget = BudgetFlags::default();
+    let mut budget = WorkBudget::UNLIMITED;
     let mut ledger: Option<String> = None;
-    let mut resume = false;
-    let mut keep_going = false;
-    let mut metrics_out: Option<String> = None;
-    let mut store_flags = StoreFlags::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--variant" => variant = it.next().cloned().unwrap_or_else(|| usage()),
-            "--store" => store_flags.dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--no-store" => store_flags.disabled = true,
-            "--inject" => {
-                let spec = it.next().cloned().unwrap_or_else(|| usage());
-                if !parse_store_fault(&spec, &mut store_flags.faults) {
-                    eprintln!("padfa: corpus only injects store-* faults, got '{spec}'");
-                    exit(2)
-                }
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--max-steps" => {
-                budget.max_steps = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--deadline-ms" => {
-                budget.deadline_ms = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--strict" => budget.strict = true,
-            "--ledger" => ledger = Some(it.next().cloned().unwrap_or_else(|| usage())),
+    let (mut resume, mut keep_going) = (false, false);
+    let mut metrics_out = None;
+    let mut store_dir = None;
+    let mut store_faults = FaultPlan::none();
+    let positional = parse_args("corpus", args, |a, w| {
+        match w {
+            "--jobs" => jobs = a.value::<std::num::NonZeroUsize>().get(),
+            "--ledger" => ledger = Some(a.value()),
             "--resume" => resume = true,
             "--keep-going" => keep_going = true,
-            "--metrics-out" => metrics_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            _ => usage(),
+            _ => {
+                return variant_flag(a, w, &mut variant)
+                    || budget_flag(a, w, &mut budget)
+                    || store_flag(a, w, &mut store_dir)
+                    || metrics_flag(a, w, &mut metrics_out)
+                    || inject_flag(a, w, "store-*", |s| store_faults.arm(s))
+            }
         }
+        true
+    });
+    if !positional.is_empty() {
+        usage()
     }
     if resume && ledger.is_none() {
         eprintln!("padfa: --resume needs --ledger PATH");
         exit(2)
     }
-    let opts = variant_options(&variant).with_budget(budget.to_budget());
-    let store = store_flags.open(&opts.budget);
+    let opts = variant_options(&variant).with_budget(budget);
+    let store = open_store(store_dir.as_deref(), store_faults, &opts.budget);
     if let Some(s) = &store {
         drain_store_warnings(s); // surface open-time problems up front
     }
@@ -918,13 +779,20 @@ fn cmd_corpus(args: &[String]) {
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut sess = padfa::analysis::AnalysisSession::new(opts.clone());
             if let Some(s) = &store {
-                sess = sess.with_store(std::sync::Arc::clone(s));
+                sess = sess.with_store(Arc::clone(s));
             }
             padfa::analysis::analyze_program_session(&bp.program, &sess)
         }));
         let ms = t0.elapsed().as_millis();
-        let mut stats = None;
-        let row = match run {
+        let row = |outcome, error| CorpusRow {
+            name: bp.name.to_string(),
+            suite: bp.suite.label(),
+            outcome,
+            ms,
+            error,
+            ..CorpusRow::default()
+        };
+        match run {
             Ok(Ok((result, _))) => {
                 let mut won = [0u64; 5];
                 let mut blocked = 0u64;
@@ -941,10 +809,6 @@ fn cmd_corpus(args: &[String]) {
                     "ok"
                 };
                 let row = CorpusRow {
-                    name: bp.name.to_string(),
-                    suite: bp.suite.label(),
-                    outcome,
-                    ms,
                     loops: result.loops.len(),
                     parallel: result.loops.iter().filter(|r| r.parallelized()).count(),
                     steps: result.stats.budget_steps,
@@ -954,52 +818,20 @@ fn cmd_corpus(args: &[String]) {
                     limit_overflows: result.stats.limit_overflows,
                     won,
                     blocked,
-                    error: None,
+                    ..row(outcome, None)
                 };
-                stats = Some(result.stats);
-                row
+                (row, Some(result.stats))
             }
-            Ok(Err(e)) => CorpusRow {
-                name: bp.name.to_string(),
-                suite: bp.suite.label(),
-                outcome: "error",
-                ms,
-                loops: 0,
-                parallel: 0,
-                steps: 0,
-                peak_disjuncts: 0,
-                peak_constraints: 0,
-                degraded_procs: 0,
-                limit_overflows: 0,
-                won: [0; 5],
-                blocked: 0,
-                error: Some(e.to_string()),
-            },
+            Ok(Err(e)) => (row("error", Some(e.to_string())), None),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".to_string());
-                CorpusRow {
-                    name: bp.name.to_string(),
-                    suite: bp.suite.label(),
-                    outcome: "panic",
-                    ms,
-                    loops: 0,
-                    parallel: 0,
-                    steps: 0,
-                    peak_disjuncts: 0,
-                    peak_constraints: 0,
-                    degraded_procs: 0,
-                    limit_overflows: 0,
-                    won: [0; 5],
-                    blocked: 0,
-                    error: Some(msg),
-                }
+                (row("panic", Some(msg)), None)
             }
-        };
-        (row, stats)
+        }
     });
     if let Some(s) = &store {
         drain_store_warnings(s);
@@ -1157,77 +989,29 @@ fn cmd_corpus(args: &[String]) {
     }
 }
 
-/// Parse a `WORKER:STMT:KIND` fault-injection spec from `--inject`.
-fn parse_fault(spec: &str) -> padfa::rt::FaultSpec {
-    use padfa::rt::{ExecError, FaultKind, FaultSpec};
-    fn bad(spec: &str) -> ! {
-        eprintln!("padfa: bad --inject spec '{spec}' (want WORKER:STMT:panic|error|corrupt)");
-        exit(2)
-    }
-    let parts: Vec<&str> = spec.split(':').collect();
-    let [worker, at_stmt, kind] = parts[..] else {
-        bad(spec)
-    };
-    let worker: usize = worker.parse().unwrap_or_else(|_| bad(spec));
-    let at_stmt: u64 = at_stmt.parse().unwrap_or_else(|_| bad(spec));
-    let kind = match kind {
-        "panic" => FaultKind::Panic,
-        "error" => FaultKind::Error(ExecError::DivisionByZero),
-        "corrupt" => FaultKind::CorruptStamp,
-        _ => bad(spec),
-    };
-    FaultSpec {
-        worker,
-        at_stmt,
-        kind,
-    }
-}
-
 fn cmd_run(args: &[String]) {
-    let mut file = None;
     let mut workers = 4usize;
     let mut seq = false;
     let mut fuel: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut no_fallback = false;
-    let mut faults = padfa::rt::FaultPlan::none();
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+    let mut faults = FaultPlan::<WorkerFault>::none();
+    let positional = parse_args("run", args, |a, w| {
+        match w {
+            "--workers" => workers = a.value(),
             "--seq" => seq = true,
-            "--fuel" => {
-                fuel = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
+            "--fuel" => fuel = Some(a.value()),
+            "--deadline-ms" => deadline_ms = Some(a.value()),
             "--no-fallback" => no_fallback = true,
-            "--inject" => {
-                let spec = it.next().unwrap_or_else(|| usage());
-                faults = faults.with(parse_fault(spec));
-            }
-            _ if file.is_none() => file = Some(a.clone()),
-            _ => rest.push(a.clone()),
+            _ => return inject_flag(a, w, "WORKER:STMT", |s| faults.arm(s)),
         }
-    }
-    let path = file.unwrap_or_else(|| usage());
-    let prog = load(&path);
-    let args = entry_args(&prog, &rest);
+        true
+    });
+    let Some((path, rest)) = positional.split_first() else {
+        usage()
+    };
+    let prog = load(path);
+    let args = entry_args(&prog, rest);
     let mut cfg = if seq || workers <= 1 {
         RunConfig::sequential()
     } else {
@@ -1282,26 +1066,17 @@ fn cmd_run(args: &[String]) {
 
 fn cmd_elpd(args: &[String]) {
     let mut fuel: Option<u64> = None;
-    let mut pos: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fuel" => {
-                fuel = Some(
-                    it.next()
-                        .and_then(|w| w.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            _ => pos.push(a.clone()),
+    let positional = parse_args("elpd", args, |a, w| {
+        let known = w == "--fuel";
+        if known {
+            fuel = Some(a.value());
         }
-    }
-    if pos.len() < 2 {
+        known
+    });
+    let [path, target, rest @ ..] = &positional[..] else {
         usage()
-    }
-    let prog = load(&pos[0]);
-    let target = &pos[1];
-    let rest = &pos[2..];
+    };
+    let prog = load(path);
     let loop_id = padfa::ir::visit::find_loop_by_label(&prog, target)
         .map(|(_, l)| l.id)
         .or_else(|| {
@@ -1339,10 +1114,10 @@ fn cmd_elpd(args: &[String]) {
 }
 
 fn cmd_fmt(args: &[String]) {
-    if args.len() != 1 {
+    let [path] = parse_args("fmt", args, |_, _| false)[..] else {
         usage()
-    }
-    let prog = load(&args[0]);
+    };
+    let prog = load(path);
     print!("{}", padfa::ir::pretty::program_to_string(&prog));
 }
 
@@ -1369,133 +1144,49 @@ fn install_signal_handlers() {
     }
 }
 
-/// Parse a service-layer `--inject` spec (`worker-panic[:K]`,
-/// `torn-response[:K]`, `slow-request[:K[:MS]]`, `recorder-overflow[:K]`,
-/// `service-seeded:SEED:COUNT`). Returns false for non-service specs so
-/// `store-*` can be tried next.
-fn parse_service_fault(spec: &str, plan: &mut padfa::rt::ServiceFaultPlan) -> bool {
-    use padfa::rt::{ServiceFaultKind, ServiceFaultSpec};
-    let bad = || -> ! {
-        eprintln!(
-            "padfa: bad --inject spec '{spec}' (want worker-panic[:K], torn-response[:K], \
-             slow-request[:K[:MS]], recorder-overflow[:K], service-seeded:SEED:COUNT, \
-             or a store-* fault)"
-        );
-        exit(2)
-    };
-    let mut parts = spec.split(':');
-    let kind = match parts.next().unwrap_or("") {
-        "worker-panic" => ServiceFaultKind::WorkerPanic,
-        "torn-response" => ServiceFaultKind::TornResponse,
-        "recorder-overflow" => ServiceFaultKind::RecorderOverflow,
-        "slow-request" => {
-            // slow-request[:K[:MS]] — K-th admitted request sleeps MS
-            // milliseconds (default: just over the default slow-request
-            // threshold, so the forensics path fires out of the box).
-            let at_request: u64 = match parts.next() {
-                None => 1,
-                Some(n) => n.parse().unwrap_or_else(|_| bad()),
-            };
-            let ms: u64 = match parts.next() {
-                None => 1500,
-                Some(n) if parts.next().is_none() => n.parse().unwrap_or_else(|_| bad()),
-                Some(_) => bad(),
-            };
-            plan.faults.push(ServiceFaultSpec {
-                at_request,
-                kind: ServiceFaultKind::SlowRequest { ms },
-            });
-            return true;
-        }
-        "service-seeded" => {
-            let (Some(seed), Some(count), None) = (parts.next(), parts.next(), parts.next()) else {
-                bad()
-            };
-            let seed: u64 = seed.parse().unwrap_or_else(|_| bad());
-            let count: usize = count.parse().unwrap_or_else(|_| bad());
-            // Draw from the first 32 admissions — early enough to hit
-            // any realistic smoke run.
-            for f in padfa::rt::ServiceFaultPlan::seeded(seed, count, 32).faults {
-                plan.faults.push(f);
-            }
-            return true;
-        }
-        _ => return false,
-    };
-    let at_request = match parts.next() {
-        None => 1,
-        Some(n) if parts.next().is_none() => n.parse().unwrap_or_else(|_| bad()),
-        Some(_) => bad(),
-    };
-    plan.faults.push(ServiceFaultSpec { at_request, kind });
-    true
-}
-
 /// `padfa serve`: run the analysis as a long-lived HTTP daemon until
 /// SIGINT/SIGTERM, then drain gracefully and exit 0.
 fn cmd_serve(args: &[String]) {
     use padfa::service::{Server, ServiceDeps, ServicePolicy};
+    use std::time::Duration;
     let mut addr = "127.0.0.1:7117".to_string();
     let mut policy = ServicePolicy::default();
-    let mut store_flags = StoreFlags::default();
-    let mut faults = padfa::rt::ServiceFaultPlan::none();
-    let mut it = args.iter();
-    let parse_u64 =
-        |w: Option<&String>| -> u64 { w.and_then(|w| w.parse().ok()).unwrap_or_else(|| usage()) };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = it.next().cloned().unwrap_or_else(|| usage()),
-            "--workers" => policy.workers = parse_u64(it.next()) as usize,
-            "--queue" => policy.queue_depth = parse_u64(it.next()) as usize,
-            "--default-max-steps" => policy.default_max_steps = Some(parse_u64(it.next())),
-            "--max-steps-ceiling" => policy.max_steps_ceiling = Some(parse_u64(it.next())),
-            "--default-deadline-ms" => policy.default_deadline_ms = Some(parse_u64(it.next())),
-            "--deadline-ms-ceiling" => policy.deadline_ms_ceiling = Some(parse_u64(it.next())),
-            "--read-timeout-ms" => {
-                policy.read_timeout = std::time::Duration::from_millis(parse_u64(it.next()))
+    let mut store_dir = None;
+    let mut store_faults = FaultPlan::none();
+    let mut faults = FaultPlan::<ServiceFault>::none();
+    let positional = parse_args("serve", args, |a, w| {
+        match w {
+            "--addr" => addr = a.value(),
+            "--workers" => policy.workers = a.value(),
+            "--queue" => policy.queue_depth = a.value(),
+            "--default-max-steps" => policy.default_max_steps = Some(a.value()),
+            "--max-steps-ceiling" => policy.max_steps_ceiling = Some(a.value()),
+            "--default-deadline-ms" => policy.default_deadline_ms = Some(a.value()),
+            "--deadline-ms-ceiling" => policy.deadline_ms_ceiling = Some(a.value()),
+            "--read-timeout-ms" => policy.read_timeout = Duration::from_millis(a.value()),
+            "--drain-deadline-ms" => policy.drain_deadline = Duration::from_millis(a.value()),
+            "--slow-ms" => policy.slow_request_ms = a.value(),
+            "--slow-log" => policy.slow_log = Some(a.value()),
+            "--debug-ring" => policy.debug_ring = a.value(),
+            "--flight-dump-dir" => policy.flight_dump_dir = Some(a.value()),
+            _ => {
+                return store_flag(a, w, &mut store_dir)
+                    || inject_flag(a, w, "service or store-*", |s| {
+                        Ok(faults.arm(s)? || store_faults.arm(s)?)
+                    })
             }
-            "--write-timeout-ms" => {
-                policy.write_timeout = std::time::Duration::from_millis(parse_u64(it.next()))
-            }
-            "--max-body-bytes" => policy.max_body_bytes = parse_u64(it.next()) as usize,
-            "--drain-deadline-ms" => {
-                policy.drain_deadline = std::time::Duration::from_millis(parse_u64(it.next()))
-            }
-            "--slow-ms" => policy.slow_request_ms = parse_u64(it.next()),
-            "--slow-log" => {
-                policy.slow_log = Some(std::path::PathBuf::from(
-                    it.next().cloned().unwrap_or_else(|| usage()),
-                ))
-            }
-            "--debug-ring" => policy.debug_ring = parse_u64(it.next()) as usize,
-            "--flight-dump-dir" => {
-                policy.flight_dump_dir = Some(std::path::PathBuf::from(
-                    it.next().cloned().unwrap_or_else(|| usage()),
-                ))
-            }
-            "--store" => store_flags.dir = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--no-store" => store_flags.disabled = true,
-            "--inject" => {
-                let spec = it.next().cloned().unwrap_or_else(|| usage());
-                if !parse_service_fault(&spec, &mut faults)
-                    && !parse_store_fault(&spec, &mut store_flags.faults)
-                {
-                    eprintln!("padfa: unknown --inject spec '{spec}'");
-                    exit(2)
-                }
-            }
-            _ => usage(),
         }
+        true
+    });
+    if !positional.is_empty() {
+        usage()
     }
     install_signal_handlers();
     // Per-request budgets are applied by the server from headers and
     // policy; the store itself is always eligible here (budgeted
     // requests bypass it per request, not per process).
-    let store = store_flags.open(&WorkBudget::UNLIMITED);
-    let store_desc = match (&store, &store_flags.dir) {
-        (Some(_), Some(dir)) => dir.clone(),
-        _ => "none".to_string(),
-    };
+    let store = open_store(store_dir.as_deref(), store_faults, &WorkBudget::UNLIMITED);
+    let store_desc = store_dir.unwrap_or_else(|| "none".to_string());
     let deps = ServiceDeps {
         store,
         faults,
@@ -1510,14 +1201,14 @@ fn cmd_serve(args: &[String]) {
             exit(1)
         }
     };
-    // Machine-parseable banner (CI reads the resolved ephemeral port).
+    // Machine-parseable banner (callers read the resolved ephemeral port).
     println!(
         "padfa: serving on http://{} (workers={workers} queue={queue} store={store_desc})",
         server.addr()
     );
     let _ = std::io::stdout().flush();
     while !SHUTDOWN_REQUESTED.load(std::sync::atomic::Ordering::SeqCst) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("padfa: draining...");
     let report = server.shutdown();
@@ -1541,7 +1232,7 @@ fn cmd_serve(args: &[String]) {
 /// file is given. Exit 0 on a clean exposition, 1 with the violation
 /// list otherwise.
 fn cmd_promcheck(args: &[String]) {
-    let text = match args {
+    let text = match parse_args("promcheck", args, |_, _| false)[..] {
         [] => {
             let mut buf = String::new();
             if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {

@@ -410,18 +410,65 @@ fn usage_errors_exit_2() {
     let f = demo_file();
     let file = f.0.to_str().unwrap();
     let threshold = ["--spawn", "threshold"].join("-");
-    for args in [
-        ["analyze", file, "--jobs", "2"],
-        ["explain", file, "--jobs", "2"],
-        ["serve", "--queue", "1", "--jobs"],
-        ["analyze", file, &threshold, "0"],
-        ["corpus", "--keep-going", &threshold, "0"],
-    ] {
+    let rows: [&[&str]; 16] = [
+        &["analyze", file, "--jobs", "2"],
+        &["explain", file, "--jobs", "2"],
+        &["serve", "--queue", "1", "--jobs"],
+        &["analyze", file, &threshold, "0"],
+        &["corpus", "--keep-going", &threshold, "0"],
+        // An unknown `--flag` is a usage error, never the input file or
+        // an entry argument.
+        &["analyze", "--profle"],
+        &["run", file, "--bogus", "3", "4"],
+        &["elpd", file, "hot", "--bogus"],
+        &["fmt", file, "--bogus"],
+        // Settings that were removed because nothing set them.
+        &["analyze", file, "--no-store"],
+        &["corpus", "--no-store"],
+        &["serve", "--no-store"],
+        &["serve", "--write-timeout-ms", "100"],
+        &["serve", "--max-body-bytes", "100"],
+        &["explain", file, "--max-steps", "100"],
+        &["explain", file, "--deadline-ms", "100"],
+    ];
+    for args in rows {
         let out = padfa().args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.starts_with("usage:"), "{args:?}: {err}");
     }
+}
+
+/// A word with a single dash is positional: a negative entry argument.
+#[test]
+fn negative_entry_arguments_stay_positional() {
+    let f = demo_file();
+    let out = padfa()
+        .args(["run", "--seq"])
+        .arg(&f.0)
+        .args(["100", "-3"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// No environment variable attaches a store: only `--store DIR` does.
+#[test]
+fn store_env_var_attaches_no_store() {
+    let f = demo_file();
+    let dir = store_dir("env");
+    let out = padfa()
+        .env("PADFA_STORE", &dir)
+        .arg("analyze")
+        .arg(&f.0)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert!(!dir.exists(), "PADFA_STORE created {}", dir.display());
 }
 
 #[test]
@@ -655,7 +702,7 @@ fn analyze_store_bitflip_degrades_soundly() {
     let f = demo_file();
     let dir = store_dir("bitflip");
     let base = padfa()
-        .args(["analyze", "--all", "--no-store"])
+        .args(["analyze", "--all"])
         .arg(&f.0)
         .output()
         .unwrap();
@@ -910,7 +957,7 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
         let (src, out) = (dir.join(format!("{}.mf", bench.name)), dir.join("one.json"));
         std::fs::write(&src, &bench.source).unwrap();
         let run = padfa()
-            .args(["analyze", "--no-store", "--metrics-out"])
+            .args(["analyze", "--metrics-out"])
             .arg(&out)
             .arg(&src)
             .output()
@@ -927,7 +974,7 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     }
     let out = dir.join("corpus.json");
     let run = padfa()
-        .args(["corpus", "--no-store", "--metrics-out"])
+        .args(["corpus", "--metrics-out"])
         .arg(&out)
         .output()
         .unwrap();
@@ -951,4 +998,153 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     assert_eq!(corpus["deptest.orders.total"], 13_814);
     assert_eq!(corpus["deptest.orders.refuted"], 10_840);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec that names a fault site but breaks its grammar is a usage
+/// error naming that grammar, before anything runs or binds.
+#[test]
+fn bad_inject_specs_name_their_grammar() {
+    let f = demo_file();
+    let file = f.0.to_str().unwrap();
+    let rows: [(&[&str], &str); 4] = [
+        (
+            &["analyze", file, "--inject", "store-bitflip:x"],
+            "store-bitflip[:N]",
+        ),
+        (
+            &["corpus", "--inject", "store-seeded:1"],
+            "store-seeded:SEED:COUNT",
+        ),
+        (
+            &["serve", "--inject", "worker-panic:1:2"],
+            "worker-panic[:K]",
+        ),
+        (
+            &["run", file, "--inject", "0:1:explode"],
+            "WORKER:STMT:panic|error|corrupt",
+        ),
+    ];
+    for (args, grammar) in rows {
+        let out = padfa().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad --inject spec"), "{args:?}: {err}");
+        assert!(err.contains(grammar), "{args:?}: {err}");
+    }
+}
+
+/// The daemon end to end, from the built binary: an injected worker
+/// panic costs one 500 that names its flight dump, the next request is
+/// served, the `/metrics` scrape passes `promcheck`, and SIGTERM drains
+/// cleanly with exit 0.
+#[cfg(unix)]
+#[test]
+fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+
+    let f = temppath::write(
+        "proc main(n: int, x: int) {
+            array help[101];
+            var s: real;
+            for@hot i = 1 to n {
+                if (x > 5) { help[i] = 0.5; }
+                s = s + help[i + 1];
+            }
+            print s;
+        }",
+    );
+    let program = std::fs::read(&f.0).unwrap();
+    let dumps = store_dir("serve-dumps");
+    let mut child = padfa()
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+        .args(["--inject", "worker-panic:1", "--flight-dump-dir"])
+        .arg(&dumps)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    /// Kills the daemon if an assertion fails before the drain.
+    struct Reap(Option<std::process::Child>);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            if let Some(c) = &mut self.0 {
+                let _ = c.kill();
+                let _ = c.wait();
+            }
+        }
+    }
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut banner)
+        .unwrap();
+    let mut daemon = Reap(Some(child));
+    let port = banner
+        .split("http://127.0.0.1:")
+        .nth(1)
+        .and_then(|rest| rest.split(' ').next())
+        .unwrap_or_else(|| panic!("no port in banner: {banner}"));
+    let addr = format!("127.0.0.1:{port}");
+    let request = |method: &str, path: &str, body: &[u8]| {
+        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body).unwrap();
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).unwrap();
+        let (head, body) = reply.split_once("\r\n\r\n").unwrap();
+        let status: u16 = head.split(' ').nth(1).unwrap().parse().unwrap();
+        (status, body.to_string())
+    };
+
+    let (status, body) = request("POST", "/analyze", &program);
+    assert_eq!(status, 500, "{body}");
+    let dump = body
+        .split("\"flight_dump\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .unwrap_or_else(|| panic!("500 names no flight dump: {body}"));
+    let dumped = std::fs::read_to_string(dump).unwrap();
+    assert!(dumped.contains("\"events\":["), "{dump}");
+
+    let (status, body) = request("POST", "/analyze", &program);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"outcome\":\"parallel-if\""), "{body}");
+
+    let (status, metrics) = request("GET", "/metrics", b"");
+    assert_eq!(status, 200);
+    let mut check = padfa()
+        .arg("promcheck")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    check
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(metrics.as_bytes())
+        .unwrap();
+    let checked = check.wait_with_output().unwrap();
+    assert_eq!(checked.status.code(), Some(0), "{metrics}");
+
+    let child = daemon.0.take().unwrap();
+    let term = std::process::Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(term.success());
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("panics=1"), "{err}");
+    assert!(err.contains("clean=true"), "{err}");
+    let _ = std::fs::remove_dir_all(&dumps);
 }

@@ -1,16 +1,15 @@
-//! Deterministic fault injection for the parallel executor.
-//!
-//! A [`FaultPlan`] names, per worker, a statement count at which a fault
-//! fires: the worker panics, returns an injected [`ExecError`], or
-//! silently corrupts its write-tracker stamp. Plans are wired through
-//! [`crate::RunConfig`] and consumed by `run_parallel_loop`, which hands
-//! each worker its pending faults. Because workers execute a fixed chunk
-//! assignment and statements are counted deterministically, the same
-//! plan always produces the same failure — which is what lets the
-//! differential tests assert that recovery yields state bit-identical to
-//! the sequential oracle.
+//! The parallel executor's fault site. A fault names a worker and a
+//! statement count at which it fires: the worker panics, returns an
+//! injected [`ExecError`], or silently corrupts its write-tracker stamp.
+//! Plans are wired through [`crate::RunConfig`] and consumed by
+//! `run_parallel_loop`, which hands each worker its pending faults.
+//! Because workers execute a fixed chunk assignment and statements are
+//! counted deterministically, the same plan always produces the same
+//! failure — which is what lets the differential tests assert that
+//! recovery yields state bit-identical to the sequential oracle.
 
 use crate::machine::ExecError;
+use padfa_core::faults::{Fault, FaultSite, Rng};
 
 /// What happens when an injected fault fires.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,303 +25,152 @@ pub enum FaultKind {
     CorruptStamp,
 }
 
-/// One fault: fires in `worker` once it has executed `at_stmt`
-/// statements (1-based, so `at_stmt = 1` fires on the worker's first
-/// statement).
+/// An executor fault: `kind` fires in `worker` once it has executed the
+/// fault's `at` statements (1-based, so `at = 1` fires on the worker's
+/// first statement).
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
+pub struct WorkerFault {
     pub worker: usize,
-    pub at_stmt: u64,
     pub kind: FaultKind,
 }
 
-/// A fault waiting to fire inside one worker's machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingFault {
-    pub at_stmt: u64,
-    pub kind: FaultKind,
-}
+impl FaultSite for WorkerFault {
+    const GRAMMAR: &'static str = "WORKER:STMT:panic|error|corrupt";
+    /// Worker indices `0..workers` and statement counts `1..=max_stmt`.
+    type Bound = (usize, u64);
 
-/// A deterministic set of faults to inject into a run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultPlan {
-    pub faults: Vec<FaultSpec>,
-}
-
-impl FaultPlan {
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Add a fault to the plan (builder-style).
-    pub fn with(mut self, spec: FaultSpec) -> FaultPlan {
-        self.faults.push(spec);
-        self
-    }
-
-    /// Worker `worker` panics at its `at_stmt`-th statement.
-    pub fn panic_at(worker: usize, at_stmt: u64) -> FaultPlan {
-        FaultPlan::none().with(FaultSpec {
-            worker,
-            at_stmt,
-            kind: FaultKind::Panic,
-        })
-    }
-
-    /// Worker `worker` fails with `err` at its `at_stmt`-th statement.
-    pub fn error_at(worker: usize, at_stmt: u64, err: ExecError) -> FaultPlan {
-        FaultPlan::none().with(FaultSpec {
-            worker,
-            at_stmt,
-            kind: FaultKind::Error(err),
-        })
-    }
-
-    /// Worker `worker` corrupts its tracker stamp at its `at_stmt`-th
-    /// statement and keeps running.
-    pub fn corrupt_stamp_at(worker: usize, at_stmt: u64) -> FaultPlan {
-        FaultPlan::none().with(FaultSpec {
-            worker,
-            at_stmt,
-            kind: FaultKind::CorruptStamp,
-        })
-    }
-
-    /// A seeded pseudo-random plan of `count` faults spread over
-    /// `workers` workers and statement counts in `1..=max_stmt`.
-    /// The same seed always yields the same plan.
-    pub fn seeded(seed: u64, count: usize, workers: usize, max_stmt: u64) -> FaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            // xorshift64*: cheap, deterministic, no external deps.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    fn draw(rng: &mut Rng, (workers, max_stmt): (usize, u64)) -> Fault<Self> {
+        let worker = rng.below(workers as u64) as usize;
+        let at = rng.below(max_stmt) + 1;
+        let kind = match rng.below(3) {
+            0 => FaultKind::Panic,
+            1 => FaultKind::Error(ExecError::DivisionByZero),
+            _ => FaultKind::CorruptStamp,
         };
-        let workers = workers.max(1);
-        let max_stmt = max_stmt.max(1);
-        let mut plan = FaultPlan::none();
-        for _ in 0..count {
-            let worker = (next() % workers as u64) as usize;
-            let at_stmt = next() % max_stmt + 1;
-            let kind = match next() % 3 {
-                0 => FaultKind::Panic,
-                1 => FaultKind::Error(ExecError::DivisionByZero),
-                _ => FaultKind::CorruptStamp,
-            };
-            plan.faults.push(FaultSpec {
-                worker,
-                at_stmt,
-                kind,
-            });
-        }
-        plan
-    }
-
-    /// The faults aimed at worker `w`, ready to arm in its machine.
-    pub fn for_worker(&self, w: usize) -> Vec<PendingFault> {
-        self.faults
-            .iter()
-            .filter(|f| f.worker == w)
-            .map(|f| PendingFault {
-                at_stmt: f.at_stmt,
-                kind: f.kind.clone(),
-            })
-            .collect()
-    }
-}
-
-/// What an injected service fault does to the request it fires on.
-///
-/// The service plan extends the executor ([`FaultPlan`]) and store
-/// (`IoFaultPlan`) harnesses to the daemon layer: faults are keyed on
-/// the *admission order* of requests, which the server assigns under its
-/// queue lock, so the same plan always hits the same request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceFaultKind {
-    /// The worker thread handling the request panics mid-analysis. The
-    /// server must answer 500 with a typed error body, replace the
-    /// worker, and keep serving.
-    WorkerPanic,
-    /// The server writes only a prefix of the response and drops the
-    /// connection (a torn response / mid-write disconnect as seen from
-    /// the client). Subsequent requests must be unaffected.
-    TornResponse,
-    /// The worker sleeps `ms` milliseconds before handling the request,
-    /// pushing it deterministically over the slow-request threshold so
-    /// the forensics path (slow log + phase breakdown) is testable.
-    SlowRequest { ms: u64 },
-    /// The worker floods the flight-recorder ring past capacity before
-    /// handling the request, forcing wraparound so overflow accounting
-    /// and End-without-Begin profile recovery are observable.
-    RecorderOverflow,
-}
-
-impl ServiceFaultKind {
-    pub fn label(self) -> &'static str {
-        match self {
-            ServiceFaultKind::WorkerPanic => "worker-panic",
-            ServiceFaultKind::TornResponse => "torn-response",
-            ServiceFaultKind::SlowRequest { .. } => "slow-request",
-            ServiceFaultKind::RecorderOverflow => "recorder-overflow",
+        Fault {
+            at,
+            kind: WorkerFault { worker, kind },
         }
     }
-}
 
-/// One service fault: fires on the `at_request`-th admitted request
-/// (1-based, counted across the daemon's lifetime).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceFaultSpec {
-    pub at_request: u64,
-    pub kind: ServiceFaultKind,
-}
-
-/// A deterministic set of faults to inject into a service daemon.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServiceFaultPlan {
-    pub faults: Vec<ServiceFaultSpec>,
-}
-
-impl ServiceFaultPlan {
-    pub fn none() -> ServiceFaultPlan {
-        ServiceFaultPlan::default()
+    /// Every spec: the kind name comes last.
+    fn claims(_: &str) -> bool {
+        true
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// Add a fault to the plan (builder-style).
-    pub fn with(mut self, spec: ServiceFaultSpec) -> ServiceFaultPlan {
-        self.faults.push(spec);
-        self
-    }
-
-    /// `kind` fires on the `at_request`-th admitted request.
-    pub fn at(kind: ServiceFaultKind, at_request: u64) -> ServiceFaultPlan {
-        ServiceFaultPlan::none().with(ServiceFaultSpec { at_request, kind })
-    }
-
-    /// A seeded pseudo-random plan of `count` faults over admission
-    /// counts in `1..=max_request`. The same seed always yields the same
-    /// plan (same generator as [`FaultPlan::seeded`]). Only the two
-    /// original kinds are drawn — `SlowRequest`/`RecorderOverflow` are
-    /// targeted diagnostics, armed explicitly, never randomly.
-    pub fn seeded(seed: u64, count: usize, max_request: u64) -> ServiceFaultPlan {
-        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    fn read(words: &[&str]) -> Option<Vec<Fault<Self>>> {
+        let [worker, at, kind] = words else {
+            return None;
         };
-        let max_request = max_request.max(1);
-        let mut plan = ServiceFaultPlan::none();
-        for _ in 0..count {
-            let at_request = next() % max_request + 1;
-            let kind = match next() % 2 {
-                0 => ServiceFaultKind::WorkerPanic,
-                _ => ServiceFaultKind::TornResponse,
-            };
-            plan.faults.push(ServiceFaultSpec { at_request, kind });
-        }
-        plan
-    }
-
-    /// The fault (if any) armed for the `n`-th admitted request.
-    pub fn for_request(&self, n: u64) -> Option<ServiceFaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.at_request == n)
-            .map(|f| f.kind)
+        let kind = match *kind {
+            "panic" => FaultKind::Panic,
+            "error" => FaultKind::Error(ExecError::DivisionByZero),
+            "corrupt" => FaultKind::CorruptStamp,
+            _ => return None,
+        };
+        let worker = worker.parse().ok()?;
+        Some(vec![Fault {
+            at: at.parse().ok()?,
+            kind: WorkerFault { worker, kind },
+        }])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use padfa_core::FaultPlan;
+
+    fn on(worker: usize, kind: FaultKind) -> WorkerFault {
+        WorkerFault { worker, kind }
+    }
+
+    fn rows(plan: &FaultPlan<WorkerFault>) -> Vec<(usize, u64, FaultKind)> {
+        let row = |f: &Fault<WorkerFault>| (f.kind.worker, f.at, f.kind.kind.clone());
+        plan.faults.iter().map(row).collect()
+    }
+
+    fn plan(spec: &str) -> Vec<(usize, u64, FaultKind)> {
+        let mut plan = FaultPlan::none();
+        assert_eq!(plan.arm(spec), Ok(true), "{spec}");
+        rows(&plan)
+    }
 
     #[test]
     fn builders_compose() {
-        let plan = FaultPlan::panic_at(0, 5)
-            .with(FaultSpec {
-                worker: 1,
-                at_stmt: 9,
-                kind: FaultKind::CorruptStamp,
+        let plan = FaultPlan::at(on(0, FaultKind::Panic), 5)
+            .with(Fault {
+                at: 9,
+                kind: on(1, FaultKind::CorruptStamp),
             })
-            .with(FaultSpec {
-                worker: 0,
-                at_stmt: 2,
-                kind: FaultKind::Error(ExecError::DivisionByZero),
+            .with(Fault {
+                at: 2,
+                kind: on(0, FaultKind::Error(ExecError::DivisionByZero)),
             });
+        let aimed_at = |w| plan.faults.iter().filter(|f| f.kind.worker == w).count();
         assert_eq!(plan.faults.len(), 3);
-        assert_eq!(plan.for_worker(0).len(), 2);
-        assert_eq!(plan.for_worker(1).len(), 1);
-        assert!(plan.for_worker(2).is_empty());
+        assert_eq!((aimed_at(0), aimed_at(1), aimed_at(2)), (2, 1, 0));
     }
 
     #[test]
     fn seeded_plans_are_deterministic() {
-        let a = FaultPlan::seeded(42, 8, 4, 100);
-        let b = FaultPlan::seeded(42, 8, 4, 100);
-        assert_eq!(a, b);
+        let a = FaultPlan::<WorkerFault>::seeded(42, 8, (4, 100));
+        assert_eq!(a, FaultPlan::seeded(42, 8, (4, 100)));
         assert_eq!(a.faults.len(), 8);
         for f in &a.faults {
-            assert!(f.worker < 4);
-            assert!((1..=100).contains(&f.at_stmt));
+            assert!(f.kind.worker < 4);
+            assert!((1..=100).contains(&f.at));
         }
         // Different seed, different plan (overwhelmingly likely).
-        assert_ne!(a, FaultPlan::seeded(43, 8, 4, 100));
+        assert_ne!(a, FaultPlan::seeded(43, 8, (4, 100)));
     }
 
+    /// Pinned: a seed or spec names the same faults in every build, so a
+    /// recorded plan reproduces.
     #[test]
-    fn empty_plan_arms_nothing() {
-        assert!(FaultPlan::none().is_empty());
-        assert!(FaultPlan::none().for_worker(0).is_empty());
-    }
-
-    #[test]
-    fn service_plan_builders_and_lookup() {
-        let plan = ServiceFaultPlan::at(ServiceFaultKind::WorkerPanic, 3).with(ServiceFaultSpec {
-            at_request: 5,
-            kind: ServiceFaultKind::TornResponse,
-        });
-        assert_eq!(plan.faults.len(), 2);
-        assert_eq!(plan.for_request(3), Some(ServiceFaultKind::WorkerPanic));
-        assert_eq!(plan.for_request(5), Some(ServiceFaultKind::TornResponse));
-        assert_eq!(plan.for_request(4), None);
-        assert!(ServiceFaultPlan::none().is_empty());
-        assert_eq!(ServiceFaultPlan::none().for_request(1), None);
-    }
-
-    #[test]
-    fn service_seeded_plans_are_deterministic() {
-        let a = ServiceFaultPlan::seeded(7, 6, 50);
-        let b = ServiceFaultPlan::seeded(7, 6, 50);
-        assert_eq!(a, b);
-        assert_eq!(a.faults.len(), 6);
-        for f in &a.faults {
-            assert!((1..=50).contains(&f.at_request));
+    fn worker_plans_are_unchanged() {
+        let seeded = |seed| rows(&FaultPlan::seeded(seed, 4, (4, 100)));
+        let (p, c) = (FaultKind::Panic, FaultKind::CorruptStamp);
+        let e = FaultKind::Error(ExecError::DivisionByZero);
+        assert_eq!(
+            seeded(0),
+            [
+                (1, 79, c.clone()),
+                (0, 77, p.clone()),
+                (3, 99, e.clone()),
+                (2, 78, c.clone())
+            ]
+        );
+        assert_eq!(
+            seeded(7),
+            [
+                (2, 7, p.clone()),
+                (3, 51, e.clone()),
+                (2, 99, c.clone()),
+                (3, 41, e.clone())
+            ]
+        );
+        assert_eq!(
+            seeded(42),
+            [
+                (3, 66, e.clone()),
+                (0, 75, p.clone()),
+                (0, 5, e.clone()),
+                (3, 99, e.clone())
+            ]
+        );
+        assert_eq!(plan("0:2:panic"), [(0, 2, p)]);
+        assert_eq!(plan("0:2:error"), [(0, 2, e)]);
+        assert_eq!(plan("1:9:corrupt"), [(1, 9, c)]);
+        for bad in [
+            "0:1:explode",
+            "zero:two:bang",
+            "0:1",
+            "store-bitflip",
+            "0:1:panic:2",
+        ] {
+            let err = FaultPlan::<WorkerFault>::none().arm(bad).unwrap_err();
+            assert_eq!(err.grammar, WorkerFault::GRAMMAR, "{bad}");
         }
-        assert_ne!(a, ServiceFaultPlan::seeded(8, 6, 50));
-    }
-
-    #[test]
-    fn service_kind_labels() {
-        assert_eq!(ServiceFaultKind::WorkerPanic.label(), "worker-panic");
-        assert_eq!(ServiceFaultKind::TornResponse.label(), "torn-response");
-        assert_eq!(
-            ServiceFaultKind::SlowRequest { ms: 40 }.label(),
-            "slow-request"
-        );
-        assert_eq!(
-            ServiceFaultKind::RecorderOverflow.label(),
-            "recorder-overflow"
-        );
     }
 }

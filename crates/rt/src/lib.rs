@@ -47,9 +47,7 @@ pub mod parallel;
 pub mod plan;
 pub mod value;
 
-pub use faults::{
-    FaultKind, FaultPlan, FaultSpec, ServiceFaultKind, ServiceFaultPlan, ServiceFaultSpec,
-};
+pub use faults::{FaultKind, WorkerFault};
 pub use machine::{run_main, ExecError, ExecStats, LoopProfile, RunConfig, RunResult};
 pub use plan::{ExecPlan, LoopPlan, ParallelKind, PlanError};
 pub use value::{ArgValue, ArrayStore, Value};

@@ -1,9 +1,10 @@
 //! The sequential interpreter and its instrumentation hooks.
 
 use crate::elpd::ElpdState;
-use crate::faults::{FaultKind, FaultPlan, PendingFault};
+use crate::faults::{FaultKind, WorkerFault};
 use crate::plan::{ExecPlan, ParallelKind};
 use crate::value::{ArgValue, ArrayStore, Value};
+use padfa_core::faults::{Fault, FaultPlan};
 use padfa_ir::ast::{Arg, Block, BoolExpr, Expr, Intrinsic, LValue, Loop, Procedure, Stmt};
 use padfa_ir::{LoopId, Program, ScalarTy, Var};
 use std::collections::HashMap;
@@ -140,7 +141,7 @@ pub struct RunConfig {
     /// [`ExecError::DeadlineExceeded`] once it has been running longer.
     pub deadline: Option<Duration>,
     /// Deterministic faults to inject into parallel workers (testing).
-    pub faults: FaultPlan,
+    pub faults: FaultPlan<WorkerFault>,
     /// Whether a failed parallel region is transparently re-run
     /// sequentially (the transactional two-version fallback). When
     /// `false` the failure surfaces as a typed [`ExecError`] instead.
@@ -191,7 +192,7 @@ impl RunConfig {
     }
 
     /// Inject the given fault plan into parallel workers.
-    pub fn with_faults(mut self, faults: FaultPlan) -> RunConfig {
+    pub fn with_faults(mut self, faults: FaultPlan<WorkerFault>) -> RunConfig {
         self.faults = faults;
         self
     }
@@ -357,7 +358,7 @@ pub struct Machine<'p> {
     /// statements to keep the hot path cheap).
     pub deadline: Option<Instant>,
     /// Armed fault injections (workers only; see [`crate::faults`]).
-    pub pending_faults: Vec<PendingFault>,
+    pub pending_faults: Vec<Fault<WorkerFault>>,
 }
 
 impl<'p> Machine<'p> {
@@ -699,16 +700,15 @@ impl<'p> Machine<'p> {
 
     /// Fire any armed fault whose statement count has been reached.
     /// Statements are counted per machine, so inside a worker `work`
-    /// is the worker-local count the [`crate::faults::FaultSpec`]
-    /// refers to.
+    /// is the worker-local count a [`WorkerFault`]'s `at` refers to.
     fn fire_faults(&mut self) -> Result<(), ExecError> {
         let stmt_no = self.work;
         let mut fired_err = None;
         self.pending_faults.retain(|f| {
-            if f.at_stmt != stmt_no || fired_err.is_some() {
-                return f.at_stmt > stmt_no;
+            if f.at != stmt_no || fired_err.is_some() {
+                return f.at > stmt_no;
             }
-            match &f.kind {
+            match &f.kind.kind {
                 FaultKind::Panic => {
                     panic!("injected fault: panic at statement {stmt_no}");
                 }

@@ -263,7 +263,13 @@ pub fn run_parallel_loop(
                 m.tracker = Some(Tracker::default());
                 m.fuel = worker_budget;
                 m.deadline = parent_deadline;
-                m.pending_faults = cfg.faults.for_worker(w);
+                m.pending_faults = cfg
+                    .faults
+                    .faults
+                    .iter()
+                    .filter(|f| f.kind.worker == w)
+                    .cloned()
+                    .collect();
                 PANIC_IS_ISOLATED.with(|c| c.set(true));
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     let mut first_err = None;

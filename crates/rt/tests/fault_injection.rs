@@ -4,10 +4,10 @@
 //! fallback) or surface a typed [`ExecError`] — never abort the process
 //! or return wrong data.
 
-use padfa_core::{analyze_program, Options};
+use padfa_core::{analyze_program, Fault, FaultPlan, Options};
 use padfa_ir::parse::parse_program;
 use padfa_rt::machine::ExecError;
-use padfa_rt::{run_main, ArgValue, ExecPlan, FaultKind, FaultPlan, FaultSpec, RunConfig};
+use padfa_rt::{run_main, ArgValue, ExecPlan, FaultKind, RunConfig, WorkerFault};
 
 /// The matrix program: privatized array `t`, last-value scalar `last`,
 /// and plain element writes — everything merges bit-exactly, so both
@@ -31,6 +31,11 @@ fn matrix_plan(prog: &padfa_ir::Program) -> ExecPlan {
     let plan = ExecPlan::from_analysis(prog, &result);
     assert!(!plan.is_empty(), "matrix loop must be planned parallel");
     plan
+}
+
+/// `kind` fires in `worker` at its `at_stmt`-th statement.
+fn fault_at(worker: usize, at_stmt: u64, kind: FaultKind) -> FaultPlan<WorkerFault> {
+    FaultPlan::at(WorkerFault { worker, kind }, at_stmt)
 }
 
 fn seq_oracle(prog: &padfa_ir::Program) -> padfa_rt::RunResult {
@@ -59,11 +64,7 @@ fn fault_matrix_recovers_or_fails_typed() {
         let per_worker = TRIP as u64 / workers as u64 * STMTS_PER_ITER;
         for at_stmt in [1, per_worker / 2, per_worker] {
             for kind in &kinds {
-                let faults = FaultPlan::none().with(FaultSpec {
-                    worker: workers - 1,
-                    at_stmt,
-                    kind: kind.clone(),
-                });
+                let faults = fault_at(workers - 1, at_stmt, kind.clone());
                 let plan = matrix_plan(&prog);
                 let cfg = RunConfig::chunked(workers, plan, 8).with_faults(faults);
                 let label = format!("workers={workers} at_stmt={at_stmt} kind={kind:?}");
@@ -120,16 +121,20 @@ fn fault_matrix_recovers_or_fails_typed() {
 fn multiple_simultaneous_faults_one_fallback() {
     let prog = parse_program(MATRIX_SRC).unwrap();
     let oracle = seq_oracle(&prog);
-    let faults = FaultPlan::panic_at(0, 7)
-        .with(FaultSpec {
-            worker: 1,
-            at_stmt: 30,
-            kind: FaultKind::Error(ExecError::DivisionByZero),
+    let faults = fault_at(0, 7, FaultKind::Panic)
+        .with(Fault {
+            at: 30,
+            kind: WorkerFault {
+                worker: 1,
+                kind: FaultKind::Error(ExecError::DivisionByZero),
+            },
         })
-        .with(FaultSpec {
-            worker: 2,
-            at_stmt: 3,
-            kind: FaultKind::CorruptStamp,
+        .with(Fault {
+            at: 3,
+            kind: WorkerFault {
+                worker: 2,
+                kind: FaultKind::CorruptStamp,
+            },
         });
     let cfg = RunConfig::parallel(4, matrix_plan(&prog)).with_faults(faults);
     let out = run_main(&prog, vec![ArgValue::Int(TRIP)], &cfg).unwrap();
@@ -145,7 +150,7 @@ fn seeded_fault_plans_always_recover() {
     let prog = parse_program(MATRIX_SRC).unwrap();
     let oracle = seq_oracle(&prog);
     for seed in 0..32u64 {
-        let faults = FaultPlan::seeded(seed, 3, 4, 170);
+        let faults = FaultPlan::seeded(seed, 3, (4, 170));
         let cfg = RunConfig::parallel(4, matrix_plan(&prog)).with_faults(faults.clone());
         let out = run_main(&prog, vec![ArgValue::Int(TRIP)], &cfg)
             .unwrap_or_else(|e| panic!("seed {seed} ({faults:?}): {e}"));
@@ -161,13 +166,13 @@ fn seeded_fault_plans_always_recover() {
 #[test]
 fn no_fallback_surfaces_typed_errors() {
     let prog = parse_program(MATRIX_SRC).unwrap();
-    let run = |faults: FaultPlan| {
+    let run = |faults: FaultPlan<WorkerFault>| {
         let cfg = RunConfig::parallel(4, matrix_plan(&prog))
             .with_faults(faults)
             .no_fallback();
         run_main(&prog, vec![ArgValue::Int(TRIP)], &cfg).unwrap_err()
     };
-    let err = run(FaultPlan::panic_at(1, 5));
+    let err = run(fault_at(1, 5, FaultKind::Panic));
     match err {
         ExecError::WorkerPanicked {
             worker,
@@ -178,9 +183,9 @@ fn no_fallback_surfaces_typed_errors() {
         }
         other => panic!("expected WorkerPanicked, got {other:?}"),
     }
-    let err = run(FaultPlan::error_at(0, 5, ExecError::DivisionByZero));
+    let err = run(fault_at(0, 5, FaultKind::Error(ExecError::DivisionByZero)));
     assert!(matches!(err, ExecError::DivisionByZero), "got {err:?}");
-    let err = run(FaultPlan::corrupt_stamp_at(2, 5));
+    let err = run(fault_at(2, 5, FaultKind::CorruptStamp));
     match err {
         ExecError::StateCorrupted { worker, .. } => assert_eq!(worker, 2),
         other => panic!("expected StateCorrupted, got {other:?}"),
@@ -193,7 +198,7 @@ fn no_fallback_surfaces_typed_errors() {
 fn unreached_faults_are_harmless() {
     let prog = parse_program(MATRIX_SRC).unwrap();
     let oracle = seq_oracle(&prog);
-    let faults = FaultPlan::panic_at(0, 1_000_000);
+    let faults = fault_at(0, 1_000_000, FaultKind::Panic);
     let cfg = RunConfig::parallel(4, matrix_plan(&prog)).with_faults(faults);
     let out = run_main(&prog, vec![ArgValue::Int(TRIP)], &cfg).unwrap();
     assert!(oracle.bits_eq(&out));
@@ -213,7 +218,11 @@ fn pre_loop_state_is_transactional() {
         } ";
     let prog = parse_program(src).unwrap();
     let oracle = run_main(&prog, vec![ArgValue::Int(32)], &RunConfig::sequential()).unwrap();
-    let cfg = RunConfig::parallel(4, matrix_plan_for(&prog)).with_faults(FaultPlan::panic_at(1, 2));
+    let cfg = RunConfig::parallel(4, matrix_plan_for(&prog)).with_faults(fault_at(
+        1,
+        2,
+        FaultKind::Panic,
+    ));
     let out = run_main(&prog, vec![ArgValue::Int(32)], &cfg).unwrap();
     assert_eq!(out.scalar("setup").unwrap().as_f64(), 42.0);
     assert!(oracle.bits_eq(&out));
@@ -232,7 +241,7 @@ fn matrix_plan_for(prog: &padfa_ir::Program) -> ExecPlan {
 fn wasted_work_is_billed() {
     let prog = parse_program(MATRIX_SRC).unwrap();
     let seq = seq_oracle(&prog);
-    let faults = FaultPlan::panic_at(0, 100);
+    let faults = fault_at(0, 100, FaultKind::Panic);
     let cfg = RunConfig::parallel(4, matrix_plan(&prog)).with_faults(faults);
     let out = run_main(&prog, vec![ArgValue::Int(TRIP)], &cfg).unwrap();
     assert_eq!(out.stats.fallbacks, 1);
@@ -258,7 +267,7 @@ fn stamp_corruption_never_reaches_results() {
     let prog = parse_program(MATRIX_SRC).unwrap();
     let oracle = seq_oracle(&prog);
     for worker in 0..4usize {
-        let faults = FaultPlan::corrupt_stamp_at(worker, 10);
+        let faults = fault_at(worker, 10, FaultKind::CorruptStamp);
         let cfg = RunConfig::parallel(4, matrix_plan(&prog)).with_faults(faults);
         let out = run_main(&prog, vec![ArgValue::Int(TRIP)], &cfg).unwrap();
         assert!(oracle.bits_eq(&out), "worker {worker}");

@@ -311,8 +311,8 @@ impl Response {
 ///   power-of-two ns buckets become `_ns_bucket{le="..."}` series
 ///   (cumulative, ending in `+Inf`) plus `_ns_sum` / `_ns_count`.
 ///
-/// The output always passes [`check_exposition`]; CI scrapes
-/// `/metrics` and enforces exactly that.
+/// The output always passes [`check_exposition`]; the CLI tests scrape
+/// `/metrics` of the built daemon and enforce exactly that.
 pub fn prometheus_text(reg: &padfa_core::MetricsRegistry, git_rev: &str) -> String {
     use padfa_core::metrics::{Histogram, BUCKETS};
     let sanitize = |name: &str| -> String {
@@ -434,7 +434,7 @@ struct HistCheck {
 /// cumulative counts, a closing `+Inf` bucket, and `_sum`/`_count`
 /// consistency. Returns every violation found (empty = pass).
 ///
-/// This is the in-repo scrape checker: service tests and CI run
+/// This is the in-repo scrape checker: the service and CLI tests run
 /// `/metrics` output through it instead of trusting the renderer.
 pub fn check_exposition(text: &str) -> Result<(), Vec<String>> {
     use std::collections::BTreeMap;
@@ -576,23 +576,6 @@ pub fn check_exposition(text: &str) -> Result<(), Vec<String>> {
     } else {
         Err(errors)
     }
-}
-
-/// Minimal JSON string escaping (mirrors the CLI's ledger escaping).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -77,10 +77,10 @@
 //! store-dependent fields, so N concurrent identical requests produce
 //! byte-identical bodies whether the store is cold or warm — the same
 //! invariant the batch CLI maintains, now load-bearing under
-//! concurrency. Fault injection ([`padfa_rt::ServiceFaultPlan`] for
-//! worker panics and torn responses, [`padfa_core::IoFaultPlan`] for
-//! store IO) is keyed on deterministic admission order, so the service
-//! fault matrix replays exactly.
+//! concurrency. Fault injection (a [`padfa_core::FaultPlan`] of
+//! [`ServiceFault`]s for worker panics and torn responses, one of
+//! [`padfa_core::StoreFault`]s for store IO) is keyed on deterministic
+//! admission order, so the service fault matrix replays exactly.
 
 // The daemon must stay up on arbitrary client input: unwinding is
 // reserved for injected worker panics (caught at the request boundary)
@@ -90,9 +90,11 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+pub mod faults;
 pub mod http;
 pub mod server;
 
+pub use faults::ServiceFault;
 pub use http::{check_exposition, prometheus_text, Request, RequestError, Response};
 pub use server::{DrainReport, Server, ServiceDeps};
 

@@ -19,22 +19,22 @@
 //!
 //! ## Fault injection
 //!
-//! A [`ServiceFaultPlan`] keys deterministic faults on *admission
-//! order* (the 1-based sequence number assigned at accept): an armed
-//! `WorkerPanic` unwinds the worker inside its `catch_unwind` fence
-//! after the request is parsed; an armed `TornResponse` truncates a
+//! A [`FaultPlan`] of [`ServiceFault`]s keys deterministic faults on
+//! *admission order* (the 1-based sequence number assigned at accept):
+//! an armed `WorkerPanic` unwinds the worker inside its `catch_unwind`
+//! fence after the request is parsed; an armed `TornResponse` truncates a
 //! computed success response halfway through the write. Both leave the
 //! daemon serving: the next request must succeed normally.
 
-use crate::http::{json_escape, read_request, Request, RequestError, Response};
+use crate::faults::ServiceFault;
+use crate::http::{read_request, Request, RequestError, Response};
 use crate::{ServicePolicy, SCHEMA_VERSION};
 use padfa_core::flight;
 use padfa_core::{
-    analyze_program_session, AnalysisError, AnalysisSession, LoopReport, MetricsRegistry,
-    OnExhausted, Options, Outcome, Store, WorkBudget,
+    analyze_program_session, json_escape, AnalysisError, AnalysisSession, FaultPlan, LoopReport,
+    MetricsRegistry, OnExhausted, Options, Outcome, Store, WorkBudget,
 };
 use padfa_omega::sync::lock;
-use padfa_rt::{ServiceFaultKind, ServiceFaultPlan};
 use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,7 +55,7 @@ pub struct ServiceDeps {
     pub metrics: Arc<MetricsRegistry>,
     /// Deterministic service-layer faults (worker panics, torn
     /// responses), keyed on admission order.
-    pub faults: ServiceFaultPlan,
+    pub faults: FaultPlan<ServiceFault>,
     /// Revision label of the `padfa_build_info` metric (default: the
     /// revision this binary was built from, [`padfa_core::GIT_REV`]).
     pub git_rev: String,
@@ -66,7 +66,7 @@ impl Default for ServiceDeps {
         ServiceDeps {
             store: None,
             metrics: MetricsRegistry::new(),
-            faults: ServiceFaultPlan::none(),
+            faults: FaultPlan::none(),
             git_rev: padfa_core::GIT_REV.to_string(),
         }
     }
@@ -121,7 +121,7 @@ struct Shared {
     policy: ServicePolicy,
     store: Option<Arc<Store>>,
     metrics: Arc<MetricsRegistry>,
-    faults: ServiceFaultPlan,
+    faults: FaultPlan<ServiceFault>,
     git_rev: String,
     draining: AtomicBool,
     admitted: AtomicU64,
@@ -661,15 +661,15 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
         flight::EventKind::Request,
         format!("{} {}", req.method, req.path),
     );
-    let fault = shared.faults.for_request(job.admission);
+    let fault = shared.faults.armed(job.admission).next().copied();
     match fault {
-        Some(ServiceFaultKind::SlowRequest { ms }) => {
+        Some(ServiceFault::SlowRequest { ms }) => {
             // Deterministic stall before the handler, so the request
             // crosses the slow threshold with the delay visible as
             // request self-time in its phase breakdown.
             std::thread::sleep(Duration::from_millis(ms));
         }
-        Some(ServiceFaultKind::RecorderOverflow) => {
+        Some(ServiceFault::RecorderOverflow) => {
             for i in 0..=flight::capacity() as u64 {
                 flight::instant(flight::EventKind::Note, "ring-flood", i);
             }
@@ -682,7 +682,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
         Ok(resp) => {
             let error_kind = body_error_kind(&resp);
             let resp = resp.with_header("X-Padfa-Trace-Id", trace_id.clone());
-            let torn = matches!(fault, Some(ServiceFaultKind::TornResponse));
+            let torn = matches!(fault, Some(ServiceFault::TornResponse));
             let written = if torn {
                 shared.count("service.torn_responses", 1);
                 resp.write_torn(&mut job.stream)
@@ -763,7 +763,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
 fn route(
     shared: &Arc<Shared>,
     req: &Request,
-    fault: Option<ServiceFaultKind>,
+    fault: Option<ServiceFault>,
     ctx: &mut ReqCtx,
 ) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
@@ -807,7 +807,7 @@ fn route(
 fn analysis_endpoint(
     shared: &Arc<Shared>,
     req: &Request,
-    fault: Option<ServiceFaultKind>,
+    fault: Option<ServiceFault>,
     ctx: &mut ReqCtx,
     explain: bool,
 ) -> Response {
@@ -853,7 +853,7 @@ fn analysis_endpoint(
     };
     // An armed worker-panic fault fires here: past parsing (the request
     // was legitimate) and inside the catch_unwind fence.
-    if matches!(fault, Some(ServiceFaultKind::WorkerPanic)) {
+    if matches!(fault, Some(ServiceFault::WorkerPanic)) {
         // The one deliberate unwind in the crate — the fault-injection
         // harness proving the isolation fence holds.
         #[allow(clippy::panic)]

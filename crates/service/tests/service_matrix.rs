@@ -6,9 +6,8 @@
 //! and overload, the daemon never returns a wrong non-error result,
 //! never crashes, and always drains to a clean exit.
 
-use padfa_core::{IoFaultKind, IoFaultPlan, IoFaultSpec, Store, StoreConfig};
-use padfa_rt::{ServiceFaultKind, ServiceFaultPlan};
-use padfa_service::{check_exposition, Server, ServiceDeps, ServicePolicy};
+use padfa_core::{Fault, FaultPlan, Store, StoreConfig, StoreFault};
+use padfa_service::{check_exposition, Server, ServiceDeps, ServiceFault, ServicePolicy};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -363,7 +362,7 @@ fn worker_panic_costs_one_500_and_the_pool_recovers() {
         ..quick_policy()
     };
     let deps = ServiceDeps {
-        faults: ServiceFaultPlan::at(ServiceFaultKind::WorkerPanic, 1),
+        faults: FaultPlan::at(ServiceFault::WorkerPanic, 1),
         ..ServiceDeps::default()
     };
     let server = start(policy, deps);
@@ -389,11 +388,11 @@ fn worker_panic_costs_one_500_and_the_pool_recovers() {
 #[test]
 fn repeated_panics_never_kill_the_daemon() {
     // Panic on every other request; the pool must absorb all of them.
-    let mut plan = ServiceFaultPlan::none();
+    let mut plan = FaultPlan::none();
     for k in [1u64, 3, 5, 7] {
-        plan = plan.with(padfa_rt::ServiceFaultSpec {
-            at_request: k,
-            kind: ServiceFaultKind::WorkerPanic,
+        plan = plan.with(Fault {
+            at: k,
+            kind: ServiceFault::WorkerPanic,
         });
     }
     let policy = ServicePolicy {
@@ -422,7 +421,7 @@ fn repeated_panics_never_kill_the_daemon() {
 #[test]
 fn torn_response_truncates_exactly_one_reply() {
     let deps = ServiceDeps {
-        faults: ServiceFaultPlan::at(ServiceFaultKind::TornResponse, 1),
+        faults: FaultPlan::at(ServiceFault::TornResponse, 1),
         ..ServiceDeps::default()
     };
     let server = start(quick_policy(), deps);
@@ -454,14 +453,14 @@ fn store_io_faults_mid_request_degrade_silently() {
     let dir = temp_dir("storefault");
     // Exhaust the write retries of the first append: persistence
     // degrades mid-request, the response must not change.
-    let faults = IoFaultPlan::at(IoFaultKind::WriteFail, 1)
-        .with(IoFaultSpec {
-            at_op: 2,
-            kind: IoFaultKind::WriteFail,
+    let faults = FaultPlan::at(StoreFault::WriteFail, 1)
+        .with(Fault {
+            at: 2,
+            kind: StoreFault::WriteFail,
         })
-        .with(IoFaultSpec {
-            at_op: 3,
-            kind: IoFaultKind::WriteFail,
+        .with(Fault {
+            at: 3,
+            kind: StoreFault::WriteFail,
         });
     let store = Arc::new(Store::open(
         StoreConfig::new(&dir, "test-rev").with_faults(faults),
@@ -528,12 +527,10 @@ fn torn_client_disconnects_leave_the_daemon_serving() {
 fn tracing_slow_forensics_and_debug_endpoints() {
     let slow_log = temp_dir("slowlog").join("slow.jsonl");
     let _ = std::fs::create_dir_all(slow_log.parent().unwrap());
-    let faults = ServiceFaultPlan::at(ServiceFaultKind::SlowRequest { ms: 200 }, 2).with(
-        padfa_rt::ServiceFaultSpec {
-            at_request: 4,
-            kind: ServiceFaultKind::RecorderOverflow,
-        },
-    );
+    let faults = FaultPlan::at(ServiceFault::SlowRequest { ms: 200 }, 2).with(Fault {
+        at: 4,
+        kind: ServiceFault::RecorderOverflow,
+    });
     let policy = ServicePolicy {
         slow_request_ms: 50,
         slow_log: Some(slow_log.clone()),
@@ -743,7 +740,7 @@ fn panic_500_names_a_flight_dump_on_disk() {
         ..quick_policy()
     };
     let deps = ServiceDeps {
-        faults: ServiceFaultPlan::at(ServiceFaultKind::WorkerPanic, 1),
+        faults: FaultPlan::at(ServiceFault::WorkerPanic, 1),
         ..ServiceDeps::default()
     };
     let server = start(policy, deps);

@@ -7,8 +7,8 @@
 use padfa_core::interproc::{call_order, callees};
 use padfa_core::store::hash_procedure;
 use padfa_core::{
-    analyze_program_session, AnalysisSession, IoFaultKind, IoFaultPlan, Options, Store,
-    StoreConfig, StoreError,
+    analyze_program_session, AnalysisSession, FaultPlan, Options, Store, StoreConfig, StoreError,
+    StoreFault,
 };
 use padfa_ir::parse::parse_program;
 use padfa_ir::Program;
@@ -179,7 +179,7 @@ fn bitflipped_warm_store_renders_like_cold_and_quarantines() {
     let corpus = build_corpus();
     let (dir, plain, _) = warm_store("bitflip", &corpus);
     // `store-bitflip:1`: one bit of the first segment read flips.
-    let faults = IoFaultPlan::at(IoFaultKind::BitFlip, 1);
+    let faults = FaultPlan::at(StoreFault::BitFlip, 1);
     let store = Arc::new(Store::open(config(&dir).with_faults(faults)));
     for (bench, plain) in corpus.iter().zip(&plain) {
         let faulted = render(&bench.program, Some(&store));
