@@ -53,7 +53,7 @@ fn json_stats(s: &StatsSnapshot) -> String {
          \"tiers\": {{\"sys_empty\": [{}, {}], \"subset\": [{}, {}], \
          \"intersect\": [{}, {}], \"subtract\": [{}, {}], \"union\": [{}, {}], \
          \"project\": [{}, {}], \"implies\": [{}, {}]}}, \
-         \"interned_systems\": {}, \"interned_regions\": {}, \
+         \"interned_regions\": {}, \
          \"interned_preds\": {}, \"peak_table_entries\": {}, \"fm_projections\": {}, \
          \"lat_overflow\": {}}}",
         s.hit_rate(),
@@ -87,7 +87,6 @@ fn json_stats(s: &StatsSnapshot) -> String {
         s.project.general,
         s.implies.dense,
         s.implies.general,
-        s.interned_systems,
         s.interned_regions,
         s.interned_preds,
         s.peak_table_entries,

@@ -18,7 +18,7 @@ use crate::store;
 use crate::summary::Summary;
 use padfa_ir::affine;
 use padfa_ir::ast::{Block, BoolExpr, Expr, Loop, Procedure, Program, Stmt};
-use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
+use padfa_omega::{Constraint, Derived, Disjunction, LinExpr, System, Var};
 use padfa_pred::{Atom, Pred};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -415,7 +415,7 @@ impl<'a> Analyzer<'a> {
         }
         if l.step.abs() > 1 {
             if let Some(lo) = &lo_lin {
-                let t = Var::new(&format!("$step.{}.{}", proc.name, l.var.name()));
+                let t = l.var.derived(Derived::Step(&proc.name));
                 ctx.push(Constraint::eq(
                     LinExpr::var(l.var),
                     lo.clone() + LinExpr::term(t, l.step),
@@ -443,13 +443,16 @@ impl<'a> Analyzer<'a> {
         iter.has_io = body.has_io;
         iter.has_exit = body.has_exit;
         for (&a, s) in &body.arrays {
-            let sanitize = |c: &PredComponent, may: bool| c.degrade_unstable(&unstable, may);
             let mut amech = Mechanisms::default();
+            let mut embed = |c: &PredComponent, may: bool| {
+                let sane = c.degrade_unstable(&unstable, may);
+                embed_index_preds(&sane, l.var, may, sess, &mut amech)
+            };
             let mut arr = crate::summary::ArraySummary {
-                w: embed_index_preds(&sanitize(&s.w, false), l.var, false, sess, &mut amech),
-                mw: embed_index_preds(&sanitize(&s.mw, true), l.var, true, sess, &mut amech),
-                r: embed_index_preds(&sanitize(&s.r, true), l.var, true, sess, &mut amech),
-                e: embed_index_preds(&sanitize(&s.e, true), l.var, true, sess, &mut amech),
+                w: embed(&s.w, false),
+                mw: embed(&s.mw, true),
+                r: embed(&s.r, true),
+                e: embed(&s.e, true),
             };
             if amech.embedding {
                 mechanisms.embedding = true;
@@ -534,10 +537,10 @@ impl<'a> Analyzer<'a> {
         // Loop-varying synthetic context variables (the step lattice
         // counter) get fresh names too, so the earlier iteration is not
         // pinned to this iteration's lattice point.
-        let prev = Var::new(&format!("$prev.{}", l.var.name()));
+        let prev = l.var.derived(Derived::Prev);
         let mut ctx_prev = ctx.rename(l.var, prev);
         for v in &aux_vars {
-            ctx_prev = ctx_prev.rename(*v, Var::new(&format!("$prev.{}", v.name())));
+            ctx_prev = ctx_prev.rename(*v, v.derived(Derived::Prev));
         }
         // "Earlier iteration" follows execution order: smaller index for
         // upward loops, larger for downward loops.
@@ -547,10 +550,7 @@ impl<'a> Analyzer<'a> {
             ctx_prev.push(Constraint::gt(LinExpr::var(prev), LinExpr::var(l.var)));
         }
         let prev_project: Vec<Var> = vec![prev];
-        let prev_aux: Vec<Var> = aux_vars
-            .iter()
-            .map(|v| Var::new(&format!("$prev.{}", v.name())))
-            .collect();
+        let prev_aux: Vec<Var> = aux_vars.iter().map(|v| v.derived(Derived::Prev)).collect();
         let w_prev_of_i = |w: &PredComponent| -> PredComponent {
             let mut out = PredComponent::empty();
             for p in &w.pieces {

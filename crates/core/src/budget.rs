@@ -12,10 +12,13 @@
 //! around each procedure ([`install`]/[`take`]). A procedure is
 //! analyzed from start to finish on its session's one thread, so that
 //! thread's meter sees every step of it and nothing else. Every
-//! memoized lattice query on the [`crate::session::AnalysisSession`]
-//! charges one step *before* consulting the memo tables, so the step
-//! count of a procedure is a function of the program and options alone
-//! — independent of what earlier procedures left in the caches — and
+//! lattice query on the [`crate::session::AnalysisSession`] charges one
+//! step *before* consulting the memo tables, so memo hits cost what
+//! misses do. An emptiness verdict a region already carries is not a
+//! query and costs no step: a procedure's step count can depend on the
+//! verdicts the procedures analyzed before it in the same session left
+//! on shared regions. That is still a function of the program and
+//! options alone — the session visits procedures in a fixed order — so
 //! step exhaustion triggers at the same operation on every run. The
 //! wall deadline is inherently non-deterministic and only checked when
 //! explicitly configured.

@@ -3,6 +3,7 @@
 use crate::session::AnalysisSession;
 use padfa_omega::{Disjunction, Limits, Var};
 use padfa_pred::{extract_symbolic, Pred};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -89,15 +90,25 @@ impl PredComponent {
     /// via [`PredComponent::push_in`].
     pub fn union_in(&self, other: &PredComponent, sess: &AnalysisSession) -> PredComponent {
         let mut out = self.clone();
-        out.absorb_in(other.clone(), sess);
+        out.absorb_in(Cow::Borrowed(other), sess);
         out
     }
 
     /// In-place [`PredComponent::union_in`]: `self ∪= other` without
-    /// copying the pieces `self` already holds.
-    pub fn absorb_in(&mut self, other: PredComponent, sess: &AnalysisSession) {
-        for p in other.pieces {
-            self.push_in(p.pred, p.region, sess);
+    /// copying the pieces `self` already holds, nor — when `other` is
+    /// owned — the pieces it brings.
+    pub fn absorb_in(&mut self, other: Cow<'_, PredComponent>, sess: &AnalysisSession) {
+        match other {
+            Cow::Borrowed(c) => {
+                for p in &c.pieces {
+                    self.push_in(p.pred.clone(), Arc::clone(&p.region), sess);
+                }
+            }
+            Cow::Owned(c) => {
+                for p in c.pieces {
+                    self.push_in(p.pred, p.region, sess);
+                }
+            }
         }
     }
 
@@ -160,10 +171,24 @@ impl PredComponent {
     ///
     /// * may components: the piece's predicate weakens to `True`;
     /// * must components (`may = false`): the piece is dropped.
-    pub fn degrade_unstable(&self, unstable: &dyn Fn(Var) -> bool, may: bool) -> PredComponent {
+    ///
+    /// When no piece's guard reads an unstable variable — every
+    /// `Pred::True` piece among them — nothing changes, and `self` is
+    /// returned borrowed: re-pushing the pieces of a component built by
+    /// [`PredComponent::push`] rebuilds it as it is.
+    pub fn degrade_unstable(
+        &self,
+        unstable: &dyn Fn(Var) -> bool,
+        may: bool,
+    ) -> Cow<'_, PredComponent> {
+        let reads_unstable = |p: &GuardedRegion| p.pred.scalar_vars().iter().any(|&v| unstable(v));
+        if !self.pieces.iter().any(reads_unstable) {
+            debug_assert!(self.is_pushed(), "not a pushed component: {self}");
+            return Cow::Borrowed(self);
+        }
         let mut out = PredComponent::empty();
         for p in &self.pieces {
-            if p.pred.scalar_vars().iter().any(|&v| unstable(v)) {
+            if reads_unstable(p) {
                 if may {
                     out.push(Pred::True, p.region.clone());
                 }
@@ -171,7 +196,17 @@ impl PredComponent {
                 out.push(p.pred.clone(), p.region.clone());
             }
         }
-        out
+        Cow::Owned(out)
+    }
+
+    /// What [`PredComponent::push`] guarantees: no `False` guard, no
+    /// region without pieces, no two pieces under one guard.
+    fn is_pushed(&self) -> bool {
+        self.pieces.iter().enumerate().all(|(i, p)| {
+            !p.pred.is_false()
+                && !p.region.is_empty_union()
+                && self.pieces[..i].iter().all(|q| q.pred != p.pred)
+        })
     }
 
     /// Bound the number of pieces. Overflow pieces merge pairwise:

@@ -26,7 +26,7 @@
 //! *kinds, labels, values and counts* emitted by the analysis itself
 //! repeat exactly from run to run (timing fields do not): spans map
 //! 1:1 onto structural units (procedures, loops), and a procedure's
-//! `lattice-batch` value is the growth of its session's own memo
+//! `lattice-batch` value is the growth of its session's own query
 //! counters while it was summarized.
 //!
 //! The ring is the one part of the recorder that several threads write:

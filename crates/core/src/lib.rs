@@ -81,9 +81,10 @@ pub mod reduce;
 pub mod region;
 pub mod report;
 pub mod session;
-pub(crate) mod shard;
 pub mod store;
 pub mod summary;
+pub(crate) mod tables;
+pub mod varmap;
 
 pub use analyze::{analyze_program, analyze_program_session, analyze_program_with_summaries};
 pub use budget::{OnExhausted, WorkBudget};

@@ -32,8 +32,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The memoized lattice query kinds (the index of a session's per-kind
-/// tier counters).
+/// The lattice query kinds (the index of a session's per-kind tier
+/// counters).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueryKind {
     SysEmpty = 0,
@@ -247,12 +247,15 @@ impl MetricsRegistry {
 impl StatsSnapshot {
     /// Fold this run's counters into `reg` (see the module docs for the
     /// add / max / set rule). Counter names follow
-    /// `memo.<kind>.hits|misses`, `query.<kind>.total`,
-    /// `tier.<kind>.dense|general`, plus structural and budget counters.
+    /// `memo.<kind>.hits|misses` (memoized kinds only),
+    /// `query.<kind>.total`, `tier.<kind>.dense|general`, plus structural
+    /// and budget counters.
     pub fn publish(&self, reg: &MetricsRegistry) {
         for (kind, q) in self.tables() {
-            reg.counter(&format!("memo.{kind}.hits")).add(q.hits);
-            reg.counter(&format!("memo.{kind}.misses")).add(q.misses);
+            if q.memoized {
+                reg.counter(&format!("memo.{kind}.hits")).add(q.hits);
+                reg.counter(&format!("memo.{kind}.misses")).add(q.misses);
+            }
             reg.counter(&format!("query.{kind}.total")).add(q.total());
             reg.counter(&format!("tier.{kind}.dense")).add(q.dense);
             reg.counter(&format!("tier.{kind}.general")).add(q.general);
@@ -261,8 +264,6 @@ impl StatsSnapshot {
         reg.counter("deptest.orders.total").add(self.orders_total);
         reg.counter("deptest.orders.refuted")
             .add(self.orders_refuted);
-        reg.counter("interned.systems")
-            .add(self.interned_systems as u64);
         reg.counter("interned.regions")
             .add(self.interned_regions as u64);
         reg.counter("interned.preds")
@@ -318,14 +319,19 @@ mod tests {
             }),
             ..StatsSnapshot::default()
         };
-        st.sys_empty.hits = 2;
-        st.sys_empty.misses = 1;
+        st.union.memoized = true;
+        st.union.hits = 2;
+        st.union.misses = 1;
+        st.sys_empty.misses = 3;
         st.publish(&reg);
         st.peak_table_entries = 7;
         st.publish(&reg);
         let c = reg.counters_snapshot();
+        assert_eq!(c["query.union.total"], 6);
+        assert_eq!(c["memo.union.hits"], 4);
+        // A kind without a memo table publishes its queries, no memo.
         assert_eq!(c["query.sys_empty.total"], 6);
-        assert_eq!(c["memo.sys_empty.hits"], 4);
+        assert!(!c.contains_key("memo.sys_empty.misses"));
         assert_eq!(c["fm.projections"], 10);
         assert_eq!(c["peak.table_entries"], 9);
         assert_eq!(c["store.hits"], 4);

@@ -2,19 +2,21 @@
 //! mapping from subscripted accesses to constraint systems.
 
 use padfa_ir::{affine, Expr, Procedure};
-use padfa_omega::{Constraint, Disjunction, LinExpr, System, Var};
+use padfa_omega::{Constraint, Derived, Disjunction, LinExpr, System, Var};
 
-/// The canonical variable naming dimension `d` (0-based) of `array`.
+/// The canonical variable naming dimension `d` (0-based) of `array`
+/// (`$<array>.<d>`).
 ///
 /// All sections of a given array use the same dimension variables, so
 /// regions from different program points intersect and subtract directly.
 pub fn dim_var(array: Var, d: usize) -> Var {
-    Var::new(&format!("${}.{}", array.name(), d))
+    array.derived(Derived::Dim(d as u32))
 }
 
-/// The primed copy of a loop index used for cross-iteration tests.
+/// The primed copy of a loop index used for cross-iteration tests
+/// (`$<v>'`).
 pub fn primed(v: Var) -> Var {
-    Var::new(&format!("${}'", v.name()))
+    v.derived(Derived::Primed)
 }
 
 /// Declared-bounds constraints for an array: `1 <= $a.d <= extent_d` for

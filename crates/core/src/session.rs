@@ -7,8 +7,27 @@
 //! [`Options`]. The analysis evaluates them over a small population of
 //! recurring values — the same loop regions reappear in every `seq`
 //! composition, every `normalize` pass, and every dependence pair — so
-//! an [`AnalysisSession`] interns operands into `Arc` handles with
-//! stable `u32` ids and memoizes each query on those ids.
+//! an [`AnalysisSession`] interns regions and predicates into `Arc`
+//! handles with stable `u32` ids and memoizes `intersect`, `union`,
+//! `project_out` and `implies` on those ids. `subset_of` and `subtract`
+//! are computed every time: they repeat too rarely for a table to pay
+//! (their results are still interned).
+//!
+//! ## Emptiness asks once
+//!
+//! A region remembers its emptiness: [`AnalysisSession::is_empty`] reads
+//! the region's verdict cell ([`Disjunction::known_emptiness`]) before
+//! asking any system, and writes it when every system it had to ask was
+//! decided by the difference-bound closure ([`Tier::Dense`]). Those
+//! verdicts are exact and hold whatever the [`Limits`] — a fact about the
+//! set, not about the session — and an interned region is one handle
+//! however often the analysis rebuilds it, so the verdict is learned
+//! once per distinct region. A region that needed elimination is asked
+//! again every time: elimination under a cap may answer "maybe
+//! non-empty" for an empty set, and that answer belongs to the session's
+//! limits. Under `PADFA_FORCE_GENERAL_TIER` the closure answers nothing,
+//! so only what normal form decides alone (a region of contradictions
+//! or of empty conjunctions) is ever cached.
 //!
 //! ## One session, one thread
 //!
@@ -28,14 +47,19 @@
 //!
 //! ## Determinism
 //!
-//! Two runs of one program produce the same bytes, whatever else the
-//! process is doing on other threads:
+//! Two runs of one program, each in a fresh process, produce the same
+//! bytes, whatever else the process is doing on other threads. Within
+//! one long-lived process they need not: the `Var` table below outlives
+//! every session, so what earlier sessions interned can reorder a later
+//! one's constraints (ROADMAP.md, item 1: number variables per
+//! session).
 //!
 //! 1. The walk is sequential, memo keys are *structural*, and the
-//!    operations are deterministic pure functions — so a cache hit
-//!    returns exactly what a fresh computation would, and every counter
-//!    a session publishes repeats exactly. (Interned ids only key memo
-//!    entries; they never reach the output.)
+//!    operations are deterministic pure functions — so a cache hit (or
+//!    a verdict read from a region's cell) returns exactly what a fresh
+//!    computation would, and every counter a session publishes repeats
+//!    exactly. (Interned ids only key memo entries; they never reach the
+//!    output.)
 //! 2. `Var` ordering is intern-index order in a process-global table
 //!    and seeps into constraint sorting and Fourier–Motzkin tie-breaks.
 //!    [`pre_intern`] interns every synthetic name the analysis of a
@@ -54,10 +78,10 @@
 
 use crate::budget;
 use crate::options::Options;
-use crate::shard::{Interner, Memo};
 use crate::store::{self, Store, StoreStatsSnapshot};
+use crate::tables::{Interner, Memo};
 use padfa_ir::ast::{Block, ParamTy, Procedure, Program, Stmt};
-use padfa_omega::{difference, limit_stats, Disjunction, Limits, System, Tier, Var};
+use padfa_omega::{difference, limit_stats, Derived, Disjunction, Limits, System, Tier, Var};
 use padfa_pred::Pred;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -69,17 +93,19 @@ use std::sync::Arc;
 /// [`StatsSnapshot::lat_overflow`]).
 const LAT_POOL: u32 = 256;
 
-/// Hit/miss counters for one memoized query, split by the
-/// representation tier that answered it.
+/// Counters for one lattice query kind, split by the representation
+/// tier that answered it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
+    /// Whether the kind has a memo table. A kind without one computes
+    /// every query it is asked: `hits` stays 0, `misses` counts the
+    /// queries, and no `memo.<kind>.*` counter is published.
+    pub memoized: bool,
     pub hits: u64,
     pub misses: u64,
     /// Queries answered in closed form, without elimination
     /// ([`padfa_omega::Tier::Dense`]): `sys_empty` answers of the
-    /// difference-bound closure, zero for every other kind. Memo hits
-    /// replay the tier recorded by the original computation, so the
-    /// split covers every query, not just misses.
+    /// difference-bound closure, zero for every other kind.
     pub dense: u64,
     /// Queries answered by the general Fourier–Motzkin representation
     /// (`total() - dense`).
@@ -122,8 +148,7 @@ pub struct StatsSnapshot {
     pub union: QueryStats,
     pub project: QueryStats,
     pub implies: QueryStats,
-    /// Distinct interned systems / regions / predicates.
-    pub interned_systems: usize,
+    /// Distinct interned regions / predicates.
     pub interned_regions: usize,
     pub interned_preds: usize,
     /// Peak memo-table entry count across all tables (tables only grow,
@@ -212,22 +237,25 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "session: {} queries, {:.1}% memo hits; {} systems / {} regions / {} preds interned",
+            "session: {} queries, {:.1}% memo hits; {} regions / {} preds interned",
             self.total_queries(),
             100.0 * self.hit_rate(),
-            self.interned_systems,
             self.interned_regions,
             self.interned_preds,
         )?;
         for (name, q) in self.tables() {
             if q.total() > 0 {
-                write!(
-                    f,
-                    "  {name:<10} {:>8} hits {:>8} misses ({:.1}%)",
-                    q.hits,
-                    q.misses,
-                    100.0 * q.hit_rate()
-                )?;
+                if q.memoized {
+                    write!(
+                        f,
+                        "  {name:<10} {:>8} hits {:>8} misses ({:.1}%)",
+                        q.hits,
+                        q.misses,
+                        100.0 * q.hit_rate()
+                    )?;
+                } else {
+                    write!(f, "  {name:<10} {:>8} asked, not memoized", q.total())?;
+                }
                 if q.dense > 0 {
                     write!(
                         f,
@@ -329,21 +357,21 @@ impl std::fmt::Display for StatsSnapshot {
 /// ```
 pub struct AnalysisSession {
     pub opts: Options,
-    systems: Interner<System>,
     regions: Interner<Disjunction>,
     preds: Interner<Pred>,
-    m_sys_empty: Memo<u32, (bool, Tier)>,
-    m_subset: Memo<(u32, u32), bool>,
-    m_subtract: Memo<(u32, u32), Arc<Disjunction>>,
     m_intersect: Memo<(u32, u32), Arc<Disjunction>>,
     m_union: Memo<(u32, u32), Arc<Disjunction>>,
     m_project: Memo<(u32, Vec<Var>), Arc<Disjunction>>,
     m_implies: Memo<(u32, u32), bool>,
-    /// `sys_empty` queries the closed form answered. Bumped once per
-    /// query *call* — memo hits replay the stored tier — so the split
-    /// weights recurring queries the way the workload does. Every other
-    /// query is general: only emptiness has a closed form.
+    /// Emptiness questions put to a system (a region whose verdict cell
+    /// answered asked none), and how many of them the closed form
+    /// answered. Every other query is general: only emptiness has a
+    /// closed form.
+    sys_empty: Cell<u64>,
     sys_empty_dense: Cell<u64>,
+    /// `subset_of` / `subtract` queries, computed every time.
+    subset: Cell<u64>,
+    subtract: Cell<u64>,
     fm_projections: Cell<u64>,
     orders_total: Cell<u64>,
     orders_refuted: Cell<u64>,
@@ -385,17 +413,16 @@ impl AnalysisSession {
         }
         AnalysisSession {
             opts,
-            systems: Interner::new(),
             regions: Interner::new(),
             preds: Interner::new(),
-            m_sys_empty: Memo::new(),
-            m_subset: Memo::new(),
-            m_subtract: Memo::new(),
             m_intersect: Memo::new(),
             m_union: Memo::new(),
             m_project: Memo::new(),
             m_implies: Memo::new(),
+            sys_empty: Cell::new(0),
             sys_empty_dense: Cell::new(0),
+            subset: Cell::new(0),
+            subtract: Cell::new(0),
             fm_projections: Cell::new(0),
             orders_total: Cell::new(0),
             orders_refuted: Cell::new(0),
@@ -439,14 +466,14 @@ impl AnalysisSession {
         self.store.as_ref().map(|s| s.opts_fp)
     }
 
-    /// Memoized lattice queries asked of this session so far: every
-    /// query probes its memo table exactly once, hit or miss. The
-    /// driver reads the growth of this number around a procedure for
-    /// the procedure's `lattice-batch` flight event.
+    /// Lattice queries asked of this session so far: a memoized query
+    /// probes its table exactly once, hit or miss. The driver reads the
+    /// growth of this number around a procedure for the procedure's
+    /// `lattice-batch` flight event.
     pub(crate) fn queries(&self) -> u64 {
-        self.m_sys_empty.counters().total()
-            + self.m_subset.counters().total()
-            + self.m_subtract.counters().total()
+        self.sys_empty.get()
+            + self.subset.get()
+            + self.subtract.get()
             + self.m_intersect.counters().total()
             + self.m_union.counters().total()
             + self.m_project.counters().total()
@@ -464,59 +491,61 @@ impl AnalysisSession {
         self.regions.intern_owned(d).0
     }
 
-    /// Memoized per-system emptiness.
-    pub fn sys_is_empty(&self, s: &System) -> bool {
-        // Fast paths that need no table round-trip.
-        if s.is_contradiction() {
-            return true;
+    /// Region emptiness (every disjunct empty), asked of the region's
+    /// verdict cell first and of its systems only when the cell is
+    /// blank; see the module docs for what is written back.
+    pub fn is_empty(&self, d: &Disjunction) -> bool {
+        if let Some(empty) = d.known_emptiness() {
+            return empty;
         }
-        if s.is_empty_conjunction() {
-            return false;
-        }
-        budget::charge(1);
-        let limits = self.limits();
-        let (arc, id) = self.systems.intern(s);
-        let (empty, tier) = self.m_sys_empty.get_or(id, || arc.is_empty_tiered(limits));
-        if tier == Tier::Dense {
-            bump(&self.sys_empty_dense);
+        let mut exact = true;
+        let empty = d.systems().iter().all(|s| {
+            let (empty, tier) = self.sys_is_empty(s);
+            exact &= tier == Tier::Dense;
+            empty
+        });
+        if exact {
+            d.note_emptiness(empty);
         }
         empty
     }
 
-    /// Memoized region emptiness (every disjunct empty). Decomposing to
-    /// per-system queries lets regions that share disjuncts share work.
-    pub fn is_empty(&self, d: &Disjunction) -> bool {
-        d.systems().iter().all(|s| self.sys_is_empty(s))
+    /// Emptiness of one system and the tier that answered. What normal
+    /// form already decided — a contradiction, an empty conjunction — is
+    /// no query: exact, free, and reported as closed form.
+    fn sys_is_empty(&self, s: &System) -> (bool, Tier) {
+        if s.is_contradiction() {
+            return (true, Tier::Dense);
+        }
+        if s.is_empty_conjunction() {
+            return (false, Tier::Dense);
+        }
+        budget::charge(1);
+        bump(&self.sys_empty);
+        let (empty, tier) = s.is_empty_tiered(self.limits());
+        if tier == Tier::Dense {
+            bump(&self.sys_empty_dense);
+        }
+        (empty, tier)
     }
 
-    /// Memoized `a ⊆ b`.
+    /// `a ⊆ b`.
     pub fn subset_of(&self, a: &Disjunction, b: &Disjunction) -> bool {
-        budget::charge(1);
-        budget::note_region(a);
-        budget::note_region(b);
-        let limits = self.limits();
-        let (aa, ia) = self.regions.intern(a);
-        let (ab, ib) = self.regions.intern(b);
-        self.m_subset.get_or((ia, ib), || aa.subset_of(&ab, limits))
+        charge_pair(a, b);
+        bump(&self.subset);
+        a.subset_of(b, self.limits())
     }
 
-    /// Memoized region subtraction `a − b`.
+    /// Region subtraction `a − b`, interned.
     pub fn subtract(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
-        budget::charge(1);
-        budget::note_region(a);
-        budget::note_region(b);
-        let limits = self.limits();
-        let (aa, ia) = self.regions.intern(a);
-        let (ab, ib) = self.regions.intern(b);
-        self.m_subtract
-            .get_or((ia, ib), || self.intern_region(aa.subtract(&ab, limits)))
+        charge_pair(a, b);
+        bump(&self.subtract);
+        self.intern_region(a.subtract(b, self.limits()))
     }
 
     /// Memoized region intersection.
     pub fn intersect(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
-        budget::charge(1);
-        budget::note_region(a);
-        budget::note_region(b);
+        charge_pair(a, b);
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
@@ -526,9 +555,7 @@ impl AnalysisSession {
 
     /// Memoized region union.
     pub fn union(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
-        budget::charge(1);
-        budget::note_region(a);
-        budget::note_region(b);
+        charge_pair(a, b);
         let limits = self.limits();
         let (aa, ia) = self.regions.intern(a);
         let (ab, ib) = self.regions.intern(b);
@@ -578,9 +605,7 @@ impl AnalysisSession {
     /// table; one that survives is charged by the queries that build it.
     pub(crate) fn note_pair_order(&self, w: &Disjunction, x2: &Disjunction, refuted: bool) {
         if refuted {
-            budget::charge(1);
-            budget::note_region(w);
-            budget::note_region(x2);
+            charge_pair(w, x2);
             bump(&self.orders_refuted);
         }
         bump(&self.orders_total);
@@ -662,9 +687,6 @@ impl AnalysisSession {
     /// Snapshot the counters.
     pub fn stats(&self) -> StatsSnapshot {
         let peak = [
-            self.m_sys_empty.len(),
-            self.m_subset.len(),
-            self.m_subtract.len(),
             self.m_intersect.len(),
             self.m_union.len(),
             self.m_project.len(),
@@ -678,15 +700,18 @@ impl AnalysisSession {
             general: q.total() - dense,
             ..q
         };
+        let computed = |asked: &Cell<u64>| QueryStats {
+            misses: asked.get(),
+            ..QueryStats::default()
+        };
         StatsSnapshot {
-            sys_empty: tiered(self.m_sys_empty.counters(), self.sys_empty_dense.get()),
-            subset: tiered(self.m_subset.counters(), 0),
-            subtract: tiered(self.m_subtract.counters(), 0),
+            sys_empty: tiered(computed(&self.sys_empty), self.sys_empty_dense.get()),
+            subset: tiered(computed(&self.subset), 0),
+            subtract: tiered(computed(&self.subtract), 0),
             intersect: tiered(self.m_intersect.counters(), 0),
             union: tiered(self.m_union.counters(), 0),
             project: tiered(self.m_project.counters(), 0),
             implies: tiered(self.m_implies.counters(), 0),
-            interned_systems: self.systems.len(),
             interned_regions: self.regions.len(),
             interned_preds: self.preds.len(),
             peak_table_entries: peak,
@@ -710,6 +735,14 @@ fn bump(c: &Cell<u64>) {
     c.set(c.get() + 1);
 }
 
+/// Charge one budget step for a query on two regions, noting their
+/// sizes.
+fn charge_pair(a: &Disjunction, b: &Disjunction) {
+    budget::charge(1);
+    budget::note_region(a);
+    budget::note_region(b);
+}
+
 /// Walk a block interning the per-loop synthetic names `handle_loop` and
 /// `test_loop` will request: the primed index, the `$prev` copy, and —
 /// for strided loops — the step-lattice counter with its primed and
@@ -719,12 +752,12 @@ fn pre_intern_block(b: &Block, proc: &Procedure, strided: &mut bool) {
         match s {
             Stmt::For(l) => {
                 crate::region::primed(l.var);
-                Var::new(&format!("$prev.{}", l.var.name()));
+                l.var.derived(Derived::Prev);
                 if l.step.abs() > 1 {
                     *strided = true;
-                    let t = Var::new(&format!("$step.{}.{}", proc.name, l.var.name()));
+                    let t = l.var.derived(Derived::Step(&proc.name));
                     crate::region::primed(t);
-                    Var::new(&format!("$prev.{}", t.name()));
+                    t.derived(Derived::Prev);
                 }
                 pre_intern_block(&l.body, proc, strided);
             }
@@ -767,15 +800,15 @@ mod tests {
     fn memoized_queries_hit_on_repeat() {
         let sess = AnalysisSession::new(Options::predicated());
         let a = interval("d", 1, 10);
-        let b = interval("d", 5, 20);
-        let r1 = sess.subtract(&a, &b);
-        let r2 = sess.subtract(&a, &b);
+        let b = interval("d", 20, 30);
+        let r1 = sess.union(&a, &b);
+        let r2 = sess.union(&a, &b);
         assert!(Arc::ptr_eq(&r1, &r2));
         let st = sess.stats();
-        assert_eq!(st.subtract.hits, 1);
-        assert_eq!(st.subtract.misses, 1);
+        assert_eq!(st.union.hits, 1);
+        assert_eq!(st.union.misses, 1);
         // And the results agree with the unmemoized operation.
-        assert_eq!(*r1, a.subtract(&b, Limits::default()));
+        assert_eq!(*r1, a.union(&b, Limits::default()));
     }
 
     #[test]
@@ -792,11 +825,11 @@ mod tests {
         assert_eq!(*sess.project_out(&a, &[dv]), a.project_out(&[dv], lim));
     }
 
-    /// Term counts of every constraint of every system the session
-    /// interned.
+    /// Term counts of every constraint of every system of every region
+    /// the session interned.
     fn term_counts(sess: &AnalysisSession, hist: &mut [u64; 8]) {
-        sess.systems.for_each(|s| {
-            for c in s.constraints() {
+        sess.regions.for_each(|d| {
+            for c in d.systems().iter().flat_map(System::constraints) {
                 hist[c.expr.num_terms().min(7)] += 1;
             }
         });
@@ -843,6 +876,127 @@ mod tests {
             "{spilled} spills against {total} interned constraints: \
              the inline capacity is too small"
         );
+    }
+
+    /// A random region over two variables: unit bounds and differences
+    /// (the closure's) mixed with sums and non-unit coefficients
+    /// (elimination's). Two variables keep elimination under a cap of
+    /// four constraints exact wherever the closure would answer: what is
+    /// left after the first elimination is bounds on one variable.
+    fn random_region(rng: &mut rand::rngs::StdRng) -> Disjunction {
+        use rand::Rng;
+        let vars = [Var::new("ec_x"), Var::new("ec_y")];
+        let mut d = Disjunction::empty();
+        for _ in 0..rng.gen_range(0..4) {
+            let mut sys = System::universe();
+            for _ in 0..rng.gen_range(1..6) {
+                let (u, w) = (
+                    vars[rng.gen_range(0..2usize)],
+                    vars[rng.gen_range(0..2usize)],
+                );
+                let mut e = LinExpr::constant(rng.gen_range(-6..7));
+                e.add_term(u, [1, -1][rng.gen_range(0..2usize)]);
+                match rng.gen_range(0..4) {
+                    0 => {}
+                    1 => e.add_term(w, -e.coeff(u)),
+                    2 => e.add_term(w, e.coeff(u)),
+                    _ => e.add_term(w, rng.gen_range(-3..4)),
+                }
+                sys.push(if rng.gen_range(0..5) == 0 {
+                    Constraint::eq0(e)
+                } else {
+                    Constraint::geq0(e)
+                });
+            }
+            d.push(sys);
+        }
+        d
+    }
+
+    #[test]
+    fn a_cached_verdict_is_what_any_session_would_compute() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xce11);
+        let sess = AnalysisSession::new(Options::predicated());
+        let mut tight = Options::predicated();
+        tight.limits = Limits {
+            max_constraints: 4,
+            ..Limits::default()
+        };
+        let tight = AnalysisSession::new(tight);
+        let point = Constraint::eq(LinExpr::var(Var::new("ec_x")), LinExpr::constant(0));
+        let (mut cached, mut emptied, mut refilled) = (0, 0, 0);
+        for case in 0..3000 {
+            let d = random_region(&mut rng);
+            let want = d.is_empty(sess.limits());
+            assert_eq!(sess.is_empty(&d), want, "case {case}, first ask: {d}");
+            cached += usize::from(d.known_emptiness().is_some());
+            assert_eq!(sess.is_empty(&d), want, "case {case}, second ask: {d}");
+            assert_eq!(
+                tight.is_empty(&d),
+                d.is_empty(tight.limits()),
+                "case {case}, tight session: {d}"
+            );
+            // A copy starts blank, and a push forgets what was learned.
+            let mut grown = d.clone();
+            assert_eq!(grown.known_emptiness(), None);
+            grown.push(System::from_constraints([point.clone()]));
+            assert!(!sess.is_empty(&grown), "case {case}: {grown}");
+            emptied += usize::from(want);
+            let mut asked = d.clone();
+            sess.is_empty(&asked);
+            asked.push(System::from_constraints([point.clone()]));
+            refilled += usize::from(want && asked.known_emptiness().is_none());
+            assert!(!sess.is_empty(&asked), "case {case}: {asked}");
+        }
+        assert!(cached > 1000, "only {cached} verdicts cached");
+        assert!(emptied > 300, "only {emptied} empty regions");
+        assert_eq!(refilled, emptied);
+    }
+
+    #[test]
+    fn only_closed_form_verdicts_are_cached() {
+        let sess = AnalysisSession::new(Options::predicated());
+        let [x, y, z] = ["ec_x", "ec_y", "ec_z"].map(|n| LinExpr::var(Var::new(n)));
+        // x + y >= 1 under x, y <= 0: a sum, so elimination decides it.
+        let general = Disjunction::from_system(System::from_constraints([
+            Constraint::geq(x.clone() + y.clone(), LinExpr::constant(1)),
+            Constraint::leq(x.clone(), LinExpr::constant(0)),
+            Constraint::leq(y.clone(), LinExpr::constant(0)),
+        ]));
+        // x > y >= z >= x: a negative cycle, so the closure decides it.
+        let dense = Disjunction::from_system(System::from_constraints([
+            Constraint::gt(x.clone(), y.clone()),
+            Constraint::geq(y.clone(), z.clone()),
+            Constraint::geq(z, x.clone()),
+        ]));
+        for ask in 1..=3 {
+            assert!(sess.is_empty(&general));
+            assert!(sess.is_empty(&dense));
+            let st = sess.stats().sys_empty;
+            assert_eq!((st.total(), st.dense), (ask + 1, 1), "ask {ask}");
+        }
+        assert_eq!(general.known_emptiness(), None);
+        assert_eq!(dense.known_emptiness(), Some(true));
+    }
+
+    #[test]
+    fn the_verdict_cell_is_not_part_of_the_value() {
+        use std::hash::{BuildHasher, RandomState};
+        let sess = AnalysisSession::new(Options::predicated());
+        let blank = interval("d", 1, 10);
+        let asked = blank.clone();
+        assert!(!sess.is_empty(&asked));
+        assert_eq!(
+            (blank.known_emptiness(), asked.known_emptiness()),
+            (None, Some(false))
+        );
+        assert_eq!(blank, asked);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&blank), hasher.hash_one(&asked));
+        let (a, b) = (sess.intern_region(blank), sess.intern_region(asked));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(sess.stats().interned_regions, 1);
     }
 
     #[test]

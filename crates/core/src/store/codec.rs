@@ -26,11 +26,11 @@ use crate::report::{
     LoopReport, Mechanisms, NotCandidateReason, Outcome, PrivArray, ReduceOp, Reduction,
 };
 use crate::summary::{ArraySummary, ScalarSummary, Summary};
+use crate::varmap::{VarMap, VarSet};
 use padfa_ir::ast::{BoolExpr, CmpOp, Expr, Intrinsic};
 use padfa_ir::LoopId;
 use padfa_omega::{CKind, Constraint, Disjunction, LinExpr, System, Var};
 use padfa_pred::{Atom, AtomKind, Pred};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 // ------------------------------------------------------------------
@@ -505,8 +505,11 @@ pub fn put_summary(out: &mut Vec<u8>, s: &Summary) {
     put_flag(out, s.degraded);
 }
 
+/// Decode a summary. Keys are inserted, not appended: the writer listed
+/// them in its own process's `Var` order, and this process may have
+/// interned the names in another.
 pub fn get_summary(r: &mut Reader) -> Option<Summary> {
-    let mut arrays = BTreeMap::new();
+    let mut arrays = VarMap::default();
     let n = r.count()?;
     for _ in 0..n {
         let v = get_var(r)?;
@@ -516,7 +519,7 @@ pub fn get_summary(r: &mut Reader) -> Option<Summary> {
         let e = get_component(r)?;
         arrays.insert(v, ArraySummary { w, mw, r: rr, e });
     }
-    let mut scalars = BTreeMap::new();
+    let mut scalars = VarMap::default();
     let n = r.count()?;
     for _ in 0..n {
         let v = get_var(r)?;
@@ -532,7 +535,7 @@ pub fn get_summary(r: &mut Reader) -> Option<Summary> {
             },
         );
     }
-    let mut scalar_writes = BTreeSet::new();
+    let mut scalar_writes = VarSet::default();
     let n = r.count()?;
     for _ in 0..n {
         scalar_writes.insert(get_var(r)?);

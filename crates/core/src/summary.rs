@@ -2,9 +2,11 @@
 
 use crate::component::PredComponent;
 use crate::session::AnalysisSession;
+use crate::varmap::{VarMap, VarSet};
 use padfa_omega::Var;
 use padfa_pred::Pred;
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Per-array summary of one program region.
@@ -52,10 +54,10 @@ pub struct ScalarSummary {
 /// call, or procedure body).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Summary {
-    pub arrays: BTreeMap<Var, ArraySummary>,
-    pub scalars: BTreeMap<Var, ScalarSummary>,
+    pub arrays: VarMap<ArraySummary>,
+    pub scalars: VarMap<ScalarSummary>,
     /// Scalars possibly modified in the region (predicate stability).
-    pub scalar_writes: BTreeSet<Var>,
+    pub scalar_writes: VarSet,
     /// Region performs read I/O (disqualifies enclosing loops).
     pub has_io: bool,
     /// Region contains an internal loop exit.
@@ -133,7 +135,7 @@ impl Summary {
             s1.w.absorb_in(w2, sess);
             s1.mw.absorb_in(mw2, sess);
             s1.r.absorb_in(r2, sess);
-            s1.e.absorb_in(e2_minus_w1, sess);
+            s1.e.absorb_in(Cow::Owned(e2_minus_w1), sess);
             s1.normalize(sess);
         }
 
@@ -144,7 +146,9 @@ impl Summary {
             a.may_write |= b.may_write;
         }
 
-        self.scalar_writes.extend(&next.scalar_writes);
+        for &v in &next.scalar_writes {
+            self.scalar_writes.insert(v);
+        }
         self.has_io |= next.has_io;
         self.has_exit |= next.has_exit;
         self.degraded |= next.degraded;
@@ -169,11 +173,7 @@ impl Summary {
         out.has_io = then_s.has_io || else_s.has_io;
         out.has_exit = then_s.has_exit || else_s.has_exit;
         out.degraded = then_s.degraded || else_s.degraded;
-        out.scalar_writes = then_s
-            .scalar_writes
-            .union(&else_s.scalar_writes)
-            .copied()
-            .collect();
+        out.scalar_writes = then_s.scalar_writes.union(&else_s.scalar_writes);
 
         let keys: BTreeSet<Var> = then_s
             .arrays
@@ -240,11 +240,7 @@ impl Summary {
         out.has_io = self.has_io || next.has_io;
         out.has_exit = self.has_exit || next.has_exit;
         out.degraded = self.degraded || next.degraded;
-        out.scalar_writes = self
-            .scalar_writes
-            .union(&next.scalar_writes)
-            .copied()
-            .collect();
+        out.scalar_writes = self.scalar_writes.union(&next.scalar_writes);
 
         let writes = &self.scalar_writes;
         let unstable = |v: Var| writes.contains(&v);

@@ -250,6 +250,65 @@ fn second_session_sharing_one_store_stays_consistent() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_summary_stored_in_another_var_order_decodes_sorted() {
+    // A writer lists a summary's arrays in its own process's `Var`
+    // order; this process may have interned the names the other way
+    // round. Hand-build a segment whose one entry lists `second` before
+    // `first`, where `first` is interned here first.
+    use padfa_core::store::journal::{encode_header_payload, encode_record, RecordKind};
+    use padfa_core::{PredComponent, Summary};
+    let (first, second) = (Var::new("order_first"), Var::new("order_second"));
+    let one_array = |a: Var, hi: i64| {
+        let mut s = Summary::default();
+        let d = Var::new("order_d");
+        s.array_mut(a).w =
+            PredComponent::unconditional(Disjunction::from_system(System::from_constraints([
+                Constraint::geq(LinExpr::var(d), LinExpr::constant(1)),
+                Constraint::leq(LinExpr::var(d), LinExpr::constant(hi)),
+            ])));
+        s
+    };
+    let encoded = |s: &Summary| {
+        let mut out = Vec::new();
+        codec::put_summary(&mut out, s);
+        out
+    };
+    // A one-array summary is the array count, the array's record, and
+    // the same tail an empty summary has after its count.
+    let tail = encoded(&Summary::default()).split_off(4);
+    let record = |s: &Summary| {
+        let bytes = encoded(s);
+        bytes[4..bytes.len() - tail.len()].to_vec()
+    };
+    let (a, b) = (one_array(first, 10), one_array(second, 20));
+    let mut payload = Vec::new();
+    codec::put_u32(&mut payload, 2);
+    payload.extend(record(&b));
+    payload.extend(record(&a));
+    payload.extend(&tail);
+    codec::put_u32(&mut payload, 0); // no loop reports
+
+    let dir = test_dir("order");
+    fs::create_dir_all(&dir).unwrap();
+    let mut seg = encode_record(RecordKind::Header, 0, &encode_header_payload("e2e-rev"));
+    seg.extend(encode_record(RecordKind::Proc, 7, &payload));
+    fs::write(dir.join("seg-0000.log"), &seg).unwrap();
+
+    let store = Store::open(cfg(&dir));
+    let (summary, reports) = store.get_proc(7).expect("the entry decodes");
+    assert!(reports.is_empty());
+    assert_eq!(
+        summary.arrays.keys().copied().collect::<Vec<_>>(),
+        [first, second]
+    );
+    let mut both = a;
+    both.arrays.insert(second, b.arrays[&second].clone());
+    assert_eq!(summary, both);
+    assert_eq!(store.stats().quarantined, 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Randomized codec round-trip property
 // ---------------------------------------------------------------------

@@ -48,9 +48,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token. An identifier borrows its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Real(f64),
     Punct(&'static str),
@@ -58,13 +59,14 @@ enum Tok {
 }
 
 #[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
+struct SpannedTok<'a> {
+    tok: Tok<'a>,
     line: usize,
     col: usize,
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -74,6 +76,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Lexer<'a> {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -109,8 +112,9 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn tokenize(mut self) -> Result<Vec<SpannedTok>, ParseError> {
-        let mut out = Vec::new();
+    fn tokenize(mut self) -> Result<Vec<SpannedTok<'a>>, ParseError> {
+        // About one token per four source bytes on the corpus.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
             // Skip whitespace and // comments.
             loop {
@@ -147,7 +151,8 @@ impl<'a> Lexer<'a> {
                         break;
                     }
                 }
-                Tok::Ident(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+                // ASCII only, so the bounds are character boundaries.
+                Tok::Ident(&self.text[start..self.pos])
             } else if c.is_ascii_digit() {
                 let start = self.pos;
                 while let Some(c) = self.peek() {
@@ -187,7 +192,7 @@ impl<'a> Lexer<'a> {
                         }
                     }
                 }
-                let text = String::from_utf8_lossy(&self.src[start..self.pos]);
+                let text = &self.text[start..self.pos];
                 if is_real {
                     Tok::Real(text.parse().map_err(|_| self.error("bad real literal"))?)
                 } else {
@@ -253,13 +258,13 @@ impl<'a> Lexer<'a> {
     }
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn cur(&self) -> &SpannedTok {
+impl<'a> Parser<'a> {
+    fn cur(&self) -> &SpannedTok<'a> {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
@@ -272,8 +277,8 @@ impl Parser {
         }
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.cur().tok.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.cur().tok;
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -285,7 +290,7 @@ impl Parser {
     }
 
     fn at_kw(&self, kw: &str) -> bool {
-        matches!(&self.cur().tok, Tok::Ident(s) if s == kw)
+        matches!(self.cur().tok, Tok::Ident(s) if s == kw)
     }
 
     fn eat_punct(&mut self, p: &str) -> Result<(), ParseError> {
@@ -306,7 +311,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => Err(self.error(format!("expected identifier, found {other:?}"))),
@@ -335,7 +340,7 @@ impl Parser {
 
     fn procedure(&mut self) -> Result<Procedure, ParseError> {
         self.eat_kw("proc")?;
-        let name = self.ident()?;
+        let name = self.ident()?.to_string();
         self.eat_punct("(")?;
         let mut params = Vec::new();
         if !self.at_punct(")") {
@@ -362,7 +367,7 @@ impl Parser {
                     ParamTy::Scalar(self.scalar_ty()?)
                 };
                 params.push(Param {
-                    name: Var::new(&pname),
+                    name: Var::new(pname),
                     ty,
                 });
                 if self.at_punct(",") {
@@ -396,7 +401,7 @@ impl Parser {
                 };
                 self.eat_punct(";")?;
                 arrays.push(ArrayDecl {
-                    name: Var::new(&aname),
+                    name: Var::new(aname),
                     dims,
                     ty,
                 });
@@ -413,7 +418,7 @@ impl Parser {
                 };
                 self.eat_punct(";")?;
                 scalars.push(ScalarDecl {
-                    name: Var::new(&vname),
+                    name: Var::new(vname),
                     ty,
                     init,
                 });
@@ -449,7 +454,7 @@ impl Parser {
             self.bump();
             let label = if self.at_punct("@") {
                 self.bump();
-                Some(self.ident()?)
+                Some(self.ident()?.to_string())
             } else {
                 None
             };
@@ -483,7 +488,7 @@ impl Parser {
             return Ok(Stmt::For(Loop {
                 id: LoopId(u32::MAX),
                 label,
-                var: Var::new(&var),
+                var: Var::new(var),
                 lo,
                 hi,
                 step,
@@ -492,7 +497,7 @@ impl Parser {
         }
         if self.at_kw("call") {
             self.bump();
-            let callee = self.ident()?;
+            let callee = self.ident()?.to_string();
             self.eat_punct("(")?;
             let mut args = Vec::new();
             if !self.at_punct(")") {
@@ -502,10 +507,10 @@ impl Parser {
                     // and a whole-array argument; resolve to Array form
                     // (the resolver fixes up scalars).
                     let save = self.pos;
-                    if let Tok::Ident(name) = self.cur().tok.clone() {
+                    if let Tok::Ident(name) = self.cur().tok {
                         self.bump();
                         if self.at_punct(",") || self.at_punct(")") {
-                            args.push(Arg::Array(Var::new(&name)));
+                            args.push(Arg::Array(Var::new(name)));
                         } else {
                             self.pos = save;
                             args.push(Arg::Scalar(self.expr()?));
@@ -528,7 +533,7 @@ impl Parser {
             self.bump();
             let v = self.ident()?;
             self.eat_punct(";")?;
-            return Ok(Stmt::Read(Var::new(&v)));
+            return Ok(Stmt::Read(Var::new(v)));
         }
         if self.at_kw("print") {
             self.bump();
@@ -555,9 +560,9 @@ impl Parser {
                 idxs.push(self.expr()?);
             }
             self.eat_punct("]")?;
-            LValue::Elem(Var::new(&name), idxs)
+            LValue::Elem(Var::new(name), idxs)
         } else {
-            LValue::Scalar(Var::new(&name))
+            LValue::Scalar(Var::new(name))
         };
         self.eat_punct("=")?;
         let rhs = self.expr()?;
@@ -738,7 +743,7 @@ impl Parser {
             }
             Tok::Ident(name) => {
                 if self.at_punct("(") {
-                    let intr = Intrinsic::from_name(&name)
+                    let intr = Intrinsic::from_name(name)
                         .ok_or_else(|| self.error(format!("unknown intrinsic '{name}'")))?;
                     self.bump();
                     let mut args = vec![self.expr()?];
@@ -763,9 +768,9 @@ impl Parser {
                         idxs.push(self.expr()?);
                     }
                     self.eat_punct("]")?;
-                    Ok(Expr::Elem(Var::new(&name), idxs))
+                    Ok(Expr::Elem(Var::new(name), idxs))
                 } else {
-                    Ok(Expr::Scalar(Var::new(&name)))
+                    Ok(Expr::Scalar(Var::new(name)))
                 }
             }
             other => Err(self.error(format!("expected expression, found {other:?}"))),

@@ -2,24 +2,63 @@
 
 use crate::{CKind, Constraint, Limits, System, Var};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A finite union of convex systems, with an exactness flag.
 ///
 /// `exact = false` means the set is an **over-approximation** of the true
 /// set of integer points (it may contain extra points, never fewer).
-#[derive(Clone, PartialEq, Eq, Hash)]
+///
+/// Beside the value sits one verdict cell: an emptiness answer recorded
+/// by [`Disjunction::note_emptiness`] and read back by
+/// [`Disjunction::known_emptiness`]. It is a cache, not part of the
+/// value: equality, hashing and the store codec ignore it, a clone starts
+/// without it, and [`Disjunction::push`] forgets it.
 pub struct Disjunction {
     systems: Vec<System>,
     exact: bool,
+    verdict: AtomicU8,
+}
+
+/// [`Disjunction::verdict`] values.
+const UNKNOWN: u8 = 0;
+const EMPTY: u8 = 1;
+const NON_EMPTY: u8 = 2;
+
+impl Clone for Disjunction {
+    fn clone(&self) -> Disjunction {
+        Disjunction::new(self.systems.clone(), self.exact)
+    }
+}
+
+impl PartialEq for Disjunction {
+    fn eq(&self, other: &Disjunction) -> bool {
+        self.systems == other.systems && self.exact == other.exact
+    }
+}
+
+impl Eq for Disjunction {}
+
+impl Hash for Disjunction {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.systems.hash(state);
+        self.exact.hash(state);
+    }
 }
 
 impl Disjunction {
+    fn new(systems: Vec<System>, exact: bool) -> Disjunction {
+        Disjunction {
+            systems,
+            exact,
+            verdict: AtomicU8::new(UNKNOWN),
+        }
+    }
+
     /// The empty set.
     pub fn empty() -> Disjunction {
-        Disjunction {
-            systems: Vec::new(),
-            exact: true,
-        }
+        Disjunction::new(Vec::new(), true)
     }
 
     /// The universe.
@@ -49,7 +88,7 @@ impl Disjunction {
     /// would not be bit-exact. Only pass parts previously obtained from
     /// [`Disjunction::systems`] / [`Disjunction::is_exact`].
     pub fn from_raw_parts(systems: Vec<System>, exact: bool) -> Disjunction {
-        Disjunction { systems, exact }
+        Disjunction::new(systems, exact)
     }
 
     /// The convex pieces.
@@ -90,12 +129,32 @@ impl Disjunction {
     pub fn push(&mut self, s: System) {
         if !s.is_contradiction() {
             self.systems.push(s);
+            *self.verdict.get_mut() = UNKNOWN;
         }
     }
 
     /// Sound emptiness: `true` means definitely no integer points.
     pub fn is_empty(&self, limits: Limits) -> bool {
         self.systems.iter().all(|s| s.is_empty(limits))
+    }
+
+    /// The emptiness verdict [`Disjunction::note_emptiness`] recorded on
+    /// this value, if any.
+    pub fn known_emptiness(&self) -> Option<bool> {
+        match self.verdict.load(Ordering::Relaxed) {
+            EMPTY => Some(true),
+            NON_EMPTY => Some(false),
+            _ => None,
+        }
+    }
+
+    /// Record whether this set is empty. The caller vouches that the
+    /// answer is exact — one no [`Limits`] cap could have weakened — so
+    /// that whoever reads it back may take it for what any complete
+    /// emptiness test would say.
+    pub fn note_emptiness(&self, empty: bool) {
+        let v = if empty { EMPTY } else { NON_EMPTY };
+        self.verdict.store(v, Ordering::Relaxed);
     }
 
     /// Union, pruning pieces subsumed by existing ones.
@@ -191,18 +250,18 @@ impl Disjunction {
 
     /// Substitute `v := e` in every piece.
     pub fn subst(&self, v: Var, e: &crate::LinExpr) -> Disjunction {
-        Disjunction {
-            systems: self.systems.iter().map(|s| s.subst(v, e)).collect(),
-            exact: self.exact,
-        }
+        Disjunction::new(
+            self.systems.iter().map(|s| s.subst(v, e)).collect(),
+            self.exact,
+        )
     }
 
     /// Rename a variable in every piece.
     pub fn rename(&self, from: Var, to: Var) -> Disjunction {
-        Disjunction {
-            systems: self.systems.iter().map(|s| s.rename(from, to)).collect(),
-            exact: self.exact,
-        }
+        Disjunction::new(
+            self.systems.iter().map(|s| s.rename(from, to)).collect(),
+            self.exact,
+        )
     }
 
     /// Conjoin a constraint onto every piece.

@@ -56,6 +56,7 @@
 pub mod constraint;
 pub mod difference;
 pub mod disjunction;
+pub mod fx;
 pub mod linexpr;
 pub mod sync;
 pub mod system;
@@ -66,7 +67,7 @@ pub use difference::Tier;
 pub use disjunction::Disjunction;
 pub use linexpr::LinExpr;
 pub use system::{Projection, System};
-pub use var::Var;
+pub use var::{Derived, Var};
 
 /// Bounds on combinatorial growth inside set operations.
 ///

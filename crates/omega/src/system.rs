@@ -872,6 +872,16 @@ mod tests {
     }
 
     #[test]
+    fn disjunction_stays_within_32_bytes() {
+        // The list of pieces, the exactness flag and the verdict cell,
+        // which fits in the padding beside the flag. The cell is atomic
+        // so a region behind an `Arc` stays shareable.
+        fn shareable<T: Send + Sync>() {}
+        shareable::<crate::Disjunction>();
+        assert!(std::mem::size_of::<crate::Disjunction>() <= 32);
+    }
+
+    #[test]
     fn constraint_stays_within_56_bytes() {
         // Three packed inline terms, their count, the constant and the
         // kind (a fourth inline term would make these 64 and 72). Every

@@ -981,13 +981,13 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     assert!(run.status.success());
     let corpus = metrics_counters(&out);
     assert_eq!(corpus, folded);
-    assert_eq!(corpus["query.sys_empty.total"], 92_901);
+    assert_eq!(corpus["query.sys_empty.total"], 23_703);
     assert_eq!(corpus["fm.projections"], 17_891);
-    assert_eq!(corpus["interned.regions"], 30_620);
+    assert_eq!(corpus["interned.regions"], 29_614);
     // The tier census: every emptiness question a corpus pass asks is a
     // difference-bound system. A new input shape that reaches
     // elimination shows up here first.
-    assert_eq!(corpus["tier.sys_empty.dense"], 92_901);
+    assert_eq!(corpus["tier.sys_empty.dense"], 23_703);
     assert_eq!(corpus["tier.sys_empty.general"], 0);
     assert_eq!(corpus["tier.intersect.dense"], 0);
     assert_eq!(corpus["tier.intersect.general"], 3_292);
