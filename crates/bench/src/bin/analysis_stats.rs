@@ -163,7 +163,7 @@ fn main() {
     };
     let cold_store = Arc::new(Store::open(StoreConfig::new(&store_dir, BUILD_ID)));
     let store_cold_ms = corpus_pass(&cold_store);
-    drop(cold_store); // seal the journal
+    drop(cold_store);
     let warm_store = Arc::new(Store::open(StoreConfig::new(&store_dir, BUILD_ID)));
     let store_warm_ms = corpus_pass(&warm_store);
     let store_stats = warm_store.stats();
@@ -285,7 +285,7 @@ fn main() {
         json,
         "  \"store\": {{\"cold_wall_ms\": {:.3}, \"warm_wall_ms\": {:.3}, \
          \"warm_speedup\": {:.2}, \"warm_hit_rate\": {:.4}, \"warm_hits\": {}, \
-         \"warm_misses\": {}, \"entries_loaded\": {}}}",
+         \"warm_misses\": {}}}",
         store_cold_ms,
         store_warm_ms,
         if store_warm_ms > 0.0 {
@@ -296,7 +296,6 @@ fn main() {
         store_stats.hit_rate(),
         store_stats.hits,
         store_stats.misses,
-        store_stats.loaded,
     );
     // Re-stamp the store line with a trailing comma for the section
     // that follows.

@@ -3,8 +3,8 @@
 //! * `PADFA_SOURCE_HASH` — FNV-1a 64 over the sorted relative paths and
 //!   contents of every `.rs` under `src/` of the crates whose code decides
 //!   an analysis result (core, omega, pred, ir), plus the workspace
-//!   `Cargo.lock`. It stamps store segments: equal sources, equal stamp,
-//!   wherever and whenever the binary was built or is run.
+//!   `Cargo.lock`. It names the store's build directory: equal sources,
+//!   equal name, wherever and whenever the binary was built or is run.
 //! * `PADFA_GIT_REV` — `git rev-parse --short=12 HEAD`, `+dirty` when the
 //!   tree has local changes, `unknown` without git or a `.git`. A label
 //!   for ledgers and metrics only; nothing keys on it.

@@ -65,30 +65,21 @@ pub enum StoreError {
     /// An IO operation on the store directory failed; the session
     /// continues without persistence (or without the affected side).
     Io {
-        /// Which operation failed (`open`, `read`, `append`, `seal`,
-        /// `lock`, ...).
+        /// Which operation failed (`open`, `read` or `write`).
         op: &'static str,
         /// Path involved.
         path: String,
         /// OS error text (or the injected-fault label).
         msg: String,
     },
-    /// An entry or segment failed validation (checksum mismatch, torn
-    /// tail, undecodable payload) and was quarantined to the `corrupt/`
-    /// sidecar; the keys involved fall through to recomputation.
+    /// An entry file failed validation (broken frame, checksum mismatch,
+    /// undecodable payload) and was moved into `corrupt/`; its key falls
+    /// through to recomputation.
     Corrupt {
-        /// Quarantined file (segment or sidecar).
+        /// The entry file and where it was moved.
         path: String,
         /// What failed to validate.
         detail: String,
-    },
-    /// Another live process holds the store lock; this session runs
-    /// in-memory-only rather than risking interleaved journal writes.
-    Locked {
-        /// The lock file path.
-        path: String,
-        /// PID recorded in the lock file.
-        pid: u32,
     },
 }
 
@@ -103,12 +94,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::Corrupt { path, detail } => {
                 write!(f, "store entry quarantined ({path}): {detail}; recomputing")
-            }
-            StoreError::Locked { path, pid } => {
-                write!(
-                    f,
-                    "store locked by pid {pid} ({path}); running in-memory only"
-                )
             }
         }
     }
@@ -148,7 +133,7 @@ mod tests {
     #[test]
     fn store_error_display_names_degradation() {
         let io = StoreError::Io {
-            op: "append",
+            op: "write",
             path: "/tmp/s".into(),
             msg: "disk full".into(),
         };
@@ -158,10 +143,5 @@ mod tests {
             detail: "checksum mismatch".into(),
         };
         assert!(c.to_string().contains("recomputing"));
-        let l = StoreError::Locked {
-            path: "/tmp/s/lock".into(),
-            pid: 123,
-        };
-        assert!(l.to_string().contains("in-memory only"));
     }
 }

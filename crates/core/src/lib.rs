@@ -109,8 +109,8 @@ pub use summary::{ArraySummary, ScalarSummary, Summary};
 
 /// Identity of the analysis this binary runs: a hash of the sources of
 /// the crates that decide a result (core, omega, pred, ir) and the
-/// workspace lock file, computed by `build.rs`. Store segments are
-/// stamped with it, so a segment is reused exactly when the code that
+/// workspace lock file, computed by `build.rs`. It names the store's
+/// build directory, so an entry is reused exactly when the code that
 /// wrote it is the code reading it — wherever either process runs.
 pub const BUILD_ID: &str = env!("PADFA_SOURCE_HASH");
 

@@ -291,12 +291,10 @@ impl StoreStatsSnapshot {
         reg.counter("store.misses").set(self.misses);
         reg.counter("store.puts").set(self.puts);
         reg.counter("store.quarantined").set(self.quarantined);
-        reg.counter("store.stale_segments").set(self.stale_segments);
-        reg.counter("store.salvaged").set(self.salvaged);
-        reg.counter("store.loaded").set(self.loaded);
+        reg.counter("store.stale").set(self.stale);
         reg.counter("store.retries").set(self.retries);
         reg.counter("store.open_us").set(self.open_us);
-        reg.counter("store.seal_us").set(self.seal_us);
+        reg.counter("store.put_us").set(self.put_us);
         reg.counter("store.degraded").set(u64::from(self.degraded));
         reg.counter("store.writes_degraded")
             .set(u64::from(self.writes_degraded));

@@ -304,18 +304,16 @@ impl std::fmt::Display for StatsSnapshot {
         if let Some(st) = &self.store {
             write!(
                 f,
-                "\n  store: {} hits {} misses ({:.1}% hit rate), {} puts, {} loaded",
+                "\n  store: {} hits {} misses ({:.1}% hit rate), {} puts",
                 st.hits,
                 st.misses,
                 100.0 * st.hit_rate(),
-                st.puts,
-                st.loaded
+                st.puts
             )?;
             write!(
                 f,
-                "\n  store hygiene: {} quarantined, {} stale segment(s), {} salvaged, {} retried; \
-                 open {} us, seal {} us",
-                st.quarantined, st.stale_segments, st.salvaged, st.retries, st.open_us, st.seal_us
+                "\n  store hygiene: {} quarantined, {} stale, {} retried; open {} us, put {} us",
+                st.quarantined, st.stale, st.retries, st.open_us, st.put_us
             )?;
             if st.degraded {
                 write!(f, "\n  store degraded: running in-memory only")?;

@@ -1,24 +1,23 @@
-//! The store's fault site. Counting is per *category*: the N-th read (or
-//! write) the store performs fires the fault armed at `at = N`. Store
-//! operations are sequenced deterministically on the paths that matter
-//! (opens and journal appends run under the journal lock; the
-//! crash-consistency tests drive single-threaded sessions), so a plan
-//! pins down one concrete failure.
+//! The store's fault site. Counting is per *category*: the N-th entry-file
+//! read (or write) attempt the store makes fires the fault armed at
+//! `at = N`. The crash-consistency tests drive single-threaded sessions,
+//! whose reads and writes come in program order, so a plan pins down one
+//! concrete failure.
 
 use crate::faults::{spec_at, spec_seeded, Fault, FaultSite, Rng};
 
 /// What kind of IO fault fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreFault {
-    /// A journal write fails with an injected IO error.
+    /// An entry-file write fails with an injected IO error.
     WriteFail,
-    /// A segment read fails with an injected IO error.
+    /// An entry-file read fails with an injected IO error.
     ReadFail,
-    /// A journal write persists only a prefix of the record and then the
-    /// "process" dies: subsequent writes fail. Reopening the store sees
-    /// a torn tail — exactly what a crash mid-append leaves behind.
+    /// An entry-file write persists only a prefix of the frame, under its
+    /// temporary name, and then the "process" dies: subsequent writes
+    /// stop. The key is left missing — what a crash mid-write leaves.
     TornWrite,
-    /// A segment read succeeds but one deterministic bit of the returned
+    /// An entry-file read succeeds but one deterministic bit of the returned
     /// bytes is flipped (silent media corruption).
     BitFlip,
 }

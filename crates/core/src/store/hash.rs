@@ -27,12 +27,14 @@ use padfa_omega::Var;
 
 /// Version of the on-disk entry codec and of this hashing scheme. Bump
 /// whenever either changes meaning: old entries then hash to different
-/// keys / fail the segment header check instead of decoding wrongly.
+/// keys instead of decoding wrongly.
 /// v2: systems carry a dense-tier tag.
 /// v3: procedure summaries are the only entry kind; a v2 segment (full
 /// of per-query lattice records) is dropped whole as stale.
 /// v4: systems carry no tier tag (there is no box to restore).
-pub const CODEC_VERSION: u32 = 4;
+/// v5: one file per entry under a build directory replaces the journal;
+/// its segments are swept as stale, unread.
+pub const CODEC_VERSION: u32 = 5;
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;

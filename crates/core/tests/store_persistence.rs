@@ -75,14 +75,14 @@ fn warm_run_is_bit_identical_and_mostly_hits() {
     assert_eq!(cold.loops, baseline.loops, "store must not change results");
     assert!(cold_store.take_warnings().is_empty());
     assert_eq!(cold_store.stats().puts, 3, "one entry per procedure");
-    drop(cold_store); // seals the journal
+    drop(cold_store);
 
     // Warm: every procedure summary should come from disk.
     let warm_store = Arc::new(Store::open(cfg(&dir)));
     let warm = run_with_store(Some(Arc::clone(&warm_store)));
     assert_eq!(warm.loops, baseline.loops, "warm must be bit-identical");
     let st = warm_store.stats();
-    assert_eq!((st.loaded, st.hits, st.misses, st.puts), (3, 3, 0, 0));
+    assert_eq!((st.hits, st.misses, st.puts), (3, 0, 0));
     assert!(warm_store.take_warnings().is_empty());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -115,7 +115,7 @@ fn store_written_under_forced_general_tier_is_a_full_hit_for_a_plain_run() {
     let warm = run_with_store(Some(Arc::clone(&store)));
     assert_eq!(warm.loops, run_with_store(None).loops);
     let st = store.stats();
-    assert_eq!((st.loaded, st.hits, st.misses, st.puts), (3, 3, 0, 0));
+    assert_eq!((st.hits, st.misses, st.puts), (3, 0, 0));
     assert!(store.take_warnings().is_empty());
     let _ = fs::remove_dir_all(&dir);
 }
@@ -125,8 +125,8 @@ fn crash_mid_write_then_reopen_is_sound() {
     let dir = test_dir("crash");
     let baseline = run_with_store(None);
 
-    // "Crash" while persisting: a torn write stops the journal partway
-    // through the run. Results must be unaffected.
+    // "Crash" while persisting: the third procedure's entry is torn
+    // mid-write. Results must be unaffected.
     let faults = FaultPlan::at(StoreFault::TornWrite, 3);
     let crashing = Arc::new(Store::open(cfg(&dir).with_faults(faults)));
     let during = run_with_store(Some(Arc::clone(&crashing)));
@@ -137,40 +137,36 @@ fn crash_mid_write_then_reopen_is_sound() {
         warnings.iter().any(|w| matches!(w, StoreError::Io { .. })),
         "torn write must surface a typed Io warning"
     );
-    // Simulate the crash for real: the store is dropped with writes
-    // degraded, leaving the torn active.tmp on disk.
     drop(crashing);
-    assert!(dir.join("active.tmp").exists(), "torn tail left behind");
 
-    // Reopen: salvage the complete prefix, quarantine the torn tail,
-    // and produce identical analysis output again.
+    // Reopen: the torn entry is missing, not corrupt. Nothing is
+    // quarantined, the two complete entries hit, and the run puts the
+    // third.
     let reopened = Arc::new(Store::open(cfg(&dir)));
-    let st = reopened.stats();
-    assert!(st.quarantined >= 1, "torn tail must be quarantined");
-    let warnings = reopened.take_warnings();
-    assert!(warnings
-        .iter()
-        .any(|w| matches!(w, StoreError::Corrupt { .. })));
     let after = run_with_store(Some(Arc::clone(&reopened)));
     assert_eq!(after.loops, baseline.loops);
-    drop(reopened); // clean close seals the journal
-    assert!(!dir.join("active.tmp").exists());
+    let st = reopened.stats();
+    assert_eq!((st.hits, st.misses, st.puts, st.quarantined), (2, 1, 1, 0));
+    assert!(reopened.take_warnings().is_empty());
+    let warm = Arc::new(Store::open(cfg(&dir)));
+    run_with_store(Some(Arc::clone(&warm)));
+    assert_eq!(warm.stats().hits, 3);
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn every_fault_kind_degrades_without_changing_results() {
     let baseline = run_with_store(None);
-    // A cold run of the 3-procedure program performs write ops 1..=4
-    // (segment header, then one append per procedure) and no reads; a
-    // warm run performs read op 1 (the one sealed segment) and no
-    // writes. Each row names the side its fault lives on.
+    // Every run of the 3-procedure program reads one entry file per
+    // procedure (read ops 1..=3, misses included); a cold run also
+    // writes one per procedure (write ops 1..=3), a warm run none. Each
+    // row names the side its fault lives on.
     let seeded = || FaultPlan::seeded(0xC0FFEE, 6, 4);
     let plans = [
         ("write-fail", FaultPlan::at(StoreFault::WriteFail, 1), false),
         (
             "write-fail-late",
-            FaultPlan::at(StoreFault::WriteFail, 4),
+            FaultPlan::at(StoreFault::WriteFail, 3),
             false,
         ),
         ("torn-write", FaultPlan::at(StoreFault::TornWrite, 3), false),
@@ -254,9 +250,9 @@ fn second_session_sharing_one_store_stays_consistent() {
 fn a_summary_stored_in_another_var_order_decodes_sorted() {
     // A writer lists a summary's arrays in its own process's `Var`
     // order; this process may have interned the names the other way
-    // round. Hand-build a segment whose one entry lists `second` before
+    // round. Hand-build an entry file that lists `second` before
     // `first`, where `first` is interned here first.
-    use padfa_core::store::journal::{encode_header_payload, encode_record, RecordKind};
+    use padfa_core::store::journal;
     use padfa_core::{PredComponent, Summary};
     let (first, second) = (Var::new("order_first"), Var::new("order_second"));
     let one_array = |a: Var, hi: i64| {
@@ -290,10 +286,9 @@ fn a_summary_stored_in_another_var_order_decodes_sorted() {
     codec::put_u32(&mut payload, 0); // no loop reports
 
     let dir = test_dir("order");
-    fs::create_dir_all(&dir).unwrap();
-    let mut seg = encode_record(RecordKind::Header, 0, &encode_header_payload("e2e-rev"));
-    seg.extend(encode_record(RecordKind::Proc, 7, &payload));
-    fs::write(dir.join("seg-0000.log"), &seg).unwrap();
+    fs::create_dir_all(dir.join("e2e-rev")).unwrap();
+    let entry = dir.join("e2e-rev").join(format!("{:032x}", 7));
+    fs::write(entry, journal::encode(7, &payload)).unwrap();
 
     let store = Store::open(cfg(&dir));
     let (summary, reports) = store.get_proc(7).expect("the entry decodes");
@@ -391,7 +386,7 @@ fn region_codec_rejects_random_mutations() {
             "case {case}: truncation at {cut} decoded"
         );
         // A random byte mutation must either fail to decode or decode to
-        // *some* value without panicking (the journal checksum is the
+        // *some* value without panicking (the entry checksum is the
         // integrity layer; the codec only has to be crash-safe).
         let mut m = bytes.clone();
         let i = rng.gen_range(0..m.len());

@@ -299,8 +299,8 @@ fn open_store(
     Some(Arc::new(Store::open(cfg)))
 }
 
-/// Print every pending store warning (corruption, IO degradation, lock
-/// contention) to stderr. Warnings never affect results or exit codes.
+/// Print every pending store warning (corruption, IO degradation) to
+/// stderr. Warnings never affect results or exit codes.
 fn drain_store_warnings(store: &Store) {
     for w in store.take_warnings() {
         eprintln!("padfa: warning: {w}");
@@ -356,9 +356,6 @@ fn cmd_analyze(args: &[String]) {
         }
     };
     if let Some(s) = &store {
-        // Seal before reporting, so `--stats` and `--metrics-out` count
-        // the seal's cost and a failed seal is warned about.
-        s.flush();
         result.stats.store = Some(s.stats());
         drain_store_warnings(s);
     }
@@ -432,22 +429,18 @@ fn cmd_analyze(args: &[String]) {
     if show_profile {
         print_flight_profile(flight_wm);
     }
-    finish_without_teardown((sess, prog, result, summaries), store.as_deref());
+    finish_without_teardown((sess, prog, result, summaries));
 }
 
-/// End a one-shot command whose report is printed: flush stdout, close
-/// the store, and return to `main` with the analysis state leaked.
-/// Freeing the session, the AST and the result tables node by node just
-/// before `exit` was ~5 % of `analyze`. The store is the one part whose
-/// `Drop` has an effect outside the process (seal, unlock), and the
-/// leaked session holds a handle to it, so it is closed by name.
-fn finish_without_teardown<T>(state: T, store: Option<&Store>) {
+/// End a one-shot command whose report is printed: flush stdout and
+/// return to `main` with the analysis state leaked. Freeing the session,
+/// the AST and the result tables node by node just before `exit` was
+/// ~5 % of `analyze`. Nothing leaked has an effect outside the process:
+/// every store entry was complete on disk when its put returned.
+fn finish_without_teardown<T>(state: T) {
     // Nothing is printed after this; a closed pipe is the reader's
     // choice, not an analysis failure.
     let _ = std::io::stdout().flush();
-    if let Some(s) = store {
-        s.close();
-    }
     std::mem::forget(state);
 }
 
@@ -553,7 +546,7 @@ fn cmd_explain(args: &[String]) {
             print!("{}", padfa::analysis::render_text(r));
         }
     }
-    finish_without_teardown((sess, prog, result), None);
+    finish_without_teardown((sess, prog, result));
 }
 
 /// One corpus-run outcome, serialized as a ledger line.
@@ -619,21 +612,22 @@ impl CorpusRow {
 ///
 /// A run killed mid-write can leave a truncated final row. Such a row
 /// must not count as done — the program's result never made it to disk
-/// — so only rows that close their JSON object (`}`) are trusted; a
+/// — so only rows that end in a newline are trusted (the runner writes
+/// whole lines; a cut can still end in the `won` object's `}`); a
 /// partial row is reported and its program redone.
 fn ledger_names(path: &str) -> Vec<String> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
     let mut names = Vec::new();
-    for l in text.lines() {
+    for l in text.split_inclusive('\n') {
         let Some(rest) = l.strip_prefix("{\"name\":\"") else {
             continue;
         };
         let Some(name) = rest.split('"').next() else {
             continue;
         };
-        if !l.trim_end().ends_with('}') {
+        if !l.ends_with('\n') {
             eprintln!(
                 "padfa: warning: ledger {path}: truncated row for '{name}' \
                  (interrupted run?); it will be redone"
@@ -932,16 +926,14 @@ fn cmd_corpus(args: &[String]) {
         started.elapsed().as_secs_f64()
     );
     if let Some(s) = &store {
-        s.flush();
         drain_store_warnings(s);
         let st = s.stats();
         println!(
-            "store: {} hits, {} misses ({:.1}% hit rate), {} puts, {} loaded, {} quarantined",
+            "store: {} hits, {} misses ({:.1}% hit rate), {} puts, {} quarantined",
             st.hits,
             st.misses,
             100.0 * st.hit_rate(),
             st.puts,
-            st.loaded,
             st.quarantined
         );
         if st.degraded {

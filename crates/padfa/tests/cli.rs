@@ -591,7 +591,9 @@ fn corpus_resume_without_ledger_is_a_usage_error() {
 
 /// A run killed mid-row leaves a truncated trailing ledger line.
 /// `--resume` must not trust it: the partial row is dropped with a
-/// warning and its program redone, leaving a complete ledger.
+/// warning and its program redone, leaving a complete ledger. Two cuts:
+/// half-way through the row's fields, and just before `,"blocked":N}`,
+/// where the cut row still ends in the `won` object's `}`.
 #[test]
 fn corpus_resume_redoes_truncated_ledger_row() {
     let ledger = std::env::temp_dir().join(format!(
@@ -599,12 +601,17 @@ fn corpus_resume_redoes_truncated_ledger_row() {
         std::process::id()
     ));
     let _ = std::fs::remove_file(&ledger);
-    let out = padfa()
-        .args(["corpus", "--max-steps", "1000", "--keep-going", "--ledger"])
-        .arg(&ledger)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
+    let corpus = |resume: bool| {
+        let mut cmd = padfa();
+        cmd.args(["corpus", "--max-steps", "1000", "--keep-going"]);
+        if resume {
+            cmd.arg("--resume");
+        }
+        let out = cmd.arg("--ledger").arg(&ledger).output().unwrap();
+        assert_eq!(out.status.code(), Some(0));
+        out
+    };
+    corpus(false);
     let full = std::fs::read_to_string(&ledger).unwrap();
     let complete_lines = full.lines().count();
     let last_line = full.lines().last().unwrap().to_string();
@@ -615,49 +622,73 @@ fn corpus_resume_redoes_truncated_ledger_row() {
         .next()
         .unwrap()
         .to_string();
+    let mid_row = full.len() - last_line.len() / 2 - 1;
+    let before_blocked = full.rfind(",\"blocked\":").unwrap();
+    assert!(full[..before_blocked].ends_with('}'));
 
-    // Simulate the crash: keep the victim's name but cut the row mid-way
-    // through its fields, with no trailing newline.
-    let cut = full.len() - last_line.len() / 2 - 1;
-    std::fs::write(&ledger, &full.as_bytes()[..cut]).unwrap();
+    for cut in [mid_row, before_blocked] {
+        // Simulate the crash: keep the victim's name but cut the row,
+        // with no trailing newline.
+        std::fs::write(&ledger, &full.as_bytes()[..cut]).unwrap();
+        let out = corpus(true);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("truncated row"), "{err}");
+        assert!(err.contains(&victim), "{err}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("skipped via --resume"), "{text}");
+        // The victim reran: it appears in the resumed run's console output.
+        assert!(text.contains(&victim), "victim not redone: {text}");
 
-    let out = padfa()
-        .args([
-            "corpus",
-            "--max-steps",
-            "1000",
-            "--keep-going",
-            "--resume",
-            "--ledger",
-        ])
-        .arg(&ledger)
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("truncated row"), "{err}");
-    assert!(err.contains(&victim), "{err}");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("skipped via --resume"), "{text}");
-    // The victim reran: it appears in the resumed run's console output.
-    assert!(text.contains(&victim), "victim not redone: {text}");
-
-    // The ledger is whole again: same row count, every row complete,
-    // exactly one row per program name.
-    let after = std::fs::read_to_string(&ledger).unwrap();
-    assert_eq!(after.lines().count(), complete_lines);
-    assert!(after.ends_with('\n'));
-    let mut names = Vec::new();
-    for line in after.lines().skip(1) {
-        assert!(line.starts_with("{\"name\":\""), "{line}");
-        assert!(line.ends_with('}'), "incomplete row: {line}");
-        names.push(line.split('"').nth(3).unwrap().to_string());
+        // The ledger is whole again: same row count, every row complete,
+        // exactly one row per program name.
+        let after = std::fs::read_to_string(&ledger).unwrap();
+        assert_eq!(after.lines().count(), complete_lines, "cut at {cut}");
+        assert!(after.ends_with('\n'));
+        let mut names = Vec::new();
+        for line in after.lines().skip(1) {
+            assert!(line.starts_with("{\"name\":\""), "{line}");
+            assert!(line.contains(",\"blocked\":"), "incomplete row: {line}");
+            names.push(line.split('"').nth(3).unwrap().to_string());
+        }
+        names.sort();
+        let n = names.len();
+        names.dedup();
+        assert_eq!(names.len(), n, "duplicate rows after resume");
     }
-    names.sort();
-    let n = names.len();
-    names.dedup();
-    assert_eq!(names.len(), n, "duplicate rows after resume");
     let _ = std::fs::remove_file(&ledger);
+}
+
+/// The ledger does not depend on how many programs run at once: rows
+/// from `--jobs 1` and `--jobs 4` are byte-identical once the meta line
+/// is dropped and `"ms"` is zeroed.
+#[test]
+fn corpus_ledger_is_identical_across_jobs() {
+    let dir = std::env::temp_dir().join(format!("padfa-cli-test-{}-jobs", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger = |jobs: &str| {
+        let path = dir.join(format!("ledger_j{jobs}.jsonl"));
+        let out = padfa()
+            .args(["corpus", "--keep-going", "--jobs", jobs, "--ledger"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "--jobs {jobs}");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let rows: Vec<String> = text
+            .lines()
+            .filter(|l| !l.starts_with("{\"meta\":"))
+            .map(|l| {
+                let at = l.find(",\"ms\":").expect("every row has ms") + 6;
+                let digits = l[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+                format!("{}0{}", &l[..at], &l[at + digits..])
+            })
+            .collect();
+        assert_eq!(rows.len(), 30, "--jobs {jobs}");
+        rows
+    };
+    assert_eq!(ledger("1"), ledger("4"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn store_dir(tag: &str) -> std::path::PathBuf {
@@ -695,6 +726,50 @@ fn analyze_store_warm_rerun_is_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Two processes started together on one store directory both run with
+/// persistence — nothing turns one of them in-memory-only — and print
+/// what a storeless run prints. A third run finds every entry.
+#[test]
+fn concurrent_analyze_processes_share_one_store() {
+    use std::process::Stdio;
+    let f = demo_file();
+    let dir = store_dir("concurrent");
+    let metrics = store_dir("concurrent-metrics.json");
+    let plain = padfa().arg("analyze").arg(&f.0).output().unwrap();
+    assert!(plain.status.success());
+    let spawn = || {
+        padfa()
+            .args(["analyze", "--store"])
+            .arg(&dir)
+            .arg(&f.0)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap()
+    };
+    for child in [spawn(), spawn()] {
+        let out = child.wait_with_output().unwrap();
+        assert!(out.status.success());
+        assert_eq!(out.stdout, plain.stdout, "a store run printed otherwise");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("warning:"), "{err}");
+    }
+    let third = padfa()
+        .args(["analyze", "--store"])
+        .arg(&dir)
+        .arg("--metrics-out")
+        .arg(&metrics)
+        .arg(&f.0)
+        .output()
+        .unwrap();
+    assert!(third.status.success());
+    let counters = metrics_counters(&metrics);
+    assert_eq!(counters["store.misses"], 0);
+    assert!(counters["store.hits"] > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&metrics);
+}
+
 /// An injected bit flip over a warmed store must quarantine the entry,
 /// warn on stderr, and still produce identical results with exit 0.
 #[test]
@@ -726,11 +801,11 @@ fn analyze_store_bitflip_degrades_soundly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The segment stamp is the build's, not the working directory's: one
+/// The store stamp is the build's, not the working directory's: one
 /// binary run from inside the checkout and then from a directory outside
 /// any checkout reads back what it wrote. (When the stamp was asked of
 /// `git` at run time, the second run saw a different revision, deleted
-/// the segment as stale and missed.)
+/// the first run's entries as stale and missed.)
 #[test]
 fn store_stamp_does_not_depend_on_the_working_directory() {
     let f = demo_file();
@@ -759,7 +834,7 @@ fn store_stamp_does_not_depend_on_the_working_directory() {
     assert_eq!((cold["store.hits"], cold["store.puts"]), (0, 1));
     let warm = run(&elsewhere);
     assert_eq!(warm["store.hits"], 1);
-    assert_eq!(warm["store.stale_segments"], 0);
+    assert_eq!(warm["store.stale"], 0);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&elsewhere);
 }

@@ -67,9 +67,10 @@
 //!   client cannot pin a worker.
 //! * **Graceful drain** — [`Server::shutdown`] stops the acceptor,
 //!   answers every queued-but-unstarted request `503`, lets in-flight
-//!   requests finish (bounded by the drain deadline), flushes the
-//!   store journal to disk, and reports what happened in a
-//!   [`DrainReport`]. The CLI maps a clean drain to exit code 0.
+//!   requests finish (bounded by the drain deadline), and reports what
+//!   happened in a [`DrainReport`]. Store entries are on disk as each
+//!   put returns, so there is nothing to flush. The CLI maps a clean
+//!   drain to exit code 0.
 //!
 //! ## Determinism
 //!

@@ -233,7 +233,8 @@ impl Server {
 
     /// Graceful drain: stop accepting, answer queued-but-unstarted
     /// requests `503`, wait (bounded by the policy drain deadline) for
-    /// in-flight requests, flush the store journal, and report.
+    /// in-flight requests, print the store's pending warnings, and
+    /// report.
     pub fn shutdown(mut self) -> DrainReport {
         self.shared.draining.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
@@ -275,7 +276,6 @@ impl Server {
             let _ = h.join();
         }
         if let Some(store) = &self.shared.store {
-            store.flush();
             for w in store.take_warnings() {
                 eprintln!("padfa-service: store warning: {w}");
             }

@@ -451,7 +451,7 @@ fn torn_response_truncates_exactly_one_reply() {
 #[test]
 fn store_io_faults_mid_request_degrade_silently() {
     let dir = temp_dir("storefault");
-    // Exhaust the write retries of the first append: persistence
+    // Exhaust the write retries of the first put: persistence
     // degrades mid-request, the response must not change.
     let faults = FaultPlan::at(StoreFault::WriteFail, 1)
         .with(Fault {
@@ -476,7 +476,7 @@ fn store_io_faults_mid_request_degrade_silently() {
     let faulted = analyze(addr);
     assert_eq!(faulted.status, 200);
     // The fault really fired: the request's one procedure tried to
-    // open a segment (ops 1-3 are the header's three attempts) and gave
+    // write its entry (ops 1-3 are its three attempts) and gave
     // persistence up.
     let st = store.stats();
     assert!(st.writes_degraded && !st.degraded, "{st:?}");
