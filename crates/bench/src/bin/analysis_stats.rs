@@ -1,5 +1,5 @@
 //! Analysis-cost regenerator: per-program and per-suite analysis wall
-//! time plus the session's memoization statistics, written as
+//! time plus the session's query counters, written as
 //! `BENCH_analysis.json` (consumed by CI as a build artifact).
 //!
 //! Usage: `cargo run --release -p padfa-bench --bin analysis_stats
@@ -44,54 +44,19 @@ fn median(mut v: Vec<f64>) -> f64 {
 
 fn json_stats(s: &StatsSnapshot) -> String {
     let mut o = String::new();
+    let _ = write!(o, "{{\"queries\": {}, ", s.total_queries());
+    for (kind, q) in s.kinds() {
+        let _ = write!(o, "\"{kind}\": {}, ", q.total());
+    }
+    o.push_str("\"tiers\": {");
+    for (i, (kind, q)) in s.kinds().into_iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        let _ = write!(o, "{sep}\"{kind}\": [{}, {}]", q.dense, q.general);
+    }
     let _ = write!(
         o,
-        "{{\"hit_rate\": {:.4}, \"hits\": {}, \"misses\": {}, \
-         \"sys_empty\": [{}, {}], \"subset\": [{}, {}], \"subtract\": [{}, {}], \
-         \"intersect\": [{}, {}], \"union\": [{}, {}], \"project\": [{}, {}], \
-         \"implies\": [{}, {}], \
-         \"tiers\": {{\"sys_empty\": [{}, {}], \"subset\": [{}, {}], \
-         \"intersect\": [{}, {}], \"subtract\": [{}, {}], \"union\": [{}, {}], \
-         \"project\": [{}, {}], \"implies\": [{}, {}]}}, \
-         \"interned_regions\": {}, \
-         \"interned_preds\": {}, \"peak_table_entries\": {}, \"fm_projections\": {}, \
-         \"lat_overflow\": {}}}",
-        s.hit_rate(),
-        s.total_hits(),
-        s.total_queries() - s.total_hits(),
-        s.sys_empty.hits,
-        s.sys_empty.misses,
-        s.subset.hits,
-        s.subset.misses,
-        s.subtract.hits,
-        s.subtract.misses,
-        s.intersect.hits,
-        s.intersect.misses,
-        s.union.hits,
-        s.union.misses,
-        s.project.hits,
-        s.project.misses,
-        s.implies.hits,
-        s.implies.misses,
-        s.sys_empty.dense,
-        s.sys_empty.general,
-        s.subset.dense,
-        s.subset.general,
-        s.intersect.dense,
-        s.intersect.general,
-        s.subtract.dense,
-        s.subtract.general,
-        s.union.dense,
-        s.union.general,
-        s.project.dense,
-        s.project.general,
-        s.implies.dense,
-        s.implies.general,
-        s.interned_regions,
-        s.interned_preds,
-        s.peak_table_entries,
-        s.fm_projections,
-        s.lat_overflow,
+        "}}, \"interned_regions\": {}, \"fm_projections\": {}, \"lat_overflow\": {}}}",
+        s.interned_regions, s.fm_projections, s.lat_overflow,
     );
     o
 }
@@ -257,25 +222,15 @@ fn main() {
     for (i, suite) in suites.iter().enumerate() {
         let members: Vec<&ProgramCost> = costs.iter().filter(|c| c.suite == *suite).collect();
         let wall: f64 = members.iter().map(|c| c.wall_ms).sum();
-        let hits: u64 = members.iter().map(|c| c.stats.total_hits()).sum();
         let queries: u64 = members.iter().map(|c| c.stats.total_queries()).sum();
-        let best = members
-            .iter()
-            .map(|c| c.stats.hit_rate())
-            .fold(0.0f64, f64::max);
         let _ = write!(
             json,
             "    {{\"suite\": \"{}\", \"programs\": {}, \"wall_ms\": {:.3}, \
-             \"hit_rate\": {:.4}, \"best_program_hit_rate\": {:.4}}}",
+             \"queries\": {}}}",
             suite,
             members.len(),
             wall,
-            if queries > 0 {
-                hits as f64 / queries as f64
-            } else {
-                0.0
-            },
-            best,
+            queries,
         );
         json.push_str(if i + 1 < suites.len() { ",\n" } else { "\n" });
     }
@@ -319,19 +274,15 @@ fn main() {
     // Human-readable recap on stdout.
     for c in &costs {
         println!(
-            "{:<12} {:>7.2} ms  hit rate {:>5.1}%  dense {:>5.1}%  [{} loops, {} procs]",
+            "{:<12} {:>7.2} ms  {:>6} queries  dense {:>5.1}%  [{} loops, {} procs]",
             c.name,
             c.wall_ms,
-            c.stats.hit_rate() * 100.0,
+            c.stats.total_queries(),
             c.stats.tier_hit_rate() * 100.0,
             c.loops,
             c.procedures,
         );
     }
-    let best = costs
-        .iter()
-        .max_by(|a, b| a.stats.hit_rate().total_cmp(&b.stats.hit_rate()))
-        .expect("non-empty corpus");
     println!(
         "store: corpus cold {store_cold_ms:.1} ms, warm {:.1} ms ({:.1}x), \
          warm hit rate {:.1}%",
@@ -348,9 +299,5 @@ fn main() {
          {flight_attr_ms:.2} ms attributed over {flight_on_ms:.1} ms corpus wall \
          ({flight_overhead_pct:+.2}% overhead, budget 2%)"
     );
-    println!(
-        "\nwrote {out_path}; best memo hit rate: {:.1}% ({})",
-        best.stats.hit_rate() * 100.0,
-        best.name
-    );
+    println!("\nwrote {out_path}");
 }

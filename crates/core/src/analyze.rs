@@ -56,7 +56,7 @@ pub fn analyze_program_with_summaries(
 }
 
 /// Run the analysis against a caller-provided [`AnalysisSession`]
-/// (options, interners, memo tables).
+/// (options, the region interner, counters).
 ///
 /// Procedures are summarized one after another on the calling thread,
 /// call-graph level by level and within a level in ascending procedure

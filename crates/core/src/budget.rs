@@ -13,8 +13,7 @@
 //! analyzed from start to finish on its session's one thread, so that
 //! thread's meter sees every step of it and nothing else. Every
 //! lattice query on the [`crate::session::AnalysisSession`] charges one
-//! step *before* consulting the memo tables, so memo hits cost what
-//! misses do. An emptiness verdict a region already carries is not a
+//! step before it computes, every time it is asked. An emptiness verdict a region already carries is not a
 //! query and costs no step: a procedure's step count can depend on the
 //! verdicts the procedures analyzed before it in the same session left
 //! on shared regions. That is still a function of the program and
@@ -28,8 +27,8 @@
 //! boundary, replaces the summary with a *sound* degraded conservative
 //! summary, and continues (or, under [`OnExhausted::Error`], aborts the
 //! run with [`crate::AnalysisError::BudgetExhausted`]). Steps are
-//! charged before any session table is borrowed, so the unwind never
-//! leaves one half-updated and the session stays usable for the
+//! charged before the session's interner is borrowed, so the unwind
+//! never leaves it half-updated and the session stays usable for the
 //! procedures that follow.
 //!
 //! The meter additionally records peak operand sizes (disjuncts per

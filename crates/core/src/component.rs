@@ -8,9 +8,10 @@ use std::fmt;
 use std::sync::Arc;
 
 /// One guarded region: "when `pred` holds, the component includes
-/// `region`". Regions are shared immutable handles (hash-consed by the
-/// session on memoized paths), so cloning a piece never deep-copies the
-/// constraint systems. A piece with `pred = True` is unconditional.
+/// `region`". Regions are shared immutable handles (interned by the
+/// session when a query returns them), so cloning a piece never
+/// deep-copies the constraint systems. A piece with `pred = True` is
+/// unconditional.
 #[derive(Clone, PartialEq, Debug)]
 pub struct GuardedRegion {
     pub pred: Pred,
@@ -63,10 +64,10 @@ impl PredComponent {
     }
 
     /// Like [`PredComponent::push`], but same-predicate merges go
-    /// through the session's memoized [`AnalysisSession::union`], so the
-    /// merged region is hash-consed and the union memo sees the traffic.
-    /// (The session's limits equal the defaults used by `push`, so the
-    /// resulting component is identical — only memoization differs.)
+    /// through the session's [`AnalysisSession::union`], so the merged
+    /// region is interned, charged and counted. (The session's limits
+    /// equal the defaults used by `push`, so the resulting component is
+    /// identical.)
     pub fn push_in(
         &mut self,
         pred: Pred,
@@ -86,8 +87,8 @@ impl PredComponent {
         self.pieces.push(GuardedRegion { pred, region });
     }
 
-    /// Session-aware [`PredComponent::union`]: piece merges are memoized
-    /// via [`PredComponent::push_in`].
+    /// Session-aware [`PredComponent::union`]: piece merges go through
+    /// the session via [`PredComponent::push_in`].
     pub fn union_in(&self, other: &PredComponent, sess: &AnalysisSession) -> PredComponent {
         let mut out = self.clone();
         out.absorb_in(Cow::Borrowed(other), sess);

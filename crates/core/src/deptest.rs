@@ -140,8 +140,8 @@ fn conflict_condition<'a>(
         if refuted {
             continue;
         }
-        // Asked once per order (the second is a memo hit on the same
-        // handle): query counts and budget steps are per order.
+        // Asked once per order, and computed each time: query counts,
+        // budget steps and `Limits` overflows are per order.
         let base = sess.intersect(w, x2);
         let in_ctx = in_ctx.get_or_insert_with(|| {
             base.systems()
@@ -732,7 +732,7 @@ mod tests {
         assert_eq!(verdict, (Pred::False, PairOutcome::RegionsDisjoint));
         assert_eq!((st.orders_total, st.orders_refuted), (2, 0));
         assert_eq!(st.intersect.total(), 2);
-        assert_eq!(st.limit_overflows, 1, "one intersection computed, capped");
+        assert_eq!(st.limit_overflows, 2, "both orders computed, each capped");
         // One below the cap the same pair is refuted unbuilt.
         let (verdict, st) = unguarded(&ctx, &w, &shifted(0), 3);
         assert_eq!(verdict, (Pred::False, PairOutcome::RegionsDisjoint));

@@ -92,7 +92,7 @@ pub use component::{GuardedRegion, PredComponent};
 pub use error::{AnalysisError, StoreError};
 pub use faults::{Fault, FaultPlan, FaultSite, SpecError};
 pub use flight::FlightRecorder;
-pub use metrics::{Counter, Histogram, MetricsRegistry, QueryKind};
+pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use options::{Options, Variant};
 pub use pool::par_map_jobs;
 pub use provenance::{

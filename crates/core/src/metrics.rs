@@ -4,7 +4,7 @@
 //! The analysis never sees a registry. A finished run's
 //! [`StatsSnapshot`] — the session's own counters — is folded into one
 //! by [`StatsSnapshot::publish`], under one rule: counters **add**
-//! (`query.*`, `memo.*`, `tier.*`, `interned.*`, `fm.projections`,
+//! (`query.*`, `tier.*`, `interned.regions`, `fm.projections`,
 //! `deptest.orders.*`, budget and overflow counts), `peak.*` keeps the
 //! **maximum**, and
 //! `store.*` — totals of a store every session of the process shares —
@@ -31,19 +31,6 @@ use padfa_omega::sync::lock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// The lattice query kinds (the index of a session's per-kind tier
-/// counters).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum QueryKind {
-    SysEmpty = 0,
-    Subset = 1,
-    Subtract = 2,
-    Intersect = 3,
-    Union = 4,
-    Project = 5,
-    Implies = 6,
-}
 
 /// An atomic counter: monotone under [`Counter::add`] and
 /// [`Counter::max`], last-write-wins under [`Counter::set`].
@@ -247,15 +234,10 @@ impl MetricsRegistry {
 impl StatsSnapshot {
     /// Fold this run's counters into `reg` (see the module docs for the
     /// add / max / set rule). Counter names follow
-    /// `memo.<kind>.hits|misses` (memoized kinds only),
-    /// `query.<kind>.total`, `tier.<kind>.dense|general`, plus structural
-    /// and budget counters.
+    /// `query.<kind>.total` and `tier.<kind>.dense|general`, plus
+    /// structural and budget counters.
     pub fn publish(&self, reg: &MetricsRegistry) {
-        for (kind, q) in self.tables() {
-            if q.memoized {
-                reg.counter(&format!("memo.{kind}.hits")).add(q.hits);
-                reg.counter(&format!("memo.{kind}.misses")).add(q.misses);
-            }
+        for (kind, q) in self.kinds() {
             reg.counter(&format!("query.{kind}.total")).add(q.total());
             reg.counter(&format!("tier.{kind}.dense")).add(q.dense);
             reg.counter(&format!("tier.{kind}.general")).add(q.general);
@@ -266,14 +248,10 @@ impl StatsSnapshot {
             .add(self.orders_refuted);
         reg.counter("interned.regions")
             .add(self.interned_regions as u64);
-        reg.counter("interned.preds")
-            .add(self.interned_preds as u64);
         reg.counter("budget.steps").add(self.budget_steps);
         reg.counter("degraded.procs").add(self.degraded_procs);
         reg.counter("lat.overflow").add(self.lat_overflow);
         reg.counter("limit.overflows").add(self.limit_overflows);
-        reg.counter("peak.table_entries")
-            .max(self.peak_table_entries as u64);
         reg.counter("peak.disjuncts")
             .max(self.peak_disjuncts as u64);
         reg.counter("peak.constraints")
@@ -309,7 +287,7 @@ mod tests {
     fn publish_adds_counters_keeps_peak_maxima_and_sets_store_totals() {
         let reg = MetricsRegistry::new();
         let mut st = StatsSnapshot {
-            peak_table_entries: 9,
+            peak_disjuncts: 9,
             fm_projections: 5,
             store: Some(StoreStatsSnapshot {
                 hits: 4,
@@ -317,21 +295,19 @@ mod tests {
             }),
             ..StatsSnapshot::default()
         };
-        st.union.memoized = true;
-        st.union.hits = 2;
-        st.union.misses = 1;
-        st.sys_empty.misses = 3;
+        st.union.general = 3;
+        st.sys_empty.dense = 2;
+        st.sys_empty.general = 1;
         st.publish(&reg);
-        st.peak_table_entries = 7;
+        st.peak_disjuncts = 7;
         st.publish(&reg);
         let c = reg.counters_snapshot();
         assert_eq!(c["query.union.total"], 6);
-        assert_eq!(c["memo.union.hits"], 4);
-        // A kind without a memo table publishes its queries, no memo.
         assert_eq!(c["query.sys_empty.total"], 6);
-        assert!(!c.contains_key("memo.sys_empty.misses"));
+        assert_eq!(c["tier.sys_empty.dense"], 4);
+        assert!(c.keys().all(|k| !k.starts_with("memo.")));
         assert_eq!(c["fm.projections"], 10);
-        assert_eq!(c["peak.table_entries"], 9);
+        assert_eq!(c["peak.disjuncts"], 9);
         assert_eq!(c["store.hits"], 4);
     }
 

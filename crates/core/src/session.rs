@@ -1,17 +1,18 @@
-//! The analysis session: hash-consed regions and predicates, memoized
-//! lattice queries, and deterministic synthetic-name management.
+//! The analysis session: the lattice queries, the region interner, and
+//! deterministic synthetic-name management.
 //!
 //! The data-flow lattice operations (`is_empty`, `subset_of`,
 //! `subtract`, `intersect`, `union`, `project_out`, predicate
 //! implication) are pure functions of their operands and the session's
-//! [`Options`]. The analysis evaluates them over a small population of
-//! recurring values — the same loop regions reappear in every `seq`
-//! composition, every `normalize` pass, and every dependence pair — so
-//! an [`AnalysisSession`] interns regions and predicates into `Arc`
-//! handles with stable `u32` ids and memoizes `intersect`, `union`,
-//! `project_out` and `implies` on those ids. `subset_of` and `subtract`
-//! are computed every time: they repeat too rarely for a table to pay
-//! (their results are still interned).
+//! [`Options`]. An [`AnalysisSession`] computes each one every time it
+//! is asked, counts it, and charges it to the work budget. Nothing is
+//! memoized: memo tables keyed on interned operands answered about a
+//! third of the corpus's intersections, unions, projections and
+//! implications, and hashing and interning both operands of every query
+//! cost more than those hits saved (EXPERIMENTS.md, "Memo census").
+//! What the session keeps is the region interner: every region a query
+//! returns is interned into one `Arc` per distinct value, so that the
+//! emptiness verdict it learns is shared (below).
 //!
 //! ## Emptiness asks once
 //!
@@ -32,8 +33,8 @@
 //! ## One session, one thread
 //!
 //! A session is created, used and dropped by a single thread: it is
-//! neither `Send` nor `Sync`, and its tables and counters are plain
-//! `RefCell` / `Cell` state ([`crate::shard`]). Nothing inside one
+//! neither `Send` nor `Sync`, and its interner and counters are plain
+//! `RefCell` / `Cell` state ([`crate::tables`]). Nothing inside one
 //! program's analysis runs on a second thread. Parallelism lives
 //! *between* sessions — `padfa corpus --jobs N` analyzes N programs at
 //! a time ([`crate::par_map_jobs`]) and `padfa serve --workers N`
@@ -54,12 +55,11 @@
 //! one's constraints (ROADMAP.md, item 1: number variables per
 //! session).
 //!
-//! 1. The walk is sequential, memo keys are *structural*, and the
-//!    operations are deterministic pure functions — so a cache hit (or
-//!    a verdict read from a region's cell) returns exactly what a fresh
-//!    computation would, and every counter a session publishes repeats
-//!    exactly. (Interned ids only key memo entries; they never reach the
-//!    output.)
+//! 1. The walk is sequential and the operations are deterministic pure
+//!    functions — so a verdict read from a region's cell is exactly what
+//!    a fresh computation would return, and every counter a session
+//!    publishes repeats exactly. Which interned handle a result shares
+//!    never reaches the output.
 //! 2. `Var` ordering is intern-index order in a process-global table
 //!    and seeps into constraint sorting and Fourier–Motzkin tie-breaks.
 //!    [`pre_intern`] interns every synthetic name the analysis of a
@@ -79,7 +79,7 @@
 use crate::budget;
 use crate::options::Options;
 use crate::store::{self, Store, StoreStatsSnapshot};
-use crate::tables::{Interner, Memo};
+use crate::tables::Interner;
 use padfa_ir::ast::{Block, ParamTy, Procedure, Program, Stmt};
 use padfa_omega::{difference, limit_stats, Derived, Disjunction, Limits, System, Tier, Var};
 use padfa_pred::Pred;
@@ -94,45 +94,29 @@ use std::sync::Arc;
 const LAT_POOL: u32 = 256;
 
 /// Counters for one lattice query kind, split by the representation
-/// tier that answered it.
+/// tier that answered it. Every query is computed: no kind has a memo
+/// table, so the two add up to the queries asked.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Whether the kind has a memo table. A kind without one computes
-    /// every query it is asked: `hits` stays 0, `misses` counts the
-    /// queries, and no `memo.<kind>.*` counter is published.
-    pub memoized: bool,
-    pub hits: u64,
-    pub misses: u64,
     /// Queries answered in closed form, without elimination
     /// ([`padfa_omega::Tier::Dense`]): `sys_empty` answers of the
     /// difference-bound closure, zero for every other kind.
     pub dense: u64,
-    /// Queries answered by the general Fourier–Motzkin representation
-    /// (`total() - dense`).
+    /// Queries answered by the general Fourier–Motzkin representation.
     pub general: u64,
 }
 
 impl QueryStats {
     pub fn total(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of queries served from the memo table (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total() as f64
-        }
+        self.dense + self.general
     }
 
     /// Fraction of queries the dense tier answered (0 when unused).
     pub fn dense_rate(&self) -> f64 {
-        let t = self.dense + self.general;
-        if t == 0 {
+        if self.total() == 0 {
             0.0
         } else {
-            self.dense as f64 / t as f64
+            self.dense as f64 / self.total() as f64
         }
     }
 }
@@ -148,14 +132,10 @@ pub struct StatsSnapshot {
     pub union: QueryStats,
     pub project: QueryStats,
     pub implies: QueryStats,
-    /// Distinct interned regions / predicates.
+    /// Distinct result regions interned.
     pub interned_regions: usize,
-    pub interned_preds: usize,
-    /// Peak memo-table entry count across all tables (tables only grow,
-    /// so the snapshot value is the peak).
-    pub peak_table_entries: usize,
-    /// Fourier–Motzkin projection computations actually run (memoized
-    /// projection misses; hits avoid these entirely).
+    /// Fourier–Motzkin projections run: every `project_out` query, plus
+    /// the system-level projections of extraction and reshape.
     pub fm_projections: u64,
     /// Pair-orders the dependence and privatization tests decided
     /// (`w` against `x′` under one iteration order), and how many of
@@ -185,8 +165,8 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// The per-kind counters, by kind name, in [`crate::metrics::QueryKind`] order.
-    pub(crate) fn tables(&self) -> [(&'static str, QueryStats); 7] {
+    /// The per-kind counters, by kind name.
+    pub fn kinds(&self) -> [(&'static str, QueryStats); 7] {
         [
             ("sys_empty", self.sys_empty),
             ("subset", self.subset),
@@ -198,37 +178,23 @@ impl StatsSnapshot {
         ]
     }
 
-    pub fn total_hits(&self) -> u64 {
-        self.tables().iter().map(|(_, q)| q.hits).sum()
-    }
-
     pub fn total_queries(&self) -> u64 {
-        self.tables().iter().map(|(_, q)| q.total()).sum()
+        self.kinds().iter().map(|(_, q)| q.total()).sum()
     }
 
     /// Total queries answered by the dense tier, across every kind.
     pub fn total_dense(&self) -> u64 {
-        self.tables().iter().map(|(_, q)| q.dense).sum()
+        self.kinds().iter().map(|(_, q)| q.dense).sum()
     }
 
-    /// Fraction of tiered queries the dense tier answered, across every
-    /// kind (0 when nothing was tiered).
+    /// Fraction of queries the dense tier answered, across every kind
+    /// (0 when nothing was asked).
     pub fn tier_hit_rate(&self) -> f64 {
-        let tiered: u64 = self.tables().iter().map(|(_, q)| q.dense + q.general).sum();
-        if tiered == 0 {
-            0.0
-        } else {
-            self.total_dense() as f64 / tiered as f64
-        }
-    }
-
-    /// Overall memo hit rate across every query kind.
-    pub fn hit_rate(&self) -> f64 {
         let t = self.total_queries();
         if t == 0 {
             0.0
         } else {
-            self.total_hits() as f64 / t as f64
+            self.total_dense() as f64 / t as f64
         }
     }
 }
@@ -237,25 +203,13 @@ impl std::fmt::Display for StatsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "session: {} queries, {:.1}% memo hits; {} regions / {} preds interned",
+            "session: {} queries; {} regions interned",
             self.total_queries(),
-            100.0 * self.hit_rate(),
             self.interned_regions,
-            self.interned_preds,
         )?;
-        for (name, q) in self.tables() {
+        for (name, q) in self.kinds() {
             if q.total() > 0 {
-                if q.memoized {
-                    write!(
-                        f,
-                        "  {name:<10} {:>8} hits {:>8} misses ({:.1}%)",
-                        q.hits,
-                        q.misses,
-                        100.0 * q.hit_rate()
-                    )?;
-                } else {
-                    write!(f, "  {name:<10} {:>8} asked, not memoized", q.total())?;
-                }
+                write!(f, "  {name:<10} {:>8} asked", q.total())?;
                 if q.dense > 0 {
                     write!(
                         f,
@@ -268,22 +222,17 @@ impl std::fmt::Display for StatsSnapshot {
                 writeln!(f)?;
             }
         }
-        let dense = self.total_dense();
-        let tiered: u64 = self.tables().iter().map(|(_, q)| q.dense + q.general).sum();
-        if tiered > 0 {
+        let (dense, total) = (self.total_dense(), self.total_queries());
+        if total > 0 {
             writeln!(
                 f,
                 "  tier: {} dense / {} general ({:.1}% dense)",
                 dense,
-                tiered - dense,
-                100.0 * dense as f64 / tiered as f64
+                total - dense,
+                100.0 * self.tier_hit_rate()
             )?;
         }
-        writeln!(
-            f,
-            "  fm-projections run: {}; peak table: {} entries",
-            self.fm_projections, self.peak_table_entries
-        )?;
+        writeln!(f, "  fm-projections run: {}", self.fm_projections)?;
         if self.orders_total > 0 {
             writeln!(
                 f,
@@ -328,8 +277,8 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
-/// State for one analysis run: options, hash-consing interners, memo
-/// tables, per-procedure `$lat` pools, and statistics. Owned by one
+/// State for one analysis run: options, the region interner,
+/// per-procedure `$lat` pools, and statistics. Owned by one
 /// thread (see the module docs); the interior mutability is there
 /// because the analysis passes `&AnalysisSession` around, not because
 /// anything is shared.
@@ -355,21 +304,30 @@ impl std::fmt::Display for StatsSnapshot {
 /// ```
 pub struct AnalysisSession {
     pub opts: Options,
+    /// Every region a query returns, one `Arc` per distinct value. Its
+    /// work is the emptiness verdict cell: a region that comes back
+    /// equal to one met before comes back as *that* handle, carrying
+    /// whatever verdict was already learned, so the verdict is learned
+    /// once per distinct region rather than once per computation. That
+    /// is worth more than it costs: without the interner the corpus asks
+    /// 31,626 emptiness questions instead of 23,703, charges 67,794
+    /// budget steps instead of 59,871 at `--max-steps 10000000`, and at
+    /// `--max-steps 5000` keeps 1,993 parallel loops instead of 2,182.
+    /// Operands are not interned: only results are.
     regions: Interner<Disjunction>,
-    preds: Interner<Pred>,
-    m_intersect: Memo<(u32, u32), Arc<Disjunction>>,
-    m_union: Memo<(u32, u32), Arc<Disjunction>>,
-    m_project: Memo<(u32, Vec<Var>), Arc<Disjunction>>,
-    m_implies: Memo<(u32, u32), bool>,
     /// Emptiness questions put to a system (a region whose verdict cell
     /// answered asked none), and how many of them the closed form
     /// answered. Every other query is general: only emptiness has a
     /// closed form.
     sys_empty: Cell<u64>,
     sys_empty_dense: Cell<u64>,
-    /// `subset_of` / `subtract` queries, computed every time.
+    /// Queries of the other kinds, each computed every time it is asked.
     subset: Cell<u64>,
     subtract: Cell<u64>,
+    intersect: Cell<u64>,
+    union: Cell<u64>,
+    project: Cell<u64>,
+    implies: Cell<u64>,
     fm_projections: Cell<u64>,
     orders_total: Cell<u64>,
     orders_refuted: Cell<u64>,
@@ -412,15 +370,14 @@ impl AnalysisSession {
         AnalysisSession {
             opts,
             regions: Interner::new(),
-            preds: Interner::new(),
-            m_intersect: Memo::new(),
-            m_union: Memo::new(),
-            m_project: Memo::new(),
-            m_implies: Memo::new(),
             sys_empty: Cell::new(0),
             sys_empty_dense: Cell::new(0),
             subset: Cell::new(0),
             subtract: Cell::new(0),
+            intersect: Cell::new(0),
+            union: Cell::new(0),
+            project: Cell::new(0),
+            implies: Cell::new(0),
             fm_projections: Cell::new(0),
             orders_total: Cell::new(0),
             orders_refuted: Cell::new(0),
@@ -464,18 +421,22 @@ impl AnalysisSession {
         self.store.as_ref().map(|s| s.opts_fp)
     }
 
-    /// Lattice queries asked of this session so far: a memoized query
-    /// probes its table exactly once, hit or miss. The driver reads the
-    /// growth of this number around a procedure for the procedure's
+    /// Lattice queries asked of this session so far. The driver reads
+    /// the growth of this number around a procedure for the procedure's
     /// `lattice-batch` flight event.
     pub(crate) fn queries(&self) -> u64 {
-        self.sys_empty.get()
-            + self.subset.get()
-            + self.subtract.get()
-            + self.m_intersect.counters().total()
-            + self.m_union.counters().total()
-            + self.m_project.counters().total()
-            + self.m_implies.counters().total()
+        [
+            &self.sys_empty,
+            &self.subset,
+            &self.subtract,
+            &self.intersect,
+            &self.union,
+            &self.project,
+            &self.implies,
+        ]
+        .iter()
+        .map(|c| c.get())
+        .sum()
     }
 
     pub fn limits(&self) -> Limits {
@@ -486,7 +447,7 @@ impl AnalysisSession {
     /// the region by value: every caller holds a result it has just
     /// computed or decoded, and a miss moves it into the handle.
     pub fn intern_region(&self, d: Disjunction) -> Arc<Disjunction> {
-        self.regions.intern_owned(d).0
+        self.regions.intern(d)
     }
 
     /// Region emptiness (every disjunct empty), asked of the region's
@@ -541,57 +502,43 @@ impl AnalysisSession {
         self.intern_region(a.subtract(b, self.limits()))
     }
 
-    /// Memoized region intersection.
+    /// Region intersection, interned.
     pub fn intersect(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
         charge_pair(a, b);
-        let limits = self.limits();
-        let (aa, ia) = self.regions.intern(a);
-        let (ab, ib) = self.regions.intern(b);
-        self.m_intersect
-            .get_or((ia, ib), || self.intern_region(aa.intersect(&ab, limits)))
+        bump(&self.intersect);
+        self.intern_region(a.intersect(b, self.limits()))
     }
 
-    /// Memoized region union.
+    /// Region union, interned.
     pub fn union(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
         charge_pair(a, b);
-        let limits = self.limits();
-        let (aa, ia) = self.regions.intern(a);
-        let (ab, ib) = self.regions.intern(b);
-        self.m_union
-            .get_or((ia, ib), || self.intern_region(aa.union(&ab, limits)))
+        bump(&self.union);
+        self.intern_region(a.union(b, self.limits()))
     }
 
-    /// Memoized Fourier–Motzkin projection of `vars` out of `d`.
+    /// Fourier–Motzkin projection of `vars` out of `d`, interned.
     pub fn project_out(&self, d: &Disjunction, vars: &[Var]) -> Arc<Disjunction> {
         budget::charge(1);
         budget::note_region(d);
-        let limits = self.limits();
-        let (ad, id) = self.regions.intern(d);
-        self.m_project.get_or((id, vars.to_vec()), || {
-            bump(&self.fm_projections);
-            self.intern_region(ad.project_out(vars, limits))
-        })
+        bump(&self.project);
+        bump(&self.fm_projections);
+        self.intern_region(d.project_out(vars, self.limits()))
     }
 
-    /// Memoized predicate implication `a ⇒ b`.
+    /// Predicate implication `a ⇒ b`.
     pub fn implies(&self, a: &Pred, b: &Pred) -> bool {
-        // Trivial cases stay out of the tables (they dominate call
-        // counts and would drown the hit-rate signal).
-        if b.is_true() || a == b {
-            return true;
-        }
-        if a.is_false() {
+        // Trivial cases are not queries: they dominate call counts and
+        // cost no step.
+        if b.is_true() || a == b || a.is_false() {
             return true;
         }
         budget::charge(1);
-        let limits = self.limits();
-        let (aa, ia) = self.preds.intern(a);
-        let (ab, ib) = self.preds.intern(b);
-        self.m_implies.get_or((ia, ib), || aa.implies(&ab, limits))
+        bump(&self.implies);
+        a.implies(b, self.limits())
     }
 
-    /// Count one Fourier–Motzkin projection run outside the memoized
-    /// path (system-level projections in extraction and reshape).
+    /// Count one Fourier–Motzkin projection run outside `project_out`
+    /// (system-level projections in extraction and reshape).
     pub fn note_fm_projection(&self) {
         bump(&self.fm_projections);
     }
@@ -599,8 +546,8 @@ impl AnalysisSession {
     /// Count one pair-order of a dependence or privatization test (`w`
     /// against `x2` under one iteration order). One refuted without
     /// building the intersection is charged here as the `intersect` it
-    /// stands in for — one step, the operand sizes — and touches no
-    /// table; one that survives is charged by the queries that build it.
+    /// stands in for — one step, the operand sizes — and counts no
+    /// query; one that survives is charged by the queries that build it.
     pub(crate) fn note_pair_order(&self, w: &Disjunction, x2: &Disjunction, refuted: bool) {
         if refuted {
             charge_pair(w, x2);
@@ -684,35 +631,23 @@ impl AnalysisSession {
 
     /// Snapshot the counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let peak = [
-            self.m_intersect.len(),
-            self.m_union.len(),
-            self.m_project.len(),
-            self.m_implies.len(),
-        ]
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-        let tiered = |q: QueryStats, dense: u64| QueryStats {
-            dense,
-            general: q.total() - dense,
-            ..q
+        let general = |asked: &Cell<u64>| QueryStats {
+            dense: 0,
+            general: asked.get(),
         };
-        let computed = |asked: &Cell<u64>| QueryStats {
-            misses: asked.get(),
-            ..QueryStats::default()
-        };
+        let dense = self.sys_empty_dense.get();
         StatsSnapshot {
-            sys_empty: tiered(computed(&self.sys_empty), self.sys_empty_dense.get()),
-            subset: tiered(computed(&self.subset), 0),
-            subtract: tiered(computed(&self.subtract), 0),
-            intersect: tiered(self.m_intersect.counters(), 0),
-            union: tiered(self.m_union.counters(), 0),
-            project: tiered(self.m_project.counters(), 0),
-            implies: tiered(self.m_implies.counters(), 0),
+            sys_empty: QueryStats {
+                dense,
+                general: self.sys_empty.get() - dense,
+            },
+            subset: general(&self.subset),
+            subtract: general(&self.subtract),
+            intersect: general(&self.intersect),
+            union: general(&self.union),
+            project: general(&self.project),
+            implies: general(&self.implies),
             interned_regions: self.regions.len(),
-            interned_preds: self.preds.len(),
-            peak_table_entries: peak,
             fm_projections: self.fm_projections.get(),
             orders_total: self.orders_total.get(),
             orders_refuted: self.orders_refuted.get(),
@@ -795,22 +730,46 @@ mod tests {
     }
 
     #[test]
-    fn memoized_queries_hit_on_repeat() {
+    fn repeated_queries_compute_equal_results_and_count_twice() {
         let sess = AnalysisSession::new(Options::predicated());
         let a = interval("d", 1, 10);
         let b = interval("d", 20, 30);
         let r1 = sess.union(&a, &b);
         let r2 = sess.union(&a, &b);
+        // Computed twice, interned once: the second result is the first
+        // handle, so whatever verdict it learned is still there.
         assert!(Arc::ptr_eq(&r1, &r2));
-        let st = sess.stats();
-        assert_eq!(st.union.hits, 1);
-        assert_eq!(st.union.misses, 1);
-        // And the results agree with the unmemoized operation.
         assert_eq!(*r1, a.union(&b, Limits::default()));
+        let dv = Var::new("d");
+        sess.project_out(&a, &[dv]);
+        sess.project_out(&a, &[dv]);
+        let st = sess.stats();
+        assert_eq!(st.union.total(), 2);
+        assert_eq!((st.project.total(), st.fm_projections), (2, 2));
+        assert_eq!(st.interned_regions, 2, "operands are not interned");
     }
 
     #[test]
-    fn memoized_results_match_fresh_computation() {
+    fn a_repeated_capped_intersection_counts_each_overflow() {
+        // Two pieces against one under a cap of one disjunct: every
+        // computation of the intersection hits the cap, and each one
+        // asked is counted — a repeat is not a free lookup.
+        let mut opts = Options::predicated();
+        opts.limits.max_disjuncts = 1;
+        let sess = AnalysisSession::new(opts);
+        let mut a = interval("d", 1, 10);
+        a.push(interval("d", 20, 30).systems()[0].clone());
+        let b = interval("d", 1, 30);
+        let r1 = sess.intersect(&a, &b);
+        let r2 = sess.intersect(&a, &b);
+        assert!(Arc::ptr_eq(&r1, &r2));
+        let st = sess.stats();
+        assert_eq!(st.intersect.total(), 2);
+        assert_eq!(st.limit_overflows, 2);
+    }
+
+    #[test]
+    fn session_results_match_fresh_computation() {
         let sess = AnalysisSession::new(Options::predicated());
         let a = interval("d", 1, 10);
         let b = interval("d", 3, 7);
@@ -1010,7 +969,7 @@ mod tests {
     }
 
     #[test]
-    fn trivial_implications_bypass_tables() {
+    fn trivial_implications_are_not_counted() {
         let sess = AnalysisSession::new(Options::predicated());
         assert!(sess.implies(&Pred::True, &Pred::True));
         assert!(sess.implies(&Pred::False, &Pred::True));

@@ -7,8 +7,7 @@
 //! procedure up before summarizing it and writes the result back; a warm
 //! store lets a rerun skip the analysis of every unchanged procedure
 //! while producing **bit-identical** output. Lattice queries are never
-//! persisted: the session's in-memory memos answer them faster than a
-//! record can be read back.
+//! persisted: computing one is cheaper than reading a record back.
 //!
 //! ## On-disk layout
 //!

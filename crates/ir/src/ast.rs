@@ -214,40 +214,11 @@ impl Expr {
     }
 }
 
-/// `Eq`/`Hash` cannot be derived because of the `f64` literal. The
-/// grammar has no spelling for NaN, so every `RealLit` the parser (or
-/// the analysis) produces is a finite number for which the derived
-/// `PartialEq` is reflexive; hashing the IEEE bit pattern is then
-/// consistent with equality.
+/// `Eq` cannot be derived because of the `f64` literal. The grammar has
+/// no spelling for NaN, so every `RealLit` the parser (or the analysis)
+/// produces is a finite number for which the derived `PartialEq` is
+/// reflexive.
 impl Eq for Expr {}
-
-impl std::hash::Hash for Expr {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match self {
-            Expr::IntLit(v) => v.hash(state),
-            Expr::RealLit(v) => v.to_bits().hash(state),
-            Expr::Scalar(v) => v.hash(state),
-            Expr::Elem(a, idxs) => {
-                a.hash(state);
-                idxs.hash(state);
-            }
-            Expr::Add(a, b)
-            | Expr::Sub(a, b)
-            | Expr::Mul(a, b)
-            | Expr::Div(a, b)
-            | Expr::Mod(a, b) => {
-                a.hash(state);
-                b.hash(state);
-            }
-            Expr::Neg(a) => a.hash(state),
-            Expr::Call(i, args) => {
-                i.hash(state);
-                args.hash(state);
-            }
-        }
-    }
-}
 
 /// Boolean expressions used in `if` conditions, `exit when`, and derived
 /// predicates.
@@ -321,25 +292,6 @@ impl BoolExpr {
 
 /// See the note on [`Expr`]'s `Eq`: real literals are never NaN.
 impl Eq for BoolExpr {}
-
-impl std::hash::Hash for BoolExpr {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match self {
-            BoolExpr::Lit(b) => b.hash(state),
-            BoolExpr::Cmp(op, a, b) => {
-                op.hash(state);
-                a.hash(state);
-                b.hash(state);
-            }
-            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                a.hash(state);
-                b.hash(state);
-            }
-            BoolExpr::Not(a) => a.hash(state),
-        }
-    }
-}
 
 /// Assignment target.
 #[derive(Clone, PartialEq, Debug)]

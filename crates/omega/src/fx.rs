@@ -1,9 +1,9 @@
 //! A fixed-seed Fx-style multiply-xor hasher for the workspace's hash
-//! tables: the variable-name table here, the analysis session's
-//! interners and memo tables in `padfa-core`.
+//! tables: the variable-name table here, the analysis session's region
+//! interner in `padfa-core`.
 //!
 //! Far cheaper than SipHash on the small keys those tables hold (names,
-//! ids, id-pairs, constraint vectors), and deterministic within a
+//! `(base, kind)` pairs, constraint vectors), and deterministic within a
 //! process. Not DoS-resistant, which is fine: keys are analysis-internal
 //! structures, not user-controlled table inputs in an adversarial sense.
 

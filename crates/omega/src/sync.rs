@@ -5,9 +5,8 @@
 //! at procedure boundaries and keeps going, so a panic raised while some
 //! other code held a lock must not wedge every later acquisition. All
 //! the protected structures in this workspace are append-only interners
-//! or memo caches whose entries are pure functions of their keys, so a
-//! poisoned guard is still structurally sound and adopting the inner
-//! value is always safe.
+//! or name-keyed registries, so a poisoned guard is still structurally
+//! sound and adopting the inner value is always safe.
 
 use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 

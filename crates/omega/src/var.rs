@@ -17,7 +17,6 @@ use crate::fx::FxBuild;
 use crate::sync;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// An interned variable name.
@@ -98,7 +97,6 @@ impl Interner {
 }
 
 static INTERNER: RwLock<Option<Interner>> = RwLock::new(None);
-static FRESH: AtomicU32 = AtomicU32::new(0);
 
 /// Crate-internal filler for fixed-size term buffers (`LinExpr`'s inline
 /// representation); never observable through the public API.
@@ -160,15 +158,6 @@ impl Var {
         Var(id)
     }
 
-    /// A fresh variable that cannot collide with any source-level name.
-    ///
-    /// Used for existentials introduced during projection and for the
-    /// per-dimension subscript positions of array sections.
-    pub fn fresh(prefix: &str) -> Var {
-        let n = FRESH.fetch_add(1, Ordering::Relaxed);
-        Var::new(&format!("${prefix}{n}"))
-    }
-
     /// The interned name.
     pub fn name(self) -> String {
         let guard = read_interner();
@@ -183,8 +172,10 @@ impl Var {
         self.0
     }
 
-    /// Whether this variable was created by [`Var::fresh`]. Reads the
-    /// name's first byte under the guard: classification filters call
+    /// Whether this is a synthetic name — one the analysis made up, not
+    /// one from the source: every such name starts with `$` ([`Derived`]
+    /// names, `$lat.*` existentials), which no source identifier can.
+    /// Reads the name's first byte under the guard: classification filters call
     /// this per variable, and [`Var::name`] would copy the string out.
     pub fn is_synthetic(self) -> bool {
         let guard = read_interner();
@@ -230,10 +221,10 @@ mod tests {
 
     #[test]
     fn fresh_vars_are_distinct() {
-        let a = Var::fresh("s");
-        let b = Var::fresh("s");
+        let a = Var::new("$s0");
+        let b = Var::new("$s1");
         assert_ne!(a, b);
-        assert!(a.is_synthetic());
+        assert!(a.is_synthetic() && b.is_synthetic());
         assert!(!Var::new("x").is_synthetic());
     }
 

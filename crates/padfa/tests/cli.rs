@@ -1057,8 +1057,8 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     let corpus = metrics_counters(&out);
     assert_eq!(corpus, folded);
     assert_eq!(corpus["query.sys_empty.total"], 23_703);
-    assert_eq!(corpus["fm.projections"], 17_891);
-    assert_eq!(corpus["interned.regions"], 29_614);
+    assert_eq!(corpus["fm.projections"], 25_029);
+    assert_eq!(corpus["interned.regions"], 14_986);
     // The tier census: every emptiness question a corpus pass asks is a
     // difference-bound system. A new input shape that reaches
     // elimination shows up here first.

@@ -6,7 +6,7 @@ use padfa_omega::{CKind, Constraint, LinExpr, Var};
 use std::fmt;
 
 /// Kind of an affine atom (the canonical comparisons against zero).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AtomKind {
     /// `expr >= 0`
     Geq,
@@ -15,7 +15,7 @@ pub enum AtomKind {
 }
 
 /// One indivisible predicate.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Atom {
     /// An affine comparison, canonicalized so that syntactically
     /// different spellings (`i < n`, `n > i`, `i + 1 <= n`) compare equal.

@@ -13,7 +13,7 @@ use std::fmt;
 /// * a conjunction containing complementary atoms folds to `False` (and
 ///   dually for disjunctions);
 /// * a fully-affine conjunction proven unsatisfiable folds to `False`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Pred {
     True,
     False,

@@ -49,7 +49,7 @@
 //!   memory use is bounded regardless of client behavior.
 //! * **Per-request isolation** — every request gets a *fresh*
 //!   [`padfa_core::AnalysisSession`] (bounded memory; no cross-request
-//!   memo-table growth) warmed by one shared [`padfa_core::Store`], and
+//!   interner growth) warmed by one shared [`padfa_core::Store`], and
 //!   runs under `catch_unwind`: a panic costs that one request a typed
 //!   `500` body, never the process. A worker that panicked retires and
 //!   a supervisor thread spawns a fresh replacement, so thread-local

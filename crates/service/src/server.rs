@@ -860,8 +860,8 @@ fn analysis_endpoint(
         std::panic::panic_any(InjectedPanic);
     }
     let opts = opts.with_budget(budget);
-    // Fresh session per request: bounded memory, no cross-request memo
-    // growth. Warmth comes from the shared store — which budgeted
+    // Fresh session per request: bounded memory, no cross-request
+    // interner growth. Warmth comes from the shared store — which budgeted
     // requests must bypass (cached results would change step accounting
     // and with it degradation decisions).
     let mut sess = AnalysisSession::new(opts);

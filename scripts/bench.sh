@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Measure analysis wall time and session cache statistics over the full
-# corpus, writing BENCH_analysis.json (and results/analysis_stats.txt).
+# Measure analysis wall time and the session's query counters over the
+# full corpus, writing BENCH_analysis.json (and results/analysis_stats.txt).
 # Every program is analyzed RUNS times after WARMUP untimed runs, one
 # fresh session per run on one thread; the wall reported is the median.
 #
