@@ -6,18 +6,19 @@
 //! past of any process (CLI run or `padfa serve` worker) can be read
 //! after the fact with zero steady-state allocation beyond the ring
 //! itself. Every reader is a *selection* over it ([`select`]: the
-//! events since a watermark, optionally of one trace key) followed by
-//! a fold: [`profile`] is the `--profile` table and the
+//! events since a watermark, optionally of one thread) followed by a
+//! fold: [`profile`] is the `--profile` table and the
 //! `/debug/requests` phase breakdown, [`chrome_json`] is the
-//! `analyze --trace` file, and [`ring_json`] — the one whole-ring
-//! copy — is `/debug/flight` and the crash sidecars.
+//! `analyze --trace` file, and [`ring_json`] is `/debug/flight` and the
+//! crash sidecars.
 //!
 //! ## Event taxonomy
 //!
 //! Span kinds (`Begin`/`End` pairs, `End` carries the duration):
 //! `parse`, `driver` (pre-intern, then the walk over the procedures),
 //! `summarize` (one per procedure), `loop` (one per analyzed loop), and
-//! `request` (one per service request). Instant kinds: `lattice-batch`
+//! `request` (one per service request, labelled `<METHOD> <path>
+//! <trace-id>`; its `End` carries the status). Instant kinds: `lattice-batch`
 //! (one per procedure, carrying the procedure's lattice-query count),
 //! `budget-exhausted`, `store-degraded` / `store-retry` /
 //! `store-quarantined`, `tier-forced-general`, `store-hit` (a
@@ -33,15 +34,6 @@
 //! every session in the process — each corpus lane, each service worker
 //! — records into the same ring, which is why it is striped and locked
 //! while a session's own state is not.
-//!
-//! ## Trace tagging
-//!
-//! The service tags every event recorded while handling a request with
-//! the request's trace key ([`set_trace`], a thread-local guard: a
-//! request is analyzed on the worker thread that picked it up) and
-//! notes the [`watermark`] as it does so; the request's record is then
-//! `select(watermark, Some(key))` — this request's events and no
-//! earlier request's, whatever trace id the client reused.
 //!
 //! ## Overhead budget
 //!
@@ -158,10 +150,8 @@ pub struct Event {
     pub dur_us: u64,
     pub kind: EventKind,
     pub phase: Phase,
-    /// Small per-thread id (assignment order, first event wins).
+    /// Small per-thread id ([`thread_id`]).
     pub tid: u64,
-    /// Request trace key (0 when untagged, i.e. CLI runs).
-    pub trace: u64,
     /// Kind-specific payload (lattice ops, steps, status, ...).
     pub value: u64,
     /// Kind-specific label (procedure, loop, path, reason, ...).
@@ -172,15 +162,13 @@ impl Event {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"seq\":{},\"ts_us\":{},\"dur_us\":{},\"kind\":\"{}\",\
-             \"phase\":\"{}\",\"tid\":{},\"trace\":\"{:016x}\",\
-             \"value\":{},\"label\":\"{}\"}}",
+             \"phase\":\"{}\",\"tid\":{},\"value\":{},\"label\":\"{}\"}}",
             self.seq,
             self.ts_us,
             self.dur_us,
             self.kind.name(),
             self.phase.code(),
             self.tid,
-            self.trace,
             self.value,
             json_escape(&self.label),
         )
@@ -239,15 +227,7 @@ impl FlightRecorder {
         self.seq.load(Ordering::Relaxed)
     }
 
-    pub fn record(
-        &self,
-        kind: EventKind,
-        phase: Phase,
-        trace: u64,
-        dur_us: u64,
-        value: u64,
-        label: &str,
-    ) {
+    pub fn record(&self, kind: EventKind, phase: Phase, dur_us: u64, value: u64, label: &str) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let ev = Event {
             seq,
@@ -255,8 +235,7 @@ impl FlightRecorder {
             dur_us,
             kind,
             phase,
-            tid: tid(),
-            trace,
+            tid: thread_id(),
             value,
             label: label.to_string(),
         };
@@ -272,17 +251,17 @@ impl FlightRecorder {
         }
     }
 
-    /// The surviving events with `seq >= since` — of trace `trace`
+    /// The surviving events with `seq >= since` — of thread `tid`
     /// when one is given — oldest first (by `seq`). The filter runs
     /// under the stripe locks, so only the selected events are cloned.
-    pub fn select(&self, since: u64, trace: Option<u64>) -> Vec<Event> {
+    pub fn select(&self, since: u64, tid: Option<u64>) -> Vec<Event> {
         let mut out = Vec::new();
         for stripe in &self.stripes {
             out.extend(
                 lock(stripe)
                     .buf
                     .iter()
-                    .filter(|e| e.seq >= since && trace.is_none_or(|t| e.trace == t))
+                    .filter(|e| e.seq >= since && tid.is_none_or(|t| e.tid == t))
                     .cloned(),
             );
         }
@@ -292,7 +271,7 @@ impl FlightRecorder {
 }
 
 // ---------------------------------------------------------------------
-// Process-global recorder and thread-local tagging.
+// Process-global recorder and thread ids.
 
 static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
 
@@ -304,10 +283,13 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static TID: Cell<u64> = const { Cell::new(0) };
-    static TRACE: Cell<u64> = const { Cell::new(0) };
 }
 
-fn tid() -> u64 {
+/// This thread's event id: small, numbered on each thread's first use,
+/// never reused. A service request runs start to finish on one
+/// worker thread, so its events are the ones on its `Request` span's
+/// `tid` between that span's `Begin` and `End`.
+pub fn thread_id() -> u64 {
     TID.with(|t| {
         if t.get() == 0 {
             t.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
@@ -316,58 +298,19 @@ fn tid() -> u64 {
     })
 }
 
-/// FNV-1a over the trace-id string: the compact per-event tag for a
-/// request's (free-form) `X-Padfa-Trace-Id` value.
-pub fn trace_key(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Tag every event recorded on this thread (until the guard drops)
-/// with `key`. Nests: dropping restores the previous tag.
-pub fn set_trace(key: u64) -> TraceTag {
-    let prev = TRACE.with(|t| {
-        let p = t.get();
-        t.set(key);
-        p
-    });
-    TraceTag { prev }
-}
-
-/// The current thread's trace tag (0 = untagged).
-pub fn current_trace() -> u64 {
-    TRACE.with(Cell::get)
-}
-
-/// Guard restoring the previous thread trace tag on drop.
-pub struct TraceTag {
-    prev: u64,
-}
-
-impl Drop for TraceTag {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        TRACE.with(|t| t.set(prev));
-    }
-}
-
 // ---------------------------------------------------------------------
 // Recording API (global recorder).
 
 /// Record a standalone instant event.
 pub fn instant(kind: EventKind, label: &str, value: u64) {
-    global().record(kind, Phase::Instant, current_trace(), 0, value, label);
+    global().record(kind, Phase::Instant, 0, value, label);
 }
 
 /// Open a span: records `Begin` now and `End` (with duration) when the
 /// returned guard drops.
 pub fn span(kind: EventKind, label: impl Into<String>) -> FlightSpan {
     let label = label.into();
-    global().record(kind, Phase::Begin, current_trace(), 0, 0, &label);
+    global().record(kind, Phase::Begin, 0, 0, &label);
     FlightSpan {
         kind,
         label,
@@ -394,20 +337,13 @@ impl FlightSpan {
 impl Drop for FlightSpan {
     fn drop(&mut self) {
         let dur = self.start.elapsed().as_micros() as u64;
-        global().record(
-            self.kind,
-            Phase::End,
-            current_trace(),
-            dur,
-            self.value,
-            &self.label,
-        );
+        global().record(self.kind, Phase::End, dur, self.value, &self.label);
     }
 }
 
 /// Global-recorder accessors (see [`FlightRecorder`]).
-pub fn select(since: u64, trace: Option<u64>) -> Vec<Event> {
-    global().select(since, trace)
+pub fn select(since: u64, tid: Option<u64>) -> Vec<Event> {
+    global().select(since, tid)
 }
 
 pub fn watermark() -> u64 {
@@ -436,8 +372,7 @@ pub fn events_json(events: &[Event]) -> String {
 }
 
 /// Dump the whole global ring as one JSON object — the payload of
-/// `GET /debug/flight` and of panic/drain sidecar files, and the one
-/// reader that copies every event.
+/// `GET /debug/flight` and of panic/drain sidecar files.
 pub fn ring_json() -> String {
     format!(
         "{{\"capacity\":{},\"overflows\":{},\"events\":{}}}",
@@ -451,8 +386,8 @@ pub fn ring_json() -> String {
 /// `chrome://tracing`): an `End` becomes a complete (`"X"`) event that
 /// starts `dur_us` before it was recorded, an `Instant` an `"i"`;
 /// `cat` is the kind, `name` the label, `args.value` the payload. A
-/// `Begin` carries nothing its `End` does not and is dropped, as are
-/// `seq` and the trace key.
+/// `Begin` carries nothing its `End` does not and is dropped, as is
+/// `seq`.
 pub fn chrome_json(events: &[Event]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let shown = events.iter().filter(|e| e.phase != Phase::Begin);
@@ -514,12 +449,12 @@ impl PhaseStat {
     }
 }
 
-/// Compute per-kind self-time attribution from an event slice (must be
-/// seq-sorted, as [`select`] returns). Span nesting is reconstructed
-/// per thread from `Begin`/`End` pairing; an `End` whose `Begin` was
+/// Compute per-kind self-time attribution from events in `seq` order
+/// (as [`select`] returns them). Span nesting is reconstructed per
+/// thread from `Begin`/`End` pairing; an `End` whose `Begin` was
 /// overwritten by ring wraparound is charged with no parent and no
 /// children (its own duration only).
-pub fn profile(events: &[Event]) -> Vec<(EventKind, PhaseStat)> {
+pub fn profile<'a>(events: impl IntoIterator<Item = &'a Event>) -> Vec<(EventKind, PhaseStat)> {
     let mut stats: std::collections::BTreeMap<EventKind, PhaseStat> =
         std::collections::BTreeMap::new();
     // Per-thread stack of (kind, child time accumulated so far).
@@ -588,7 +523,6 @@ mod tests {
             kind,
             phase,
             tid,
-            trace: 0,
             value,
             label: String::new(),
         }
@@ -599,7 +533,7 @@ mod tests {
         let rec = FlightRecorder::with_capacity(16);
         assert_eq!(rec.capacity(), 16);
         for i in 0..40 {
-            rec.record(EventKind::Note, Phase::Instant, 0, 0, i, "x");
+            rec.record(EventKind::Note, Phase::Instant, 0, i, "x");
         }
         assert_eq!(rec.overflows(), 24);
         // Oldest events were overwritten: only the last 16 survive.
@@ -611,9 +545,9 @@ mod tests {
 
     #[test]
     fn select_equals_filtering_a_full_copy() {
-        // Four interleaved trace keys wrap a 64-event ring three times.
+        // Four threads, picked at random event by event, wrap a
+        // 64-event ring three times.
         let rec = FlightRecorder::with_capacity(64);
-        let keys = [0u64, 11, 22, 33];
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             rng ^= rng << 13;
@@ -621,10 +555,31 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        for i in 0..(64 * 3 + 17) {
-            let key = keys[(next() % 4) as usize];
-            rec.record(EventKind::Note, Phase::Instant, key, 0, i, "x");
-        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let mut tids = std::thread::scope(|s| {
+            let lanes: Vec<std::sync::mpsc::Sender<u64>> = (0..4)
+                .map(|_| {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    let (rec, done) = (&rec, done_tx.clone());
+                    s.spawn(move || {
+                        for i in rx {
+                            rec.record(EventKind::Note, Phase::Instant, 0, i, "x");
+                            done.send(thread_id()).unwrap();
+                        }
+                    });
+                    tx
+                })
+                .collect();
+            // One event in flight at a time, so the interleaving is the
+            // one drawn here.
+            (0..(64 * 3 + 17))
+                .map(|i| {
+                    lanes[(next() % 4) as usize].send(i).unwrap();
+                    done_rx.recv().unwrap()
+                })
+                .collect::<std::collections::BTreeSet<u64>>()
+        });
+        assert_eq!(tids.len(), 4);
         // The reference copies the ring whole — every stripe cloned,
         // sorted by `seq` — and filters afterwards.
         let full_copy = || {
@@ -636,22 +591,23 @@ mod tests {
             all
         };
         assert_eq!(full_copy().len(), 64);
+        tids.insert(thread_id()); // recorded nothing into `rec`
         let wm = rec.watermark();
         let mut sinces = vec![0, wm - 64, wm - 1, wm, wm + 5];
         sinces.extend((0..12).map(|_| next() % (wm + 1)));
         for since in sinces {
-            for trace in [None, Some(0), Some(11), Some(22), Some(33), Some(44)] {
+            for tid in std::iter::once(None).chain(tids.iter().copied().map(Some)) {
                 let want: Vec<(u64, u64, u64)> = full_copy()
                     .into_iter()
-                    .filter(|e| e.seq >= since && trace.is_none_or(|t| e.trace == t))
-                    .map(|e| (e.seq, e.trace, e.value))
+                    .filter(|e| e.seq >= since && tid.is_none_or(|t| e.tid == t))
+                    .map(|e| (e.seq, e.tid, e.value))
                     .collect();
                 let got: Vec<(u64, u64, u64)> = rec
-                    .select(since, trace)
+                    .select(since, tid)
                     .into_iter()
-                    .map(|e| (e.seq, e.trace, e.value))
+                    .map(|e| (e.seq, e.tid, e.value))
                     .collect();
-                assert_eq!(got, want, "since={since} trace={trace:?}");
+                assert_eq!(got, want, "since={since} tid={tid:?}");
                 assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "not in seq order");
             }
         }
@@ -749,40 +705,28 @@ mod tests {
     fn event_json_escapes_labels() {
         let mut e = ev(1, EventKind::Parse, Phase::Instant, 2, 0, 3);
         e.label = "a\"b\\c\nd".to_string();
-        e.trace = 0xdead_beef;
         let j = e.to_json();
         assert!(j.contains("\"label\":\"a\\\"b\\\\c\\nd\""));
-        assert!(j.contains("\"trace\":\"00000000deadbeef\""));
+        assert!(j.contains("\"tid\":2,\"value\":3,"));
         assert!(j.contains("\"kind\":\"parse\""));
         assert!(j.contains("\"phase\":\"I\""));
     }
 
     #[test]
-    fn trace_key_is_stable_fnv() {
-        assert_eq!(trace_key(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(trace_key("abc"), trace_key("abc"));
-        assert_ne!(trace_key("abc"), trace_key("abd"));
-    }
-
-    #[test]
     fn global_recorder_tags_spans_and_selects_by_trace() {
-        let key = trace_key("flight-global-test");
+        // A request's events are its thread's between its span's Begin
+        // and End; another thread's events in that window are not.
         let wm = watermark();
+        let me = thread_id();
         {
-            let _tag = set_trace(key);
-            assert_eq!(current_trace(), key);
-            {
-                let nested = set_trace(77);
-                assert_eq!(current_trace(), 77);
-                drop(nested);
-            }
-            assert_eq!(current_trace(), key);
-            let mut s = span(EventKind::Request, "GET /x");
+            let mut s = span(EventKind::Request, "GET /x t");
             s.set_value(200);
+            std::thread::spawn(|| instant(EventKind::Note, "elsewhere", 9))
+                .join()
+                .unwrap();
             instant(EventKind::AdmissionShed, "queue-full", 1);
         }
-        assert_eq!(current_trace(), 0);
-        let mine = select(wm, Some(key));
+        let mine = select(wm, Some(me));
         let kinds: Vec<(EventKind, Phase)> = mine.iter().map(|e| (e.kind, e.phase)).collect();
         assert_eq!(
             kinds,
@@ -793,8 +737,9 @@ mod tests {
             ]
         );
         assert_eq!(mine[2].value, 200);
-        // A later watermark leaves the same key's earlier events out.
-        assert!(select(watermark(), Some(key)).is_empty());
+        assert!(select(wm, None).iter().any(|e| e.label == "elsewhere"));
+        // A later watermark leaves this thread's earlier events out.
+        assert!(select(watermark(), Some(me)).is_empty());
         assert!(ring_json().contains("\"events\":["));
     }
 }

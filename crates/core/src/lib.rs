@@ -119,6 +119,15 @@ pub const BUILD_ID: &str = env!("PADFA_SOURCE_HASH");
 /// for ledgers, metrics and `padfa_build_info`; nothing keys on it.
 pub const GIT_REV: &str = env!("PADFA_GIT_REV");
 
+/// FNV-1a 64 over a byte stream: the store's frame checksum and the
+/// service's request-body digest. (`build.rs` keeps its own copy: a
+/// build script cannot link the crate it builds.)
+pub fn fnv1a64<'a>(bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Escape `s` for the inside of a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

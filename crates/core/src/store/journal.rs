@@ -31,15 +31,14 @@ const CHECKSUM_LEN: usize = 8;
 
 /// FNV-1a 64 over the checksummed portion of a frame.
 fn checksum64(kind: u8, key: u128, payload: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let len = (payload.len() as u32).to_le_bytes();
-    [kind]
-        .iter()
-        .chain(&key.to_le_bytes())
-        .chain(&len)
-        .chain(payload)
-        .fold(OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+    crate::fnv1a64(
+        [kind]
+            .iter()
+            .chain(&key.to_le_bytes())
+            .chain(&len)
+            .chain(payload),
+    )
 }
 
 /// Encode the frame of the entry keyed `key`.
@@ -87,6 +86,15 @@ mod tests {
             assert_eq!(frame.len(), HEADER_LEN + payload.len() + CHECKSUM_LEN);
             assert_eq!(open(&frame, 42), Ok(payload));
         }
+    }
+
+    #[test]
+    fn checksum_is_fnv1a_of_kind_key_len_payload() {
+        // Pinned: existing entry files must keep opening.
+        let frame = encode(42, b"payload-bytes");
+        let at = frame.len() - CHECKSUM_LEN;
+        assert_eq!(frame[at..], 0xb61b_66d7_0c50_2ac3u64.to_le_bytes());
+        assert_eq!(crate::fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]

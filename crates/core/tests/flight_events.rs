@@ -27,19 +27,16 @@ const PROGRAM: &str = "
 
 type EventCounts = BTreeMap<(String, char, String, u64), usize>;
 
-/// Run the analysis under a fresh trace tag and return this run's
-/// events as `(kind, phase, label, value) -> count`. The tag is what
-/// tells this run's events from any other recorder traffic in the
-/// process.
-fn event_counts(trace_label: &str) -> EventCounts {
-    let key = flight::trace_key(trace_label);
-    let tag = flight::set_trace(key);
+/// Run the analysis and return this run's events as `(kind, phase,
+/// label, value) -> count`. A session belongs to its thread, so this
+/// run's events are the ones on this thread since the watermark.
+fn event_counts() -> EventCounts {
+    let wm = flight::watermark();
     let prog = parse_program(PROGRAM).unwrap();
     let sess = AnalysisSession::new(Options::predicated());
     analyze_program_session(&prog, &sess).unwrap();
-    drop(tag);
     let mut counts = BTreeMap::new();
-    for e in &flight::select(0, Some(key)) {
+    for e in &flight::select(wm, Some(flight::thread_id())) {
         *counts
             .entry((
                 e.kind.name().to_string(),
@@ -54,7 +51,7 @@ fn event_counts(trace_label: &str) -> EventCounts {
 
 #[test]
 fn event_kinds_and_counts_are_identical_across_worker_counts() {
-    let baseline = event_counts("flight-determinism-alone");
+    let baseline = event_counts();
     assert!(
         !baseline.is_empty(),
         "recorder produced no events for a full analysis run"
@@ -66,12 +63,9 @@ fn event_kinds_and_counts_are_identical_across_worker_counts() {
             "no '{kind}' events recorded: {baseline:?}"
         );
     }
-    // Four sessions at once, each under its own tag, all writing the
+    // Four sessions at once, each on its own thread, all writing the
     // one ring.
-    let labels: Vec<String> = (0..4)
-        .map(|i| format!("flight-determinism-crowded{i}"))
-        .collect();
-    for crowded in padfa_core::par_map_jobs(4, &labels, |_, l| event_counts(l)) {
+    for crowded in padfa_core::par_map_jobs(4, &[(); 4], |_, _| event_counts()) {
         assert_eq!(
             baseline, crowded,
             "flight event multiset changed when other sessions ran alongside"

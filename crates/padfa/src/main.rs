@@ -49,9 +49,8 @@ fn usage() -> ! {
          [--default-max-steps N] [--max-steps-ceiling N]\n              \
          [--default-deadline-ms N] [--deadline-ms-ceiling N]\n              \
          [--read-timeout-ms N] [--drain-deadline-ms N]\n              \
-         [--slow-ms N] [--slow-log PATH] [--debug-ring N] [--flight-dump-dir DIR]\n              \
-         [--store DIR] [--inject FAULT]\n  \
-         padfa promcheck [FILE]"
+         [--slow-ms N] [--slow-log PATH] [--flight-dump-dir DIR]\n              \
+         [--store DIR] [--inject FAULT]"
     );
     exit(2)
 }
@@ -1159,7 +1158,6 @@ fn cmd_serve(args: &[String]) {
             "--drain-deadline-ms" => policy.drain_deadline = Duration::from_millis(a.value()),
             "--slow-ms" => policy.slow_request_ms = a.value(),
             "--slow-log" => policy.slow_log = Some(a.value()),
-            "--debug-ring" => policy.debug_ring = a.value(),
             "--flight-dump-dir" => policy.flight_dump_dir = Some(a.value()),
             _ => {
                 return store_flag(a, w, &mut store_dir)
@@ -1219,44 +1217,6 @@ fn cmd_serve(args: &[String]) {
     exit(if report.clean { 0 } else { 1 })
 }
 
-/// `padfa promcheck [FILE]`: validate a Prometheus text exposition (a
-/// scrape of `/metrics`) with the in-repo checker. Reads stdin when no
-/// file is given. Exit 0 on a clean exposition, 1 with the violation
-/// list otherwise.
-fn cmd_promcheck(args: &[String]) {
-    let text = match parse_args("promcheck", args, |_, _| false)[..] {
-        [] => {
-            let mut buf = String::new();
-            if let Err(e) = std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf) {
-                eprintln!("padfa: cannot read stdin: {e}");
-                exit(3)
-            }
-            buf
-        }
-        [path] => std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("padfa: cannot read {path}: {e}");
-            exit(3)
-        }),
-        _ => usage(),
-    };
-    match padfa::service::check_exposition(&text) {
-        Ok(()) => {
-            let samples = text
-                .lines()
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .count();
-            println!("promcheck: ok ({samples} sample(s))");
-        }
-        Err(violations) => {
-            for v in &violations {
-                eprintln!("promcheck: {v}");
-            }
-            eprintln!("promcheck: {} violation(s)", violations.len());
-            exit(1)
-        }
-    }
-}
-
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.split_first() {
@@ -1268,7 +1228,6 @@ fn main() {
             "fmt" => cmd_fmt(rest),
             "corpus" => cmd_corpus(rest),
             "serve" => cmd_serve(rest),
-            "promcheck" => cmd_promcheck(rest),
             _ => usage(),
         },
         None => usage(),

@@ -1111,8 +1111,8 @@ fn bad_inject_specs_name_their_grammar() {
 
 /// The daemon end to end, from the built binary: an injected worker
 /// panic costs one 500 that names its flight dump, the next request is
-/// served, the `/metrics` scrape passes `promcheck`, and SIGTERM drains
-/// cleanly with exit 0.
+/// served, the `/metrics` scrape passes the exposition checker, and
+/// SIGTERM drains cleanly with exit 0.
 #[cfg(unix)]
 #[test]
 fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
@@ -1154,6 +1154,7 @@ fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
     BufReader::new(child.stdout.take().unwrap())
         .read_line(&mut banner)
         .unwrap();
+    let child_pid = child.id();
     let mut daemon = Reap(Some(child));
     let port = banner
         .split("http://127.0.0.1:")
@@ -1186,6 +1187,10 @@ fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
         .nth(1)
         .and_then(|rest| rest.split('"').next())
         .unwrap_or_else(|| panic!("500 names no flight dump: {body}"));
+    assert!(
+        dump.ends_with(&format!("padfa-flight-{child_pid}-panic-1.json")),
+        "{dump}"
+    );
     let dumped = std::fs::read_to_string(dump).unwrap();
     assert!(dumped.contains("\"events\":["), "{dump}");
 
@@ -1195,20 +1200,9 @@ fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
 
     let (status, metrics) = request("GET", "/metrics", b"");
     assert_eq!(status, 200);
-    let mut check = padfa()
-        .arg("promcheck")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    check
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(metrics.as_bytes())
-        .unwrap();
-    let checked = check.wait_with_output().unwrap();
-    assert_eq!(checked.status.code(), Some(0), "{metrics}");
+    if let Err(violations) = padfa::service::check_exposition(&metrics) {
+        panic!("/metrics failed the exposition checker: {violations:?}\n{metrics}");
+    }
 
     let child = daemon.0.take().unwrap();
     let term = std::process::Command::new("kill")

@@ -13,7 +13,7 @@
 //! | GET    | `/healthz`        | —              | liveness (always 200 while up)      |
 //! | GET    | `/readyz`         | —              | readiness (503 once draining)       |
 //! | GET    | `/metrics`        | —              | Prometheus text exposition          |
-//! | GET    | `/debug/requests` | —              | ring of recent request records      |
+//! | GET    | `/debug/requests` | —              | records of requests still in the ring |
 //! | GET    | `/debug/flight`   | —              | flight-recorder event-ring dump     |
 //!
 //! `/analyze` and `/explain` take `?variant=base|guarded|predicated`
@@ -24,15 +24,17 @@
 //! Every request carries a trace id: the client's `X-Padfa-Trace-Id`
 //! header value (sanitized) when present, a generated
 //! `padfa-<admission>` id otherwise. The id is echoed back on the
-//! response, every flight-recorder event emitted while the request is
-//! being served is tagged with its FNV-1a key
-//! ([`padfa_core::flight::trace_key`]), and the completed request's
-//! record — status, budget use, store counters, per-phase time
-//! breakdown — lands in the `/debug/requests` ring. Requests slower
+//! response and names the request's flight-recorder span
+//! (`"<METHOD> <path> <trace-id>"`, valued with the status). A request
+//! is served start to finish on one worker thread, so its events are
+//! the ones on that span's thread between its `Begin` and `End`:
+//! `/debug/requests` folds them, per request still in the ring, into a
+//! record of status, wall time and per-phase time breakdown (budget
+//! steps, degradation and store hits are phases too). Requests slower
 //! than the policy threshold are additionally appended to the
-//! slow-request log with their phase breakdown and a provenance digest
-//! of the request body, so "why was *that* request slow" is answerable
-//! after the fact without reproducing it.
+//! slow-request log as that record plus a provenance digest of the
+//! request body, so "why was *that* request slow" is answerable after
+//! the fact without reproducing it.
 //!
 //! ## Robustness envelope
 //!
@@ -142,8 +144,6 @@ pub struct ServicePolicy {
     /// Where slow-request records are appended (one JSON object per
     /// line). `None` logs to stderr only.
     pub slow_log: Option<std::path::PathBuf>,
-    /// Capacity of the `/debug/requests` record ring.
-    pub debug_ring: usize,
     /// Directory for flight-ring sidecar dumps written on worker panic
     /// and unclean drain. `None` uses the OS temp directory.
     pub flight_dump_dir: Option<std::path::PathBuf>,
@@ -166,7 +166,6 @@ impl Default for ServicePolicy {
             retry_after_secs: 1,
             slow_request_ms: 1000,
             slow_log: None,
-            debug_ring: 64,
             flight_dump_dir: None,
         }
     }
@@ -177,7 +176,6 @@ impl ServicePolicy {
     pub fn normalized(mut self) -> ServicePolicy {
         self.workers = self.workers.max(1);
         self.queue_depth = self.queue_depth.max(1);
-        self.debug_ring = self.debug_ring.max(1);
         self
     }
 }

@@ -31,11 +31,11 @@ use crate::http::{read_request, Request, RequestError, Response};
 use crate::{ServicePolicy, SCHEMA_VERSION};
 use padfa_core::flight;
 use padfa_core::{
-    analyze_program_session, json_escape, AnalysisError, AnalysisSession, FaultPlan, LoopReport,
-    MetricsRegistry, OnExhausted, Options, Outcome, Store, WorkBudget,
+    analyze_program_session, fnv1a64, json_escape, AnalysisError, AnalysisSession, FaultPlan,
+    LoopReport, MetricsRegistry, OnExhausted, Options, Outcome, Store, WorkBudget,
 };
 use padfa_omega::sync::lock;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -131,9 +131,6 @@ struct Shared {
     /// `shutdown` waits on the condvar until it reaches zero.
     workers_live: Mutex<usize>,
     workers_cv: Condvar,
-    /// Ring of completed-request records behind `/debug/requests`
-    /// (capacity `policy.debug_ring`, oldest evicted first).
-    requests: Mutex<VecDeque<RequestRecord>>,
 }
 
 impl Shared {
@@ -199,7 +196,6 @@ impl Server {
             queue_cv: Condvar::new(),
             workers_live: Mutex::new(0),
             workers_cv: Condvar::new(),
-            requests: Mutex::new(VecDeque::new()),
         });
         let (events_tx, events_rx) = mpsc::channel();
         for id in 0..shared.policy.workers {
@@ -429,81 +425,6 @@ fn spawn_supervisor(
         })
 }
 
-/// One completed request's forensics record: what `/debug/requests`
-/// serves and what the slow-request log appends.
-struct RequestRecord {
-    admission: u64,
-    method: String,
-    path: String,
-    /// HTTP status written, or 0 when the connection died before any
-    /// response could be sent.
-    status: u16,
-    /// The `kind` field of the error body, when the response was one.
-    error_kind: Option<String>,
-    trace_id: String,
-    /// FNV-1a key of `trace_id` — the tag on this request's flight
-    /// events, rendered in hex to match `/debug/flight`.
-    trace: u64,
-    total_us: u64,
-    slow: bool,
-    /// FNV-1a provenance digest of the request body (None when empty),
-    /// so a slow request's exact input can be matched post-hoc.
-    digest: Option<u64>,
-    budget_steps: u64,
-    degraded_procs: u64,
-    store_hits: u64,
-    store_misses: u64,
-    /// Sidecar path when this request's panic dumped the flight ring.
-    flight_dump: Option<String>,
-    /// Per-phase time breakdown from this request's flight events.
-    phases: Vec<(flight::EventKind, flight::PhaseStat)>,
-}
-
-impl RequestRecord {
-    fn to_json(&self) -> String {
-        let opt_str = |v: &Option<String>| match v {
-            Some(s) => format!("\"{}\"", json_escape(s)),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"admission\":{},\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
-             \"error_kind\":{},\"trace_id\":\"{}\",\"trace\":\"{:016x}\",\
-             \"total_us\":{},\"slow\":{},\"digest\":{},\"budget_steps\":{},\
-             \"degraded_procs\":{},\"store_hits\":{},\"store_misses\":{},\
-             \"flight_dump\":{},\"phases\":{}}}",
-            self.admission,
-            json_escape(&self.method),
-            json_escape(&self.path),
-            self.status,
-            opt_str(&self.error_kind),
-            json_escape(&self.trace_id),
-            self.trace,
-            self.total_us,
-            self.slow,
-            match self.digest {
-                Some(d) => format!("\"{d:016x}\""),
-                None => "null".to_string(),
-            },
-            self.budget_steps,
-            self.degraded_procs,
-            self.store_hits,
-            self.store_misses,
-            opt_str(&self.flight_dump),
-            flight::profile_json(&self.phases),
-        )
-    }
-}
-
-/// Per-request analysis accounting, filled by `analysis_endpoint` and
-/// read back by `serve_connection` when it builds the record.
-#[derive(Default)]
-struct ReqCtx {
-    budget_steps: u64,
-    degraded_procs: u64,
-    store_hits: u64,
-    store_misses: u64,
-}
-
 /// Keep a client-supplied trace id loggable: drop everything outside a
 /// conservative charset and cap the length.
 fn sanitize_trace_id(raw: &str) -> String {
@@ -511,27 +432,6 @@ fn sanitize_trace_id(raw: &str) -> String {
         .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | ':'))
         .take(64)
         .collect()
-}
-
-/// FNV-1a over raw bytes: the request-body provenance digest.
-fn digest64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Pull the `kind` out of a typed error body, so records stay
-/// attributable without threading a kind through every handler.
-fn body_error_kind(resp: &Response) -> Option<String> {
-    let body = std::str::from_utf8(&resp.body).ok()?;
-    let needle = "\"error\":{\"kind\":\"";
-    let start = body.find(needle)? + needle.len();
-    let rest = &body[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
 }
 
 /// Write the global flight ring to a sidecar JSON file; `None` when the
@@ -543,7 +443,7 @@ fn dump_flight(policy: &ServicePolicy, stem: &str) -> Option<String> {
         .clone()
         .unwrap_or_else(std::env::temp_dir);
     std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("padfa-flight-{stem}.json"));
+    let path = dir.join(format!("padfa-flight-{}-{stem}.json", std::process::id()));
     std::fs::write(&path, flight::ring_json()).ok()?;
     Some(path.display().to_string())
 }
@@ -559,26 +459,67 @@ fn append_line(path: &std::path::Path, line: &str) {
     }
 }
 
-fn push_record(shared: &Arc<Shared>, record: RequestRecord) {
-    let mut ring = lock(&shared.requests);
-    while ring.len() >= shared.policy.debug_ring {
-        ring.pop_front();
+/// The `/debug/requests` records in `events` (in `seq` order): one per
+/// `Request` span whose `Begin` and `End` both survive, in completion
+/// order. A request is served start to finish on one worker thread, so
+/// its events are those on its span's `tid` from `Begin` to `End`.
+/// With `digest`, each record also carries it (the slow-request log).
+fn request_records(
+    events: &[flight::Event],
+    slow_request_ms: u64,
+    digest: Option<u64>,
+) -> Vec<String> {
+    let mut open: BTreeMap<u64, Vec<&flight::Event>> = BTreeMap::new();
+    let mut records = Vec::new();
+    for e in events {
+        let request = e.kind == flight::EventKind::Request;
+        if request && e.phase == flight::Phase::Begin {
+            open.insert(e.tid, Vec::new());
+        }
+        if let Some(span) = open.get_mut(&e.tid) {
+            span.push(e);
+        }
+        if request && e.phase == flight::Phase::End {
+            if let Some(span) = open.remove(&e.tid) {
+                records.push(record_json(e, &span, slow_request_ms, digest));
+            }
+        }
     }
-    ring.push_back(record);
+    records
+}
+
+/// One request's record, from its `Request` span's `End` (labelled
+/// `"<METHOD> <path> <trace-id>"`, valued with the status) and every
+/// event of the span.
+fn record_json(
+    end: &flight::Event,
+    span: &[&flight::Event],
+    slow_request_ms: u64,
+    digest: Option<u64>,
+) -> String {
+    let mut label = end.label.splitn(3, ' ').map(json_escape);
+    let mut next = || label.next().unwrap_or_default();
+    let (method, path, trace_id) = (next(), next(), next());
+    let slow = slow_request_ms > 0 && end.dur_us >= slow_request_ms.saturating_mul(1000);
+    let digest = digest.map_or(String::new(), |d| format!(",\"digest\":\"{d:016x}\""));
+    format!(
+        "{{\"trace_id\":\"{trace_id}\",\"method\":\"{method}\",\"path\":\"{path}\",\
+         \"status\":{},\"total_us\":{},\"slow\":{slow},\"phases\":{}{digest}}}",
+        end.value,
+        end.dur_us,
+        flight::profile_json(&flight::profile(span.iter().copied())),
+    )
 }
 
 fn requests_json(shared: &Arc<Shared>) -> String {
-    let ring = lock(&shared.requests);
-    let mut records = String::new();
-    for (i, r) in ring.iter().enumerate() {
-        if i > 0 {
-            records.push(',');
-        }
-        records.push_str(&r.to_json());
-    }
+    let records = request_records(
+        &flight::select(0, None),
+        shared.policy.slow_request_ms,
+        None,
+    );
     format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"capacity\":{},\"records\":[{records}]}}",
-        shared.policy.debug_ring
+        "{{\"schema_version\":{SCHEMA_VERSION},\"records\":[{}]}}",
+        records.join(",")
     )
 }
 
@@ -604,62 +545,31 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
                 RequestError::Disconnected => shared.count("service.torn_clients", 1),
                 _ => shared.count("service.bad_requests", 1),
             }
-            // No request means no client trace id; a generated id still
-            // makes the failure findable in `/debug/requests`.
-            let trace_id = format!("padfa-{}", job.admission);
-            let (status, error_kind) = match e.status() {
-                Some((status, reason, kind)) => {
-                    let _ = error_body(status, reason, kind, &e.detail())
-                        .with_header("X-Padfa-Trace-Id", trace_id.clone())
-                        .write(&mut job.stream);
-                    shared.count("service.completed", 1);
-                    shared.count(&format!("service.responses.{status}"), 1);
-                    (status, Some(kind.to_string()))
-                }
-                None => (0, Some("disconnected".to_string())),
-            };
-            let trace = flight::trace_key(&trace_id);
-            push_record(
-                shared,
-                RequestRecord {
-                    admission: job.admission,
-                    method: String::new(),
-                    path: String::new(),
-                    status,
-                    error_kind,
-                    trace_id,
-                    trace,
-                    total_us: t0.elapsed().as_micros() as u64,
-                    slow: false,
-                    digest: None,
-                    budget_steps: 0,
-                    degraded_procs: 0,
-                    store_hits: 0,
-                    store_misses: 0,
-                    flight_dump: None,
-                    phases: Vec::new(),
-                },
-            );
+            // No request means no client trace id; a generated one is
+            // still echoed.
+            if let Some((status, reason, kind)) = e.status() {
+                let _ = error_body(status, reason, kind, &e.detail())
+                    .with_header("X-Padfa-Trace-Id", format!("padfa-{}", job.admission))
+                    .write(&mut job.stream);
+                shared.count("service.completed", 1);
+                shared.count(&format!("service.responses.{status}"), 1);
+            }
             return false;
         }
     };
     // Trace id: accept the client's (sanitized), generate otherwise,
-    // echo either way. All flight events recorded while this request is
-    // served carry its key.
+    // echo either way. It names the request's span, so `/debug/requests`
+    // can find the request by it.
     let trace_id = req
         .header("x-padfa-trace-id")
         .map(sanitize_trace_id)
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| format!("padfa-{}", job.admission));
-    let tkey = flight::trace_key(&trace_id);
-    let digest = (!req.body.is_empty()).then(|| digest64(&req.body));
-    // The watermark is what keeps an earlier request that used the same
-    // trace id out of this request's record.
+    // This request's events are this thread's from here on.
     let flight_wm = flight::watermark();
-    let tag = flight::set_trace(tkey);
     let mut req_span = flight::span(
         flight::EventKind::Request,
-        format!("{} {}", req.method, req.path),
+        format!("{} {} {trace_id}", req.method, req.path),
     );
     let fault = shared.faults.armed(job.admission).next().copied();
     match fault {
@@ -676,11 +586,9 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
         }
         _ => {}
     }
-    let mut ctx = ReqCtx::default();
-    let outcome = catch_unwind(AssertUnwindSafe(|| route(shared, &req, fault, &mut ctx)));
-    let (status, error_kind, flight_dump, panicked) = match outcome {
+    let outcome = catch_unwind(AssertUnwindSafe(|| route(shared, &req, fault)));
+    let (status, panicked) = match outcome {
         Ok(resp) => {
-            let error_kind = body_error_kind(&resp);
             let resp = resp.with_header("X-Padfa-Trace-Id", trace_id.clone());
             let torn = matches!(fault, Some(ServiceFault::TornResponse));
             let written = if torn {
@@ -693,7 +601,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
                 shared.count("service.write_errors", 1);
             }
             shared.count("service.completed", 1);
-            (resp.status, error_kind, None, false)
+            (resp.status, false)
         }
         Err(_) => {
             shared.count("service.panics", 1);
@@ -718,54 +626,31 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
                 .with_header("X-Padfa-Trace-Id", trace_id.clone())
                 .write(&mut job.stream);
             shared.count("service.completed", 1);
-            (500, Some("panic".to_string()), dump, true)
+            (500, true)
         }
     };
     req_span.set_value(u64::from(status));
     drop(req_span);
-    drop(tag);
     shared.count(&format!("service.responses.{status}"), 1);
     let total_us = t0.elapsed().as_micros() as u64;
-    let slow = shared.policy.slow_request_ms > 0
-        && total_us >= shared.policy.slow_request_ms.saturating_mul(1000);
-    let record = RequestRecord {
-        admission: job.admission,
-        method: req.method.clone(),
-        path: req.path.clone(),
-        status,
-        error_kind,
-        trace_id,
-        trace: tkey,
-        total_us,
-        slow,
-        digest,
-        budget_steps: ctx.budget_steps,
-        degraded_procs: ctx.degraded_procs,
-        store_hits: ctx.store_hits,
-        store_misses: ctx.store_misses,
-        flight_dump,
-        phases: flight::profile(&flight::select(flight_wm, Some(tkey))),
-    };
-    if slow {
+    let slow_ms = shared.policy.slow_request_ms;
+    if slow_ms > 0 && total_us >= slow_ms.saturating_mul(1000) {
         shared.count("service.slow_requests", 1);
         eprintln!(
-            "padfa-service: slow request trace={} {} {} status={status} total_us={total_us}",
-            record.trace_id, record.method, record.path
+            "padfa-service: slow request trace={trace_id} {} {} status={status} total_us={total_us}",
+            req.method, req.path
         );
         if let Some(path) = &shared.policy.slow_log {
-            append_line(path, &record.to_json());
+            let mine = flight::select(flight_wm, Some(flight::thread_id()));
+            for record in request_records(&mine, slow_ms, Some(fnv1a64(&req.body))) {
+                append_line(path, &record);
+            }
         }
     }
-    push_record(shared, record);
     panicked
 }
 
-fn route(
-    shared: &Arc<Shared>,
-    req: &Request,
-    fault: Option<ServiceFault>,
-    ctx: &mut ReqCtx,
-) -> Response {
+fn route(shared: &Arc<Shared>, req: &Request, fault: Option<ServiceFault>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::json(200, "OK", "{\"status\":\"ok\"}".to_string()),
         ("GET", "/readyz") => {
@@ -782,8 +667,8 @@ fn route(
         ),
         ("GET", "/debug/requests") => Response::json(200, "OK", requests_json(shared)),
         ("GET", "/debug/flight") => Response::json(200, "OK", flight::ring_json()),
-        ("POST", "/analyze") => analysis_endpoint(shared, req, fault, ctx, false),
-        ("POST", "/explain") => analysis_endpoint(shared, req, fault, ctx, true),
+        ("POST", "/analyze") => analysis_endpoint(shared, req, fault, false),
+        ("POST", "/explain") => analysis_endpoint(shared, req, fault, true),
         (
             _,
             "/healthz" | "/readyz" | "/metrics" | "/analyze" | "/explain" | "/debug/requests"
@@ -808,7 +693,6 @@ fn analysis_endpoint(
     shared: &Arc<Shared>,
     req: &Request,
     fault: Option<ServiceFault>,
-    ctx: &mut ReqCtx,
     explain: bool,
 ) -> Response {
     let Some(src) = req.body_utf8() else {
@@ -893,19 +777,8 @@ fn analysis_endpoint(
     }
     let (result, _summaries) = match result {
         Ok(out) => out,
-        Err(e) => {
-            if let AnalysisError::BudgetExhausted { steps, .. } = &e {
-                ctx.budget_steps = *steps;
-            }
-            return analysis_error_response(&e);
-        }
+        Err(e) => return analysis_error_response(&e),
     };
-    ctx.budget_steps = result.stats.budget_steps;
-    ctx.degraded_procs = result.stats.degraded_procs;
-    if let Some(store) = &result.stats.store {
-        ctx.store_hits = store.hits;
-        ctx.store_misses = store.misses;
-    }
     if explain {
         explain_response(&result, req, variant)
     } else {
@@ -1168,53 +1041,5 @@ mod tests {
         assert_eq!(sanitize_trace_id("a b\r\nInjected: x"), "abInjected:x");
         assert_eq!(sanitize_trace_id(&"x".repeat(200)).len(), 64);
         assert_eq!(sanitize_trace_id("\"{}\n"), "");
-    }
-
-    #[test]
-    fn body_digest_is_stable_fnv() {
-        assert_eq!(digest64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(digest64(b"proc main"), digest64(b"proc main"));
-        assert_ne!(digest64(b"proc main"), digest64(b"proc mair"));
-    }
-
-    #[test]
-    fn error_kind_is_extracted_from_typed_bodies() {
-        let resp = error_body(404, "Not Found", "not_found", "nope");
-        assert_eq!(body_error_kind(&resp).as_deref(), Some("not_found"));
-        let ok = Response::json(200, "OK", "{\"loops\":[]}".to_string());
-        assert_eq!(body_error_kind(&ok), None);
-    }
-
-    #[test]
-    fn request_records_render_as_json() {
-        let rec = RequestRecord {
-            admission: 7,
-            method: "POST".to_string(),
-            path: "/analyze".to_string(),
-            status: 422,
-            error_kind: Some("budget_exhausted".to_string()),
-            trace_id: "req-7".to_string(),
-            trace: padfa_core::flight::trace_key("req-7"),
-            total_us: 1234,
-            slow: true,
-            digest: Some(0xabcd),
-            budget_steps: 100,
-            degraded_procs: 0,
-            store_hits: 0,
-            store_misses: 0,
-            flight_dump: None,
-            phases: Vec::new(),
-        };
-        let j = rec.to_json();
-        assert!(j.contains("\"admission\":7"));
-        assert!(j.contains("\"error_kind\":\"budget_exhausted\""));
-        assert!(j.contains("\"slow\":true"));
-        assert!(j.contains("\"digest\":\"000000000000abcd\""));
-        assert!(j.contains("\"flight_dump\":null"));
-        assert!(j.contains("\"phases\":[]"));
-        assert!(j.contains(&format!(
-            "\"trace\":\"{:016x}\"",
-            padfa_core::flight::trace_key("req-7")
-        )));
     }
 }

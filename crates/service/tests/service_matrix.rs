@@ -6,13 +6,53 @@
 //! and overload, the daemon never returns a wrong non-error result,
 //! never crashes, and always drains to a clean exit.
 
-use padfa_core::{Fault, FaultPlan, Store, StoreConfig, StoreFault};
+use padfa_core::{flight, Fault, FaultPlan, Store, StoreConfig, StoreFault};
 use padfa_service::{check_exposition, Server, ServiceDeps, ServiceFault, ServicePolicy};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Held by every test that reads `/debug/requests` or floods the
+/// process-wide flight ring, so a flood cannot wipe another test's
+/// requests before it reads them.
+fn ring() -> MutexGuard<'static, ()> {
+    static RING: Mutex<()> = Mutex::new(());
+    RING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The body of `GET /debug/requests`.
+fn debug_requests(addr: SocketAddr) -> String {
+    let dbg = request(addr, "GET", "/debug/requests", &[], b"");
+    assert_eq!(dbg.status, 200);
+    body_str(&dbg)
+}
+
+/// The records in a `/debug/requests` body whose trace id is `id`.
+fn records_of(records: &str, id: &str) -> Vec<String> {
+    records
+        .split("{\"trace_id\":")
+        .filter(|r| r.starts_with(&format!("\"{id}\"")))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The `{"phase":"<name>",...}` entry of a record's `phases`.
+fn phase(rec: &str, name: &str) -> String {
+    let needle = format!("{{\"phase\":\"{name}\",");
+    let at = rec
+        .find(&needle)
+        .unwrap_or_else(|| panic!("no {name} phase in: {rec}"));
+    rec[at..at + rec[at..].find('}').unwrap()].to_string()
+}
+
+/// The `"spans":N` field of a record's `name` phase.
+fn spans_of(rec: &str, name: &str) -> String {
+    let p = phase(rec, name);
+    let at = p.find("\"spans\":").unwrap();
+    p[at..at + p[at..].find(',').unwrap()].to_string()
+}
 
 /// A loop nest whose hot loop needs a run-time test — exercises the
 /// predicated path end to end, not just a trivially parallel loop.
@@ -519,16 +559,18 @@ fn torn_client_disconnects_leave_the_daemon_serving() {
 /// The full forensics surface, driven end to end in one deterministic
 /// admission sequence: trace-id echo (client-supplied and generated),
 /// slow-request capture with digest + slow-log sidecar, post-hoc
-/// attribution of a 422 by trace id, forced ring wraparound visible in
-/// `/debug/flight`, and a `/metrics` exposition that passes the
+/// attribution of a 422 by status and phase, forced ring wraparound
+/// visible in `/debug/flight` and never half-built in
+/// `/debug/requests`, and a `/metrics` exposition that passes the
 /// in-repo checker. One test, because the assertions share the
 /// process-global flight ring and must run in a known order.
 #[test]
 fn tracing_slow_forensics_and_debug_endpoints() {
+    let _ring = ring();
     let slow_log = temp_dir("slowlog").join("slow.jsonl");
     let _ = std::fs::create_dir_all(slow_log.parent().unwrap());
     let faults = FaultPlan::at(ServiceFault::SlowRequest { ms: 200 }, 2).with(Fault {
-        at: 4,
+        at: 5,
         kind: ServiceFault::RecorderOverflow,
     });
     let policy = ServicePolicy {
@@ -568,7 +610,7 @@ fn tracing_slow_forensics_and_debug_endpoints() {
     assert!(generated.starts_with("padfa-"), "generated id: {generated}");
 
     // Admission 3: strict starved budget — a 422 that must stay
-    // attributable by its trace id after the fact.
+    // attributable after the fact.
     let strict = request(
         addr,
         "POST",
@@ -586,43 +628,46 @@ fn tracing_slow_forensics_and_debug_endpoints() {
         Some("matrix-trace-budget")
     );
 
-    // Admission 4: flood the ring past capacity so wraparound
-    // accounting is observable below.
-    let flooded = analyze(addr);
-    assert_eq!(flooded.status, 200);
-
-    // /debug/requests: every request above is in the ring with its
-    // trace id, outcome, and phase breakdown.
-    let dbg = request(addr, "GET", "/debug/requests", &[], b"");
-    assert_eq!(dbg.status, 200);
-    let records = body_str(&dbg);
-    assert!(records.contains("\"trace_id\":\"matrix-trace-alpha\""));
-    assert!(records.contains("\"phase\":\"request\""), "no request span");
-    let slow_rec = records
-        .split("{\"admission\"")
-        .find(|r| r.contains(&format!("\"trace_id\":\"{generated}\"")))
-        .expect("slow request not in the debug ring");
-    assert!(slow_rec.contains("\"slow\":true"), "record: {slow_rec}");
+    // Admission 4, /debug/requests: every request above is in the ring
+    // with its trace id, outcome, and phase breakdown.
+    let records = debug_requests(addr);
+    let alpha = records_of(&records, "matrix-trace-alpha");
+    assert_eq!(alpha.len(), 1, "{alpha:?}");
+    assert_eq!(spans_of(&alpha[0], "request"), "\"spans\":1");
+    // (Other tests' daemons in this process generate the same ids.)
+    let slow_rec = records_of(&records, &generated);
     assert!(
-        !slow_rec.contains("\"digest\":null"),
-        "no provenance digest"
+        slow_rec.iter().any(|r| r.contains("\"slow\":true")),
+        "slow request not in the ring: {slow_rec:?}"
     );
-    let budget_rec = records
-        .split("{\"admission\"")
-        .find(|r| r.contains("\"trace_id\":\"matrix-trace-budget\""))
-        .expect("422 request not in the debug ring");
+    let budget_rec = records_of(&records, "matrix-trace-budget");
+    assert_eq!(budget_rec.len(), 1, "422 request not in the ring");
+    assert!(budget_rec[0].contains("\"status\":422"), "{budget_rec:?}");
     assert!(
-        budget_rec.contains("\"error_kind\":\"budget_exhausted\""),
-        "422 not attributable: {budget_rec}"
+        phase(&budget_rec[0], "budget-exhausted").contains("\"instants\":1,"),
+        "422 not attributable: {budget_rec:?}"
     );
-    assert!(budget_rec.contains("\"status\":422"));
 
-    // The slow record also landed in the slow-log sidecar.
+    // The slow record also landed in the slow-log sidecar, with the
+    // body's digest.
     let logged = std::fs::read_to_string(&slow_log).expect("slow log missing");
     assert!(logged.contains(&format!("\"trace_id\":\"{generated}\"")));
     assert!(logged.contains("\"slow\":true"));
+    assert!(logged.contains("\"digest\":\""), "no provenance digest");
 
-    // /debug/flight: the flood forced wraparound; events are present.
+    // Admission 5: flood the ring past capacity so wraparound
+    // accounting is observable below.
+    let flooded = request(
+        addr,
+        "POST",
+        "/analyze",
+        &[("X-Padfa-Trace-Id", "matrix-trace-flood")],
+        PROGRAM.as_bytes(),
+    );
+    assert_eq!(flooded.status, 200);
+
+    // /debug/flight: the flood forced wraparound; the flooded request's
+    // End survives, its Begin does not.
     let ring = request(addr, "GET", "/debug/flight", &[], b"");
     assert_eq!(ring.status, 200);
     let ring_body = body_str(&ring);
@@ -630,6 +675,18 @@ fn tracing_slow_forensics_and_debug_endpoints() {
     assert!(
         !ring_body.contains("\"overflows\":0,"),
         "flood did not wrap the ring"
+    );
+    let flood_phases: Vec<&str> = ring_body
+        .split("{\"seq\":")
+        .filter(|e| e.contains("\"label\":\"POST /analyze matrix-trace-flood\""))
+        .map(|e| &e[e.find("\"phase\":").unwrap()..][..11])
+        .collect();
+    assert_eq!(flood_phases, ["\"phase\":\"E\""], "{ring_body}");
+    // ...so /debug/requests leaves it out rather than half-built.
+    let records = debug_requests(addr);
+    assert_eq!(
+        records_of(&records, "matrix-trace-flood"),
+        Vec::<String>::new()
     );
 
     // /metrics: typed, bucketed, and clean under the in-repo checker.
@@ -683,11 +740,50 @@ fn metrics_session_counters_accumulate_across_requests() {
 
 /// A client that reuses one trace id still gets one record per
 /// request: the record is this request's events, not every event that
-/// ever carried the key.
+/// ever carried the id — sequentially, and while two such requests
+/// overlap on two workers.
 #[test]
 fn reused_trace_id_records_one_request_each() {
-    let server = start(quick_policy(), ServiceDeps::default());
+    let _ring = ring();
+    let deps = ServiceDeps {
+        faults: FaultPlan::at(ServiceFault::SlowRequest { ms: 500 }, 1),
+        ..ServiceDeps::default()
+    };
+    let server = start(quick_policy(), deps);
     let addr = server.addr();
+    let dup = |addr: SocketAddr| {
+        let r = request(
+            addr,
+            "POST",
+            "/analyze",
+            &[("X-Padfa-Trace-Id", "matrix-trace-dup")],
+            PROGRAM.as_bytes(),
+        );
+        assert_eq!(r.status, 200);
+    };
+
+    // A stalls 500 ms inside its span on one worker; B, with the same
+    // id, is served on the other meanwhile.
+    let a = std::thread::spawn(move || dup(addr));
+    let a_open = || {
+        flight::select(0, None).iter().any(|e| {
+            e.kind == flight::EventKind::Request
+                && e.phase == flight::Phase::Begin
+                && e.label == "POST /analyze matrix-trace-dup"
+        })
+    };
+    while !a_open() {
+        std::thread::yield_now();
+    }
+    dup(addr);
+    a.join().unwrap();
+    let both = records_of(&debug_requests(addr), "matrix-trace-dup");
+    assert_eq!(both.len(), 2, "{both:?}");
+    for rec in &both {
+        assert_eq!(spans_of(rec, "request"), "\"spans\":1", "{rec}");
+        assert_eq!(spans_of(rec, "parse"), "\"spans\":1", "{rec}");
+    }
+
     for _ in 0..3 {
         let r = request(
             addr,
@@ -698,32 +794,12 @@ fn reused_trace_id_records_one_request_each() {
         );
         assert_eq!(r.status, 200);
     }
-    let dbg = request(addr, "GET", "/debug/requests", &[], b"");
-    let records = body_str(&dbg);
-    let mine: Vec<&str> = records
-        .split("{\"admission\"")
-        .filter(|r| r.contains("\"trace_id\":\"matrix-trace-reused\""))
-        .collect();
-    assert_eq!(mine.len(), 3, "records: {records}");
-    let phase = |rec: &str, name: &str| -> String {
-        let needle = format!("{{\"phase\":\"{name}\",");
-        let at = rec
-            .find(&needle)
-            .unwrap_or_else(|| panic!("no {name} phase in: {rec}"));
-        rec[at..at + rec[at..].find('}').unwrap()].to_string()
-    };
-    let spans_of = |rec: &str, name: &str| -> String {
-        let p = phase(rec, name);
-        let at = p.find("\"spans\":").unwrap();
-        p[at..at + p[at..].find(',').unwrap()].to_string()
-    };
+    let mine = records_of(&debug_requests(addr), "matrix-trace-reused");
+    assert_eq!(mine.len(), 3, "{mine:?}");
     for rec in &mine {
-        assert!(
-            phase(rec, "request").starts_with("{\"phase\":\"request\",\"spans\":1,"),
-            "record: {rec}"
-        );
+        assert_eq!(spans_of(rec, "request"), "\"spans\":1", "{rec}");
         assert!(phase(rec, "request").ends_with("\"value\":200"), "{rec}");
-        assert_eq!(spans_of(rec, "loop"), spans_of(mine[0], "loop"), "{rec}");
+        assert_eq!(spans_of(rec, "loop"), spans_of(&mine[0], "loop"), "{rec}");
         assert_eq!(spans_of(rec, "parse"), "\"spans\":1", "{rec}");
     }
     assert!(server.shutdown().clean);
@@ -734,6 +810,7 @@ fn reused_trace_id_records_one_request_each() {
 /// files already points at the forensics file.
 #[test]
 fn panic_500_names_a_flight_dump_on_disk() {
+    let _ring = ring();
     let dump_dir = temp_dir("flightdump");
     let policy = ServicePolicy {
         flight_dump_dir: Some(dump_dir.clone()),
@@ -751,6 +828,12 @@ fn panic_500_names_a_flight_dump_on_disk() {
     let needle = "\"flight_dump\":\"";
     let start = body.find(needle).expect("500 body names no flight dump") + needle.len();
     let path = &body[start..start + body[start..].find('"').unwrap()];
+    // Named for this process, so daemons sharing a directory keep
+    // their own dumps.
+    assert!(
+        path.ends_with(&format!("padfa-flight-{}-panic-1.json", std::process::id())),
+        "{path}"
+    );
     let dump = std::fs::read_to_string(path).expect("flight dump not on disk");
     assert!(dump.contains("\"events\":["), "dump: {dump}");
     assert!(dump.contains("worker-panic"), "panic event not in dump");
