@@ -46,7 +46,7 @@ pub fn analyze_program_with_summaries(
     prog: &Program,
     opts: &Options,
 ) -> Result<(AnalysisResult, HashMap<String, Summary>), AnalysisError> {
-    let sess = AnalysisSession::new(opts.clone());
+    let sess = AnalysisSession::new(opts.clone()).with_summaries();
     let (result, summaries) = analyze_program_session(prog, &sess)?;
     let summaries = summaries
         .into_iter()
@@ -57,6 +57,13 @@ pub fn analyze_program_with_summaries(
 
 /// Run the analysis against a caller-provided [`AnalysisSession`]
 /// (options, the region interner, counters).
+///
+/// The returned map holds the summaries something read: every procedure
+/// named by a call site, every procedure put to the session's store,
+/// and — when the session was built [`AnalysisSession::with_summaries`]
+/// — every procedure. An unread procedure's loops are reported exactly
+/// as a read one's, but its top level is not folded into a summary, and
+/// its name is absent from the map.
 ///
 /// Procedures are summarized one after another on the calling thread,
 /// call-graph level by level and within a level in ascending procedure
@@ -99,8 +106,12 @@ pub fn analyze_program_session(
         for &idx in co.levels.iter().flatten() {
             let name = &prog.procedures[idx].name;
             let store_key = proc_keys.get(name).copied();
-            let (summary, reps) = analyze_proc(prog, idx, &co, &proc_summaries, sess, store_key)?;
-            proc_summaries.insert(name.clone(), summary);
+            let read = co.called[idx] || store_key.is_some() || sess.summaries_wanted();
+            let (summary, reps) =
+                analyze_proc(prog, idx, &co, &proc_summaries, sess, store_key, read)?;
+            if let Some(summary) = summary {
+                proc_summaries.insert(name.clone(), summary);
+            }
             reports.extend(reps);
         }
     }
@@ -147,7 +158,9 @@ fn proc_store_key(
 }
 
 /// Summarize one procedure against the already-completed summaries of
-/// strictly lower call-graph levels.
+/// strictly lower call-graph levels. When nothing reads the summary
+/// (`read` is false) only the loops are analyzed and reported, and no
+/// summary is returned.
 ///
 /// The whole summarization runs under `catch_unwind` with this thread's
 /// budget meter armed: exhaustion unwinds to here and is resolved per
@@ -160,7 +173,8 @@ fn analyze_proc(
     summaries: &HashMap<String, Arc<Summary>>,
     sess: &AnalysisSession,
     store_key: Option<u128>,
-) -> Result<(Arc<Summary>, Vec<LoopReport>), AnalysisError> {
+    read: bool,
+) -> Result<(Option<Arc<Summary>>, Vec<LoopReport>), AnalysisError> {
     let proc = &prog.procedures[idx];
     // A whole-procedure store hit skips summarization entirely: the
     // entry carries both the summary and the loop reports derived while
@@ -169,7 +183,7 @@ fn analyze_proc(
     if let (Some(key), Some(s)) = (store_key, sess.store()) {
         if let Some((summary, reports)) = s.get_proc(key) {
             flight::instant(flight::EventKind::StoreHit, &proc.name, 1);
-            return Ok((Arc::new(summary), reports));
+            return Ok((Some(Arc::new(summary)), reports));
         }
     }
     budget::install(&sess.opts.budget);
@@ -182,10 +196,13 @@ fn analyze_proc(
             proc_summaries: summaries,
             reports: Vec::new(),
         };
-        let summary = if co.recursive.contains(&idx) {
-            conservative_summary(proc)
+        let summary = if !read {
+            az.report_block(proc, &proc.body);
+            None
+        } else if co.recursive.contains(&idx) {
+            Some(conservative_summary(proc))
         } else {
-            az.analyze_block(proc, &proc.body, 0)
+            Some(az.analyze_block(proc, &proc.body, 0))
         };
         (summary, az.reports)
     }));
@@ -200,10 +217,10 @@ fn analyze_proc(
     );
     match outcome {
         Ok((summary, reports)) => {
-            if let (Some(key), Some(s)) = (store_key, sess.store()) {
-                s.put_proc(key, &summary, &reports);
+            if let (Some(key), Some(s), Some(summary)) = (store_key, sess.store(), &summary) {
+                s.put_proc(key, summary, &reports);
             }
-            Ok((Arc::new(summary), reports))
+            Ok((summary.map(Arc::new), reports))
         }
         Err(payload) if payload.downcast_ref::<budget::Exhausted>().is_some() => {
             match sess.opts.budget.on_exhausted {
@@ -214,7 +231,7 @@ fn analyze_proc(
                 OnExhausted::Degrade => {
                     sess.note_degraded();
                     Ok((
-                        Arc::new(degraded_summary(proc)),
+                        read.then(|| Arc::new(degraded_summary(proc))),
                         budget_reports(proc, meter.steps),
                     ))
                 }
@@ -300,6 +317,27 @@ impl<'a> Analyzer<'a> {
         acc
     }
 
+    /// Walk the top-level block of a procedure whose summary nothing
+    /// reads: every loop, those in top-level `if` branches included, is
+    /// analyzed and reported as [`Analyzer::analyze_block`] would, but
+    /// nothing is folded.
+    fn report_block(&mut self, proc: &Procedure, block: &Block) {
+        for stmt in &block.stmts {
+            match stmt {
+                Stmt::For(l) => {
+                    self.handle_loop(proc, l, 0, false);
+                }
+                Stmt::If {
+                    then_blk, else_blk, ..
+                } => {
+                    self.report_block(proc, then_blk);
+                    self.report_block(proc, else_blk);
+                }
+                _ => {}
+            }
+        }
+    }
+
     fn analyze_stmt(&mut self, proc: &Procedure, stmt: &Stmt, depth: usize) -> Summary {
         match stmt {
             Stmt::Assign { lhs, rhs } => {
@@ -335,7 +373,7 @@ impl<'a> Analyzer<'a> {
                 let merged = Summary::if_merge(&cond_pred, &t, &e, self.sess);
                 reads_then(cond_reads, &merged, self.sess)
             }
-            Stmt::For(l) => self.handle_loop(proc, l, depth),
+            Stmt::For(l) => self.handle_loop(proc, l, depth, true),
             Stmt::Call { callee, args } => {
                 let Some(callee_proc) = self.prog.proc(callee) else {
                     return Summary::empty();
@@ -376,17 +414,15 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Summarize and test one loop.
-    fn handle_loop(&mut self, proc: &Procedure, l: &Loop, depth: usize) -> Summary {
+    /// Test one loop and, when the enclosing region reads it (`read`),
+    /// summarize it. An unread loop returns an empty summary, except a
+    /// strided one: its summary draws `$lat` names, from which later
+    /// loops number their existentials, so it is always formed.
+    fn handle_loop(&mut self, proc: &Procedure, l: &Loop, depth: usize, read: bool) -> Summary {
         let sess = self.sess;
         let opts = &sess.opts;
         let loop_name = l.label.clone().unwrap_or_else(|| format!("L{}", l.id.0));
         let _loop_flight = flight::span(flight::EventKind::Loop, loop_name);
-
-        // Bound expressions are read at loop entry.
-        let mut bound_reads = Summary::empty();
-        add_expr_reads(&mut bound_reads, proc, &l.lo);
-        add_expr_reads(&mut bound_reads, proc, &l.hi);
 
         let body = self.analyze_block(proc, &l.body, depth + 1);
 
@@ -424,6 +460,7 @@ impl<'a> Analyzer<'a> {
                 aux_vars.push(t);
             }
         }
+        let read = read || !aux_vars.is_empty();
 
         // Loop-variant scalars: anything the body may modify.
         let writes = body.scalar_writes.clone();
@@ -505,34 +542,6 @@ impl<'a> Analyzer<'a> {
         // their existentials.
         let project: Vec<Var> = vec![l.var];
 
-        let mut loop_sum = Summary::empty();
-        loop_sum.has_io = body.has_io;
-        loop_sum.has_exit = false; // exits are local to this loop
-        loop_sum.scalar_writes = body.scalar_writes.clone();
-        loop_sum.scalar_writes.remove(&l.var);
-
-        // A constant-trip loop provably executes (for scalar must-writes).
-        let trip_proven = match (&lo_lin, &hi_lin) {
-            (Some(lo), Some(hi)) => {
-                let diff = hi.clone() - lo.clone();
-                diff.is_const() && diff.konst() >= 0
-            }
-            _ => false,
-        };
-        for (&sv, sc) in &body.scalars {
-            if sv == l.var {
-                continue;
-            }
-            loop_sum.scalars.insert(
-                sv,
-                crate::summary::ScalarSummary {
-                    must_write: sc.must_write && trip_proven,
-                    may_write: sc.may_write,
-                    exposed_read: sc.exposed_read,
-                },
-            );
-        }
-
         // Writes of earlier iterations, expressed over this iteration's i.
         // Loop-varying synthetic context variables (the step lattice
         // counter) get fresh names too, so the earlier iteration is not
@@ -573,33 +582,48 @@ impl<'a> Analyzer<'a> {
         };
 
         let preds = opts.predicates_enabled();
-        let summarize = |s: &crate::summary::ArraySummary| -> (crate::summary::ArraySummary, bool) {
-            let extract_fn: Option<&dyn Fn(Var) -> bool> = if opts.extraction {
-                Some(&is_symbolic)
-            } else {
-                None
-            };
+        let extract_fn: Option<&dyn Fn(Var) -> bool> = if opts.extraction {
+            Some(&is_symbolic)
+        } else {
+            None
+        };
+        let mut loop_sum = Summary::empty();
+        for (&a, s) in &iter.arrays {
+            // `E − W_prev` is the loop's exposed read, and its extraction
+            // is a mechanism the report names (and `winner` weighs), so
+            // it runs unread too whenever extraction is on.
+            if !read && extract_fn.is_none() {
+                continue;
+            }
             let mut fired = false;
-            let e_inner = with_ctx(&s.e).pred_subtract(
-                &w_prev_of_i(&s.w),
-                preds,
-                extract_fn,
-                sess,
-                &mut fired,
-            );
-            let mut arr = crate::summary::ArraySummary {
-                w: existentialize(
+            let e_ctx = with_ctx(&s.e);
+            // Nothing is subtracted from an empty E, so `W_prev` is not
+            // formed — unless forming it draws `$lat` names.
+            let e_inner = if e_ctx.is_empty() && prev_aux.is_empty() {
+                e_ctx
+            } else {
+                e_ctx.pred_subtract(&w_prev_of_i(&s.w), preds, extract_fn, sess, &mut fired)
+            };
+            if fired {
+                mechanisms.extraction = true;
+            }
+            if !read {
+                continue;
+            }
+            // MW equals W in most (loop, array) pairs: project it once,
+            // and W keeps the exact pieces, as a must projection would.
+            let (w, mw) = if s.mw == s.w {
+                let mw = with_ctx(&s.mw).project_out(&project, true, sess);
+                (mw.exact_pieces(), mw)
+            } else {
+                (
                     with_ctx(&s.w).project_out(&project, false, sess),
-                    &aux_vars,
-                    sess,
-                    &proc.name,
-                ),
-                mw: existentialize(
                     with_ctx(&s.mw).project_out(&project, true, sess),
-                    &aux_vars,
-                    sess,
-                    &proc.name,
-                ),
+                )
+            };
+            let mut arr = crate::summary::ArraySummary {
+                w: existentialize(w, &aux_vars, sess, &proc.name),
+                mw: existentialize(mw, &aux_vars, sess, &proc.name),
                 r: existentialize(
                     with_ctx(&s.r).project_out(&project, true, sess),
                     &aux_vars,
@@ -614,13 +638,6 @@ impl<'a> Analyzer<'a> {
                 ),
             };
             arr.normalize(sess);
-            (arr, fired)
-        };
-        for (&a, s) in &iter.arrays {
-            let (arr, fired) = summarize(s);
-            if fired {
-                mechanisms.extraction = true;
-            }
             if !arr.is_empty() {
                 loop_sum.arrays.insert(a, arr);
             }
@@ -650,7 +667,39 @@ impl<'a> Analyzer<'a> {
             mechanisms,
             provenance: prov,
         });
+        if !read {
+            return Summary::empty();
+        }
 
+        loop_sum.has_io = body.has_io;
+        loop_sum.has_exit = false; // exits are local to this loop
+        loop_sum.scalar_writes = body.scalar_writes.clone();
+        loop_sum.scalar_writes.remove(&l.var);
+        // A constant-trip loop provably executes (for scalar must-writes).
+        let trip_proven = match (&lo_lin, &hi_lin) {
+            (Some(lo), Some(hi)) => {
+                let diff = hi.clone() - lo.clone();
+                diff.is_const() && diff.konst() >= 0
+            }
+            _ => false,
+        };
+        for (&sv, sc) in &body.scalars {
+            if sv == l.var {
+                continue;
+            }
+            loop_sum.scalars.insert(
+                sv,
+                crate::summary::ScalarSummary {
+                    must_write: sc.must_write && trip_proven,
+                    may_write: sc.may_write,
+                    exposed_read: sc.exposed_read,
+                },
+            );
+        }
+        // Bound expressions are read at loop entry.
+        let mut bound_reads = Summary::empty();
+        add_expr_reads(&mut bound_reads, proc, &l.lo);
+        add_expr_reads(&mut bound_reads, proc, &l.hi);
         reads_then(bound_reads, &loop_sum, sess)
     }
 }

@@ -253,6 +253,21 @@ impl PredComponent {
         out
     }
 
+    /// The pieces whose region is exact. On the result of a may
+    /// projection this is the must projection of the same component —
+    /// `c.project_out(v, true, sess).exact_pieces()` equals
+    /// `c.project_out(v, false, sess)`, without projecting again.
+    pub(crate) fn exact_pieces(&self) -> PredComponent {
+        PredComponent {
+            pieces: self
+                .pieces
+                .iter()
+                .filter(|p| p.region.is_exact())
+                .cloned()
+                .collect(),
+        }
+    }
+
     /// Rename a variable in every region (predicates are untouched:
     /// renaming is used for the primed iteration copy, and predicates are
     /// loop-invariant by the time tests run).
@@ -599,5 +614,21 @@ mod tests {
         assert!(must.is_empty());
         let may = c.project_out(&[qv], true, &s);
         assert!(!may.is_empty());
+    }
+
+    #[test]
+    fn exact_pieces_of_may_projection_is_must_projection() {
+        // One guarded piece projects exactly, the other does not.
+        let inexact = System::from_constraints([
+            Constraint::geq0(LinExpr::term(v("q"), 2) - LinExpr::var(v("d"))),
+            Constraint::geq0(LinExpr::term(v("q"), -3) + LinExpr::var(v("d"))),
+        ]);
+        let s = sess();
+        let mut c = PredComponent::unconditional(interval("d", 1, 5));
+        c.push(pred("n > 3"), Disjunction::from_system(inexact));
+        let qv = v("q");
+        let must = c.project_out(&[qv], false, &s);
+        assert_eq!(must.pieces.len(), 1);
+        assert_eq!(c.project_out(&[qv], true, &s).exact_pieces(), must);
     }
 }

@@ -24,10 +24,14 @@ use std::collections::HashMap;
 /// in ascending index, which makes (level, index) the visiting order.
 /// The levels cover exactly the procedures of `order` (each appears in
 /// exactly one level).
+///
+/// `called[i]` holds when some call site in the program names procedure
+/// `i`: a caller then reads its summary.
 pub struct CallOrder {
     pub order: Vec<usize>,
     pub recursive: Vec<usize>,
     pub levels: Vec<Vec<usize>>,
+    pub called: Vec<bool>,
 }
 
 /// Direct callee names of a procedure, in syntactic order.
@@ -115,12 +119,14 @@ pub fn call_order(prog: &Program) -> CallOrder {
     // them before their external callers.
     let mut level = vec![usize::MAX; n];
     let mut levels: Vec<Vec<usize>> = Vec::new();
+    let mut called = vec![false; n];
     for &i in &order {
         let mut cs = Vec::new();
         callees(&prog.procedures[i], &mut cs);
         let mut lv = 0;
         for c in cs {
             if let Some(&j) = index.get(c.as_str()) {
+                called[j] = true;
                 if j != i && level[j] != usize::MAX {
                     lv = lv.max(level[j] + 1);
                 }
@@ -139,6 +145,7 @@ pub fn call_order(prog: &Program) -> CallOrder {
         order,
         recursive,
         levels,
+        called,
     }
 }
 
@@ -688,6 +695,11 @@ mod tests {
         assert_eq!(level_of(idx("d")), 0, "leaf with no callees is level 0");
         assert_eq!(level_of(idx("b")), 1);
         assert_eq!(level_of(idx("a")), 2);
+        let called: Vec<&str> = (0..p.procedures.len())
+            .filter(|&i| co.called[i])
+            .map(|i| p.procedures[i].name.as_str())
+            .collect();
+        assert_eq!(called, ["b", "c"], "a and d are named by no call site");
         // Every callee sits strictly below its caller.
         for (i, proc) in p.procedures.iter().enumerate() {
             let mut cs = Vec::new();

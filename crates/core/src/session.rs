@@ -343,6 +343,8 @@ pub struct AnalysisSession {
     /// Optional persistent store of procedure summaries, consulted by
     /// the interprocedural driver once per procedure.
     store: Option<SessionStore>,
+    /// The caller reads every procedure's summary ([`Self::with_summaries`]).
+    summaries: bool,
     /// Pins the session to the thread that made it: its baselines and
     /// meters are that thread's thread-locals.
     _one_thread: PhantomData<*const ()>,
@@ -389,6 +391,7 @@ impl AnalysisSession {
             degraded_procs: Cell::new(0),
             overflow_baseline: limit_stats::thread_overflows(),
             store: None,
+            summaries: false,
             _one_thread: PhantomData,
         }
     }
@@ -409,6 +412,20 @@ impl AnalysisSession {
         let opts_fp = store::options_fingerprint(&self.opts);
         self.store = Some(SessionStore { store: s, opts_fp });
         self
+    }
+
+    /// Ask for every procedure's summary. Without it the driver computes
+    /// only the summaries something reads — a caller's call site or a
+    /// store put — and `analyze_program_session` returns only those;
+    /// the loop reports are the same either way.
+    pub fn with_summaries(mut self) -> AnalysisSession {
+        self.summaries = true;
+        self
+    }
+
+    /// Whether the caller asked for every summary.
+    pub(crate) fn summaries_wanted(&self) -> bool {
+        self.summaries
     }
 
     /// The attached store (for the interprocedural driver and stats).

@@ -163,3 +163,46 @@ fn starved_parallel_set_is_subset_of_exact() {
         }
     }
 }
+
+/// One uncalled procedure: its loops are analyzed and reported in 74
+/// steps, and summarizing it as well takes 171.
+const TOP_LEVEL_FOLD_SRC: &str = "
+proc main(n: int, m: int, x: int) {
+    array a[100];
+    array b[100];
+    array c[100, 100];
+    for i = 1 to n { a[i] = b[i] + 1.0; }
+    if (x > 5) {
+        for i = 1 to m { b[i] = a[i] * 2.0; }
+    }
+    for i = 2 to n { a[i] = a[i - 1] + b[i]; }
+    for i = 1 to n {
+        for j = 1 to m { c[i, j] = a[j] + b[i]; }
+    }
+    for i = 1 to m { b[i] = c[i, 1] + a[i + 1]; }
+    if (x > 7) {
+        for i = 1 to n { a[i] = b[n - i + 1]; }
+    }
+    for i = 1 to n { c[1, i] = a[i] + b[i]; }
+}
+";
+
+/// A summary nothing reads is not charged: a budget that covers the
+/// loops but not the summary completes with the unlimited reports.
+/// Asking for the summary as well runs the same budget out.
+#[test]
+fn unread_top_level_fold_is_not_charged() {
+    let prog = parse_program(TOP_LEVEL_FOLD_SRC).unwrap();
+    let exact = analyze_program(&prog, &Options::predicated()).unwrap();
+    assert_eq!(exact.num_parallelized(), 7);
+    let opts = Options::predicated().with_budget(WorkBudget::steps(120));
+    let budgeted = analyze_program(&prog, &opts).unwrap();
+    assert_eq!(budgeted.stats.degraded_procs, 0);
+    assert_eq!(budgeted.stats.budget_steps, 74);
+    assert_eq!(budgeted.loops, exact.loops);
+
+    let (read, summaries) = analyze_program_with_summaries(&prog, &opts).unwrap();
+    assert_eq!(read.stats.degraded_procs, 1);
+    assert!(summaries["main"].degraded);
+    assert!(read.loops.iter().all(|r| !r.parallelized()));
+}

@@ -17,7 +17,8 @@
 //! | code | meaning                                              |
 //! |------|------------------------------------------------------|
 //! | 0    | success (degraded summaries still count as success)  |
-//! | 1    | runtime/execution failure (`run`, `elpd`)            |
+//! | 1    | runtime/execution failure (`run`, `elpd`), or the    |
+//! |      | report could not be written to stdout                |
 //! | 2    | usage error                                          |
 //! | 3    | unreadable input or parse/malformed-IR error         |
 //! | 4    | work budget exhausted under `--strict`               |
@@ -27,6 +28,7 @@ use padfa::analysis::{flight, json_escape, FaultPlan, SpecError, Store, StoreFau
 use padfa::prelude::*;
 use padfa::rt::WorkerFault;
 use padfa::service::ServiceFault;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::exit;
 use std::sync::Arc;
@@ -344,6 +346,9 @@ fn cmd_analyze(args: &[String]) {
     if let Some(s) = &store {
         sess = sess.with_store(Arc::clone(s));
     }
+    if show_summaries {
+        sess = sess.with_summaries();
+    }
     let (mut result, summaries) = match padfa::analysis::analyze_program_session(&prog, &sess) {
         Ok(out) => out,
         Err(e) => {
@@ -385,13 +390,12 @@ fn cmd_analyze(args: &[String]) {
             exit(1)
         }
     }
+    let mut out = String::new();
     if show_summaries {
         let mut names: Vec<&String> = summaries.keys().collect();
         names.sort();
         for name in names {
-            println!("== summary of {name} ==");
-            print!("{}", summaries[name]);
-            println!();
+            let _ = writeln!(out, "== summary of {name} ==\n{}", summaries[name]);
         }
     }
     let mut parallel = 0;
@@ -404,10 +408,11 @@ fn cmd_analyze(args: &[String]) {
             rt += 1;
         }
         if show_all || report.parallelized() || report.not_candidate.is_some() {
-            println!("{report}");
+            let _ = writeln!(out, "{report}");
         }
     }
-    println!(
+    let _ = writeln!(
+        out,
         "\n{} loops: {} parallelized ({} with run-time tests) under the {} analysis",
         result.loops.len(),
         parallel,
@@ -415,20 +420,31 @@ fn cmd_analyze(args: &[String]) {
         variant
     );
     if result.stats.degraded_procs > 0 {
-        println!(
+        let _ = writeln!(
+            out,
             "note: {} procedure(s) hit the work budget and were degraded to \
              conservative (sequential) summaries",
             result.stats.degraded_procs
         );
     }
     if show_stats {
-        println!("\n== session statistics ==");
-        print!("{}", result.stats);
+        let _ = write!(out, "\n== session statistics ==\n{}", result.stats);
     }
     if show_profile {
-        print_flight_profile(flight_wm);
+        write_flight_profile(&mut out, flight_wm);
     }
+    emit(&out);
     finish_without_teardown((sess, prog, result, summaries));
+}
+
+/// Write a command's whole report to stdout in one call (stdout is line
+/// buffered: printing line by line was one `write(2)` per line). A
+/// failed write ends the process with exit code 1.
+fn emit(report: &str) {
+    if let Err(e) = std::io::stdout().lock().write_all(report.as_bytes()) {
+        eprintln!("padfa: cannot write the report to stdout: {e}");
+        exit(1)
+    }
 }
 
 /// End a one-shot command whose report is printed: flush stdout and
@@ -443,18 +459,20 @@ fn finish_without_teardown<T>(state: T) {
     std::mem::forget(state);
 }
 
-/// Print the per-phase self-time table reconstructed from the flight
+/// Append the per-phase self-time table reconstructed from the flight
 /// recorder (`analyze --profile`). `watermark` bounds the table to the
 /// current run's events.
-fn print_flight_profile(watermark: u64) {
+fn write_flight_profile(out: &mut String, watermark: u64) {
     let prof = flight::profile(&flight::select(watermark, None));
-    println!("\n== flight profile (per phase) ==");
-    println!(
+    let _ = writeln!(out, "\n== flight profile (per phase) ==");
+    let _ = writeln!(
+        out,
         "{:<18} {:>6} {:>8} {:>12} {:>12} {:>10} {:>10}",
         "phase", "spans", "instants", "total_us", "self_us", "max_us", "value"
     );
     for (kind, st) in &prof {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<18} {:>6} {:>8} {:>12} {:>12} {:>10} {:>10}",
             kind.name(),
             st.spans,
@@ -466,7 +484,7 @@ fn print_flight_profile(watermark: u64) {
         );
     }
     if let Some(note) = ring_wrapped_note() {
-        println!("{note}");
+        let _ = writeln!(out, "{note}");
     }
 }
 
@@ -525,12 +543,14 @@ fn cmd_explain(args: &[String]) {
         }
         None => result.loops.iter().collect(),
     };
+    let mut out = String::new();
     if json {
         let loops: Vec<String> = selected
             .iter()
             .map(|r| padfa::analysis::loop_json(r))
             .collect();
-        println!(
+        let _ = writeln!(
+            out,
             "{{\"schema_version\":{SCHEMA_VERSION},\"file\":\"{}\",\"variant\":\"{}\",\
              \"loops\":[{}]}}",
             json_escape(path),
@@ -540,11 +560,12 @@ fn cmd_explain(args: &[String]) {
     } else {
         for (i, r) in selected.iter().enumerate() {
             if i > 0 {
-                println!();
+                out.push('\n');
             }
-            print!("{}", padfa::analysis::render_text(r));
+            out.push_str(&padfa::analysis::render_text(r));
         }
     }
+    emit(&out);
     finish_without_teardown((sess, prog, result));
 }
 

@@ -395,6 +395,28 @@ fn analyze_summaries_prints_dataflow_values() {
     assert!(text.contains("E="), "{text}");
 }
 
+/// `analyze` and `explain` write their report in one call; when that
+/// write fails the command says so and exits 1.
+#[test]
+fn failed_report_write_exits_1() {
+    let full = std::path::Path::new("/dev/full");
+    if !full.exists() {
+        return;
+    }
+    let f = demo_file();
+    for cmd in ["analyze", "explain"] {
+        let sink = std::fs::OpenOptions::new().write(true).open(full).unwrap();
+        let out = padfa().arg(cmd).arg(&f.0).stdout(sink).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("cannot write the report"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}
+
 #[test]
 fn usage_errors_exit_2() {
     let out = padfa().output().unwrap();
@@ -1056,13 +1078,13 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     assert!(run.status.success());
     let corpus = metrics_counters(&out);
     assert_eq!(corpus, folded);
-    assert_eq!(corpus["query.sys_empty.total"], 23_703);
-    assert_eq!(corpus["fm.projections"], 25_029);
-    assert_eq!(corpus["interned.regions"], 14_986);
+    assert_eq!(corpus["query.sys_empty.total"], 17_748);
+    assert_eq!(corpus["fm.projections"], 8_445);
+    assert_eq!(corpus["interned.regions"], 6_204);
     // The tier census: every emptiness question a corpus pass asks is a
     // difference-bound system. A new input shape that reaches
     // elimination shows up here first.
-    assert_eq!(corpus["tier.sys_empty.dense"], 23_703);
+    assert_eq!(corpus["tier.sys_empty.dense"], 17_748);
     assert_eq!(corpus["tier.sys_empty.general"], 0);
     assert_eq!(corpus["tier.intersect.dense"], 0);
     assert_eq!(corpus["tier.intersect.general"], 3_292);

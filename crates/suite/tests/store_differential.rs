@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// Render every loop report and every procedure summary of one corpus
 /// program in canonical order, optionally against a store.
 fn render(prog: &Program, store: Option<&Arc<Store>>) -> String {
-    let mut sess = AnalysisSession::new(Options::predicated());
+    let mut sess = AnalysisSession::new(Options::predicated()).with_summaries();
     if let Some(s) = store {
         sess = sess.with_store(Arc::clone(s));
     }
