@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p padfa-bench --bin table2`
 
 use padfa_bench::render_table;
-use padfa_core::{analyze_program, Options, Outcome};
+use padfa_core::{analyze_program, analyze_program_session, AnalysisSession, Options, Outcome};
 use padfa_rt::{run_main, RunConfig};
 
 fn main() {
@@ -18,7 +18,9 @@ fn main() {
     let mut rows = Vec::new();
     for bp in &corpus {
         let base = analyze_program(&bp.program, &Options::base()).expect("analysis failed");
-        let pred = analyze_program(&bp.program, &Options::predicated()).expect("analysis failed");
+        // The category column reads the mechanisms: ask for the evidence.
+        let sess = AnalysisSession::new(Options::predicated()).with_provenance();
+        let (pred, _) = analyze_program_session(&bp.program, &sess).expect("analysis failed");
         let base_par: Vec<_> = base
             .loops
             .iter()
@@ -72,7 +74,7 @@ fn main() {
                 Outcome::Sequential => continue,
             };
             // Category in the style of So/Moon/Hall's classification.
-            let m = report.mechanisms;
+            let m = report.provenance.as_ref().expect("evidence").mechanisms;
             let category = if m.extraction && m.runtime_test {
                 "BC" // breaking/boundary condition test
             } else if m.runtime_test {

@@ -232,7 +232,7 @@ fn analyze_proc(
                     sess.note_degraded();
                     Ok((
                         read.then(|| Arc::new(degraded_summary(proc))),
-                        budget_reports(proc, meter.steps),
+                        budget_reports(proc, meter.steps, sess.provenance_wanted()),
                     ))
                 }
             }
@@ -256,11 +256,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 
 /// Reports for every loop of a budget-degraded procedure: sequential,
 /// marked `not-parallel (budget)`. The degraded summary makes no claim
-/// about these loops, so none may be parallelized. Each report's
-/// provenance carries the [`BudgetEvent`] (with the step count at
-/// exhaustion) as its concrete blocker.
-fn budget_reports(proc: &Procedure, steps: u64) -> Vec<LoopReport> {
-    fn walk(b: &Block, depth: usize, proc: &str, steps: u64, out: &mut Vec<LoopReport>) {
+/// about these loops, so none may be parallelized. When the session
+/// wants provenance, each report's evidence carries the [`BudgetEvent`] (with the
+/// step count at exhaustion) as its concrete blocker.
+fn budget_reports(proc: &Procedure, steps: u64, evidence: bool) -> Vec<LoopReport> {
+    let event = evidence.then_some(BudgetEvent { steps });
+    fn walk(
+        b: &Block,
+        depth: usize,
+        proc: &str,
+        event: Option<BudgetEvent>,
+        out: &mut Vec<LoopReport>,
+    ) {
         for s in &b.stmts {
             match s {
                 Stmt::For(l) => {
@@ -274,26 +281,25 @@ fn budget_reports(proc: &Procedure, steps: u64) -> Vec<LoopReport> {
                         privatized: Vec::new(),
                         privatized_scalars: Vec::new(),
                         reductions: Vec::new(),
-                        mechanisms: Mechanisms::default(),
-                        provenance: Provenance {
-                            budget: Some(BudgetEvent { steps }),
+                        provenance: event.map(|e| Provenance {
+                            budget: Some(e),
                             ..Provenance::default()
-                        },
+                        }),
                     });
-                    walk(&l.body, depth + 1, proc, steps, out);
+                    walk(&l.body, depth + 1, proc, event, out);
                 }
                 Stmt::If {
                     then_blk, else_blk, ..
                 } => {
-                    walk(then_blk, depth, proc, steps, out);
-                    walk(else_blk, depth, proc, steps, out);
+                    walk(then_blk, depth, proc, event, out);
+                    walk(else_blk, depth, proc, event, out);
                 }
                 _ => {}
             }
         }
     }
     let mut out = Vec::new();
-    walk(&proc.body, 0, &proc.name, steps, &mut out);
+    walk(&proc.body, 0, &proc.name, event, &mut out);
     out
 }
 
@@ -417,7 +423,10 @@ impl<'a> Analyzer<'a> {
     /// Test one loop and, when the enclosing region reads it (`read`),
     /// summarize it. An unread loop returns an empty summary, except a
     /// strided one: its summary draws `$lat` names, from which later
-    /// loops number their existentials, so it is always formed.
+    /// loops number their existentials, so it is always formed. An
+    /// unread loop forms no `E − W_prev` either, unless the session
+    /// wants provenance and extraction is on: that extraction is a
+    /// mechanism the evidence names.
     fn handle_loop(&mut self, proc: &Procedure, l: &Loop, depth: usize, read: bool) -> Summary {
         let sess = self.sess;
         let opts = &sess.opts;
@@ -472,7 +481,6 @@ impl<'a> Analyzer<'a> {
         // Sanitize and embed the per-iteration summary. Embedding is
         // attributed per array (a fresh `Mechanisms` per array) so the
         // provenance tree can name which arrays had guards embedded.
-        let mut mechanisms = Mechanisms::default();
         let mut embedded_arrays: Vec<Var> = Vec::new();
         let mut iter = Summary::empty();
         iter.scalars = body.scalars.clone();
@@ -492,7 +500,6 @@ impl<'a> Analyzer<'a> {
                 e: embed(&s.e, true),
             };
             if amech.embedding {
-                mechanisms.embedding = true;
                 embedded_arrays.push(a);
             }
             arr.normalize(sess);
@@ -503,12 +510,6 @@ impl<'a> Analyzer<'a> {
         let trip2 = trip2_pred(&l.lo, &l.hi, &lo_lin, &hi_lin, l.step);
 
         let decision = test_loop(&iter, &l.body, l.var, &ctx, sess, &is_symbolic, &trip2);
-        mechanisms.predicates |= decision.mechanisms.predicates;
-        mechanisms.embedding |= decision.mechanisms.embedding;
-        mechanisms.extraction |= decision.mechanisms.extraction;
-        mechanisms.runtime_test |= decision.mechanisms.runtime_test;
-        let mut prov = decision.provenance;
-        prov.embedded = embedded_arrays;
 
         let not_candidate = if body.has_io {
             Some(NotCandidateReason::ReadIo)
@@ -587,13 +588,14 @@ impl<'a> Analyzer<'a> {
         } else {
             None
         };
+        // `E − W_prev` is the loop's exposed read, and its extraction is
+        // a mechanism the evidence names (and `winner` weighs).
+        let exposed_wanted = read || (extract_fn.is_some() && decision.provenance.is_some());
+        let mut extracted = false;
         let mut loop_sum = Summary::empty();
         for (&a, s) in &iter.arrays {
-            // `E − W_prev` is the loop's exposed read, and its extraction
-            // is a mechanism the report names (and `winner` weighs), so
-            // it runs unread too whenever extraction is on.
-            if !read && extract_fn.is_none() {
-                continue;
+            if !exposed_wanted {
+                break;
             }
             let mut fired = false;
             let e_ctx = with_ctx(&s.e);
@@ -604,9 +606,7 @@ impl<'a> Analyzer<'a> {
             } else {
                 e_ctx.pred_subtract(&w_prev_of_i(&s.w), preds, extract_fn, sess, &mut fired)
             };
-            if fired {
-                mechanisms.extraction = true;
-            }
+            extracted |= fired;
             if !read {
                 continue;
             }
@@ -646,14 +646,16 @@ impl<'a> Analyzer<'a> {
         // Attribute this loop's cap-hit deltas, settle the winning
         // mechanism, and emit the report (after loop-level summarization
         // so extraction fired there is included).
-        prov.limit_overflows = padfa_omega::limit_stats::thread_overflows() - limit_base;
-        prov.lat_overflow = sess.lat_overflow_for(&proc.name) - lat_base;
         let parallelized = not_candidate.is_none() && outcome.is_parallelizable();
-        prov.winner = if parallelized {
-            Some(Mechanism::winner(&mechanisms))
-        } else {
-            None
-        };
+        let provenance = decision.provenance.map(|mut prov| {
+            prov.mechanisms.embedding |= !embedded_arrays.is_empty();
+            prov.mechanisms.extraction |= extracted;
+            prov.embedded = embedded_arrays;
+            prov.limit_overflows = padfa_omega::limit_stats::thread_overflows() - limit_base;
+            prov.lat_overflow = sess.lat_overflow_for(&proc.name) - lat_base;
+            prov.winner = parallelized.then(|| Mechanism::winner(&prov.mechanisms));
+            prov
+        });
         self.reports.push(LoopReport {
             id: l.id,
             label: l.label.clone(),
@@ -664,8 +666,7 @@ impl<'a> Analyzer<'a> {
             privatized: decision.privatized,
             privatized_scalars: decision.privatized_scalars,
             reductions: decision.reductions,
-            mechanisms,
-            provenance: prov,
+            provenance,
         });
         if !read {
             return Summary::empty();
@@ -864,6 +865,17 @@ mod tests {
         analyze_program(&p, opts).unwrap()
     }
 
+    /// [`analyze`] in a session that builds provenance.
+    fn analyze_with_evidence(src: &str, opts: &Options) -> AnalysisResult {
+        let p = parse_program(src).unwrap();
+        let sess = AnalysisSession::new(opts.clone()).with_provenance();
+        analyze_program_session(&p, &sess).unwrap().0
+    }
+
+    fn mechanisms(r: &LoopReport) -> Mechanisms {
+        r.provenance.as_ref().unwrap().mechanisms
+    }
+
     #[test]
     fn independent_loop_is_parallel() {
         let r = analyze(
@@ -966,11 +978,11 @@ mod tests {
                 if (x > 5) { help[i] = a[i, 1]; }
                 a[i, 2] = help[i + 1];
             } }";
-        let pr = analyze(src, &Options::predicated());
+        let pr = analyze_with_evidence(src, &Options::predicated());
         match &pr.loops[0].outcome {
             Outcome::ParallelIf(t) => {
                 assert!(t.is_runtime_testable());
-                assert!(pr.loops[0].mechanisms.runtime_test);
+                assert!(mechanisms(&pr.loops[0]).runtime_test);
                 // x <= 5 must make the loop safe.
                 let safe = Pred::from_bool(&padfa_ir::parse::parse_bool_expr("x <= 5").unwrap());
                 assert!(
@@ -998,11 +1010,11 @@ mod tests {
                 help[i] = a[i] * 2.0;
                 a[i] = help[m];
             } }";
-        let pr = analyze(src, &Options::predicated());
+        let pr = analyze_with_evidence(src, &Options::predicated());
         match &pr.loops[0].outcome {
             Outcome::ParallelIf(t) => {
                 assert!(t.is_runtime_testable(), "test: {t}");
-                assert!(pr.loops[0].mechanisms.extraction);
+                assert!(mechanisms(&pr.loops[0]).extraction);
                 // m outside any iteration range must satisfy the test.
                 let outside =
                     Pred::from_bool(&padfa_ir::parse::parse_bool_expr("m > 100").unwrap());

@@ -1,10 +1,11 @@
-//! Decision provenance: the evidence chain behind every loop verdict.
+//! Decision provenance: the evidence chain behind a loop verdict.
 //!
 //! The paper's evaluation attributes each parallelized loop to the
 //! mechanism that won it and each sequential loop to the dependence that
-//! blocked it. A [`Provenance`] tree attached to every
-//! [`crate::LoopReport`] records exactly that chain:
+//! blocked it. A [`Provenance`] tree records exactly that chain:
 //!
+//! * the [`Mechanisms`] the decision needed, and the single winner
+//!   among them;
 //! * per array, the dependence / privatization **pair tests** that were
 //!   run ([`PairEvidence`]) — which guarded pieces were compared, and
 //!   whether the pair was discharged by complementary guards, by region
@@ -18,12 +19,19 @@
 //!   the `omega` cap-hit / `$lat`-pool-overflow counts attributed to
 //!   this specific loop.
 //!
+//! Only a session built [`crate::AnalysisSession::with_provenance`]
+//! builds the tree, and [`crate::LoopReport::provenance`] is `Some`
+//! exactly then: the readers are `padfa explain` and `/explain` (which
+//! render it via [`render_text`] / [`loop_json`]), `padfa corpus` (whose
+//! ledger folds `winner` and [`Provenance::has_blocker`]), and every
+//! session with a store (an entry holds full reports, and a later
+//! `explain` may read it). A verdict-only session skips the work only
+//! the tree needs; its verdicts are the same.
+//!
 //! The tree is deterministic: array evidence follows the summary's
 //! `BTreeMap` order, pair evidence follows the fixed piece iteration
 //! order of the dependence test, and the cap-hit counters are deltas of
 //! thread-local counters (a session runs on exactly one thread).
-//! `padfa explain` renders it via [`render_text`] /
-//! [`loop_json`].
 
 use crate::json_escape;
 use crate::report::{LoopReport, Mechanisms, Outcome};
@@ -239,6 +247,8 @@ pub struct BudgetEvent {
 /// The full evidence chain behind one [`LoopReport`].
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Provenance {
+    /// Which of the paper's mechanisms the decision needed.
+    pub mechanisms: Mechanisms,
     /// The single winning mechanism — `Some` exactly for parallelized
     /// candidate loops.
     pub winner: Option<Mechanism>,
@@ -379,9 +389,9 @@ fn mechanisms_list(m: &Mechanisms) -> String {
     }
 }
 
-/// Render one loop's provenance as a human-readable tree.
+/// Render one loop's provenance as a human-readable tree. A report
+/// without evidence renders its verdict line and a note saying so.
 pub fn render_text(report: &LoopReport) -> String {
-    let p = &report.provenance;
     let mut out = format!(
         "{}:{} depth={} -> {}",
         report.proc,
@@ -396,13 +406,21 @@ pub fn render_text(report: &LoopReport) -> String {
         out.push_str(&format!(" [not-parallel ({r})]"));
     }
     out.push('\n');
+    let Some(p) = &report.provenance else {
+        glue(
+            &mut out,
+            &[Node::leaf("evidence: not built".to_string())],
+            "",
+        );
+        return out;
+    };
 
     let mut nodes: Vec<Node> = Vec::new();
     match p.winner {
         Some(w) => nodes.push(Node::leaf(format!(
             "winner: {} (mechanisms: {})",
             w.label(),
-            mechanisms_list(&report.mechanisms)
+            mechanisms_list(&p.mechanisms)
         ))),
         None if report.not_candidate.is_none() => {
             nodes.push(Node::leaf("winner: none (sequential)".to_string()))
@@ -510,9 +528,10 @@ fn array_json(a: &ArrayEvidence) -> String {
     )
 }
 
-/// Render one loop's report (verdict + provenance) as a JSON object.
+/// Render one loop's report (verdict + provenance) as a JSON object. A
+/// report without evidence has `"evidence":null` in place of every
+/// evidence field (`winner` through `lat_overflow`, `reductions` kept).
 pub fn loop_json(report: &LoopReport) -> String {
-    let p = &report.provenance;
     let mut out = format!(
         "{{\"id\":{},\"label\":{},\"proc\":\"{}\",\"depth\":{}",
         report.id.0,
@@ -542,13 +561,32 @@ pub fn loop_json(report: &LoopReport) -> String {
             .map(|r| format!("\"{r}\""))
             .unwrap_or_else(|| "null".to_string())
     ));
+    let reductions: Vec<String> = report
+        .reductions
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"target\":\"{}\",\"op\":\"{:?}\",\"is_array\":{}}}",
+                json_escape(&r.target.name()),
+                r.op,
+                r.is_array
+            )
+        })
+        .collect();
+    let reductions = format!(",\"reductions\":[{}]", reductions.join(","));
+    let Some(p) = &report.provenance else {
+        out.push_str(",\"evidence\":null");
+        out.push_str(&reductions);
+        out.push('}');
+        return out;
+    };
     out.push_str(&format!(
         ",\"winner\":{}",
         p.winner
             .map(|w| format!("\"{}\"", w.label()))
             .unwrap_or_else(|| "null".to_string())
     ));
-    let m = &report.mechanisms;
+    let m = &p.mechanisms;
     out.push_str(&format!(
         ",\"mechanisms\":{{\"predicates\":{},\"embedding\":{},\"extraction\":{},\"runtime_test\":{}}}",
         m.predicates, m.embedding, m.extraction, m.runtime_test
@@ -574,19 +612,7 @@ pub fn loop_json(report: &LoopReport) -> String {
         })
         .collect();
     out.push_str(&format!(",\"scalars\":[{}]", scalars.join(",")));
-    let reductions: Vec<String> = report
-        .reductions
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"target\":\"{}\",\"op\":\"{:?}\",\"is_array\":{}}}",
-                json_escape(&r.target.name()),
-                r.op,
-                r.is_array
-            )
-        })
-        .collect();
-    out.push_str(&format!(",\"reductions\":[{}]", reductions.join(",")));
+    out.push_str(&reductions);
     let embedded: Vec<String> = p
         .embedded
         .iter()

@@ -108,9 +108,12 @@ pub struct LoopReport {
     pub privatized: Vec<PrivArray>,
     pub privatized_scalars: Vec<Var>,
     pub reductions: Vec<Reduction>,
-    pub mechanisms: Mechanisms,
-    /// The evidence chain behind the verdict (see [`crate::provenance`]).
-    pub provenance: crate::provenance::Provenance,
+    /// The evidence behind the verdict — the mechanisms it needed and the
+    /// chain of tests that decided it (see [`crate::provenance`]). `Some`
+    /// exactly when the session was built
+    /// [`crate::AnalysisSession::with_provenance`]; a verdict-only
+    /// session builds none.
+    pub provenance: Option<crate::provenance::Provenance>,
 }
 
 impl LoopReport {
@@ -227,8 +230,7 @@ mod tests {
             privatized: vec![],
             privatized_scalars: vec![],
             reductions: vec![],
-            mechanisms: Mechanisms::default(),
-            provenance: Default::default(),
+            provenance: None,
         };
         let r = AnalysisResult {
             loops: vec![

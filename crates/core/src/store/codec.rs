@@ -749,6 +749,10 @@ fn get_array_evidence(r: &mut Reader) -> Option<ArrayEvidence> {
 }
 
 fn put_provenance(out: &mut Vec<u8>, p: &Provenance) {
+    put_flag(out, p.mechanisms.predicates);
+    put_flag(out, p.mechanisms.embedding);
+    put_flag(out, p.mechanisms.extraction);
+    put_flag(out, p.mechanisms.runtime_test);
     put_opt(out, &p.winner, |o, m| put_mechanism(o, *m));
     put_u32(out, p.arrays.len() as u32);
     for a in &p.arrays {
@@ -774,6 +778,12 @@ fn put_provenance(out: &mut Vec<u8>, p: &Provenance) {
 }
 
 fn get_provenance(r: &mut Reader) -> Option<Provenance> {
+    let mechanisms = Mechanisms {
+        predicates: r.boolean()?,
+        embedding: r.boolean()?,
+        extraction: r.boolean()?,
+        runtime_test: r.boolean()?,
+    };
     let winner = get_opt(r, get_mechanism)?;
     let n = r.count()?;
     let mut arrays = Vec::with_capacity(n);
@@ -802,6 +812,7 @@ fn get_provenance(r: &mut Reader) -> Option<Provenance> {
     let limit_overflows = r.u64()?;
     let lat_overflow = r.u64()?;
     Some(Provenance {
+        mechanisms,
         winner,
         arrays,
         scalars,
@@ -813,7 +824,7 @@ fn get_provenance(r: &mut Reader) -> Option<Provenance> {
     })
 }
 
-fn put_report(out: &mut Vec<u8>, rep: &LoopReport) {
+fn put_report(out: &mut Vec<u8>, rep: &LoopReport, prov: &Provenance) {
     put_u32(out, rep.id.0);
     put_opt(out, &rep.label, |o, s| put_str(o, s));
     put_str(out, &rep.proc);
@@ -857,11 +868,7 @@ fn put_report(out: &mut Vec<u8>, rep: &LoopReport) {
             },
         );
     }
-    put_flag(out, rep.mechanisms.predicates);
-    put_flag(out, rep.mechanisms.embedding);
-    put_flag(out, rep.mechanisms.extraction);
-    put_flag(out, rep.mechanisms.runtime_test);
-    put_provenance(out, &rep.provenance);
+    put_provenance(out, prov);
 }
 
 fn get_report(r: &mut Reader) -> Option<LoopReport> {
@@ -918,13 +925,7 @@ fn get_report(r: &mut Reader) -> Option<LoopReport> {
             op,
         });
     }
-    let mechanisms = Mechanisms {
-        predicates: r.boolean()?,
-        embedding: r.boolean()?,
-        extraction: r.boolean()?,
-        runtime_test: r.boolean()?,
-    };
-    let provenance = get_provenance(r)?;
+    let provenance = Some(get_provenance(r)?);
     Some(LoopReport {
         id,
         label,
@@ -935,7 +936,6 @@ fn get_report(r: &mut Reader) -> Option<LoopReport> {
         privatized,
         privatized_scalars,
         reductions,
-        mechanisms,
         provenance,
     })
 }
@@ -946,15 +946,17 @@ fn get_report(r: &mut Reader) -> Option<LoopReport> {
 
 /// Payload of one interprocedural summary plus the loop reports derived
 /// while building it. Hitting this entry skips the procedure's analysis
-/// entirely, so the reports must ride along.
-pub fn encode_proc_entry(summary: &Summary, reports: &[LoopReport]) -> Vec<u8> {
+/// entirely, so the reports must ride along — with their evidence, which
+/// a later `explain` may read: `None` when a report carries none (a
+/// session with a store always builds it).
+pub fn encode_proc_entry(summary: &Summary, reports: &[LoopReport]) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     put_summary(&mut out, summary);
     put_u32(&mut out, reports.len() as u32);
     for rep in reports {
-        put_report(&mut out, rep);
+        put_report(&mut out, rep, rep.provenance.as_ref()?);
     }
-    out
+    Some(out)
 }
 
 pub fn decode_proc_entry(buf: &[u8]) -> Option<(Summary, Vec<LoopReport>)> {
@@ -1053,7 +1055,7 @@ mod tests {
                 ..ArraySummary::default()
             },
         );
-        let buf = encode_proc_entry(&summary, &[]);
+        let buf = encode_proc_entry(&summary, &[]).unwrap();
         assert_eq!(decode_proc_entry(&buf), Some((summary, Vec::new())));
         for cut in 0..buf.len() {
             assert!(decode_proc_entry(&buf[..cut]).is_none(), "cut={cut}");

@@ -486,7 +486,10 @@ impl Store {
         if self.writes_disabled.load(Ordering::Relaxed) {
             return;
         }
-        let frame = journal::encode(key, &codec::encode_proc_entry(summary, reports));
+        let Some(payload) = codec::encode_proc_entry(summary, reports) else {
+            return;
+        };
+        let frame = journal::encode(key, &payload);
         let path = self.entry_path(key);
         let seq = bump(&FILE_SEQ, 1);
         let tmp = self

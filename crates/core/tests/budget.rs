@@ -3,8 +3,8 @@
 
 use padfa_core::interproc::degraded_summary;
 use padfa_core::{
-    analyze_program, analyze_program_with_summaries, AnalysisError, AnalysisSession,
-    NotCandidateReason, Options, Outcome, WorkBudget,
+    analyze_program, analyze_program_session, analyze_program_with_summaries, AnalysisError,
+    AnalysisSession, NotCandidateReason, Options, Outcome, WorkBudget,
 };
 use padfa_ir::parse::parse_program;
 
@@ -164,8 +164,9 @@ fn starved_parallel_set_is_subset_of_exact() {
     }
 }
 
-/// One uncalled procedure: its loops are analyzed and reported in 74
-/// steps, and summarizing it as well takes 171.
+/// One uncalled procedure: its loops are analyzed and reported in 72
+/// steps (74 when the session builds evidence), and summarizing it as
+/// well takes 171.
 const TOP_LEVEL_FOLD_SRC: &str = "
 proc main(n: int, m: int, x: int) {
     array a[100];
@@ -198,11 +199,57 @@ fn unread_top_level_fold_is_not_charged() {
     let opts = Options::predicated().with_budget(WorkBudget::steps(120));
     let budgeted = analyze_program(&prog, &opts).unwrap();
     assert_eq!(budgeted.stats.degraded_procs, 0);
-    assert_eq!(budgeted.stats.budget_steps, 74);
+    assert_eq!(budgeted.stats.budget_steps, 72);
     assert_eq!(budgeted.loops, exact.loops);
 
     let (read, summaries) = analyze_program_with_summaries(&prog, &opts).unwrap();
     assert_eq!(read.stats.degraded_procs, 1);
     assert!(summaries["main"].degraded);
     assert!(read.loops.iter().all(|r| !r.parallelized()));
+}
+
+/// One uncalled procedure whose verdicts need less work than their
+/// evidence: every loop reads an array at a symbolic index (an unread
+/// loop's `E − W_prev` extracts its bounds only for the evidence), and
+/// the last two are sequential at their first hard dependence.
+const EVIDENCE_SRC: &str = "
+proc main(n: int, m: int, k: int) {
+    var s: real;
+    array a[100]; array b[100]; array c[100]; array d[100];
+    for i = 1 to n { b[i] = a[m] + a[k]; }
+    for i = 1 to n { c[i] = a[m] * d[k]; }
+    for i = 1 to n { d[i] = b[k] + c[m]; }
+    for i = 2 to n { a[i] = a[i - 1] + d[m]; b[i] = c[i] * 2.0; }
+    for i = 1 to n { c[i] = s; s = c[i] * 2.0; d[i] = b[m]; }
+}
+";
+
+/// Evidence nothing reads is not built, and so not charged: at a budget
+/// that covers the verdicts but not their evidence, a verdict-only
+/// session completes with its unlimited reports, and a session that
+/// asks for provenance runs the same budget out.
+#[test]
+fn unread_evidence_is_not_charged() {
+    let prog = parse_program(EVIDENCE_SRC).unwrap();
+    let exact = analyze_program(&prog, &Options::predicated()).unwrap();
+    assert_eq!(exact.num_parallelized(), 3);
+    let generous = Options::predicated().with_budget(WorkBudget::steps(1_000_000));
+    let sess = AnalysisSession::new(generous).with_provenance();
+    let (asked, _) = analyze_program_session(&prog, &sess).unwrap();
+    assert_eq!(asked.stats.budget_steps, 59, "with evidence");
+
+    let opts = Options::predicated().with_budget(WorkBudget::steps(50));
+    let plain = analyze_program(&prog, &opts).unwrap();
+    assert_eq!(plain.stats.degraded_procs, 0);
+    assert_eq!(plain.stats.budget_steps, 49);
+    assert_eq!(plain.loops, exact.loops);
+
+    let sess = AnalysisSession::new(opts).with_provenance();
+    let (asked, _) = analyze_program_session(&prog, &sess).unwrap();
+    assert_eq!(asked.stats.degraded_procs, 1);
+    assert!(asked.loops.iter().all(|r| !r.parallelized()));
+    assert!(asked
+        .loops
+        .iter()
+        .all(|r| r.provenance.as_ref().unwrap().budget.is_some()));
 }

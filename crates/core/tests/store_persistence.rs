@@ -56,7 +56,9 @@ fn run_with_store(store: Option<Arc<Store>>) -> padfa_core::AnalysisResult {
 
 fn run_source(src: &str, store: Option<Arc<Store>>) -> padfa_core::AnalysisResult {
     let prog = parse_program(src).unwrap();
-    let mut sess = AnalysisSession::new(Options::predicated());
+    // Reports are compared whole, evidence included: a store session
+    // always builds it, so every session here asks for it.
+    let mut sess = AnalysisSession::new(Options::predicated()).with_provenance();
     if let Some(s) = store {
         sess = sess.with_store(s);
     }

@@ -167,6 +167,18 @@ impl Var {
             .unwrap_or_else(|| format!("?{}", self.0))
     }
 
+    /// Sort `items` by the name of their `var`: an order that is a
+    /// function of the names alone, where `Ord` (interning order) depends
+    /// on what the process interned before. One lock for the whole sort,
+    /// and no name copied; `var` must not intern.
+    pub fn sort_by_name<T>(items: &mut [T], var: impl Fn(&T) -> Var) {
+        let guard = read_interner();
+        if let Some(int) = guard.as_ref() {
+            let name = |t: &T| int.names.get(var(t).0 as usize);
+            items.sort_by(|a, b| name(a).cmp(&name(b)));
+        }
+    }
+
     /// Raw interning index (stable within a process).
     pub fn index(self) -> u32 {
         self.0

@@ -221,7 +221,7 @@ fn provenance_and_metrics_deterministic_across_jobs() {
     let run = |jobs: usize| {
         par_map_jobs(jobs, &by_procs, |_, bench| {
             let reg = MetricsRegistry::new();
-            let sess = AnalysisSession::new(Options::predicated());
+            let sess = AnalysisSession::new(Options::predicated()).with_provenance();
             let (result, _) = analyze_program_session(&bench.program, &sess).unwrap();
             result.stats.publish(&reg);
             let trees: String = result
@@ -248,12 +248,13 @@ fn corpus_attribution_is_total() {
     use padfa::analysis::{analyze_program_session, AnalysisSession, Options};
 
     for bench in &padfa::suite::build_corpus() {
-        let sess = AnalysisSession::new(Options::predicated());
+        let sess = AnalysisSession::new(Options::predicated()).with_provenance();
         let (result, _) = analyze_program_session(&bench.program, &sess).unwrap();
         for r in &result.loops {
+            let p = r.provenance.as_ref().expect("evidence was asked for");
             if r.parallelized() {
                 assert!(
-                    r.provenance.winner.is_some(),
+                    p.winner.is_some(),
                     "{}: parallelized loop {:?} (id {}) has no winning mechanism",
                     bench.name,
                     r.label,
@@ -261,7 +262,7 @@ fn corpus_attribution_is_total() {
                 );
             } else {
                 assert!(
-                    r.provenance.winner.is_none(),
+                    p.winner.is_none(),
                     "{}: sequential loop {:?} (id {}) claims a winner",
                     bench.name,
                     r.label,
@@ -269,7 +270,7 @@ fn corpus_attribution_is_total() {
                 );
                 if r.not_candidate.is_none() {
                     assert!(
-                        r.provenance.has_blocker(),
+                        p.has_blocker(),
                         "{}: sequential candidate {:?} (id {}) has no concrete blocker",
                         bench.name,
                         r.label,

@@ -749,6 +749,9 @@ fn analysis_endpoint(
     // requests must bypass (cached results would change step accounting
     // and with it degradation decisions).
     let mut sess = AnalysisSession::new(opts);
+    if explain {
+        sess = sess.with_provenance();
+    }
     if budget.is_unlimited() {
         if let Some(store) = &shared.store {
             sess = sess.with_store(Arc::clone(store));

@@ -2,11 +2,13 @@
 //! analysis output of a program must be byte-identical whether the
 //! corpus is analyzed one program after another or four at a time, each
 //! in a session of its own — what `padfa corpus --jobs 1` and
-//! `--jobs 4` do — and whoever reads the procedure summaries. This is
-//! the gate on those equivalences.
+//! `--jobs 4` do — whoever reads the procedure summaries, and whoever
+//! reads the evidence behind the verdicts. This is the gate on those
+//! equivalences.
 
 use padfa_core::{
-    analyze_program_session, loop_json, par_map_jobs, AnalysisSession, Options, Store, StoreConfig,
+    analyze_program_session, loop_json, par_map_jobs, AnalysisSession, LoopReport, Options,
+    Outcome, StatsSnapshot, Store, StoreConfig,
 };
 use padfa_suite::corpus::build_corpus;
 use std::sync::Arc;
@@ -44,13 +46,17 @@ fn corpus_reports_identical_across_worker_counts() {
     }
 }
 
-/// Lattice-work gate over the corpus, one session per program as
-/// `padfa corpus` runs it without a store, which folds only the
-/// summaries a call site reads. Every count is a property of
-/// the programs and must not move: the distinct result regions
-/// interned (a pair-order refuted from its operands' lists interns
-/// nothing, and operands are not interned), the projections run (every
-/// `project_out` computes), and the emptiness questions put to a system
+/// Lattice-work gate over the corpus, one verdict-only session per
+/// program as `padfa analyze` runs it without a store, which folds only
+/// the summaries a call site reads and builds no evidence (`padfa
+/// corpus` builds it: 6,204 regions, 8,445 projections and 17,748
+/// emptiness questions, pinned by the CLI's metrics test). Every count
+/// is a property of the programs and must not move — whatever this
+/// process interned before, since a loop tries its arrays in name
+/// order: the distinct result regions interned (a pair-order refuted
+/// from its operands' lists interns nothing, and operands are not
+/// interned), the projections run (every `project_out` computes), and
+/// the emptiness questions put to a system
 /// (an interned region learns its verdict once, so only a region built
 /// afresh for each test, such as a pair test's conjunction, or one that
 /// needs elimination asks again).
@@ -64,20 +70,42 @@ fn corpus_lattice_work_stays_linear() {
         regions += result.stats.interned_regions as u64;
         projections += result.stats.fm_projections;
     }
-    assert_eq!(regions, 6_204, "interned.regions");
-    assert_eq!(projections, 8_445, "fm.projections");
-    assert_eq!(sys_empty, 17_748, "query.sys_empty.total");
+    assert_eq!(regions, 3_687, "interned.regions");
+    assert_eq!(projections, 4_953, "fm.projections");
+    assert_eq!(sys_empty, 17_693, "query.sys_empty.total");
 }
 
-/// How one reader-independence run asks for summaries.
+/// How one reader-independence run asks for summaries and evidence.
 #[derive(Clone, Copy, Debug)]
 enum Reader {
-    /// Only call sites read summaries.
+    /// Only call sites read summaries, and nothing reads evidence.
+    Plain,
+    /// Only call sites read summaries; the caller asks for evidence.
     Calls,
-    /// The caller asks for every summary.
+    /// The caller asks for every summary and for evidence.
     All,
-    /// A store puts every summary.
+    /// A store puts every summary (and so builds evidence).
     Store,
+}
+
+/// One analysis of `prog` as `reader` asks for it.
+fn session_as(
+    prog: &padfa_ir::Program,
+    opts: &Options,
+    reader: Reader,
+    store: &Arc<Store>,
+) -> (Vec<LoopReport>, Vec<String>, StatsSnapshot) {
+    let mut sess = AnalysisSession::new(opts.clone());
+    match reader {
+        Reader::Plain => {}
+        Reader::Calls => sess = sess.with_provenance(),
+        Reader::All => sess = sess.with_summaries().with_provenance(),
+        Reader::Store => sess = sess.with_store(Arc::clone(store)),
+    }
+    let (result, summaries) = analyze_program_session(prog, &sess).unwrap();
+    let mut names: Vec<String> = summaries.into_keys().collect();
+    names.sort();
+    (result.loops, names, result.stats)
 }
 
 /// One analysis of `prog` as `reader` asks for it: every loop report
@@ -89,20 +117,12 @@ fn run_as(
     reader: Reader,
     store: &Arc<Store>,
 ) -> (String, Vec<String>, u64) {
-    let mut sess = AnalysisSession::new(opts.clone());
-    match reader {
-        Reader::Calls => {}
-        Reader::All => sess = sess.with_summaries(),
-        Reader::Store => sess = sess.with_store(Arc::clone(store)),
-    }
-    let (result, summaries) = analyze_program_session(prog, &sess).unwrap();
+    let (loops, names, stats) = session_as(prog, opts, reader, store);
     let mut out = String::new();
-    for report in &result.loops {
+    for report in &loops {
         out.push_str(&format!("{report}\n{}\n", loop_json(report)));
     }
-    let mut names: Vec<String> = summaries.into_keys().collect();
-    names.sort();
-    (out, names, result.stats.fm_projections)
+    (out, names, stats.fm_projections)
 }
 
 /// 61 step-2 loops and one unit-step loop at the top level of an
@@ -136,6 +156,27 @@ fn lat_overflows(rendered: &str) -> u64 {
         .sum()
 }
 
+/// The corpus, `ir::testgen` seeds 0–99 and the hand-written `extra`
+/// programs, each with its name.
+fn programs(extra: &[(&str, &str)]) -> Vec<(String, padfa_ir::Program)> {
+    use padfa_ir::testgen::{random_program, GenConfig};
+    let mut programs: Vec<(String, padfa_ir::Program)> = build_corpus()
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.program))
+        .collect();
+    for seed in 0..100 {
+        programs.push((
+            format!("testgen {seed}"),
+            random_program(seed, GenConfig::default()),
+        ));
+    }
+    for (name, src) in extra {
+        let prog = padfa_ir::parse::parse_program(src).unwrap();
+        programs.push((name.to_string(), prog));
+    }
+    programs
+}
+
 /// An uncalled `main` calling a helper: the helper is read, so it still
 /// folds its top level and its summary is returned.
 const MAIN_CALLS_HELPER: &str = "proc fill(row: array[100], n: int, x: int) {
@@ -159,27 +200,13 @@ proc main(n: int, x: int) {
 /// folds must save projections.
 #[test]
 fn reports_do_not_depend_on_who_reads_summaries() {
-    use padfa_ir::parse::parse_program;
-    use padfa_ir::testgen::{random_program, GenConfig};
     let dir = std::env::temp_dir().join(format!("padfa_suite_readers_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(Store::open(StoreConfig::new(&dir, "readers")));
-    let mut programs: Vec<(String, padfa_ir::Program)> = build_corpus()
-        .into_iter()
-        .map(|b| (b.name.to_string(), b.program))
-        .collect();
-    for seed in 0..100 {
-        programs.push((
-            format!("testgen {seed}"),
-            random_program(seed, GenConfig::default()),
-        ));
-    }
-    for (name, src) in [
-        ("strided top level", strided_top_level()),
-        ("main calls helper", MAIN_CALLS_HELPER.to_string()),
-    ] {
-        programs.push((name.to_string(), parse_program(&src).unwrap()));
-    }
+    let programs = programs(&[
+        ("strided top level", &strided_top_level()),
+        ("main calls helper", MAIN_CALLS_HELPER),
+    ]);
     for opts in [Options::base(), Options::guarded(), Options::predicated()] {
         let (mut fm_calls, mut fm_all) = (0, 0);
         for (name, prog) in &programs {
@@ -216,6 +243,118 @@ fn reports_do_not_depend_on_who_reads_summaries() {
             opts.variant
         );
     }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An uncalled `main` whose one loop reads `a` at a symbolic index:
+/// nothing reads the loop's summary, but its `E − W_prev` extracts the
+/// index's bounds, and that extraction is the mechanism that wins it.
+const UNREAD_EXTRACTION: &str = "proc main(n: int, m: int) {
+    array a[100]; array b[100];
+    for i = 1 to n { b[i] = a[m]; }
+}";
+
+/// A sequential loop whose first array (`a`) blocks: the pair tests of
+/// `b` decide nothing the verdict shows.
+const FIRST_ARRAY_BLOCKS: &str = "proc main(n: int) {
+    array a[100]; array b[100]; array c[100];
+    for i = 2 to n { a[i] = a[i - 1] + 1.0; b[i] = c[i] * 2.0; }
+}";
+
+/// A loop-carried flow through the scalar `s`: sequential before any
+/// array is tested.
+const EXPOSED_SCALAR: &str = "proc main(n: int) {
+    var s: real; array a[100];
+    for i = 1 to n { a[i] = s; s = a[i] * 2.0; }
+}";
+
+/// The verdict of one loop as `padfa analyze` and `serve /analyze`
+/// render it — the `Display` line, and what the `/analyze` body's loop
+/// entry is made of — with the transformations in full.
+fn verdict(r: &LoopReport) -> String {
+    let test = match (&r.not_candidate, &r.outcome) {
+        (None, Outcome::ParallelIf(p)) => p.to_string(),
+        _ => String::new(),
+    };
+    format!(
+        "{r}\n  id={} label={:?} test={test} privatized={:?} scalars={:?} reductions={:?}\n",
+        r.id.0, r.label, r.privatized, r.privatized_scalars, r.reductions
+    )
+}
+
+/// Evidence nothing reads is not built, and that changes no verdict:
+/// over the corpus, `ir::testgen` seeds 0–99 and four hand-written
+/// programs, under all three variants, every loop's verdict renders
+/// byte-identically in a verdict-only session, one that asks for
+/// provenance, and one with a store; evidence is absent exactly in the
+/// verdict-only session; and the verdict-only sessions run no more
+/// projections, and fewer in all (the base variant extracts nothing, so
+/// it saves none).
+#[test]
+fn verdicts_do_not_depend_on_who_reads_evidence() {
+    let dir = std::env::temp_dir().join(format!("padfa_suite_evidence_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = Arc::new(Store::open(StoreConfig::new(&dir, "evidence")));
+    let programs = programs(&[
+        ("unread extraction", UNREAD_EXTRACTION),
+        ("first array blocks", FIRST_ARRAY_BLOCKS),
+        ("exposed scalar", EXPOSED_SCALAR),
+        ("strided top level", &strided_top_level()),
+    ]);
+    let (mut fm_plain, mut fm_evidence) = (0, 0);
+    for opts in [Options::base(), Options::guarded(), Options::predicated()] {
+        for (name, prog) in &programs {
+            let ctx = format!("{name} under {:?}", opts.variant);
+            let (plain, _, plain_stats) = session_as(prog, &opts, Reader::Plain, &store);
+            let (asked, _, asked_stats) = session_as(prog, &opts, Reader::Calls, &store);
+            let (stored, _, _) = session_as(prog, &opts, Reader::Store, &store);
+            let render = |loops: &[LoopReport]| loops.iter().map(verdict).collect::<String>();
+            assert_eq!(render(&plain), render(&asked), "{ctx}: verdicts differ");
+            assert_eq!(render(&plain), render(&stored), "{ctx}: verdicts differ");
+            assert!(plain.iter().all(|r| r.provenance.is_none()), "{ctx}");
+            assert!(asked.iter().all(|r| r.provenance.is_some()), "{ctx}");
+            assert!(stored.iter().all(|r| r.provenance.is_some()), "{ctx}");
+            let predicated = opts.variant == padfa_core::Variant::Predicated;
+            match name.as_str() {
+                "unread extraction" if predicated => {
+                    let p = asked[0].provenance.as_ref().unwrap();
+                    assert!(p.mechanisms.extraction, "{ctx}: {p:?}");
+                    assert_eq!(p.winner, Some(padfa_core::Mechanism::Extraction), "{ctx}");
+                    assert!(plain_stats.fm_projections < asked_stats.fm_projections);
+                }
+                "first array blocks" => {
+                    assert_eq!(plain[0].outcome, Outcome::Sequential, "{ctx}");
+                    assert!(
+                        plain_stats.orders_total < asked_stats.orders_total,
+                        "{ctx}: {} pair orders verdict-only, {} with evidence",
+                        plain_stats.orders_total,
+                        asked_stats.orders_total
+                    );
+                }
+                "exposed scalar" => {
+                    assert_eq!(plain[0].outcome, Outcome::Sequential, "{ctx}");
+                    assert_eq!(plain_stats.orders_total, 0, "{ctx}");
+                    assert!(asked_stats.orders_total > 0, "{ctx}");
+                }
+                "strided top level" => {
+                    let asked: String = asked.iter().map(loop_json).collect();
+                    assert_eq!(lat_overflows(&asked), 49, "{ctx}");
+                }
+                _ => {}
+            }
+            assert!(
+                plain_stats.fm_projections <= asked_stats.fm_projections,
+                "{ctx}"
+            );
+            fm_plain += plain_stats.fm_projections;
+            fm_evidence += asked_stats.fm_projections;
+        }
+    }
+    assert!(
+        fm_plain < fm_evidence,
+        "{fm_plain} projections verdict-only, {fm_evidence} with evidence"
+    );
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,14 +42,15 @@ fn main() {
             ("guarded", Options::guarded()),
             ("predicated", Options::predicated()),
         ] {
-            let result = analyze_program(&prog, &opts).expect("analysis failed");
+            let sess = AnalysisSession::new(opts).with_provenance();
+            let (result, _) = analyze_program_session(&prog, &sess).expect("analysis failed");
             let outer = result.by_label("outer").expect("outer loop");
             let mut extras = Vec::new();
             if !outer.privatized.is_empty() {
                 let names: Vec<String> = outer.privatized.iter().map(|p| p.array.name()).collect();
                 extras.push(format!("privatize {}", names.join(",")));
             }
-            let m = outer.mechanisms;
+            let m = outer.provenance.as_ref().expect("evidence").mechanisms;
             if m.embedding {
                 extras.push("embedding".into());
             }

@@ -3,7 +3,7 @@
 //! labeled expectations on sample programs (the full sweep runs in the
 //! `table1` binary).
 
-use padfa_core::{analyze_program, Options};
+use padfa_core::{analyze_program, analyze_program_session, AnalysisSession, Options};
 use padfa_rt::elpd::elpd_inspect;
 use padfa_suite::corpus::build_program;
 use padfa_suite::stats::verify_expectations;
@@ -67,24 +67,14 @@ fn corpus_programs_execute_cleanly() {
 fn hard_loop_mechanisms_recorded() {
     // Loops expected to need embedding/extraction must have the flags.
     let bp = build_program("qcd").expect("program exists");
-    let pred = analyze_program(&bp.program, &Options::predicated()).unwrap();
+    let sess = AnalysisSession::new(Options::predicated()).with_provenance();
+    let (pred, _) = analyze_program_session(&bp.program, &sess).unwrap();
     for h in &bp.hard {
         let report = pred.by_label(&h.label).expect("labeled loop");
+        let m = report.provenance.as_ref().expect("evidence").mechanisms;
         match h.expect {
-            Expect::EmbeddingCT => {
-                assert!(
-                    report.mechanisms.embedding,
-                    "{}: {:?}",
-                    h.label, report.mechanisms
-                )
-            }
-            Expect::PredicatedRT => {
-                assert!(
-                    report.mechanisms.runtime_test,
-                    "{}: {:?}",
-                    h.label, report.mechanisms
-                )
-            }
+            Expect::EmbeddingCT => assert!(m.embedding, "{}: {m:?}", h.label),
+            Expect::PredicatedRT => assert!(m.runtime_test, "{}: {m:?}", h.label),
             _ => {}
         }
     }
