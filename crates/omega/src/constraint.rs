@@ -122,7 +122,9 @@ impl Constraint {
     /// [`crate::Disjunction::subtract`].
     pub fn negate_geq(&self) -> Constraint {
         debug_assert_eq!(self.kind, CKind::Geq);
-        Constraint::geq0(self.expr.clone().scaled(-1) - LinExpr::constant(1))
+        let mut e = self.expr.scaled(-1);
+        e.add_const(-1);
+        Constraint::geq0(e)
     }
 
     /// The two inequalities equivalent to an equality.
@@ -130,7 +132,7 @@ impl Constraint {
         debug_assert_eq!(self.kind, CKind::Eq);
         (
             Constraint::geq0(self.expr.clone()),
-            Constraint::geq0(self.expr.clone().scaled(-1)),
+            Constraint::geq0(self.expr.scaled(-1)),
         )
     }
 

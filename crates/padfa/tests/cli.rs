@@ -1097,6 +1097,56 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--metrics-out` writes the program's term of the corpus fold — the
+/// work of a session that builds evidence — and changes nothing
+/// `analyze` prints. This program's verdicts fit in 50 steps and their
+/// evidence does not: the verdicts are the unlimited ones with and
+/// without the flag, and the file counts the evidence run the budget
+/// cut short.
+#[test]
+fn metrics_out_leaves_budgeted_verdicts_alone() {
+    let src = temppath::write(
+        "proc main(n: int, m: int, k: int) {
+            var s: real;
+            array a[100]; array b[100]; array c[100]; array d[100];
+            for i = 1 to n { b[i] = a[m] + a[k]; }
+            for i = 1 to n { c[i] = a[m] * d[k]; }
+            for i = 1 to n { d[i] = b[k] + c[m]; }
+            for i = 2 to n { a[i] = a[i - 1] + d[m]; b[i] = c[i] * 2.0; }
+            for i = 1 to n { c[i] = s; s = c[i] * 2.0; d[i] = b[m]; }
+        }",
+    );
+    let metrics = src.0.with_extension("metrics.json");
+    let analyze = |extra: &[&str]| {
+        let out = padfa()
+            .args(["analyze", "--all"])
+            .arg(&src.0)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let unlimited = analyze(&[]);
+    assert!(unlimited.contains("3 parallelized"), "{unlimited}");
+    let budgeted = analyze(&["--max-steps", "50"]);
+    assert_eq!(budgeted, unlimited);
+    let with_metrics = analyze(&[
+        "--max-steps",
+        "50",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert_eq!(with_metrics, unlimited);
+    let counters = metrics_counters(&metrics);
+    assert_eq!(counters["degraded.procs"], 1, "{counters:?}");
+    let _ = std::fs::remove_file(&metrics);
+}
+
 /// A spec that names a fault site but breaks its grammar is a usage
 /// error naming that grammar, before anything runs or binds.
 #[test]

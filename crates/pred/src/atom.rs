@@ -102,7 +102,11 @@ impl Atom {
                 },
             ) => {
                 // ¬(a >= 0) is (-a - 1 >= 0): check b == -a - 1.
-                *b == a.clone().scaled(-1) - LinExpr::constant(1)
+                b.konst() == -a.konst() - 1
+                    && b.num_terms() == a.num_terms()
+                    && a.terms()
+                        .zip(b.terms())
+                        .all(|((va, ca), (vb, cb))| va == vb && cb == -ca)
             }
             (
                 Atom::Opaque(BoolExpr::Cmp(op1, x1, y1)),

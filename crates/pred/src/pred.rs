@@ -1,6 +1,6 @@
 //! Predicates in negation normal form, with embedding and extraction.
 
-use crate::atom::Atom;
+use crate::atom::{Atom, AtomKind};
 use padfa_ir::{affine, BoolExpr, CmpOp};
 use padfa_omega::{Constraint, Limits, System, Var};
 use std::fmt;
@@ -243,18 +243,19 @@ impl Pred {
             Pred::And(ps) => Pred::or_all(ps.iter().map(|p| p.negate()).collect()),
             Pred::Or(ps) => Pred::and_all(ps.iter().map(|p| p.negate()).collect()),
             Pred::Atom(a) => match a {
-                Atom::Affine { .. } => {
-                    let c = a.to_constraint().unwrap();
-                    match c.kind {
-                        padfa_omega::CKind::Geq => {
-                            Pred::atom(Atom::from_constraint(&c.negate_geq()))
-                        }
-                        padfa_omega::CKind::Eq => {
-                            let (p, n) = c.as_geq_pair();
-                            Pred::or(
-                                Pred::atom(Atom::from_constraint(&p.negate_geq())),
-                                Pred::atom(Atom::from_constraint(&n.negate_geq())),
-                            )
+                Atom::Affine { expr, kind } => {
+                    // ¬(e >= 0) is -e - 1 >= 0; e == 0 is e >= 0 and
+                    // -e >= 0, whose complement is -e - 1 >= 0 or
+                    // e - 1 >= 0.
+                    let mut below = expr.scaled(-1);
+                    below.add_const(-1);
+                    let below = Pred::atom(Atom::affine_geq(below));
+                    match kind {
+                        AtomKind::Geq => below,
+                        AtomKind::Eq => {
+                            let mut above = expr.clone();
+                            above.add_const(-1);
+                            Pred::or(below, Pred::atom(Atom::affine_geq(above)))
                         }
                     }
                 }
@@ -324,12 +325,12 @@ impl Pred {
             return true;
         }
         // Conjunction superset: (a ∧ b ∧ c) ⇒ (a ∧ c).
-        let parts_of = |p: &Pred| -> Vec<Pred> {
+        fn parts_of(p: &Pred) -> &[Pred] {
             match p {
-                Pred::And(ps) => ps.clone(),
-                other => vec![other.clone()],
+                Pred::And(ps) => ps,
+                other => std::slice::from_ref(other),
             }
-        };
+        }
         let lhs = parts_of(self);
         let rhs = parts_of(other);
         if rhs.iter().all(|r| lhs.contains(r)) {
