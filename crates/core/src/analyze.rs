@@ -59,11 +59,12 @@ pub fn analyze_program_with_summaries(
 /// (options, the region interner, counters).
 ///
 /// The returned map holds the summaries something read: every procedure
-/// named by a call site, every procedure put to the session's store,
-/// and — when the session was built [`AnalysisSession::with_summaries`]
-/// — every procedure. An unread procedure's loops are reported exactly
-/// as a read one's, but its top level is not folded into a summary, and
-/// its name is absent from the map.
+/// named by a call site, and — when the session was built
+/// [`AnalysisSession::with_summaries`] — every procedure. An unread
+/// procedure's loops are reported exactly as a read one's, but its top
+/// level is not folded into a summary, and its name is absent from the
+/// map. A store changes nothing here: the map and the reports are a
+/// storeless session's.
 ///
 /// Procedures are summarized one after another on the calling thread,
 /// call-graph level by level and within a level in ascending procedure
@@ -106,7 +107,7 @@ pub fn analyze_program_session(
         for &idx in co.levels.iter().flatten() {
             let name = &prog.procedures[idx].name;
             let store_key = proc_keys.get(name).copied();
-            let read = co.called[idx] || store_key.is_some() || sess.summaries_wanted();
+            let read = co.called[idx] || sess.summaries_wanted();
             let (summary, reps) =
                 analyze_proc(prog, idx, &co, &proc_summaries, sess, store_key, read)?;
             if let Some(summary) = summary {
@@ -162,6 +163,11 @@ fn proc_store_key(
 /// (`read` is false) only the loops are analyzed and reported, and no
 /// summary is returned.
 ///
+/// With a store key, the procedure's entry is asked for what this
+/// session reads — the summary when `read`, the evidence when the
+/// session builds it — and a hit skips the analysis. A miss puts what
+/// this session computed, replacing whatever the entry held.
+///
 /// The whole summarization runs under `catch_unwind` with this thread's
 /// budget meter armed: exhaustion unwinds to here and is resolved per
 /// the budget policy (degrade to [`degraded_summary`] or error); any
@@ -176,14 +182,17 @@ fn analyze_proc(
     read: bool,
 ) -> Result<(Option<Arc<Summary>>, Vec<LoopReport>), AnalysisError> {
     let proc = &prog.procedures[idx];
-    // A whole-procedure store hit skips summarization entirely: the
-    // entry carries both the summary and the loop reports derived while
-    // computing it. Only unbudgeted, non-recursive procedures get here
-    // (see `proc_store_key`), so no budget meter state is skipped.
+    let evidence = sess.provenance_wanted();
+    // Only unbudgeted, non-recursive procedures have a key (see
+    // `proc_store_key`), so a hit skips no budget meter state.
     if let (Some(key), Some(s)) = (store_key, sess.store()) {
-        if let Some((summary, reports)) = s.get_proc(key) {
+        let need = store::Parts {
+            summary: read,
+            evidence,
+        };
+        if let Some(entry) = s.get_proc(key, need) {
             flight::instant(flight::EventKind::StoreHit, &proc.name, 1);
-            return Ok((Some(Arc::new(summary)), reports));
+            return Ok((entry.summary.map(Arc::new), entry.reports));
         }
     }
     budget::install(&sess.opts.budget);
@@ -217,8 +226,8 @@ fn analyze_proc(
     );
     match outcome {
         Ok((summary, reports)) => {
-            if let (Some(key), Some(s), Some(summary)) = (store_key, sess.store(), &summary) {
-                s.put_proc(key, summary, &reports);
+            if let (Some(key), Some(s)) = (store_key, sess.store()) {
+                s.put_proc(key, summary.as_ref(), &reports);
             }
             Ok((summary.map(Arc::new), reports))
         }
@@ -232,7 +241,7 @@ fn analyze_proc(
                     sess.note_degraded();
                     Ok((
                         read.then(|| Arc::new(degraded_summary(proc))),
-                        budget_reports(proc, meter.steps, sess.provenance_wanted()),
+                        budget_reports(proc, meter.steps, evidence),
                     ))
                 }
             }

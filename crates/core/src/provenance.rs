@@ -23,9 +23,9 @@
 //! builds the tree, and [`crate::LoopReport::provenance`] is `Some`
 //! exactly then: the readers are `padfa explain` and `/explain` (which
 //! render it via [`render_text`] / [`loop_json`]), `padfa corpus` (whose
-//! ledger folds `winner` and [`Provenance::has_blocker`]), and every
-//! session with a store (an entry holds full reports, and a later
-//! `explain` may read it). A verdict-only session skips the work only
+//! ledger folds `winner` and [`Provenance::has_blocker`]). A store
+//! entry holds the tree only if its writer built it, and serves an
+//! evidence reader only then. A verdict-only session skips the work only
 //! the tree needs; its verdicts are the same.
 //!
 //! The tree is deterministic: array evidence follows the summary's

@@ -346,7 +346,7 @@ pub struct AnalysisSession {
     /// The caller reads every procedure's summary ([`Self::with_summaries`]).
     summaries: bool,
     /// Something reads the evidence behind the verdicts
-    /// ([`Self::with_provenance`], or a store).
+    /// ([`Self::with_provenance`]).
     provenance: bool,
     /// Pins the session to the thread that made it: its baselines and
     /// meters are that thread's thread-locals.
@@ -410,23 +410,23 @@ impl AnalysisSession {
     /// with it degradation decisions — could depend on what a previous
     /// run happened to persist.
     ///
-    /// A session with a store builds provenance, as if built
-    /// [`Self::with_provenance`]: an entry holds full reports, and a
-    /// later `explain` may read them from a hit.
+    /// A store builds nothing the session's readers do not ask for: an
+    /// entry holds the summary only if something read it and the
+    /// evidence only if the session was built [`Self::with_provenance`],
+    /// and it serves only a session needing no more than it holds.
     pub fn with_store(mut self, s: Arc<Store>) -> AnalysisSession {
         if !self.opts.budget.is_unlimited() {
             return self;
         }
         let opts_fp = store::options_fingerprint(&self.opts);
         self.store = Some(SessionStore { store: s, opts_fp });
-        self.provenance = true;
         self
     }
 
     /// Ask for every procedure's summary. Without it the driver computes
-    /// only the summaries something reads — a caller's call site or a
-    /// store put — and `analyze_program_session` returns only those;
-    /// the loop reports are the same either way.
+    /// only the summaries something reads — a caller's call site — and
+    /// `analyze_program_session` returns only those; the loop reports
+    /// are the same either way.
     pub fn with_summaries(mut self) -> AnalysisSession {
         self.summaries = true;
         self
@@ -449,7 +449,7 @@ impl AnalysisSession {
         self
     }
 
-    /// Whether something reads the evidence behind the verdicts.
+    /// Whether the session builds the evidence behind the verdicts.
     pub(crate) fn provenance_wanted(&self) -> bool {
         self.provenance
     }

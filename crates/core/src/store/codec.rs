@@ -1,11 +1,12 @@
 //! Structural byte codec for store payloads.
 //!
-//! A payload is the encoding of one procedure's [`Summary`] and the
-//! [`LoopReport`]s derived with it. Round-tripping must be bit-exact — a
-//! decoded region must equal the freshly-computed one including
-//! constraint order — which is why [`System::from_raw_parts`] /
-//! [`Disjunction::from_raw_parts`] exist: the ordinary constructors
-//! re-normalize and may reorder or drop parts.
+//! A payload is the encoding of one procedure's entry: its [`Summary`]
+//! when the writer folded one, and the [`LoopReport`]s derived with it,
+//! their evidence included when the writer built it ([`Parts`]).
+//! Round-tripping must be bit-exact — a decoded region must equal the
+//! freshly-computed one including constraint order — which is why
+//! [`System::from_raw_parts`] / [`Disjunction::from_raw_parts`] exist:
+//! the ordinary constructors re-normalize and may reorder or drop parts.
 //!
 //! Variables are encoded **by name** and re-interned on decode. Interned
 //! indices are process-local (they depend on interning order), so they
@@ -824,7 +825,9 @@ fn get_provenance(r: &mut Reader) -> Option<Provenance> {
     })
 }
 
-fn put_report(out: &mut Vec<u8>, rep: &LoopReport, prov: &Provenance) {
+/// One report; its evidence only when `prov` is given (the entry's
+/// evidence flag says which).
+fn put_report(out: &mut Vec<u8>, rep: &LoopReport, prov: Option<&Provenance>) {
     put_u32(out, rep.id.0);
     put_opt(out, &rep.label, |o, s| put_str(o, s));
     put_str(out, &rep.proc);
@@ -868,10 +871,12 @@ fn put_report(out: &mut Vec<u8>, rep: &LoopReport, prov: &Provenance) {
             },
         );
     }
-    put_provenance(out, prov);
+    if let Some(prov) = prov {
+        put_provenance(out, prov);
+    }
 }
 
-fn get_report(r: &mut Reader) -> Option<LoopReport> {
+fn get_report(r: &mut Reader, evidence: bool) -> Option<LoopReport> {
     let id = LoopId(r.u32()?);
     let label = get_opt(r, |r| r.str())?;
     let proc = r.str()?;
@@ -925,7 +930,11 @@ fn get_report(r: &mut Reader) -> Option<LoopReport> {
             op,
         });
     }
-    let provenance = Some(get_provenance(r)?);
+    let provenance = if evidence {
+        Some(get_provenance(r)?)
+    } else {
+        None
+    };
     Some(LoopReport {
         id,
         label,
@@ -944,30 +953,77 @@ fn get_report(r: &mut Reader) -> Option<LoopReport> {
 // Store entry payloads
 // ------------------------------------------------------------------
 
-/// Payload of one interprocedural summary plus the loop reports derived
-/// while building it. Hitting this entry skips the procedure's analysis
-/// entirely, so the reports must ride along — with their evidence, which
-/// a later `explain` may read: `None` when a report carries none (a
-/// session with a store always builds it).
-pub fn encode_proc_entry(summary: &Summary, reports: &[LoopReport]) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    put_summary(&mut out, summary);
-    put_u32(&mut out, reports.len() as u32);
-    for rep in reports {
-        put_report(&mut out, rep, rep.provenance.as_ref()?);
-    }
-    Some(out)
+/// What a procedure entry holds beside its verdicts, or what a reader
+/// needs from one: the procedure's interprocedural summary, and the
+/// evidence behind each loop report.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Parts {
+    pub summary: bool,
+    pub evidence: bool,
 }
 
-pub fn decode_proc_entry(buf: &[u8]) -> Option<(Summary, Vec<LoopReport>)> {
+impl Parts {
+    /// Does an entry holding `self` serve a reader needing `need`?
+    pub fn covers(self, need: Parts) -> bool {
+        (self.summary || !need.summary) && (self.evidence || !need.evidence)
+    }
+}
+
+/// One decoded procedure entry: the summary, if the writer folded one,
+/// and the loop reports derived while analyzing the procedure, with
+/// their evidence if the writer built it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProcEntry {
+    pub summary: Option<Summary>,
+    pub reports: Vec<LoopReport>,
+}
+
+impl ProcEntry {
+    pub fn parts(&self) -> Parts {
+        Parts {
+            summary: self.summary.is_some(),
+            evidence: self.reports.iter().all(|rep| rep.provenance.is_some()),
+        }
+    }
+}
+
+/// Payload of one procedure entry: a hit skips the procedure's analysis
+/// entirely, so the loop reports ride along. Two flags lead — "has
+/// summary", "has evidence" — because a session computes only what its
+/// readers need: an uncalled procedure's summary when someone asked for
+/// every summary, the evidence when someone asked for it. The evidence
+/// flag is set when every report carries its provenance (so always for
+/// a procedure without loops), and then every report's is encoded.
+pub fn encode_proc_entry(summary: Option<&Summary>, reports: &[LoopReport]) -> Vec<u8> {
+    let evidence = reports.iter().all(|rep| rep.provenance.is_some());
+    let mut out = Vec::new();
+    put_flag(&mut out, summary.is_some());
+    put_flag(&mut out, evidence);
+    if let Some(summary) = summary {
+        put_summary(&mut out, summary);
+    }
+    put_u32(&mut out, reports.len() as u32);
+    for rep in reports {
+        put_report(&mut out, rep, rep.provenance.as_ref().filter(|_| evidence));
+    }
+    out
+}
+
+pub fn decode_proc_entry(buf: &[u8]) -> Option<ProcEntry> {
     let mut r = Reader::new(buf);
-    let summary = get_summary(&mut r)?;
+    let has_summary = r.boolean()?;
+    let evidence = r.boolean()?;
+    let summary = if has_summary {
+        Some(get_summary(&mut r)?)
+    } else {
+        None
+    };
     let n = r.count()?;
     let mut reports = Vec::with_capacity(n);
     for _ in 0..n {
-        reports.push(get_report(&mut r)?);
+        reports.push(get_report(&mut r, evidence)?);
     }
-    r.at_end().then_some((summary, reports))
+    r.at_end().then_some(ProcEntry { summary, reports })
 }
 
 #[cfg(test)]
@@ -1055,8 +1111,12 @@ mod tests {
                 ..ArraySummary::default()
             },
         );
-        let buf = encode_proc_entry(&summary, &[]).unwrap();
-        assert_eq!(decode_proc_entry(&buf), Some((summary, Vec::new())));
+        let buf = encode_proc_entry(Some(&summary), &[]);
+        let entry = ProcEntry {
+            summary: Some(summary),
+            reports: Vec::new(),
+        };
+        assert_eq!(decode_proc_entry(&buf), Some(entry));
         for cut in 0..buf.len() {
             assert!(decode_proc_entry(&buf[..cut]).is_none(), "cut={cut}");
         }

@@ -34,7 +34,9 @@ use padfa_omega::Var;
 /// v4: systems carry no tier tag (there is no box to restore).
 /// v5: one file per entry under a build directory replaces the journal;
 /// its segments are swept as stale, unread.
-pub const CODEC_VERSION: u32 = 5;
+/// v6: an entry leads with "has summary" and "has evidence" flags; the
+/// summary is optional, and reports carry evidence only under the second.
+pub const CODEC_VERSION: u32 = 6;
 
 const FNV_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;

@@ -9,6 +9,11 @@
 //! while producing **bit-identical** output. Lattice queries are never
 //! persisted: computing one is cheaper than reading a record back.
 //!
+//! An entry holds what its writer's readers needed ([`Parts`]): the
+//! summary only if something read it, the reports' evidence only if the
+//! session built it. [`Store::get_proc`] serves a reader only from an
+//! entry that holds at least what it needs.
+//!
 //! ## On-disk layout
 //!
 //! ```text
@@ -75,6 +80,7 @@ pub mod faults;
 pub mod hash;
 pub mod journal;
 
+pub use codec::{Parts, ProcEntry};
 pub use faults::StoreFault;
 pub use hash::{hash_procedure, options_fingerprint, proc_key, CODEC_VERSION, UNDEFINED_CALLEE};
 
@@ -396,11 +402,14 @@ impl Store {
     // Reads
     // --------------------------------------------------------------
 
-    /// Memoized interprocedural summary plus the loop reports derived
-    /// while building it. A hit skips the procedure's analysis entirely.
-    /// The entry file is read, checked against `key` and decoded here,
-    /// on every call.
-    pub fn get_proc(&self, key: u128) -> Option<(Summary, Vec<LoopReport>)> {
+    /// The entry of the procedure keyed `key`, if it holds what `need`
+    /// asks for; a hit skips the procedure's analysis entirely. The
+    /// entry file is read, checked against `key` and decoded here, on
+    /// every call. A hit returns exactly what the reader needs: a summary
+    /// or evidence it did not ask for is dropped, so its output is the
+    /// storeless run's. An entry holding less is a miss, not corruption;
+    /// the recomputation's put replaces it.
+    pub fn get_proc(&self, key: u128, need: Parts) -> Option<ProcEntry> {
         if self.disabled.load(Ordering::Relaxed) {
             return None;
         }
@@ -417,13 +426,24 @@ impl Store {
                 None
             }
         };
-        let outcome = if entry.is_some() {
-            &self.n.hits
-        } else {
-            &self.n.misses
-        };
-        bump(outcome, 1);
-        entry
+        match entry {
+            Some(mut entry) if entry.parts().covers(need) => {
+                bump(&self.n.hits, 1);
+                if !need.summary {
+                    entry.summary = None;
+                }
+                if !need.evidence {
+                    for rep in &mut entry.reports {
+                        rep.provenance = None;
+                    }
+                }
+                Some(entry)
+            }
+            _ => {
+                bump(&self.n.misses, 1);
+                None
+            }
+        }
     }
 
     /// The bytes of one entry file (`None` when there is none), with
@@ -474,11 +494,12 @@ impl Store {
     // Writes
     // --------------------------------------------------------------
 
-    /// Persist one procedure's summary + reports. When this returns the
-    /// entry is complete under its name, or persistence has stopped with
-    /// a warning. Real and injected errors take the same path; a torn
-    /// write models a crash, so it is never retried.
-    pub fn put_proc(&self, key: u128, summary: &Summary, reports: &[LoopReport]) {
+    /// Persist one procedure's entry: its summary, when one was folded,
+    /// and its reports. When this returns the entry is complete under its
+    /// name, or persistence has stopped with a warning. Real and injected
+    /// errors take the same path; a torn write models a crash, so it is
+    /// never retried.
+    pub fn put_proc(&self, key: u128, summary: Option<&Summary>, reports: &[LoopReport]) {
         if self.disabled.load(Ordering::Relaxed) {
             return;
         }
@@ -486,10 +507,7 @@ impl Store {
         if self.writes_disabled.load(Ordering::Relaxed) {
             return;
         }
-        let Some(payload) = codec::encode_proc_entry(summary, reports) else {
-            return;
-        };
-        let frame = journal::encode(key, &payload);
+        let frame = journal::encode(key, &codec::encode_proc_entry(summary, reports));
         let path = self.entry_path(key);
         let seq = bump(&FILE_SEQ, 1);
         let tmp = self
@@ -593,11 +611,18 @@ mod tests {
             has_io: flag,
             ..Summary::default()
         };
-        s.put_proc(key, &summary, &[]);
+        s.put_proc(key, Some(&summary), &[]);
     }
 
+    const SUMMARY: Parts = Parts {
+        summary: true,
+        evidence: false,
+    };
+
     fn got(s: &Store, key: u128) -> Option<bool> {
-        s.get_proc(key).map(|(summary, _)| summary.has_io)
+        s.get_proc(key, SUMMARY)
+            .and_then(|entry| entry.summary)
+            .map(|summary| summary.has_io)
     }
 
     /// The names under `dir`, sorted.
@@ -633,6 +658,31 @@ mod tests {
         assert_eq!(got(&s, 3), None);
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.puts, st.stale), (2, 1, 0, 0));
+        assert!(s.take_warnings().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_holding_less_misses() {
+        let dir = test_dir("parts");
+        let s = Store::open(cfg(&dir));
+        // No summary; no loops, so no evidence is missing.
+        s.put_proc(1, None, &[]);
+        let both = Parts {
+            summary: true,
+            evidence: true,
+        };
+        assert!(s.get_proc(1, both).is_none());
+        assert!(s.get_proc(1, Parts::default()).is_some());
+        // A summary the reader did not ask for is dropped.
+        put(&s, 2, true);
+        let entry = s
+            .get_proc(2, Parts::default())
+            .expect("a full entry serves a reader needing nothing");
+        assert_eq!(entry.summary, None);
+        assert_eq!(got(&s, 2), Some(true));
+        let st = s.stats();
+        assert_eq!((st.hits, st.misses, st.quarantined), (3, 1, 0));
         assert!(s.take_warnings().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }

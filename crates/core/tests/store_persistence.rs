@@ -2,7 +2,7 @@
 //! identity, crash consistency under injected faults, Merkle-key
 //! invalidation, and a randomized codec round-trip property.
 
-use padfa_core::store::codec;
+use padfa_core::store::{codec, Parts};
 use padfa_core::{
     analyze_program_session, AnalysisSession, FaultPlan, Options, Store, StoreConfig, StoreError,
     StoreFault,
@@ -56,8 +56,8 @@ fn run_with_store(store: Option<Arc<Store>>) -> padfa_core::AnalysisResult {
 
 fn run_source(src: &str, store: Option<Arc<Store>>) -> padfa_core::AnalysisResult {
     let prog = parse_program(src).unwrap();
-    // Reports are compared whole, evidence included: a store session
-    // always builds it, so every session here asks for it.
+    // Reports are compared whole, evidence included, so every session
+    // here asks for it.
     let mut sess = AnalysisSession::new(Options::predicated()).with_provenance();
     if let Some(s) = store {
         sess = sess.with_store(s);
@@ -280,7 +280,11 @@ fn a_summary_stored_in_another_var_order_decodes_sorted() {
         bytes[4..bytes.len() - tail.len()].to_vec()
     };
     let (a, b) = (one_array(first, 10), one_array(second, 20));
+    // The entry's header: it has a summary and, having no loop reports,
+    // all of their evidence.
     let mut payload = Vec::new();
+    codec::put_flag(&mut payload, true);
+    codec::put_flag(&mut payload, true);
     codec::put_u32(&mut payload, 2);
     payload.extend(record(&b));
     payload.extend(record(&a));
@@ -293,8 +297,13 @@ fn a_summary_stored_in_another_var_order_decodes_sorted() {
     fs::write(entry, journal::encode(7, &payload)).unwrap();
 
     let store = Store::open(cfg(&dir));
-    let (summary, reports) = store.get_proc(7).expect("the entry decodes");
-    assert!(reports.is_empty());
+    let need = Parts {
+        summary: true,
+        evidence: true,
+    };
+    let entry = store.get_proc(7, need).expect("the entry decodes");
+    assert!(entry.reports.is_empty());
+    let summary = entry.summary.expect("the entry holds a summary");
     assert_eq!(
         summary.arrays.keys().copied().collect::<Vec<_>>(),
         [first, second]

@@ -417,26 +417,26 @@ fn cmd_analyze(args: &[String]) {
     if show_profile {
         write_flight_profile(&mut out, flight_wm);
     }
-    // The metrics file is the program's term of `corpus --metrics-out`,
-    // whose sessions build the evidence the ledger reads. This run's
-    // verdicts, printed above, are its own; when it built no evidence
-    // (it had no store), the file counts one more analysis that does.
+    // The metrics file is the program's term of a storeless `corpus
+    // --metrics-out`, whose sessions build the evidence the ledger
+    // reads. This run's verdicts, printed above, are its own and built
+    // no evidence, so the file counts one more analysis, without the
+    // store, that does. The `store.*` counters are this run's.
     let mut evidence_run = None;
     if let Some(out_path) = &metrics_out {
-        let stats = if sess.store().is_some() {
-            &result.stats
-        } else {
-            let sess = padfa::analysis::AnalysisSession::new(sess.opts.clone()).with_provenance();
-            match padfa::analysis::analyze_program_session(&prog, &sess) {
-                Ok((run, _)) => &evidence_run.insert((sess, run)).1.stats,
-                Err(e) => {
-                    eprintln!("padfa: cannot write metrics {out_path}: {e}");
-                    exit(exit_code(&e))
-                }
-            }
-        };
         let reg = padfa::analysis::MetricsRegistry::new();
-        stats.publish(&reg);
+        let sess = padfa::analysis::AnalysisSession::new(sess.opts.clone()).with_provenance();
+        match padfa::analysis::analyze_program_session(&prog, &sess) {
+            Ok((run, _)) => {
+                let run = &mut evidence_run.insert((sess, run)).1;
+                run.stats.store = result.stats.store;
+                run.stats.publish(&reg);
+            }
+            Err(e) => {
+                eprintln!("padfa: cannot write metrics {out_path}: {e}");
+                exit(exit_code(&e))
+            }
+        }
         let json = format!(
             "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":\"{}\",\"host\":\"{}\",\
              \"variant\":\"{}\",\"metrics\":{}}}",

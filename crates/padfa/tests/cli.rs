@@ -696,21 +696,26 @@ fn corpus_ledger_is_identical_across_jobs() {
             .output()
             .unwrap();
         assert!(out.status.success(), "--jobs {jobs}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rows: Vec<String> = text
-            .lines()
-            .filter(|l| !l.starts_with("{\"meta\":"))
-            .map(|l| {
-                let at = l.find(",\"ms\":").expect("every row has ms") + 6;
-                let digits = l[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
-                format!("{}0{}", &l[..at], &l[at + digits..])
-            })
-            .collect();
+        let rows = ledger_rows(&path);
         assert_eq!(rows.len(), 30, "--jobs {jobs}");
         rows
     };
     assert_eq!(ledger("1"), ledger("4"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A ledger's rows, the meta line dropped and `"ms"` zeroed.
+fn ledger_rows(path: &std::path::Path) -> Vec<String> {
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.starts_with("{\"meta\":"))
+        .map(|l| {
+            let at = l.find(",\"ms\":").expect("every row has ms") + 6;
+            let digits = l[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+            format!("{}0{}", &l[..at], &l[at + digits..])
+        })
+        .collect()
 }
 
 fn store_dir(tag: &str) -> std::path::PathBuf {
@@ -1094,6 +1099,105 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     // lists, for which no intersection was built.
     assert_eq!(corpus["deptest.orders.total"], 13_814);
     assert_eq!(corpus["deptest.orders.refuted"], 10_840);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every counter but the `store.*` ones.
+fn lattice_counters(path: &std::path::Path) -> std::collections::BTreeMap<String, u64> {
+    let mut counters = metrics_counters(path);
+    counters.retain(|k, _| !k.starts_with("store."));
+    counters
+}
+
+/// A store session builds what its readers ask for and no more. A cold
+/// `corpus --store` pass does exactly the lattice work of a storeless
+/// one — uncalled procedures are not folded for the store's sake — and
+/// its ledger is the storeless ledger.
+#[test]
+fn a_cold_corpus_store_pass_counts_the_storeless_work() {
+    let dir = store_dir("corpus-counters");
+    std::fs::create_dir_all(&dir).unwrap();
+    let corpus = |name: &str, store: bool| {
+        let (metrics, ledger) = (dir.join(format!("{name}.json")), dir.join(name));
+        let mut cmd = padfa();
+        cmd.arg("corpus").arg("--metrics-out").arg(&metrics);
+        cmd.arg("--ledger").arg(&ledger);
+        if store {
+            cmd.arg("--store").arg(dir.join("store"));
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (
+            lattice_counters(&metrics),
+            metrics_counters(&metrics),
+            ledger_rows(&ledger),
+        )
+    };
+    let (plain, _, plain_rows) = corpus("plain", false);
+    let (cold, cold_all, cold_rows) = corpus("cold", true);
+    assert_eq!(cold, plain);
+    assert_eq!(cold_rows, plain_rows);
+    assert_eq!(cold["fm.projections"], 8_445);
+    assert_eq!(cold["query.project.total"], 2_801);
+    assert_eq!(cold["interned.regions"], 6_204);
+    assert_eq!((cold_all["store.hits"], cold_all["store.puts"]), (0, 34));
+    let (_, warm_all, warm_rows) = corpus("warm", true);
+    assert_eq!(warm_rows, plain_rows);
+    assert_eq!((warm_all["store.hits"], warm_all["store.misses"]), (34, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `analyze --store --metrics-out` prints what plain `analyze` prints,
+/// and its file counts the storeless evidence run whether the store is
+/// cold or warm: the store's own counters are the only ones it adds.
+#[test]
+fn analyze_store_metrics_count_the_storeless_evidence_run() {
+    let dir = store_dir("analyze-metrics");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bench = padfa_suite::corpus::build_corpus()
+        .into_iter()
+        .max_by_key(|b| b.program.procedures.len())
+        .unwrap();
+    let src = dir.join("prog.mf");
+    std::fs::write(&src, &bench.source).unwrap();
+    let run = |name: &str, store: bool| {
+        let metrics = dir.join(format!("{name}.json"));
+        let mut cmd = padfa();
+        cmd.args(["analyze", "--all", "--metrics-out"])
+            .arg(&metrics);
+        if store {
+            cmd.arg("--store").arg(dir.join("store"));
+        }
+        let out = cmd.arg(&src).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, metrics)
+    };
+    let plain = padfa()
+        .args(["analyze", "--all"])
+        .arg(&src)
+        .output()
+        .unwrap();
+    let (nostore_out, nostore) = run("nostore", false);
+    assert_eq!(nostore_out, plain.stdout);
+    let procs = bench.program.procedures.len() as u64;
+    for (name, hits) in [("cold", 0), ("warm", procs)] {
+        let (out, metrics) = run(name, true);
+        assert_eq!(out, plain.stdout, "{name}: verdicts differ with a store");
+        assert_eq!(
+            lattice_counters(&metrics),
+            lattice_counters(&nostore),
+            "{name}"
+        );
+        assert_eq!(metrics_counters(&metrics)["store.hits"], hits, "{name}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -84,8 +84,10 @@ enum Reader {
     Calls,
     /// The caller asks for every summary and for evidence.
     All,
-    /// A store puts every summary (and so builds evidence).
-    Store,
+    /// Only call sites read summaries, through a store; the caller
+    /// asks for evidence when the flag is set. The store's entries hold
+    /// what earlier runs asked for, and serve a run only what it asks.
+    Store { evidence: bool },
 }
 
 /// One analysis of `prog` as `reader` asks for it.
@@ -100,7 +102,12 @@ fn session_as(
         Reader::Plain => {}
         Reader::Calls => sess = sess.with_provenance(),
         Reader::All => sess = sess.with_summaries().with_provenance(),
-        Reader::Store => sess = sess.with_store(Arc::clone(store)),
+        Reader::Store { evidence } => {
+            sess = sess.with_store(Arc::clone(store));
+            if evidence {
+                sess = sess.with_provenance();
+            }
+        }
     }
     let (result, summaries) = analyze_program_session(prog, &sess).unwrap();
     let mut names: Vec<String> = summaries.into_keys().collect();
@@ -196,8 +203,9 @@ proc main(n: int, x: int) {
 /// over the corpus, `ir::testgen` seeds 0–99 and two hand-written
 /// programs, under all three variants, the rendered reports are
 /// byte-identical whether only call sites read summaries, the caller
-/// asks for all of them, or a store puts them. Skipping the unread
-/// folds must save projections.
+/// asks for all of them, or a store serves them (returning the
+/// summaries a storeless run returns). Skipping the unread folds must
+/// save projections.
 #[test]
 fn reports_do_not_depend_on_who_reads_summaries() {
     let dir = std::env::temp_dir().join(format!("padfa_suite_readers_{}", std::process::id()));
@@ -212,13 +220,18 @@ fn reports_do_not_depend_on_who_reads_summaries() {
         for (name, prog) in &programs {
             let (calls, called, fm_c) = run_as(prog, &opts, Reader::Calls, &store);
             let (all, every, fm_a) = run_as(prog, &opts, Reader::All, &store);
-            let (stored, _, _) = run_as(prog, &opts, Reader::Store, &store);
+            let (stored, through_store, _) =
+                run_as(prog, &opts, Reader::Store { evidence: true }, &store);
             let ctx = format!("{name} under {:?}", opts.variant);
             assert_eq!(
                 calls, all,
                 "{ctx}: reports differ when every summary is asked for"
             );
             assert_eq!(calls, stored, "{ctx}: reports differ with a store");
+            assert_eq!(
+                called, through_store,
+                "{ctx}: summaries differ with a store"
+            );
             assert!(
                 fm_c <= fm_a,
                 "{ctx}: {fm_c} projections unread, {fm_a} read"
@@ -287,8 +300,9 @@ fn verdict(r: &LoopReport) -> String {
 /// over the corpus, `ir::testgen` seeds 0–99 and four hand-written
 /// programs, under all three variants, every loop's verdict renders
 /// byte-identically in a verdict-only session, one that asks for
-/// provenance, and one with a store; evidence is absent exactly in the
-/// verdict-only session; and the verdict-only sessions run no more
+/// provenance, and either of them with a store; evidence is present
+/// exactly when asked for, with a store or without; and the verdict-only
+/// sessions run no more
 /// projections, and fewer in all (the base variant extracts nothing, so
 /// it saves none).
 #[test]
@@ -308,13 +322,18 @@ fn verdicts_do_not_depend_on_who_reads_evidence() {
             let ctx = format!("{name} under {:?}", opts.variant);
             let (plain, _, plain_stats) = session_as(prog, &opts, Reader::Plain, &store);
             let (asked, _, asked_stats) = session_as(prog, &opts, Reader::Calls, &store);
-            let (stored, _, _) = session_as(prog, &opts, Reader::Store, &store);
             let render = |loops: &[LoopReport]| loops.iter().map(verdict).collect::<String>();
             assert_eq!(render(&plain), render(&asked), "{ctx}: verdicts differ");
-            assert_eq!(render(&plain), render(&stored), "{ctx}: verdicts differ");
             assert!(plain.iter().all(|r| r.provenance.is_none()), "{ctx}");
             assert!(asked.iter().all(|r| r.provenance.is_some()), "{ctx}");
-            assert!(stored.iter().all(|r| r.provenance.is_some()), "{ctx}");
+            for evidence in [false, true] {
+                let (stored, _, _) = session_as(prog, &opts, Reader::Store { evidence }, &store);
+                assert_eq!(render(&plain), render(&stored), "{ctx}: verdicts differ");
+                assert!(
+                    stored.iter().all(|r| r.provenance.is_some() == evidence),
+                    "{ctx}: evidence through a store, asked for: {evidence}"
+                );
+            }
             let predicated = opts.variant == padfa_core::Variant::Predicated;
             match name.as_str() {
                 "unread extraction" if predicated => {
