@@ -86,7 +86,9 @@ pub mod summary;
 pub(crate) mod tables;
 pub mod varmap;
 
-pub use analyze::{analyze_program, analyze_program_session, analyze_program_with_summaries};
+pub use analyze::{
+    analyze_program, analyze_program_session, analyze_program_with_summaries, panic_message,
+};
 pub use budget::{OnExhausted, WorkBudget};
 pub use component::{GuardedRegion, PredComponent};
 pub use error::{AnalysisError, StoreError};

@@ -108,10 +108,8 @@ impl Constraint {
             CKind::Eq => c / g,
             CKind::Geq => div_floor(c, g),
         };
-        let mut e = (self.expr - LinExpr::constant(c)).exact_div(g);
-        e.add_const(tightened);
         Norm::Keep(Constraint {
-            expr: e,
+            expr: self.expr.with_const(0).exact_div(g).with_const(tightened),
             kind: self.kind,
         })
     }
@@ -199,6 +197,14 @@ mod tests {
 
     fn v(n: &str) -> Var {
         Var::new(n)
+    }
+
+    #[test]
+    fn normalizing_a_minimal_constant_does_not_negate_it() {
+        // 3x + i64::MIN >= 0 tightens to x + floor(i64::MIN / 3) >= 0.
+        let c = Constraint::geq0(LinExpr::term(v("x"), 3) + LinExpr::constant(i64::MIN));
+        let want = LinExpr::var(v("x")) + LinExpr::constant(-3_074_457_345_618_258_603);
+        assert_eq!(c.normalize(), Norm::Keep(Constraint::geq0(want)));
     }
 
     #[test]

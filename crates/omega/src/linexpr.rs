@@ -297,6 +297,55 @@ impl LinExpr {
         out
     }
 
+    /// [`LinExpr::scaled`], or `None` when a coefficient or the constant
+    /// leaves the `i64` range.
+    pub fn checked_scaled(&self, k: i64) -> Option<LinExpr> {
+        if k == 0 {
+            return Some(LinExpr::zero());
+        }
+        let mut out = self.clone();
+        for t in out.terms.as_mut_slice() {
+            t.coeff = t.coeff.checked_mul(k)?;
+        }
+        out.konst = out.konst.checked_mul(k)?;
+        Some(out)
+    }
+
+    /// `self + rhs`, or `None` when a coefficient or the constant leaves
+    /// the `i64` range.
+    pub fn checked_add(mut self, rhs: &LinExpr) -> Option<LinExpr> {
+        for (v, c) in rhs.terms() {
+            match self.find(v) {
+                Ok(i) => {
+                    let term = &mut self.terms.as_mut_slice()[i];
+                    term.coeff = term.coeff.checked_add(c)?;
+                    if term.coeff == 0 {
+                        self.terms.remove_at(i);
+                    }
+                }
+                Err(i) => self.terms.insert_at(i, Term { var: v, coeff: c }),
+            }
+        }
+        self.konst = self.konst.checked_add(rhs.konst)?;
+        Some(self)
+    }
+
+    /// The expression with `v`'s term dropped: `self − coeff(v)·v`,
+    /// formed without arithmetic.
+    pub fn without(&self, v: Var) -> LinExpr {
+        let mut out = self.clone();
+        if let Ok(i) = out.find(v) {
+            out.terms.remove_at(i);
+        }
+        out
+    }
+
+    /// The same variable part with the constant replaced by `c`.
+    pub fn with_const(mut self, c: i64) -> LinExpr {
+        self.konst = c;
+        self
+    }
+
     /// GCD of all variable coefficients (0 for a constant expression).
     pub fn content(&self) -> i64 {
         self.terms.as_slice().iter().fold(0, |g, t| gcd(g, t.coeff))
@@ -322,12 +371,17 @@ impl LinExpr {
         if c == 0 {
             return self.clone();
         }
-        let mut out = self.clone();
-        if let Ok(i) = out.find(v) {
-            out.terms.remove_at(i);
+        self.without(v) + e.scaled(c)
+    }
+
+    /// [`LinExpr::subst`], or `None` when a coefficient or the constant
+    /// leaves the `i64` range.
+    pub fn checked_subst(&self, v: Var, e: &LinExpr) -> Option<LinExpr> {
+        let c = self.coeff(v);
+        if c == 0 {
+            return Some(self.clone());
         }
-        out = out + e.scaled(c);
-        out
+        self.without(v).checked_add(&e.checked_scaled(c)?)
     }
 
     /// Rename variable `from` to `to`.
@@ -449,6 +503,20 @@ mod tests {
 
     fn v(n: &str) -> Var {
         Var::new(n)
+    }
+
+    #[test]
+    fn checked_arithmetic_refuses_to_wrap() {
+        let e = LinExpr::term(v("i"), i64::MAX) + LinExpr::constant(1);
+        assert_eq!(e.checked_scaled(2), None);
+        assert_eq!(e.checked_scaled(-1), Some(e.scaled(-1)));
+        assert_eq!(e.clone().checked_add(&LinExpr::term(v("i"), 1)), None);
+        assert_eq!(e.clone().checked_add(&LinExpr::constant(i64::MAX)), None);
+        let sum = e.clone().checked_add(&LinExpr::term(v("i"), -i64::MAX));
+        assert_eq!(sum, Some(LinExpr::constant(1)));
+        let r = LinExpr::term(v("j"), 3) + LinExpr::constant(i64::MIN / 2);
+        assert_eq!(e.checked_subst(v("i"), &r), None);
+        assert_eq!(e.without(v("i")), LinExpr::constant(1));
     }
 
     #[test]

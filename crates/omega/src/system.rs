@@ -27,6 +27,14 @@ pub struct Projection {
     pub exact: bool,
 }
 
+/// Drop a Fourier–Motzkin combination whose coefficients leave the
+/// `i64` range: like a [`Limits`] cap, that over-approximates the
+/// projection, and it is counted as one.
+fn drop_overflow(exact: &mut bool) {
+    *exact = false;
+    crate::limit_stats::note_overflow();
+}
+
 /// Same variable part (the constants may differ).
 fn same_terms(a: &Constraint, b: &Constraint) -> bool {
     a.expr.terms().eq(b.expr.terms())
@@ -237,7 +245,7 @@ impl System {
                 None
             };
             if let Some(at) = partner {
-                let slack = key.expr.konst() + below[at].expr.konst();
+                let slack = i128::from(key.expr.konst()) + i128::from(below[at].expr.konst());
                 if slack < 0 {
                     self.set_contradiction();
                     return;
@@ -282,26 +290,27 @@ impl System {
         {
             let a = eq.expr.coeff(v);
             // a*v + r == 0  =>  v == -r/a; for |a| == 1, v := -a*r.
-            let r = eq.expr.clone() - LinExpr::term(v, a);
-            // Formed for the first constraint that needs it: the
-            // equality's constant may be one that cannot be negated.
+            let r = eq.expr.without(v);
+            // Formed for the first constraint that needs it.
             let mut replacement = None;
             let mut out = System::with_capacity(self.len() - 1);
+            let mut exact = true;
             for c in &self.constraints {
                 if std::ptr::eq(c, eq) {
                     continue;
                 }
-                out.push(if c.mentions(v) {
-                    c.subst(v, replacement.get_or_insert_with(|| r.scaled(-a)))
-                } else {
-                    c.clone()
-                });
+                if !c.mentions(v) {
+                    out.push(c.clone());
+                    continue;
+                }
+                let e = replacement.get_or_insert_with(|| r.checked_scaled(-a));
+                match e.as_ref().and_then(|e| c.expr.checked_subst(v, e)) {
+                    Some(expr) => out.push(Constraint { expr, kind: c.kind }),
+                    None => drop_overflow(&mut exact),
+                }
             }
             out.simplify();
-            return Projection {
-                system: out,
-                exact: true,
-            };
+            return Projection { system: out, exact };
         }
 
         // Equality with non-unit coefficient: combine into the others,
@@ -319,7 +328,7 @@ impl System {
             .filter(|c| c.kind == CKind::Eq && c.expr.mentions(v))
         {
             let a = eq.expr.coeff(v);
-            let r = eq.expr.clone() - LinExpr::term(v, a);
+            let r = eq.expr.without(v);
             let mut out = System::with_capacity(self.len() - 1);
             for c in &self.constraints {
                 if std::ptr::eq(c, eq) {
@@ -332,12 +341,16 @@ impl System {
                 }
                 // |a|*(c.expr) with |a|b*v replaced using a*v == -r:
                 // |a|b*v == -sign(a)*b*r.
-                let s = c.expr.clone() - LinExpr::term(v, b);
-                let combined = s.scaled(a.abs()) + r.scaled(-a.signum() * b);
-                out.push(Constraint {
-                    expr: combined,
-                    kind: c.kind,
+                let s = c.expr.without(v);
+                let combined = a.checked_abs().and_then(|abs_a| {
+                    let rb = r.checked_scaled(b.checked_mul(-a.signum())?)?;
+                    s.checked_scaled(abs_a)?.checked_add(&rb)
                 });
+                match combined {
+                    Some(expr) => out.push(Constraint { expr, kind: c.kind }),
+                    // The projection is inexact already.
+                    None => crate::limit_stats::note_overflow(),
+                }
             }
             out.simplify();
             return Projection {
@@ -370,14 +383,19 @@ impl System {
         let mut exact = true;
         for l in &lower {
             let a = l.expr.coeff(v);
-            let r = l.expr.clone() - LinExpr::term(v, a);
+            let r = l.expr.without(v);
             for u in &upper {
                 let nb = u.expr.coeff(v); // negative
-                let b = -nb;
-                let s = u.expr.clone() - LinExpr::term(v, nb);
+                let s = u.expr.without(v);
                 // a*v + r >= 0 and -b*v + s >= 0 combine to b*r + a*s >= 0.
-                out.push(Constraint::geq0(r.scaled(b) + s.scaled(a)));
-                if a != 1 && b != 1 {
+                let combined = nb
+                    .checked_neg()
+                    .and_then(|b| r.checked_scaled(b)?.checked_add(&s.checked_scaled(a)?));
+                match combined {
+                    Some(e) => out.push(Constraint::geq0(e)),
+                    None => drop_overflow(&mut exact),
+                }
+                if a != 1 && nb != -1 {
                     // The real shadow may include integer points with no
                     // integer pre-image; flag inexact.
                     exact = false;
@@ -889,6 +907,24 @@ mod tests {
         // per constraint; at 152 they were most of what `analyze` cost.
         assert!(std::mem::size_of::<LinExpr>() <= 48);
         assert!(std::mem::size_of::<Constraint>() <= 56);
+    }
+
+    #[test]
+    fn overflowing_combination_is_dropped_inexact_and_counted() {
+        // 3t >= 5x and 2^62·t <= y combine to 3y >= 5·2^62·x, whose
+        // coefficient leaves the i64 range: the combination is dropped
+        // like a capped one, and the bound on y survives.
+        let big = 1 << 62;
+        let s = System::from_constraints([
+            Constraint::geq0(LinExpr::term(v("t"), 3) - LinExpr::term(v("x"), 5)),
+            Constraint::geq0(lx("y") - LinExpr::term(v("t"), big)),
+            Constraint::geq(lx("y"), k(0)),
+        ]);
+        let before = crate::limit_stats::thread_overflows();
+        let p = s.eliminate(v("t"), lim());
+        assert_eq!(crate::limit_stats::thread_overflows(), before + 1);
+        assert!(!p.exact);
+        assert_eq!(p.system.to_string(), "{y >= 0}");
     }
 
     #[test]

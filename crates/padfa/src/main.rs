@@ -607,6 +607,8 @@ struct CorpusRow {
     /// dependence, exposed read, or budget event.
     blocked: u64,
     error: Option<String>,
+    /// The exit code this row's failure maps to (0 when it did not fail).
+    exit: i32,
 }
 
 impl CorpusRow {
@@ -855,14 +857,20 @@ fn cmd_corpus(args: &[String]) {
                 };
                 (row, Some(result.stats))
             }
-            Ok(Err(e)) => (row("error", Some(e.to_string())), None),
+            Ok(Err(e)) => {
+                let row = CorpusRow {
+                    exit: exit_code(&e),
+                    ..row("error", Some(e.to_string()))
+                };
+                (row, None)
+            }
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                (row("panic", Some(msg)), None)
+                let msg = padfa::analysis::panic_message(payload.as_ref()).to_string();
+                let row = CorpusRow {
+                    exit: 5,
+                    ..row("panic", Some(msg))
+                };
+                (row, None)
             }
         }
     });
@@ -895,11 +903,7 @@ fn cmd_corpus(args: &[String]) {
             entry.1 += row.blocked;
         }
         if idx >= 2 && first_failure.is_none() {
-            first_failure = Some(match &row.error {
-                _ if row.outcome == "panic" => 5,
-                Some(msg) if msg.contains("work budget exhausted") => 4,
-                _ => 5,
-            });
+            first_failure = Some(row.exit);
         }
         println!(
             "{:<28} {:>9} {:>6} ms  {} loops, {} parallel{}",

@@ -519,6 +519,17 @@ fn strict_budget_exhaustion_exits_4() {
 }
 
 #[test]
+fn strict_corpus_budget_exhaustion_exits_4() {
+    let out = padfa()
+        .args(["corpus", "--max-steps", "1", "--strict"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(4));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("work budget exhausted"), "{text}");
+}
+
+#[test]
 fn degrading_budget_still_succeeds_and_marks_loops() {
     let f = demo_file();
     let out = padfa()

@@ -42,7 +42,7 @@
 use crate::machine::{ExecError, Flow, Frame, Machine, Tracker};
 use crate::plan::{LoopPlan, PlannedReduction};
 use crate::value::Value;
-use padfa_core::ReduceOp;
+use padfa_core::{panic_message, ReduceOp};
 use padfa_ir::ast::Loop;
 use padfa_ir::ScalarTy;
 use std::cell::Cell;
@@ -154,17 +154,6 @@ fn install_quiet_panic_hook() {
             }
         }));
     });
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Execute `l` in parallel with the machine's configured worker count.
@@ -296,7 +285,9 @@ pub fn run_parallel_loop(
                 let failure = match caught {
                     Ok(None) => None,
                     Ok(Some(e)) => Some(WorkerFailure::Failed(e)),
-                    Err(payload) => Some(WorkerFailure::Panicked(panic_message(payload))),
+                    Err(payload) => Some(WorkerFailure::Panicked(
+                        panic_message(payload.as_ref()).to_string(),
+                    )),
                 };
                 WorkerOutcome {
                     arrays: m.arrays,
@@ -314,7 +305,7 @@ pub fn run_parallel_loop(
             outcomes.push(match h.join() {
                 Ok(outcome) => outcome,
                 // A panic that escaped catch_unwind (worker setup).
-                Err(payload) => WorkerOutcome::dead(panic_message(payload)),
+                Err(payload) => WorkerOutcome::dead(panic_message(payload.as_ref()).to_string()),
             });
         }
     });
@@ -548,9 +539,9 @@ mod tests {
         install_quiet_panic_hook();
         PANIC_IS_ISOLATED.with(|c| c.set(true));
         let p = catch_unwind(|| panic!("boom")).unwrap_err();
-        assert_eq!(panic_message(p), "boom");
+        assert_eq!(panic_message(p.as_ref()), "boom");
         let p = catch_unwind(|| panic!("{} {}", "fmt", 1)).unwrap_err();
-        assert_eq!(panic_message(p), "fmt 1");
+        assert_eq!(panic_message(p.as_ref()), "fmt 1");
         PANIC_IS_ISOLATED.with(|c| c.set(false));
     }
 }

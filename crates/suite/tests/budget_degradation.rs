@@ -1,62 +1,18 @@
-//! Differential soundness harness over the full benchmark corpus:
-//! a starved work budget may only *lose* parallel loops relative to
-//! the exact (unlimited) analysis, never gain them, and every program
-//! must still complete with a classified result.
+//! The budget ladder of the differential matrix (`matrix/mod.rs`) on the
+//! corpus and the hand-written programs: every budget returns `Ok` with
+//! the loop census kept and only ever loses parallel loops, and a budget
+//! that never runs out is the unlimited run.
 
-use padfa_core::{analyze_program, Options, WorkBudget};
-use padfa_suite::build_corpus;
+mod matrix;
+
+use matrix::{Sources, GENEROUS, STARVED};
 
 #[test]
 fn starved_corpus_degrades_monotonically() {
-    for bp in build_corpus() {
-        let exact = analyze_program(&bp.program, &Options::predicated())
-            .unwrap_or_else(|e| panic!("{}: exact analysis failed: {e}", bp.name));
-        let exact_parallel: Vec<_> = exact
-            .loops
-            .iter()
-            .filter(|r| r.parallelized())
-            .map(|r| r.id)
-            .collect();
-
-        let opts = Options::predicated().with_budget(WorkBudget::steps(1000));
-        let starved = analyze_program(&bp.program, &opts)
-            .unwrap_or_else(|e| panic!("{}: starved analysis failed: {e}", bp.name));
-        assert_eq!(
-            exact.loops.len(),
-            starved.loops.len(),
-            "{}: budget must not change the loop census",
-            bp.name
-        );
-        for report in &starved.loops {
-            if report.parallelized() {
-                assert!(
-                    exact_parallel.contains(&report.id),
-                    "{}: loop {:?} is parallel only under the starved budget",
-                    bp.name,
-                    report.id
-                );
-            }
-        }
-    }
+    matrix::budgets(Sources::Written, &STARVED);
 }
 
-/// A budget generous enough for the whole corpus reproduces the exact
-/// per-loop outcomes — degradation is a cliff we only step off when
-/// the watchdog actually fires.
 #[test]
 fn generous_budget_matches_unlimited() {
-    for bp in build_corpus() {
-        let exact = analyze_program(&bp.program, &Options::predicated()).unwrap();
-        let opts = Options::predicated().with_budget(WorkBudget::steps(50_000_000));
-        let budgeted = analyze_program(&bp.program, &opts).unwrap();
-        assert_eq!(budgeted.stats.degraded_procs, 0, "{}", bp.name);
-        let render = |r: &padfa_core::AnalysisResult| {
-            r.loops
-                .iter()
-                .map(|l| format!("{l}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(render(&exact), render(&budgeted), "{}", bp.name);
-    }
+    matrix::budgets(Sources::Written, &[GENEROUS]);
 }
