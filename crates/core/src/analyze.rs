@@ -1,7 +1,7 @@
 //! The analysis driver: bottom-up traversal of the region graph,
 //! loop summarization with predicate embedding, and report assembly.
 
-use crate::budget::{self, OnExhausted};
+use crate::budget::OnExhausted;
 use crate::component::PredComponent;
 use crate::deptest::test_loop;
 use crate::error::AnalysisError;
@@ -71,11 +71,12 @@ pub fn analyze_program_with_summaries(
 /// index, so every defined callee of a procedure is finished — and in
 /// the result map — before the procedure starts.
 ///
-/// Each procedure runs under `catch_unwind`: budget exhaustion unwinds
-/// only that procedure (and degrades or fails it per the budget policy),
-/// and any other panic is converted to [`AnalysisError::Internal`]. The
-/// first error met ends the run, which by the visiting order is the
-/// error of the lowest (call-graph level, index) failing procedure.
+/// Each procedure has a work budget of its own: one that runs out
+/// degrades or fails only that procedure, per the budget policy. Each
+/// runs under `catch_unwind` as well, which turns an analyzer bug into
+/// [`AnalysisError::Internal`]. The first error met ends the run, which
+/// by the visiting order is the error of the lowest (call-graph level,
+/// index) failing procedure.
 pub fn analyze_program_session(
     prog: &Program,
     sess: &AnalysisSession,
@@ -168,10 +169,12 @@ fn proc_store_key(
 /// session builds it — and a hit skips the analysis. A miss puts what
 /// this session computed, replacing whatever the entry held.
 ///
-/// The whole summarization runs under `catch_unwind` with this thread's
-/// budget meter armed: exhaustion unwinds to here and is resolved per
-/// the budget policy (degrade to [`degraded_summary`] or error); any
-/// other panic becomes [`AnalysisError::Internal`].
+/// The session's budget meter restarts here. A procedure that runs it
+/// out keeps the reports of the loops finished before the trip, and
+/// ends per the budget policy: its summary becomes [`degraded_summary`],
+/// or the run fails with [`AnalysisError::BudgetExhausted`]. The
+/// summarization runs under `catch_unwind`, so a panic — an analyzer
+/// bug — becomes [`AnalysisError::Internal`].
 fn analyze_proc(
     prog: &Program,
     idx: usize,
@@ -184,7 +187,7 @@ fn analyze_proc(
     let proc = &prog.procedures[idx];
     let evidence = sess.provenance_wanted();
     // Only unbudgeted, non-recursive procedures have a key (see
-    // `proc_store_key`), so a hit skips no budget meter state.
+    // `proc_store_key`), so a hit skips no budget step.
     if let (Some(key), Some(s)) = (store_key, sess.store()) {
         let need = store::Parts {
             summary: read,
@@ -195,7 +198,7 @@ fn analyze_proc(
             return Ok((entry.summary.map(Arc::new), entry.reports));
         }
     }
-    budget::install(&sess.opts.budget);
+    sess.meter.start();
     let queries_before = sess.queries();
     let mut proc_flight = flight::span(flight::EventKind::Summarize, proc.name.clone());
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -206,7 +209,7 @@ fn analyze_proc(
             reports: Vec::new(),
         };
         let summary = if !read {
-            az.report_block(proc, &proc.body);
+            az.report_loops(proc, &proc.body.stmts, 0);
             None
         } else if co.recursive.contains(&idx) {
             Some(conservative_summary(proc))
@@ -215,42 +218,36 @@ fn analyze_proc(
         };
         (summary, az.reports)
     }));
-    let meter = budget::take();
-    sess.note_proc_meter(&meter);
-    proc_flight.set_value(meter.steps);
+    let steps = sess.meter.proc_steps();
+    proc_flight.set_value(steps);
     drop(proc_flight);
     flight::instant(
         flight::EventKind::LatticeBatch,
         &proc.name,
         sess.queries() - queries_before,
     );
-    match outcome {
-        Ok((summary, reports)) => {
-            if let (Some(key), Some(s)) = (store_key, sess.store()) {
-                s.put_proc(key, summary.as_ref(), &reports);
-            }
-            Ok((summary.map(Arc::new), reports))
-        }
-        Err(payload) if payload.downcast_ref::<budget::Exhausted>().is_some() => {
-            match sess.opts.budget.on_exhausted {
-                OnExhausted::Error => Err(AnalysisError::BudgetExhausted {
-                    proc: proc.name.clone(),
-                    steps: meter.steps,
-                }),
-                OnExhausted::Degrade => {
-                    sess.note_degraded();
-                    Ok((
-                        read.then(|| Arc::new(degraded_summary(proc))),
-                        budget_reports(proc, meter.steps, evidence),
-                    ))
-                }
-            }
-        }
-        Err(payload) => Err(AnalysisError::Internal(format!(
+    let (summary, reports) = outcome.map_err(|payload| {
+        AnalysisError::Internal(format!(
             "panic while analyzing '{}': {}",
             proc.name,
             panic_message(payload.as_ref())
-        ))),
+        ))
+    })?;
+    if !sess.meter.exhausted() {
+        if let (Some(key), Some(s)) = (store_key, sess.store()) {
+            s.put_proc(key, summary.as_ref(), &reports);
+        }
+        return Ok((summary.map(Arc::new), reports));
+    }
+    match sess.opts.budget.on_exhausted {
+        OnExhausted::Error => Err(AnalysisError::BudgetExhausted {
+            proc: proc.name.clone(),
+            steps,
+        }),
+        OnExhausted::Degrade => {
+            sess.note_degraded();
+            Ok((read.then(|| Arc::new(degraded_summary(proc))), reports))
+        }
     }
 }
 
@@ -261,55 +258,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .copied()
         .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
         .unwrap_or("non-string panic payload")
-}
-
-/// Reports for every loop of a budget-degraded procedure: sequential,
-/// marked `not-parallel (budget)`. The degraded summary makes no claim
-/// about these loops, so none may be parallelized. When the session
-/// wants provenance, each report's evidence carries the [`BudgetEvent`] (with the
-/// step count at exhaustion) as its concrete blocker.
-fn budget_reports(proc: &Procedure, steps: u64, evidence: bool) -> Vec<LoopReport> {
-    let event = evidence.then_some(BudgetEvent { steps });
-    fn walk(
-        b: &Block,
-        depth: usize,
-        proc: &str,
-        event: Option<BudgetEvent>,
-        out: &mut Vec<LoopReport>,
-    ) {
-        for s in &b.stmts {
-            match s {
-                Stmt::For(l) => {
-                    out.push(LoopReport {
-                        id: l.id,
-                        label: l.label.clone(),
-                        proc: proc.to_string(),
-                        depth,
-                        not_candidate: Some(NotCandidateReason::BudgetExhausted),
-                        outcome: Outcome::Sequential,
-                        privatized: Vec::new(),
-                        privatized_scalars: Vec::new(),
-                        reductions: Vec::new(),
-                        provenance: event.map(|e| Provenance {
-                            budget: Some(e),
-                            ..Provenance::default()
-                        }),
-                    });
-                    walk(&l.body, depth + 1, proc, event, out);
-                }
-                Stmt::If {
-                    then_blk, else_blk, ..
-                } => {
-                    walk(then_blk, depth, proc, event, out);
-                    walk(else_blk, depth, proc, event, out);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(&proc.body, 0, &proc.name, event, &mut out);
-    out
 }
 
 struct Analyzer<'a> {
@@ -332,21 +280,21 @@ impl<'a> Analyzer<'a> {
         acc
     }
 
-    /// Walk the top-level block of a procedure whose summary nothing
-    /// reads: every loop, those in top-level `if` branches included, is
-    /// analyzed and reported as [`Analyzer::analyze_block`] would, but
-    /// nothing is folded.
-    fn report_block(&mut self, proc: &Procedure, block: &Block) {
-        for stmt in &block.stmts {
+    /// Walk statements whose summary nothing reads — the top level of an
+    /// uncalled procedure, or anything started after the budget ran out:
+    /// every loop, those in `if` branches included, is reported as
+    /// [`Analyzer::analyze_block`] would report it, but nothing is folded.
+    fn report_loops(&mut self, proc: &Procedure, stmts: &[Stmt], depth: usize) {
+        for stmt in stmts {
             match stmt {
                 Stmt::For(l) => {
-                    self.handle_loop(proc, l, 0, false);
+                    self.handle_loop(proc, l, depth, false);
                 }
                 Stmt::If {
                     then_blk, else_blk, ..
                 } => {
-                    self.report_block(proc, then_blk);
-                    self.report_block(proc, else_blk);
+                    self.report_loops(proc, &then_blk.stmts, depth);
+                    self.report_loops(proc, &else_blk.stmts, depth);
                 }
                 _ => {}
             }
@@ -354,6 +302,12 @@ impl<'a> Analyzer<'a> {
     }
 
     fn analyze_stmt(&mut self, proc: &Procedure, stmt: &Stmt, depth: usize) -> Summary {
+        if self.sess.meter.exhausted() {
+            // Started after the trip: nothing is computed, and each loop
+            // inside gets its budget report.
+            self.report_loops(proc, std::slice::from_ref(stmt), depth);
+            return degraded_summary(proc);
+        }
         match stmt {
             Stmt::Assign { lhs, rhs } => {
                 let mut reads = Summary::empty();
@@ -429,6 +383,29 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    /// The report of a loop reported after its procedure ran out of
+    /// budget: sequential, `not-parallel (budget)`, and — when the
+    /// session builds evidence — the [`BudgetEvent`] (the procedure's
+    /// step count) as its concrete blocker.
+    fn budget_report(&self, proc: &Procedure, l: &Loop, depth: usize) -> LoopReport {
+        let steps = self.sess.meter.proc_steps();
+        LoopReport {
+            id: l.id,
+            label: l.label.clone(),
+            proc: proc.name.clone(),
+            depth,
+            not_candidate: Some(NotCandidateReason::BudgetExhausted),
+            outcome: Outcome::Sequential,
+            privatized: Vec::new(),
+            privatized_scalars: Vec::new(),
+            reductions: Vec::new(),
+            provenance: self.sess.provenance_wanted().then(|| Provenance {
+                budget: Some(BudgetEvent { steps }),
+                ..Provenance::default()
+            }),
+        }
+    }
+
     /// Test one loop and, when the enclosing region reads it (`read`),
     /// summarize it. An unread loop returns an empty summary, except a
     /// strided one: its summary draws `$lat` names, from which later
@@ -436,6 +413,10 @@ impl<'a> Analyzer<'a> {
     /// unread loop forms no `E − W_prev` either, unless the session
     /// wants provenance and extraction is on: that extraction is a
     /// mechanism the evidence names.
+    ///
+    /// A loop whose report is pushed after the budget ran out is
+    /// reported for the budget, and one whose body ran it out computes
+    /// nothing more.
     fn handle_loop(&mut self, proc: &Procedure, l: &Loop, depth: usize, read: bool) -> Summary {
         let sess = self.sess;
         let opts = &sess.opts;
@@ -443,6 +424,10 @@ impl<'a> Analyzer<'a> {
         let _loop_flight = flight::span(flight::EventKind::Loop, loop_name);
 
         let body = self.analyze_block(proc, &l.body, depth + 1);
+        if sess.meter.exhausted() {
+            self.reports.push(self.budget_report(proc, l, depth));
+            return degraded_summary(proc);
+        }
 
         // Attribution baselines, taken *after* the body so inner loops
         // self-attribute their own cap-hits.
@@ -520,14 +505,20 @@ impl<'a> Analyzer<'a> {
 
         let decision = test_loop(&iter, &l.body, l.var, &ctx, sess, &is_symbolic, &trip2);
 
-        let not_candidate = if body.has_io {
-            Some(NotCandidateReason::ReadIo)
+        // A loop around a degraded callee is sequential for the budget,
+        // whatever else the callee's conservative summary claims.
+        let (not_candidate, outcome) = if body.degraded {
+            (
+                Some(NotCandidateReason::BudgetExhausted),
+                Outcome::Sequential,
+            )
+        } else if body.has_io {
+            (Some(NotCandidateReason::ReadIo), decision.outcome)
         } else if body.has_exit {
-            Some(NotCandidateReason::InternalExit)
+            (Some(NotCandidateReason::InternalExit), decision.outcome)
         } else {
-            None
+            (None, decision.outcome)
         };
-        let outcome = decision.outcome;
 
         // ---- Loop-level summary for the enclosing region. ----
         let with_ctx = |c: &PredComponent| -> PredComponent {
@@ -654,7 +645,8 @@ impl<'a> Analyzer<'a> {
 
         // Attribute this loop's cap-hit deltas, settle the winning
         // mechanism, and emit the report (after loop-level summarization
-        // so extraction fired there is included).
+        // so extraction fired there is included) — unless the budget ran
+        // out in the test or the summarization: then the budget's.
         let parallelized = not_candidate.is_none() && outcome.is_parallelizable();
         let provenance = decision.provenance.map(|mut prov| {
             prov.mechanisms.embedding |= !embedded_arrays.is_empty();
@@ -665,23 +657,28 @@ impl<'a> Analyzer<'a> {
             prov.winner = parallelized.then(|| Mechanism::winner(&prov.mechanisms));
             prov
         });
-        self.reports.push(LoopReport {
-            id: l.id,
-            label: l.label.clone(),
-            proc: proc.name.clone(),
-            depth,
-            not_candidate,
-            outcome,
-            privatized: decision.privatized,
-            privatized_scalars: decision.privatized_scalars,
-            reductions: decision.reductions,
-            provenance,
+        self.reports.push(if sess.meter.exhausted() {
+            self.budget_report(proc, l, depth)
+        } else {
+            LoopReport {
+                id: l.id,
+                label: l.label.clone(),
+                proc: proc.name.clone(),
+                depth,
+                not_candidate,
+                outcome,
+                privatized: decision.privatized,
+                privatized_scalars: decision.privatized_scalars,
+                reductions: decision.reductions,
+                provenance,
+            }
         });
         if !read {
             return Summary::empty();
         }
 
         loop_sum.has_io = body.has_io;
+        loop_sum.degraded = body.degraded;
         loop_sum.has_exit = false; // exits are local to this loop
         loop_sum.scalar_writes = body.scalar_writes.clone();
         loop_sum.scalar_writes.remove(&l.var);
@@ -718,14 +715,16 @@ impl<'a> Analyzer<'a> {
 /// from different loop summarizations never share an existential. The
 /// replacement names are drawn from the session's per-procedure pool
 /// (`$lat.<proc>.<k>`) in traversal order, which keeps them
-/// deterministic.
+/// deterministic. Once the budget has run out it renames nothing: the
+/// result is discarded, and the names it would draw count toward
+/// `lat_overflow`.
 fn existentialize(
     comp: PredComponent,
     aux: &[Var],
     sess: &AnalysisSession,
     proc: &str,
 ) -> PredComponent {
-    if aux.is_empty() {
+    if aux.is_empty() || sess.meter.exhausted() {
         return comp;
     }
     let mut out = PredComponent::empty();

@@ -8,36 +8,36 @@
 //!
 //! ## Mechanics
 //!
-//! The budget is metered through a thread-local installed by the driver
-//! around each procedure ([`install`]/[`take`]). A procedure is
-//! analyzed from start to finish on its session's one thread, so that
-//! thread's meter sees every step of it and nothing else. Every
-//! lattice query on the [`crate::session::AnalysisSession`] charges one
-//! step before it computes, every time it is asked. An emptiness verdict a region already carries is not a
-//! query and costs no step: a procedure's step count can depend on the
-//! verdicts the procedures analyzed before it in the same session left
-//! on shared regions. That is still a function of the program and
-//! options alone — the session visits procedures in a fixed order — so
-//! step exhaustion triggers at the same operation on every run. The
-//! wall deadline is inherently non-deterministic and only checked when
-//! explicitly configured.
+//! The budget is metered by the [`crate::session::AnalysisSession`]
+//! itself: a session analyzes its procedures one after another on one
+//! thread, and its `Meter` restarts at each. Every lattice query
+//! charges one step before it computes, every time it is asked. An
+//! emptiness verdict a region already carries is not a query and costs
+//! no step: a procedure's step count can depend on the verdicts the
+//! procedures analyzed before it in the same session left on shared
+//! regions. That is still a function of the program and options alone —
+//! the session visits procedures in a fixed order — so step exhaustion
+//! triggers at the same operation on every run. The wall deadline is
+//! inherently non-deterministic and only checked when explicitly
+//! configured.
 //!
-//! Exhaustion unwinds the procedure via [`std::panic::panic_any`] with a
-//! private [`Exhausted`] payload; the driver catches it at the procedure
-//! boundary, replaces the summary with a *sound* degraded conservative
-//! summary, and continues (or, under [`OnExhausted::Error`], aborts the
-//! run with [`crate::AnalysisError::BudgetExhausted`]). Steps are
-//! charged before the session's interner is borrowed, so the unwind
-//! never leaves it half-updated and the session stays usable for the
-//! procedures that follow.
+//! Exhaustion stops the lattice, not the walk. The query that runs the
+//! budget out computes nothing, and neither does any query after it
+//! until the procedure ends: each returns at once, interning nothing and
+//! counting nothing. The walk keeps its shape, so every loop whose
+//! report was pushed before the trip keeps its exact verdict; a loop
+//! reported after it is `not-parallel (budget)`, and a statement started
+//! after it does no work. At the end the driver replaces the procedure's
+//! summary with a *sound* degraded conservative summary and continues
+//! (or, under [`OnExhausted::Error`], aborts the run with
+//! [`crate::AnalysisError::BudgetExhausted`]).
 //!
 //! The meter additionally records peak operand sizes (disjuncts per
 //! region, constraints per system), surfaced through
 //! [`crate::StatsSnapshot`] and the corpus ledger.
 
 use padfa_omega::Disjunction;
-use std::cell::RefCell;
-use std::sync::Once;
+use std::cell::Cell;
 use std::time::Instant;
 
 /// What to do when a procedure exhausts its budget.
@@ -99,124 +99,109 @@ impl Default for WorkBudget {
     }
 }
 
-/// Panic payload used to unwind out of an exhausted procedure. Private
-/// to the crate: the driver downcasts to it at the `catch_unwind`
-/// boundary.
-pub(crate) struct Exhausted;
-
-/// What one procedure's meter measured.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct MeterReport {
-    pub steps: u64,
-    pub peak_disjuncts: usize,
-    pub peak_constraints: usize,
-}
-
 /// Check the wall deadline only every this many steps (keeps
 /// `Instant::now` off the hot path).
 const DEADLINE_STRIDE: u64 = 256;
 
-struct Meter {
-    steps: u64,
-    max_steps: u64,
-    deadline: Option<Instant>,
-    peak_disjuncts: usize,
-    peak_constraints: usize,
+/// One session's step meter. The session arms it at the start of every
+/// procedure ([`Meter::start`]) and charges it once per lattice query;
+/// an unlimited budget charges nothing and never trips.
+pub(crate) struct Meter {
+    budget: WorkBudget,
+    /// Steps charged so far by the session's procedures.
+    steps: Cell<u64>,
+    /// `steps` when the current procedure started.
+    start: Cell<u64>,
+    deadline: Cell<Option<Instant>>,
+    tripped: Cell<bool>,
+    peak_disjuncts: Cell<usize>,
+    peak_constraints: Cell<usize>,
 }
 
-thread_local! {
-    static METER: RefCell<Option<Meter>> = const { RefCell::new(None) };
-}
-
-static QUIET_HOOK: Once = Once::new();
-
-/// Install (once, process-wide) a panic hook that stays silent for the
-/// budget-exhaustion unwind — it is control flow the driver always
-/// catches, not a crash — and defers to the previous hook otherwise.
-fn install_quiet_hook() {
-    QUIET_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<Exhausted>().is_none() {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Arm this thread's meter for one procedure. The driver pairs every
-/// `install` with a [`take`].
-pub(crate) fn install(budget: &WorkBudget) {
-    if budget.is_unlimited() {
-        return;
+impl Meter {
+    pub(crate) fn new(budget: WorkBudget) -> Meter {
+        Meter {
+            budget,
+            steps: Cell::new(0),
+            start: Cell::new(0),
+            deadline: Cell::new(None),
+            tripped: Cell::new(false),
+            peak_disjuncts: Cell::new(0),
+            peak_constraints: Cell::new(0),
+        }
     }
-    install_quiet_hook();
-    let meter = Meter {
-        steps: 0,
-        max_steps: budget.max_steps.unwrap_or(u64::MAX),
-        deadline: budget
-            .deadline_ms
-            .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
-        peak_disjuncts: 0,
-        peak_constraints: 0,
-    };
-    METER.with(|m| *m.borrow_mut() = Some(meter));
-}
 
-/// Disarm the meter and return what it measured (zeros when unarmed).
-pub(crate) fn take() -> MeterReport {
-    METER.with(|m| {
-        m.borrow_mut()
-            .take()
-            .map_or(MeterReport::default(), |mt| MeterReport {
-                steps: mt.steps,
-                peak_disjuncts: mt.peak_disjuncts,
-                peak_constraints: mt.peak_constraints,
-            })
-    })
-}
+    /// Start metering a procedure: a fresh step count and deadline.
+    pub(crate) fn start(&self) {
+        self.start.set(self.steps.get());
+        self.tripped.set(false);
+        self.deadline.set(
+            (self.budget.deadline_ms)
+                .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
+        );
+    }
 
-/// Charge `n` steps against this thread's meter (no-op when unarmed).
-/// Unwinds with [`Exhausted`] when the budget runs out.
-pub(crate) fn charge(n: u64) {
-    let exhausted = METER.with(|m| {
-        let mut borrow = m.borrow_mut();
-        let mt = borrow.as_mut()?;
-        mt.steps = mt.steps.saturating_add(n);
-        if mt.steps > mt.max_steps {
-            return Some(("max-steps", mt.steps));
+    /// Charge one step. `false` means the budget has run out — at this
+    /// step or an earlier one — and the caller must compute nothing.
+    /// Once tripped, the meter stays tripped and charges no more steps
+    /// until the next [`Meter::start`].
+    #[inline]
+    pub(crate) fn charge(&self) -> bool {
+        if self.budget.is_unlimited() {
+            return true;
         }
-        if let Some(dl) = mt.deadline {
-            if mt.steps % DEADLINE_STRIDE == 0 && Instant::now() > dl {
-                return Some(("deadline", mt.steps));
-            }
+        if self.tripped.get() {
+            return false;
         }
-        None
-    });
-    if let Some((reason, steps)) = exhausted {
-        // The flight recorder sees the exhaustion at the exact
-        // operation (with the reason the meter tripped on); the trace
-        // instant with the procedure name follows at the catch site.
+        self.steps.set(self.steps.get() + 1);
+        let steps = self.proc_steps();
+        let reason = if steps > self.budget.max_steps.unwrap_or(u64::MAX) {
+            "max-steps"
+        } else if steps.is_multiple_of(DEADLINE_STRIDE)
+            && self.deadline.get().is_some_and(|dl| Instant::now() > dl)
+        {
+            "deadline"
+        } else {
+            return true;
+        };
+        self.tripped.set(true);
         crate::flight::instant(crate::flight::EventKind::BudgetExhausted, reason, steps);
-        // The one sanctioned unwind in this crate: the watchdog raises
-        // `Exhausted` here and `analyze_proc` catches it at the
-        // procedure boundary, where it becomes a degraded summary or a
-        // typed `BudgetExhausted` error — it cannot escape the crate.
-        #[allow(clippy::panic)]
-        std::panic::panic_any(Exhausted);
+        false
     }
-}
 
-/// Record operand sizes for peak accounting (no-op when unarmed).
-pub(crate) fn note_region(d: &Disjunction) {
-    METER.with(|m| {
-        let mut borrow = m.borrow_mut();
-        if let Some(mt) = borrow.as_mut() {
-            mt.peak_disjuncts = mt.peak_disjuncts.max(d.systems().len());
-            let widest = d.systems().iter().map(|s| s.len()).max().unwrap_or(0);
-            mt.peak_constraints = mt.peak_constraints.max(widest);
+    /// Whether the current procedure has run out of budget.
+    #[inline]
+    pub(crate) fn exhausted(&self) -> bool {
+        self.tripped.get()
+    }
+
+    /// Steps the current procedure has charged.
+    pub(crate) fn proc_steps(&self) -> u64 {
+        self.steps.get() - self.start.get()
+    }
+
+    /// Steps charged by every procedure so far (0 when unbudgeted).
+    pub(crate) fn steps(&self) -> u64 {
+        self.steps.get()
+    }
+
+    /// Record an operand's size for peak accounting (budgeted only).
+    pub(crate) fn note_region(&self, d: &Disjunction) {
+        if self.budget.is_unlimited() {
+            return;
         }
-    });
+        let widest = d.systems().iter().map(|s| s.len()).max().unwrap_or(0);
+        self.peak_disjuncts
+            .set(self.peak_disjuncts.get().max(d.systems().len()));
+        self.peak_constraints
+            .set(self.peak_constraints.get().max(widest));
+    }
+
+    /// The largest operand seen: disjuncts per region, constraints per
+    /// system.
+    pub(crate) fn peaks(&self) -> (usize, usize) {
+        (self.peak_disjuncts.get(), self.peak_constraints.get())
+    }
 }
 
 #[cfg(test)]
@@ -226,27 +211,32 @@ mod tests {
 
     #[test]
     fn unarmed_charging_is_free() {
-        charge(1_000_000);
-        let r = take();
-        assert_eq!(r, MeterReport::default());
+        let m = Meter::new(WorkBudget::UNLIMITED);
+        m.start();
+        assert!((0..1_000).all(|_| m.charge()));
+        assert!(!m.exhausted());
+        assert_eq!(m.steps(), 0);
     }
 
     #[test]
     fn steps_exhaust_deterministically() {
-        install(&WorkBudget::steps(10));
-        for _ in 0..10 {
-            charge(1);
-        }
-        let caught = std::panic::catch_unwind(|| charge(1));
-        let payload = caught.expect_err("11th step must exhaust");
-        assert!(payload.downcast_ref::<Exhausted>().is_some());
-        let r = take();
-        assert_eq!(r.steps, 11);
+        let m = Meter::new(WorkBudget::steps(10));
+        m.start();
+        assert!((0..10).all(|_| m.charge()));
+        assert!(!m.charge(), "the 11th step must exhaust");
+        assert!(m.exhausted());
+        // Exhaustion is sticky and charges nothing more.
+        assert!(!m.charge());
+        assert_eq!(m.proc_steps(), 11);
+        // The next procedure starts afresh; the session total keeps both.
+        m.start();
+        assert!(m.charge() && !m.exhausted());
+        assert_eq!((m.proc_steps(), m.steps()), (1, 12));
     }
 
     #[test]
     fn peaks_track_operand_sizes() {
-        install(&WorkBudget::steps(1000));
+        let m = Meter::new(WorkBudget::steps(1000));
         let v = Var::new("bp");
         let sys = System::from_constraints([
             Constraint::geq(LinExpr::var(v), LinExpr::constant(1)),
@@ -254,10 +244,11 @@ mod tests {
         ]);
         let mut d = Disjunction::from_system(sys.clone());
         d.push(sys);
-        note_region(&d);
-        let r = take();
-        assert_eq!(r.peak_disjuncts, 2);
-        assert_eq!(r.peak_constraints, 2);
+        m.note_region(&d);
+        assert_eq!(m.peaks(), (2, 2));
+        let free = Meter::new(WorkBudget::UNLIMITED);
+        free.note_region(&d);
+        assert_eq!(free.peaks(), (0, 0));
     }
 
     #[test]

@@ -369,7 +369,9 @@ impl PredComponent {
                     .into_iter()
                     .filter(|&v| !is_symbolic(v))
                     .collect();
-                sess.note_fm_projection();
+                if !sess.note_fm_projection() {
+                    return PredComponent::empty();
+                }
                 let proj = residual.project_out(&junk, limits);
                 let (q_proj, leftover) = extract_symbolic(&proj.system, is_symbolic);
                 // `leftover` can only be non-universe if projection left

@@ -176,7 +176,9 @@ fn conflict_condition<'a>(
                 .into_iter()
                 .filter(|&v| !is_symbolic(v))
                 .collect();
-            sess.note_fm_projection();
+            if !sess.note_fm_projection() {
+                return (guard, PairOutcome::Assumed);
+            }
             let p = sys.project_out(&junk, limits);
             if p.system.is_contradiction() {
                 continue;

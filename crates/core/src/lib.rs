@@ -57,9 +57,10 @@
 //! # }
 //! ```
 
-// The analysis must stay total on arbitrary input: unwinding is
-// reserved for the budget watchdog (raised via `panic_any`, caught at
-// the procedure boundary) and everything else returns `AnalysisError`.
+// The analysis must stay total on arbitrary input: every failure,
+// budget exhaustion included, returns `AnalysisError`, and the
+// per-procedure `catch_unwind` is only the fence that turns an analyzer
+// bug into `AnalysisError::Internal`.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)

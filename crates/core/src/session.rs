@@ -5,11 +5,14 @@
 //! `subtract`, `intersect`, `union`, `project_out`, predicate
 //! implication) are pure functions of their operands and the session's
 //! [`Options`]. An [`AnalysisSession`] computes each one every time it
-//! is asked, counts it, and charges it to the work budget. Nothing is
-//! memoized: memo tables keyed on interned operands answered about a
-//! third of the corpus's intersections, unions, projections and
-//! implications, and hashing and interning both operands of every query
-//! cost more than those hits saved (EXPERIMENTS.md, "Memo census").
+//! is asked, counts it, and charges it to the work budget — until the
+//! budget runs out: from then on until the procedure ends every query
+//! returns at once, computing, interning and counting nothing
+//! ([`crate::budget`]). Nothing is memoized: memo tables keyed on
+//! interned operands answered about a third of the corpus's
+//! intersections, unions, projections and implications, and hashing and
+//! interning both operands of every query cost more than those hits
+//! saved (EXPERIMENTS.md, "Memo census").
 //! What the session keeps is the region interner: every region a query
 //! returns is interned into one `Arc` per distinct value, so that the
 //! emptiness verdict it learns is shared (below).
@@ -42,9 +45,10 @@
 //! only state those sessions share is built for it: the process-global
 //! `Var` table, an attached `Arc<Store>`, the flight ring.
 //!
-//! The thread-local meters the analysis reads (`limit_stats` cap-hits,
-//! the work-budget meter) are therefore exact per session: whatever a
-//! session's thread counted between two reads, that session caused.
+//! The thread-local meter the analysis reads (`limit_stats` cap-hits) is
+//! therefore exact per session: whatever a session's thread counted
+//! between two reads, that session caused. The work-budget meter is the
+//! session's own.
 //!
 //! ## Determinism
 //!
@@ -333,9 +337,8 @@ pub struct AnalysisSession {
     orders_refuted: Cell<u64>,
     lat_overflow: Cell<u64>,
     lat_pools: RefCell<HashMap<String, u32>>,
-    budget_steps: Cell<u64>,
-    peak_disjuncts: Cell<usize>,
-    peak_constraints: Cell<usize>,
+    /// The work-budget meter, restarted by the driver at every procedure.
+    pub(crate) meter: budget::Meter,
     degraded_procs: Cell<u64>,
     /// This thread's `limit_stats` count at session creation: `stats()`
     /// reports the difference.
@@ -348,8 +351,8 @@ pub struct AnalysisSession {
     /// Something reads the evidence behind the verdicts
     /// ([`Self::with_provenance`]).
     provenance: bool,
-    /// Pins the session to the thread that made it: its baselines and
-    /// meters are that thread's thread-locals.
+    /// Pins the session to the thread that made it: its overflow
+    /// baseline is that thread's thread-local.
     _one_thread: PhantomData<*const ()>,
 }
 
@@ -373,6 +376,7 @@ impl AnalysisSession {
             );
         }
         AnalysisSession {
+            meter: budget::Meter::new(opts.budget),
             opts,
             regions: Interner::new(),
             sys_empty: Cell::new(0),
@@ -388,9 +392,6 @@ impl AnalysisSession {
             orders_refuted: Cell::new(0),
             lat_overflow: Cell::new(0),
             lat_pools: RefCell::new(HashMap::new()),
-            budget_steps: Cell::new(0),
-            peak_disjuncts: Cell::new(0),
-            peak_constraints: Cell::new(0),
             degraded_procs: Cell::new(0),
             overflow_baseline: limit_stats::thread_overflows(),
             store: None,
@@ -497,6 +498,9 @@ impl AnalysisSession {
     /// verdict cell first and of its systems only when the cell is
     /// blank; see the module docs for what is written back.
     pub fn is_empty(&self, d: &Disjunction) -> bool {
+        if self.meter.exhausted() {
+            return true;
+        }
         if let Some(empty) = d.known_emptiness() {
             return empty;
         }
@@ -522,7 +526,9 @@ impl AnalysisSession {
         if s.is_empty_conjunction() {
             return (false, Tier::Dense);
         }
-        budget::charge(1);
+        if !self.meter.charge() {
+            return (true, Tier::General);
+        }
         bump(&self.sys_empty);
         let (empty, tier) = s.is_empty_tiered(self.limits());
         if tier == Tier::Dense {
@@ -533,36 +539,34 @@ impl AnalysisSession {
 
     /// `a ⊆ b`.
     pub fn subset_of(&self, a: &Disjunction, b: &Disjunction) -> bool {
-        charge_pair(a, b);
+        if !self.charge_pair(a, b) {
+            return true;
+        }
         bump(&self.subset);
         a.subset_of(b, self.limits())
     }
 
     /// Region subtraction `a − b`, interned.
     pub fn subtract(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
-        charge_pair(a, b);
-        bump(&self.subtract);
-        self.intern_region(a.subtract(b, self.limits()))
+        self.region_query(&self.subtract, a, b, |l| a.subtract(b, l))
     }
 
     /// Region intersection, interned.
     pub fn intersect(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
-        charge_pair(a, b);
-        bump(&self.intersect);
-        self.intern_region(a.intersect(b, self.limits()))
+        self.region_query(&self.intersect, a, b, |l| a.intersect(b, l))
     }
 
     /// Region union, interned.
     pub fn union(&self, a: &Disjunction, b: &Disjunction) -> Arc<Disjunction> {
-        charge_pair(a, b);
-        bump(&self.union);
-        self.intern_region(a.union(b, self.limits()))
+        self.region_query(&self.union, a, b, |l| a.union(b, l))
     }
 
     /// Fourier–Motzkin projection of `vars` out of `d`, interned.
     pub fn project_out(&self, d: &Disjunction, vars: &[Var]) -> Arc<Disjunction> {
-        budget::charge(1);
-        budget::note_region(d);
+        if !self.meter.charge() {
+            return nothing();
+        }
+        self.meter.note_region(d);
         bump(&self.project);
         bump(&self.fm_projections);
         self.intern_region(d.project_out(vars, self.limits()))
@@ -575,15 +579,24 @@ impl AnalysisSession {
         if b.is_true() || a == b || a.is_false() {
             return true;
         }
-        budget::charge(1);
+        if !self.meter.charge() {
+            return true;
+        }
         bump(&self.implies);
         a.implies(b, self.limits())
     }
 
     /// Count one Fourier–Motzkin projection run outside `project_out`
-    /// (system-level projections in extraction and reshape).
-    pub fn note_fm_projection(&self) {
+    /// (system-level projections in extraction and reshape). Once the
+    /// budget has run out it counts nothing and returns `false`: the
+    /// caller must not run the projection.
+    #[must_use]
+    pub fn note_fm_projection(&self) -> bool {
+        if self.meter.exhausted() {
+            return false;
+        }
         bump(&self.fm_projections);
+        true
     }
 
     /// Count one pair-order of a dependence or privatization test (`w`
@@ -592,11 +605,40 @@ impl AnalysisSession {
     /// stands in for — one step, the operand sizes — and counts no
     /// query; one that survives is charged by the queries that build it.
     pub(crate) fn note_pair_order(&self, w: &Disjunction, x2: &Disjunction, refuted: bool) {
+        if self.meter.exhausted() || (refuted && !self.charge_pair(w, x2)) {
+            return;
+        }
         if refuted {
-            charge_pair(w, x2);
             bump(&self.orders_refuted);
         }
         bump(&self.orders_total);
+    }
+
+    /// A query on two regions: charged, counted in `asked`, computed
+    /// and interned — or, once the budget has run out, none of these.
+    fn region_query(
+        &self,
+        asked: &Cell<u64>,
+        a: &Disjunction,
+        b: &Disjunction,
+        op: impl FnOnce(Limits) -> Disjunction,
+    ) -> Arc<Disjunction> {
+        if !self.charge_pair(a, b) {
+            return nothing();
+        }
+        bump(asked);
+        self.intern_region(op(self.limits()))
+    }
+
+    /// Charge one budget step for a query on two regions, noting their
+    /// sizes; `false` once the budget has run out.
+    fn charge_pair(&self, a: &Disjunction, b: &Disjunction) -> bool {
+        if !self.meter.charge() {
+            return false;
+        }
+        self.meter.note_region(a);
+        self.meter.note_region(b);
+        true
     }
 
     /// The next deterministic lattice-existential name for `proc`
@@ -657,16 +699,6 @@ impl AnalysisSession {
         }
     }
 
-    /// Fold one procedure's budget-meter report into the session
-    /// counters (called by the driver after each procedure).
-    pub(crate) fn note_proc_meter(&self, m: &budget::MeterReport) {
-        self.budget_steps.set(self.budget_steps.get() + m.steps);
-        self.peak_disjuncts
-            .set(self.peak_disjuncts.get().max(m.peak_disjuncts));
-        self.peak_constraints
-            .set(self.peak_constraints.get().max(m.peak_constraints));
-    }
-
     /// Record one budget-degraded procedure.
     pub(crate) fn note_degraded(&self) {
         bump(&self.degraded_procs);
@@ -679,6 +711,7 @@ impl AnalysisSession {
             general: asked.get(),
         };
         let dense = self.sys_empty_dense.get();
+        let (peak_disjuncts, peak_constraints) = self.meter.peaks();
         StatsSnapshot {
             sys_empty: QueryStats {
                 dense,
@@ -695,9 +728,9 @@ impl AnalysisSession {
             orders_total: self.orders_total.get(),
             orders_refuted: self.orders_refuted.get(),
             lat_overflow: self.lat_overflow.get(),
-            budget_steps: self.budget_steps.get(),
-            peak_disjuncts: self.peak_disjuncts.get(),
-            peak_constraints: self.peak_constraints.get(),
+            budget_steps: self.meter.steps(),
+            peak_disjuncts,
+            peak_constraints,
             degraded_procs: self.degraded_procs.get(),
             limit_overflows: limit_stats::thread_overflows() - self.overflow_baseline,
             store: self.store.as_ref().map(|s| s.store.stats()),
@@ -711,12 +744,10 @@ fn bump(c: &Cell<u64>) {
     c.set(c.get() + 1);
 }
 
-/// Charge one budget step for a query on two regions, noting their
-/// sizes.
-fn charge_pair(a: &Disjunction, b: &Disjunction) {
-    budget::charge(1);
-    budget::note_region(a);
-    budget::note_region(b);
+/// What a region query returns once the budget has run out: an empty
+/// region, neither computed nor interned.
+fn nothing() -> Arc<Disjunction> {
+    Arc::new(Disjunction::empty())
 }
 
 /// Walk a block interning the per-loop synthetic names `handle_loop` and

@@ -1,7 +1,7 @@
 //! Poison-recovering lock acquisition, shared by every crate in the
 //! workspace.
 //!
-//! The analysis catches worker panics (budget unwinds, fault injection)
+//! The analysis catches worker panics (analyzer bugs, fault injection)
 //! at procedure boundaries and keeps going, so a panic raised while some
 //! other code held a lock must not wedge every later acquisition. All
 //! the protected structures in this workspace are append-only interners

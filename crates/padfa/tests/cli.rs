@@ -588,6 +588,22 @@ fn corpus_classifies_every_program_and_resumes() {
         assert!(line.contains("\"won\":{\"base\":"), "{line}");
         assert!(line.contains("\"blocked\":"), "{line}");
     }
+    // Budget decisions are deterministic, and a degraded program keeps
+    // the loops finished before its procedures ran out.
+    let total = |field: &str| -> u64 {
+        let key = format!("\"{field}\":");
+        (lines[1..].iter())
+            .map(|l| {
+                let at = l.find(&key).unwrap() + key.len();
+                let digits = l[at..].split(|c: char| !c.is_ascii_digit()).next();
+                digits.unwrap().parse::<u64>().unwrap()
+            })
+            .sum()
+    };
+    assert_eq!(
+        [total("degraded_procs"), total("steps"), total("parallel")],
+        [16, 21_386, 1_740]
+    );
 
     // A resumed run skips everything already in the ledger and appends
     // nothing new.

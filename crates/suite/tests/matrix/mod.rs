@@ -25,9 +25,9 @@
 use padfa_core::interproc::{call_order, callees};
 use padfa_core::store::{hash_procedure, Parts};
 use padfa_core::{
-    analyze_program_session, loop_json, par_map_jobs, AnalysisResult, AnalysisSession, FaultPlan,
-    LoopReport, Mechanism, Options, Outcome, Store, StoreConfig, StoreError, StoreFault,
-    StoreStatsSnapshot, Summary, Variant, WorkBudget,
+    analyze_program_session, flight, loop_json, par_map_jobs, AnalysisResult, AnalysisSession,
+    FaultPlan, Mechanism, NotCandidateReason, Options, Outcome, Store, StoreConfig, StoreError,
+    StoreFault, StoreStatsSnapshot, Summary, Variant, WorkBudget,
 };
 use padfa_ir::parse::parse_program;
 use padfa_ir::testgen::{random_program, GenConfig};
@@ -101,7 +101,7 @@ fn sources() -> Vec<Source> {
         kind: Kind::Generated,
     }));
     use Aspect::{Evidence, Summaries};
-    let hand_written: [(&str, String, Aspect, Pin); 6] = [
+    let hand_written: [(&str, String, Aspect, Pin); 7] = [
         (
             "strided top level",
             strided_top_level(),
@@ -113,6 +113,12 @@ fn sources() -> Vec<Source> {
             MAIN_CALLS_HELPER.into(),
             Summaries,
             pin_called_helper,
+        ),
+        (
+            "degraded callee",
+            DEGRADED_CALLEE.into(),
+            Summaries,
+            pin_degraded_callee,
         ),
         (
             "unread extraction",
@@ -198,6 +204,26 @@ proc main(n: int, x: int) {
 
 fn pin_called_helper(case: &Case) {
     assert_eq!(case.run(PLAIN).summaries(), ["fill"], "{}", case.ctx());
+}
+
+/// `work` needs more steps than the budget ladder's 25 and 50, `main`
+/// fewer: there the loop around the call of the degraded `work` is
+/// sequential for the budget — not for I/O, which nothing reads.
+const DEGRADED_CALLEE: &str = "proc work(a: array[100], n: int) {
+    for i = 1 to n { a[i] = a[i] + 1.0; }
+    for i = 2 to n { a[i] = a[i - 1] * 2.0; }
+    for i = 1 to n { a[i] = a[n - i + 1]; }
+}
+proc main(n: int) {
+    array a[100]; array b[100];
+    for j = 1 to n {
+        call work(a, n);
+        b[j] = 1.0;
+    }
+}";
+
+fn pin_degraded_callee(case: &Case) {
+    assert_eq!(case.run(PLAIN).summaries(), ["work"], "{}", case.ctx());
 }
 
 /// An uncalled `main` whose one loop reads `a` at a symbolic index:
@@ -468,10 +494,11 @@ fn traffic(ctx: &str, store: &Store, before: StoreStatsSnapshot, want: [u64; 4])
     assert_eq!(got, want, "{ctx}: store hits, misses, puts, quarantines");
 }
 
-/// The budget census: the loop count is unchanged, no loop is parallel
-/// that the unlimited run keeps sequential, and a budget that never runs
-/// out changes nothing.
-fn budget_census(ctx: &str, unlimited: &Run, budgeted: &Run, generous: bool) {
+/// The budget census: the loop count is unchanged, every loop's report
+/// is its unlimited report or sequential for the budget, each procedure
+/// that ran out recorded one `budget-exhausted` instant (`trips`), and a
+/// budget that never runs out changes nothing.
+fn budget_census(ctx: &str, unlimited: &Run, budgeted: &Run, trips: Option<u64>, generous: bool) {
     let (u, b) = (&unlimited.result.loops, &budgeted.result.loops);
     assert_eq!(
         u.len(),
@@ -479,13 +506,18 @@ fn budget_census(ctx: &str, unlimited: &Run, budgeted: &Run, generous: bool) {
         "{ctx}: the budget changed the loop census"
     );
     for (u, b) in u.iter().zip(b) {
-        assert_eq!(u.id, b.id, "{ctx}");
-        // Neither what a plan runs nor what the report claims may gain.
-        let claimed = |r: &LoopReport| r.outcome.is_parallelizable();
         assert!(
-            (!b.parallelized() || u.parallelized()) && (!claimed(b) || claimed(u)),
-            "{ctx}: loop {:?} is parallel only under the budget",
-            b.id
+            u == b
+                || (b.id == u.id
+                    && b.outcome == Outcome::Sequential
+                    && b.not_candidate == Some(NotCandidateReason::BudgetExhausted)),
+            "{ctx}: {b} is neither the unlimited report ({u}) nor the budget's"
+        );
+    }
+    if let Some(trips) = trips {
+        assert_eq!(
+            trips, budgeted.result.stats.degraded_procs,
+            "{ctx}: budget-exhausted instants"
         );
     }
     if generous {
@@ -868,8 +900,16 @@ pub fn budgets(sources: Sources, ladder: &[u64]) {
         for &steps in ladder {
             let ctx = format!("{} at {steps} steps", case.ctx());
             let opts = case.opts.clone().with_budget(WorkBudget::steps(steps));
+            let since = flight::watermark();
             let run = analyze(&ctx, &case.src.program, &opts, READERS[PLAIN], None);
-            budget_census(&ctx, case.run(PLAIN), &run, steps == GENEROUS);
+            // The instants are counted unless the shared ring may have
+            // wrapped over some of them.
+            let trips = (flight::watermark() - since <= flight::capacity() as u64).then(|| {
+                let events = flight::select(since, Some(flight::thread_id()));
+                let trip = |e: &&flight::Event| e.kind == flight::EventKind::BudgetExhausted;
+                events.iter().filter(trip).count() as u64
+            });
+            budget_census(&ctx, case.run(PLAIN), &run, trips, steps == GENEROUS);
         }
     }
 }
