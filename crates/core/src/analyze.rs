@@ -18,7 +18,7 @@ use crate::store;
 use crate::summary::Summary;
 use padfa_ir::affine;
 use padfa_ir::ast::{Block, BoolExpr, Expr, Loop, Procedure, Program, Stmt};
-use padfa_omega::{Constraint, Derived, Disjunction, LinExpr, System, Var};
+use padfa_omega::{Constraint, Derived, Disjunction, LinExpr, System, Var, VarTable};
 use padfa_pred::{Atom, Pred};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,6 +58,12 @@ pub fn analyze_program_with_summaries(
 /// Run the analysis against a caller-provided [`AnalysisSession`]
 /// (options, the region interner, counters).
 ///
+/// The calling thread's `Var` table becomes the program's numbering
+/// ([`VarTable::adopt`]), which the session extends with its synthetic
+/// names. Nothing restores the table it replaced: the results, and
+/// anything rendered from them on this thread afterwards, read the
+/// session's names.
+///
 /// The returned map holds the summaries something read: every procedure
 /// named by a call site, and — when the session was built
 /// [`AnalysisSession::with_summaries`] — every procedure. An unread
@@ -83,6 +89,7 @@ pub fn analyze_program_session(
 ) -> Result<(AnalysisResult, HashMap<String, Arc<Summary>>), AnalysisError> {
     {
         let _f = flight::span(flight::EventKind::Driver, "pre_intern");
+        VarTable::adopt(prog.vars());
         sess.pre_intern(prog);
     }
     let co = call_order(prog);

@@ -551,28 +551,23 @@ pub fn test_loop(
         out
     };
 
-    // Arrays are tested by name, an order the program alone decides (the
-    // map's order is the process's interning order, and a verdict-only
-    // session's work — so its budget verdicts — must not depend on it).
-    // A verdict-only session tests no array once the loop is sequential;
-    // the outcomes merge in the map's order, so rows and the run-time
-    // test read the same either way.
-    let mut order: Vec<_> = body.arrays.iter().collect();
-    Var::sort_by_name(&mut order, |&(&a, _)| a);
-    let mut outcomes = Vec::with_capacity(order.len());
-    for (&a, s) in order {
+    // Arrays are tested in the map's order, the program's numbering of
+    // their names. A verdict-only session tests no array once the loop
+    // is sequential; an evidence session tests every one, in the same
+    // order, so rows and the run-time test read the same either way.
+    let mut outcomes = Vec::with_capacity(body.arrays.len());
+    for (&a, s) in &body.arrays {
         if hard_dep && !keep {
             break;
         }
         let out = test_array(a, s);
         hard_dep |= out.hard_dep;
-        outcomes.push((a, out));
+        outcomes.push(out);
     }
-    outcomes.sort_by_key(|&(a, _)| a);
     let mut privatized = Vec::new();
     let mut tests = Pred::True;
     let mut array_rows = Vec::new();
-    for (_, out) in outcomes {
+    for out in outcomes {
         mechanisms.predicates |= out.mech.predicates;
         mechanisms.embedding |= out.mech.embedding;
         mechanisms.extraction |= out.mech.extraction;

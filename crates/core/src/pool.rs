@@ -7,8 +7,10 @@
 //! each in a session of its own: `padfa corpus --jobs N` maps the
 //! corpus through [`par_map_jobs`], and `padfa serve --workers N` has
 //! its own worker pool. The lanes share nothing the analysis writes
-//! except what is shared between sessions anyway (the process-global
-//! `Var` table, an attached `Arc<Store>`, a metrics registry).
+//! except what is shared between sessions anyway (an attached
+//! `Arc<Store>`, a metrics registry); each lane's thread has a `Var`
+//! table of its own, which every session resets to its program's
+//! numbering.
 //!
 //! Results come back in item order, so a caller that folds them sees
 //! exactly what a sequential loop would have produced.

@@ -42,8 +42,9 @@
 //! *between* sessions — `padfa corpus --jobs N` analyzes N programs at
 //! a time ([`crate::par_map_jobs`]) and `padfa serve --workers N`
 //! serves N requests at a time, each in a session of its own — and the
-//! only state those sessions share is built for it: the process-global
-//! `Var` table, an attached `Arc<Store>`, the flight ring.
+//! only state those sessions share is built for it: an attached
+//! `Arc<Store>`, the flight ring. The `Var` table is the thread's own
+//! ([`padfa_omega::VarTable`]).
 //!
 //! The thread-local meter the analysis reads (`limit_stats` cap-hits) is
 //! therefore exact per session: whatever a session's thread counted
@@ -52,26 +53,26 @@
 //!
 //! ## Determinism
 //!
-//! Two runs of one program, each in a fresh process, produce the same
-//! bytes, whatever else the process is doing on other threads. Within
-//! one long-lived process they need not: the `Var` table below outlives
-//! every session, so what earlier sessions interned can reorder a later
-//! one's constraints (ROADMAP.md, item 1: number variables per
-//! session).
+//! Two runs of one program produce the same bytes, in fresh processes
+//! or one after the other on one thread, whatever else the process is
+//! doing on other threads.
 //!
 //! 1. The walk is sequential and the operations are deterministic pure
 //!    functions — so a verdict read from a region's cell is exactly what
 //!    a fresh computation would return, and every counter a session
 //!    publishes repeats exactly. Which interned handle a result shares
 //!    never reaches the output.
-//! 2. `Var` ordering is intern-index order in a process-global table
-//!    and seeps into constraint sorting and Fourier–Motzkin tie-breaks.
-//!    [`pre_intern`] interns every synthetic name the analysis of a
-//!    program can create (dimension variables, step-lattice counters,
-//!    `$prev.*`, primed copies) in one pass over the program before the
-//!    walk starts, so their relative order is program order — not the
-//!    order in which the walk, or a session on another thread, happens
-//!    to ask for them first.
+//! 2. `Var` ordering is numbering order and seeps into constraint
+//!    sorting and Fourier–Motzkin tie-breaks. The program numbers its
+//!    source names as it is parsed, and the session starts from that
+//!    numbering ([`crate::analyze_program_session`] adopts it), so
+//!    nothing the thread numbered before reaches it. [`pre_intern`] then
+//!    numbers every synthetic name the analysis of a program can create
+//!    (dimension variables, step-lattice counters, `$prev.*`, primed
+//!    copies) in one pass over the program before the walk starts, so
+//!    their relative order is program order — not the order in which
+//!    the walk, or a session that builds less evidence, happens to ask
+//!    for them first.
 //! 3. Lattice existentials (`$lat.*`) are drawn from a per-procedure
 //!    counter ([`lat_var`]) instead of a global fresh counter, and the
 //!    first 256 names of every strided procedure are part of the
@@ -669,10 +670,13 @@ impl AnalysisSession {
             .map_or(0, |&used| u64::from(used.saturating_sub(LAT_POOL)))
     }
 
-    /// Deterministic pre-interning prepass: intern every synthetic
+    /// Deterministic pre-interning prepass: number every synthetic
     /// variable name the analysis of `prog` can create, in program
-    /// order, before the walk starts. See the module docs for why this
-    /// is required for bit-deterministic output.
+    /// order, on top of the program's own numbering, before the walk
+    /// starts. A verdict-only session and an evidence session ask for
+    /// different synthetics in different orders; this pass makes them
+    /// number every name alike, so their results compare value for
+    /// value. See the module docs.
     pub fn pre_intern(&self, prog: &Program) {
         for proc in &prog.procedures {
             // Dimension variables for every visible array.

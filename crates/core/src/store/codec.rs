@@ -8,9 +8,10 @@
 //! [`System::from_raw_parts`] / [`Disjunction::from_raw_parts`] exist:
 //! the ordinary constructors re-normalize and may reorder or drop parts.
 //!
-//! Variables are encoded **by name** and re-interned on decode. Interned
-//! indices are process-local (they depend on interning order), so they
-//! never touch the disk; names are the cross-process identity. Floats
+//! Variables are encoded **by name** and numbered on decode in the
+//! reading session's table. A `Var`'s number belongs to its program's
+//! numbering ([`padfa_omega::VarTable`]), so it never touches the disk;
+//! names are the cross-process identity. Floats
 //! are encoded via [`f64::to_bits`] so `-0.0`/NaN payloads survive.
 //!
 //! Every `decode_*` returns `Option`: any malformed byte stream — a

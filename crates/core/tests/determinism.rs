@@ -1,6 +1,7 @@
 //! A session belongs to one thread, and what it computes may not depend
-//! on what other threads are doing: a program rendered alone must equal
-//! the same program rendered while other threads run other sessions.
+//! on what other threads are doing, nor on what its own thread analysed
+//! before: a program rendered alone must equal the same program rendered
+//! while other threads run other sessions, or after other programs.
 //! That fails if anything a result depends on is process-wide mutable
 //! state — a global fresh-name counter, say — instead of the session's
 //! own. These tests exercise hand-written programs (including recursive
@@ -143,4 +144,68 @@ fn limit_overflows_count_only_the_sessions_own_cap_hits() {
     });
     assert_eq!(with_company, solo);
     assert_eq!(bystander, 0, "another session's cap-hits were counted");
+}
+
+/// A program, and one that declares the same names in the reverse order.
+const HISTORY_X: &str = r#"proc main(ybn: int, ybx: int) {
+    array ybhelp[101];
+    array yba[100, 2];
+    var ybs: real;
+    for@hot ybi = 1 to ybn {
+        if (ybx > 5) { ybhelp[ybi] = yba[ybi, 1]; }
+        yba[ybi, 2] = ybhelp[ybi + 1] + ybi * 0.5;
+    }
+    for@sum ybi = 1 to ybn { ybs = ybs + yba[ybi, 2]; }
+    print ybs;
+}
+"#;
+const HISTORY_Y: &str = "proc main(ybi: int, ybs: int) {
+    array yba[10]; array ybhelp[10]; var ybx: int; var ybn: int;
+    ybn = ybx;
+}";
+
+/// `padfa analyze --all --summaries` of `HISTORY_X`, from a fresh process.
+const HISTORY_X_FRESH: &str = r#"== summary of main ==
+ybhelp: W=[ybx - 6 >= 0 -> {-$ybhelp.0 + 101 >= 0 && $ybhelp.0 - 1 >= 0 && ybn - $ybhelp.0 >= 0}] MW=[ybx - 6 >= 0 -> {-$ybhelp.0 + 101 >= 0 && $ybhelp.0 - 1 >= 0 && ybn - $ybhelp.0 >= 0}] R=[true -> {-$ybhelp.0 + 101 >= 0 && $ybhelp.0 - 2 >= 0 && ybn - $ybhelp.0 + 1 >= 0}] E=[(-ybn + 100 >= 0 && ybn - 1 >= 0 && ybx - 6 >= 0) -> {-ybn + $ybhelp.0 - 1 = 0 && -$ybhelp.0 + 101 >= 0 && $ybhelp.0 - 2 >= 0}], [(ybn - 2 >= 0 && ybx - 6 >= 0) -> {-$ybhelp.0 + 101 >= 0 && $ybhelp.0 - 2 >= 0 && ybn - $ybhelp.0 >= 0}], [(ybn - 1 >= 0 && -ybx + 5 >= 0) -> {-$ybhelp.0 + 101 >= 0 && $ybhelp.0 - 2 >= 0 && ybn - $ybhelp.0 + 1 >= 0}]
+yba: W=[true -> {$yba.1 - 2 = 0 && -$yba.0 + 100 >= 0 && $yba.0 - 1 >= 0 && -$yba.1 + 2 >= 0 && $yba.1 - 1 >= 0 && ybn - $yba.0 >= 0}] MW=[true -> {$yba.1 - 2 = 0 && -$yba.0 + 100 >= 0 && $yba.0 - 1 >= 0 && -$yba.1 + 2 >= 0 && $yba.1 - 1 >= 0 && ybn - $yba.0 >= 0}] R=[true -> {$yba.1 - 2 = 0 && -$yba.0 + 100 >= 0 && $yba.0 - 1 >= 0 && -$yba.1 + 2 >= 0 && $yba.1 - 1 >= 0 && ybn - $yba.0 >= 0}], [ybx - 6 >= 0 -> {$yba.1 - 1 = 0 && -$yba.0 + 100 >= 0 && $yba.0 - 1 >= 0 && -$yba.1 + 2 >= 0 && $yba.1 - 1 >= 0 && ybn - $yba.0 >= 0}] E=[(ybn - 1 >= 0 && ybx - 6 >= 0) -> {-$yba.1 + 1 = 0 && $yba.1 - 1 = 0 && -$yba.0 + 100 >= 0 && $yba.0 - 1 >= 0 && ybn - $yba.0 >= 0}]
+ybn: must=false may=false exposed=true
+ybx: must=false may=false exposed=true
+ybs: must=false may=true exposed=true
+
+main:hot depth=0 -> parallel if (-ybn + 1 >= 0 || -ybx + 5 >= 0)
+main:sum depth=0 -> parallel reduce(ybs:Sum)
+
+2 loops: 2 parallelized (1 with run-time tests) under the predicated analysis
+"#;
+
+/// What a thread analysed before never reaches what it renders next: `X`
+/// after `Y` — whose declarations number `X`'s names in reverse — renders
+/// as a fresh process renders `X` alone. The names are this test's own,
+/// so no other test of the binary numbered them first.
+#[test]
+fn a_program_renders_alike_whatever_the_thread_analysed_before() {
+    let prog = parse_program(HISTORY_Y).unwrap();
+    let sess = AnalysisSession::new(Options::predicated()).with_summaries();
+    analyze_program_session(&prog, &sess).unwrap();
+
+    let prog = parse_program(HISTORY_X).unwrap();
+    let sess = AnalysisSession::new(Options::predicated()).with_summaries();
+    let (result, summaries) = analyze_program_session(&prog, &sess).unwrap();
+    // The report `analyze --all --summaries` prints.
+    let mut out = String::new();
+    let mut names: Vec<&String> = summaries.keys().collect();
+    names.sort();
+    for name in names {
+        out.push_str(&format!("== summary of {name} ==\n{}\n", summaries[name]));
+    }
+    for report in &result.loops {
+        out.push_str(&format!("{report}\n"));
+    }
+    let (loops, parallel) = (result.loops.len(), result.num_parallelized());
+    let tested = result.num_runtime_tested();
+    out.push_str(&format!(
+        "\n{loops} loops: {parallel} parallelized ({tested} with run-time tests) \
+         under the predicated analysis\n"
+    ));
+    assert_eq!(out, HISTORY_X_FRESH);
 }

@@ -279,3 +279,34 @@ fn downward_loop_must_write_region() {
     let outer = r.by_label("outer").unwrap();
     assert!(outer.outcome.is_parallelizable(), "{}", outer.outcome);
 }
+
+/// Constants at the edge of `i64` at the IR→omega bridge: each program
+/// once overflowed forming its linear expressions (a debug build's
+/// overflow check turned it into an internal error). Each is analyzed
+/// under every variant and answers `Ok`: an expression whose arithmetic
+/// leaves `i64` is not affine, and the loop around it is handled
+/// conservatively.
+#[test]
+fn extreme_constants_at_the_affine_bridge_are_not_affine() {
+    let programs = [
+        // `LinExpr + LinExpr` of a subscript.
+        "proc main(n: int) { array a[100];
+            for i = 1 to n { a[i + 9223372036854775807 + 2 - 9223372036854775807] = 1.0; } }",
+        // The subscript's equation with its dimension variable.
+        "proc main(n: int) { array a[100];
+            for i = 1 to n { a[-9223372036854775807 - 1 - i] = 1.0; } }",
+        // A guard's atom.
+        "proc main(n: int, x: int) { array a[100];
+            for i = 1 to n { if (x > -9223372036854775807 - 1) { a[i] = 1.0; } } }",
+        // A loop's lower bound.
+        "proc main(n: int) { array a[100];
+            for i = -9223372036854775807 - 1 to n { a[1] = 1.0; } }",
+    ];
+    for src in programs {
+        let prog = parse_program(src).unwrap_or_else(|e| panic!("{e}"));
+        for opts in [Options::base(), Options::guarded(), Options::predicated()] {
+            let result = analyze_program(&prog, &opts);
+            assert!(result.is_ok(), "{src}: {:?}", result.err());
+        }
+    }
+}

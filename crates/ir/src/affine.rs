@@ -4,47 +4,58 @@
 use crate::ast::{BoolExpr, CmpOp, Expr};
 use padfa_omega::{Constraint, LinExpr};
 
+/// The largest coefficient or constant magnitude [`to_linexpr`] returns.
+/// Its callers form `a − b − 1` of two results unchecked
+/// (`Constraint::lt`, `Atom::from_cmp`, a loop's bounds), and that stays
+/// inside `i64` exactly when both operands stay inside ±(2⁶² − 1).
+const MAX_MAGNITUDE: u64 = (i64::MAX / 2) as u64;
+
 /// Convert an integer expression to a linear expression over its scalar
 /// variables, if it is affine. Multiplication is allowed only when one
 /// side folds to a constant; `/`, `%`, reals, array reads, and intrinsic
-/// calls are not affine.
+/// calls are not affine. An expression whose arithmetic leaves `i64`, or
+/// whose result has a coefficient or constant above [`MAX_MAGNITUDE`], is
+/// treated as not affine: the conservative answer.
 pub fn to_linexpr(e: &Expr) -> Option<LinExpr> {
+    let l = linexpr(e)?;
+    let small = |c: i64| c.unsigned_abs() <= MAX_MAGNITUDE;
+    (small(l.konst()) && l.terms().all(|(_, c)| small(c))).then_some(l)
+}
+
+/// [`to_linexpr`] without the magnitude bound, with checked arithmetic.
+fn linexpr(e: &Expr) -> Option<LinExpr> {
     match e {
         Expr::IntLit(v) => Some(LinExpr::constant(*v)),
         Expr::RealLit(_) => None,
         Expr::Scalar(v) => Some(LinExpr::var(*v)),
         Expr::Elem(..) => None,
-        Expr::Add(a, b) => Some(to_linexpr(a)? + to_linexpr(b)?),
-        Expr::Sub(a, b) => Some(to_linexpr(a)? - to_linexpr(b)?),
+        Expr::Add(a, b) => linexpr(a)?.checked_add(&linexpr(b)?),
+        Expr::Sub(a, b) => linexpr(a)?.checked_add(&linexpr(b)?.checked_scaled(-1)?),
         Expr::Mul(a, b) => {
-            let la = to_linexpr(a)?;
-            let lb = to_linexpr(b)?;
+            let la = linexpr(a)?;
+            let lb = linexpr(b)?;
             if la.is_const() {
-                Some(lb.scaled(la.konst()))
+                lb.checked_scaled(la.konst())
             } else if lb.is_const() {
-                Some(la.scaled(lb.konst()))
+                la.checked_scaled(lb.konst())
             } else {
                 None
             }
         }
         Expr::Div(a, b) => {
             // Exact constant division only (e.g. `4 * n / 2`).
-            let la = to_linexpr(a)?;
-            let lb = to_linexpr(b)?;
-            if lb.is_const() && lb.konst() != 0 {
-                let d = lb.konst();
-                let mut ok = la.konst() % d == 0;
-                for (_, c) in la.terms() {
-                    ok &= c % d == 0;
-                }
-                if ok {
-                    return Some(la.exact_div(d));
-                }
+            let la = linexpr(a)?;
+            let lb = linexpr(b)?;
+            let d = lb.konst();
+            let divides = |c: i64| c.checked_rem(d) == Some(0);
+            if lb.is_const() && divides(la.konst()) && la.terms().all(|(_, c)| divides(c)) {
+                Some(la.exact_div(d))
+            } else {
+                None
             }
-            None
         }
         Expr::Mod(..) => None,
-        Expr::Neg(a) => Some(-to_linexpr(a)?),
+        Expr::Neg(a) => linexpr(a)?.checked_scaled(-1),
         Expr::Call(..) => None,
     }
 }
@@ -177,6 +188,22 @@ mod tests {
         assert_eq!(l.coeff(Var::new("n")), 2);
         assert_eq!(l.konst(), 4);
         assert!(to_linexpr(&parse_expr("n / 2").unwrap()).is_none());
+    }
+
+    #[test]
+    fn extreme_constants_are_not_affine() {
+        for src in [
+            "i + 9223372036854775807 + 2 - 9223372036854775807",
+            "-9223372036854775807 - 1 - i",
+            "-9223372036854775807 - 1",
+            "4611686018427387904 * i",
+            "(-9223372036854775807 - 1) / -1",
+            "n / 0",
+        ] {
+            assert!(to_linexpr(&parse_expr(src).unwrap()).is_none(), "{src}");
+        }
+        let l = to_linexpr(&parse_expr("4611686018427387903 * i - 4611686018427387903").unwrap());
+        assert_eq!(l.unwrap().konst(), -4611686018427387903);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Abstract syntax = region graph of the mini-Fortran language.
 
-use padfa_omega::Var;
+use padfa_omega::{Var, VarTable};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Scalar element type.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -480,17 +481,30 @@ pub struct Program {
     pub procedures: Vec<Procedure>,
     index: HashMap<String, usize>,
     next_loop: u32,
+    /// The numbering the program's `Var`s are drawn from.
+    vars: Arc<VarTable>,
 }
 
 impl Program {
+    /// Assemble a program from procedures whose `Var`s the calling
+    /// thread numbered; the program keeps that numbering.
     pub fn new(procedures: Vec<Procedure>) -> Program {
         let mut p = Program {
             procedures,
             index: HashMap::new(),
             next_loop: 0,
+            vars: VarTable::current(),
         };
         p.finalize();
         p
+    }
+
+    /// The numbering of the program's `Var`s: what the thread that built
+    /// it had numbered when [`Program::new`] ran. A session, or any thread
+    /// that reads the program's names, adopts it first
+    /// ([`VarTable::adopt`]).
+    pub fn vars(&self) -> &Arc<VarTable> {
+        &self.vars
     }
 
     /// Assign fresh `LoopId`s in preorder and (re)build the name index.

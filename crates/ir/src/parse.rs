@@ -29,7 +29,7 @@
 //! ```
 
 use crate::ast::*;
-use padfa_omega::Var;
+use padfa_omega::{Var, VarTable};
 use std::fmt;
 
 /// Parse error with line/column location.
@@ -779,7 +779,13 @@ impl<'a> Parser<'a> {
 }
 
 /// Parse a complete program from source text.
+///
+/// Parsing starts the calling thread on an empty [`VarTable`], so the
+/// program's names are numbered in the order the parser meets them, and
+/// the same text always gives the same `Var`s. A `Var` the thread made
+/// before the call means nothing against the new numbering.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
+    VarTable::start();
     let toks = Lexer::new(src).tokenize()?;
     let mut p = Parser { toks, pos: 0 };
     let prog = p.program()?;

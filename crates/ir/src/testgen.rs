@@ -213,7 +213,9 @@ impl Gen {
     }
 }
 
-/// Generate a deterministic random program for `seed`.
+/// Generate a deterministic random program for `seed`. Like
+/// [`crate::parse::parse_program`], it starts the calling thread's `Var`
+/// table afresh.
 ///
 /// The entry signature is `main(n: int, x: int)`; callers should pass
 /// `n <= extent - 1` so affine `idx + 1` subscripts stay in bounds.
@@ -225,7 +227,7 @@ pub fn random_program(seed: u64, cfg: GenConfig) -> Program {
     };
     let stmts = g.block(cfg.depth, cfg.stmts..cfg.stmts + 1);
 
-    build::program(vec![build::ProcBuilder::new("main")
+    let built = build::program(vec![build::ProcBuilder::new("main")
         .int_param("n")
         .int_param("x")
         .array("g0", vec![Expr::int(cfg.extent as i64)])
@@ -234,7 +236,12 @@ pub fn random_program(seed: u64, cfg: GenConfig) -> Program {
         .int_var("xv")
         .real_var("r")
         .stmts(stmts)
-        .build()])
+        .build()]);
+    // The generator meets names in another order than the printed text
+    // declares them. Numbered as that text parses, on a fresh table, the
+    // program and its re-parse are one value and analyse alike.
+    crate::parse::parse_program(&crate::pretty::program_to_string(&built))
+        .expect("a generated program re-parses")
 }
 
 #[cfg(test)]

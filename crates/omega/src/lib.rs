@@ -9,7 +9,7 @@
 //! variables, and symbolic program variables. This crate provides that
 //! substrate:
 //!
-//! * [`Var`] — globally interned variable names,
+//! * [`Var`] — variable names, numbered per program ([`VarTable`]),
 //! * [`LinExpr`] — linear expressions `c0 + c1*v1 + ... + ck*vk`,
 //! * [`Constraint`] — `expr == 0` or `expr >= 0`,
 //! * [`System`] — a conjunction of constraints (one convex set),
@@ -67,7 +67,7 @@ pub use difference::Tier;
 pub use disjunction::Disjunction;
 pub use linexpr::LinExpr;
 pub use system::{Projection, System};
-pub use var::{Derived, Var};
+pub use var::{Derived, Var, VarTable};
 
 /// Bounds on combinatorial growth inside set operations.
 ///

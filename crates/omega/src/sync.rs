@@ -4,11 +4,11 @@
 //! The analysis catches worker panics (analyzer bugs, fault injection)
 //! at procedure boundaries and keeps going, so a panic raised while some
 //! other code held a lock must not wedge every later acquisition. All
-//! the protected structures in this workspace are append-only interners
-//! or name-keyed registries, so a poisoned guard is still structurally
-//! sound and adopting the inner value is always safe.
+//! the protected structures in this workspace are append-only rings,
+//! counters or name-keyed registries, so a poisoned guard is still
+//! structurally sound and adopting the inner value is always safe.
 
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
 #[inline]
@@ -16,22 +16,10 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Acquire a read guard, recovering from poisoning.
-#[inline]
-pub fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Acquire a write guard, recovering from poisoning.
-#[inline]
-pub fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, RwLock};
+    use std::sync::Mutex;
 
     #[test]
     fn lock_recovers_from_poison() {
@@ -44,19 +32,5 @@ mod tests {
         .join();
         assert!(m.lock().is_err(), "mutex should be poisoned");
         assert_eq!(*lock(&m), 7);
-    }
-
-    #[test]
-    fn rwlock_recovers_from_poison() {
-        let l = std::sync::Arc::new(RwLock::new(3));
-        let l2 = std::sync::Arc::clone(&l);
-        let _ = std::thread::spawn(move || {
-            let _g = l2.write().unwrap();
-            panic!("poison it");
-        })
-        .join();
-        assert_eq!(*read(&l), 3);
-        *write(&l) = 4;
-        assert_eq!(*read(&l), 4);
     }
 }

@@ -1,28 +1,42 @@
-//! Globally interned variable names.
+//! Variable names, numbered per program.
 //!
 //! Array data-flow values refer to loop indices, symbolic program
-//! variables, and synthetic subscript positions by name. A process-wide
-//! interner keeps comparisons cheap (`u32` equality) while letting every
-//! crate in the workspace agree on variable identity without threading a
-//! context through the whole API.
+//! variables, and synthetic subscript positions by name. A [`Var`] is a
+//! name's number in a [`VarTable`], so comparing two is comparing two
+//! `u32`s, and `Var: Ord` is numbering order.
+//!
+//! The table belongs to the calling thread and is read without a lock.
+//! Parsing a program starts the thread on an empty table
+//! ([`VarTable::start`]), so source names are numbered in source order,
+//! and the program keeps the numbering it ends with
+//! ([`VarTable::current`]). An analysis session adopts its program's
+//! numbering ([`VarTable::adopt`]) before it numbers any synthetic name,
+//! so a program's `Var`s — and every order they give constraints, maps
+//! and disjuncts — are a function of the program alone, not of what the
+//! thread or the process numbered before.
+//!
+//! A `Var` means something only against the numbering that made it. One
+//! from another table names whatever the current table gives its number,
+//! and one past the current table's end is spelled `?N`; neither panics.
 //!
 //! The synthetic names the analysis derives from another variable —
 //! dimension positions, primed and previous-iteration copies, step
 //! counters ([`Derived`]) — are found by number: `(base, kind)` is looked
-//! up in the table, and the name is spelled and interned only the first
+//! up in the table, and the name is spelled and numbered only the first
 //! time it is asked for, at the moment [`Var::new`] of that spelling
-//! would have interned it.
+//! would have numbered it.
 
 use crate::fx::FxBuild;
-use crate::sync;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
-/// An interned variable name.
+/// A numbered variable name.
 ///
-/// `Var` is `Copy` and ordered by interning index, giving deterministic
-/// (but arbitrary) iteration orders within a single process.
+/// `Var` is `Copy` and ordered by its number in the program's
+/// [`VarTable`]: source names in source order, then the synthetic names
+/// in the order the analysis first asked for them.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(u32);
 
@@ -41,20 +55,21 @@ pub enum Derived<'a> {
 }
 
 impl Derived<'_> {
-    /// The derived name of `base`.
-    fn spell(self, base: &str) -> String {
-        match self {
-            Derived::Dim(d) => format!("${base}.{d}"),
-            Derived::Primed => format!("${base}'"),
-            Derived::Prev => format!("$prev.{base}"),
-            Derived::Step(proc) => format!("$step.{proc}.{base}"),
-        }
+    /// Write the derived name of `base` into `out`.
+    fn spell(self, base: &dyn fmt::Display, out: &mut String) {
+        out.clear();
+        let _ = match self {
+            Derived::Dim(d) => write!(out, "${base}.{d}"),
+            Derived::Primed => write!(out, "${base}'"),
+            Derived::Prev => write!(out, "$prev.{base}"),
+            Derived::Step(proc) => write!(out, "$step.{proc}.{base}"),
+        };
     }
 }
 
 /// [`Derived`] as the table keys it: a step counter's procedure by the
-/// number [`Interner::procs`] gave its name.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// number [`VarTable::procs`] gave its name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Kind {
     Dim(u32),
     Primed,
@@ -62,25 +77,57 @@ enum Kind {
     Step(u32),
 }
 
-#[derive(Default)]
-struct Interner {
-    names: Vec<String>,
-    map: HashMap<String, u32, FxBuild>,
+/// A numbering of variable names: `Var(k)` is `names[k]`.
+///
+/// A program keeps the table its construction ended with
+/// ([`VarTable::current`]) behind an `Arc`; a thread that adopts it
+/// shares it until it numbers a new name, and then copies it once. The
+/// names are `Arc<str>`, so that copy allocates nothing per name.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct VarTable {
+    names: Vec<Arc<str>>,
+    map: HashMap<Arc<str>, u32, FxBuild>,
     /// `(base, kind)` → the derived variable.
     derived: HashMap<(u32, Kind), u32, FxBuild>,
     /// Procedure names [`Derived::Step`] has seen, numbered in arrival
     /// order. They name no variable.
-    procs: HashMap<Box<str>, u32, FxBuild>,
+    procs: HashMap<Arc<str>, u32, FxBuild>,
 }
 
-impl Interner {
+thread_local! {
+    /// The calling thread's numbering.
+    static TABLE: RefCell<Arc<VarTable>> = RefCell::new(Arc::default());
+    /// Where [`Var::derived`] spells a new name: only the table's own
+    /// copy of it allocates.
+    static SPELLING: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+impl VarTable {
+    /// Start the calling thread on an empty numbering.
+    pub fn start() {
+        TABLE.with(|t| *t.borrow_mut() = Arc::default());
+    }
+
+    /// The calling thread's numbering as it stands. It shares storage
+    /// with the thread's table until either numbers another name.
+    pub fn current() -> Arc<VarTable> {
+        TABLE.with(|t| Arc::clone(&t.borrow()))
+    }
+
+    /// Make `table` the calling thread's numbering. Nothing restores the
+    /// one it replaces.
+    pub fn adopt(table: &Arc<VarTable>) {
+        TABLE.with(|t| *t.borrow_mut() = Arc::clone(table));
+    }
+
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.map.get(name) {
             return id;
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.map.insert(name.to_string(), id);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.map.insert(name, id);
         id
     }
 
@@ -96,105 +143,74 @@ impl Interner {
     }
 }
 
-static INTERNER: RwLock<Option<Interner>> = RwLock::new(None);
-
 /// Crate-internal filler for fixed-size term buffers (`LinExpr`'s inline
 /// representation); never observable through the public API.
 pub(crate) const PLACEHOLDER: Var = Var(u32::MAX);
 
-/// The interner must stay usable even after a thread panicked while
-/// holding the lock (worker panics are caught and recovered from, see
-/// `padfa-rt`); the map is append-only, so a poisoned guard is still
-/// structurally sound and can be adopted ([`crate::sync`]).
-fn read_interner() -> RwLockReadGuard<'static, Option<Interner>> {
-    sync::read(&INTERNER)
-}
-
-fn write_interner() -> RwLockWriteGuard<'static, Option<Interner>> {
-    sync::write(&INTERNER)
-}
-
 impl Var {
-    /// Intern `name`, returning the same `Var` for the same string.
+    /// Number `name` in the calling thread's table, returning the same
+    /// `Var` for the same string.
     pub fn new(name: &str) -> Var {
-        {
-            let guard = read_interner();
-            if let Some(int) = guard.as_ref() {
-                if let Some(&id) = int.map.get(name) {
-                    return Var(id);
-                }
+        TABLE.with(|t| {
+            let mut t = t.borrow_mut();
+            match t.map.get(name) {
+                Some(&id) => Var(id),
+                None => Var(Arc::make_mut(&mut t).intern(name)),
             }
-        }
-        let mut guard = write_interner();
-        Var(guard.get_or_insert_with(Interner::default).intern(name))
+        })
     }
 
     /// The variable `kind` derives from `self`: the same `Var` as
     /// `Var::new` of its spelling (`Derived::Dim(1)` of `a` is `$a.1`),
-    /// looked up by number once it has been asked for.
+    /// looked up by number once it has been asked for. The base of a
+    /// `Var` the table does not hold is spelled `?N`.
     pub fn derived(self, kind: Derived) -> Var {
-        {
-            let guard = read_interner();
-            if let Some(int) = guard.as_ref() {
-                let known = int.kind(kind).and_then(|k| int.derived.get(&(self.0, k)));
-                if let Some(&id) = known {
-                    return Var(id);
-                }
+        TABLE.with(|t| {
+            let mut t = t.borrow_mut();
+            let known = t.kind(kind).and_then(|k| t.derived.get(&(self.0, k)));
+            if let Some(&id) = known {
+                return Var(id);
             }
-        }
-        let mut guard = write_interner();
-        let int = guard.get_or_insert_with(Interner::default);
-        if let Derived::Step(proc) = kind {
-            let n = int.procs.len() as u32;
-            int.procs.entry(proc.into()).or_insert(n);
-        }
-        let key = int.kind(kind).expect("the procedure was numbered above");
-        if let Some(&id) = int.derived.get(&(self.0, key)) {
-            return Var(id);
-        }
-        let name = kind.spell(&int.names[self.0 as usize]);
-        let id = int.intern(&name);
-        int.derived.insert((self.0, key), id);
-        Var(id)
+            let t = Arc::make_mut(&mut t);
+            if let Derived::Step(proc) = kind {
+                let n = t.procs.len() as u32;
+                t.procs.entry(proc.into()).or_insert(n);
+            }
+            let key = t.kind(kind).expect("the procedure was numbered above");
+            SPELLING.with(|name| {
+                let name = &mut name.borrow_mut();
+                match t.names.get(self.0 as usize) {
+                    Some(base) => kind.spell(base, name),
+                    None => kind.spell(&format_args!("?{}", self.0), name),
+                }
+                let id = t.intern(name);
+                t.derived.insert((self.0, key), id);
+                Var(id)
+            })
+        })
     }
 
-    /// The interned name.
+    /// The name, or `?N` for a number the calling thread's table does not
+    /// hold.
     pub fn name(self) -> String {
-        let guard = read_interner();
-        guard
-            .as_ref()
-            .and_then(|int| int.names.get(self.0 as usize).cloned())
-            .unwrap_or_else(|| format!("?{}", self.0))
-    }
-
-    /// Sort `items` by the name of their `var`: an order that is a
-    /// function of the names alone, where `Ord` (interning order) depends
-    /// on what the process interned before. One lock for the whole sort,
-    /// and no name copied; `var` must not intern.
-    pub fn sort_by_name<T>(items: &mut [T], var: impl Fn(&T) -> Var) {
-        let guard = read_interner();
-        if let Some(int) = guard.as_ref() {
-            let name = |t: &T| int.names.get(var(t).0 as usize);
-            items.sort_by(|a, b| name(a).cmp(&name(b)));
-        }
-    }
-
-    /// Raw interning index (stable within a process).
-    pub fn index(self) -> u32 {
-        self.0
+        TABLE.with(|t| match t.borrow().names.get(self.0 as usize) {
+            Some(name) => name.to_string(),
+            None => format!("?{}", self.0),
+        })
     }
 
     /// Whether this is a synthetic name — one the analysis made up, not
     /// one from the source: every such name starts with `$` ([`Derived`]
     /// names, `$lat.*` existentials), which no source identifier can.
-    /// Reads the name's first byte under the guard: classification filters call
+    /// Reads the name's first byte in place: classification filters call
     /// this per variable, and [`Var::name`] would copy the string out.
     pub fn is_synthetic(self) -> bool {
-        let guard = read_interner();
-        guard
-            .as_ref()
-            .and_then(|int| int.names.get(self.0 as usize))
-            .is_some_and(|name| name.starts_with('$'))
+        TABLE.with(|t| {
+            t.borrow()
+                .names
+                .get(self.0 as usize)
+                .is_some_and(|name| name.starts_with('$'))
+        })
     }
 }
 
@@ -262,6 +278,48 @@ mod tests {
         let spelled = Var::new("$step.dv_q.dv_b");
         assert_eq!(b.derived(Derived::Step("dv_q")), spelled);
         assert_ne!(b.derived(Derived::Step("dv_p")), spelled);
+    }
+
+    #[test]
+    fn each_parse_numbers_from_zero_and_a_session_adopts() {
+        VarTable::start();
+        let (x, y) = (Var::new("nt_x"), Var::new("nt_y"));
+        let program = VarTable::current();
+        VarTable::start();
+        // A second program that declares the names in reverse.
+        assert_eq!(Var::new("nt_y"), x);
+        assert_eq!(Var::new("nt_x"), y);
+        VarTable::adopt(&program);
+        assert_eq!((Var::new("nt_x"), Var::new("nt_y")), (x, y));
+        // The thread copies the adopted table before it numbers more.
+        let z = Var::new("$nt_z");
+        assert_eq!(program.names.len(), 2);
+        assert_eq!(z.name(), "$nt_z");
+    }
+
+    #[test]
+    fn the_table_belongs_to_the_thread() {
+        VarTable::start();
+        let x = Var::new("tt_x");
+        let program = VarTable::current();
+        let elsewhere = std::thread::spawn(move || {
+            let before = x.name();
+            VarTable::adopt(&program);
+            (before, x.name())
+        });
+        assert_eq!(
+            elsewhere.join().unwrap(),
+            ("?0".to_string(), "tt_x".to_string())
+        );
+    }
+
+    #[test]
+    fn a_foreign_var_does_not_panic() {
+        VarTable::start();
+        let far = Var(7);
+        assert_eq!(far.name(), "?7");
+        assert!(!far.is_synthetic());
+        assert_eq!(far.derived(Derived::Dim(0)).name(), "$?7.0");
     }
 
     #[test]

@@ -1420,3 +1420,68 @@ fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
     assert!(err.contains("clean=true"), "{err}");
     let _ = std::fs::remove_dir_all(&dumps);
 }
+
+/// The 30 corpus programs re-emitted with each spec's generator seed
+/// perturbed by `seed`, as `benchmark/run.sh gen --seed` writes them.
+fn seeded_corpus(seed: u64) -> Vec<(String, String)> {
+    // SplitMix64's finaliser, the benchmark's `rng::mix`.
+    let mut z = seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    let mixed = z ^ (z >> 31);
+    (padfa_suite::PROGRAM_SPECS.iter())
+        .map(|spec| {
+            let mut gen = padfa_suite::patterns::Gen::new(spec.name, spec.seed ^ mixed);
+            spec.emit(&mut gen);
+            (format!("{} (seed {seed})", spec.name), gen.finish())
+        })
+        .collect()
+}
+
+/// No output depends on what the process analysed before. For each of
+/// the 30 corpus programs and the 30 seed-3 inputs, a fresh `padfa
+/// explain --json` process prints the loops this process renders once
+/// its one thread has analysed all 60 programs.
+#[test]
+fn explain_json_does_not_depend_on_what_the_thread_analysed_before() {
+    use padfa_core::{analyze_program_session, loop_json, AnalysisSession, Options};
+
+    let mut sources: Vec<(String, String)> = (padfa_suite::build_corpus().into_iter())
+        .map(|b| (b.name.to_string(), b.source))
+        .collect();
+    sources.extend(seeded_corpus(3));
+    assert_eq!(sources.len(), 60);
+    let programs: Vec<_> = (sources.iter())
+        .map(|(_, s)| padfa_ir::parse::parse_program(s).unwrap())
+        .collect();
+    let explain = |prog| {
+        let sess = AnalysisSession::new(Options::predicated()).with_provenance();
+        let (result, _) = analyze_program_session(prog, &sess).unwrap();
+        let loops: Vec<String> = result.loops.iter().map(loop_json).collect();
+        loops.join(",")
+    };
+    for prog in &programs {
+        explain(prog);
+    }
+    let mut differ = Vec::new();
+    for ((name, source), prog) in sources.iter().zip(&programs) {
+        let after_history = explain(prog);
+        let f = temppath::write(source);
+        let out = padfa()
+            .args(["explain", "--json"])
+            .arg(&f.0)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{name}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let (_, loops) = stdout.split_once("\"loops\":[").unwrap();
+        if loops.strip_suffix("]}\n") != Some(after_history.as_str()) {
+            differ.push(name);
+        }
+    }
+    assert!(
+        differ.is_empty(),
+        "{} of 60 programs render differently after history: {differ:?}",
+        differ.len()
+    );
+}

@@ -246,6 +246,9 @@ pub fn run_parallel_loop(
             let var = l.var;
             let step = l.step;
             handles.push(scope.spawn(move || {
+                // Errors name arrays, so the worker reads the program's
+                // numbering, not its own thread's empty one.
+                padfa_omega::VarTable::adopt(prog.vars());
                 let mut m = Machine::new(prog, cfg);
                 m.arrays = worker_arrays;
                 m.in_worker = true;

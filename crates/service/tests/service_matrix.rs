@@ -884,3 +884,43 @@ fn overload_sheds_with_429_and_drain_answers_queue_with_503() {
     assert_eq!(report.drained_in_queue, 1);
     drop(pin);
 }
+
+/// `explain.rs`'s `DEMO` under names of its own, and a primer that
+/// declares those names in the reverse order.
+const HISTORY_DEMO: &str = r#"proc main(svn: int, svx: int) {
+    array svhelp[101];
+    array sva[100, 2];
+    var svs: real;
+    for@hot svi = 1 to svn {
+        if (svx > 5) { svhelp[svi] = sva[svi, 1]; }
+        sva[svi, 2] = svhelp[svi + 1] + svi * 0.5;
+    }
+    for@sum svi = 1 to svn { svs = svs + sva[svi, 2]; }
+    print svs;
+}"#;
+const HISTORY_PRIMER: &str = r#"proc main(svi: int, svs: int) {
+    array sva[10]; array svhelp[10]; var svx: int; var svn: int;
+    svn = svx;
+}"#;
+/// The `/explain` body of `HISTORY_DEMO` from a fresh daemon.
+const HISTORY_DEMO_FRESH: &str = r#"{"schema_version":3,"variant":"predicated","loops":[{"id":0,"label":"hot","proc":"main","depth":0,"outcome":"parallel-if","outcome_test":"(-svn + 1 >= 0 || -svx + 5 >= 0)","not_candidate":null,"winner":"runtime-test","mechanisms":{"predicates":true,"embedding":false,"extraction":true,"runtime_test":true},"runtime_test":"(-svn + 1 >= 0 || -svx + 5 >= 0)","arrays":[{"array":"svhelp","verdict":"runtime-tested","test":"(-svn + 1 >= 0 || -svx + 5 >= 0)","with_privatization":false,"dep_pairs":[{"kind":"write/write","w_pred":"svx - 6 >= 0","x_pred":"svx - 6 >= 0","outcome":"regions-disjoint","condition":"false"},{"kind":"write/read","w_pred":"svx - 6 >= 0","x_pred":"true","outcome":"extracted","condition":"(svn - 2 >= 0 && svx - 6 >= 0)"}],"priv_pairs":[{"kind":"exposed/write","w_pred":"svx - 6 >= 0","x_pred":"svx - 6 >= 0","outcome":"extracted","condition":"(svn - 2 >= 0 && svx - 6 >= 0)"},{"kind":"exposed/write","w_pred":"svx - 6 >= 0","x_pred":"-svx + 5 >= 0","outcome":"guards-exclude","condition":"false"}]},{"array":"sva","verdict":"independent","dep_pairs":[{"kind":"write/write","w_pred":"true","x_pred":"true","outcome":"regions-disjoint","condition":"false"},{"kind":"write/read","w_pred":"true","x_pred":"svx - 6 >= 0","outcome":"regions-disjoint","condition":"false"}],"priv_pairs":[]}],"scalars":[],"reductions":[],"embedded":[],"budget":null,"limit_overflows":0,"lat_overflow":0},{"id":1,"label":"sum","proc":"main","depth":0,"outcome":"parallel","not_candidate":null,"winner":"extraction","mechanisms":{"predicates":false,"embedding":false,"extraction":true,"runtime_test":false},"runtime_test":null,"arrays":[],"scalars":[{"scalar":"svs","verdict":"reduction"}],"reductions":[{"target":"svs","op":"Sum","is_array":false}],"embedded":[],"budget":null,"limit_overflows":0,"lat_overflow":0}]}"#;
+
+/// A worker's earlier requests never reach a later response: after the
+/// primer, the one worker answers `/explain` of `HISTORY_DEMO` with the
+/// bytes a fresh daemon answers. No other test of the binary sends these
+/// names.
+#[test]
+fn explain_does_not_depend_on_what_the_worker_served_before() {
+    let policy = ServicePolicy {
+        workers: 1,
+        ..quick_policy()
+    };
+    let server = start(policy, ServiceDeps::default());
+    let addr = server.addr();
+    let primed = request(addr, "POST", "/analyze", &[], HISTORY_PRIMER.as_bytes());
+    assert_eq!(primed.status, 200, "{}", body_str(&primed));
+    let r = request(addr, "POST", "/explain", &[], HISTORY_DEMO.as_bytes());
+    assert_eq!(r.status, 200);
+    assert_eq!(body_str(&r), HISTORY_DEMO_FRESH);
+    assert!(server.shutdown().clean);
+}
