@@ -18,6 +18,7 @@ use crate::store;
 use crate::summary::Summary;
 use padfa_ir::affine;
 use padfa_ir::ast::{Block, BoolExpr, Expr, Loop, Procedure, Program, Stmt};
+use padfa_ir::visit::count_proc_loops;
 use padfa_omega::{Constraint, Derived, Disjunction, LinExpr, System, Var, VarTable};
 use padfa_pred::{Atom, Pred};
 use std::collections::HashMap;
@@ -108,7 +109,7 @@ pub fn analyze_program_session(
         }
     }
     let mut proc_summaries: HashMap<String, Arc<Summary>> = HashMap::new();
-    let mut reports: Vec<LoopReport> = Vec::new();
+    let mut reports: Vec<LoopReport> = Vec::with_capacity(prog.num_loops() as usize);
     {
         let mut walk_flight = flight::span(flight::EventKind::Driver, "walk");
         walk_flight.set_value(prog.procedures.len() as u64);
@@ -213,7 +214,7 @@ fn analyze_proc(
             prog,
             sess,
             proc_summaries: summaries,
-            reports: Vec::new(),
+            reports: Vec::with_capacity(count_proc_loops(proc)),
         };
         let summary = if !read {
             az.report_loops(proc, &proc.body.stmts, 0);

@@ -10,33 +10,41 @@ pub fn count_loops(p: &Program) -> usize {
     n
 }
 
+/// Count the loops of one procedure, nested ones included.
+pub fn count_proc_loops(proc: &Procedure) -> usize {
+    let mut n = 0;
+    walk_loops(proc, &proc.body, 0, &mut |_, _, _| n += 1);
+    n
+}
+
 /// Visit every loop with its enclosing procedure and nesting depth
 /// (0 = outermost in its procedure).
 pub fn for_each_loop<'p>(p: &'p Program, f: &mut dyn FnMut(&'p Procedure, &'p Loop, usize)) {
-    fn walk<'p>(
-        proc: &'p Procedure,
-        b: &'p Block,
-        depth: usize,
-        f: &mut dyn FnMut(&'p Procedure, &'p Loop, usize),
-    ) {
-        for s in &b.stmts {
-            match s {
-                Stmt::For(l) => {
-                    f(proc, l, depth);
-                    walk(proc, &l.body, depth + 1, f);
-                }
-                Stmt::If {
-                    then_blk, else_blk, ..
-                } => {
-                    walk(proc, then_blk, depth, f);
-                    walk(proc, else_blk, depth, f);
-                }
-                _ => {}
-            }
-        }
-    }
     for proc in &p.procedures {
-        walk(proc, &proc.body, 0, f);
+        walk_loops(proc, &proc.body, 0, f);
+    }
+}
+
+fn walk_loops<'p>(
+    proc: &'p Procedure,
+    b: &'p Block,
+    depth: usize,
+    f: &mut dyn FnMut(&'p Procedure, &'p Loop, usize),
+) {
+    for s in &b.stmts {
+        match s {
+            Stmt::For(l) => {
+                f(proc, l, depth);
+                walk_loops(proc, &l.body, depth + 1, f);
+            }
+            Stmt::If {
+                then_blk, else_blk, ..
+            } => {
+                walk_loops(proc, then_blk, depth, f);
+                walk_loops(proc, else_blk, depth, f);
+            }
+            _ => {}
+        }
     }
 }
 

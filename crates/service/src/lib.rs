@@ -67,7 +67,9 @@
 //!   oversized headers or bodies are rejected (`413`) before they are
 //!   buffered; responses always carry `Connection: close` so a wedged
 //!   client cannot pin a worker.
-//! * **Graceful drain** — [`Server::shutdown`] stops the acceptor,
+//! * **Graceful drain** — [`Server::shutdown`] wakes the acceptor,
+//!   blocked in `accept()`, with one loopback connection it closes
+//!   unadmitted, so the acceptor returns and the listener closes; then it
 //!   answers every queued-but-unstarted request `503`, lets in-flight
 //!   requests finish (bounded by the drain deadline), and reports what
 //!   happened in a [`DrainReport`]. Store entries are on disk as each

@@ -11,11 +11,14 @@
 //!        draining: 503                  supervisor spawns a replacement
 //! ```
 //!
-//! The acceptor thread does only bounded work per connection (an
+//! The acceptor thread blocks in `accept()`, so a connection is read
+//! the moment it arrives, and does only bounded work per connection (an
 //! accept, a queue push, or a small shed write), so a flood of
-//! connections cannot starve it. All socket reads happen on workers
-//! under read timeouts. One request per connection (`Connection:
-//! close`) keeps the worker state machine a straight line.
+//! connections cannot starve it. Drain wakes it with one loopback
+//! connection: whatever it accepts once `draining` is set is closed
+//! unadmitted, and it returns, closing the listener. All socket reads
+//! happen on workers under read timeouts. One request per connection
+//! (`Connection: close`) keeps the worker state machine a straight line.
 //!
 //! ## Fault injection
 //!
@@ -36,8 +39,7 @@ use padfa_core::{
 };
 use padfa_omega::sync::lock;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -182,7 +184,6 @@ impl Server {
         install_quiet_hook();
         let policy = policy.normalized();
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             policy,
@@ -234,7 +235,11 @@ impl Server {
     pub fn shutdown(mut self) -> DrainReport {
         self.shared.draining.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
+            // An acceptor that never wakes (the connect keeps failing)
+            // is left detached rather than hang the drain.
+            if wake_acceptor(self.addr, &h, self.shared.policy.drain_deadline) {
+                let _ = h.join();
+            }
         }
         // Everything still queued was never started: tell those clients
         // to retry elsewhere rather than silently dropping them.
@@ -298,17 +303,49 @@ impl Server {
     }
 }
 
+/// Block in `accept()` until drain begins. A connection accepted once
+/// `draining` is set (the drain's wake-up, or a late client) is closed
+/// unadmitted, like a backlog connection the listener never hands out.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     while !shared.draining.load(Ordering::Acquire) {
         match listener.accept() {
+            Ok(_) if shared.draining.load(Ordering::Acquire) => return,
             Ok((stream, _)) => admit(shared, stream),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(_) => {
+                // A real error (e.g. `EMFILE`): back off, don't spin.
                 shared.count("service.accept_errors", 1);
                 std::thread::sleep(Duration::from_millis(2));
             }
+        }
+    }
+}
+
+/// Connect to the listener until the acceptor, blocked in `accept()`,
+/// has seen `draining` and returned, or `within` has passed; the first
+/// connection is made whatever `within` is. An unspecified bind address
+/// is reached through loopback of its family. Returns whether the
+/// acceptor finished.
+fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>, within: Duration) -> bool {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let deadline = Instant::now() + within;
+    loop {
+        let _ = TcpStream::connect_timeout(&target, Duration::from_millis(100));
+        // Give the acceptor a moment to return before connecting again.
+        let settle = Instant::now() + Duration::from_millis(20);
+        while Instant::now() < settle {
+            if acceptor.is_finished() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        if Instant::now() >= deadline {
+            return acceptor.is_finished();
         }
     }
 }

@@ -924,3 +924,89 @@ fn explain_does_not_depend_on_what_the_worker_served_before() {
     assert_eq!(body_str(&r), HISTORY_DEMO_FRESH);
     assert!(server.shutdown().clean);
 }
+
+/// The `service.requests` counter of a server's registry.
+fn requests_counted(metrics: &padfa_core::MetricsRegistry) -> u64 {
+    metrics
+        .counters_snapshot()
+        .get("service.requests")
+        .copied()
+        .unwrap_or(0)
+}
+
+/// An idle daemon reads a connection the moment it arrives: sequential
+/// round trips on fresh connections take what the handler takes, not a
+/// polling interval. Drain's wake-up connection is never admitted, so
+/// after N requests the report says `admitted == N`.
+#[test]
+fn sequential_requests_do_not_wait_for_the_acceptor() {
+    let policy = ServicePolicy {
+        workers: 1,
+        ..quick_policy()
+    };
+    let server = start(policy, ServiceDeps::default());
+    let addr = server.addr();
+    let metrics = server.metrics();
+    for _ in 0..5 {
+        assert_eq!(request(addr, "GET", "/healthz", &[], b"").status, 200);
+    }
+    let mut ms: Vec<f64> = (0..41)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            assert_eq!(request(addr, "GET", "/healthz", &[], b"").status, 200);
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    assert!(
+        median < 1.0,
+        "median /healthz round trip {median:.3} ms: {ms:?}"
+    );
+
+    let report = server.shutdown();
+    assert!(report.clean);
+    assert_eq!(report.admitted, 46);
+    assert_eq!(report.completed, 46);
+    assert_eq!(requests_counted(&metrics), 46);
+}
+
+/// Drain wakes an acceptor blocked in `accept()` that never saw a
+/// connection, and the wake-up connection is neither admitted nor
+/// counted: the acceptor returns and the listener closes. A daemon bound
+/// to the unspecified address is woken through loopback, and a zero
+/// drain deadline still gets its wake-up. The drain runs on a thread so
+/// that a hang fails the test instead of wedging the suite.
+#[test]
+fn shutdown_wakes_an_idle_acceptor() {
+    let zero_deadline = ServicePolicy {
+        drain_deadline: Duration::ZERO,
+        ..quick_policy()
+    };
+    for (bind, policy) in [
+        ("127.0.0.1:0", quick_policy()),
+        ("0.0.0.0:0", quick_policy()),
+        ("127.0.0.1:0", zero_deadline),
+    ] {
+        let deadline = policy.drain_deadline;
+        let server = Server::start(bind, policy, ServiceDeps::default()).unwrap();
+        let port = server.addr().port();
+        let metrics = server.metrics();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(server.shutdown());
+        });
+        let report = rx
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|_| panic!("shutdown of an idle daemon on {bind} hung for 5 s"));
+        assert_eq!(report.admitted, 0);
+        assert_eq!(requests_counted(&metrics), 0);
+        assert!(
+            TcpStream::connect(("127.0.0.1", port)).is_err(),
+            "{bind}: the listener outlived the drain"
+        );
+        if !deadline.is_zero() {
+            assert!(report.clean);
+        }
+    }
+}
