@@ -601,12 +601,18 @@ impl<'a> Analyzer<'a> {
         let exposed_wanted = read || (extract_fn.is_some() && decision.provenance.is_some());
         let mut extracted = false;
         let mut loop_sum = Summary::empty();
+        // Cap-hits of what only a reader of the loop's summary computes:
+        // the loop's `limit_overflows` leaves them out, so it reads alike
+        // whoever asked for the summary.
+        let overflows = padfa_omega::limit_stats::thread_overflows;
+        let mut summary_overflows = 0;
         for (&a, s) in &iter.arrays {
             if !exposed_wanted {
                 break;
             }
             let mut fired = false;
             let e_ctx = with_ctx(&s.e);
+            let mark = overflows();
             // Nothing is subtracted from an empty E, so `W_prev` is not
             // formed — unless forming it draws `$lat` names.
             let e_inner = if e_ctx.is_empty() && prev_aux.is_empty() {
@@ -614,10 +620,14 @@ impl<'a> Analyzer<'a> {
             } else {
                 e_ctx.pred_subtract(&w_prev_of_i(&s.w), preds, extract_fn, sess, &mut fired)
             };
+            if extract_fn.is_none() {
+                summary_overflows += overflows() - mark;
+            }
             extracted |= fired;
             if !read {
                 continue;
             }
+            let mark = overflows();
             // MW equals W in most (loop, array) pairs: project it once,
             // and W keeps the exact pieces, as a must projection would.
             let (w, mw) = if s.mw == s.w {
@@ -646,6 +656,7 @@ impl<'a> Analyzer<'a> {
                 ),
             };
             arr.normalize(sess);
+            summary_overflows += overflows() - mark;
             if !arr.is_empty() {
                 loop_sum.arrays.insert(a, arr);
             }
@@ -660,7 +671,7 @@ impl<'a> Analyzer<'a> {
             prov.mechanisms.embedding |= !embedded_arrays.is_empty();
             prov.mechanisms.extraction |= extracted;
             prov.embedded = embedded_arrays;
-            prov.limit_overflows = padfa_omega::limit_stats::thread_overflows() - limit_base;
+            prov.limit_overflows = overflows() - limit_base - summary_overflows;
             prov.lat_overflow = sess.lat_overflow_for(&proc.name) - lat_base;
             prov.winner = parallelized.then(|| Mechanism::winner(&prov.mechanisms));
             prov

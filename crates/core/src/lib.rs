@@ -122,6 +122,10 @@ pub const BUILD_ID: &str = env!("PADFA_SOURCE_HASH");
 /// for ledgers, metrics and `padfa_build_info`; nothing keys on it.
 pub const GIT_REV: &str = env!("PADFA_GIT_REV");
 
+/// Version of the JSON the CLI and the daemon write: ledgers, snapshots
+/// and response bodies. Bump when a field changes meaning.
+pub const SCHEMA_VERSION: u32 = 3;
+
 /// FNV-1a 64 over a byte stream: the store's frame checksum and the
 /// service's request-body digest. (`build.rs` keeps its own copy: a
 /// build script cannot link the crate it builds.)

@@ -89,6 +89,16 @@ impl Options {
         }
     }
 
+    /// The named configuration: `base`, `guarded` or `predicated`.
+    pub fn named(name: &str) -> Option<Options> {
+        match name {
+            "base" => Some(Options::base()),
+            "guarded" => Some(Options::guarded()),
+            "predicated" => Some(Options::predicated()),
+            _ => None,
+        }
+    }
+
     /// Replace the work budget (builder style).
     pub fn with_budget(mut self, budget: WorkBudget) -> Options {
         self.budget = budget;

@@ -145,6 +145,16 @@ impl AnalysisResult {
             .find(|l| l.label.as_deref() == Some(label))
     }
 
+    /// The loops `target` names: by label, or by id when it is a
+    /// number.
+    pub fn select(&self, target: &str) -> Vec<&LoopReport> {
+        let id = target.parse::<u32>().ok();
+        self.loops
+            .iter()
+            .filter(|r| r.label.as_deref() == Some(target) || id == Some(r.id.0))
+            .collect()
+    }
+
     pub fn num_parallelized(&self) -> usize {
         self.loops.iter().filter(|l| l.parallelized()).count()
     }

@@ -12,11 +12,11 @@
 //! * [`ast`] — expressions, statements, procedures, programs;
 //! * [`parse`] — a lexer + recursive-descent parser for the textual
 //!   mini-Fortran surface syntax (see crate examples);
-//! * [`build`] — a programmatic builder API;
 //! * [`affine`] — extraction of linear expressions over loop indices and
 //!   symbolic variables, the bridge into `padfa-omega`;
 //! * [`pretty`] — a round-trippable pretty printer;
-//! * [`visit`] — traversal helpers (loop enumeration, nesting).
+//! * [`visit`] — traversal helpers (loop enumeration, nesting);
+//! * [`testgen`] — the seeded random programs the differential tests run.
 //!
 //! ## Surface syntax
 //!
@@ -38,7 +38,6 @@
 
 pub mod affine;
 pub mod ast;
-pub mod build;
 // The parser is the input boundary: every malformed program must come
 // back as a spanned `ParseError`, never a panic.
 #[cfg_attr(

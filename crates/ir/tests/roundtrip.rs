@@ -7,8 +7,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use padfa_ir::ast::*;
-use padfa_ir::build;
-use padfa_ir::{parse::parse_program, pretty};
+use padfa_ir::{parse::parse_program, pretty, Var};
 
 fn add_one(e: Expr) -> Expr {
     Expr::Add(Box::new(e), Box::new(Expr::int(1)))
@@ -98,53 +97,85 @@ fn bool_expr(rng: &mut StdRng, depth: u32) -> BoolExpr {
     BoolExpr::Cmp(op, int_expr(rng, 1), int_expr(rng, 1))
 }
 
+/// `for var = 1 to hi { body }`, numbered when the program is assembled.
+fn for_loop(var: &str, hi: Expr, body: Vec<Stmt>) -> Stmt {
+    Stmt::For(Loop {
+        id: LoopId(u32::MAX),
+        label: None,
+        var: Var::new(var),
+        lo: Expr::int(1),
+        hi,
+        step: 1,
+        body: Block::new(body),
+    })
+}
+
 /// Random statements (loop bodies reference the index `i`).
 fn stmt(rng: &mut StdRng, depth: u32) -> Stmt {
     if depth > 0 && rng.gen_bool(0.4) {
         return match rng.gen_range(0u32..3) {
             0 => {
-                let c = bool_expr(rng, 2);
+                let cond = bool_expr(rng, 2);
                 let n = rng.gen_range(1usize..3);
-                build::if_then(c, (0..n).map(|_| stmt(rng, depth - 1)).collect())
+                Stmt::If {
+                    cond,
+                    then_blk: Block::new((0..n).map(|_| stmt(rng, depth - 1)).collect()),
+                    else_blk: Block::default(),
+                }
             }
-            1 => {
-                let c = bool_expr(rng, 2);
-                build::if_else(c, vec![stmt(rng, depth - 1)], vec![stmt(rng, depth - 1)])
-            }
+            1 => Stmt::If {
+                cond: bool_expr(rng, 2),
+                then_blk: Block::new(vec![stmt(rng, depth - 1)]),
+                else_blk: Block::new(vec![stmt(rng, depth - 1)]),
+            },
             _ => {
                 let hi = rng.gen_range(1i64..=8);
                 let n = rng.gen_range(1usize..3);
-                build::for_loop(
+                for_loop(
                     "j",
-                    Expr::int(1),
                     Expr::int(hi),
                     (0..n).map(|_| stmt(rng, depth - 1)).collect(),
                 )
             }
         };
     }
-    match rng.gen_range(0u32..3) {
-        0 => build::assign("r", real_expr(rng, 2)),
-        1 => build::assign("x", int_expr(rng, 2)),
-        _ => build::store(
-            "a1",
-            vec![clamped_index(int_expr(rng, 1), 16)],
+    let (lhs, rhs) = match rng.gen_range(0u32..3) {
+        0 => (LValue::scalar("r"), real_expr(rng, 2)),
+        1 => (LValue::scalar("x"), int_expr(rng, 2)),
+        _ => (
+            LValue::elem("a1", vec![clamped_index(int_expr(rng, 1), 16)]),
             real_expr(rng, 1),
         ),
-    }
+    };
+    Stmt::Assign { lhs, rhs }
 }
 
 fn random_program(rng: &mut StdRng) -> Program {
     let n = rng.gen_range(1usize..6);
     let stmts = (0..n).map(|_| stmt(rng, 2)).collect();
-    build::program(vec![build::ProcBuilder::new("main")
-        .int_param("n")
-        .array("a1", vec![Expr::int(16)])
-        .int_array("k1", vec![Expr::int(8)])
-        .int_var("x")
-        .real_var("r")
-        .stmt(build::for_loop("i", Expr::int(1), Expr::scalar("n"), stmts))
-        .build()])
+    let array = |name, extent, ty| ArrayDecl {
+        name: Var::new(name),
+        dims: vec![Expr::int(extent)],
+        ty,
+    };
+    let scalar = |name, ty| ScalarDecl {
+        name: Var::new(name),
+        ty,
+        init: None,
+    };
+    Program::new(vec![Procedure {
+        name: "main".to_string(),
+        params: vec![Param {
+            name: Var::new("n"),
+            ty: ParamTy::Scalar(ScalarTy::Int),
+        }],
+        arrays: vec![
+            array("a1", 16, ScalarTy::Real),
+            array("k1", 8, ScalarTy::Int),
+        ],
+        scalars: vec![scalar("x", ScalarTy::Int), scalar("r", ScalarTy::Real)],
+        body: Block::new(vec![for_loop("i", Expr::scalar("n"), stmts)]),
+    }])
 }
 
 const CASES: u64 = 96;

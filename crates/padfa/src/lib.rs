@@ -6,7 +6,7 @@
 //!
 //! This facade re-exports the workspace crates:
 //!
-//! * [`ir`] — the mini-Fortran IR, parser, and builder;
+//! * [`ir`] — the mini-Fortran IR, parser, and pretty printer;
 //! * [`omega`] — integer linear inequality systems (regions);
 //! * [`pred`] — the predicate domain (embedding/extraction);
 //! * [`analysis`] — the predicated array data-flow analysis and its

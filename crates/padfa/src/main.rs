@@ -24,7 +24,9 @@
 //! | 4    | work budget exhausted under `--strict`               |
 //! | 5    | internal invariant failure (analyzer bug or panic)   |
 
-use padfa::analysis::{flight, json_escape, FaultPlan, SpecError, Store, StoreFault};
+use padfa::analysis::{
+    flight, json_escape, FaultPlan, SpecError, Store, StoreFault, SCHEMA_VERSION,
+};
 use padfa::prelude::*;
 use padfa::rt::WorkerFault;
 use padfa::service::ServiceFault;
@@ -56,9 +58,6 @@ fn usage() -> ! {
     );
     exit(2)
 }
-
-/// Ledger / snapshot schema version. Bump when a field changes meaning.
-const SCHEMA_VERSION: u32 = 3;
 
 /// Coarse host identification for run stamps.
 fn host_info() -> String {
@@ -159,15 +158,10 @@ fn entry_args(prog: &Program, words: &[&str]) -> Vec<ArgValue> {
 }
 
 fn variant_options(name: &str) -> Options {
-    match name {
-        "base" => Options::base(),
-        "guarded" => Options::guarded(),
-        "predicated" => Options::predicated(),
-        other => {
-            eprintln!("padfa: unknown variant '{other}'");
-            exit(2)
-        }
-    }
+    Options::named(name).unwrap_or_else(|| {
+        eprintln!("padfa: unknown variant '{name}'");
+        exit(2)
+    })
 }
 
 /// A cursor over one command's words, for the flag the command is
@@ -544,14 +538,7 @@ fn cmd_explain(args: &[String]) {
     };
     let selected: Vec<_> = match &target {
         Some(t) => {
-            let hits: Vec<_> = result
-                .loops
-                .iter()
-                .filter(|r| {
-                    r.label.as_deref() == Some(t.as_str())
-                        || t.parse::<u32>().is_ok_and(|n| r.id.0 == n)
-                })
-                .collect();
+            let hits = result.select(t);
             if hits.is_empty() {
                 eprintln!("padfa: no analyzed loop labeled or numbered '{t}'");
                 exit(1)

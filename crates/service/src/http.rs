@@ -336,7 +336,7 @@ pub fn prometheus_text(reg: &padfa_core::MetricsRegistry, git_rev: &str) -> Stri
     out.push_str(&format!(
         "padfa_build_info{{git_rev=\"{}\",schema_version=\"{}\"}} 1\n",
         label_escape(git_rev),
-        crate::SCHEMA_VERSION
+        padfa_core::SCHEMA_VERSION
     ));
     for (name, value) in reg.counters_snapshot() {
         let s = sanitize(&name);

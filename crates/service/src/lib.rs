@@ -53,9 +53,10 @@
 //!   [`padfa_core::AnalysisSession`] (bounded memory; no cross-request
 //!   interner growth) warmed by one shared [`padfa_core::Store`], and
 //!   runs under `catch_unwind`: a panic costs that one request a typed
-//!   `500` body, never the process. A worker that panicked retires and
-//!   a supervisor thread spawns a fresh replacement, so thread-local
-//!   state can never leak across a panic boundary.
+//!   `500` body, never the process, and the worker serves on: what
+//!   its thread keeps between requests (the `Var` table, which every
+//!   parse starts afresh, and counters read as deltas) cannot carry a
+//!   panic into the next request.
 //! * **Per-request budgets** — `X-Padfa-Max-Steps` and
 //!   `X-Padfa-Deadline-Ms` headers request a
 //!   [`padfa_core::WorkBudget`]; the server clamps both against policy
@@ -104,9 +105,6 @@ pub use http::{check_exposition, prometheus_text, Request, RequestError, Respons
 pub use server::{DrainReport, Server, ServiceDeps};
 
 use std::time::Duration;
-
-/// Ledger / response schema version, kept in lockstep with the CLI.
-pub const SCHEMA_VERSION: u32 = 3;
 
 /// Operator policy for the daemon: pool sizing, admission bounds,
 /// budget ceilings, and socket hygiene. Everything is a plain field so

@@ -1,5 +1,5 @@
-//! The daemon core: acceptor, bounded admission queue, worker pool with
-//! panic-replacement supervision, request routing, and graceful drain.
+//! The daemon core: acceptor, bounded admission queue, worker pool,
+//! request routing, and graceful drain.
 //!
 //! ## Request lifecycle
 //!
@@ -7,8 +7,8 @@
 //! accept ──► admission check ──► queue ──► worker: parse HTTP ──►
 //!   route ──► fresh AnalysisSession (shared store) ──► respond ──► close
 //!     │                              │
-//!     └─ full: 429 + Retry-After     └─ panic: typed 500, worker retires,
-//!        draining: 503                  supervisor spawns a replacement
+//!     └─ full: 429 + Retry-After     └─ panic: typed 500, the worker
+//!        draining: 503                  serves the next request
 //! ```
 //!
 //! The acceptor thread blocks in `accept()`, so a connection is read
@@ -31,26 +31,26 @@
 
 use crate::faults::ServiceFault;
 use crate::http::{read_request, Request, RequestError, Response};
-use crate::{ServicePolicy, SCHEMA_VERSION};
+use crate::ServicePolicy;
 use padfa_core::flight;
 use padfa_core::{
     analyze_program_session, fnv1a64, json_escape, AnalysisError, AnalysisSession, FaultPlan,
-    LoopReport, MetricsRegistry, OnExhausted, Options, Outcome, Store, WorkBudget,
+    LoopReport, MetricsRegistry, OnExhausted, Options, Outcome, Store, WorkBudget, SCHEMA_VERSION,
 };
 use padfa_omega::sync::lock;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Everything the daemon serves with: the shared store (warm memo
-/// state), the metrics registry backing `/metrics`, and the service
-/// fault plan. `Default` is a faultless, storeless server.
+/// Everything the daemon serves with: the shared store, the metrics
+/// registry backing `/metrics`, and the service fault plan. `Default`
+/// is a faultless, storeless server.
 pub struct ServiceDeps {
-    /// Shared persistent memo store; `None` serves cold every request.
+    /// Shared persistent store; `None` serves cold every request.
     pub store: Option<Arc<Store>>,
     /// Registry behind `/metrics`; create one per server (or share to
     /// aggregate several servers into one scrape).
@@ -118,7 +118,7 @@ struct Job {
     admission: u64,
 }
 
-/// State shared by the acceptor, workers, and supervisor.
+/// State shared by the acceptor and the workers.
 struct Shared {
     policy: ServicePolicy,
     store: Option<Arc<Store>>,
@@ -158,13 +158,6 @@ impl Shared {
     }
 }
 
-enum WorkerEvent {
-    /// A worker retired after absorbing a panic; spawn a replacement.
-    Died,
-    /// Drain finished; the supervisor should exit.
-    Shutdown,
-}
-
 /// A running daemon. Bind with [`Server::start`], stop with
 /// [`Server::shutdown`]. Dropping without `shutdown` leaves threads
 /// running until the process exits (fine for one-shot test binaries,
@@ -173,13 +166,11 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
-    events_tx: mpsc::Sender<WorkerEvent>,
 }
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start the
-    /// acceptor, `policy.workers` workers, and the supervisor.
+    /// acceptor and `policy.workers` workers.
     pub fn start(addr: &str, policy: ServicePolicy, deps: ServiceDeps) -> std::io::Result<Server> {
         install_quiet_hook();
         let policy = policy.normalized();
@@ -198,11 +189,9 @@ impl Server {
             workers_live: Mutex::new(0),
             workers_cv: Condvar::new(),
         });
-        let (events_tx, events_rx) = mpsc::channel();
         for id in 0..shared.policy.workers {
-            spawn_worker(&shared, id, events_tx.clone());
+            spawn_worker(&shared, id);
         }
-        let supervisor = spawn_supervisor(Arc::clone(&shared), events_rx, events_tx.clone());
         let acceptor = {
             let sh = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -213,8 +202,6 @@ impl Server {
             shared,
             addr: local,
             acceptor: Some(acceptor),
-            supervisor: Some(supervisor),
-            events_tx,
         })
     }
 
@@ -272,10 +259,6 @@ impl Server {
             live = guard;
         };
         drop(live);
-        let _ = self.events_tx.send(WorkerEvent::Shutdown);
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
         if let Some(store) = &self.shared.store {
             for w in store.take_warnings() {
                 eprintln!("padfa-service: store warning: {w}");
@@ -397,7 +380,7 @@ fn error_body(status: u16, reason: &'static str, kind: &str, message: &str) -> R
     )
 }
 
-fn spawn_worker(shared: &Arc<Shared>, id: usize, events: mpsc::Sender<WorkerEvent>) {
+fn spawn_worker(shared: &Arc<Shared>, id: usize) {
     *lock(&shared.workers_live) += 1;
     let sh = Arc::clone(shared);
     let spawned = std::thread::Builder::new()
@@ -413,14 +396,12 @@ fn spawn_worker(shared: &Arc<Shared>, id: usize, events: mpsc::Sender<WorkerEven
                 }
             }
             let _live = Live(Arc::clone(&sh));
+            // A panic is caught inside `serve_connection`, and the thread
+            // holds nothing a request must find fresh: each parse starts
+            // the `Var` table, and the thread's counters are read as
+            // deltas. So the worker goes on to the next job.
             while let Some(job) = sh.next_job() {
-                if serve_connection(&sh, job) {
-                    // Absorbed a panic: retire this thread and let the
-                    // supervisor start a fresh one, so any thread-local
-                    // state poisoned by the unwind dies here.
-                    let _ = events.send(WorkerEvent::Died);
-                    return;
-                }
+                serve_connection(&sh, job);
             }
         });
     if spawned.is_err() {
@@ -429,37 +410,6 @@ fn spawn_worker(shared: &Arc<Shared>, id: usize, events: mpsc::Sender<WorkerEven
         *lock(&shared.workers_live) -= 1;
         shared.count("service.spawn_errors", 1);
     }
-}
-
-fn spawn_supervisor(
-    shared: Arc<Shared>,
-    events: mpsc::Receiver<WorkerEvent>,
-    events_tx: mpsc::Sender<WorkerEvent>,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("padfa-supervisor".to_string())
-        .spawn(move || {
-            let mut next_id = shared.policy.workers;
-            while let Ok(ev) = events.recv() {
-                match ev {
-                    WorkerEvent::Shutdown => break,
-                    WorkerEvent::Died => {
-                        shared.count("service.worker_replacements", 1);
-                        if !shared.draining.load(Ordering::Acquire) {
-                            spawn_worker(&shared, next_id, events_tx.clone());
-                            next_id += 1;
-                        }
-                    }
-                }
-            }
-        })
-        .unwrap_or_else(|e| {
-            // No supervisor means panicked workers are not replaced; the
-            // daemon still serves with the initial pool. Spawn failure
-            // at startup is a resource problem worth being loud about.
-            eprintln!("padfa-service: cannot spawn supervisor: {e}");
-            std::thread::spawn(|| {})
-        })
 }
 
 /// Keep a client-supplied trace id loggable: drop everything outside a
@@ -560,9 +510,8 @@ fn requests_json(shared: &Arc<Shared>) -> String {
     )
 }
 
-/// Serve one connection end to end. Returns true when the handler
-/// panicked (the worker should retire).
-fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
+/// Serve one connection end to end.
+fn serve_connection(shared: &Arc<Shared>, mut job: Job) {
     let _ = job
         .stream
         .set_read_timeout(Some(shared.policy.read_timeout));
@@ -591,7 +540,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
                 shared.count("service.completed", 1);
                 shared.count(&format!("service.responses.{status}"), 1);
             }
-            return false;
+            return;
         }
     };
     // Trace id: accept the client's (sanitized), generate otherwise,
@@ -624,7 +573,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
         _ => {}
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| route(shared, &req, fault)));
-    let (status, panicked) = match outcome {
+    let status = match outcome {
         Ok(resp) => {
             let resp = resp.with_header("X-Padfa-Trace-Id", trace_id.clone());
             let torn = matches!(fault, Some(ServiceFault::TornResponse));
@@ -638,7 +587,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
                 shared.count("service.write_errors", 1);
             }
             shared.count("service.completed", 1);
-            (resp.status, false)
+            resp.status
         }
         Err(_) => {
             shared.count("service.panics", 1);
@@ -653,7 +602,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
             let dump = dump_flight(&shared.policy, &format!("panic-{}", job.admission));
             let mut body = format!(
                 "{{\"schema_version\":{SCHEMA_VERSION},\"error\":{{\"kind\":\"panic\",\
-                 \"message\":\"request handler panicked; the worker was replaced\"}}"
+                 \"message\":\"request handler panicked\"}}"
             );
             if let Some(p) = &dump {
                 body.push_str(&format!(",\"flight_dump\":\"{}\"", json_escape(p)));
@@ -663,7 +612,7 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
                 .with_header("X-Padfa-Trace-Id", trace_id.clone())
                 .write(&mut job.stream);
             shared.count("service.completed", 1);
-            (500, true)
+            500
         }
     };
     req_span.set_value(u64::from(status));
@@ -684,7 +633,6 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) -> bool {
             }
         }
     }
-    panicked
 }
 
 fn route(shared: &Arc<Shared>, req: &Request, fault: Option<ServiceFault>) -> Response {
@@ -740,18 +688,13 @@ fn analysis_endpoint(
         .get("variant")
         .map(String::as_str)
         .unwrap_or("predicated");
-    let opts = match variant {
-        "base" => Options::base(),
-        "guarded" => Options::guarded(),
-        "predicated" => Options::predicated(),
-        other => {
-            return error_body(
-                400,
-                "Bad Request",
-                "bad_request",
-                &format!("unknown variant '{other}'"),
-            )
-        }
+    let Some(opts) = Options::named(variant) else {
+        return error_body(
+            400,
+            "Bad Request",
+            "bad_request",
+            &format!("unknown variant '{variant}'"),
+        );
     };
     let budget = match effective_budget(&shared.policy, req) {
         Ok(b) => b,
@@ -962,14 +905,7 @@ fn loop_entry(r: &LoopReport) -> String {
 fn explain_response(result: &padfa_core::AnalysisResult, req: &Request, variant: &str) -> Response {
     let target = req.query.get("loop");
     let selected: Vec<&LoopReport> = match target {
-        Some(t) => result
-            .loops
-            .iter()
-            .filter(|r| {
-                r.label.as_deref() == Some(t.as_str())
-                    || t.parse::<u32>().is_ok_and(|n| r.id.0 == n)
-            })
-            .collect(),
+        Some(t) => result.select(t),
         None => result.loops.iter().collect(),
     };
     if selected.is_empty() && target.is_some() {

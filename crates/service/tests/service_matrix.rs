@@ -395,8 +395,8 @@ fn budgeted_requests_bypass_the_store() {
 
 #[test]
 fn worker_panic_costs_one_500_and_the_pool_recovers() {
-    // One worker, so the replacement path is load-bearing: if the
-    // panicked worker is not replaced, request 2 hangs forever.
+    // One worker, so the recovery path is load-bearing: if the worker
+    // that caught the panic stopped serving, request 2 would hang forever.
     let policy = ServicePolicy {
         workers: 1,
         ..quick_policy()
@@ -412,7 +412,7 @@ fn worker_panic_costs_one_500_and_the_pool_recovers() {
     assert_eq!(hit.status, 500);
     assert!(body_str(&hit).contains("\"kind\":\"panic\""));
 
-    // The very next request must be served correctly by the fresh
+    // The very next request must be served correctly by the same
     // worker — byte-identical to an unfaulted server's answer.
     let after = analyze(addr);
     assert_eq!(after.status, 200);

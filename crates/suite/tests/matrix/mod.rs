@@ -102,7 +102,7 @@ fn sources() -> Vec<Source> {
         kind: Kind::Generated,
     }));
     use Aspect::{Evidence, Summaries};
-    let hand_written: [(&str, String, Aspect, Pin); 7] = [
+    let hand_written: [(&str, String, Aspect, Pin); 8] = [
         (
             "strided top level",
             strided_top_level(),
@@ -143,6 +143,12 @@ fn sources() -> Vec<Source> {
             "extreme constants",
             EXTREME_CONSTANTS.into(),
             Evidence,
+            pin_overflow,
+        ),
+        (
+            "overflowing summary",
+            OVERFLOWING_SUMMARY.into(),
+            Summaries,
             pin_overflow,
         ),
     ];
@@ -296,6 +302,16 @@ const EXTREME_CONSTANTS: &str = "proc main(n: int, m: int) {
     array a[m];
     for i = 1 to n {
         a[4611686018427387903 * i + 4611686018427387903] = a[4611686018427387902 * i - 4611686018427387903] + 1.0;
+    }
+}";
+
+/// Extreme constants whose loop summary overflows as well: its
+/// projections, which only a summary reader runs, add nothing to the
+/// loop's `limit_overflows`.
+const OVERFLOWING_SUMMARY: &str = "proc main(n: int) {
+    array a[100];
+    for i = 1 to n {
+        a[4611686018427387903 * i + n] = a[4611686018427387902 * i - n] + 1.0;
     }
 }";
 
