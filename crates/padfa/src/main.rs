@@ -42,7 +42,7 @@ fn usage() -> ! {
          [--strict] [--trace PATH] [--metrics-out PATH] [--store DIR]\n               \
          [--inject store-FAULT]\n  \
          padfa explain <file.mf> [--loop <label-or-id>] [--json] [--variant V]\n  \
-         padfa run <file.mf> [--workers N] [--seq] [--fuel N] [--deadline-ms N]\n            \
+         padfa run <file.mf> [--workers N] [--fuel N] [--deadline-ms N]\n            \
          [--no-fallback] [--inject W:S:panic|error|corrupt] [ARG...]\n  \
          padfa elpd <file.mf> <loop-label-or-id> [--fuel N] [ARG...]\n  \
          padfa fmt <file.mf>\n  \
@@ -53,8 +53,7 @@ fn usage() -> ! {
          [--default-max-steps N] [--max-steps-ceiling N]\n              \
          [--default-deadline-ms N] [--deadline-ms-ceiling N]\n              \
          [--read-timeout-ms N] [--drain-deadline-ms N]\n              \
-         [--slow-ms N] [--slow-log PATH] [--flight-dump-dir DIR]\n              \
-         [--store DIR] [--inject FAULT]"
+         [--flight-dump-dir DIR] [--inject FAULT]"
     );
     exit(2)
 }
@@ -1013,7 +1012,6 @@ fn cmd_corpus(args: &[String]) {
 
 fn cmd_run(args: &[String]) {
     let mut workers = 4usize;
-    let mut seq = false;
     let mut fuel: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut no_fallback = false;
@@ -1021,7 +1019,6 @@ fn cmd_run(args: &[String]) {
     let positional = parse_args("run", args, |a, w| {
         match w {
             "--workers" => workers = a.value(),
-            "--seq" => seq = true,
             "--fuel" => fuel = Some(a.value()),
             "--deadline-ms" => deadline_ms = Some(a.value()),
             "--no-fallback" => no_fallback = true,
@@ -1034,7 +1031,7 @@ fn cmd_run(args: &[String]) {
     };
     let prog = load(path);
     let args = entry_args(&prog, rest);
-    let mut cfg = if seq || workers <= 1 {
+    let mut cfg = if workers <= 1 {
         RunConfig::sequential()
     } else {
         let result = match analyze_program(&prog, &Options::predicated()) {
@@ -1169,12 +1166,10 @@ fn install_signal_handlers() {
 /// `padfa serve`: run the analysis as a long-lived HTTP daemon until
 /// SIGINT/SIGTERM, then drain gracefully and exit 0.
 fn cmd_serve(args: &[String]) {
-    use padfa::service::{Server, ServiceDeps, ServicePolicy};
+    use padfa::service::{Server, ServicePolicy};
     use std::time::Duration;
     let mut addr = "127.0.0.1:7117".to_string();
     let mut policy = ServicePolicy::default();
-    let mut store_dir = None;
-    let mut store_faults = FaultPlan::none();
     let mut faults = FaultPlan::<ServiceFault>::none();
     let positional = parse_args("serve", args, |a, w| {
         match w {
@@ -1187,15 +1182,8 @@ fn cmd_serve(args: &[String]) {
             "--deadline-ms-ceiling" => policy.deadline_ms_ceiling = Some(a.value()),
             "--read-timeout-ms" => policy.read_timeout = Duration::from_millis(a.value()),
             "--drain-deadline-ms" => policy.drain_deadline = Duration::from_millis(a.value()),
-            "--slow-ms" => policy.slow_request_ms = a.value(),
-            "--slow-log" => policy.slow_log = Some(a.value()),
             "--flight-dump-dir" => policy.flight_dump_dir = Some(a.value()),
-            _ => {
-                return store_flag(a, w, &mut store_dir)
-                    || inject_flag(a, w, "service or store-*", |s| {
-                        Ok(faults.arm(s)? || store_faults.arm(s)?)
-                    })
-            }
+            _ => return inject_flag(a, w, "service", |s| faults.arm(s)),
         }
         true
     });
@@ -1203,19 +1191,9 @@ fn cmd_serve(args: &[String]) {
         usage()
     }
     install_signal_handlers();
-    // Per-request budgets are applied by the server from headers and
-    // policy; the store itself is always eligible here (budgeted
-    // requests bypass it per request, not per process).
-    let store = open_store(store_dir.as_deref(), store_faults, &WorkBudget::UNLIMITED);
-    let store_desc = store_dir.unwrap_or_else(|| "none".to_string());
-    let deps = ServiceDeps {
-        store,
-        faults,
-        ..ServiceDeps::default()
-    };
     let workers = policy.workers.max(1);
     let queue = policy.queue_depth.max(1);
-    let server = match Server::start(&addr, policy, deps) {
+    let server = match Server::start(&addr, policy, faults) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("padfa: cannot bind {addr}: {e}");
@@ -1224,7 +1202,7 @@ fn cmd_serve(args: &[String]) {
     };
     // Machine-parseable banner (callers read the resolved ephemeral port).
     println!(
-        "padfa: serving on http://{} (workers={workers} queue={queue} store={store_desc})",
+        "padfa: serving on http://{} (workers={workers} queue={queue})",
         server.addr()
     );
     let _ = std::io::stdout().flush();

@@ -170,7 +170,7 @@ fn fuel_exhaustion_fails_cleanly_sequential() {
             for i = 1 to n { s = s + 1.0; } }",
     );
     let out = padfa()
-        .args(["run", "--seq", "--fuel", "100"])
+        .args(["run", "--workers", "1", "--fuel", "100"])
         .arg(&f.0)
         .arg("1000000000")
         .output()
@@ -200,7 +200,7 @@ fn out_of_bounds_fails_cleanly() {
             for i = 1 to n { a[i] = 1.0; } }",
     );
     let out = padfa()
-        .args(["run", "--seq"])
+        .args(["run", "--workers", "1"])
         .arg(&f.0)
         .arg("9")
         .output()
@@ -212,7 +212,7 @@ fn out_of_bounds_fails_cleanly() {
 fn division_by_zero_fails_cleanly() {
     let f = temppath::write("proc main(n: int) { var s: int; s = n / (n - n); print s; }");
     let out = padfa()
-        .args(["run", "--seq"])
+        .args(["run", "--workers", "1"])
         .arg(&f.0)
         .arg("4")
         .output()
@@ -326,7 +326,7 @@ fn deadline_fails_cleanly() {
             for i = 1 to n { s = s + 1.0; } }",
     );
     let out = padfa()
-        .args(["run", "--seq", "--deadline-ms", "0"])
+        .args(["run", "--workers", "1", "--deadline-ms", "0"])
         .arg(&f.0)
         .arg("1000000000")
         .output()
@@ -432,7 +432,7 @@ fn usage_errors_exit_2() {
     let f = demo_file();
     let file = f.0.to_str().unwrap();
     let threshold = ["--spawn", "threshold"].join("-");
-    let rows: [&[&str]; 16] = [
+    let rows: [&[&str]; 20] = [
         &["analyze", file, "--jobs", "2"],
         &["explain", file, "--jobs", "2"],
         &["serve", "--queue", "1", "--jobs"],
@@ -450,6 +450,10 @@ fn usage_errors_exit_2() {
         &["serve", "--no-store"],
         &["serve", "--write-timeout-ms", "100"],
         &["serve", "--max-body-bytes", "100"],
+        &["serve", "--store", "d"],
+        &["serve", "--slow-ms", "100"],
+        &["serve", "--slow-log", "slow.jsonl"],
+        &["run", file, "--seq"],
         &["explain", file, "--max-steps", "100"],
         &["explain", file, "--deadline-ms", "100"],
     ];
@@ -461,12 +465,54 @@ fn usage_errors_exit_2() {
     }
 }
 
+/// Flags that no other test passes are read: `analyze --stats` and
+/// `--deadline-ms`, `explain --variant`, `corpus --variant` and
+/// `--deadline-ms`. A deadline no run reaches changes no output.
+#[test]
+fn flags_no_other_test_passes_are_read() {
+    let f = demo_file();
+    let stdout = |args: &[&str]| {
+        let out = padfa().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let file = f.0.to_str().unwrap();
+    let plain = stdout(&["analyze", file]);
+    assert!(stdout(&["analyze", file, "--stats"]).contains("== session statistics =="));
+    assert_eq!(stdout(&["analyze", file, "--deadline-ms", "60000"]), plain);
+    let base = stdout(&["explain", file, "--variant", "base"]);
+    assert!(base.contains("main:hot depth=0 -> sequential"), "{base}");
+    let predicated = stdout(&["explain", file]);
+    assert!(
+        predicated.contains("main:hot depth=0 -> parallel if"),
+        "{predicated}"
+    );
+    let dir = store_dir("corpus-variant");
+    let ledger = dir.join("base.jsonl");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger_arg = ledger.to_str().unwrap();
+    let summary = stdout(&[
+        "corpus",
+        "--variant",
+        "base",
+        "--deadline-ms",
+        "60000",
+        "--ledger",
+        ledger_arg,
+    ]);
+    assert!(summary.contains("30 ok"), "{summary}");
+    let rows = std::fs::read_to_string(&ledger).unwrap();
+    assert!(rows.starts_with("{\"meta\":{") && rows.contains("\"variant\":\"base\""));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A word with a single dash is positional: a negative entry argument.
 #[test]
 fn negative_entry_arguments_stay_positional() {
     let f = demo_file();
     let out = padfa()
-        .args(["run", "--seq"])
+        .args(["run", "--workers", "1"])
         .arg(&f.0)
         .args(["100", "-3"])
         .output()
@@ -1312,6 +1358,95 @@ fn bad_inject_specs_name_their_grammar() {
     }
 }
 
+/// A `padfa serve` child, killed if a test fails before it drains.
+struct Daemon {
+    child: Option<std::process::Child>,
+    /// The bound `127.0.0.1:PORT`, read off the banner.
+    addr: String,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(c) = &mut self.child {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+    }
+}
+
+impl Daemon {
+    /// Start `padfa serve --addr 127.0.0.1:0` with `flags`; returns the
+    /// daemon and its banner.
+    fn start(flags: &[&str]) -> (Daemon, String) {
+        use std::io::{BufRead, BufReader};
+        use std::process::Stdio;
+        let mut child = padfa()
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(flags)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut banner = String::new();
+        BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut banner)
+            .unwrap();
+        let port = banner
+            .split("http://127.0.0.1:")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .unwrap_or_else(|| panic!("no port in banner: {banner}"));
+        let daemon = Daemon {
+            addr: format!("127.0.0.1:{port}"),
+            child: Some(child),
+        };
+        (daemon, banner)
+    }
+
+    fn pid(&self) -> u32 {
+        self.child.as_ref().unwrap().id()
+    }
+
+    /// SIGTERM the daemon and return its exit code and stderr.
+    fn terminate(mut self) -> (Option<i32>, String) {
+        let child = self.child.take().unwrap();
+        let term = Command::new("kill")
+            .args(["-TERM", &child.id().to_string()])
+            .status()
+            .unwrap();
+        assert!(term.success());
+        let out = child.wait_with_output().unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    }
+}
+
+/// One request to the daemon at `addr`: its status and body.
+fn http(addr: &str, method: &str, path: &str, headers: &[&str], body: &[u8]) -> (u16, String) {
+    use std::io::Read;
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for h in headers {
+        head.push_str(&format!("{h}\r\n"));
+    }
+    head.push_str("\r\n");
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    let (head, body) = reply.split_once("\r\n\r\n").unwrap();
+    let status: u16 = head.split(' ').nth(1).unwrap().parse().unwrap();
+    (status, body.to_string())
+}
+
 /// The daemon end to end, from the built binary: an injected worker
 /// panic costs one 500 that names its flight dump, the next request is
 /// served, the `/metrics` scrape passes the exposition checker, and
@@ -1319,9 +1454,6 @@ fn bad_inject_specs_name_their_grammar() {
 #[cfg(unix)]
 #[test]
 fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
-    use std::io::{BufRead, BufReader, Read};
-    use std::process::Stdio;
-
     let f = temppath::write(
         "proc main(n: int, x: int) {
             array help[101];
@@ -1335,55 +1467,17 @@ fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
     );
     let program = std::fs::read(&f.0).unwrap();
     let dumps = store_dir("serve-dumps");
-    let mut child = padfa()
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
-        .args(["--inject", "worker-panic:1", "--flight-dump-dir"])
-        .arg(&dumps)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    /// Kills the daemon if an assertion fails before the drain.
-    struct Reap(Option<std::process::Child>);
-    impl Drop for Reap {
-        fn drop(&mut self) {
-            if let Some(c) = &mut self.0 {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-        }
-    }
-    let mut banner = String::new();
-    BufReader::new(child.stdout.take().unwrap())
-        .read_line(&mut banner)
-        .unwrap();
-    let child_pid = child.id();
-    let mut daemon = Reap(Some(child));
-    let port = banner
-        .split("http://127.0.0.1:")
-        .nth(1)
-        .and_then(|rest| rest.split(' ').next())
-        .unwrap_or_else(|| panic!("no port in banner: {banner}"));
-    let addr = format!("127.0.0.1:{port}");
-    let request = |method: &str, path: &str, body: &[u8]| {
-        let mut stream = std::net::TcpStream::connect(&addr).unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
-            .unwrap();
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        stream.write_all(head.as_bytes()).unwrap();
-        stream.write_all(body).unwrap();
-        let mut reply = String::new();
-        stream.read_to_string(&mut reply).unwrap();
-        let (head, body) = reply.split_once("\r\n\r\n").unwrap();
-        let status: u16 = head.split(' ').nth(1).unwrap().parse().unwrap();
-        (status, body.to_string())
-    };
+    let (daemon, _) = Daemon::start(&[
+        "--workers",
+        "1",
+        "--inject",
+        "worker-panic:1",
+        "--flight-dump-dir",
+        dumps.to_str().unwrap(),
+    ]);
+    let addr = daemon.addr.clone();
 
-    let (status, body) = request("POST", "/analyze", &program);
+    let (status, body) = http(&addr, "POST", "/analyze", &[], &program);
     assert_eq!(status, 500, "{body}");
     let dump = body
         .split("\"flight_dump\":\"")
@@ -1391,34 +1485,89 @@ fn serve_survives_an_injected_panic_and_drains_on_sigterm() {
         .and_then(|rest| rest.split('"').next())
         .unwrap_or_else(|| panic!("500 names no flight dump: {body}"));
     assert!(
-        dump.ends_with(&format!("padfa-flight-{child_pid}-panic-1.json")),
+        dump.ends_with(&format!("padfa-flight-{}-panic-1.json", daemon.pid())),
         "{dump}"
     );
     let dumped = std::fs::read_to_string(dump).unwrap();
     assert!(dumped.contains("\"events\":["), "{dump}");
 
-    let (status, body) = request("POST", "/analyze", &program);
+    let (status, body) = http(&addr, "POST", "/analyze", &[], &program);
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"outcome\":\"parallel-if\""), "{body}");
 
-    let (status, metrics) = request("GET", "/metrics", b"");
+    let (status, metrics) = http(&addr, "GET", "/metrics", &[], b"");
     assert_eq!(status, 200);
     if let Err(violations) = padfa::service::check_exposition(&metrics) {
         panic!("/metrics failed the exposition checker: {violations:?}\n{metrics}");
     }
 
-    let child = daemon.0.take().unwrap();
-    let term = std::process::Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .unwrap();
-    assert!(term.success());
-    let out = child.wait_with_output().unwrap();
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{err}");
+    let (code, err) = daemon.terminate();
+    assert_eq!(code, Some(0), "{err}");
     assert!(err.contains("panics=1"), "{err}");
     assert!(err.contains("clean=true"), "{err}");
     let _ = std::fs::remove_dir_all(&dumps);
+}
+
+/// Every sizing, budget and socket flag of `serve` reaches the daemon:
+/// the banner shows the queue depth, a one-step ceiling clamps the default budget and a client's, so a
+/// looping program degrades (and is a 422 under `X-Padfa-Strict`), a
+/// silent client is answered 408 after the read timeout, and SIGTERM
+/// still drains cleanly with exit 0.
+#[cfg(unix)]
+#[test]
+fn serve_applies_its_budget_and_socket_flags() {
+    let (daemon, banner) = Daemon::start(&[
+        "--workers",
+        "1",
+        "--queue",
+        "3",
+        "--default-max-steps",
+        "1000000",
+        "--max-steps-ceiling",
+        "1",
+        "--default-deadline-ms",
+        "60000",
+        "--deadline-ms-ceiling",
+        "120000",
+        "--read-timeout-ms",
+        "300",
+        "--drain-deadline-ms",
+        "5000",
+    ]);
+    assert!(banner.contains("(workers=1 queue=3)"), "{banner}");
+    let addr = daemon.addr.clone();
+    let looping = b"proc main(n: int) { array a[100]; for i = 1 to n { a[i] = a[i] + 1.0; } }";
+
+    let (status, body) = http(&addr, "POST", "/analyze", &[], looping);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"degraded_procs\":1"), "{body}");
+    let asked = ["X-Padfa-Max-Steps: 1000000"];
+    let (status, body) = http(&addr, "POST", "/analyze", &asked, looping);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"degraded_procs\":1"), "{body}");
+    let (status, body) = http(&addr, "POST", "/analyze", &["X-Padfa-Strict: 1"], looping);
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("budget_exhausted"), "{body}");
+
+    // A client that sends nothing: 408 once the 300 ms read timeout
+    // passes, well before the default 5 s.
+    {
+        use std::io::Read;
+        use std::time::{Duration, Instant};
+        let t = Instant::now();
+        let mut silent = std::net::TcpStream::connect(&addr).unwrap();
+        silent
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut reply = String::new();
+        silent.read_to_string(&mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 408 "), "{reply}");
+        assert!(t.elapsed() < Duration::from_secs(3), "{:?}", t.elapsed());
+    }
+
+    let (code, err) = daemon.terminate();
+    assert_eq!(code, Some(0), "{err}");
+    assert!(err.contains("clean=true"), "{err}");
 }
 
 /// The 30 corpus programs re-emitted with each spec's generator seed

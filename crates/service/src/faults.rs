@@ -8,16 +8,16 @@ use padfa_core::faults::{spec_at, spec_seeded, Fault, FaultSite, Rng};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceFault {
     /// The worker thread handling the request panics mid-analysis. The
-    /// server must answer 500 with a typed error body, replace the
-    /// worker, and keep serving.
+    /// server must answer 500 with a typed error body, and the worker
+    /// serves on.
     WorkerPanic,
     /// The server writes only a prefix of the response and drops the
     /// connection (a torn response / mid-write disconnect as seen from
     /// the client). Subsequent requests must be unaffected.
     TornResponse,
-    /// The worker sleeps `ms` milliseconds before handling the request,
-    /// pushing it deterministically over the slow-request threshold so
-    /// the forensics path (slow log + phase breakdown) is testable.
+    /// The worker sleeps `ms` milliseconds inside the request's span
+    /// before handling it: a deterministic stall that holds the span open
+    /// and shows as request self-time in its `/debug/requests` record.
     SlowRequest { ms: u64 },
     /// The worker floods the flight-recorder ring past capacity before
     /// handling the request, forcing wraparound so overflow accounting
@@ -68,9 +68,8 @@ impl FaultSite for ServiceFault {
     fn read(words: &[&str]) -> Option<Vec<Fault<Self>>> {
         let kind = match words {
             ["service-seeded", seed, count] => return spec_seeded(seed, count),
-            // The K-th admitted request sleeps MS milliseconds (default:
-            // just over the default slow-request threshold, so the
-            // forensics path fires out of the box).
+            // The K-th admitted request sleeps MS milliseconds (default
+            // 1500).
             ["slow-request", at, ms] => {
                 let kind = ServiceFault::SlowRequest {
                     ms: ms.parse().ok()?,

@@ -2,8 +2,9 @@
 //! the daemon's endpoints, written defensively — plus the Prometheus
 //! text-exposition renderer and its in-repo format checker.
 //!
-//! The parser enforces the policy's header/body size caps *while
-//! reading* (an oversized request is rejected before it is buffered),
+//! The parser enforces the header/body size caps ([`MAX_HEADER_BYTES`],
+//! [`MAX_BODY_BYTES`]) *while reading* (an oversized request is rejected
+//! before it is buffered),
 //! relies on socket read timeouts to bound slow clients, and requires
 //! `Content-Length` on bodies (no chunked encoding — clients of this
 //! service are curl, the load generator, and CI). Every response
@@ -13,6 +14,12 @@
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+
+/// Largest request head (request line and headers) read, in bytes.
+pub const MAX_HEADER_BYTES: usize = 8 * 1024;
+/// Largest request body read, in bytes; a longer `Content-Length` is
+/// `413` before any of the body is read.
+pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parsed request: method, path, decoded query pairs, lowercase
 /// header map, raw body.
@@ -45,7 +52,7 @@ pub enum RequestError {
     Timeout,
     /// Client closed the connection before a full request arrived.
     Disconnected,
-    /// Head or body exceeded the policy cap.
+    /// Head or body exceeded its cap.
     TooLarge(&'static str),
     /// Unparseable request line / header / length.
     Malformed(&'static str),
@@ -86,11 +93,7 @@ fn timeout_kind(e: &std::io::Error) -> bool {
 
 /// Read one request from `stream`, enforcing size caps as bytes arrive.
 /// The caller must have set the socket read timeout.
-pub fn read_request(
-    stream: &mut TcpStream,
-    max_header_bytes: usize,
-    max_body_bytes: usize,
-) -> Result<Request, RequestError> {
+pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
     // Accumulate until the blank line ending the head, never holding
     // more than the head cap plus one read chunk.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
@@ -99,7 +102,7 @@ pub fn read_request(
         if let Some(pos) = find_head_end(&buf) {
             break pos;
         }
-        if buf.len() > max_header_bytes {
+        if buf.len() > MAX_HEADER_BYTES {
             return Err(RequestError::TooLarge("request head"));
         }
         let n = match stream.read(&mut chunk) {
@@ -146,7 +149,7 @@ pub fn read_request(
     };
     let mut body = buf.split_off(head_end + 4);
     if let Some(len) = content_length {
-        if len > max_body_bytes {
+        if len > MAX_BODY_BYTES {
             return Err(RequestError::TooLarge("request body"));
         }
         if body.len() > len {
@@ -600,7 +603,7 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_millis(2000)))
             .unwrap();
-        let r = read_request(&mut stream, 8192, 65536);
+        let r = read_request(&mut stream);
         client.join().unwrap();
         r
     }
@@ -637,8 +640,11 @@ mod tests {
 
     #[test]
     fn oversized_body_is_413_before_reading_it() {
-        let e =
-            parse_bytes(b"POST /analyze HTTP/1.1\r\nContent-Length: 999999\r\n\r\n").unwrap_err();
+        let head = format!(
+            "POST /analyze HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        let e = parse_bytes(head.as_bytes()).unwrap_err();
         assert!(matches!(e, RequestError::TooLarge("request body")));
     }
 

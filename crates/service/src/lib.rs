@@ -30,11 +30,9 @@
 //! the ones on that span's thread between its `Begin` and `End`:
 //! `/debug/requests` folds them, per request still in the ring, into a
 //! record of status, wall time and per-phase time breakdown (budget
-//! steps, degradation and store hits are phases too). Requests slower
-//! than the policy threshold are additionally appended to the
-//! slow-request log as that record plus a provenance digest of the
-//! request body, so "why was *that* request slow" is answerable after
-//! the fact without reproducing it.
+//! steps and degradation are phases too). The records carry
+//! `total_us`, so "why was *that* request slow" is answered after the
+//! fact, at whatever threshold the reader picks, without reproducing it.
 //!
 //! ## Robustness envelope
 //!
@@ -51,8 +49,7 @@
 //!   memory use is bounded regardless of client behavior.
 //! * **Per-request isolation** — every request gets a *fresh*
 //!   [`padfa_core::AnalysisSession`] (bounded memory; no cross-request
-//!   interner growth) warmed by one shared [`padfa_core::Store`], and
-//!   runs under `catch_unwind`: a panic costs that one request a typed
+//!   interner growth) and runs under `catch_unwind`: a panic costs that one request a typed
 //!   `500` body, never the process, and the worker serves on: what
 //!   its thread keeps between requests (the `Var` table, which every
 //!   parse starts afresh, and counters read as deltas) cannot carry a
@@ -61,9 +58,6 @@
 //!   `X-Padfa-Deadline-Ms` headers request a
 //!   [`padfa_core::WorkBudget`]; the server clamps both against policy
 //!   ceilings, so no client can buy more work than the operator allows.
-//!   Budgeted requests bypass the store (replayed cached results would
-//!   change step accounting and with it degradation decisions — see the
-//!   store module docs), keeping budget degradation deterministic.
 //! * **Socket hygiene** — read/write timeouts bound slow-loris clients;
 //!   oversized headers or bodies are rejected (`413`) before they are
 //!   buffered; responses always carry `Connection: close` so a wedged
@@ -73,20 +67,26 @@
 //!   unadmitted, so the acceptor returns and the listener closes; then it
 //!   answers every queued-but-unstarted request `503`, lets in-flight
 //!   requests finish (bounded by the drain deadline), and reports what
-//!   happened in a [`DrainReport`]. Store entries are on disk as each
-//!   put returns, so there is nothing to flush. The CLI maps a clean
-//!   drain to exit code 0.
+//!   happened in a [`DrainReport`]. The CLI maps a clean drain to exit
+//!   code 0.
 //!
 //! ## Determinism
 //!
-//! Analysis responses contain no timing, no request ids, and no
-//! store-dependent fields, so N concurrent identical requests produce
-//! byte-identical bodies whether the store is cold or warm — the same
-//! invariant the batch CLI maintains, now load-bearing under
+//! Analysis responses contain no timing and no request ids, so N
+//! concurrent identical requests produce byte-identical bodies — the
+//! same invariant the batch CLI maintains, now load-bearing under
 //! concurrency. Fault injection (a [`padfa_core::FaultPlan`] of
-//! [`ServiceFault`]s for worker panics and torn responses, one of
-//! [`padfa_core::StoreFault`]s for store IO) is keyed on deterministic
-//! admission order, so the service fault matrix replays exactly.
+//! [`ServiceFault`]s for worker panics, torn responses, stalls and ring
+//! floods) is keyed on deterministic admission order, so the service
+//! fault matrix replays exactly.
+//!
+//! ## Configuration
+//!
+//! A daemon's whole configuration is its [`ServicePolicy`], whose every
+//! field is a `padfa serve` flag, and its fault plan (`--inject`). The
+//! rest is fixed: a 5 s socket write timeout, an 8 KiB request-head cap
+//! ([`http::MAX_HEADER_BYTES`]), a 1 MiB body cap
+//! ([`http::MAX_BODY_BYTES`]) and `Retry-After: 1` on shed replies.
 
 // The daemon must stay up on arbitrary client input: unwinding is
 // reserved for injected worker panics (caught at the request boundary)
@@ -102,50 +102,40 @@ pub mod server;
 
 pub use faults::ServiceFault;
 pub use http::{check_exposition, prometheus_text, Request, RequestError, Response};
-pub use server::{DrainReport, Server, ServiceDeps};
+pub use server::{DrainReport, Server};
 
 use std::time::Duration;
 
 /// Operator policy for the daemon: pool sizing, admission bounds,
-/// budget ceilings, and socket hygiene. Everything is a plain field so
-/// tests and the CLI can build policies directly.
+/// budget ceilings, socket read timeout, drain deadline and dump
+/// directory. Each field is one `padfa serve` flag; tests and the CLI
+/// build policies directly.
 #[derive(Clone, Debug)]
 pub struct ServicePolicy {
-    /// Worker threads (in-flight request bound).
+    /// Worker threads (in-flight request bound). `--workers`.
     pub workers: usize,
-    /// Admission queue depth; a full queue sheds with `429`.
+    /// Admission queue depth; a full queue sheds with `429`. `--queue`.
     pub queue_depth: usize,
     /// Budget applied when a request carries no `X-Padfa-Max-Steps`
-    /// header. `None` = unlimited (required for store-backed serving).
+    /// header. `None` = unlimited. `--default-max-steps`.
     pub default_max_steps: Option<u64>,
     /// Hard ceiling on requested steps; explicit requests are clamped.
+    /// `--max-steps-ceiling`.
     pub max_steps_ceiling: Option<u64>,
     /// Deadline applied when a request carries no
     /// `X-Padfa-Deadline-Ms` header. `None` = no deadline.
+    /// `--default-deadline-ms`.
     pub default_deadline_ms: Option<u64>,
-    /// Hard ceiling on requested deadlines.
+    /// Hard ceiling on requested deadlines. `--deadline-ms-ceiling`.
     pub deadline_ms_ceiling: Option<u64>,
     /// Socket read timeout (bounds slow-loris request bodies).
+    /// `--read-timeout-ms`.
     pub read_timeout: Duration,
-    /// Socket write timeout (bounds unread responses).
-    pub write_timeout: Duration,
-    /// Maximum request head (request line + headers) size in bytes.
-    pub max_header_bytes: usize,
-    /// Maximum request body size in bytes; larger bodies get `413`.
-    pub max_body_bytes: usize,
     /// How long [`Server::shutdown`] waits for in-flight requests.
+    /// `--drain-deadline-ms`.
     pub drain_deadline: Duration,
-    /// Value of the `Retry-After` header on shed (`429`/`503`) replies.
-    pub retry_after_secs: u32,
-    /// Requests whose total wall time reaches this many milliseconds
-    /// are logged to the slow-request log with their per-phase flight
-    /// breakdown. `0` disables slow-request capture.
-    pub slow_request_ms: u64,
-    /// Where slow-request records are appended (one JSON object per
-    /// line). `None` logs to stderr only.
-    pub slow_log: Option<std::path::PathBuf>,
     /// Directory for flight-ring sidecar dumps written on worker panic
-    /// and unclean drain. `None` uses the OS temp directory.
+    /// and unclean drain. `None` writes no dump. `--flight-dump-dir`.
     pub flight_dump_dir: Option<std::path::PathBuf>,
 }
 
@@ -159,13 +149,7 @@ impl Default for ServicePolicy {
             default_deadline_ms: None,
             deadline_ms_ceiling: None,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            max_header_bytes: 8 * 1024,
-            max_body_bytes: 1024 * 1024,
             drain_deadline: Duration::from_secs(5),
-            retry_after_secs: 1,
-            slow_request_ms: 1000,
-            slow_log: None,
             flight_dump_dir: None,
         }
     }

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! accept ──► admission check ──► queue ──► worker: parse HTTP ──►
-//!   route ──► fresh AnalysisSession (shared store) ──► respond ──► close
+//!   route ──► fresh AnalysisSession ──► respond ──► close
 //!     │                              │
 //!     └─ full: 429 + Retry-After     └─ panic: typed 500, the worker
 //!        draining: 503                  serves the next request
@@ -34,8 +34,8 @@ use crate::http::{read_request, Request, RequestError, Response};
 use crate::ServicePolicy;
 use padfa_core::flight;
 use padfa_core::{
-    analyze_program_session, fnv1a64, json_escape, AnalysisError, AnalysisSession, FaultPlan,
-    LoopReport, MetricsRegistry, OnExhausted, Options, Outcome, Store, WorkBudget, SCHEMA_VERSION,
+    analyze_program_session, json_escape, AnalysisError, AnalysisSession, FaultPlan, LoopReport,
+    MetricsRegistry, OnExhausted, Options, Outcome, WorkBudget, GIT_REV, SCHEMA_VERSION,
 };
 use padfa_omega::sync::lock;
 use std::collections::{BTreeMap, VecDeque};
@@ -46,33 +46,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Everything the daemon serves with: the shared store, the metrics
-/// registry backing `/metrics`, and the service fault plan. `Default`
-/// is a faultless, storeless server.
-pub struct ServiceDeps {
-    /// Shared persistent store; `None` serves cold every request.
-    pub store: Option<Arc<Store>>,
-    /// Registry behind `/metrics`; create one per server (or share to
-    /// aggregate several servers into one scrape).
-    pub metrics: Arc<MetricsRegistry>,
-    /// Deterministic service-layer faults (worker panics, torn
-    /// responses), keyed on admission order.
-    pub faults: FaultPlan<ServiceFault>,
-    /// Revision label of the `padfa_build_info` metric (default: the
-    /// revision this binary was built from, [`padfa_core::GIT_REV`]).
-    pub git_rev: String,
-}
-
-impl Default for ServiceDeps {
-    fn default() -> ServiceDeps {
-        ServiceDeps {
-            store: None,
-            metrics: MetricsRegistry::new(),
-            faults: FaultPlan::none(),
-            git_rev: padfa_core::GIT_REV.to_string(),
-        }
-    }
-}
+/// Socket write timeout: bounds how long an unread response can hold a
+/// worker (or the acceptor, for a shed reply).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What the drain observed, for operator logs and tests.
 #[derive(Debug, Clone)]
@@ -121,10 +97,8 @@ struct Job {
 /// State shared by the acceptor and the workers.
 struct Shared {
     policy: ServicePolicy,
-    store: Option<Arc<Store>>,
     metrics: Arc<MetricsRegistry>,
     faults: FaultPlan<ServiceFault>,
-    git_rev: String,
     draining: AtomicBool,
     admitted: AtomicU64,
     queue: Mutex<VecDeque<Job>>,
@@ -170,18 +144,21 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (use port 0 for an ephemeral port) and start the
-    /// acceptor and `policy.workers` workers.
-    pub fn start(addr: &str, policy: ServicePolicy, deps: ServiceDeps) -> std::io::Result<Server> {
+    /// acceptor and `policy.workers` workers. `faults` are keyed on
+    /// admission order; [`FaultPlan::none`] serves without faults.
+    pub fn start(
+        addr: &str,
+        policy: ServicePolicy,
+        faults: FaultPlan<ServiceFault>,
+    ) -> std::io::Result<Server> {
         install_quiet_hook();
         let policy = policy.normalized();
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             policy,
-            store: deps.store,
-            metrics: deps.metrics,
-            faults: deps.faults,
-            git_rev: deps.git_rev,
+            metrics: MetricsRegistry::new(),
+            faults,
             draining: AtomicBool::new(false),
             admitted: AtomicU64::new(0),
             queue: Mutex::new(VecDeque::new()),
@@ -217,8 +194,7 @@ impl Server {
 
     /// Graceful drain: stop accepting, answer queued-but-unstarted
     /// requests `503`, wait (bounded by the policy drain deadline) for
-    /// in-flight requests, print the store's pending warnings, and
-    /// report.
+    /// in-flight requests, and report.
     pub fn shutdown(mut self) -> DrainReport {
         self.shared.draining.store(true, Ordering::Release);
         if let Some(h) = self.acceptor.take() {
@@ -233,10 +209,8 @@ impl Server {
         let leftover: Vec<Job> = lock(&self.shared.queue).drain(..).collect();
         let drained_in_queue = leftover.len() as u64;
         for mut job in leftover {
-            let _ = job
-                .stream
-                .set_write_timeout(Some(self.shared.policy.write_timeout));
-            let _ = shed_response(&self.shared.policy, true).write(&mut job.stream);
+            let _ = job.stream.set_write_timeout(Some(WRITE_TIMEOUT));
+            let _ = shed_response(true).write(&mut job.stream);
         }
         self.shared.count("service.drained", drained_in_queue);
         // Wake idle workers so they observe the drain and exit, then
@@ -259,11 +233,6 @@ impl Server {
             live = guard;
         };
         drop(live);
-        if let Some(store) = &self.shared.store {
-            for w in store.take_warnings() {
-                eprintln!("padfa-service: store warning: {w}");
-            }
-        }
         // An unclean drain means in-flight work outlived the deadline:
         // dump the flight ring so the wedged request's last recorded
         // events survive the process.
@@ -349,11 +318,11 @@ fn admit(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
     shared.count("service.shed", 1);
     flight::instant(flight::EventKind::AdmissionShed, "queue-full", admission);
-    let _ = stream.set_write_timeout(Some(shared.policy.write_timeout));
-    let _ = shed_response(&shared.policy, false).write(&mut stream);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let _ = shed_response(false).write(&mut stream);
 }
 
-fn shed_response(policy: &ServicePolicy, draining: bool) -> Response {
+fn shed_response(draining: bool) -> Response {
     let (status, reason, kind, message) = if draining {
         (503, "Service Unavailable", "draining", "server is draining")
     } else {
@@ -364,8 +333,7 @@ fn shed_response(policy: &ServicePolicy, draining: bool) -> Response {
             "admission queue full",
         )
     };
-    error_body(status, reason, kind, message)
-        .with_header("Retry-After", policy.retry_after_secs.to_string())
+    error_body(status, reason, kind, message).with_header("Retry-After", "1".to_string())
 }
 
 fn error_body(status: u16, reason: &'static str, kind: &str, message: &str) -> Response {
@@ -421,44 +389,26 @@ fn sanitize_trace_id(raw: &str) -> String {
         .collect()
 }
 
-/// Write the global flight ring to a sidecar JSON file; `None` when the
-/// dump directory cannot be written (diagnosis is best-effort, serving
-/// is not).
+/// Write the global flight ring to a sidecar JSON file in the policy's
+/// dump directory; `None` when the policy names none or it cannot be
+/// written (diagnosis is best-effort, serving is not).
 fn dump_flight(policy: &ServicePolicy, stem: &str) -> Option<String> {
-    let dir = policy
-        .flight_dump_dir
-        .clone()
-        .unwrap_or_else(std::env::temp_dir);
-    std::fs::create_dir_all(&dir).ok()?;
+    let dir = policy.flight_dump_dir.as_ref()?;
+    std::fs::create_dir_all(dir).ok()?;
     let path = dir.join(format!("padfa-flight-{}-{stem}.json", std::process::id()));
     std::fs::write(&path, flight::ring_json()).ok()?;
     Some(path.display().to_string())
 }
 
-fn append_line(path: &std::path::Path, line: &str) {
-    use std::io::Write as _;
-    if let Ok(mut f) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        let _ = writeln!(f, "{line}");
-    }
-}
-
-/// The `/debug/requests` records in `events` (in `seq` order): one per
-/// `Request` span whose `Begin` and `End` both survive, in completion
-/// order. A request is served start to finish on one worker thread, so
-/// its events are those on its span's `tid` from `Begin` to `End`.
-/// With `digest`, each record also carries it (the slow-request log).
-fn request_records(
-    events: &[flight::Event],
-    slow_request_ms: u64,
-    digest: Option<u64>,
-) -> Vec<String> {
+/// The `/debug/requests` body: one record per `Request` span in the
+/// ring whose `Begin` and `End` both survive, in completion order. A
+/// request is served start to finish on one worker thread, so its events
+/// are those on its span's `tid` from `Begin` to `End`.
+fn requests_json() -> String {
+    let events = flight::select(0, None);
     let mut open: BTreeMap<u64, Vec<&flight::Event>> = BTreeMap::new();
     let mut records = Vec::new();
-    for e in events {
+    for e in &events {
         let request = e.kind == flight::EventKind::Request;
         if request && e.phase == flight::Phase::Begin {
             open.insert(e.tid, Vec::new());
@@ -468,45 +418,29 @@ fn request_records(
         }
         if request && e.phase == flight::Phase::End {
             if let Some(span) = open.remove(&e.tid) {
-                records.push(record_json(e, &span, slow_request_ms, digest));
+                records.push(record_json(e, &span));
             }
         }
     }
-    records
+    format!(
+        "{{\"schema_version\":{SCHEMA_VERSION},\"records\":[{}]}}",
+        records.join(",")
+    )
 }
 
 /// One request's record, from its `Request` span's `End` (labelled
 /// `"<METHOD> <path> <trace-id>"`, valued with the status) and every
 /// event of the span.
-fn record_json(
-    end: &flight::Event,
-    span: &[&flight::Event],
-    slow_request_ms: u64,
-    digest: Option<u64>,
-) -> String {
+fn record_json(end: &flight::Event, span: &[&flight::Event]) -> String {
     let mut label = end.label.splitn(3, ' ').map(json_escape);
     let mut next = || label.next().unwrap_or_default();
     let (method, path, trace_id) = (next(), next(), next());
-    let slow = slow_request_ms > 0 && end.dur_us >= slow_request_ms.saturating_mul(1000);
-    let digest = digest.map_or(String::new(), |d| format!(",\"digest\":\"{d:016x}\""));
     format!(
         "{{\"trace_id\":\"{trace_id}\",\"method\":\"{method}\",\"path\":\"{path}\",\
-         \"status\":{},\"total_us\":{},\"slow\":{slow},\"phases\":{}{digest}}}",
+         \"status\":{},\"total_us\":{},\"phases\":{}}}",
         end.value,
         end.dur_us,
         flight::profile_json(&flight::profile(span.iter().copied())),
-    )
-}
-
-fn requests_json(shared: &Arc<Shared>) -> String {
-    let records = request_records(
-        &flight::select(0, None),
-        shared.policy.slow_request_ms,
-        None,
-    );
-    format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"records\":[{}]}}",
-        records.join(",")
     )
 }
 
@@ -515,15 +449,8 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) {
     let _ = job
         .stream
         .set_read_timeout(Some(shared.policy.read_timeout));
-    let _ = job
-        .stream
-        .set_write_timeout(Some(shared.policy.write_timeout));
-    let t0 = Instant::now();
-    let req = match read_request(
-        &mut job.stream,
-        shared.policy.max_header_bytes,
-        shared.policy.max_body_bytes,
-    ) {
+    let _ = job.stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let req = match read_request(&mut job.stream) {
         Ok(r) => r,
         Err(e) => {
             match e {
@@ -551,8 +478,6 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) {
         .map(sanitize_trace_id)
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| format!("padfa-{}", job.admission));
-    // This request's events are this thread's from here on.
-    let flight_wm = flight::watermark();
     let mut req_span = flight::span(
         flight::EventKind::Request,
         format!("{} {} {trace_id}", req.method, req.path),
@@ -560,9 +485,9 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) {
     let fault = shared.faults.armed(job.admission).next().copied();
     match fault {
         Some(ServiceFault::SlowRequest { ms }) => {
-            // Deterministic stall before the handler, so the request
-            // crosses the slow threshold with the delay visible as
-            // request self-time in its phase breakdown.
+            // Deterministic stall before the handler, inside the
+            // request's span: the delay shows as request self-time in its
+            // phase breakdown, and the span stays open meanwhile.
             std::thread::sleep(Duration::from_millis(ms));
         }
         Some(ServiceFault::RecorderOverflow) => {
@@ -618,21 +543,6 @@ fn serve_connection(shared: &Arc<Shared>, mut job: Job) {
     req_span.set_value(u64::from(status));
     drop(req_span);
     shared.count(&format!("service.responses.{status}"), 1);
-    let total_us = t0.elapsed().as_micros() as u64;
-    let slow_ms = shared.policy.slow_request_ms;
-    if slow_ms > 0 && total_us >= slow_ms.saturating_mul(1000) {
-        shared.count("service.slow_requests", 1);
-        eprintln!(
-            "padfa-service: slow request trace={trace_id} {} {} status={status} total_us={total_us}",
-            req.method, req.path
-        );
-        if let Some(path) = &shared.policy.slow_log {
-            let mine = flight::select(flight_wm, Some(flight::thread_id()));
-            for record in request_records(&mine, slow_ms, Some(fnv1a64(&req.body))) {
-                append_line(path, &record);
-            }
-        }
-    }
 }
 
 fn route(shared: &Arc<Shared>, req: &Request, fault: Option<ServiceFault>) -> Response {
@@ -648,9 +558,9 @@ fn route(shared: &Arc<Shared>, req: &Request, fault: Option<ServiceFault>) -> Re
         ("GET", "/metrics") => Response::text(
             200,
             "OK",
-            crate::http::prometheus_text(&shared.metrics, &shared.git_rev),
+            crate::http::prometheus_text(&shared.metrics, GIT_REV),
         ),
-        ("GET", "/debug/requests") => Response::json(200, "OK", requests_json(shared)),
+        ("GET", "/debug/requests") => Response::json(200, "OK", requests_json()),
         ("GET", "/debug/flight") => Response::json(200, "OK", flight::ring_json()),
         ("POST", "/analyze") => analysis_endpoint(shared, req, fault, false),
         ("POST", "/explain") => analysis_endpoint(shared, req, fault, true),
@@ -725,17 +635,10 @@ fn analysis_endpoint(
     }
     let opts = opts.with_budget(budget);
     // Fresh session per request: bounded memory, no cross-request
-    // interner growth. Warmth comes from the shared store — which budgeted
-    // requests must bypass (cached results would change step accounting
-    // and with it degradation decisions).
+    // interner growth.
     let mut sess = AnalysisSession::new(opts);
     if explain {
         sess = sess.with_provenance();
-    }
-    if budget.is_unlimited() {
-        if let Some(store) = &shared.store {
-            sess = sess.with_store(Arc::clone(store));
-        }
     }
     let t0 = Instant::now();
     let result = analyze_program_session(&prog, &sess);
@@ -749,15 +652,6 @@ fn analysis_endpoint(
         .histogram(histogram)
         .record_ns(t0.elapsed().as_nanos() as u64);
     sess.stats().publish(&shared.metrics);
-    if let Some(store) = sess.store() {
-        let warnings = store.take_warnings();
-        if !warnings.is_empty() {
-            shared.count("service.store_warnings", warnings.len() as u64);
-            for w in warnings {
-                eprintln!("padfa-service: store warning: {w}");
-            }
-        }
-    }
     let (result, _summaries) = match result {
         Ok(out) => out,
         Err(e) => return analysis_error_response(&e),
@@ -839,8 +733,8 @@ fn analysis_error_response(e: &AnalysisError) -> Response {
 }
 
 /// The `/analyze` body: a deterministic per-loop verdict summary. No
-/// timing, no request ids, no store-dependent fields — N identical
-/// requests must produce byte-identical bodies, cold or warm.
+/// timing, no request ids — N identical requests must produce
+/// byte-identical bodies.
 fn analyze_response(result: &padfa_core::AnalysisResult, variant: &str) -> Response {
     let mut loops = String::new();
     let mut parallelized = 0u64;
@@ -1000,11 +894,10 @@ mod tests {
 
     #[test]
     fn shed_responses_carry_retry_after() {
-        let p = ServicePolicy::default();
-        let overloaded = shed_response(&p, false);
+        let overloaded = shed_response(false);
         assert_eq!(overloaded.status, 429);
         assert!(overloaded.extra.iter().any(|(k, _)| *k == "Retry-After"));
-        let draining = shed_response(&p, true);
+        let draining = shed_response(true);
         assert_eq!(draining.status, 503);
         assert!(String::from_utf8(draining.body)
             .unwrap()

@@ -2,16 +2,17 @@
 //! over real sockets against an in-process [`Server`].
 //!
 //! Acceptance (mirrors the batch-side fault matrix): under injected
-//! worker panics, store IO faults mid-request, torn client disconnects,
-//! and overload, the daemon never returns a wrong non-error result,
-//! never crashes, and always drains to a clean exit.
+//! worker panics, torn responses, torn client disconnects, and
+//! overload, the daemon never returns a wrong non-error result, never
+//! crashes, and always drains to a clean exit.
 
-use padfa_core::{flight, Fault, FaultPlan, Store, StoreConfig, StoreFault};
-use padfa_service::{check_exposition, Server, ServiceDeps, ServiceFault, ServicePolicy};
+use padfa_core::{flight, Fault, FaultPlan, GIT_REV};
+use padfa_service::http::MAX_BODY_BYTES;
+use padfa_service::{check_exposition, Server, ServiceFault, ServicePolicy};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Held by every test that reads `/debug/requests` or floods the
@@ -140,8 +141,8 @@ fn quick_policy() -> ServicePolicy {
     }
 }
 
-fn start(policy: ServicePolicy, deps: ServiceDeps) -> Server {
-    Server::start("127.0.0.1:0", policy, deps).unwrap()
+fn start(policy: ServicePolicy, faults: FaultPlan<ServiceFault>) -> Server {
+    Server::start("127.0.0.1:0", policy, faults).unwrap()
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -156,7 +157,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn endpoints_respond_with_their_contracts() {
-    let server = start(quick_policy(), ServiceDeps::default());
+    let server = start(quick_policy(), FaultPlan::none());
     let addr = server.addr();
 
     let health = request(addr, "GET", "/healthz", &[], b"");
@@ -214,7 +215,7 @@ fn endpoints_respond_with_their_contracts() {
 
 #[test]
 fn budget_headers_drive_typed_responses() {
-    let server = start(quick_policy(), ServiceDeps::default());
+    let server = start(quick_policy(), FaultPlan::none());
     let addr = server.addr();
 
     // Strict + starved budget: typed 422, not a crash or a wrong result.
@@ -253,24 +254,28 @@ fn budget_headers_drive_typed_responses() {
 
 #[test]
 fn oversized_and_lengthless_bodies_are_rejected() {
-    let policy = ServicePolicy {
-        max_body_bytes: 64,
-        ..quick_policy()
-    };
-    let server = start(policy, ServiceDeps::default());
+    let server = start(quick_policy(), FaultPlan::none());
     let addr = server.addr();
+    // Write a head by hand and send no body: the reply comes before any
+    // body would be read, so no write races the server's close.
+    let head_only = |head: String| {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).unwrap();
+        parse_reply(&raw).status
+    };
 
-    let big = request(addr, "POST", "/analyze", &[], &[b'x'; 1000]);
-    assert_eq!(big.status, 413);
-
-    // POST without Content-Length: write the head by hand.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(b"POST /analyze HTTP/1.1\r\nHost: t\r\n\r\n")
-        .unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).unwrap();
-    assert_eq!(parse_reply(&raw).status, 411);
+    let big = format!(
+        "POST /analyze HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    );
+    assert_eq!(head_only(big), 413);
+    // POST without Content-Length.
+    assert_eq!(
+        head_only("POST /analyze HTTP/1.1\r\nHost: t\r\n\r\n".to_string()),
+        411
+    );
 
     // The daemon still serves correctly afterwards.
     assert_eq!(request(addr, "GET", "/healthz", &[], b"").status, 200);
@@ -279,7 +284,7 @@ fn oversized_and_lengthless_bodies_are_rejected() {
 
 #[test]
 fn concurrent_identical_requests_are_byte_identical() {
-    let server = start(quick_policy(), ServiceDeps::default());
+    let server = start(quick_policy(), FaultPlan::none());
     let addr = server.addr();
     let reference = analyze(server.addr());
     assert_eq!(reference.status, 200);
@@ -300,100 +305,6 @@ fn concurrent_identical_requests_are_byte_identical() {
 }
 
 #[test]
-fn warm_store_serves_byte_identical_responses() {
-    let dir = temp_dir("warm");
-    let open_store = || Arc::new(Store::open(StoreConfig::new(&dir, "test-rev")));
-
-    // Cold server: first request populates the store, 8 concurrent
-    // requests race it warm. All bodies must match.
-    let server = start(
-        quick_policy(),
-        ServiceDeps {
-            store: Some(open_store()),
-            ..ServiceDeps::default()
-        },
-    );
-    let addr = server.addr();
-    let cold = analyze(addr);
-    assert_eq!(cold.status, 200);
-    let expected = cold.body.clone();
-    let threads: Vec<_> = (0..8)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let r = analyze(addr);
-                assert_eq!(r.status, 200);
-                r.body
-            })
-        })
-        .collect();
-    for t in threads {
-        assert_eq!(t.join().unwrap(), expected, "cold/racing body diverged");
-    }
-    assert!(server.shutdown().clean);
-
-    // Fresh server over the same store directory: fully warm replay
-    // must still be byte-identical.
-    let server = start(
-        quick_policy(),
-        ServiceDeps {
-            store: Some(open_store()),
-            ..ServiceDeps::default()
-        },
-    );
-    let warm = analyze(server.addr());
-    assert_eq!(warm.status, 200);
-    assert_eq!(warm.body, expected, "warm body diverged from cold");
-    // The warm run actually hit the store.
-    let metrics = request(server.addr(), "GET", "/metrics", &[], b"");
-    let text = body_str(&metrics);
-    let hits_line = text
-        .lines()
-        .find(|l| l.starts_with("padfa_store_hits "))
-        .unwrap_or("padfa_store_hits 0");
-    let hits: u64 = hits_line.split(' ').nth(1).unwrap().parse().unwrap();
-    assert!(hits > 0, "warm request did not hit the store: {text}");
-    assert!(server.shutdown().clean);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn budgeted_requests_bypass_the_store() {
-    let dir = temp_dir("bypass");
-    let store = Arc::new(Store::open(StoreConfig::new(&dir, "test-rev")));
-    let server = start(
-        quick_policy(),
-        ServiceDeps {
-            store: Some(store),
-            ..ServiceDeps::default()
-        },
-    );
-    let addr = server.addr();
-    let r = request(
-        addr,
-        "POST",
-        "/analyze",
-        &[("X-Padfa-Max-Steps", "100000000")],
-        PROGRAM.as_bytes(),
-    );
-    assert_eq!(r.status, 200);
-    let metrics = request(addr, "GET", "/metrics", &[], b"");
-    let text = body_str(&metrics);
-    // A budgeted request must never touch the store: no hits, no
-    // misses, no puts recorded.
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("padfa_store_") {
-            if let Some((name, v)) = rest.split_once(' ') {
-                if ["hits", "misses", "puts"].contains(&name) {
-                    assert_eq!(v, "0", "budgeted request touched the store: {line}");
-                }
-            }
-        }
-    }
-    assert!(server.shutdown().clean);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn worker_panic_costs_one_500_and_the_pool_recovers() {
     // One worker, so the recovery path is load-bearing: if the worker
     // that caught the panic stopped serving, request 2 would hang forever.
@@ -401,11 +312,8 @@ fn worker_panic_costs_one_500_and_the_pool_recovers() {
         workers: 1,
         ..quick_policy()
     };
-    let deps = ServiceDeps {
-        faults: FaultPlan::at(ServiceFault::WorkerPanic, 1),
-        ..ServiceDeps::default()
-    };
-    let server = start(policy, deps);
+    let faults = FaultPlan::at(ServiceFault::WorkerPanic, 1);
+    let server = start(policy, faults);
     let addr = server.addr();
 
     let hit = analyze(addr);
@@ -439,13 +347,7 @@ fn repeated_panics_never_kill_the_daemon() {
         workers: 2,
         ..quick_policy()
     };
-    let server = start(
-        policy,
-        ServiceDeps {
-            faults: plan,
-            ..ServiceDeps::default()
-        },
-    );
+    let server = start(policy, plan);
     let addr = server.addr();
     let mut codes = Vec::new();
     for _ in 0..8 {
@@ -460,11 +362,8 @@ fn repeated_panics_never_kill_the_daemon() {
 
 #[test]
 fn torn_response_truncates_exactly_one_reply() {
-    let deps = ServiceDeps {
-        faults: FaultPlan::at(ServiceFault::TornResponse, 1),
-        ..ServiceDeps::default()
-    };
-    let server = start(quick_policy(), deps);
+    let faults = FaultPlan::at(ServiceFault::TornResponse, 1);
+    let server = start(quick_policy(), faults);
     let addr = server.addr();
 
     // Request 1: the server computes a full success response but tears
@@ -489,51 +388,8 @@ fn torn_response_truncates_exactly_one_reply() {
 }
 
 #[test]
-fn store_io_faults_mid_request_degrade_silently() {
-    let dir = temp_dir("storefault");
-    // Exhaust the write retries of the first put: persistence
-    // degrades mid-request, the response must not change.
-    let faults = FaultPlan::at(StoreFault::WriteFail, 1)
-        .with(Fault {
-            at: 2,
-            kind: StoreFault::WriteFail,
-        })
-        .with(Fault {
-            at: 3,
-            kind: StoreFault::WriteFail,
-        });
-    let store = Arc::new(Store::open(
-        StoreConfig::new(&dir, "test-rev").with_faults(faults),
-    ));
-    let server = start(
-        quick_policy(),
-        ServiceDeps {
-            store: Some(Arc::clone(&store)),
-            ..ServiceDeps::default()
-        },
-    );
-    let addr = server.addr();
-    let faulted = analyze(addr);
-    assert_eq!(faulted.status, 200);
-    // The fault really fired: the request's one procedure tried to
-    // write its entry (ops 1-3 are its three attempts) and gave
-    // persistence up.
-    let st = store.stats();
-    assert!(st.writes_degraded && !st.degraded, "{st:?}");
-    assert_eq!((st.puts, st.retries), (1, 2));
-
-    // Reference: the same request against a faultless, storeless server.
-    let clean = start(quick_policy(), ServiceDeps::default());
-    let reference = analyze(clean.addr());
-    assert_eq!(faulted.body, reference.body, "store fault changed a result");
-    assert!(clean.shutdown().clean);
-    assert!(server.shutdown().clean);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn torn_client_disconnects_leave_the_daemon_serving() {
-    let server = start(quick_policy(), ServiceDeps::default());
+    let server = start(quick_policy(), FaultPlan::none());
     let addr = server.addr();
 
     // Promise a body, send a fragment, vanish.
@@ -558,8 +414,7 @@ fn torn_client_disconnects_leave_the_daemon_serving() {
 
 /// The full forensics surface, driven end to end in one deterministic
 /// admission sequence: trace-id echo (client-supplied and generated),
-/// slow-request capture with digest + slow-log sidecar, post-hoc
-/// attribution of a 422 by status and phase, forced ring wraparound
+/// a stalled request's wall time in its record, post-hoc attribution of a 422 by status and phase, forced ring wraparound
 /// visible in `/debug/flight` and never half-built in
 /// `/debug/requests`, and a `/metrics` exposition that passes the
 /// in-repo checker. One test, because the assertions share the
@@ -567,25 +422,11 @@ fn torn_client_disconnects_leave_the_daemon_serving() {
 #[test]
 fn tracing_slow_forensics_and_debug_endpoints() {
     let _ring = ring();
-    let slow_log = temp_dir("slowlog").join("slow.jsonl");
-    let _ = std::fs::create_dir_all(slow_log.parent().unwrap());
     let faults = FaultPlan::at(ServiceFault::SlowRequest { ms: 200 }, 2).with(Fault {
         at: 5,
         kind: ServiceFault::RecorderOverflow,
     });
-    let policy = ServicePolicy {
-        slow_request_ms: 50,
-        slow_log: Some(slow_log.clone()),
-        ..quick_policy()
-    };
-    let server = start(
-        policy,
-        ServiceDeps {
-            faults,
-            git_rev: "matrix-rev".to_string(),
-            ..ServiceDeps::default()
-        },
-    );
+    let server = start(quick_policy(), faults);
     let addr = server.addr();
 
     // Admission 1: client-supplied trace id, echoed back verbatim.
@@ -602,8 +443,8 @@ fn tracing_slow_forensics_and_debug_endpoints() {
         Some("matrix-trace-alpha")
     );
 
-    // Admission 2: the injected 200 ms stall crosses the 50 ms slow
-    // threshold; no client id, so the server generates one.
+    // Admission 2: an injected 200 ms stall; no client id, so the
+    // server generates one.
     let slow = analyze(addr);
     assert_eq!(slow.status, 200);
     let generated = slow.headers.get("x-padfa-trace-id").unwrap().clone();
@@ -636,10 +477,15 @@ fn tracing_slow_forensics_and_debug_endpoints() {
     assert_eq!(spans_of(&alpha[0], "request"), "\"spans\":1");
     // (Other tests' daemons in this process generate the same ids.)
     let slow_rec = records_of(&records, &generated);
+    let total_us = |rec: &String| -> u64 {
+        let at = rec.find("\"total_us\":").unwrap() + "\"total_us\":".len();
+        rec[at..at + rec[at..].find(',').unwrap()].parse().unwrap()
+    };
     assert!(
-        slow_rec.iter().any(|r| r.contains("\"slow\":true")),
-        "slow request not in the ring: {slow_rec:?}"
+        slow_rec.iter().any(|r| total_us(r) >= 200_000),
+        "stalled request not in the ring: {slow_rec:?}"
     );
+    assert!(!records.contains("\"slow\""), "{records}");
     let budget_rec = records_of(&records, "matrix-trace-budget");
     assert_eq!(budget_rec.len(), 1, "422 request not in the ring");
     assert!(budget_rec[0].contains("\"status\":422"), "{budget_rec:?}");
@@ -647,13 +493,6 @@ fn tracing_slow_forensics_and_debug_endpoints() {
         phase(&budget_rec[0], "budget-exhausted").contains("\"instants\":1,"),
         "422 not attributable: {budget_rec:?}"
     );
-
-    // The slow record also landed in the slow-log sidecar, with the
-    // body's digest.
-    let logged = std::fs::read_to_string(&slow_log).expect("slow log missing");
-    assert!(logged.contains(&format!("\"trace_id\":\"{generated}\"")));
-    assert!(logged.contains("\"slow\":true"));
-    assert!(logged.contains("\"digest\":\""), "no provenance digest");
 
     // Admission 5: flood the ring past capacity so wraparound
     // accounting is observable below.
@@ -693,15 +532,14 @@ fn tracing_slow_forensics_and_debug_endpoints() {
     let metrics = request(addr, "GET", "/metrics", &[], b"");
     assert_eq!(metrics.status, 200);
     let text = body_str(&metrics);
-    assert!(text.contains("padfa_build_info{git_rev=\"matrix-rev\""));
+    assert!(text.contains(&format!("padfa_build_info{{git_rev=\"{GIT_REV}\"")));
     assert!(text.contains("_bucket{le=\""), "no histogram buckets");
-    assert!(text.contains("padfa_service_slow_requests 1"), "{text}");
+    assert!(!text.contains("slow_requests"), "{text}");
     if let Err(violations) = check_exposition(&text) {
         panic!("/metrics failed the exposition checker: {violations:?}");
     }
 
     assert!(server.shutdown().clean);
-    let _ = std::fs::remove_dir_all(slow_log.parent().unwrap());
 }
 
 /// The value of the bare sample `name` in a `/metrics` scrape.
@@ -721,7 +559,7 @@ fn scrape(addr: SocketAddr, name: &str) -> u64 {
 /// adds its own, none overwrites the running total.
 #[test]
 fn metrics_session_counters_accumulate_across_requests() {
-    let server = start(quick_policy(), ServiceDeps::default());
+    let server = start(quick_policy(), FaultPlan::none());
     let addr = server.addr();
     assert_eq!(analyze(addr).status, 200);
     let one = scrape(addr, "padfa_query_sys_empty_total");
@@ -745,11 +583,8 @@ fn metrics_session_counters_accumulate_across_requests() {
 #[test]
 fn reused_trace_id_records_one_request_each() {
     let _ring = ring();
-    let deps = ServiceDeps {
-        faults: FaultPlan::at(ServiceFault::SlowRequest { ms: 500 }, 1),
-        ..ServiceDeps::default()
-    };
-    let server = start(quick_policy(), deps);
+    let faults = FaultPlan::at(ServiceFault::SlowRequest { ms: 500 }, 1);
+    let server = start(quick_policy(), faults);
     let addr = server.addr();
     let dup = |addr: SocketAddr| {
         let r = request(
@@ -816,11 +651,8 @@ fn panic_500_names_a_flight_dump_on_disk() {
         flight_dump_dir: Some(dump_dir.clone()),
         ..quick_policy()
     };
-    let deps = ServiceDeps {
-        faults: FaultPlan::at(ServiceFault::WorkerPanic, 1),
-        ..ServiceDeps::default()
-    };
-    let server = start(policy, deps);
+    let faults = FaultPlan::at(ServiceFault::WorkerPanic, 1);
+    let server = start(policy, faults);
     let hit = analyze(server.addr());
     assert_eq!(hit.status, 500);
     let body = body_str(&hit);
@@ -841,6 +673,24 @@ fn panic_500_names_a_flight_dump_on_disk() {
     let _ = std::fs::remove_dir_all(&dump_dir);
 }
 
+/// Without a dump directory a panic writes no file: the typed 500 names
+/// no dump, and the temp directory gains none.
+#[test]
+fn panic_without_a_dump_dir_writes_no_file() {
+    let leaked =
+        std::env::temp_dir().join(format!("padfa-flight-{}-panic-1.json", std::process::id()));
+    // A file of an earlier process that had this pid is not ours.
+    let _ = std::fs::remove_file(&leaked);
+    let server = start(quick_policy(), FaultPlan::at(ServiceFault::WorkerPanic, 1));
+    let hit = analyze(server.addr());
+    assert_eq!(hit.status, 500);
+    let body = body_str(&hit);
+    assert!(body.contains("\"kind\":\"panic\""), "body: {body}");
+    assert!(!body.contains("flight_dump"), "body: {body}");
+    assert!(server.shutdown().clean);
+    assert!(!leaked.exists(), "{} was written", leaked.display());
+}
+
 #[test]
 fn overload_sheds_with_429_and_drain_answers_queue_with_503() {
     // One worker pinned by a slow-loris client + queue depth 1: the
@@ -852,7 +702,7 @@ fn overload_sheds_with_429_and_drain_answers_queue_with_503() {
         drain_deadline: Duration::from_secs(10),
         ..ServicePolicy::default()
     };
-    let server = start(policy, ServiceDeps::default());
+    let server = start(policy, FaultPlan::none());
     let addr = server.addr();
 
     // Pin the only worker: connect and say nothing.
@@ -915,7 +765,7 @@ fn explain_does_not_depend_on_what_the_worker_served_before() {
         workers: 1,
         ..quick_policy()
     };
-    let server = start(policy, ServiceDeps::default());
+    let server = start(policy, FaultPlan::none());
     let addr = server.addr();
     let primed = request(addr, "POST", "/analyze", &[], HISTORY_PRIMER.as_bytes());
     assert_eq!(primed.status, 200, "{}", body_str(&primed));
@@ -944,7 +794,7 @@ fn sequential_requests_do_not_wait_for_the_acceptor() {
         workers: 1,
         ..quick_policy()
     };
-    let server = start(policy, ServiceDeps::default());
+    let server = start(policy, FaultPlan::none());
     let addr = server.addr();
     let metrics = server.metrics();
     for _ in 0..5 {
@@ -989,7 +839,7 @@ fn shutdown_wakes_an_idle_acceptor() {
         ("127.0.0.1:0", zero_deadline),
     ] {
         let deadline = policy.drain_deadline;
-        let server = Server::start(bind, policy, ServiceDeps::default()).unwrap();
+        let server = Server::start(bind, policy, FaultPlan::none()).unwrap();
         let port = server.addr().port();
         let metrics = server.metrics();
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1000,6 +850,10 @@ fn shutdown_wakes_an_idle_acceptor() {
             .recv_timeout(Duration::from_secs(5))
             .unwrap_or_else(|_| panic!("shutdown of an idle daemon on {bind} hung for 5 s"));
         assert_eq!(report.admitted, 0);
+        assert_eq!(
+            report.flight_dump, None,
+            "{bind}: no dump directory, no dump"
+        );
         assert_eq!(requests_counted(&metrics), 0);
         assert!(
             TcpStream::connect(("127.0.0.1", port)).is_err(),
