@@ -1,4 +1,5 @@
-//! Emptiness of difference-bound systems by shortest paths, on the stack.
+//! Emptiness and projection of difference-bound systems by shortest
+//! paths, on the stack.
 //!
 //! Dependence and privatization tests end in "is this conjunction
 //! empty?", and nearly every conjunction they ask about is a
@@ -19,7 +20,7 @@
 //! feasibility coincide. Fourier–Motzkin is complete over the rationals,
 //! and every step it takes here is exact — a unit-equality substitution
 //! or a pair of unit coefficients — and yields a difference system
-//! again. `project_out` eliminates through equalities first, so the
+//! again. Elimination goes through equalities first, so the
 //! size cap is only ever tested on an equality-free system over fewer
 //! variables, which `simplify` holds to one constraint per variable part:
 //! fewer than `(vars + 1)²`. Hence the fall-through on a tighter cap
@@ -45,11 +46,56 @@
 //! `Disjunction::subtract`, `core::deptest`) build the conjunction only
 //! if it survives or the answer is `None`.
 //!
-//! [`Tier`] names which of the two answered; [`force_general`] is the
-//! switch that sends everything to elimination.
+//! ## Projection
+//!
+//! Eliminating a variable `v` combines every edge into it with every
+//! edge out of it — `p − v + a ≥ 0` and `v − q + b ≥ 0` give
+//! `p − q + a + b ≥ 0` — and `simplify` keeps the tightest constraint
+//! per variable part: one Floyd–Warshall round through `v`. So
+//! eliminating a set of variables leaves, for each pair of kept nodes,
+//! the shortest path between them whose intermediate nodes are all
+//! dropped; the zero node and the kept variables are never intermediates,
+//! because nothing is eliminated through them. An equality between two
+//! dropped variables is substituted rather than combined, which moves
+//! one's edges onto the other shifted by its constant; the shifts cancel
+//! along every path, and the other's elimination composes them. [`project`]
+//! relaxes through the dropped nodes only, emits `p − q + d[p][q] ≥ 0`
+//! for every finite kept pair, and runs the same `simplify`, which sets
+//! the order. Every step elimination would take has unit coefficients,
+//! every constant is a simple path's, and the output has fewer than
+//! `n²` constraints over `n` nodes, so the answer is exact and no
+//! [`Limits`] cap can fire.
+//!
+//! The paths are elimination's *set*; three cases decline so that they
+//! are also its *representation*:
+//!
+//! * (a) **An equality with a kept endpoint** — a kept variable, or the
+//!   zero node (`x == c`). Elimination substitutes through it: the
+//!   dropped variable's bounds become bounds on the kept one and are
+//!   never composed with each other. `g == i + 1, 2 ≤ g ≤ n` without `g`
+//!   is `i ≥ 1, n ≥ i + 1`; the paths through `g` add `n ≥ 2`.
+//! * (b) **A difference with a kept endpoint that the closure pins**
+//!   (`d[p][q] + d[q][p] == 0`). Elimination may pin such a pair part-way
+//!   — `simplify` turns two opposite bounds into an equality — and then
+//!   substitutes through it, or keeps a bound it derives later beside it:
+//!   `{-n + 14 = 0 && -n + 14 >= 0}` where the paths give `{-n + 14 = 0}`.
+//!   A pair pinned part-way is pinned in the full closure (entries only
+//!   fall, and no cycle is negative), so vetting the full closure covers
+//!   every elimination order. (a) is the case of (b) an input equality
+//!   pins by itself, checked first because it needs no closure.
+//! * (c) **A negative cycle**: the system is empty. Elimination stops at
+//!   the first contradiction it meets between two constraints and
+//!   returns the empty system; the kept pairs alone may say anything.
+//!
+//! [`projections`] counts the answers, per thread.
+//!
+//! [`Tier`] names which of the two answered an emptiness query;
+//! [`force_general`] is the switch that sends everything — emptiness and
+//! projection — to elimination.
 
 use crate::var::PLACEHOLDER;
-use crate::{CKind, Constraint, Limits, Var};
+use crate::{CKind, Constraint, Limits, LinExpr, Projection, System, Var};
+use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Which representation tier answered a lattice query.
@@ -63,10 +109,11 @@ pub enum Tier {
 }
 
 /// Kill switch for the closed form (`PADFA_FORCE_GENERAL_TIER=1`):
-/// every query runs the general path and every answer is attributed
-/// [`Tier::General`]. Output must be byte-identical either way — the
-/// CLI test `forced_general_tier_changes_no_output_byte` spawns `padfa`
-/// in both modes over the corpus and generated programs.
+/// every query and every projection runs the general path and every
+/// answer is attributed [`Tier::General`]. Output must be
+/// byte-identical either way — the CLI test
+/// `forced_general_tier_changes_no_output_byte` spawns `padfa` in both
+/// modes over the corpus and generated programs.
 pub fn force_general() -> bool {
     static FORCE: OnceLock<bool> = OnceLock::new();
     *FORCE.get_or_init(|| {
@@ -106,52 +153,162 @@ pub fn is_empty(constraints: &[Constraint], limits: Limits) -> Option<bool> {
 /// edges that lose to a tighter one. Same decline rules as the
 /// one-list call, over the concatenation.
 pub fn is_empty_parts(parts: &[&[Constraint]], limits: Limits) -> Option<bool> {
-    let mut vars = [PLACEHOLDER; MAX_VARS];
-    let mut n = 1;
-    let mut node = |v: Var| -> Option<usize> {
-        if let Some(at) = vars[..n - 1].iter().position(|&u| u == v) {
-            return Some(at + 1);
-        }
-        if n == NODES {
-            return None;
-        }
-        vars[n - 1] = v;
-        n += 1;
-        Some(n - 1)
-    };
+    let mut g = Graph::read(parts, limits)?;
+    Some(!(0..g.n).all(|k| g.relax(k)))
+}
 
-    let mut d = [[INF; NODES]; NODES];
-    for (i, row) in d.iter_mut().enumerate() {
-        row[i] = 0;
+thread_local! {
+    static PROJECTIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Projections the calling thread has had [`project`] answer so far;
+/// a test reads the difference across a stretch of work to see how
+/// much of it the closed form took from elimination.
+pub fn projections() -> u64 {
+    PROJECTIONS.with(Cell::get)
+}
+
+/// `constraints` with the variables of `drop` projected out, read off
+/// shortest paths (see "Projection" in the module docs): the system,
+/// constraint for constraint, that
+/// [`System::project_out_by_elimination`](crate::System::project_out_by_elimination)
+/// returns, and exact. `None` — eliminate — when the list is not a
+/// difference-bound system this module reads, mentions no variable of
+/// `drop`, or meets one of the three rules under which elimination's
+/// representation differs from the paths'.
+pub fn project(constraints: &[Constraint], drop: &[Var], limits: Limits) -> Option<Projection> {
+    let mut g = Graph::read(&[constraints], limits)?;
+    let n = g.n;
+    let dropped = (1..n)
+        .filter(|&p| drop.contains(&g.vars[p - 1]))
+        .fold(0u16, |set, p| set | 1 << p);
+    if dropped == 0 {
+        return None;
     }
-    for c in parts.iter().copied().flatten() {
-        let k = c.expr.konst();
-        if !(-MAX_KONST..=MAX_KONST).contains(&k) {
-            return None;
-        }
-        let mut terms = c.expr.terms();
-        let (p, q) = match (terms.next(), terms.next(), terms.next()) {
-            (Some((v, 1)), None, _) => (node(v)?, 0),
-            (Some((v, -1)), None, _) => (0, node(v)?),
-            (Some((u, 1)), Some((v, -1)), None) => (node(u)?, node(v)?),
-            (Some((u, -1)), Some((v, 1)), None) => (node(v)?, node(u)?),
-            _ => return None,
-        };
-        d[p][q] = d[p][q].min(k);
-        if c.kind == CKind::Eq {
-            d[q][p] = d[q][p].min(-k);
-        }
+    let is_dropped = |p: usize| dropped >> p & 1 == 1;
+    // (a) An equality with a kept endpoint.
+    if g.equated & !dropped != 0 {
+        return None;
     }
-    if limits.max_constraints < n * n {
+    // Paths through the dropped nodes alone are what elimination
+    // derives; the rest of the closure only vets the answer. (c) A
+    // negative cycle shows in one of the two.
+    if !(0..n).filter(|&k| is_dropped(k)).all(|k| g.relax(k)) {
+        return None;
+    }
+    let through = g.d;
+    if !(0..n).filter(|&k| !is_dropped(k)).all(|k| g.relax(k)) {
+        return None;
+    }
+    // (b) A difference with a kept endpoint that the closure pins.
+    let pinned = |p: usize, q: usize| {
+        let (pq, qp) = (g.d[p][q], g.d[q][p]);
+        pq != INF && qp != INF && pq + qp == 0
+    };
+    if (0..n).any(|p| (p + 1..n).any(|q| !(is_dropped(p) && is_dropped(q)) && pinned(p, q))) {
         return None;
     }
 
-    // Floyd–Warshall over the nodes in use; a diagonal entry that drops
-    // below its zero is a negative cycle. (Row `k` does not change in
-    // round `k`: its own diagonal is zero.)
-    for k in 0..n {
-        let via = d[k];
-        for (i, row) in d.iter_mut().enumerate().take(n) {
+    let kept = (0..n).filter(|&p| !is_dropped(p));
+    let m = kept.clone().count();
+    let mut list = Vec::with_capacity(m * (m - 1));
+    for p in kept.clone() {
+        for q in kept.clone() {
+            if p == q || through[p][q] == INF {
+                continue;
+            }
+            let mut expr = LinExpr::constant(through[p][q]);
+            if p != 0 {
+                expr.add_term(g.vars[p - 1], 1);
+            }
+            if q != 0 {
+                expr.add_term(g.vars[q - 1], -1);
+            }
+            list.push(Constraint::geq0(expr));
+        }
+    }
+    PROJECTIONS.with(|c| c.set(c.get() + 1));
+    Some(Projection {
+        system: System::from_normal(list),
+        exact: true,
+    })
+}
+
+/// A difference-bound system read into its matrix: node 0 is the
+/// constant zero and node `p > 0` is `vars[p - 1]`; `d[p][q]` is the
+/// tightest `k` read for `p − q + k ≥ 0`, [`INF`] for none.
+struct Graph {
+    d: [[i64; NODES]; NODES],
+    vars: [Var; MAX_VARS],
+    /// Nodes in use, the zero node included.
+    n: usize,
+    /// The nodes some equality relates (bit `p` for node `p`).
+    equated: u16,
+}
+
+impl Graph {
+    /// The matrix of the conjunction of `parts`; `None` on the first
+    /// constraint or size this module declines (see "Fall-through").
+    #[inline]
+    fn read(parts: &[&[Constraint]], limits: Limits) -> Option<Graph> {
+        let mut g = Graph {
+            d: [[INF; NODES]; NODES],
+            vars: [PLACEHOLDER; MAX_VARS],
+            n: 1,
+            equated: 0,
+        };
+        for (i, row) in g.d.iter_mut().enumerate() {
+            row[i] = 0;
+        }
+        for c in parts.iter().copied().flatten() {
+            let k = c.expr.konst();
+            if !(-MAX_KONST..=MAX_KONST).contains(&k) {
+                return None;
+            }
+            let mut terms = c.expr.terms();
+            let (p, q) = match (terms.next(), terms.next(), terms.next()) {
+                (Some((v, 1)), None, _) => (g.node(v)?, 0),
+                (Some((v, -1)), None, _) => (0, g.node(v)?),
+                (Some((u, 1)), Some((v, -1)), None) => (g.node(u)?, g.node(v)?),
+                (Some((u, -1)), Some((v, 1)), None) => (g.node(v)?, g.node(u)?),
+                _ => return None,
+            };
+            g.d[p][q] = g.d[p][q].min(k);
+            if c.kind == CKind::Eq {
+                g.d[q][p] = g.d[q][p].min(-k);
+                g.equated |= 1 << p | 1 << q;
+            }
+        }
+        if limits.max_constraints < g.n * g.n {
+            return None;
+        }
+        Some(g)
+    }
+
+    /// The node of `v`, numbered on first sight; `None` past
+    /// [`MAX_VARS`].
+    #[inline]
+    fn node(&mut self, v: Var) -> Option<usize> {
+        if let Some(at) = self.vars[..self.n - 1].iter().position(|&u| u == v) {
+            return Some(at + 1);
+        }
+        if self.n == NODES {
+            return None;
+        }
+        self.vars[self.n - 1] = v;
+        self.n += 1;
+        Some(self.n - 1)
+    }
+
+    /// One Floyd–Warshall round: shorten every path through node `k`.
+    /// `false` when a diagonal entry would drop below its zero — a
+    /// negative cycle, and the matrix is left part-way. (Row `k` does not
+    /// change in its own round: its diagonal is zero.)
+    #[inline]
+    fn relax(&mut self, k: usize) -> bool {
+        let n = self.n;
+        let via = self.d[k];
+        for (i, row) in self.d.iter_mut().enumerate().take(n) {
             let ik = row[k];
             if ik == INF {
                 continue;
@@ -159,14 +316,14 @@ pub fn is_empty_parts(parts: &[&[Constraint]], limits: Limits) -> Option<bool> {
             for (j, &kj) in via.iter().enumerate().take(n) {
                 if kj != INF && ik + kj < row[j] {
                     if i == j {
-                        return Some(true);
+                        return false;
                     }
                     row[j] = ik + kj;
                 }
             }
         }
+        true
     }
-    Some(false)
 }
 
 #[cfg(test)]
@@ -227,6 +384,90 @@ mod tests {
         let [lower, upper] = open;
         let closed = [lower, upper, Constraint::leq(lx("m"), lx("n") - k(1))];
         assert_eq!(decide(&closed), Some(true));
+    }
+
+    /// `project` of `cs` over `drop`, beside what elimination returns.
+    fn both(cs: Vec<Constraint>, drop: &[&str]) -> (Option<Projection>, Projection) {
+        let sys = System::from_constraints(cs);
+        let drop: Vec<Var> = drop.iter().map(|n| Var::new(n)).collect();
+        let limits = Limits::default();
+        let elim = sys.project_out_by_elimination(&drop, limits);
+        let via = sys.project_out(&drop, limits);
+        assert_eq!((&via.system, via.exact), (&elim.system, elim.exact));
+        (project(sys.constraints(), &drop, limits), elim)
+    }
+
+    #[test]
+    fn paths_through_the_dropped_nodes_are_the_projection() {
+        // 1 <= g <= h <= n and m <= h + 3: dropping g and h leaves
+        // n >= 1 and m <= n + 3.
+        let (closed, elim) = both(
+            vec![
+                Constraint::geq(lx("g"), k(1)),
+                Constraint::leq(lx("g"), lx("h")),
+                Constraint::leq(lx("h"), lx("n")),
+                Constraint::leq(lx("m"), lx("h") + k(3)),
+            ],
+            &["g", "h"],
+        );
+        let closed = closed.expect("a difference system with no kept equality");
+        assert!(closed.exact);
+        assert_eq!(closed.system, elim.system);
+        assert_eq!(closed.system.to_string(), "{n - 1 >= 0 && n - m + 3 >= 0}");
+    }
+
+    #[test]
+    fn an_equality_with_a_kept_endpoint_declines() {
+        // (a) g == i + 1, 2 <= g <= n, i kept. Elimination substitutes
+        // i + 1 for g and never composes 2 <= g <= n into n >= 2, which
+        // the paths through g would.
+        let (closed, elim) = both(
+            vec![
+                Constraint::eq(lx("g"), lx("i") + k(1)),
+                Constraint::geq(lx("g"), k(2)),
+                Constraint::leq(lx("g"), lx("n")),
+            ],
+            &["g"],
+        );
+        assert!(closed.is_none());
+        assert_eq!(elim.system.to_string(), "{i - 1 >= 0 && -i + n - 1 >= 0}");
+    }
+
+    #[test]
+    fn a_pinned_kept_difference_declines() {
+        // (b) x >= 14, n >= x, n <= 14, n <= y <= 14. Eliminating x pins
+        // n == 14 part-way; eliminating y then derives n <= 14 again,
+        // which elimination keeps beside the equality.
+        let (closed, elim) = both(
+            vec![
+                Constraint::geq(lx("x"), k(14)),
+                Constraint::geq(lx("n"), lx("x")),
+                Constraint::leq(lx("n"), k(14)),
+                Constraint::leq(lx("y"), k(14)),
+                Constraint::geq(lx("y"), lx("n")),
+            ],
+            &["x", "y"],
+        );
+        assert!(closed.is_none());
+        assert_eq!(elim.system.to_string(), "{-n + 14 = 0 && -n + 14 >= 0}");
+    }
+
+    #[test]
+    fn an_empty_system_declines() {
+        // (c) x > y >= z >= x, n >= 0. Elimination meets the cycle as a
+        // pair and returns the empty system; the kept pairs alone would
+        // read {n >= 0}.
+        let (closed, elim) = both(
+            vec![
+                Constraint::gt(lx("x"), lx("y")),
+                Constraint::geq(lx("y"), lx("z")),
+                Constraint::geq(lx("z"), lx("x")),
+                Constraint::geq(lx("n"), k(0)),
+            ],
+            &["x", "y", "z"],
+        );
+        assert!(closed.is_none());
+        assert!(elim.system.is_contradiction());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::difference::{self, Tier};
 use crate::{CKind, Constraint, Limits, LinExpr, Norm, Var};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -77,8 +78,19 @@ impl System {
         let cs = cs.into_iter();
         let mut s = System::with_capacity(cs.size_hint().0);
         for c in cs {
-            s.push(c);
+            s.push_for_simplify(c);
         }
+        s.simplify();
+        s
+    }
+
+    /// Put a list of individually normal constraints into normal form
+    /// in place, without a `push` each.
+    pub(crate) fn from_normal(constraints: Vec<Constraint>) -> System {
+        let mut s = System {
+            constraints,
+            contradiction: false,
+        };
         s.simplify();
         s
     }
@@ -129,19 +141,37 @@ impl System {
 
     /// Add one constraint (normalizing it first).
     pub fn push(&mut self, c: Constraint) {
+        if let Some(c) = self.admit(c) {
+            // Exact duplicates appear frequently when contexts are
+            // re-conjoined; keep the list canonical as we go.
+            if !self.constraints.contains(&c) {
+                self.constraints.push(c);
+            }
+        }
+    }
+
+    /// [`System::push`] without the duplicate scan, for a builder that
+    /// calls [`System::simplify`] next: its sort and dedup drop exact
+    /// duplicates anyway.
+    fn push_for_simplify(&mut self, c: Constraint) {
+        if let Some(c) = self.admit(c) {
+            self.constraints.push(c);
+        }
+    }
+
+    /// `c` normalized, unless it is a tautology or the system is already
+    /// empty; a contradiction empties the system.
+    fn admit(&mut self, c: Constraint) -> Option<Constraint> {
         if self.contradiction {
-            return;
+            return None;
         }
         match c.into_norm() {
-            Norm::Tautology => {}
-            Norm::Contradiction => self.set_contradiction(),
-            Norm::Keep(c) => {
-                // Exact duplicates appear frequently when contexts are
-                // re-conjoined; keep the list canonical as we go.
-                if !self.constraints.contains(&c) {
-                    self.constraints.push(c);
-                }
+            Norm::Tautology => None,
+            Norm::Contradiction => {
+                self.set_contradiction();
+                None
             }
+            Norm::Keep(c) => Some(c),
         }
     }
 
@@ -158,7 +188,7 @@ impl System {
         let mut out = System::with_capacity(self.len() + other.len());
         out.constraints.extend_from_slice(&self.constraints);
         for c in &other.constraints {
-            out.push(c.clone());
+            out.push_for_simplify(c.clone());
         }
         out.simplify();
         out
@@ -185,7 +215,7 @@ impl System {
         }
         let mut out = System::with_capacity(self.len());
         for c in &self.constraints {
-            out.push(c.subst(v, e));
+            out.push_for_simplify(c.subst(v, e));
         }
         out.simplify();
         out
@@ -198,7 +228,7 @@ impl System {
         }
         let mut out = System::with_capacity(self.len());
         for c in &self.constraints {
-            out.push(c.rename(from, to));
+            out.push_for_simplify(c.rename(from, to));
         }
         out.simplify();
         out
@@ -300,12 +330,12 @@ impl System {
                     continue;
                 }
                 if !c.mentions(v) {
-                    out.push(c.clone());
+                    out.push_for_simplify(c.clone());
                     continue;
                 }
                 let e = replacement.get_or_insert_with(|| r.checked_scaled(-a));
                 match e.as_ref().and_then(|e| c.expr.checked_subst(v, e)) {
-                    Some(expr) => out.push(Constraint { expr, kind: c.kind }),
+                    Some(expr) => out.push_for_simplify(Constraint { expr, kind: c.kind }),
                     None => drop_overflow(&mut exact),
                 }
             }
@@ -336,7 +366,7 @@ impl System {
                 }
                 let b = c.expr.coeff(v);
                 if b == 0 {
-                    out.push(c.clone());
+                    out.push_for_simplify(c.clone());
                     continue;
                 }
                 // |a|*(c.expr) with |a|b*v replaced using a*v == -r:
@@ -347,7 +377,7 @@ impl System {
                     s.checked_scaled(abs_a)?.checked_add(&rb)
                 });
                 match combined {
-                    Some(expr) => out.push(Constraint { expr, kind: c.kind }),
+                    Some(expr) => out.push_for_simplify(Constraint { expr, kind: c.kind }),
                     // The projection is inexact already.
                     None => crate::limit_stats::note_overflow(),
                 }
@@ -378,7 +408,7 @@ impl System {
         }
         let mut out = System::with_capacity(rest.len() + lower.len() * upper.len());
         for c in rest {
-            out.push(c.clone());
+            out.push_for_simplify(c.clone());
         }
         let mut exact = true;
         for l in &lower {
@@ -392,7 +422,7 @@ impl System {
                     .checked_neg()
                     .and_then(|b| r.checked_scaled(b)?.checked_add(&s.checked_scaled(a)?));
                 match combined {
-                    Some(e) => out.push(Constraint::geq0(e)),
+                    Some(e) => out.push_for_simplify(Constraint::geq0(e)),
                     None => drop_overflow(&mut exact),
                 }
                 if a != 1 && nb != -1 {
@@ -411,9 +441,26 @@ impl System {
         Projection { system: out, exact }
     }
 
-    /// Project out several variables, picking a cheap elimination order.
+    /// Project out several variables. A difference-bound system is
+    /// answered in closed form ([`difference::project`]): the system and
+    /// flag elimination returns, read off shortest paths. Anything it
+    /// declines, and everything under `PADFA_FORCE_GENERAL_TIER`, is
+    /// [`System::project_out_by_elimination`].
     pub fn project_out(&self, vars: &[Var], limits: Limits) -> Projection {
-        let mut cur = self.clone();
+        if !difference::force_general() {
+            if let Some(p) = difference::project(&self.constraints, vars, limits) {
+                return p;
+            }
+        }
+        self.project_out_by_elimination(vars, limits)
+    }
+
+    /// Project out several variables by Fourier–Motzkin, picking a cheap
+    /// elimination order: the fall-through of [`System::project_out`]
+    /// and the reference its closed form is tested against.
+    pub fn project_out_by_elimination(&self, vars: &[Var], limits: Limits) -> Projection {
+        // Borrowed until the first elimination builds a new system.
+        let mut cur = Cow::Borrowed(self);
         let mut exact = true;
         let mut remaining: Vec<Var> = vars.iter().copied().filter(|&v| cur.mentions(v)).collect();
         while !remaining.is_empty() {
@@ -457,10 +504,13 @@ impl System {
             let v = remaining.swap_remove(idx);
             let p = cur.eliminate(v, limits);
             exact &= p.exact;
-            cur = p.system;
+            cur = Cow::Owned(p.system);
             remaining.retain(|&w| cur.mentions(w));
         }
-        Projection { system: cur, exact }
+        Projection {
+            system: cur.into_owned(),
+            exact,
+        }
     }
 
     /// Decide emptiness soundly: `true` means the system has no integer
@@ -500,7 +550,7 @@ impl System {
             return true;
         }
         let vars: Vec<Var> = self.vars().into_iter().collect();
-        let p = self.project_out(&vars, limits);
+        let p = self.project_out_by_elimination(&vars, limits);
         // Every conclusion drawn during elimination is implied by the
         // original constraints, so a contradiction here is sound even on
         // inexact paths.

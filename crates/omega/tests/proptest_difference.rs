@@ -6,7 +6,9 @@
 //! answer, itself checked against enumeration. The same closure asked
 //! of borrowed lists — [`difference::is_empty_parts`],
 //! [`System::is_empty_with`], the pieces of [`Disjunction::subtract`] —
-//! must say what the materialized conjunction says.
+//! must say what the materialized conjunction says. Wherever
+//! [`difference::project`] answers a projection, it must return the
+//! system and flag elimination returns.
 //! Cases come from fixed seeds so every run checks the same systems.
 
 use rand::rngs::StdRng;
@@ -140,6 +142,51 @@ fn difference_emptiness_agrees_with_fm_and_enumeration() {
         (CASES / 4..=3 * CASES / 4).contains(&empties),
         "{empties} of {CASES} systems empty: the generator lost its balance"
     );
+}
+
+#[test]
+fn projection_in_closed_form_is_what_elimination_returns() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF_0042);
+    let limits = Limits::default();
+    let (mut answered, mut declined, mut with_eq) = (0u32, 0u32, 0u32);
+    for case in 0..40_000 {
+        let vars = rng.gen_range(1usize..=8);
+        let cs: Vec<Constraint> = (0..rng.gen_range(1usize..=12))
+            .map(|_| {
+                // Constants in ±2, so that paths often pin a pair.
+                let mut c = random_difference_constraint(&mut rng, vars);
+                c.expr = c.expr.clone().with_const(c.expr.konst() / 3);
+                c
+            })
+            .collect();
+        // Normal form, or a list as a pair test conjoins one: each
+        // member normal, duplicates and looser bounds left in.
+        let sys = if case % 2 == 0 {
+            System::from_constraints(cs)
+        } else {
+            let mut sys = System::universe();
+            cs.into_iter().for_each(|c| sys.push(c));
+            sys
+        };
+        let drop: Vec<Var> = (0..vars).map(var).filter(|_| rng.gen_bool(0.5)).collect();
+        let Some(closed) = difference::project(sys.constraints(), &drop, limits) else {
+            declined += 1;
+            continue;
+        };
+        answered += 1;
+        with_eq += u32::from(sys.constraints().iter().any(|c| c.kind == CKind::Eq));
+        let elim = sys.project_out_by_elimination(&drop, limits);
+        assert_eq!(
+            (&closed.system, closed.exact),
+            (&elim.system, elim.exact),
+            "case {case}: {sys} without {drop:?}"
+        );
+    }
+    // Both sides are reached, and answers that substitute through an
+    // equality between two dropped variables.
+    assert!(answered >= 5_000, "only {answered} answered");
+    assert!(declined >= 5_000, "only {declined} declined");
+    assert!(with_eq >= 300, "only {with_eq} answered with an equality");
 }
 
 #[test]

@@ -405,7 +405,7 @@ fn cmd_analyze(args: &[String]) {
         );
     }
     if show_stats {
-        let _ = write!(out, "\n== session statistics ==\n{}", result.stats);
+        let _ = writeln!(out, "\n== session statistics ==\n{}", result.stats);
     }
     if show_profile {
         write_flight_profile(&mut out, flight_wm);

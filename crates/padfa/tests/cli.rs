@@ -479,7 +479,9 @@ fn flags_no_other_test_passes_are_read() {
     };
     let file = f.0.to_str().unwrap();
     let plain = stdout(&["analyze", file]);
-    assert!(stdout(&["analyze", file, "--stats"]).contains("== session statistics =="));
+    let stats = stdout(&["analyze", file, "--stats"]);
+    assert!(stats.contains("== session statistics =="), "{stats}");
+    assert!(stats.ends_with("limit overflows: 0\n"), "{stats:?}");
     assert_eq!(stdout(&["analyze", file, "--deadline-ms", "60000"]), plain);
     let base = stdout(&["explain", file, "--variant", "base"]);
     assert!(base.contains("main:hot depth=0 -> sequential"), "{base}");
@@ -1027,16 +1029,19 @@ fn bad_store_inject_spec_exits_2() {
     assert!(err.contains("only injects store-"), "{err}");
 }
 
-/// The closed-form emptiness test (the difference-bound closure) must
-/// never change a byte of output, whether it is asked of a system or —
-/// before anything is built — of the borrowed lists of a pair test, a
-/// subtraction piece or an implication (the kill switch disables those
-/// fronts too, so this is also the front-vs-materialized oracle): every
-/// corpus source through `explain --json` (per-pair evidence, 240 KB for
-/// `wave5` alone) and through `analyze --all --summaries` under the two
-/// variants `explain` does not run, and 300 generated programs through
-/// `analyze --all --summaries`, each with and without the switch. It is
-/// read once per process, so each side is a spawn of the built binary.
+/// The closed forms of the difference-bound closure — emptiness and
+/// projection — must never change a byte of output. Emptiness is asked
+/// of a system or, before anything is built, of the borrowed lists of a
+/// pair test, a subtraction piece or an implication (the kill switch
+/// disables those fronts too, so this is also the front-vs-materialized
+/// oracle); a projection must come out constraint for constraint as
+/// elimination leaves it. Checked on every corpus source through
+/// `explain --json` (per-pair evidence, 240 KB for `wave5` alone) and
+/// through `analyze --all --summaries` under the two variants `explain`
+/// does not run, and on 300 generated programs through `analyze --all
+/// --summaries`, the first 100 under all three variants, each with and
+/// without the switch. It is read once per process, so each side is a
+/// spawn of the built binary.
 #[test]
 fn forced_general_tier_changes_no_output_byte() {
     use padfa_ir::testgen::{random_program, GenConfig};
@@ -1064,13 +1069,18 @@ fn forced_general_tier_changes_no_output_byte() {
     for seed in 0..300 {
         let source =
             padfa_ir::pretty::program_to_string(&random_program(seed, GenConfig::default()));
-        add(
-            format!("gen{seed}.mf"),
-            &source,
-            &[&["analyze", "--all", "--summaries"]],
-        );
+        let runs: &[&[&str]] = if seed < 100 {
+            &[
+                &["analyze", "--all", "--summaries"],
+                &["analyze", "--all", "--summaries", "--variant", "base"],
+                &["analyze", "--all", "--summaries", "--variant", "guarded"],
+            ]
+        } else {
+            &[&["analyze", "--all", "--summaries"]]
+        };
+        add(format!("gen{seed}.mf"), &source, runs);
     }
-    assert_eq!(inputs.len(), 390);
+    assert_eq!(inputs.len(), 590);
 
     for (path, args) in &inputs {
         let run = |forced: bool| {

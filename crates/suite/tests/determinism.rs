@@ -1,7 +1,8 @@
 //! Determinism of the analysis over the full corpus and the hand-written
 //! programs of the differential matrix (`matrix/mod.rs`): who reads the
 //! summaries or the evidence, and how many lanes run, change nothing a
-//! reader sees, and the corpus's lattice work stays pinned.
+//! reader sees, and the corpus's lattice work stays pinned, down to the
+//! projections the closed form answers.
 
 mod matrix;
 
@@ -17,6 +18,12 @@ fn corpus_reports_identical_across_worker_counts() {
 #[test]
 fn corpus_lattice_work_stays_linear() {
     matrix::corpus_counters();
+}
+
+/// How much of that work the difference-bound closed form answers.
+#[test]
+fn corpus_projections_in_closed_form_stay_pinned() {
+    matrix::corpus_closed_projections();
 }
 
 #[test]

@@ -32,7 +32,7 @@ use padfa_core::{
 use padfa_ir::parse::parse_program;
 use padfa_ir::testgen::{random_program, GenConfig};
 use padfa_ir::Program;
-use padfa_omega::VarTable;
+use padfa_omega::{difference, VarTable};
 use padfa_rt::{run_main, ArgValue, ExecPlan, RunConfig};
 use padfa_suite::corpus::build_corpus;
 use std::collections::BTreeSet;
@@ -656,6 +656,24 @@ pub fn corpus_counters() {
     assert_eq!(regions, 3_687, "interned.regions");
     assert_eq!(projections, 4_964, "fm.projections");
     assert_eq!(sys_empty, 17_704, "query.sys_empty.total");
+}
+
+/// How many projections of that pass `difference::project` answers in
+/// closed form instead of eliminating: a count per thread, so the pass
+/// runs again here rather than reading the shared runs.
+pub fn corpus_closed_projections() {
+    let before = difference::projections();
+    for case in cases() {
+        if matches!(case.src.kind, Kind::Corpus(_)) && case.opts.variant == Variant::Predicated {
+            let (prog, opts) = (&case.src.program, &case.opts);
+            analyze(&case.ctx(), prog, opts, READERS[PLAIN], None);
+        }
+    }
+    assert_eq!(
+        difference::projections() - before,
+        2_866,
+        "closed-form projections"
+    );
 }
 
 /// Four lanes render what one does: every case of `sources` analyzed by
