@@ -1,5 +1,18 @@
 //! Loop-level dependence and privatization testing, including run-time
 //! test derivation.
+//!
+//! Both tests ask one question per pair of pieces `w` and `x′` (`x` in
+//! another iteration) and per iteration order: is `w ∧ x′ ∧ ctx ∧ ctx′ ∧
+//! order` empty, and if not, under which condition on the symbolics does
+//! it hold? Nearly every such conjunction is a difference-bound system,
+//! so the question goes to the closure first, on the borrowed lists
+//! ([`padfa_omega::difference`]): one closure per pair of pieces decides
+//! both orders, a refuted order builds nothing, and a surviving order of
+//! one piece against one reads its condition off shortest paths. Only
+//! what the closure declines builds the intersection, interns it, probes
+//! it and eliminates — the same systems, in the same order, as when every
+//! order was built, so every verdict and extracted predicate is the one
+//! elimination gives (DESIGN.md §3.10, "Asked of borrowed lists").
 
 use crate::component::{GuardedRegion, PredComponent};
 use crate::provenance::{
@@ -9,22 +22,95 @@ use crate::provenance::{
 use crate::reduce::find_reductions;
 use crate::region::primed;
 use crate::report::{Mechanisms, Outcome, PrivArray, Reduction};
-use crate::session::AnalysisSession;
+use crate::session::{AnalysisSession, PairOrder};
 use crate::summary::Summary;
 use padfa_ir::ast::Block;
-use padfa_omega::{difference, Constraint, Disjunction, Limits, LinExpr, Norm, System, Var};
+use padfa_omega::{difference, Constraint, Disjunction, LinExpr, Norm, System, Var};
 use padfa_pred::{extract_symbolic, Pred};
 use std::cell::OnceCell;
 use std::sync::Arc;
 
+/// What every pair test of one loop shares, built once per loop: the
+/// loop context on both iteration copies, the index and its primed copy,
+/// the constraint each iteration order pushes, and which variables an
+/// extracted condition may name.
+struct LoopCtx<'a> {
+    ctx: &'a System,
+    ctx2: System,
+    i: Var,
+    i2: Var,
+    /// `i < i2` and `i > i2`, normalized, in the order the test asks them.
+    orders: [Constraint; 2],
+    is_symbolic: &'a dyn Fn(Var) -> bool,
+}
+
+impl<'a> LoopCtx<'a> {
+    fn new(ctx: &'a System, i: Var, is_symbolic: &'a dyn Fn(Var) -> bool) -> LoopCtx<'a> {
+        let i2 = primed(i);
+        // The primed context must rename not just the loop index but every
+        // loop-varying synthetic variable in the context (e.g. the step
+        // lattice counter `$step...`), or the two iteration copies would be
+        // forced onto the same lattice point and conflicts would vanish.
+        let mut ctx2 = ctx.rename(i, i2);
+        for v in ctx.vars() {
+            if v != i && v.is_synthetic() {
+                ctx2 = ctx2.rename(v, primed(v));
+            }
+        }
+        let normal = |c: Constraint| match c.normalize() {
+            Norm::Keep(c) => c,
+            _ => unreachable!("i and i2 are distinct variables"),
+        };
+        let (iv, i2v) = (LinExpr::var(i), LinExpr::var(i2));
+        LoopCtx {
+            ctx,
+            ctx2,
+            i,
+            i2,
+            orders: [
+                normal(Constraint::lt(iv.clone(), i2v.clone())),
+                normal(Constraint::gt(iv, i2v)),
+            ],
+            is_symbolic,
+        }
+    }
+
+    /// `region` in the other iteration: the index renamed to its primed
+    /// copy, and so is every lattice existential, which names a point of
+    /// *this* iteration's strided inner loop — shared, it would force
+    /// both iterations onto one point, and a conflict through it would
+    /// vanish.
+    fn prime(&self, region: &Disjunction) -> Disjunction {
+        let mut out = region.rename(self.i, self.i2);
+        for v in region.vars() {
+            if AnalysisSession::is_lat_var(v) {
+                out = out.rename(v, primed(v));
+            }
+        }
+        out
+    }
+
+    /// `a ∧ b ∧ ctx ∧ ctx2`, as borrowed lists.
+    fn parts<'s>(&'s self, a: &'s System, b: &'s System) -> [&'s [Constraint]; 4] {
+        [
+            a.constraints(),
+            b.constraints(),
+            self.ctx.constraints(),
+            self.ctx2.constraints(),
+        ]
+    }
+}
+
 /// What one piece brings to every pair test it takes part in, built once
-/// per array test: its guard behind an `Arc`, made the first time a
+/// per array: its guard behind an `Arc`, made the first time a
 /// [`PairEvidence`] row names it (a piece takes part in O(pieces) pair
 /// tests, and the rows all share the handle instead of deep-cloning the
 /// predicate tree per pair; a verdict-only session keeps no rows and
-/// clones nothing), and its region on the primed index, renamed the
-/// first time a pair test reads it as the `x` side (pairs decided by
-/// their guards, and pairs after the early exit, rename nothing).
+/// clones nothing), and its region in the other iteration
+/// ([`LoopCtx::prime`]), made the first time a pair test reads it as the
+/// `x` side (pairs decided by their guards, and pairs after the early
+/// exit, rename nothing). A may-write piece is both a dependence test's
+/// and a privatization test's `x` side, and is primed once for both.
 struct PairSide<'a> {
     piece: &'a GuardedRegion,
     pred: OnceCell<Arc<Pred>>,
@@ -36,9 +122,8 @@ impl PairSide<'_> {
         Arc::clone(self.pred.get_or_init(|| Arc::new(self.piece.pred.clone())))
     }
 
-    fn primed(&self, loop_var: Var, i2: Var) -> &Disjunction {
-        self.primed
-            .get_or_init(|| self.piece.region.rename(loop_var, i2))
+    fn primed(&self, lc: &LoopCtx) -> &Disjunction {
+        self.primed.get_or_init(|| lc.prime(&self.piece.region))
     }
 }
 
@@ -80,24 +165,27 @@ pub struct LoopDecision {
 /// (complementary guards, region disjointness, an extracted symbolic
 /// condition, or an assumed conflict).
 ///
-/// (The argument list mirrors the test's mathematical inputs.)
 /// The extraction step (when enabled) projects the intersection onto the
 /// symbolic variables: because projection over-approximates, the
 /// negation of the extracted condition soundly implies emptiness — this
 /// is how the paper derives *breaking conditions* from array data-flow
 /// analysis.
-#[allow(clippy::too_many_arguments)]
+///
+/// Each iteration order is asked of the difference-bound closure first,
+/// on the borrowed lists ([`read_orders`]). A refuted order builds
+/// nothing. A surviving order of one piece against one piece takes its
+/// condition off the same lists ([`difference::project_parts`]) — the
+/// projection elimination would return for the materialized conjunction,
+/// so the condition is the same. Everything else — several pieces a
+/// side, a list the closure does not read, a projection it declines,
+/// `PADFA_FORCE_GENERAL_TIER` — builds the intersection and asks it.
 fn conflict_condition<'a>(
     p_w: &Pred,
     w: &Disjunction,
     p_x: &Pred,
     x2: impl FnOnce() -> &'a Disjunction,
-    ctx: &System,
-    ctx2: &System,
-    loop_var: Var,
-    i2: Var,
+    lc: &LoopCtx,
     sess: &AnalysisSession,
-    is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
 ) -> (Pred, PairOutcome) {
     let opts = &sess.opts;
@@ -117,33 +205,56 @@ fn conflict_condition<'a>(
     }
 
     let limits = opts.limits;
-    let mut region_cond = Pred::False;
-    let mut extracted = false;
+    let mut region = RegionCond {
+        cond: Pred::False,
+        extracted: false,
+    };
     let x2 = x2();
-    // The front reads the pieces where they lie, so it needs lists that
-    // mean what they say (a contradiction's list is empty and would read
-    // as the universe) and a pair count the disjunct cap cannot have
-    // truncated — its overflow note is part of the report.
-    let front = !difference::force_general()
-        && !ctx.is_contradiction()
-        && !ctx2.is_contradiction()
-        && w.len() * x2.len() < limits.max_disjuncts;
+    let read = read_orders(w, x2, lc, sess);
     // Each disjunct of the intersection under both loop contexts: the
     // two iteration orders differ only in the constraint pushed on top,
     // so the conjunctions are built once, on the first order that needs
     // them.
     let mut in_ctx: Option<Vec<System>> = None;
-    for order in [
-        Constraint::lt(LinExpr::var(loop_var), LinExpr::var(i2)),
-        Constraint::gt(LinExpr::var(loop_var), LinExpr::var(i2)),
-    ] {
-        // Decide before building: when the closure refutes every
-        // `a ∧ b ∧ ctx ∧ ctx2 ∧ order` from the borrowed lists, the
-        // intersection below would be built, interned and probed only
-        // to be found empty. One step, as for any other query.
-        let refuted = front && order_refuted(w, x2, ctx, ctx2, &order, limits);
-        sess.note_pair_order(w, x2, refuted);
-        if refuted {
+    for (order, read) in lc.orders.iter().zip(read) {
+        // Once the budget has run out nothing is computed: every order
+        // reads as empty, as the queries that would build it return
+        // nothing.
+        if sess.meter.exhausted() {
+            continue;
+        }
+        if read == OrderRead::Refuted {
+            sess.note_pair_order(w, x2, PairOrder::Refuted);
+            continue;
+        }
+        if read == OrderRead::Open {
+            // One piece against one, and the closure shows the order
+            // non-empty: without extraction the conflict is assumed, and
+            // with it the condition is read off the matrix unless the
+            // projection declines. One step, as for a refuted order.
+            let (a, b) = (&w.systems()[0], &x2.systems()[0]);
+            let [pa, pb, pc, pc2] = lc.parts(a, b);
+            let parts = [pa, pb, pc, pc2, std::slice::from_ref(order)];
+            let projected = if opts.extraction {
+                difference::project_parts(&parts, |v| !(lc.is_symbolic)(v), limits)
+            } else {
+                None
+            };
+            if projected.is_some() || !opts.extraction {
+                if !sess.note_pair_order(w, x2, PairOrder::Closed) {
+                    continue;
+                }
+                let Some(p) = projected else {
+                    return (guard, PairOutcome::Assumed);
+                };
+                if !sess.note_fm_projection() || !region.fold(&p.system, lc.is_symbolic, mechanisms)
+                {
+                    return (guard, PairOutcome::Assumed);
+                }
+                continue;
+            }
+        }
+        if !sess.note_pair_order(w, x2, PairOrder::Built) {
             continue;
         }
         // Asked once per order, and computed each time: query counts,
@@ -152,7 +263,7 @@ fn conflict_condition<'a>(
         let in_ctx = in_ctx.get_or_insert_with(|| {
             base.systems()
                 .iter()
-                .map(|s| s.and(ctx).and(ctx2))
+                .map(|s| s.and(lc.ctx).and(&lc.ctx2))
                 .collect()
         });
         let inter = Disjunction::from_systems(
@@ -174,31 +285,19 @@ fn conflict_condition<'a>(
             let junk: Vec<Var> = sys
                 .vars()
                 .into_iter()
-                .filter(|&v| !is_symbolic(v))
+                .filter(|&v| !(lc.is_symbolic)(v))
                 .collect();
             if !sess.note_fm_projection() {
                 return (guard, PairOutcome::Assumed);
             }
             let p = sys.project_out(&junk, limits);
-            if p.system.is_contradiction() {
-                continue;
-            }
-            let (q, residual) = extract_symbolic(&p.system, is_symbolic);
-            if !residual.is_universe() {
-                // Left-over non-symbolic constraints: cannot characterize
-                // the conflict; assume it always exists.
+            if !region.fold(&p.system, lc.is_symbolic, mechanisms) {
                 return (guard, PairOutcome::Assumed);
             }
-            if q.is_true() {
-                return (guard, PairOutcome::Assumed);
-            }
-            mechanisms.extraction = true;
-            extracted = true;
-            region_cond = Pred::or(region_cond, q);
         }
     }
-    let cond = Pred::and(guard, region_cond);
-    let outcome = if extracted {
+    let cond = Pred::and(guard, region.cond);
+    let outcome = if region.extracted {
         PairOutcome::Extracted
     } else {
         // Every intersection was empty (or contradictory after
@@ -208,33 +307,91 @@ fn conflict_condition<'a>(
     (cond, outcome)
 }
 
-/// True when the difference-bound closure proves `a ∧ b ∧ ctx ∧ ctx2 ∧
-/// order` empty for every pair of pieces `(a, b) ∈ w × x2` — what
-/// `sess.is_empty` concludes of the materialized intersection, learned
-/// without building it. `false` says nothing: a pair survived, or was
-/// not the closure's to decide.
-fn order_refuted(
+/// The region half of a conflict condition, gathered one projected
+/// conjunction at a time.
+struct RegionCond {
+    cond: Pred,
+    extracted: bool,
+}
+
+impl RegionCond {
+    /// Fold in one conjunction projected onto the symbolics. `false` when
+    /// it cannot characterize the conflict — left-over non-symbolic
+    /// constraints, or no constraint at all — and the conflict must be
+    /// assumed to exist whenever the guards hold.
+    fn fold(
+        &mut self,
+        p: &System,
+        is_symbolic: &dyn Fn(Var) -> bool,
+        mechanisms: &mut Mechanisms,
+    ) -> bool {
+        if p.is_contradiction() {
+            return true;
+        }
+        let (q, residual) = extract_symbolic(p, is_symbolic);
+        if !residual.is_universe() || q.is_true() {
+            return false;
+        }
+        mechanisms.extraction = true;
+        self.extracted = true;
+        self.cond = Pred::or(std::mem::replace(&mut self.cond, Pred::False), q);
+        true
+    }
+}
+
+/// What the difference-bound closure reads of one iteration order of a
+/// pair test from the borrowed lists.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum OrderRead {
+    /// Empty for every pair of pieces — what `sess.is_empty` concludes of
+    /// the materialized intersection, learned without building it.
+    Refuted,
+    /// One piece against one, and the order is not empty.
+    Open,
+    /// Left to the materialized path.
+    Unread,
+}
+
+/// [`OrderRead`] of `a ∧ b ∧ ctx ∧ ctx2 ∧ order` for both iteration
+/// orders, with one closure per pair of pieces `(a, b) ∈ w × x2`
+/// ([`difference::orders_refuted`]).
+///
+/// The front reads the pieces where they lie, so it needs lists that
+/// mean what they say (a contradiction's list is empty and would read as
+/// the universe) and a pair count the disjunct cap cannot have truncated
+/// — its overflow note is part of the report.
+fn read_orders(
     w: &Disjunction,
     x2: &Disjunction,
-    ctx: &System,
-    ctx2: &System,
-    order: &Constraint,
-    limits: Limits,
-) -> bool {
-    let Norm::Keep(order) = order.normalize() else {
-        return false;
-    };
-    w.systems().iter().all(|a| {
-        x2.systems().iter().all(|b| {
-            let parts = [
-                a.constraints(),
-                b.constraints(),
-                ctx.constraints(),
-                ctx2.constraints(),
-                std::slice::from_ref(&order),
-            ];
-            difference::is_empty_parts(&parts, limits) == Some(true)
-        })
+    lc: &LoopCtx,
+    sess: &AnalysisSession,
+) -> [OrderRead; 2] {
+    let limits = sess.opts.limits;
+    let pairs = w.len() * x2.len();
+    let front = !difference::force_general()
+        && !lc.ctx.is_contradiction()
+        && !lc.ctx2.is_contradiction()
+        && pairs < limits.max_disjuncts;
+    let unread = [OrderRead::Unread; 2];
+    if !front {
+        return unread;
+    }
+    let mut refuted = [true, true];
+    for a in w.systems() {
+        for b in x2.systems() {
+            let Some(r) = difference::orders_refuted(&lc.parts(a, b), lc.i, lc.i2, limits) else {
+                return unread;
+            };
+            refuted = [refuted[0] && r[0], refuted[1] && r[1]];
+            if refuted == [false, false] && pairs > 1 {
+                return unread;
+            }
+        }
+    }
+    refuted.map(|r| match (r, pairs) {
+        (true, _) => OrderRead::Refuted,
+        (false, 1) => OrderRead::Open,
+        (false, _) => OrderRead::Unread,
     })
 }
 
@@ -243,23 +400,17 @@ fn order_refuted(
 /// Each pair test run is appended to `pairs` (when rows are kept), in
 /// test order; the early exit on an unconditional conflict means later
 /// pairs were not tested and carry no evidence.
-#[allow(clippy::too_many_arguments)]
 fn array_dependence_condition(
-    mw: &PredComponent,
+    mw: &[PairSide],
     r: &PredComponent,
-    ctx: &System,
-    ctx2: &System,
-    loop_var: Var,
-    i2: Var,
+    lc: &LoopCtx,
     sess: &AnalysisSession,
-    is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
     mut pairs: Option<&mut Vec<PairEvidence>>,
 ) -> Pred {
     let mut cond = Pred::False;
-    let mw = pair_sides(mw);
     let r = pair_sides(r);
-    for w in &mw {
+    for w in mw {
         // Write/write (output) and write/read (flow+anti) conflicts.
         let tagged = (mw.iter().map(|x| (PairKind::WriteWrite, x)))
             .chain(r.iter().map(|x| (PairKind::WriteRead, x)));
@@ -268,13 +419,9 @@ fn array_dependence_condition(
                 &w.piece.pred,
                 &w.piece.region,
                 &x.piece.pred,
-                || x.primed(loop_var, i2),
-                ctx,
-                ctx2,
-                loop_var,
-                i2,
+                || x.primed(lc),
+                lc,
                 sess,
-                is_symbolic,
                 mechanisms,
             );
             if let Some(pairs) = &mut pairs {
@@ -299,35 +446,25 @@ fn array_dependence_condition(
 /// not overlap may-writes of another. Returns the condition under which
 /// privatization is *unsafe*; pair tests run are appended to `pairs`
 /// (when rows are kept).
-#[allow(clippy::too_many_arguments)]
 fn privatization_unsafe_condition(
     e: &PredComponent,
-    mw: &PredComponent,
-    ctx: &System,
-    ctx2: &System,
-    loop_var: Var,
-    i2: Var,
+    mw: &[PairSide],
+    lc: &LoopCtx,
     sess: &AnalysisSession,
-    is_symbolic: &dyn Fn(Var) -> bool,
     mechanisms: &mut Mechanisms,
     mut pairs: Option<&mut Vec<PairEvidence>>,
 ) -> Pred {
     let mut cond = Pred::False;
     let e = pair_sides(e);
-    let mw = pair_sides(mw);
     for ep in &e {
-        for wp in &mw {
+        for wp in mw {
             let (c, outcome) = conflict_condition(
                 &ep.piece.pred,
                 &ep.piece.region,
                 &wp.piece.pred,
-                || wp.primed(loop_var, i2),
-                ctx,
-                ctx2,
-                loop_var,
-                i2,
+                || wp.primed(lc),
+                lc,
                 sess,
-                is_symbolic,
                 mechanisms,
             );
             if let Some(pairs) = &mut pairs {
@@ -378,17 +515,7 @@ pub fn test_loop(
     let opts = &sess.opts;
     let keep = sess.provenance_wanted();
     let mut mechanisms = Mechanisms::default();
-    let i2 = primed(loop_var);
-    // The primed context must rename not just the loop index but every
-    // loop-varying synthetic variable in the context (e.g. the step
-    // lattice counter `$step...`), or the two iteration copies would be
-    // forced onto the same lattice point and conflicts would vanish.
-    let mut ctx2 = ctx.rename(loop_var, i2);
-    for v in ctx.vars() {
-        if v != loop_var && v.is_synthetic() {
-            ctx2 = ctx2.rename(v, primed(v));
-        }
-    }
+    let lc = LoopCtx::new(ctx, loop_var, is_symbolic);
 
     let reductions = find_reductions(body_block);
     let is_reduction = |v: Var| reductions.iter().any(|r| r.target == v);
@@ -453,19 +580,10 @@ pub fn test_loop(
         if s.mw.is_empty() {
             return out; // read-only arrays never carry dependences
         }
+        let mw = pair_sides(&s.mw);
         let mut dep_pairs = keep.then(Vec::new);
-        let dep = array_dependence_condition(
-            &s.mw,
-            &s.r,
-            ctx,
-            &ctx2,
-            loop_var,
-            i2,
-            sess,
-            is_symbolic,
-            &mut out.mech,
-            dep_pairs.as_mut(),
-        );
+        let dep =
+            array_dependence_condition(&mw, &s.r, &lc, sess, &mut out.mech, dep_pairs.as_mut());
         if dep.is_false() {
             out.evidence = keep.then(|| row(ArrayVerdict::Independent, dep_pairs, None));
             return out; // independent
@@ -475,13 +593,9 @@ pub fn test_loop(
         let mut priv_pairs = keep.then(Vec::new);
         let unsafe_priv = privatization_unsafe_condition(
             &s.e,
-            &s.mw,
-            ctx,
-            &ctx2,
-            loop_var,
-            i2,
+            &mw,
+            &lc,
             sess,
-            is_symbolic,
             &mut out.mech,
             priv_pairs.as_mut(),
         );
@@ -673,10 +787,9 @@ mod tests {
         sess: &AnalysisSession,
         mech: &mut Mechanisms,
     ) -> (Pred, PairOutcome) {
-        let (i, i2) = (v("i"), primed(v("i")));
-        let ctx2 = ctx.rename(i, i2);
-        let x2 = x.rename(i, i2);
-        conflict_condition(p_w, w, p_x, || &x2, ctx, &ctx2, i, i2, sess, &sym, mech)
+        let lc = LoopCtx::new(ctx, v("i"), &sym);
+        let x2 = lc.prime(x);
+        conflict_condition(p_w, w, p_x, || &x2, &lc, sess, mech)
     }
 
     /// Unguarded `w` against `x` in a fresh session with `max_disjuncts`
@@ -720,6 +833,54 @@ mod tests {
         assert_eq!(verdict, disjoint);
         assert_eq!((st.orders_total, st.orders_refuted), (2, 0));
         assert_eq!(st.intersect.total(), 2);
+    }
+
+    #[test]
+    fn a_surviving_order_is_answered_from_the_closure() {
+        // a[i] against a[i-1]: `i < i2` is refuted, `i > i2` survives, and
+        // its condition is read off the lists — one step each, no query,
+        // nothing interned; the projection is still counted.
+        let ctx = ctx_1_to_n();
+        let (verdict, st) = unguarded(&ctx, &shifted(0), &shifted(-1), 32);
+        assert_eq!(verdict.1, PairOutcome::Extracted);
+        let (orders, refuted, closed) = (st.orders_total, st.orders_refuted, st.orders_closed);
+        assert_eq!((orders, refuted, closed), (2, 1, 1));
+        assert_eq!(st.intersect.total() + st.sys_empty.total(), 0);
+        assert_eq!((st.interned_regions, st.fm_projections), (0, 1));
+
+        // Without extraction the survivor is assumed at once.
+        let sess = AnalysisSession::new(Options::base());
+        let mut mech = Mechanisms::default();
+        let verdict = conflict_in(
+            &ctx,
+            &Pred::True,
+            &shifted(0),
+            &Pred::True,
+            &shifted(-1),
+            &sess,
+            &mut mech,
+        );
+        assert_eq!(verdict, (Pred::True, PairOutcome::Assumed));
+        let st = sess.stats();
+        assert_eq!((st.orders_closed, st.fm_projections), (1, 0));
+        assert_eq!(st.intersect.total() + st.sys_empty.total(), 0);
+    }
+
+    #[test]
+    fn a_lattice_point_is_primed_with_its_iteration() {
+        // a[i + 2t], t a lattice existential of a strided inner loop:
+        // iterations i and i + 2 write the same element through different
+        // points, which a shared `t` would hide.
+        let (d, t) = (dim_var(v("a"), 0), Var::new("$lat.p.0"));
+        let w = Disjunction::from_system(System::from_constraints([
+            Constraint::eq(LinExpr::var(d), LinExpr::var(v("i")) + LinExpr::term(t, 2)),
+            Constraint::geq(LinExpr::var(t), LinExpr::constant(0)),
+            Constraint::leq(LinExpr::var(t), LinExpr::constant(5)),
+        ]));
+        let sess = AnalysisSession::new(Options::predicated());
+        let mut mech = Mechanisms::default();
+        let c = conflict(&Pred::True, &w, &Pred::True, &w, &sess, &mut mech);
+        assert!(!c.is_false(), "iterations 1 and 3 both write a[5]: {c}");
     }
 
     #[test]

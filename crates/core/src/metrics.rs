@@ -246,6 +246,7 @@ impl StatsSnapshot {
         reg.counter("deptest.orders.total").add(self.orders_total);
         reg.counter("deptest.orders.refuted")
             .add(self.orders_refuted);
+        reg.counter("deptest.orders.closed").add(self.orders_closed);
         reg.counter("interned.regions")
             .add(self.interned_regions as u64);
         reg.counter("budget.steps").add(self.budget_steps);

@@ -75,8 +75,9 @@
 //!    for them first.
 //! 3. Lattice existentials (`$lat.*`) are drawn from a per-procedure
 //!    counter ([`lat_var`]) instead of a global fresh counter, and the
-//!    first 256 names of every strided procedure are part of the
-//!    pre-interning pass.
+//!    first 256 names of every strided procedure, each followed by its
+//!    primed copy (the pair test's other iteration draws its own lattice
+//!    point), are part of the pre-interning pass.
 //!
 //! [`pre_intern`]: AnalysisSession::pre_intern
 //! [`lat_var`]: AnalysisSession::lat_var
@@ -148,6 +149,9 @@ pub struct StatsSnapshot {
     /// that no intersection was built ([`crate::deptest`]).
     pub orders_total: u64,
     pub orders_refuted: u64,
+    /// Pair-orders the closure did not refute whose conflict condition it
+    /// read off the same borrowed lists, so that nothing was built either.
+    pub orders_closed: u64,
     /// `$lat` requests beyond the pre-interned per-procedure pool.
     pub lat_overflow: u64,
     /// Lattice-operation steps charged against per-procedure work
@@ -241,10 +245,12 @@ impl std::fmt::Display for StatsSnapshot {
         if self.orders_total > 0 {
             writeln!(
                 f,
-                "  pair-orders: {} tested, {} refuted before any system was built ({:.1}%)",
+                "  pair-orders: {} tested, {} refuted before any system was built ({:.1}%), \
+                 {} answered from the closure",
                 self.orders_total,
                 self.orders_refuted,
-                100.0 * self.orders_refuted as f64 / self.orders_total as f64
+                100.0 * self.orders_refuted as f64 / self.orders_total as f64,
+                self.orders_closed
             )?;
         }
         write!(f, "  limit overflows: {}", self.limit_overflows)?;
@@ -336,6 +342,7 @@ pub struct AnalysisSession {
     fm_projections: Cell<u64>,
     orders_total: Cell<u64>,
     orders_refuted: Cell<u64>,
+    orders_closed: Cell<u64>,
     lat_overflow: Cell<u64>,
     lat_pools: RefCell<HashMap<String, u32>>,
     /// The work-budget meter, restarted by the driver at every procedure.
@@ -391,6 +398,7 @@ impl AnalysisSession {
             fm_projections: Cell::new(0),
             orders_total: Cell::new(0),
             orders_refuted: Cell::new(0),
+            orders_closed: Cell::new(0),
             lat_overflow: Cell::new(0),
             lat_pools: RefCell::new(HashMap::new()),
             degraded_procs: Cell::new(0),
@@ -601,18 +609,29 @@ impl AnalysisSession {
     }
 
     /// Count one pair-order of a dependence or privatization test (`w`
-    /// against `x2` under one iteration order). One refuted without
-    /// building the intersection is charged here as the `intersect` it
-    /// stands in for — one step, the operand sizes — and counts no
-    /// query; one that survives is charged by the queries that build it.
-    pub(crate) fn note_pair_order(&self, w: &Disjunction, x2: &Disjunction, refuted: bool) {
-        if self.meter.exhausted() || (refuted && !self.charge_pair(w, x2)) {
-            return;
+    /// against `x2` under one iteration order). One answered without
+    /// building the intersection — refuted, or its condition read off
+    /// the closure — is charged here as the `intersect` it stands in for:
+    /// one step, the operand sizes, and no query. One that is built is
+    /// charged by the queries that build it. `false` once the budget has
+    /// run out, at this step or before: the order then reads as empty,
+    /// as the queries that would build it return nothing.
+    pub(crate) fn note_pair_order(
+        &self,
+        w: &Disjunction,
+        x2: &Disjunction,
+        how: PairOrder,
+    ) -> bool {
+        if self.meter.exhausted() || (how != PairOrder::Built && !self.charge_pair(w, x2)) {
+            return false;
         }
-        if refuted {
-            bump(&self.orders_refuted);
+        match how {
+            PairOrder::Built => {}
+            PairOrder::Refuted => bump(&self.orders_refuted),
+            PairOrder::Closed => bump(&self.orders_closed),
         }
         bump(&self.orders_total);
+        true
     }
 
     /// A query on two regions: charged, counted in `asked`, computed
@@ -660,6 +679,11 @@ impl AnalysisSession {
         Var::new(&format!("$lat.{proc}.{k}"))
     }
 
+    /// Whether `v` is a lattice existential drawn by [`Self::lat_var`].
+    pub(crate) fn is_lat_var(v: Var) -> bool {
+        v.name().starts_with("$lat.")
+    }
+
     /// How many `$lat` requests for `proc` have fallen beyond the
     /// pre-interned pool so far; deltas of this value around a loop's
     /// classification attribute overflows to that loop.
@@ -697,7 +721,8 @@ impl AnalysisSession {
             pre_intern_block(&proc.body, proc, &mut strided);
             if strided {
                 for k in 0..LAT_POOL {
-                    Var::new(&format!("$lat.{}.{}", proc.name, k));
+                    let lat = Var::new(&format!("$lat.{}.{}", proc.name, k));
+                    crate::region::primed(lat);
                 }
             }
         }
@@ -731,6 +756,7 @@ impl AnalysisSession {
             fm_projections: self.fm_projections.get(),
             orders_total: self.orders_total.get(),
             orders_refuted: self.orders_refuted.get(),
+            orders_closed: self.orders_closed.get(),
             lat_overflow: self.lat_overflow.get(),
             budget_steps: self.meter.steps(),
             peak_disjuncts,
@@ -740,6 +766,18 @@ impl AnalysisSession {
             store: self.store.as_ref().map(|s| s.store.stats()),
         }
     }
+}
+
+/// How a pair test answered one iteration order ([`crate::deptest`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PairOrder {
+    /// The intersection was built and asked.
+    Built,
+    /// The closure refuted it from the borrowed lists.
+    Refuted,
+    /// The closure did not refute it, and its conflict condition was read
+    /// off the same lists.
+    Closed,
 }
 
 /// Add one to a session counter.
@@ -873,7 +911,7 @@ mod tests {
     #[test]
     fn term_count_histogram_backs_the_inline_capacity() {
         // The evidence `LinExpr`'s inline capacity was chosen from
-        // (`--nocapture` prints it): the corpus and 240 generated
+        // (`--nocapture` prints it): the corpus and 360 generated
         // programs, under all three variants. The histogram is over
         // what the sessions interned; the spill count also sees every
         // transient expression (the analysis runs on this thread).
@@ -891,7 +929,7 @@ mod tests {
         }
         println!("corpus: interned constraints by term count {hist:?}");
         assert_eq!(spills() - before, 0, "the corpus left the inline buffer");
-        for seed in 0..240 {
+        for seed in 0..360 {
             let prog = random_program(seed, GenConfig::default());
             for opts in variants() {
                 let sess = AnalysisSession::new(opts);

@@ -39,12 +39,20 @@
 //!
 //! The closure reads constraints and keeps none, so it does not need the
 //! conjunction it is asked about to exist: [`is_empty_parts`] walks a
-//! chain of borrowed lists — the two pieces of a pair test, both loop
-//! contexts and the iteration order; a system and the negation of one
-//! more constraint — and [`is_empty`] is its one-part call. The callers
-//! that ask it first ([`System::is_empty_with`](crate::System::is_empty_with),
-//! `Disjunction::subtract`, `core::deptest`) build the conjunction only
-//! if it survives or the answer is `None`.
+//! chain of borrowed lists — the two pieces of a pair test and both loop
+//! contexts; a system and the negation of one more constraint — and
+//! [`is_empty`] is its one-part call. The callers that ask it first
+//! ([`System::is_empty_with`](crate::System::is_empty_with),
+//! `Disjunction::subtract`) build the conjunction only if it survives or
+//! the answer is `None`.
+//!
+//! A pair test asks more of one matrix. [`orders_refuted`] closes the
+//! pieces and contexts once and reads both iteration orders off it, and
+//! [`project_parts`] — [`project`] over borrowed lists, as
+//! [`is_empty_parts`] is [`is_empty`] over them — projects a surviving
+//! order onto the symbolics, whose constraints are the condition under
+//! which the two iterations conflict. `core::deptest` builds a pair's
+//! intersection only where these decline.
 //!
 //! ## Projection
 //!
@@ -87,7 +95,7 @@
 //!   the first contradiction it meets between two constraints and
 //!   returns the empty system; the kept pairs alone may say anything.
 //!
-//! [`projections`] counts the answers, per thread.
+//! [`projections`] counts the answers of both, per thread.
 //!
 //! [`Tier`] names which of the two answered an emptiness query;
 //! [`force_general`] is the switch that sends everything — emptiness and
@@ -177,10 +185,27 @@ pub fn projections() -> u64 {
 /// `drop`, or meets one of the three rules under which elimination's
 /// representation differs from the paths'.
 pub fn project(constraints: &[Constraint], drop: &[Var], limits: Limits) -> Option<Projection> {
-    let mut g = Graph::read(&[constraints], limits)?;
+    project_parts(&[constraints], |v| drop.contains(&v), limits)
+}
+
+/// [`project`] of the conjunction of several borrowed lists, read in
+/// place as [`is_empty_parts`] reads them, with every variable `drop`
+/// accepts projected out. Wherever it answers, the answer is what
+/// elimination returns for the materialized conjunction — the list
+/// [`System::and`](crate::System::and) builds, which only merges what
+/// the matrix merges anyway: a duplicate or looser bound loses to the
+/// tighter one, and a pair of opposite bounds it pins to an equality is
+/// a pinned difference, which rule (b) vets as it vets the equality
+/// (rule (a)) it becomes.
+pub fn project_parts(
+    parts: &[&[Constraint]],
+    drop: impl Fn(Var) -> bool,
+    limits: Limits,
+) -> Option<Projection> {
+    let mut g = Graph::read(parts, limits)?;
     let n = g.n;
     let dropped = (1..n)
-        .filter(|&p| drop.contains(&g.vars[p - 1]))
+        .filter(|&p| drop(g.vars[p - 1]))
         .fold(0u16, |set, p| set | 1 << p);
     if dropped == 0 {
         return None;
@@ -234,6 +259,33 @@ pub fn project(constraints: &[Constraint], drop: &[Var], limits: Limits) -> Opti
     })
 }
 
+/// Both iteration orders of a pair test from one closure: whether
+/// `parts ∧ (i < i2)` and `parts ∧ (i > i2)` are empty, in that order.
+/// The matrix of `parts` is read and closed once; `i < i2` is refuted
+/// exactly when the closed `d[i][i2] ≤ 0` — a path from `i` to `i2` of
+/// weight at most zero says `i2 ≤ i`, and the order's edge of weight −1
+/// closes it into a negative cycle — and `i > i2` when `d[i2][i] ≤ 0`;
+/// a negative cycle in `parts` refutes both. The answer is
+/// [`is_empty_parts`] of `parts` with each order's constraint pushed,
+/// and so is the decline: `i` and `i2` are numbered before the size
+/// checks, as the pushed constraint would number them.
+pub fn orders_refuted(
+    parts: &[&[Constraint]],
+    i: Var,
+    i2: Var,
+    limits: Limits,
+) -> Option<[bool; 2]> {
+    let mut g = Graph::load(parts)?;
+    let (a, b) = (g.node(i)?, g.node(i2)?);
+    if !g.fits(limits) {
+        return None;
+    }
+    if !(0..g.n).all(|k| g.relax(k)) {
+        return Some([true, true]);
+    }
+    Some([g.d[a][b] <= 0, g.d[b][a] <= 0])
+}
+
 /// A difference-bound system read into its matrix: node 0 is the
 /// constant zero and node `p > 0` is `vars[p - 1]`; `d[p][q]` is the
 /// tightest `k` read for `p − q + k ≥ 0`, [`INF`] for none.
@@ -251,6 +303,12 @@ impl Graph {
     /// constraint or size this module declines (see "Fall-through").
     #[inline]
     fn read(parts: &[&[Constraint]], limits: Limits) -> Option<Graph> {
+        Graph::load(parts).filter(|g| g.fits(limits))
+    }
+
+    /// [`Graph::read`] before the size check against `limits`.
+    #[inline]
+    fn load(parts: &[&[Constraint]]) -> Option<Graph> {
         let mut g = Graph {
             d: [[INF; NODES]; NODES],
             vars: [PLACEHOLDER; MAX_VARS],
@@ -279,10 +337,14 @@ impl Graph {
                 g.equated |= 1 << p | 1 << q;
             }
         }
-        if limits.max_constraints < g.n * g.n {
-            return None;
-        }
         Some(g)
+    }
+
+    /// Whether elimination could stay under `limits.max_constraints`
+    /// here (see "Agreement with elimination").
+    #[inline]
+    fn fits(&self, limits: Limits) -> bool {
+        self.n * self.n <= limits.max_constraints
     }
 
     /// The node of `v`, numbered on first sight; `None` past

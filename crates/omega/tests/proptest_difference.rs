@@ -8,7 +8,11 @@
 //! [`System::is_empty_with`], the pieces of [`Disjunction::subtract`] —
 //! must say what the materialized conjunction says. Wherever
 //! [`difference::project`] answers a projection, it must return the
-//! system and flag elimination returns.
+//! system and flag elimination returns. A pair test's one closure for
+//! both iteration orders ([`difference::orders_refuted`]) must answer what
+//! each order pushed answers, and its condition read off the borrowed
+//! lists ([`difference::project_parts`]) must be what elimination returns
+//! for the conjunction the test would build.
 //! Cases come from fixed seeds so every run checks the same systems.
 
 use rand::rngs::StdRng;
@@ -636,6 +640,146 @@ fn subtract_builds_exactly_the_pieces_the_filter_kept() {
     assert!(gave_up >= 200, "only {gave_up} subtractions gave up");
     assert!(pieces >= 6_000, "only {pieces} pieces survived");
     assert!(emptied >= 300, "only {emptied} differences came out empty");
+}
+
+/// A pair test's lists as the dependence test holds them: two pieces and
+/// two loop contexts over `df0..df{vars}`, each normalized on its own and
+/// none a contradiction (a contradiction's list reads as the universe),
+/// sometimes with a constraint the closure declines.
+fn random_pair_lists(rng: &mut StdRng, vars: usize) -> Option<[System; 4]> {
+    let lists = [(); 4].map(|_| {
+        let mut cs: Vec<Constraint> = (0..rng.gen_range(0usize..=3))
+            .map(|_| random_difference_constraint(rng, vars))
+            .collect();
+        if rng.gen_bool(0.03) {
+            cs.push(random_declined_constraint(rng, vars));
+        }
+        System::from_constraints(cs)
+    });
+    (!lists.iter().any(System::is_contradiction)).then_some(lists)
+}
+
+/// Tight caps now and then: `(vars + 1)²` past them declines.
+fn pair_limits(case: u32) -> Limits {
+    match case % 6 {
+        1 => Limits {
+            max_constraints: 9,
+            max_disjuncts: 1,
+        },
+        3 => Limits {
+            max_constraints: 25,
+            max_disjuncts: 1,
+        },
+        _ => Limits::default(),
+    }
+}
+
+/// The pair test's two iteration orders over `i = df0` and `i2 = df1`,
+/// normalized as the test pushes them.
+fn iteration_orders() -> [Constraint; 2] {
+    [Constraint::lt(lx(0), lx(1)), Constraint::gt(lx(0), lx(1))].map(|c| match c.normalize() {
+        padfa_omega::Norm::Keep(c) => c,
+        _ => unreachable!(),
+    })
+}
+
+#[test]
+fn one_closure_answers_both_iteration_orders() {
+    let mut rng = StdRng::seed_from_u64(0x0DE5_2BAD);
+    let orders = iteration_orders();
+    let mut seen = [0u32; 5];
+    for case in 0..20_000 {
+        // Up to eight variables besides the two the orders add when the
+        // lists do not mention them: the ninth declines.
+        let vars = rng.gen_range(1usize..=8);
+        let Some(lists) = random_pair_lists(&mut rng, vars) else {
+            continue;
+        };
+        let limits = pair_limits(case);
+        let [a, b, c, c2] = &lists;
+        let parts = [
+            a.constraints(),
+            b.constraints(),
+            c.constraints(),
+            c2.constraints(),
+        ];
+        let both = difference::orders_refuted(&parts, var(0), var(1), limits);
+        for (k, order) in orders.iter().enumerate() {
+            let [pa, pb, pc, pc2] = parts;
+            let pushed = [pa, pb, pc, pc2, std::slice::from_ref(order)];
+            assert_eq!(
+                both.map(|r| r[k]),
+                difference::is_empty_parts(&pushed, limits),
+                "case {case}, order {k}: {lists:?}"
+            );
+        }
+        seen[match both {
+            None => 0,
+            Some([false, false]) => 1,
+            Some([true, false]) => 2,
+            Some([false, true]) => 3,
+            Some([true, true]) => 4,
+        }] += 1;
+    }
+    // Declined, neither refuted, one order each way, and both.
+    for (what, n) in [
+        "declined",
+        "open",
+        "lt refuted",
+        "gt refuted",
+        "both refuted",
+    ]
+    .iter()
+    .zip(seen)
+    {
+        assert!(n >= 500, "only {n} {what}: {seen:?}");
+    }
+}
+
+#[test]
+fn pair_conditions_in_closed_form_are_what_elimination_returns() {
+    let mut rng = StdRng::seed_from_u64(0xC0_4D17);
+    let orders = iteration_orders();
+    let (mut answered, mut declined, mut with_eq) = (0u32, 0u32, 0u32);
+    for case in 0..30_000 {
+        let vars = rng.gen_range(2usize..=8);
+        let Some(lists) = random_pair_lists(&mut rng, vars) else {
+            continue;
+        };
+        let limits = pair_limits(case);
+        let order = &orders[rng.gen_range(0usize..2)];
+        // The indices, and a prefix of the rest as dimension variables:
+        // what the test projects out. The others are the symbolics.
+        let dims = rng.gen_range(2..=vars);
+        let drop = |v: Var| (0..dims).any(|n| var(n) == v);
+        let [a, b, c, c2] = &lists;
+        let parts = [
+            a.constraints(),
+            b.constraints(),
+            c.constraints(),
+            c2.constraints(),
+            std::slice::from_ref(order),
+        ];
+        let Some(closed) = difference::project_parts(&parts, drop, limits) else {
+            declined += 1;
+            continue;
+        };
+        answered += 1;
+        // What the test builds: the intersection's system under both
+        // contexts, and the order pushed on top.
+        let built = a.and(b).and(c).and(c2).and_constraint(order.clone());
+        with_eq += u32::from(built.constraints().iter().any(|c| c.kind == CKind::Eq));
+        let junk: Vec<Var> = built.vars().into_iter().filter(|&v| drop(v)).collect();
+        let elim = built.project_out_by_elimination(&junk, limits);
+        assert_eq!(
+            (&closed.system, closed.exact),
+            (&elim.system, elim.exact),
+            "case {case}: {built} without {junk:?}"
+        );
+    }
+    assert!(answered >= 3_000, "only {answered} answered");
+    assert!(declined >= 3_000, "only {declined} declined");
+    assert!(with_eq >= 300, "only {with_eq} answered with an equality");
 }
 
 #[test]

@@ -650,7 +650,7 @@ fn corpus_classifies_every_program_and_resumes() {
     };
     assert_eq!(
         [total("degraded_procs"), total("steps"), total("parallel")],
-        [16, 21_386, 1_740]
+        [16, 20_969, 1_811]
     );
 
     // A resumed run skips everything already in the ledger and appends
@@ -1166,22 +1166,24 @@ fn corpus_metrics_are_the_fold_of_per_program_metrics() {
     assert!(run.status.success());
     let corpus = metrics_counters(&out);
     assert_eq!(corpus, folded);
-    assert_eq!(corpus["query.sys_empty.total"], 17_748);
+    assert_eq!(corpus["query.sys_empty.total"], 14_960);
     assert_eq!(corpus["fm.projections"], 8_445);
-    assert_eq!(corpus["interned.regions"], 6_204);
+    assert_eq!(corpus["interned.regions"], 4_174);
     // The tier census: every emptiness question a corpus pass asks is a
     // difference-bound system. A new input shape that reaches
     // elimination shows up here first.
-    assert_eq!(corpus["tier.sys_empty.dense"], 17_748);
+    assert_eq!(corpus["tier.sys_empty.dense"], 14_960);
     assert_eq!(corpus["tier.sys_empty.general"], 0);
     assert_eq!(corpus["tier.intersect.dense"], 0);
-    assert_eq!(corpus["tier.intersect.general"], 3_292);
+    assert_eq!(corpus["tier.intersect.general"], 504);
     assert_eq!(corpus["tier.subset.general"], 8);
     // The materialization census: of the pair-orders the dependence and
     // privatization tests decide, the ones refuted from the borrowed
-    // lists, for which no intersection was built.
+    // lists, and the survivors whose condition was read off them — for
+    // neither was an intersection built.
     assert_eq!(corpus["deptest.orders.total"], 13_814);
     assert_eq!(corpus["deptest.orders.refuted"], 10_840);
+    assert_eq!(corpus["deptest.orders.closed"], 2_788);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -1226,7 +1228,7 @@ fn a_cold_corpus_store_pass_counts_the_storeless_work() {
     assert_eq!(cold_rows, plain_rows);
     assert_eq!(cold["fm.projections"], 8_445);
     assert_eq!(cold["query.project.total"], 2_801);
-    assert_eq!(cold["interned.regions"], 6_204);
+    assert_eq!(cold["interned.regions"], 4_174);
     assert_eq!((cold_all["store.hits"], cold_all["store.puts"]), (0, 34));
     let (_, warm_all, warm_rows) = corpus("warm", true);
     assert_eq!(warm_rows, plain_rows);
